@@ -3,21 +3,20 @@
 Every command prints either readable text (default) or a single JSON object
 with "schema": 1 and sorted keys, so repeated runs are byte-identical.  Exit
 status: 0 on success, 1 when a verification or certification fails, 2 on bad
-input.  ADELIE_THREADS is parsed for forward compatibility; all sweeps run
-sequentially.
+input or an exhausted budget, 3 on an internal error (an invariant of the
+construction failed, which is a bug).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
 from .chevalley import build_constants, dump_constants, verify_chevalley
 from .cotangent import cht, cotangent_verdict, euler_characteristic_graded
-from .errors import AdelieError
+from .errors import AdelieError, CancellationFailure, ConstructionFailure
 from .flag import ALL_VANISH, bwb, euler_characteristic
 from .obstruction import Half, build_system, certify_solvability, check_bianchi, system_text
 from .report import VerificationReport
@@ -32,16 +31,7 @@ from .surface import (
 from .verify import SUITES, cotangent_h2_oracle, run_suite
 
 SCHEMA = 1
-OK, FAILED, USAGE = 0, 1, 2
-
-
-def _thread_count() -> int:
-    """ADELIE_THREADS, clamped to at least 1; reserved, execution is sequential."""
-    raw = os.environ.get("ADELIE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _vector(args, rs: RootSystem) -> LatticeVector:
@@ -331,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in simply-laced root systems: "
         "line-bundle cohomology, chain heights, Chevalley structure "
         "constants, obstruction systems, and the resolved-surface dictionary.",
-        epilog="ADELIE_THREADS is accepted and reserved; sweeps run sequentially.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -415,9 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _thread_count()
     try:
         code, payload, lines = COMMAND_FOR_OPERATION[args.command](args)
+    except (ConstructionFailure, CancellationFailure) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
     except AdelieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -20,28 +20,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, NonUniqueMinimal, NotARootClass
+from .errors import BudgetExceeded, ConstructionFailure, NonUniqueMinimal, NotARootClass
 from .flag import dominant_conjugate, euler_characteristic
 from .report import VerificationReport
-from .roots import Basis, LatticeVector, RootSystem, build, weight_vector
+from .roots import LatticeVector, RootSystem, build, weight_vector
 
 # caps for the box walks: dominant points kept, and search-tree nodes visited
 _POINT_BUDGET = 2 * 10 ** 4
 _NODE_BUDGET = 5 * 10 ** 7
 
 
-def _as_weight(rs: RootSystem, v: LatticeVector) -> LatticeVector:
-    return rs.to_weight_basis(v) if v.basis is Basis.SIMPLE_ROOT else v
-
-
 def dominance_leq(rs: RootSystem, mu: LatticeVector, nu: LatticeVector) -> bool:
     """True when nu - mu is a non-negative integer combination of simple roots."""
-    diff = _as_weight(rs, nu) - _as_weight(rs, mu)
+    diff = rs.to_weight_basis(nu) - rs.to_weight_basis(mu)
     return all(
         f.denominator == 1 and f >= 0 for f in rs.root_coords_exact(diff)
     )
@@ -130,13 +125,16 @@ class ChtReport:
     interval_points: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
     rs = build(kind, rank)
     lam = weight_vector(*coords)
     plus = lambda_plus(rs, lam)
     d = rs.to_root_basis(plus - lam).coords
-    assert all(v >= 0 for v in d)  # a dominant conjugate dominates its orbit
+    if any(v < 0 for v in d):  # a dominant conjugate dominates its orbit
+        raise ConstructionFailure(
+            f"{rs.name}: dominant conjugate {plus} does not dominate {lam}"
+        )
 
     cs = _dominant_box_points(rs, lam.coords, d)
     if len(cs) == 0:
@@ -194,12 +192,12 @@ def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
 
 def lambda_star(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
     """The unique minimal dominant weight above lam in dominance order."""
-    return _cht_cached(rs.kind, rs.rank, _as_weight(rs, lam).coords).lambda_star
+    return _cht_cached(rs.kind, rs.rank, rs.to_weight_basis(lam).coords).lambda_star
 
 
 def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     """Chain height of lam, with the interval data and a witness chain."""
-    return _cht_cached(rs.kind, rs.rank, _as_weight(rs, lam).coords)
+    return _cht_cached(rs.kind, rs.rank, rs.to_weight_basis(lam).coords)
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ class CotangentVerdict:
 def cotangent_verdict(rs: RootSystem, lam: LatticeVector) -> CotangentVerdict:
     rep = cht(rs, lam)
     return CotangentVerdict(
-        weight=_as_weight(rs, lam),
+        weight=rs.to_weight_basis(lam),
         report=rep,
         vanishing_above=rep.value,
         h2_vanish=rep.value < 2,
@@ -237,13 +235,12 @@ def verify_chain_criterion(
     too large for the point budget at high rank.
     """
     rep = VerificationReport(name=f"chain-criterion-{rs.name}")
-    pos = rs.positive_roots
     for coords in np.ndindex(*([2 * radius + 1] * rs.rank)):
         if max_support is not None and sum(v != radius for v in coords) > max_support:
             continue
         lam = weight_vector(*(int(v) - radius for v in coords))
         rep.checked += 1
-        flat = all(rs.pairing(lam, a) >= -1 for a in pos)
+        flat = min(rs.positive_pairings(lam)) >= -1
         if (cht(rs, lam).value == 0) != flat:
             rep.violations.append(
                 f"{lam}: cht {'0' if not flat else 'nonzero'} against pairing bound"
@@ -304,7 +301,14 @@ def euler_characteristic_graded(
 ) -> int:
     """Sum of Euler characteristics of lam shifted by all degree-multisets of
     positive roots: the Euler characteristic of the degree-th symmetric-power
-    twist.  Raises BudgetExceeded when the multiset count passes max_terms."""
+    twist.  Raises BudgetExceeded when the multiset count passes max_terms.
+
+    Many multisets share a root sum, so they are first folded into distinct
+    sums with multiplicities, one positive root at a time, and each distinct
+    shifted weight costs one Euler characteristic.  A sum is packed into one
+    int, sum_i c_i * base**i with |c_i| < base / 2, so adding roots is adding
+    ints and the fold stores no tuples.
+    """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     n_pos = len(rs.positive_roots)
@@ -313,12 +317,26 @@ def euler_characteristic_graded(
         raise BudgetExceeded(
             f"{terms} multisets of degree {degree} exceed the budget {max_terms}"
         )
-    lam_w = _as_weight(rs, lam)
-    shifts = [rs.to_weight_basis(a) for a in rs.positive_roots]
+    lam_w = rs.to_weight_basis(lam).coords
+    shifts = [rs.to_weight_basis(a).coords for a in rs.positive_roots]
+    base = 2 * degree * max(abs(c) for a in shifts for c in a) + 1
+    # layers[j]: packed sum -> number of j-multisets of the roots seen so far
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(degree)]
+    for a in shifts:
+        step = sum(c * base ** i for i, c in enumerate(a))
+        # ascending j reuses this root's own update of layers[j - 1], so a
+        # root may repeat any number of times within a multiset
+        for j in range(1, degree + 1):
+            below, layer = layers[j - 1], layers[j]
+            for key, m in below.items():
+                key += step
+                layer[key] = layer.get(key, 0) + m
     total = 0
-    for pick in combinations_with_replacement(range(n_pos), degree):
-        mu = lam_w
-        for k in pick:
-            mu = mu + shifts[k]
-        total += euler_characteristic(rs, mu)
+    for key, m in layers[degree].items():
+        mu = []
+        for w in lam_w:
+            c = (key + base // 2) % base - base // 2
+            key = (key - c) // base
+            mu.append(w + c)
+        total += m * euler_characteristic(rs, weight_vector(*mu))
     return total

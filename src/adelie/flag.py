@@ -12,8 +12,9 @@ dimension comes from the Weyl product formula, evaluated in exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .errors import IndexOutOfRange, NotDominant
+from .errors import ConstructionFailure, IndexOutOfRange, NotDominant
 from .report import VerificationReport
 from .roots import Basis, LatticeVector, RootSystem
 
@@ -46,18 +47,14 @@ class CohomologyVerdict:
         return self.status == ALL_VANISH or self.degree != d
 
 
-def _as_weight(rs: RootSystem, v: LatticeVector) -> LatticeVector:
-    return rs.to_weight_basis(v) if v.basis is Basis.SIMPLE_ROOT else v
-
-
 def is_singular(rs: RootSystem, mu: LatticeVector) -> bool:
     """True when mu is orthogonal to some positive root."""
-    return any(rs.pairing(mu, a) == 0 for a in rs.positive_roots)
+    return 0 in rs.positive_pairings(mu)
 
 
 def index(rs: RootSystem, mu: LatticeVector) -> int:
     """Number of positive roots pairing strictly negatively with mu."""
-    return sum(1 for a in rs.positive_roots if rs.pairing(mu, a) < 0)
+    return sum(1 for p in rs.positive_pairings(mu) if p < 0)
 
 
 def dominant_conjugate(
@@ -71,13 +68,14 @@ def dominant_conjugate(
     index(rs, mu) times; the returned word lists 1-based simple-reflection
     indices in application order.
     """
-    cur = _as_weight(rs, mu)
+    cur = rs.to_weight_basis(mu).coords
     word: list[int] = []
     while True:
-        i = next((k for k, v in enumerate(cur.coords) if v < 0), None)
+        i = next((k for k, v in enumerate(cur) if v < 0), None)
         if i is None:
-            return cur, tuple(word)
-        cur = rs.reflect_simple(cur, i)
+            return LatticeVector(cur, Basis.FUNDAMENTAL_WEIGHT), tuple(word)
+        k = cur[i]
+        cur = tuple(v - k * c for v, c in zip(cur, rs.cartan[i]))
         word.append(i + 1)
 
 
@@ -86,23 +84,22 @@ def weyl_dim(rs: RootSystem, mu: LatticeVector) -> int:
 
     Exact integer product formula; mu must be dominant.
     """
-    mu = _as_weight(rs, mu)
+    mu = rs.to_weight_basis(mu)
     if not rs.is_dominant(mu):
         raise NotDominant(f"{mu} is not dominant")
-    shifted = mu + rs.rho()
-    num = 1
-    den = 1
-    for a in rs.positive_roots:
-        num *= rs.pairing(shifted, a)
-        den *= rs.height(a)
+    num = prod(rs.positive_pairings(mu + rs.rho()))
+    den = prod(rs.positive_pairings(rs.rho()))  # (rho, a) is the height of a
     q, r = divmod(num, den)
-    assert r == 0  # Weyl numerator is always divisible by the rho-product
+    if r:
+        raise ConstructionFailure(
+            f"{rs.name}: Weyl numerator of {mu} is not divisible by the rho-product"
+        )
     return q
 
 
 def bwb(rs: RootSystem, lam: LatticeVector) -> CohomologyVerdict:
     """Full cohomology verdict for the line bundle attached to the weight lam."""
-    lam = _as_weight(rs, lam)
+    lam = rs.to_weight_basis(lam)
     shifted = lam + rs.rho()
     if is_singular(rs, shifted):
         return CohomologyVerdict(status=ALL_VANISH)
@@ -129,20 +126,23 @@ def schubert_restriction_degree(rs: RootSystem, lam: LatticeVector, i: int) -> i
     """Degree of the lam-line bundle on the i-th simple Schubert curve (1-based)."""
     if not 1 <= i <= rs.rank:
         raise IndexOutOfRange(f"curve index {i} outside 1..{rs.rank}")
-    return _as_weight(rs, lam).coords[i - 1]
+    return rs.to_weight_basis(lam).coords[i - 1]
 
 
 def triviality_criterion(rs: RootSystem, lam: LatticeVector) -> bool:
     """True when the lam-line bundle is trivial.
 
-    Equivalent formulations, asserted to agree: every restriction to a simple
+    Equivalent formulations, checked to agree: every restriction to a simple
     Schubert curve has degree zero, and lam itself is the zero weight.
     """
     degrees = [
         schubert_restriction_degree(rs, lam, i) for i in range(1, rs.rank + 1)
     ]
     flat = all(d == 0 for d in degrees)
-    assert flat == _as_weight(rs, lam).is_zero()
+    if flat != rs.to_weight_basis(lam).is_zero():
+        raise ConstructionFailure(
+            f"{rs.name}: Schubert degrees {degrees} disagree with the weight of {lam}"
+        )
     return flat
 
 
@@ -183,12 +183,12 @@ def verify_index_bound(rs: RootSystem) -> VerificationReport:
     simples = set(r.coords for r in rs.simple_roots)
     for a in rs.all_roots:
         rep.checked += 1
-        shifted = _as_weight(rs, a) + rho
+        shifted = rs.to_weight_basis(a) + rho
         if not is_singular(rs, shifted):
             ind = index(rs, shifted)
             if ind > 1:
                 rep.violations.append(f"root {a}: index {ind} exceeds 1")
-        w = _as_weight(rs, a)
+        w = rs.to_weight_basis(a)
         allowed = {-1, 0, 1}
         if a.coords in simples:
             allowed = {-1, 0, 1, 2}

@@ -12,12 +12,12 @@ by column produces one even quadratic form E_a per root of the half:
 
 The build computes D^2 honestly by double application, extracts each E_a from
 the Cartan columns by exact division, checks the remainder against every
-column (CancellationFailure otherwise), and then asserts the closed formula
-above against the extracted system.  The E_a satisfy the Bianchi-type
-identity checked by check_bianchi, and certify_solvability matches them
-against an H^2 vanishing oracle: classes of height two and above must vanish,
-classes of height one are recorded as nontriviality requirements on the
-target.
+column (CancellationFailure otherwise), and then checks the closed formula
+above against the extracted system (ConstructionFailure otherwise).  The E_a
+satisfy the Bianchi-type identity checked by check_bianchi, and
+certify_solvability matches them against an H^2 vanishing oracle: classes of
+height two and above must vanish, classes of height one are recorded as
+nontriviality requirements on the target.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chevalley import ChevalleyConstants, _pair_bracket_table
-from .errors import CancellationFailure, IncompleteOracle
+from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem
 
@@ -224,7 +224,7 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     """Expand D^2 column by column and extract the obstruction forms.
 
     Raises CancellationFailure when the expansion does not reduce to
-    sum_a E_a ad(x_a) exactly, and asserts the closed quadratic formula
+    sum_a E_a ad(x_a) exactly, and checks the closed quadratic formula
     against the extracted forms.
     """
     rs = constants.system
@@ -320,7 +320,11 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
                 closed[s.coords] = closed[s.coords] + term.scale(
                     constants.n(beta, gamma)
                 )
-    assert closed == obstructions  # double expansion against direct folding
+    if closed != obstructions:  # double expansion against direct folding
+        raise ConstructionFailure(
+            f"{rs.name} {half.value}: the closed quadratic formula disagrees "
+            f"with the double expansion of D^2"
+        )
 
     return ObstructionSystem(constants, half, roots, obstructions)
 

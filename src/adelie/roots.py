@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 import re
 
 from ._exact import fraction_inverse, int_det
 from .errors import (
     BasisMismatch,
+    ConstructionFailure,
     DependentRoots,
     IllegalType,
     NotInRootLattice,
@@ -238,10 +240,48 @@ class RootSystem:
         """
         if v.rank != self.rank or w.rank != self.rank:
             raise BasisMismatch(f"rank mismatch against {self.name}")
+        if w.basis is Basis.SIMPLE_ROOT:
+            v, w = w, v
+        if v.basis is Basis.SIMPLE_ROOT:
+            return sum(map(mul, v.coords, self.to_weight_basis(w).coords))
         rv = self.root_coords_exact(v)
-        ww = self.to_weight_basis(w).coords
-        s = sum((a * b for a, b in zip(rv, ww)), Fraction(0))
+        s = sum((a * b for a, b in zip(rv, w.coords)), Fraction(0))
         return int(s) if s.denominator == 1 else s
+
+    @cached_property
+    def _positive_steps(self) -> tuple[tuple[int, int], ...]:
+        # (k, i) for each positive root: it is positive root k plus the simple
+        # root alpha_i, with k = -1 for alpha_i itself.  The list is sorted by
+        # height, so k always precedes the root it builds.
+        index = {a.coords: k for k, a in enumerate(self.positive_roots)}
+        steps = []
+        for a in self.positive_roots:
+            c = a.coords
+            if sum(c) == 1:
+                steps.append((-1, c.index(1)))
+                continue
+            for i in range(self.rank):
+                k = index.get(c[:i] + (c[i] - 1,) + c[i + 1:])
+                if k is not None:
+                    steps.append((k, i))
+                    break
+            else:
+                raise ConstructionFailure(
+                    f"{self.name}: positive root {c} has no positive predecessor"
+                )
+        return tuple(steps)
+
+    def positive_pairings(self, v: LatticeVector) -> list[int]:
+        """(v, a) for every positive root a, in the order of positive_roots.
+
+        One integer pass: (v, beta + alpha_i) = (v, beta) + v_i with v_i the
+        i-th weight coordinate of v.
+        """
+        w = self.to_weight_basis(v).coords
+        out: list[int] = []
+        for k, i in self._positive_steps:
+            out.append(w[i] if k < 0 else out[k] + w[i])
+        return out
 
     # -- roots ------------------------------------------------------------
 

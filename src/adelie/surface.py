@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
-from ._exact import fraction_inverse, int_det, ldl_decomposition
+from ._exact import int_det, ldl_decomposition
 from .errors import ConstructionFailure, IndexOutOfRange, NotARootClass
 from .flag import schubert_restriction_degree
 from .obstruction import H2VanishVerdict
@@ -89,31 +88,36 @@ def resolution_lattice(rs: RootSystem) -> ResolutionLattice:
     return ResolutionLattice(rs, intersection)
 
 
-@lru_cache(maxsize=None)
-def _cartan_inverse(cartan):
-    return fraction_inverse(cartan)
-
-
 def root_to_divisor(lattice: ResolutionLattice, alpha: LatticeVector) -> DivisorClass:
     """Divisor class of a root, solved from its restriction degrees.
 
     The multiplicities m are the unique solution of
-    (m . intersection) . C_i = -(alpha, alpha_i); the solution is asserted to
-    be integral, to equal the simple-root coordinates, and to square to -2.
+    (m . intersection) . C_i = -(alpha, alpha_i); the solution is checked to
+    be integral, to equal the simple-root coordinates, and to square to -2
+    (ConstructionFailure otherwise).
     """
     rs = lattice.system
     if not rs.is_root(alpha):
         raise NotARootClass(f"{alpha} is not a root of {rs.name}")
     pairings = [rs.pairing(alpha, s) for s in rs.simple_roots]
-    inv = _cartan_inverse(rs.cartan)
+    inv = rs._inverse_cartan
     m = [
         sum(inv[i][k] * pairings[i] for i in range(rs.rank))
         for k in range(rs.rank)
     ]
-    assert all(f.denominator == 1 for f in m)
+    if any(f.denominator != 1 for f in m):
+        raise ConstructionFailure(
+            f"{rs.name}: root {alpha} has divisor {m}, not integral"
+        )
     d = DivisorClass(tuple(int(f) for f in m))
-    assert d.coeffs == rs.to_root_basis(alpha).coords
-    assert lattice.self_intersection(d) == -2
+    if d.coeffs != rs.to_root_basis(alpha).coords:
+        raise ConstructionFailure(
+            f"{rs.name}: root {alpha} has divisor {d.coeffs}, not its root coordinates"
+        )
+    if lattice.self_intersection(d) != -2:
+        raise ConstructionFailure(
+            f"{rs.name}: divisor {d} of root {alpha} does not square to -2"
+        )
     return d
 
 

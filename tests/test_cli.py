@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from adelie import cli
 from adelie.cli import COMMAND_FOR_OPERATION, _report_lines, _report_payload, main
+from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailure
 from adelie.report import VerificationReport
 from adelie.roots import build
 
@@ -165,3 +167,47 @@ def test_failed_report_rendering():
     payload = _report_payload(build("A1"), rep)
     assert payload["ok"] is False
     assert payload["violations"] == ["broken fact"]
+
+
+def _raising(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+def test_exit_zero_on_success(capsys):
+    code, out, err = run(capsys, "bwb", "A2", "--", "-1", "0")
+    assert (code, err) == (0, "")
+    assert "all cohomology vanishes" in out
+
+
+def test_exit_one_on_failed_verification(capsys, monkeypatch):
+    failing = VerificationReport(name="demo", checked=1, violations=["broken fact"])
+    monkeypatch.setattr(cli, "run_suite", lambda rs, suite, **kwargs: failing)
+    code, payload = run_json(capsys, "verify", "A2", "bwb")
+    assert code == 1
+    assert payload["ok"] is False
+
+
+def test_exit_two_on_exhausted_budget(capsys):
+    code, out, err = run(capsys, "euler", "A2", "--degree", "3", "--max-terms", "2", "0", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceed the budget" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [ConstructionFailure("broken table"), CancellationFailure("stray terms")]
+)
+def test_exit_three_on_internal_error(capsys, monkeypatch, exc):
+    monkeypatch.setitem(COMMAND_FOR_OPERATION, "roots", _raising(exc))
+    code, out, err = run(capsys, "roots", "A2")
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {exc}\n"
+
+
+def test_other_adelie_errors_stay_at_two(capsys, monkeypatch):
+    monkeypatch.setitem(COMMAND_FOR_OPERATION, "roots", _raising(BudgetExceeded("too many")))
+    code, _, err = run(capsys, "roots", "A2")
+    assert code == 2
+    assert err == "error: too many\n"

@@ -1,6 +1,6 @@
 """Dominance order, lambda_star / cht invariants, descent chains, graded Euler."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from adelie.cotangent import (
     verify_descent,
 )
 from adelie.errors import BudgetExceeded, NotARootClass
+from adelie.flag import euler_characteristic
 
 ALL_TYPES = "A1 A2 A3 A4 A5 A6 A7 D3 D4 D5 D6 D7 E6 E7 E8".split()
 SMALL = ("A1", "A2", "A3", "D4")
@@ -208,3 +209,38 @@ def test_box_budget_guard():
     rs = build("A2")
     with pytest.raises(BudgetExceeded):
         cht(rs, weight_vector(-10 ** 5, -10 ** 5))
+
+
+def _naive_graded_euler(rs, lam, degree):
+    """Oracle: one Euler characteristic per multiset of positive roots."""
+    lam = rs.to_weight_basis(lam)
+    shifts = [rs.to_weight_basis(a) for a in rs.positive_roots]
+    total = 0
+    for pick in combinations_with_replacement(shifts, degree):
+        mu = lam
+        for a in pick:
+            mu = mu + a
+        total += euler_characteristic(rs, mu)
+    return total
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "E6"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_graded_euler_fold_matches_multiset_sum(name, degree):
+    rs = build(name)
+    zero = weight_vector(*([0] * rs.rank))
+    mixed = weight_vector(*((-1) ** i * (i % 3 + 1) for i in range(rs.rank)))
+    for lam in (zero, mixed, -rs.highest_root()):
+        assert euler_characteristic_graded(rs, lam, degree) == _naive_graded_euler(
+            rs, lam, degree
+        ), lam
+
+
+@pytest.mark.parametrize(
+    "name,degree,value",
+    [("E6", 2, 3080), ("E7", 2, 8910), ("E8", 2, 30875), ("E8", 3, 2572752)],
+)
+def test_graded_euler_exceptional_values(name, degree, value):
+    rs = build(name)
+    zero = weight_vector(*([0] * rs.rank))
+    assert euler_characteristic_graded(rs, zero, degree) == value

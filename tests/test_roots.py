@@ -6,6 +6,7 @@ enumerations cross-check each other.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -218,3 +219,27 @@ def test_dominance_flags():
     assert rs.is_dominant(rs.highest_root())
     assert not rs.is_dominant(rs.simple_roots[0])
     assert rs.is_dominant(weight_vector(0, 0))
+
+
+@pytest.mark.parametrize("name", ["A3", "D5", "E6"])
+def test_integer_pairing_matches_fraction_route(name):
+    rs = build(name)
+    box = [weight_vector(*c) for c in product((-1, 0, 1), repeat=rs.rank)]
+    vectors = list(rs.all_roots) + box
+    # oracle: rational root coordinates of v against the weight coordinates of w
+    exact = {v: rs.root_coords_exact(v) for v in vectors}
+    weights = {v: rs.to_weight_basis(v).coords for v in vectors}
+    pairs = [(a, b) for a in rs.all_roots for b in rs.all_roots]
+    pairs += [(a, w) for a in rs.all_roots for w in box]
+    pairs += [(w, a) for a in rs.all_roots for w in box]
+    for v, w in pairs:
+        expected = sum((x * y for x, y in zip(exact[v], weights[w])), Fraction(0))
+        got = rs.pairing(v, w)
+        assert type(got) is int and got == expected, (v, w)
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "D5", "E6", "E8"])
+def test_positive_pairings_match_pairing(name):
+    rs = build(name)
+    for v in (rs.rho(), weight_vector(*range(-2, rs.rank - 2)), rs.all_roots[-1]):
+        assert rs.positive_pairings(v) == [rs.pairing(v, a) for a in rs.positive_roots]

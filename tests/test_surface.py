@@ -191,3 +191,12 @@ def test_verify_surface_reports_indefinite_form():
     rep = verify_surface(fake)
     assert not rep.ok
     assert "definite" in rep.violations[0]
+
+
+def test_root_to_divisor_invariants_raise(monkeypatch):
+    rs = build("A2")
+    lat = resolution_lattice(rs)
+    # an identity "inverse" returns the weight coordinates, not the root ones
+    monkeypatch.setattr(rs, "_inverse_cartan", ((1, 0), (0, 1)))
+    with pytest.raises(ConstructionFailure, match=r"root \{1,0\|root\}"):
+        root_to_divisor(lat, root_vector(1, 0))
