@@ -22,21 +22,16 @@ ConstructionFailure at table-build time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-import random
 
 import numpy as np
 
 from .errors import ConstructionFailure, SystemMismatch
 from .report import VerificationReport
-from .roots import Basis, LatticeVector, RootSystem, build
+from .roots import LatticeVector, RootSystem, build
 
 Coords = tuple[int, ...]
-
-# exhaustive Jacobi sweep above this dimension is opt-in; below, always run
-FULL_JACOBI_DIM_LIMIT = 140
-DEFAULT_JACOBI_SAMPLES = 10 ** 6
 
 
 @dataclass
@@ -79,6 +74,38 @@ class ChevalleyConstants:
         if not one_sided:
             table[j, i] = -table[j, i]
         return ChevalleyConstants(self.system, table, self.sum_index, self.negation)
+
+    @cached_property
+    def bracket_table(self) -> list[list[tuple[tuple[int, int], ...]]]:
+        """Brackets of basis pairs: bracket_table[i][j] = ((k, coeff), ...).
+
+        Indices run over the basis h_1..h_r, then x_alpha in canonical root
+        order; this one table defines the bracket and is what the Jacobi
+        sweep certifies.
+        """
+        rs = self.system
+        r = rs.rank
+        roots = rs.all_roots
+        n_roots = len(roots)
+        dim = r + n_roots
+        table: list[list[tuple[tuple[int, int], ...]]] = [
+            [() for _ in range(dim)] for _ in range(dim)
+        ]
+        for j, rt in enumerate(roots):
+            for i, v in enumerate(rs.to_weight_basis(rt).coords):
+                if v:
+                    table[i][r + j] = ((r + j, v),)
+                    table[r + j][i] = ((r + j, -v),)
+        for a in range(n_roots):
+            ca = roots[a].coords
+            for b in range(n_roots):
+                if self.negation[a] == b:
+                    table[r + a][r + b] = tuple((k, ca[k]) for k in range(r) if ca[k])
+                else:
+                    k = self.sum_index[a, b]
+                    if k < n_roots:
+                        table[r + a][r + b] = ((r + int(k), int(self.sign_table[a, b])),)
+        return table
 
 
 @dataclass
@@ -255,43 +282,30 @@ def _verify_table(c: ChevalleyConstants) -> VerificationReport:
 
 
 def bracket(x: LieElement, y: LieElement, c: ChevalleyConstants) -> LieElement:
-    """Lie bracket, bilinear over the integer span of the Chevalley basis."""
+    """Lie bracket: the bilinear extension of c.bracket_table."""
     rs = c.system
     if x.system != rs or y.system != rs:
         raise SystemMismatch("bracket arguments over a different system")
+    r = rs.rank
+    roots = rs.all_roots
+
+    def indexed(e: LieElement):
+        return list(e.cartan.items()) + [
+            (r + rs._root_index[cc], v) for cc, v in e.roots.items()
+        ]
+
+    table = c.bracket_table
     out = LieElement(rs)
-    weight_of = _weight_rows(rs)
-
-    for i, a in x.cartan.items():
-        for cb, b in y.roots.items():
-            out._add_x(cb, a * b * weight_of[cb][i])
-    for i, a in y.cartan.items():
-        for cb, b in x.roots.items():
-            out._add_x(cb, -a * b * weight_of[cb][i])
-    for ca, a in x.roots.items():
-        ia = rs._root_index[ca]
-        for cb, b in y.roots.items():
-            ib = rs._root_index[cb]
-            if c.negation[ia] == ib:
-                for k, hk in enumerate(ca):
-                    out._add_h(k, a * b * hk)
-            else:
-                k = c.sum_index[ia, ib]
-                if k < len(rs.all_roots):
-                    out._add_x(rs.all_roots[k].coords, a * b * int(c.sign_table[ia, ib]))
+    ys = indexed(y)
+    for i, a in indexed(x):
+        row = table[i]
+        for j, b in ys:
+            for k, ck in row[j]:
+                if k < r:
+                    out._add_h(k, a * b * ck)
+                else:
+                    out._add_x(roots[k - r].coords, a * b * ck)
     return out
-
-
-@lru_cache(maxsize=None)
-def _weight_rows_cached(kind: str, rank: int) -> dict[Coords, Coords]:
-    rs = build(kind, rank)
-    return {
-        r.coords: rs.to_weight_basis(r).coords for r in rs.all_roots
-    }
-
-
-def _weight_rows(rs: RootSystem) -> dict[Coords, Coords]:
-    return _weight_rows_cached(rs.kind, rs.rank)
 
 
 def basis_elements(c: ChevalleyConstants) -> list[LieElement]:
@@ -317,37 +331,6 @@ def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:
     return m
 
 
-def _pair_bracket_table(c: ChevalleyConstants):
-    """bracket of basis pairs as index lists: table[i][j] = ((k, coeff), ...)."""
-    rs = c.system
-    r = rs.rank
-    roots = rs.all_roots
-    n_roots = len(roots)
-    dim = r + n_roots
-    weight = [_weight_rows(rs)[rt.coords] for rt in roots]
-    table: list[list[tuple[tuple[int, int], ...]]] = [
-        [() for _ in range(dim)] for _ in range(dim)
-    ]
-    for i in range(r):
-        for j in range(n_roots):
-            v = weight[j][i]
-            if v:
-                table[i][r + j] = (((r + j), v),)
-                table[r + j][i] = (((r + j), -v),)
-    for a in range(n_roots):
-        ca = roots[a].coords
-        for b in range(n_roots):
-            if c.negation[a] == b:
-                table[r + a][r + b] = tuple(
-                    (k, ca[k]) for k in range(r) if ca[k]
-                )
-            else:
-                k = c.sum_index[a, b]
-                if k < n_roots:
-                    table[r + a][r + b] = ((r + int(k), int(c.sign_table[a, b])),)
-    return table
-
-
 def _jacobi_triple_ok(table, i: int, j: int, k: int) -> bool:
     acc: dict[int, int] = {}
     for pair, outer in (((j, k), i), ((k, i), j), ((i, j), k)):
@@ -363,80 +346,21 @@ def _jacobi_triple_ok(table, i: int, j: int, k: int) -> bool:
     return not acc
 
 
-def verify_chevalley(
-    c: ChevalleyConstants,
-    full_jacobi: bool | None = None,
-    samples: int = DEFAULT_JACOBI_SAMPLES,
-    seed: int = 0,
-) -> VerificationReport:
-    """Re-run the table checks and sweep the Jacobi identity on basis triples.
+def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:
+    """Re-run the table checks and sweep the Jacobi identity on every basis triple.
 
     Distinct unordered triples determine the identity (it is alternating and
-    vanishes identically on repeats).  Systems up to dimension
-    FULL_JACOBI_DIM_LIMIT are swept exhaustively; larger ones are sampled
-    deterministically unless full_jacobi is forced on.
+    vanishes identically on repeats).
     """
     rep = _verify_table(c)
     rep.name = f"chevalley-{c.system.name}"
-    table = _pair_bracket_table(c)
-    dim = len(table)
-    if full_jacobi is None:
-        full_jacobi = dim <= FULL_JACOBI_DIM_LIMIT
-
-    if full_jacobi:
-        rep.details["jacobi"] = "exhaustive"
-        for i, j, k in combinations(range(dim), 3):
-            rep.checked += 1
-            if not _jacobi_triple_ok(table, i, j, k):
-                rep.violations.append(f"jacobi fails on basis triple ({i},{j},{k})")
-                return rep
-    else:
-        rep.details["jacobi"] = f"sampled:{samples}"
-        rng = random.Random(seed)
-        for _ in range(samples):
-            i, j, k = rng.sample(range(dim), 3)
-            rep.checked += 1
-            if not _jacobi_triple_ok(table, i, j, k):
-                rep.violations.append(f"jacobi fails on basis triple ({i},{j},{k})")
-                return rep
-    return rep
-
-
-def verify_ad_homomorphism(
-    c: ChevalleyConstants, samples: int = 10 ** 4, seed: int = 0
-) -> VerificationReport:
-    """ad([x,y]) == ad(x)ad(y) - ad(y)ad(x) elementwise on sampled basis pairs.
-
-    Products are evaluated in float32 BLAS; entries are small integers whose
-    products stay far below the 2^24 exact-float threshold, so equality
-    against the exact integer side is lossless.
-    """
-    rs = c.system
-    rep = VerificationReport(name=f"ad-homomorphism-{rs.name}")
-    basis = basis_elements(c)
-    dim = len(basis)
-    ads_int = np.stack([adjoint_matrix(b, c) for b in basis]).astype(np.int32)
-    ads = ads_int.astype(np.float32)
-    rng = random.Random(seed)
-    pairs = [(rng.randrange(dim), rng.randrange(dim)) for _ in range(samples)]
-
-    chunk = max(1, (1 << 27) // (dim * dim * 4))
-    for start in range(0, len(pairs), chunk):
-        part = pairs[start : start + chunk]
-        ii = np.array([p[0] for p in part])
-        jj = np.array([p[1] for p in part])
-        comm = (ads[ii] @ ads[jj] - ads[jj] @ ads[ii]).astype(np.int64)
-        for w, (i, j) in enumerate(part):
-            rep.checked += 1
-            z = bracket(basis[i], basis[j], c)
-            lhs = np.zeros((dim, dim), dtype=np.int64)
-            for idx, v in z.cartan.items():
-                lhs += v * ads_int[idx]
-            for cc, v in z.roots.items():
-                lhs += v * ads_int[rs.rank + rs._root_index[cc]]
-            if not np.array_equal(comm[w], lhs):
-                rep.violations.append(f"ad fails on basis pair ({i},{j})")
-                return rep
+    rep.details["jacobi"] = "exhaustive"
+    table = c.bracket_table
+    for i, j, k in combinations(range(len(table)), 3):
+        rep.checked += 1
+        if not _jacobi_triple_ok(table, i, j, k):
+            rep.violations.append(f"jacobi fails on basis triple ({i},{j},{k})")
+            break
     return rep
 
 

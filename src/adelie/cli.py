@@ -20,7 +20,7 @@ from .errors import AdelieError, CancellationFailure, ConstructionFailure
 from .flag import ALL_VANISH, bwb, euler_characteristic
 from .obstruction import Half, build_system, certify_solvability, check_bianchi, system_text
 from .report import VerificationReport
-from .roots import Basis, LatticeVector, RootSystem, build, root_vector, weight_vector
+from .roots import LatticeVector, RootSystem, build, root_vector, weight_vector
 from .surface import (
     minus_two_classes,
     resolution_lattice,
@@ -201,9 +201,7 @@ def _cmd_chevalley(args):
             ],
         }
         return OK, payload, text.splitlines()
-    rep = verify_chevalley(
-        constants, full_jacobi=True if args.full else None, seed=args.seed
-    )
+    rep = verify_chevalley(constants)
     payload = _report_payload(rs, rep)
     payload["dimension"] = rs.rank + len(rs.all_roots)
     return (OK if rep.ok else FAILED), payload, _report_lines(rep)
@@ -280,7 +278,7 @@ def _cmd_surface(args):
 
 def _cmd_verify(args):
     rs = build(args.type)
-    rep = run_suite(rs, args.suite, seed=args.seed, full=args.full)
+    rep = run_suite(rs, args.suite)
     payload = _report_payload(rs, rep)
     payload["suite"] = args.suite
     return (OK if rep.ok else FAILED), payload, _report_lines(rep)
@@ -361,11 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("chevalley", help="verify or dump the structure constants")
     sub.add_argument("type")
     sub.add_argument("--dump", action="store_true", help="print the sign table")
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    sub.add_argument(
-        "--full", action="store_true",
-        help="force the exhaustive Jacobi sweep at any rank",
-    )
     _add_common(sub)
 
     sub = subs.add_parser("obstruction", help="build one half obstruction system")
@@ -391,11 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="run a named verification suite")
     sub.add_argument("type")
     sub.add_argument("suite", choices=SUITES + ("all",))
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    sub.add_argument(
-        "--full", action="store_true",
-        help="force exhaustive sweeps where sampling is the default",
-    )
     _add_common(sub)
 
     return parser

@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConstructionFailure, NonUniqueMinimal, NotARootClass
+from .errors import BudgetExceeded, ConstructionFailure, NotARootClass
 from .flag import dominant_conjugate, euler_characteristic
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build, weight_vector
@@ -137,8 +137,8 @@ def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
         )
 
     cs = _dominant_box_points(rs, lam.coords, d)
-    if len(cs) == 0:
-        raise NonUniqueMinimal(f"no dominant weight above {lam}")
+    if len(cs) == 0:  # lambda+ itself lies in the box
+        raise ConstructionFailure(f"{rs.name}: no dominant weight above {lam}")
 
     # unique minimal candidate in componentwise order = global lambda_star;
     # dominance between box points is exactly componentwise c-comparison
@@ -148,9 +148,9 @@ def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
     for i in range(1, len(cs)):
         if not any((cs[m] <= cs[i]).all() for m in minima):
             minima.append(i)
-    if len(minima) != 1:
-        raise NonUniqueMinimal(
-            f"{len(minima)} minimal dominant weights above {lam}"
+    if len(minima) != 1:  # the Cartan matrix is a Z-matrix, so lambda* is unique
+        raise ConstructionFailure(
+            f"{rs.name}: {len(minima)} minimal dominant weights above {lam}"
         )
     c_star = cs[minima[0]]
 
@@ -269,7 +269,7 @@ def negative_root_descent(rs: RootSystem, lam: LatticeVector) -> tuple[LatticeVe
             None,
         )
         if step is None:  # cannot happen: a root pairs positively with itself
-            raise NotARootClass(f"no descent step from {cur}")
+            raise ConstructionFailure(f"{rs.name}: no descent step from {cur}")
         cur = cur + step
         chain.append(cur)
     return tuple(chain)

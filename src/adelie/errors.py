@@ -33,10 +33,6 @@ class IndexOutOfRange(AdelieError):
     """Simple-root index outside 1..rank."""
 
 
-class NonUniqueMinimal(AdelieError):
-    """Dominant interval has no unique minimal element."""
-
-
 class BudgetExceeded(AdelieError):
     """Enumeration would exceed the configured budget."""
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .chevalley import ChevalleyConstants, _pair_bracket_table
+from .chevalley import ChevalleyConstants
 from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem
@@ -230,7 +230,7 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     rs = constants.system
     rank = rs.rank
     roots = half_roots(rs, half)
-    btable = _pair_bracket_table(constants)
+    btable = constants.bracket_table
     dim = rank + len(rs.all_roots)
     half_idx = [(r.coords, rank + rs.root_order_index(r)) for r in roots]
 

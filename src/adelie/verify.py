@@ -8,12 +8,7 @@ is what lets the obstruction suite certify solvability without circularity.
 
 from __future__ import annotations
 
-from .chevalley import (
-    ChevalleyConstants,
-    build_constants,
-    verify_ad_homomorphism,
-    verify_chevalley,
-)
+from .chevalley import ChevalleyConstants, build_constants, verify_chevalley
 from .cotangent import cht, cotangent_verdict, verify_chain_criterion, verify_descent
 from .errors import CancellationFailure, IllegalType
 from .flag import ALL_VANISH, bwb, verify_index_bound, verify_root_cohomology
@@ -133,28 +128,17 @@ def detect_tampering(constants: ChevalleyConstants) -> tuple[bool, str]:
     return False, ""
 
 
-def _suite_chevalley(rs: RootSystem, seed: int, full: bool) -> VerificationReport:
-    constants = build_constants(rs)
-    rep = verify_chevalley(constants, full_jacobi=True if full else None, seed=seed)
-    hom = verify_ad_homomorphism(constants, samples=2000, seed=seed)
-    rep.merge(hom)
-    rep.details["adjoint_samples"] = 2000
-    return rep
-
-
-def run_suite(
-    rs: RootSystem, suite: str, *, seed: int = 0, full: bool = False
-) -> VerificationReport:
+def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
     """Run one named suite, or every suite for "all"."""
     if suite == "all":
         rep = VerificationReport(name=f"{rs.name}-all")
         for name in SUITES:
-            sub = run_suite(rs, name, seed=seed, full=full)
+            sub = run_suite(rs, name)
             rep.merge(sub)
             rep.details[name] = "ok" if sub.ok else "failed"
         return rep
     if suite == "chevalley":
-        return _suite_chevalley(rs, seed, full)
+        return verify_chevalley(build_constants(rs))
     if suite == "bwb":
         return verify_root_cohomology(rs)
     if suite == "index":

@@ -2,8 +2,8 @@
 
 One test per criterion; each ends by printing a single pass/fail line (visible
 with -s, and mirrored by the -v test status).  All arithmetic assertions are
-exact; the only sampling is the E8 Jacobi sweep, which runs exhaustively when
-ADELIE_FULL_E8 is set and on a fixed-seed million-triple sample otherwise.
+exact, and every sweep is exhaustive: the Jacobi identity is checked on all
+basis triples of every type, E8 included.
 """
 
 import json
@@ -22,7 +22,6 @@ from adelie.chevalley import (
     LieElement,
     adjoint_matrix,
     build_constants,
-    verify_ad_homomorphism,
     verify_chevalley,
 )
 from adelie.cotangent import cht, euler_characteristic_graded, verify_chain_criterion
@@ -105,12 +104,10 @@ def test_criterion_02_chevalley_tables():
     failures = []
     for name in TYPES:
         c = build_constants(build(name))
-        forced = True if (name == "E8" and os.environ.get("ADELIE_FULL_E8")) else None
-        rep = verify_chevalley(c, full_jacobi=forced, seed=0)
+        rep = verify_chevalley(c)
         if not rep.ok:
             failures.append(f"{name}: {rep.violations[:2]}")
-        expected = "sampled" if (name == "E8" and not forced) else "exhaustive"
-        if not rep.details["jacobi"].startswith(expected):
+        if rep.details["jacobi"] != "exhaustive":
             failures.append(f"{name}: jacobi mode {rep.details['jacobi']}")
     # Killing anchor: trace(ad x ad y) for the first simple sl2 pair is 2
     # dual Coxeter numbers
@@ -120,10 +117,6 @@ def test_criterion_02_chevalley_tables():
     m = adjoint_matrix(LieElement.x(rs, a1), c) @ adjoint_matrix(LieElement.x(rs, -a1), c)
     if int(np.trace(m)) != 6:
         failures.append(f"A2 Killing trace {int(np.trace(m))}")
-    for name in ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "E7"]:
-        hom = verify_ad_homomorphism(build_constants(build(name)), samples=10**4, seed=0)
-        if not hom.ok:
-            failures.append(f"{name}: ad homomorphism")
     elapsed = time.monotonic() - t0
     if elapsed >= 60:
         failures.append(f"budget: {elapsed:.1f}s")

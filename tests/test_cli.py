@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from adelie import cli
+from adelie import cli, cotangent
 from adelie.cli import COMMAND_FOR_OPERATION, _report_lines, _report_payload, main
 from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailure
 from adelie.report import VerificationReport
@@ -99,6 +100,15 @@ def test_chevalley_verify_and_dump(capsys):
     assert "0,1 | 1,0 | +1" in out
 
 
+def test_chevalley_check_is_the_exhaustive_sweep(capsys):
+    code, payload = run_json(capsys, "verify", "A3", "chevalley")
+    assert code == 0
+    assert payload["details"] == {"jacobi": "exhaustive"}
+    with pytest.raises(SystemExit) as exc:
+        main(["chevalley", "A2", "--full"])
+    assert exc.value.code == 2
+
+
 def test_obstruction_halves(capsys):
     code, payload = run_json(capsys, "obstruction", "A2")
     assert code == 0
@@ -184,7 +194,7 @@ def test_exit_zero_on_success(capsys):
 
 def test_exit_one_on_failed_verification(capsys, monkeypatch):
     failing = VerificationReport(name="demo", checked=1, violations=["broken fact"])
-    monkeypatch.setattr(cli, "run_suite", lambda rs, suite, **kwargs: failing)
+    monkeypatch.setattr(cli, "run_suite", lambda rs, suite: failing)
     code, payload = run_json(capsys, "verify", "A2", "bwb")
     assert code == 1
     assert payload["ok"] is False
@@ -211,3 +221,15 @@ def test_other_adelie_errors_stay_at_two(capsys, monkeypatch):
     code, _, err = run(capsys, "roots", "A2")
     assert code == 2
     assert err == "error: too many\n"
+
+
+def test_exit_three_when_the_box_walk_finds_no_dominant_weight(capsys, monkeypatch):
+    # lambda+ always lies in the box, so an empty walk is a bug, not bad input
+    def no_points(rs, base_w, d):
+        return np.zeros((0, rs.rank), dtype=np.int64)
+
+    monkeypatch.setattr(cotangent, "_dominant_box_points", no_points)
+    cotangent._cht_cached.cache_clear()
+    code, out, err = run(capsys, "cht", "A2", "--", "-1", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error:") and "no dominant weight above" in err
