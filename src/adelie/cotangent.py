@@ -2,13 +2,17 @@
 
 A weight mu is dominance-below nu when nu - mu is a non-negative integer
 combination of simple roots.  Every weight lam has a dominant Weyl conjugate
-lam_plus and a unique minimal dominant weight lam_star above it; both live in
-the coordinate box between lam and lam_plus, so they are found by an exact
-integer sweep of that box.  The chain height cht(lam) is the number of strict
-steps in the longest dominance chain of dominant weights between lam_star and
-lam_plus; it bounds from above the degrees in which the cotangent-twisted
-cohomology of the lam-line bundle can survive, so cht <= 1 certifies vanishing
-in degree two and beyond.
+lam_plus and a unique minimal dominant weight lam_star above it.  lam_star is
+lam + c.C for the least c >= 0 that makes it dominant, because the Cartan
+matrix C is a Z-matrix; firing reaches it: add alpha_i while coordinate i is
+negative (least action, as in sandpiles).  The chain height cht(lam) is the
+number of strict steps in the longest dominance chain of dominant weights
+between lam_star and lam_plus.  In a simply-laced system a cover between
+dominant weights is a positive root (Stembridge), so cht is the longest path
+of a walk that starts at lam_star and adds positive roots while it stays
+dominant and below lam_plus.  cht bounds from above the degrees in which the
+cotangent-twisted cohomology of the lam-line bundle can survive, so cht <= 1
+certifies vanishing in degree two and beyond.
 
 Negative roots admit a descent structure used by the inductive vanishing
 arguments: any negative root of height two or more pairs to -1 with some
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import comb
 
 import numpy as np
@@ -29,9 +34,8 @@ from .flag import dominant_conjugate, euler_characteristic
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build, weight_vector
 
-# caps for the box walks: dominant points kept, and search-tree nodes visited
+# cap on the dominant weights one interval walk may keep
 _POINT_BUDGET = 2 * 10 ** 4
-_NODE_BUDGET = 5 * 10 ** 7
 
 
 def dominance_leq(rs: RootSystem, mu: LatticeVector, nu: LatticeVector) -> bool:
@@ -47,64 +51,56 @@ def lambda_plus(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
     return dominant_conjugate(rs, lam)[0]
 
 
-def _dominant_box_points(rs: RootSystem, base_w, d) -> np.ndarray:
-    """All c in prod [0, d_i] with base + c . cartan componentwise >= 0.
+@lru_cache(maxsize=None)
+def _root_steps(kind: str, rank: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(root-basis, weight-basis) coordinates of every positive root."""
+    rs = build(kind, rank)
+    return tuple((a.coords, rs.to_weight_basis(a).coords) for a in rs.positive_roots)
 
-    Depth-first over the axes with interval pruning: once axis j is fixed,
-    later axes can raise coordinate i only through the diagonal entry, by at
-    most 2 d_i, and can only lower coordinates at or before j.  A prefix that
-    cannot recover a negative coordinate is cut, which collapses the walk to
-    the thin feasible sliver of the box.
+
+@lru_cache(maxsize=64)
+def _packed_steps(kind: str, rank: int, width: int) -> tuple[tuple[int, int], ...]:
+    """(packed step, height) of every positive root for fields of width bits.
+
+    A point packs its weight coordinates w_i into fields 0..rank-1 and its
+    slack d_i - c_i into field 2 rank - 1 - i, so adding a root beta adds
+    beta's weight coordinates and subtracts its root coordinates.
     """
-    r = len(d)
-    rows = [tuple(rs.cartan[k]) for k in range(r)]
-    slack = [2 * v for v in d]
-    w = list(base_w)
-    c = [0] * r
-    out: list[tuple[int, ...]] = []
-    nodes = 0
+    out = []
+    for root, weight in _root_steps(kind, rank):
+        fields = list(weight) + [-v for v in reversed(root)]
+        out.append((sum(v << (width * f) for f, v in enumerate(fields)), sum(root)))
+    return tuple(out)
 
-    def rec(j: int) -> None:
-        nonlocal nodes
-        if j == r:
-            out.append(tuple(c))
-            if len(out) > _POINT_BUDGET:
-                raise BudgetExceeded(
-                    f"more than {_POINT_BUDGET} dominant points in one box"
-                )
-            return
-        row = rows[j]
-        lo, hi = 0, d[j]
-        for i in range(r):
-            ri = row[i]
-            wi = w[i] + slack[i] if i > j else w[i]
-            if ri > 0:  # the diagonal: w_j + 2v >= 0
-                if wi < 0:
-                    lo = max(lo, (-wi + ri - 1) // ri)
-            elif ri < 0:  # off-diagonal -1: v <= wi
-                hi = min(hi, wi // -ri)
-            elif wi < 0:  # v cannot influence an already-failed coordinate
-                return
-        if lo > hi:
-            return
-        for i in range(r):
-            w[i] += lo * row[i]
-        for v in range(lo, hi + 1):
-            if v > lo:
-                for i in range(r):
-                    w[i] += row[i]
-            c[j] = v
-            nodes += 1
-            if nodes > _NODE_BUDGET:
-                raise BudgetExceeded("box walk exceeded the node budget")
-            rec(j + 1)
-        for i in range(r):
-            w[i] -= hi * row[i]
 
-    rec(0)
-    if not out:
-        return np.empty((0, r), dtype=np.int64)
-    return np.asarray(out, dtype=np.int64)
+def _least_action(rs: RootSystem, lam: LatticeVector):
+    """lambda+, its root coordinates d above lam, and the least c >= 0 with
+    lam + c.C dominant together with that weight (lam in the weight basis).
+
+    Firing adds alpha_i while coordinate i is negative, ceil(-w_i / 2) times
+    at once, and never passes the least such c (least action), so it stops at
+    lambda*.  lambda+ is one such c, so passing d is a bug.
+    """
+    plus = lambda_plus(rs, lam)
+    d = rs.to_root_basis(plus - lam).coords
+    if any(v < 0 for v in d):  # a dominant conjugate dominates its orbit
+        raise ConstructionFailure(
+            f"{rs.name}: dominant conjugate {plus} does not dominate {lam}"
+        )
+    c = [0] * rs.rank
+    w = list(lam.coords)
+    while True:
+        i = next((i for i, v in enumerate(w) if v < 0), None)
+        if i is None:
+            return plus, d, c, w
+        k = (1 - w[i]) // 2
+        c[i] += k
+        if c[i] > d[i]:
+            raise ConstructionFailure(
+                f"{rs.name}: firing from {lam} passes {plus} at coordinate {i + 1}"
+            )
+        for j, v in enumerate(rs.cartan[i]):
+            w[j] += k * v
 
 
 @dataclass(frozen=True)
@@ -113,8 +109,10 @@ class ChtReport:
 
     value is the edge count of the longest dominance chain of dominant weights
     in the interval [lambda_star, lambda_plus]; chain is one witness, listed
-    upward; shift is the height of lambda_plus - lambda_star; interval_points
-    counts the dominant weights in the interval.
+    upward, each point after the first, by height above lambda_star and then
+    lexicographic root coordinates, of the longest-chain points it covers;
+    shift is the height of lambda_plus - lambda_star; interval_points counts
+    the dominant weights in the interval.
     """
 
     value: int
@@ -129,70 +127,77 @@ class ChtReport:
 def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
     rs = build(kind, rank)
     lam = weight_vector(*coords)
-    plus = lambda_plus(rs, lam)
-    d = rs.to_root_basis(plus - lam).coords
-    if any(v < 0 for v in d):  # a dominant conjugate dominates its orbit
-        raise ConstructionFailure(
-            f"{rs.name}: dominant conjugate {plus} does not dominate {lam}"
-        )
+    plus, d, c_star, w_star = _least_action(rs, lam)
 
-    cs = _dominant_box_points(rs, lam.coords, d)
-    if len(cs) == 0:  # lambda+ itself lies in the box
-        raise ConstructionFailure(f"{rs.name}: no dominant weight above {lam}")
+    # Walk up from lambda* by positive roots, keeping the dominant points
+    # with c <= d.  A point is one int of 2 rank fields, each offset by half
+    # so a field is non-negative exactly when its top bit is set; field
+    # values stay within (-half, half), so adding a step never carries.
+    width = (max(plus.coords) + sum(d) + 8).bit_length() + 1
+    half = 1 << (width - 1)
+    guard = sum(half << (width * f) for f in range(2 * rank))
+    slack = [dv - cv for dv, cv in zip(d, c_star)]
+    fields = w_star + slack[::-1]
+    start = guard + sum(v << (width * f) for f, v in enumerate(fields))
+    steps = _packed_steps(kind, rank, width)
 
-    # unique minimal candidate in componentwise order = global lambda_star;
-    # dominance between box points is exactly componentwise c-comparison
-    order = np.argsort(cs.sum(axis=1), kind="stable")
-    cs = cs[order]
-    minima = [0]
-    for i in range(1, len(cs)):
-        if not any((cs[m] <= cs[i]).all() for m in minima):
-            minima.append(i)
-    if len(minima) != 1:  # the Cartan matrix is a Z-matrix, so lambda* is unique
-        raise ConstructionFailure(
-            f"{rs.name}: {len(minima)} minimal dominant weights above {lam}"
-        )
-    c_star = cs[minima[0]]
+    # Pop the points in the order (height, lexicographic c): the slack fields
+    # lead the key with coordinate 1 on top, so a larger key is a smaller c.
+    # Every predecessor of a point is lower, so it is popped before the point
+    # and best is final when the point is popped; a point's parent is the
+    # first popped of its predecessors with the longest path.
+    best = {start: 0}
+    parent = {start: None}
+    heap = [(0, -start)]
+    while heap:
+        h, key = heappop(heap)
+        key = -key
+        up = best[key] + 1
+        for step, dh in steps:
+            nxt = key + step
+            if nxt & guard != guard:
+                continue
+            old = best.get(nxt)
+            if old is None:
+                if len(best) == _POINT_BUDGET:
+                    raise BudgetExceeded(
+                        f"{rs.name} {lam}: interval walk kept {len(best)} "
+                        f"dominant weights (cap {_POINT_BUDGET}) and reached "
+                        f"height {h} of {sum(slack)} above lambda*"
+                    )
+                heappush(heap, (h + dh, -nxt))
+            elif old >= up:
+                continue
+            best[nxt] = up
+            parent[nxt] = key
 
-    above = cs[(cs >= c_star).all(axis=1)]
-    best = np.zeros(len(above), dtype=np.int64)
-    parent = np.full(len(above), -1, dtype=np.int64)
-    for i in range(len(above)):
-        le = (above[:i] <= above[i]).all(axis=1)
-        sums = above[:i].sum(axis=1)
-        le &= sums < above[i].sum()
-        if le.any():
-            j = int(np.flatnonzero(le)[np.argmax(best[:i][le])])
-            best[i] = best[j] + 1
-            parent[i] = j
-
-    top = int(np.argmax(best))
+    # lambda+ is the top of the interval, so it alone ends a longest chain
+    top = max(best, key=best.__getitem__)
     path = []
-    while top >= 0:
+    while top is not None:
         path.append(top)
-        top = int(parent[top])
-    path.reverse()
+        top = parent[top]
 
-    cartan = np.asarray(rs.cartan, dtype=np.int64)
-    base = np.asarray(lam.coords, dtype=np.int64)
+    mask = (1 << width) - 1
 
-    def to_weight(c) -> LatticeVector:
-        return weight_vector(*(int(v) for v in base + c @ cartan))
+    def to_weight(key: int) -> LatticeVector:
+        return weight_vector(
+            *(((key >> (width * f)) & mask) - half for f in range(rank))
+        )
 
-    star = to_weight(c_star)
     return ChtReport(
-        value=int(best.max()) if len(above) else 0,
-        lambda_star=star,
+        value=len(path) - 1,
+        lambda_star=weight_vector(*w_star),
         lambda_plus=plus,
-        shift=rs.coordinate_sum(rs.to_root_basis(plus - star)),
-        chain=tuple(to_weight(above[i]) for i in path),
-        interval_points=len(above),
+        shift=sum(slack),
+        chain=tuple(to_weight(key) for key in reversed(path)),
+        interval_points=len(best),
     )
 
 
 def lambda_star(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
     """The unique minimal dominant weight above lam in dominance order."""
-    return _cht_cached(rs.kind, rs.rank, rs.to_weight_basis(lam).coords).lambda_star
+    return weight_vector(*_least_action(rs, rs.to_weight_basis(lam))[3])
 
 
 def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
@@ -231,8 +236,9 @@ def verify_chain_criterion(
     positive root.
 
     max_support, when set, keeps only weights with that many nonzero
-    coordinates; weights deep in the antidominant cone have dominant intervals
-    too large for the point budget at high rank.
+    coordinates.  cht walks every dominant weight of [lam_star, lam_plus],
+    and deep in the antidominant cone that interval grows fast with rank,
+    up to the walk's cap on interval points.
     """
     rep = VerificationReport(name=f"chain-criterion-{rs.name}")
     for coords in np.ndindex(*([2 * radius + 1] * rs.rank)):

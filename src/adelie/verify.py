@@ -145,7 +145,7 @@ def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
         return verify_index_bound(rs)
     if suite == "cht":
         # ball size shrinks with rank so the sweep stays exhaustive on its
-        # slice yet inside the dominant-point budget
+        # slice and its dominance intervals stay small
         if rs.rank <= 5:
             radius, support = 2, None
         elif rs.rank == 6:

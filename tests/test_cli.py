@@ -1,8 +1,8 @@
 """Command-line coverage: payload shapes, exit codes, determinism."""
 
+import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from adelie import cli, cotangent
@@ -223,13 +223,36 @@ def test_other_adelie_errors_stay_at_two(capsys, monkeypatch):
     assert err == "error: too many\n"
 
 
-def test_exit_three_when_the_box_walk_finds_no_dominant_weight(capsys, monkeypatch):
-    # lambda+ always lies in the box, so an empty walk is a bug, not bad input
-    def no_points(rs, base_w, d):
-        return np.zeros((0, rs.rank), dtype=np.int64)
-
-    monkeypatch.setattr(cotangent, "_dominant_box_points", no_points)
+def test_exit_three_when_firing_passes_lambda_plus(capsys, monkeypatch):
+    # lambda+ bounds the firing from above, so passing it is a bug, not bad input
+    monkeypatch.setattr(cotangent, "lambda_plus", lambda rs, lam: lam)
     cotangent._cht_cached.cache_clear()
     code, out, err = run(capsys, "cht", "A2", "--", "-1", "0")
     assert (code, out) == (3, "")
-    assert err.startswith("internal error:") and "no dominant weight above" in err
+    assert err.startswith("internal error:") and "firing from" in err
+
+
+def test_exit_two_when_the_interval_walk_reaches_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cotangent, "_POINT_BUDGET", 50)
+    cotangent._cht_cached.cache_clear()
+    code, out, err = run(capsys, "cht", "A4", "--", "-3", "-3", "-3", "-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: A4 {-3,-3,-3,-3|weight}: interval walk kept 50 ")
+    assert "(cap 50)" in err and "box" not in err
+
+
+# SHA-256 of the exact `cht --format json` stdout, recorded from the box walk
+# that the root-step walk replaced, so the witness chain cannot drift.
+CHT_PAYLOAD_SHA256 = {
+    ("A4", (-3, -3, -3, -3)): "cfa83fe6dce9d55081469a6a2beaa0aa669bb14f4a3c3e5cc6b4211163809a7f",
+    ("D6", (-1,) * 6): "dcaabdf8553e0f6705ac7f64374daa092b57f422cd967b3311e06933c4ef508d",
+    ("E6", (-1,) * 6): "32fbc71b3b139494a14e47122c1d50b333c342b811928b845b38dccd099a051b",
+    ("E8", (-1, -1, -1, 0, 0, 0, 0, 0)): "45b33e27621d4a7fccdbd819fa77a2f41d5d3744b8fe828e781a5271bd9b1246",
+}
+
+
+@pytest.mark.parametrize("name,coords", sorted(CHT_PAYLOAD_SHA256))
+def test_cht_payload_is_pinned(capsys, name, coords):
+    code, out, err = run(capsys, "cht", name, "--format", "json", "--", *map(str, coords))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHT_PAYLOAD_SHA256[name, coords]

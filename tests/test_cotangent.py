@@ -1,7 +1,9 @@
 """Dominance order, lambda_star / cht invariants, descent chains, graded Euler."""
 
+import random
 from itertools import combinations_with_replacement, product
 
+import numpy as np
 import pytest
 
 from adelie import build, root_vector, weight_vector
@@ -24,32 +26,31 @@ SMALL = ("A1", "A2", "A3", "D4")
 
 
 def brute_dominant_above(rs, lam):
-    """Pure-python enumeration of the dominant weights in [lam, lam_plus]."""
-    plus = lambda_plus(rs, lam)
-    d = rs.to_root_basis(plus - rs.to_weight_basis(lam)).coords
-    out = []
-    for c in product(*[range(v + 1) for v in d]):
-        mu = rs.to_weight_basis(lam) + rs.to_weight_basis(root_vector(*c))
-        if rs.is_dominant(mu):
-            out.append(mu)
-    return out
+    """Every dominant weight lam + c in the root-coordinate box [0, d] below
+    lam_plus, as the rows c of an int array."""
+    lam = rs.to_weight_basis(lam)
+    d = rs.to_root_basis(lambda_plus(rs, lam) - lam).coords
+    cs = np.indices([v + 1 for v in d]).reshape(rs.rank, -1).T
+    w = np.asarray(lam.coords) + cs @ np.asarray(rs.cartan)
+    return cs[(w >= 0).all(axis=1)]
 
 
 def brute_lambda_star(rs, lam):
-    cands = brute_dominant_above(rs, lam)
-    minima = [
-        m
-        for m in cands
-        if not any(dominance_leq(rs, o, m) for o in cands if o != m)
-    ]
-    assert len(minima) == 1
-    return minima[0]
+    """The box point every other one dominates; dominance inside the box is
+    componentwise order of c."""
+    cs = brute_dominant_above(rs, lam)
+    low = cs[np.argmin(cs.sum(axis=1))]
+    assert (cs >= low).all()
+    return rs.to_weight_basis(lam) + rs.to_weight_basis(root_vector(*map(int, low)))
 
 
 def brute_cht(rs, lam):
     """Longest-chain edge count by depth-first search over dominance_leq."""
     star = brute_lambda_star(rs, lam)
-    pts = [m for m in brute_dominant_above(rs, lam) if dominance_leq(rs, star, m)]
+    lam = rs.to_weight_basis(lam)
+    pts = [lam + rs.to_weight_basis(root_vector(*map(int, c)))
+           for c in brute_dominant_above(rs, lam)]
+    pts = [m for m in pts if dominance_leq(rs, star, m)]
 
     def depth(m):
         succ = [o for o in pts if o != m and dominance_leq(rs, m, o)]
@@ -85,7 +86,7 @@ def test_lambda_plus_is_orbit_dominant():
     assert lambda_plus(rs, lam) == lam
 
 
-@pytest.mark.parametrize("name,radius", [("A2", 3), ("A3", 2)])
+@pytest.mark.parametrize("name,radius", [("A2", 3), ("A3", 2), ("D4", 2)])
 def test_lambda_star_against_bruteforce(name, radius):
     rs = build(name)
     for coords in product(range(-radius, radius + 1), repeat=rs.rank):
@@ -93,7 +94,7 @@ def test_lambda_star_against_bruteforce(name, radius):
         assert lambda_star(rs, lam) == brute_lambda_star(rs, lam)
 
 
-@pytest.mark.parametrize("name,radius", [("A2", 3), ("A3", 2)])
+@pytest.mark.parametrize("name,radius", [("A2", 3), ("A3", 2), ("D4", 1)])
 def test_cht_against_bruteforce(name, radius):
     rs = build(name)
     for coords in product(range(-radius, radius + 1), repeat=rs.rank):
@@ -141,6 +142,29 @@ def test_chain_is_strictly_increasing():
         assert rep.chain[0] == rep.lambda_star or rep.value == 0
         for lo, hi in zip(rep.chain, rep.chain[1:]):
             assert dominance_leq(rs, lo, hi) and lo != hi
+
+
+def _ball(rank, radius):
+    return [weight_vector(*c) for c in product(range(-radius, radius + 1), repeat=rank)]
+
+
+@pytest.mark.parametrize(
+    "name,weights",
+    [
+        ("A3", _ball(3, 2)),
+        ("D4", _ball(4, 2)),
+        ("E6", random.Random(6).sample(_ball(6, 2), 60)),
+    ],
+    ids=["A3", "D4", "E6"],
+)
+def test_chain_steps_are_positive_roots(name, weights):
+    rs = build(name)
+    for lam in weights:
+        rep = cht(rs, lam)
+        assert rep.chain[0] == rep.lambda_star and rep.chain[-1] == rep.lambda_plus
+        assert len(rep.chain) == rep.value + 1
+        for lo, hi in zip(rep.chain, rep.chain[1:]):
+            assert rs.is_positive_root(hi - lo), (lam, lo, hi)
 
 
 @pytest.mark.parametrize("name,radius", [("A2", 3), ("A3", 2), ("D4", 2)])
@@ -205,7 +229,7 @@ def test_graded_euler_budget():
         euler_characteristic_graded(rs, weight_vector(0, 0), 3, max_terms=2)
 
 
-def test_box_budget_guard():
+def test_interval_budget_guard():
     rs = build("A2")
     with pytest.raises(BudgetExceeded):
         cht(rs, weight_vector(-10 ** 5, -10 ** 5))
