@@ -10,11 +10,19 @@ by column produces one even quadratic form E_a per root of the half:
     E_a = psi_a + sum over unordered pairs b < g with b + g = a of
           n_{b,g} phi_b phi_g.
 
-The build computes D^2 honestly by double application, extracts each E_a from
+The build computes D^2 honestly by double application, as integer gathers.
+It reads the bracket table that the Jacobi sweep certifies once into two
+arrays indexed by (position of a in the half, basis column, term): the
+targets and coefficients of ad(x_a).  For column g the first application of
+D is a slice of these arrays; the second is one gather over (b, first-level
+term), each term signed by the sort of phi_b phi_a, and equal keys
+(monomial id, target) are summed after a sort.  It extracts each E_a from
 the Cartan columns by exact division, checks the remainder against every
-column (CancellationFailure otherwise), and then checks the closed formula
-above against the extracted system (ConstructionFailure otherwise).  The E_a
-satisfy the Bianchi-type identity checked by check_bianchi, and
+column (CancellationFailure otherwise), converts the E_a to coordinate-keyed
+forms, and then checks the closed formula above against the extracted
+system (ConstructionFailure otherwise).
+
+The E_a satisfy the Bianchi-type identity checked by check_bianchi, and
 certify_solvability matches them against an H^2 vanishing oracle: classes of
 height two and above must vanish, classes of height one are recorded as
 nontriviality requirements on the target.
@@ -24,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .chevalley import ChevalleyConstants
 from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
@@ -220,6 +230,48 @@ def half_roots(rs: RootSystem, half: Half) -> tuple[LatticeVector, ...]:
     return tuple(sorted(base, key=lambda r: _root_key(r.coords)))
 
 
+def _ad_tables(constants: ChevalleyConstants, roots) -> tuple[np.ndarray, np.ndarray]:
+    """ad(x_a) for each root a of the half, read off the bracket table.
+
+    targets[p, g, m] and coeffs[p, g, m] are the m-th term (k, coeff) of
+    [x_a, basis_g] for the root a at position p of the half, padded with
+    coefficient 0.  Targets fit int16 (dim <= 248), coefficients int8.
+    """
+    rs = constants.system
+    btable = constants.bracket_table
+    rows = [btable[rs.rank + rs.root_order_index(a)] for a in roots]
+    cells = [
+        (p, g, m, t, c)
+        for p, row in enumerate(rows)
+        for g, cell in enumerate(row)
+        for m, (t, c) in enumerate(cell)
+    ]
+    p, g, m, t, c = np.array(cells, dtype=np.int64).T
+    if np.abs(c).max() > np.iinfo(np.int8).max:
+        raise ConstructionFailure(
+            f"{rs.name}: bracket coefficient {int(np.abs(c).max())} "
+            f"exceeds the int8 expansion table"
+        )
+    shape = (len(rows), len(btable), int(m.max()) + 1)
+    targets = np.zeros(shape, dtype=np.int16)
+    coeffs = np.zeros(shape, dtype=np.int8)
+    targets[p, g, m] = t
+    coeffs[p, g, m] = c
+    return targets, coeffs
+
+
+def _collect(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the values of equal keys; sorted keys, zero sums dropped."""
+    if not keys.size:
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals, starts)
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
+
+
 def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem:
     """Expand D^2 column by column and extract the obstruction forms.
 
@@ -230,85 +282,91 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     rs = constants.system
     rank = rs.rank
     roots = half_roots(rs, half)
-    btable = constants.bracket_table
-    dim = rank + len(rs.all_roots)
-    half_idx = [(r.coords, rank + rs.root_order_index(r)) for r in roots]
+    n = len(roots)
+    targets, coeffs = _ad_tables(constants, roots)
+    dim = targets.shape[1]
+    # a monomial of D^2 is psi_p (id p) or phi_p phi_q with p < q (id n + p*n + q);
+    # one key of a column is monomial id * dim + target basis index
 
-    def apply_d(elem: dict) -> dict:
-        out: dict = {}
+    def first(g: int):
+        # D(g) = sum_a phi_a [x_a, g]: positions a, targets t1, coefficients c1
+        a, m = np.nonzero(coeffs[:, g])
+        return a, targets[a, g, m].astype(np.intp), coeffs[a, g, m].astype(np.int64)
 
-        def add(key, v):
-            if v:
-                nv = out.get(key, 0) + v
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-
-        for (mono, g), coeff in elem.items():
-            phis, psis = mono
-            for i, c in enumerate(phis):
-                s = -coeff if i % 2 else coeff
-                add(
-                    (
-                        (
-                            phis[:i] + phis[i + 1 :],
-                            tuple(sorted(psis + (c,), key=_root_key)),
-                        ),
-                        g,
-                    ),
-                    s,
-                )
-            for c_alpha, ia in half_idx:
-                merged = _merge_phis((c_alpha,), phis)
-                if merged is None:
-                    continue
-                nphis, sign = merged
-                for t, ct in btable[ia][g]:
-                    add(((nphis, psis), t), coeff * sign * ct)
-        return out
-
-    def squared_column(g: int) -> dict:
-        return apply_d(apply_d({(((), ()), g): 1}))
+    def square(a, t1, c1):
+        # delta(phi_a) = psi_a, then phi_b phi_a [x_b, [x_a, g]] for b != a,
+        # with the sign of sorting phi_b phi_a: +1 when b comes before a
+        inner = coeffs[:, t1]
+        b, j, m = np.nonzero(inner)
+        keep = b != a[j]
+        b, j, m = b[keep], j[keep], m[keep]
+        aj = a[j]
+        lo, hi = np.minimum(b, aj), np.maximum(b, aj)
+        sign = np.where(b < aj, 1, -1)
+        keys = np.concatenate([
+            a.astype(np.int64) * dim + t1,
+            (n + lo * n + hi).astype(np.int64) * dim + targets[b, t1[j], m],
+        ])
+        vals = np.concatenate([c1, sign * c1[j] * inner[b, j, m]])
+        return _collect(keys, vals)
 
     # extract E_a from the Cartan columns: ad(x_a) h_k = -(a, a_k) x_a
-    h_cols = [squared_column(k) for k in range(rank)]
-    obstructions: dict[Coords, FormalForm] = {}
+    h_cols = [square(*first(k)) for k in range(rank)]
+    e_monos: list[np.ndarray] = []
+    e_vals: list[np.ndarray] = []
     for alpha in roots:
         ia = rank + rs.root_order_index(alpha)
         k = next(
             k for k in range(rank) if rs.pairing(alpha, rs.simple_roots[k]) != 0
         )
         denom = -rs.pairing(alpha, rs.simple_roots[k])
-        picked: dict[Monomial, int] = {}
-        for (mono, g), v in h_cols[k].items():
-            if g == ia:
-                if v % denom:
-                    raise CancellationFailure(
-                        f"{rs.name} {half.value}: column h{k + 1} is not divisible "
-                        f"by {denom} at class {alpha}"
-                    )
-                picked[mono] = v // denom
-        obstructions[alpha.coords] = FormalForm(picked)
+        keys, vals = h_cols[k]
+        at = keys % dim == ia
+        if (vals[at] % denom).any():
+            raise CancellationFailure(
+                f"{rs.name} {half.value}: column h{k + 1} is not divisible "
+                f"by {denom} at class {alpha}"
+            )
+        e_monos.append(keys[at] // dim)
+        e_vals.append(vals[at] // denom)
+    e_ptr = np.concatenate([[0], np.cumsum([len(v) for v in e_vals])])
+    e_monos_flat = np.concatenate(e_monos)
+    e_vals_flat = np.concatenate(e_vals)
 
-    # stream the remainder check over every basis column
+    # the remainder check over every basis column:
+    # D^2(g) must equal sum_a E_a [x_a, g] term for term
     for g in range(dim):
-        d2 = h_cols[g] if g < rank else squared_column(g)
-        expected: dict = {}
-        for c_alpha, ia in half_idx:
-            for t, ct in btable[ia][g]:
-                for mono, v in obstructions[c_alpha].terms.items():
-                    key = (mono, t)
-                    nv = expected.get(key, 0) + v * ct
-                    if nv:
-                        expected[key] = nv
-                    else:
-                        del expected[key]
-        if d2 != expected:
+        a, t1, c1 = first(g)
+        d2_keys, d2_vals = h_cols[g] if g < rank else square(a, t1, c1)
+        lens = e_ptr[a + 1] - e_ptr[a]
+        term = np.repeat(np.arange(len(a)), lens)
+        pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+        pick = e_ptr[a][term] + pos
+        exp_keys, exp_vals = _collect(
+            e_monos_flat[pick] * dim + t1[term], e_vals_flat[pick] * c1[term]
+        )
+        if not (
+            np.array_equal(d2_keys, exp_keys) and np.array_equal(d2_vals, exp_vals)
+        ):
             raise CancellationFailure(
                 f"{rs.name} {half.value}: D^2 does not reduce to the "
                 f"obstruction action on column {g}"
             )
+
+    coords = [r.coords for r in roots]
+
+    def monomial(mono: int) -> Monomial:
+        if mono < n:
+            return ((), (coords[mono],))
+        p, q = divmod(mono - n, n)
+        return ((coords[p], coords[q]), ())
+
+    obstructions = {
+        c: FormalForm(
+            {monomial(m): v for m, v in zip(monos.tolist(), vals.tolist())}
+        )
+        for c, monos, vals in zip(coords, e_monos, e_vals)
+    }
 
     # independent route: the closed quadratic formula must agree exactly
     closed = {r.coords: FormalForm.psi(r.coords) for r in roots}

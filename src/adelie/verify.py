@@ -109,8 +109,9 @@ def verify_obstruction(rs: RootSystem) -> VerificationReport:
 def detect_tampering(constants: ChevalleyConstants) -> tuple[bool, str]:
     """Combined corruption detector for a structure-constant table.
 
-    Layer one reruns the bracket verification (antisymmetry, h-compatibility,
-    Jacobi).  Layer two rebuilds both obstruction systems, where a corrupt
+    Layer one reruns the bracket verification (support, antisymmetry, the
+    product identity, and the Jacobi sweep, whose triples with an h cover the
+    Cartan relations).  Layer two rebuilds both obstruction systems, where a corrupt
     table surfaces as a cancellation failure or a broken Bianchi closure.
     Returns (detected, reason); (False, "") means the table looks clean.
     """

@@ -1,10 +1,14 @@
 """Graded algebra laws, obstruction extraction, Bianchi closure, certification."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from adelie import build, root_vector
 from adelie.chevalley import build_constants, verify_chevalley
-from adelie.errors import CancellationFailure, IncompleteOracle
+from adelie.cli import main
+from adelie.errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from adelie.obstruction import (
     FormalForm,
     H2VanishVerdict,
@@ -161,6 +165,71 @@ def test_corrupted_constants_fail_cancellation():
         build_system(c.flip(a1, a2, one_sided=True), Half.POSITIVE)
 
 
+def _x(rs, *coords):
+    # basis index of x_alpha: after h_1..h_r, in canonical root order
+    return rs.rank + rs.root_order_index(root_vector(*coords))
+
+
+def _with_bracket_cell(c, i, j, cell):
+    # a copy whose cached bracket table has cell (i, j) replaced by cell(old)
+    table = [list(row) for row in c.bracket_table]
+    table[i][j] = cell(table[i][j])
+    copy = dataclasses.replace(c)
+    copy.__dict__["bracket_table"] = table
+    return copy
+
+
+def test_cartan_column_not_divisible():
+    # [x_a1, h_1] = -2 x_a1 becomes -3 x_a1, so psi_a1 appears with -3 in
+    # column h_1 where E_a1 must come out times -(a1, a1) = -2
+    c = build_constants(build("A2"))
+    bad = _with_bracket_cell(c, _x(c.system, 1, 0), 0, lambda cell: ((cell[0][0], -3),))
+    with pytest.raises(CancellationFailure) as exc:
+        build_system(bad, Half.POSITIVE)
+    assert str(exc.value) == (
+        "A2 positive: column h1 is not divisible by -2 at class {1,0|root}"
+    )
+
+
+def test_root_column_does_not_reduce():
+    # negating [x_{a1+a2}, x_{-a2}] leaves the Cartan columns, and so the
+    # extracted E_a, untouched; the remainder check catches it
+    c = build_constants(build("A2"))
+    rs = c.system
+    bad = _with_bracket_cell(
+        c, _x(rs, 1, 1), _x(rs, 0, -1), lambda cell: tuple((k, -v) for k, v in cell)
+    )
+    with pytest.raises(CancellationFailure) as exc:
+        build_system(bad, Half.POSITIVE)
+    assert str(exc.value) == (
+        "A2 positive: D^2 does not reduce to the obstruction action on column 5"
+    )
+
+
+def test_closed_formula_disagrees_with_a_flipped_sign_table():
+    # the expansion reads the clean bracket table, the closed formula the
+    # flipped sign table
+    c = build_constants(build("A2"))
+    a1, a2 = c.system.simple_roots
+    bad = c.flip(a1, a2)
+    bad.__dict__["bracket_table"] = c.bracket_table
+    with pytest.raises(ConstructionFailure) as exc:
+        build_system(bad, Half.POSITIVE)
+    assert str(exc.value) == (
+        "A2 positive: the closed quadratic formula disagrees with the double "
+        "expansion of D^2"
+    )
+
+
+def test_bracket_coefficient_outside_int8_is_refused():
+    # the expansion tables hold coefficients as int8; a wider one must not wrap
+    c = build_constants(build("A2"))
+    bad = _with_bracket_cell(c, _x(c.system, 1, 0), 0, lambda cell: ((cell[0][0], 200),))
+    with pytest.raises(ConstructionFailure) as exc:
+        build_system(bad, Half.POSITIVE)
+    assert str(exc.value) == "A2: bracket coefficient 200 exceeds the int8 expansion table"
+
+
 def test_bianchi_blind_spot_is_covered_by_table_checks():
     # a consistent sign flip leaves every rank-two Bianchi residual at zero,
     # so detection must also run the bracket verification, which catches it
@@ -207,3 +276,26 @@ def test_system_text_stable_and_anchored():
     assert t1 == t2
     assert "# obstruction system A2 positive" in t1
     assert "(1,1): psi[1,1] + phi[0,1]phi[1,0]" in t1
+
+
+# SHA-256 of the exact `obstruction --format json` stdout, recorded from the
+# dict-walk expansion that the array gathers replaced.
+OBSTRUCTION_PAYLOAD_SHA256 = {
+    ("E6", "positive", False): "37c94317d3a888fa33b969afc8022835836428c2ae2200ef8b7d5cb093f7ce89",
+    ("E6", "negative", False): "466ddaccef94a635e07fcd4a2342420496ec8f49e549c95405e1350a17538d9f",
+    ("E7", "positive", False): "7c0c0c653d42560b6f313fbc583cb82830c7495f8c08ce94726ac60903b335f6",
+    ("E7", "negative", False): "191ae412de676c885a361bc1582f07eaf95bf2bf6823c853d57860f8e51e447d",
+    ("E8", "positive", False): "1b1c6159ddb624ec12afda4a46f86de7bacea3a68d0363c80a564362d2dbaf8b",
+    ("E8", "negative", False): "a1ee66349201cf7668acdd187c8925bddcf27d9edd2864c58ffc68de10d0c9d9",
+    ("E8", "negative", True): "5e11832480e6bcc4b7852c775dfbb967331875ce3153b5c941e3f32146f85fa8",
+}
+
+
+@pytest.mark.parametrize("name,half,certify", sorted(OBSTRUCTION_PAYLOAD_SHA256))
+def test_obstruction_payload_is_pinned(capsys, name, half, certify):
+    argv = ["obstruction", name, "--half", half, "--format", "json"]
+    code = main(argv + ["--certify"] * certify)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == OBSTRUCTION_PAYLOAD_SHA256[name, half, certify]
