@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -73,3 +75,15 @@ def ldl_decomposition(
             )
             lower[j][i] = t / s
     return tuple(tuple(row) for row in lower), tuple(diag)
+
+
+def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the values of equal keys; sorted keys, zero sums dropped."""
+    if not keys.size:
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals, starts)
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]

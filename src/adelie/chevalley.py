@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from math import comb
 
 import numpy as np
 
+from ._exact import sum_by_key
 from .errors import ConstructionFailure, SystemMismatch
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build
@@ -76,36 +77,30 @@ class ChevalleyConstants:
         return ChevalleyConstants(self.system, table, self.sum_index, self.negation)
 
     @cached_property
-    def bracket_table(self) -> list[list[tuple[tuple[int, int], ...]]]:
-        """Brackets of basis pairs: bracket_table[i][j] = ((k, coeff), ...).
-
-        Indices run over the basis h_1..h_r, then x_alpha in canonical root
-        order; this one table defines the bracket and is what the Jacobi
-        sweep certifies.
-        """
+    def bracket_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Brackets of the basis h_1..h_r, x_alpha (canonical root order) as
+        padded arrays: [b_i, b_j] = sum_m coeffs[i, j, m] b_{targets[i, j, m]},
+        zero coefficients padding, and [x_a, x_{-a}] = h_a has term m on h_m.
+        Signs, weight coordinates and root coordinates (at most 6) fit int8."""
         rs = self.system
         r = rs.rank
-        roots = rs.all_roots
-        n_roots = len(roots)
+        n_roots = len(rs.all_roots)
         dim = r + n_roots
-        table: list[list[tuple[tuple[int, int], ...]]] = [
-            [() for _ in range(dim)] for _ in range(dim)
-        ]
-        for j, rt in enumerate(roots):
-            for i, v in enumerate(rs.to_weight_basis(rt).coords):
-                if v:
-                    table[i][r + j] = ((r + j, v),)
-                    table[r + j][i] = ((r + j, -v),)
-        for a in range(n_roots):
-            ca = roots[a].coords
-            for b in range(n_roots):
-                if self.negation[a] == b:
-                    table[r + a][r + b] = tuple((k, ca[k]) for k in range(r) if ca[k])
-                else:
-                    k = self.sum_index[a, b]
-                    if k < n_roots:
-                        table[r + a][r + b] = ((r + int(k), int(self.sign_table[a, b])),)
-        return table
+        coords = np.array([a.coords for a in rs.all_roots], dtype=np.int64)
+        weights = coords @ np.array(rs.cartan, dtype=np.int64)
+        x = r + np.arange(n_roots)
+        targets = np.zeros((dim, dim, r), dtype=np.int16)
+        coeffs = np.zeros((dim, dim, r), dtype=np.int8)
+        targets[:r, r:, 0] = x
+        coeffs[:r, r:, 0] = weights.T
+        targets[r:, :r, 0] = x[:, None]
+        coeffs[r:, :r, 0] = -weights
+        valid = self.sum_index < n_roots
+        targets[r:, r:, 0] = np.where(valid, r + self.sum_index, 0)
+        coeffs[r:, r:, 0] = np.where(valid, self.sign_table, 0)
+        targets[x, r + self.negation] = np.arange(r)
+        coeffs[x, r + self.negation] = coords
+        return targets, coeffs
 
 
 @dataclass
@@ -126,31 +121,19 @@ class LieElement:
         system.root_order_index(alpha)  # validates alpha is a root
         return cls(system, roots={c: 1})
 
-    def _add_h(self, i: int, v: int) -> None:
-        if v:
-            nv = self.cartan.get(i, 0) + v
-            if nv:
-                self.cartan[i] = nv
-            else:
-                self.cartan.pop(i, None)
-
-    def _add_x(self, c: Coords, v: int) -> None:
-        if v:
-            nv = self.roots.get(c, 0) + v
-            if nv:
-                self.roots[c] = nv
-            else:
-                self.roots.pop(c, None)
-
     def __add__(self, other: "LieElement") -> "LieElement":
         if other.system != self.system:
             raise SystemMismatch("cannot add elements over different systems")
-        out = LieElement(self.system, dict(self.cartan), dict(self.roots))
-        for i, v in other.cartan.items():
-            out._add_h(i, v)
-        for c, v in other.roots.items():
-            out._add_x(c, v)
-        return out
+
+        def merged(a: dict, b: dict) -> dict:
+            out = dict(a)
+            for key, v in b.items():
+                out[key] = out.get(key, 0) + v
+            return {key: v for key, v in out.items() if v}
+
+        return LieElement(
+            self.system, merged(self.cartan, other.cartan), merged(self.roots, other.roots)
+        )
 
     def scale(self, k: int) -> "LieElement":
         if k == 0:
@@ -196,16 +179,17 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     roots = rs.all_roots
     n_roots = len(roots)
     coords = np.array([r.coords for r in roots], dtype=np.int64)
-    index = {r.coords: i for i, r in enumerate(roots)}
 
-    sum_index = np.full((n_roots, n_roots), n_roots, dtype=np.int32)
-    for i in range(n_roots):
-        ci = roots[i].coords
-        for j in range(n_roots):
-            s = tuple(a + b for a, b in zip(ci, roots[j].coords))
-            k = index.get(s)
-            if k is not None:
-                sum_index[i, j] = k
+    # pack each root into one int, sum_i c_i * base**i, with a base wide
+    # enough for pair sums, and look each row of pair sums up among the
+    # sorted root keys; one row at a time keeps the peak memory small
+    base = 4 * int(np.abs(coords).max()) + 1
+    keys = coords @ base ** np.arange(rs.rank, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    sum_index = np.empty((n_roots, n_roots), dtype=np.int32)
+    for i, key in enumerate(keys):
+        k = order[np.minimum(np.searchsorted(keys, key + keys, sorter=order), n_roots - 1)]
+        sum_index[i] = np.where(keys[k] == key + keys, k, n_roots)
 
     # eps parity over all pairs in one shot, then the negative-root correction
     parity = (coords @ _eps_parity_matrix(rs) @ coords.T) % 2
@@ -213,6 +197,7 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     neg_of_sum = np.where(sum_index < n_roots, neg_flag[np.minimum(sum_index, n_roots - 1)], 0)
     total_parity = (parity + neg_flag[:, None] + neg_flag[None, :] + neg_of_sum) % 2
     table = np.where(sum_index < n_roots, 1 - 2 * total_parity, 0).astype(np.int8)
+    del parity, neg_of_sum, total_parity  # freed before the table check, which sets the peak
 
     negation = np.empty(n_roots, dtype=np.int32)
     half = n_roots // 2
@@ -281,31 +266,28 @@ def _verify_table(c: ChevalleyConstants) -> VerificationReport:
     return rep
 
 
-def bracket(x: LieElement, y: LieElement, c: ChevalleyConstants) -> LieElement:
-    """Lie bracket: the bilinear extension of c.bracket_table."""
+def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
+    """(basis index, coefficient) for each component of e."""
     rs = c.system
-    if x.system != rs or y.system != rs:
+    if e.system != rs:
         raise SystemMismatch("bracket arguments over a different system")
-    r = rs.rank
-    roots = rs.all_roots
+    return list(e.cartan.items()) + [
+        (rs.rank + rs._root_index[cc], v) for cc, v in e.roots.items()
+    ]
 
-    def indexed(e: LieElement):
-        return list(e.cartan.items()) + [
-            (r + rs._root_index[cc], v) for cc, v in e.roots.items()
-        ]
 
-    table = c.bracket_table
-    out = LieElement(rs)
-    ys = indexed(y)
-    for i, a in indexed(x):
-        row = table[i]
-        for j, b in ys:
-            for k, ck in row[j]:
-                if k < r:
-                    out._add_h(k, a * b * ck)
-                else:
-                    out._add_x(roots[k - r].coords, a * b * ck)
-    return out
+def bracket(x: LieElement, y: LieElement, c: ChevalleyConstants) -> LieElement:
+    """Lie bracket [x, y] = ad(x) y, from the cells of c.bracket_table."""
+    rs = c.system
+    ys = _indexed(y, c)
+    image = adjoint_matrix(x, c)[:, [j for j, _ in ys]] @ np.array(
+        [b for _, b in ys], dtype=np.int64
+    )
+    return LieElement(
+        rs,
+        {i: v for i, v in enumerate(image[:rs.rank].tolist()) if v},
+        {a.coords: v for a, v in zip(rs.all_roots, image[rs.rank:].tolist()) if v},
+    )
 
 
 def basis_elements(c: ChevalleyConstants) -> list[LieElement]:
@@ -317,50 +299,85 @@ def basis_elements(c: ChevalleyConstants) -> list[LieElement]:
 
 
 def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:
-    """Matrix of ad(x) on the basis (h_1..h_r, x_roots), integer entries."""
-    rs = c.system
-    basis = basis_elements(c)
-    dim = len(basis)
+    """Matrix of ad(x) on the basis (h_1..h_r, x_roots), from x's table rows."""
+    targets, coeffs = c.bracket_table
+    dim = len(targets)
     m = np.zeros((dim, dim), dtype=np.int64)
-    for col, b in enumerate(basis):
-        image = bracket(x, b, c)
-        for i, v in image.cartan.items():
-            m[i, col] = v
-        for cc, v in image.roots.items():
-            m[rs.rank + rs._root_index[cc], col] = v
+    cols = np.broadcast_to(np.arange(dim)[:, None], targets.shape[1:])
+    for i, a in _indexed(x, c):
+        np.add.at(m, (targets[i], cols), a * coeffs[i].astype(np.int64))
     return m
 
 
-def _jacobi_triple_ok(table, i: int, j: int, k: int) -> bool:
-    acc: dict[int, int] = {}
-    for pair, outer in (((j, k), i), ((k, i), j), ((i, j), k)):
-        inner = table[pair[0]][pair[1]]
-        trow = table[outer]
-        for m, cm in inner:
-            for t, ct in trow[m]:
-                v = acc.get(t, 0) + cm * ct
-                if v:
-                    acc[t] = v
-                else:
-                    acc.pop(t, None)
-    return not acc
+def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
+    """Lexicographically first basis triple i < j < k whose Jacobi sum
+    [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is not zero.
+
+    Sign rule: the inner cells are read in that cyclic order, so the table
+    need not be antisymmetric, and an inner cell (p, q) serves the outer
+    index u, with sign +1, when (p, q, u) is a rotation of the sorted triple:
+    p < q with u outside [p, q], or p > q with u between them.  Products are
+    keyed ((i * dim + j) * dim + k) * dim + target and equal keys summed.
+    One step per smallest index lo gathers every product of every triple
+    that starts at lo and of no other, so the least surviving key of the
+    first step that keeps one is the first failing triple.
+    """
+    targets, coeffs = c.bracket_table
+    dim = len(targets)
+    # the terms of the cells (p, q) with p < q, in order of p
+    p, q, m = np.nonzero(coeffs)
+    keep = p < q
+    p, q, m = p[keep], q[keep], m[keep]
+    upper = np.stack([p, q, targets[p, q, m], coeffs[p, q, m]]).astype(np.int64)
+    after = np.searchsorted(p, np.arange(1, dim + 1))
+    for lo in range(dim - 2):
+        # outer row lo against the inner cells (p, q), lo < p < q
+        p, q, t, v = upper[:, after[lo]:]
+        outer = coeffs[lo, t]
+        n, m = np.nonzero(outer)
+        keys = [((lo * dim + p[n]) * dim + q[n]) * dim + targets[lo, t[n], m]]
+        vals = [v[n] * outer[n, m]]
+        # outer rows u > lo against the inner cells (lo, q) when u > q, and
+        # against the inner cells (q, lo) when u < q
+        for cell_t, cell_c, between in (
+            (targets[lo], coeffs[lo], False), (targets[:, lo], coeffs[:, lo], True)
+        ):
+            q, k = np.nonzero(cell_c[lo + 1:])
+            q += lo + 1
+            t, v = cell_t[q, k].astype(np.intp), cell_c[q, k].astype(np.int64)
+            outer = coeffs[lo + 1:, t]
+            u, n, m = np.nonzero(outer)
+            keep = (u + lo + 1 < q[n]) if between else (u + lo + 1 > q[n])
+            u, n, m = u[keep], n[keep], m[keep]
+            vals.append(v[n] * outer[u, n, m])
+            u += lo + 1
+            mid, hi = (u, q[n]) if between else (q[n], u)
+            keys.append(((lo * dim + mid) * dim + hi) * dim + targets[u, t[n], m])
+        keys, _ = sum_by_key(np.concatenate(keys), np.concatenate(vals))
+        if keys.size:
+            return (lo, *divmod(int(keys[0]) // dim % (dim * dim), dim))
+    return None
 
 
 def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:
     """Re-run the table checks and sweep the Jacobi identity on every basis triple.
 
     Distinct unordered triples determine the identity (it is alternating and
-    vanishes identically on repeats).
+    vanishes identically on repeats).  checked counts the triples in
+    lexicographic order up to the first failing one: all C(dim, 3) if none.
     """
     rep = _verify_table(c)
     rep.name = f"chevalley-{c.system.name}"
     rep.details["jacobi"] = "exhaustive"
-    table = c.bracket_table
-    for i, j, k in combinations(range(len(table)), 3):
-        rep.checked += 1
-        if not _jacobi_triple_ok(table, i, j, k):
-            rep.violations.append(f"jacobi fails on basis triple ({i},{j},{k})")
-            break
+    dim = len(c.bracket_table[0])
+    failure = _jacobi_first_failure(c)
+    if failure is None:
+        rep.checked += comb(dim, 3)
+    else:
+        i, j, k = failure
+        after = comb(dim - 1 - i, 3) + comb(dim - 1 - j, 2) + dim - 1 - k
+        rep.checked += comb(dim, 3) - after
+        rep.violations.append(f"jacobi fails on basis triple ({i},{j},{k})")
     return rep
 
 

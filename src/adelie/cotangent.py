@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConstructionFailure, NotARootClass
+from .errors import BudgetExceeded, ConstructionFailure, NegativeDegree, NotARootClass
 from .flag import dominant_conjugate, euler_characteristic
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build, weight_vector
@@ -307,7 +307,8 @@ def euler_characteristic_graded(
 ) -> int:
     """Sum of Euler characteristics of lam shifted by all degree-multisets of
     positive roots: the Euler characteristic of the degree-th symmetric-power
-    twist.  Raises BudgetExceeded when the multiset count passes max_terms.
+    twist.  Raises NegativeDegree for a degree below zero and BudgetExceeded
+    when the multiset count passes max_terms.
 
     Many multisets share a root sum, so they are first folded into distinct
     sums with multiplicities, one positive root at a time, and each distinct
@@ -316,7 +317,7 @@ def euler_characteristic_graded(
     ints and the fold stores no tuples.
     """
     if degree < 0:
-        raise ValueError("degree must be non-negative")
+        raise NegativeDegree(f"degree must be non-negative, got {degree}")
     n_pos = len(rs.positive_roots)
     terms = comb(n_pos + degree - 1, degree) if degree else 1
     if terms > max_terms:

@@ -33,6 +33,10 @@ class IndexOutOfRange(AdelieError):
     """Simple-root index outside 1..rank."""
 
 
+class NegativeDegree(AdelieError):
+    """Symmetric degree below zero."""
+
+
 class BudgetExceeded(AdelieError):
     """Enumeration would exceed the configured budget."""
 

@@ -11,16 +11,16 @@ by column produces one even quadratic form E_a per root of the half:
           n_{b,g} phi_b phi_g.
 
 The build computes D^2 honestly by double application, as integer gathers.
-It reads the bracket table that the Jacobi sweep certifies once into two
-arrays indexed by (position of a in the half, basis column, term): the
-targets and coefficients of ad(x_a).  For column g the first application of
-D is a slice of these arrays; the second is one gather over (b, first-level
-term), each term signed by the sort of phi_b phi_a, and equal keys
-(monomial id, target) are summed after a sort.  It extracts each E_a from
-the Cartan columns by exact division, checks the remainder against every
-column (CancellationFailure otherwise), converts the E_a to coordinate-keyed
-forms, and then checks the closed formula above against the extracted
-system (ConstructionFailure otherwise).
+It slices the rows ad(x_a), a in the half, out of the bracket table that
+the Jacobi sweep certifies: two padded arrays indexed by (position of a in
+the half, basis column, term), the targets and the coefficients.  For
+column g the first application of D is a slice of these arrays; the second
+is one gather over (b, first-level term), each term signed by the sort of
+phi_b phi_a, and equal keys (monomial id, target) are summed after a sort.
+It extracts each E_a from the Cartan columns by exact division, checks the
+remainder against every column (CancellationFailure otherwise), converts
+the E_a to coordinate-keyed forms, and then checks the closed formula above
+against the extracted system (ConstructionFailure otherwise).
 
 The E_a satisfy the Bianchi-type identity checked by check_bianchi, and
 certify_solvability matches them against an H^2 vanishing oracle: classes of
@@ -35,6 +35,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._exact import sum_by_key
 from .chevalley import ChevalleyConstants
 from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from .report import VerificationReport
@@ -230,48 +231,6 @@ def half_roots(rs: RootSystem, half: Half) -> tuple[LatticeVector, ...]:
     return tuple(sorted(base, key=lambda r: _root_key(r.coords)))
 
 
-def _ad_tables(constants: ChevalleyConstants, roots) -> tuple[np.ndarray, np.ndarray]:
-    """ad(x_a) for each root a of the half, read off the bracket table.
-
-    targets[p, g, m] and coeffs[p, g, m] are the m-th term (k, coeff) of
-    [x_a, basis_g] for the root a at position p of the half, padded with
-    coefficient 0.  Targets fit int16 (dim <= 248), coefficients int8.
-    """
-    rs = constants.system
-    btable = constants.bracket_table
-    rows = [btable[rs.rank + rs.root_order_index(a)] for a in roots]
-    cells = [
-        (p, g, m, t, c)
-        for p, row in enumerate(rows)
-        for g, cell in enumerate(row)
-        for m, (t, c) in enumerate(cell)
-    ]
-    p, g, m, t, c = np.array(cells, dtype=np.int64).T
-    if np.abs(c).max() > np.iinfo(np.int8).max:
-        raise ConstructionFailure(
-            f"{rs.name}: bracket coefficient {int(np.abs(c).max())} "
-            f"exceeds the int8 expansion table"
-        )
-    shape = (len(rows), len(btable), int(m.max()) + 1)
-    targets = np.zeros(shape, dtype=np.int16)
-    coeffs = np.zeros(shape, dtype=np.int8)
-    targets[p, g, m] = t
-    coeffs[p, g, m] = c
-    return targets, coeffs
-
-
-def _collect(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the values of equal keys; sorted keys, zero sums dropped."""
-    if not keys.size:
-        return keys, vals
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sums = np.add.reduceat(vals, starts)
-    keep = sums != 0
-    return keys[starts][keep], sums[keep]
-
-
 def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem:
     """Expand D^2 column by column and extract the obstruction forms.
 
@@ -283,7 +242,9 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     rank = rs.rank
     roots = half_roots(rs, half)
     n = len(roots)
-    targets, coeffs = _ad_tables(constants, roots)
+    # ad(x_a) for the root a at each position of the half: rows of the table
+    rows = [rank + rs.root_order_index(a) for a in roots]
+    targets, coeffs = (table[rows] for table in constants.bracket_table)
     dim = targets.shape[1]
     # a monomial of D^2 is psi_p (id p) or phi_p phi_q with p < q (id n + p*n + q);
     # one key of a column is monomial id * dim + target basis index
@@ -308,14 +269,13 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
             (n + lo * n + hi).astype(np.int64) * dim + targets[b, t1[j], m],
         ])
         vals = np.concatenate([c1, sign * c1[j] * inner[b, j, m]])
-        return _collect(keys, vals)
+        return sum_by_key(keys, vals)
 
     # extract E_a from the Cartan columns: ad(x_a) h_k = -(a, a_k) x_a
     h_cols = [square(*first(k)) for k in range(rank)]
     e_monos: list[np.ndarray] = []
     e_vals: list[np.ndarray] = []
-    for alpha in roots:
-        ia = rank + rs.root_order_index(alpha)
+    for alpha, ia in zip(roots, rows):
         k = next(
             k for k in range(rank) if rs.pairing(alpha, rs.simple_roots[k]) != 0
         )
@@ -342,7 +302,7 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
         term = np.repeat(np.arange(len(a)), lens)
         pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
         pick = e_ptr[a][term] + pos
-        exp_keys, exp_vals = _collect(
+        exp_keys, exp_vals = sum_by_key(
             e_monos_flat[pick] * dim + t1[term], e_vals_flat[pick] * c1[term]
         )
         if not (

@@ -1,5 +1,9 @@
 """Structure constants: support, signs, bracket relations, adjoint action."""
 
+import dataclasses
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -191,3 +195,98 @@ def test_construction_failure_path():
     broken = ChevalleyConstants(c.system, t, c.sum_index, c.negation)
     rep = _verify_table(broken)
     assert not rep.ok
+
+
+# SHA-256 of the nonzero bracket-table entries, one "i,j,k,coeff" line each
+# ([b_i, b_j] has coefficient coeff on b_k), sorted; recorded from the
+# list-of-tuples table that the padded arrays replaced.
+BRACKET_TABLE_SHA256 = {
+    "A4": "71a27827484452c836ee8b793f673b349e1b04879fe8888022f8f6156e7d65cb",
+    "D6": "19d8df4beeb0778b770fe6d6a68608e5fdd33fc3f79e75392bab7c53510721da",
+    "E6": "a0418af3ed0678dc1fb24f6f404185f6a9aac030d197a3dc0405a0a168ee6e34",
+    "E7": "4eba4d238e03c95088ce7a652b24f4ecdfb6b42b7c1bc55ac244fe7514dfc24f",
+    "E8": "c9a29839f570ae908b80a803f9916dbf9816d93309912ea1dc947afee30a1cf7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_TABLE_SHA256))
+def test_bracket_table_is_pinned(name):
+    targets, coeffs = build_constants(build(name)).bracket_table
+    i, j, m = np.nonzero(coeffs)
+    entries = sorted(zip(
+        i.tolist(), j.tolist(), targets[i, j, m].tolist(), coeffs[i, j, m].tolist()
+    ))
+    text = "".join(f"{a},{b},{k},{v}\n" for a, b, k, v in entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == BRACKET_TABLE_SHA256[name]
+
+
+def _reference_jacobi_failure(c):
+    # per-triple reference: the Jacobi sum through bracket() on basis elements,
+    # each triple in the cyclic order [x, [y, z]] + [y, [z, x]] + [z, [x, y]]
+    basis = basis_elements(c)
+    for i, j, k in combinations(range(len(basis)), 3):
+        x, y, z = basis[i], basis[j], basis[k]
+        total = (
+            bracket(x, bracket(y, z, c), c)
+            + bracket(y, bracket(z, x, c), c)
+            + bracket(z, bracket(x, y, c), c)
+        )
+        if not total.is_zero():
+            return f"jacobi fails on basis triple ({i},{j},{k})"
+    return None
+
+
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_jacobi_sweep_matches_the_per_triple_reference(name):
+    c = build_constants(build(name))
+    assert _reference_jacobi_failure(c) is None
+    flips = [
+        c.flip(a, b, one_sided=one)
+        for a, b, _ in c.nonzero_entries()
+        for one in (False, True)
+    ]
+    for bad in flips:
+        found = [v for v in verify_chevalley(bad).violations if v.startswith("jacobi")]
+        assert found == [_reference_jacobi_failure(bad)]
+
+
+def _negating_cells(c, *cells):
+    # a copy whose cached bracket table has the given cells negated
+    targets, coeffs = c.bracket_table
+    coeffs = coeffs.copy()
+    for i, j in cells:
+        coeffs[i, j] = -coeffs[i, j]
+    copy = dataclasses.replace(c)
+    copy.__dict__["bracket_table"] = (targets, coeffs)
+    return copy
+
+
+def _triple_class(rs, triple):
+    if min(triple) < rs.rank:
+        return "h"
+    a, b, g = (rs.all_roots[i - rs.rank] for i in triple)
+    if any((u + v).is_zero() for u, v in ((a, b), (b, g), (g, a))):
+        return "cancelling pair"
+    return "zero sum" if (a + b + g).is_zero() else "product identity"
+
+
+# D4 basis indices: h_1..h_4 are 0..3; x_a4, x_a3, x_a2 are 4, 5, 6;
+# x_{-a4} is 16 and x_{-a2-a4} is 20.  The messages were recorded from the
+# per-triple Python sweep that the gather replaced.
+@pytest.mark.parametrize("cells,message,kind", [
+    # [h_1, x_a2] negated on one side only
+    ([(0, 6)], "jacobi fails on basis triple (0,1,6)", "h"),
+    # [x_a4, x_{-a4}] = h_a4 negated both ways
+    ([(4, 16), (16, 4)], "jacobi fails on basis triple (4,6,16)", "cancelling pair"),
+    # [x_a2, x_{-a2-a4}] negated both ways
+    ([(6, 20), (20, 6)], "jacobi fails on basis triple (4,6,20)", "zero sum"),
+    # [x_a4, x_a2] negated both ways
+    ([(4, 6), (6, 4)], "jacobi fails on basis triple (4,5,6)", "product identity"),
+])
+def test_corrupted_bracket_cell_is_caught_in_each_triple_class(cells, message, kind):
+    # the sign table stays clean, so only the Jacobi sweep can see these
+    c = build_constants(build("D4"))
+    rep = verify_chevalley(_negating_cells(c, *cells))
+    assert rep.violations == [message]
+    triple = tuple(int(i) for i in message[message.index("(") + 1:-1].split(","))
+    assert _triple_class(c.system, triple) == kind

@@ -206,6 +206,12 @@ def test_exit_two_on_exhausted_budget(capsys):
     assert err.startswith("error:") and "exceed the budget" in err
 
 
+def test_exit_two_on_negative_degree(capsys):
+    code, out, err = run(capsys, "euler", "A2", "--degree", "-1", "--", "0", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: degree must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize(
     "exc", [ConstructionFailure("broken table"), CancellationFailure("stray terms")]
 )
