@@ -21,7 +21,7 @@ ConstructionFailure at table-build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -101,6 +101,46 @@ class ChevalleyConstants:
         targets[x, r + self.negation] = np.arange(r)
         coeffs[x, r + self.negation] = coords
         return targets, coeffs
+
+    @cached_property
+    def report(self) -> VerificationReport:
+        """The check that gates the build, run once per instance (flipped and
+        replaced copies run their own; read it through verify_chevalley):
+        support and antisymmetry of the sign table on all root pairs, then
+        the Jacobi identity on every basis triple.
+
+        On a table with the right support that is antisymmetric, the
+        three-term identity n_{a,b} n_{a+b,g} + n_{b,g} n_{b+g,a} +
+        n_{g,a} n_{g+a,b} = 0 is, up to sign, the x_{a+b+g} coefficient of the
+        Jacobi sum on (x_a, x_b, x_g), so the sweep covers it.  Distinct
+        unordered triples determine the identity (it is alternating and
+        vanishes identically on repeats).  checked counts both pair sweeps,
+        then the triples in lexicographic order up to the first failing one:
+        all C(dim, 3) if none.
+        """
+        rep = VerificationReport(name=f"chevalley-{self.system.name}")
+        rep.details["jacobi"] = "exhaustive"
+        n_roots = len(self.system.all_roots)
+        table = self.sign_table
+        valid = self.sum_index < n_roots
+        rep.checked += 2 * n_roots * n_roots
+        for bad, what in (
+            ((table != 0) != valid, "support"),
+            (valid & (table + table.T != 0), "antisymmetry"),
+        ):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                rep.violations.append(f"{what} fails at pair ({i},{j})")
+        dim = self.system.rank + n_roots
+        failure = _jacobi_first_failure(self)
+        if failure is None:
+            rep.checked += comb(dim, 3)
+        else:
+            i, j, k = failure
+            after = comb(dim - 1 - i, 3) + comb(dim - 1 - j, 2) + dim - 1 - k
+            rep.checked += comb(dim, 3) - after
+            rep.violations.append(f"jacobi fails on basis triple ({i},{j},{k})")
+        return rep
 
 
 @dataclass
@@ -197,7 +237,8 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     neg_of_sum = np.where(sum_index < n_roots, neg_flag[np.minimum(sum_index, n_roots - 1)], 0)
     total_parity = (parity + neg_flag[:, None] + neg_flag[None, :] + neg_of_sum) % 2
     table = np.where(sum_index < n_roots, 1 - 2 * total_parity, 0).astype(np.int8)
-    del parity, neg_of_sum, total_parity  # freed before the table check, which sets the peak
+    # freed before the gate's Jacobi sweep, whose gathered products set the peak
+    del parity, neg_of_sum, total_parity
 
     negation = np.empty(n_roots, dtype=np.int32)
     half = n_roots // 2
@@ -205,7 +246,7 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     negation[half:] = np.arange(half)
 
     constants = ChevalleyConstants(rs, table, sum_index, negation)
-    report = _verify_table(constants)
+    report = constants.report
     if not report.ok:
         raise ConstructionFailure(
             f"{rs.name}: {len(report.violations)} violations, "
@@ -217,53 +258,6 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
 def build_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the full sign table for rs and verify its invariants exhaustively."""
     return _constants_cached(rs.kind, rs.rank)
-
-
-def _verify_table(c: ChevalleyConstants) -> VerificationReport:
-    """Support, antisymmetry and the three-term product identity, all pairs/triples.
-
-    The product identity n_{a,b} n_{a+b,g} + n_{b,g} n_{b+g,a} + n_{g,a} n_{g+a,b} = 0
-    (terms with non-root subscripts read as zero) is checked over every triple
-    in which no two of a, b, g sum to zero; triples with cancelling pairs route
-    through the Cartan subalgebra and belong to the bracket Jacobi sweep.
-    """
-    rep = VerificationReport(name=f"chevalley-table-{c.system.name}")
-    n_roots = len(c.system.all_roots)
-    table = c.sign_table.astype(np.int64)
-    s = c.sum_index
-    valid = s < n_roots
-
-    rep.checked += n_roots * n_roots
-    support_bad = (table != 0) != valid
-    if support_bad.any():
-        i, j = np.argwhere(support_bad)[0]
-        rep.violations.append(f"support fails at pair ({i},{j})")
-    anti_bad = valid & (table + table.T != 0)
-    rep.checked += n_roots * n_roots
-    if anti_bad.any():
-        i, j = np.argwhere(anti_bad)[0]
-        rep.violations.append(f"antisymmetry fails at pair ({i},{j})")
-
-    # dense tables with a zero sentinel row for "not a root"
-    text = np.zeros((n_roots + 1, n_roots + 1), dtype=np.int64)
-    text[:n_roots, :n_roots] = table
-    neg = c.negation
-    cols = np.arange(n_roots)
-    for a in range(n_roots):
-        t1 = table[a, :, None] * text[s[a, :], :n_roots]
-        t2 = table * text[s, a]
-        t3 = (text[s[:, a], :n_roots] * table[:, a][:, None]).T
-        # rows are b, columns are g; keep only triples with a+b, b+g, g+a != 0
-        mask = (cols[:, None] != neg[a]) \
-            & (cols[None, :] != neg[:, None]) \
-            & (cols[None, :] != neg[a])
-        bad = ((t1 + t2 + t3) != 0) & mask
-        rep.checked += int(mask.sum())
-        if bad.any():
-            b, g = np.argwhere(bad)[0]
-            rep.violations.append(f"product identity fails at triple ({a},{b},{g})")
-            break
-    return rep
 
 
 def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
@@ -360,25 +354,11 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
 
 
 def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:
-    """Re-run the table checks and sweep the Jacobi identity on every basis triple.
-
-    Distinct unordered triples determine the identity (it is alternating and
-    vanishes identically on repeats).  checked counts the triples in
-    lexicographic order up to the first failing one: all C(dim, 3) if none.
-    """
-    rep = _verify_table(c)
-    rep.name = f"chevalley-{c.system.name}"
-    rep.details["jacobi"] = "exhaustive"
-    dim = len(c.bracket_table[0])
-    failure = _jacobi_first_failure(c)
-    if failure is None:
-        rep.checked += comb(dim, 3)
-    else:
-        i, j, k = failure
-        after = comb(dim - 1 - i, 3) + comb(dim - 1 - j, 2) + dim - 1 - k
-        rep.checked += comb(dim, 3) - after
-        rep.violations.append(f"jacobi fails on basis triple ({i},{j},{k})")
-    return rep
+    """The check that gates the build, as a copy of c.report: it runs once
+    per instance, and a caller's edit of the copy does not reach the next
+    call."""
+    rep = c.report
+    return replace(rep, violations=list(rep.violations), details=dict(rep.details))
 
 
 def dump_constants(c: ChevalleyConstants) -> str:

@@ -109,10 +109,11 @@ def verify_obstruction(rs: RootSystem) -> VerificationReport:
 def detect_tampering(constants: ChevalleyConstants) -> tuple[bool, str]:
     """Combined corruption detector for a structure-constant table.
 
-    Layer one reruns the bracket verification (support, antisymmetry, the
-    product identity, and the Jacobi sweep, whose triples with an h cover the
-    Cartan relations).  Layer two rebuilds both obstruction systems, where a corrupt
-    table surfaces as a cancellation failure or a broken Bianchi closure.
+    Layer one is the bracket verification (support, antisymmetry and the
+    Jacobi sweep, whose triples with an h cover the Cartan relations), run
+    once per constants instance.  Layer two rebuilds both obstruction
+    systems, where a corrupt table surfaces as a cancellation failure or a
+    broken Bianchi closure.
     Returns (detected, reason); (False, "") means the table looks clean.
     """
     rep = verify_chevalley(constants)

@@ -3,11 +3,12 @@
 import dataclasses
 import hashlib
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from adelie import build, root_vector
+from adelie import build, chevalley, root_vector
 from adelie.chevalley import (
     ChevalleyConstants,
     LieElement,
@@ -16,8 +17,10 @@ from adelie.chevalley import (
     bracket,
     build_constants,
     dump_constants,
+    _constants_cached,
     verify_chevalley,
 )
+from adelie.cli import main
 from adelie.errors import ConstructionFailure, SystemMismatch
 
 SMALL = ("A1", "A2", "A3", "D4")
@@ -190,10 +193,8 @@ def test_construction_failure_path():
     c = build_constants(build("A2"))
     t = c.sign_table.copy()
     t[0, 1] = 0
-    from adelie.chevalley import _verify_table
-
     broken = ChevalleyConstants(c.system, t, c.sum_index, c.negation)
-    rep = _verify_table(broken)
+    rep = verify_chevalley(broken)
     assert not rep.ok
 
 
@@ -220,11 +221,12 @@ def test_bracket_table_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == BRACKET_TABLE_SHA256[name]
 
 
-def _reference_jacobi_failure(c):
+def _reference_first_failure(c):
     # per-triple reference: the Jacobi sum through bracket() on basis elements,
-    # each triple in the cyclic order [x, [y, z]] + [y, [z, x]] + [z, [x, y]]
+    # each triple in the cyclic order [x, [y, z]] + [y, [z, x]] + [z, [x, y]];
+    # returns the 1-based lexicographic position and the first failing triple
     basis = basis_elements(c)
-    for i, j, k in combinations(range(len(basis)), 3):
+    for position, (i, j, k) in enumerate(combinations(range(len(basis)), 3), 1):
         x, y, z = basis[i], basis[j], basis[k]
         total = (
             bracket(x, bracket(y, z, c), c)
@@ -232,14 +234,18 @@ def _reference_jacobi_failure(c):
             + bracket(z, bracket(x, y, c), c)
         )
         if not total.is_zero():
-            return f"jacobi fails on basis triple ({i},{j},{k})"
+            return position, (i, j, k)
     return None
+
+
+def _jacobi_message(triple):
+    return "jacobi fails on basis triple ({},{},{})".format(*triple)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3"])
 def test_jacobi_sweep_matches_the_per_triple_reference(name):
     c = build_constants(build(name))
-    assert _reference_jacobi_failure(c) is None
+    assert _reference_first_failure(c) is None
     flips = [
         c.flip(a, b, one_sided=one)
         for a, b, _ in c.nonzero_entries()
@@ -247,7 +253,7 @@ def test_jacobi_sweep_matches_the_per_triple_reference(name):
     ]
     for bad in flips:
         found = [v for v in verify_chevalley(bad).violations if v.startswith("jacobi")]
-        assert found == [_reference_jacobi_failure(bad)]
+        assert found == [_jacobi_message(_reference_first_failure(bad)[1])]
 
 
 def _negating_cells(c, *cells):
@@ -290,3 +296,86 @@ def test_corrupted_bracket_cell_is_caught_in_each_triple_class(cells, message, k
     assert rep.violations == [message]
     triple = tuple(int(i) for i in message[message.index("(") + 1:-1].split(","))
     assert _triple_class(c.system, triple) == kind
+
+
+def _zero_parity(rs):
+    return np.zeros((rs.rank, rs.rank), dtype=np.int64)
+
+
+def test_build_gate_raises_construction_failure(monkeypatch, capsys):
+    # eps = +1 on every generator pair makes the sign table symmetric
+    monkeypatch.setattr(chevalley, "_eps_parity_matrix", _zero_parity)
+    _constants_cached.cache_clear()
+    try:
+        with pytest.raises(ConstructionFailure) as exc:
+            build_constants(build("A2"))
+        message = str(exc.value)
+        assert message.startswith("A2: ")
+        assert message.endswith(" violations, first: antisymmetry fails at pair (0,1)")
+        assert main(["chevalley", "A2"]) == 3
+        assert "internal error:" in capsys.readouterr().err
+    finally:
+        _constants_cached.cache_clear()
+
+
+def _uncorrected(c):
+    # n = eps on every root pair: the module docstring's table without the
+    # sign -1 for each negative root among a, b and a + b
+    n_roots = len(c.system.all_roots)
+    negative = np.arange(n_roots) >= n_roots // 2
+    sum_negative = (c.sum_index < n_roots) & (c.sum_index >= n_roots // 2)
+    undo = negative[:, None] ^ negative[None, :] ^ sum_negative
+    table = np.where(undo, -c.sign_table, c.sign_table)
+    return ChevalleyConstants(c.system, table, c.sum_index, c.negation)
+
+
+@pytest.mark.parametrize("name,triple", [
+    ("A2", (2, 3, 5)), ("A3", (3, 4, 9)), ("D4", (4, 6, 16)),
+    ("E6", (6, 7, 42)), ("E8", (8, 9, 128)),
+])
+def test_gate_check_refuses_the_uncorrected_sign_rule(name, triple):
+    # support and antisymmetry hold, so only the Jacobi sweep can refuse it
+    rep = verify_chevalley(_uncorrected(build_constants(build(name))))
+    assert rep.violations == [_jacobi_message(triple)]
+
+
+@pytest.mark.parametrize("name,checked", [
+    ("A1", 9), ("A2", 128), ("A3", 743), ("D4", 4428),
+])
+def test_checked_counts_pairs_then_triples(name, checked):
+    c = build_constants(build(name))
+    n_roots = len(c.system.all_roots)
+    assert checked == 2 * n_roots ** 2 + comb(c.system.rank + n_roots, 3)
+    assert verify_chevalley(c).checked == checked
+
+
+def test_checked_stops_at_the_first_failing_triple():
+    c = build_constants(build("A3"))
+    a1, a2, _ = c.system.simple_roots
+    bad = c.flip(a1, a2)
+    position, triple = _reference_first_failure(bad)
+    rep = verify_chevalley(bad)
+    assert rep.violations == [_jacobi_message(triple)]
+    assert rep.checked == 2 * 12 ** 2 + position
+
+
+def test_the_check_runs_once_per_instance(monkeypatch):
+    sweep = chevalley._jacobi_first_failure
+    calls = []
+    monkeypatch.setattr(
+        chevalley, "_jacobi_first_failure", lambda c: calls.append(c) or sweep(c)
+    )
+    c = dataclasses.replace(build_constants(build("A3")))
+    first = verify_chevalley(c)
+    first.checked = 0
+    first.violations.append("edited")
+    first.details.clear()
+    second = verify_chevalley(c)
+    assert len(calls) == 1
+    assert second.checked == 743
+    assert second.violations == []
+    assert second.details == {"jacobi": "exhaustive"}
+    # a flipped copy runs its own check
+    a1, a2, _ = c.system.simple_roots
+    assert not verify_chevalley(c.flip(a1, a2)).ok
+    assert len(calls) == 2

@@ -1,7 +1,9 @@
 """Dominance order, lambda_star / cht invariants, descent chains, graded Euler."""
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -268,3 +270,32 @@ def test_graded_euler_exceptional_values(name, degree, value):
     rs = build(name)
     zero = weight_vector(*([0] * rs.rank))
     assert euler_characteristic_graded(rs, zero, degree) == value
+
+
+def _nilcone_hilbert(rs, degree):
+    """Degree-d coefficient of prod_i (1 - t^(e_i + 1)) / (1 - t)^dim g, the
+    Hilbert series of the functions on the nilpotent cone (Kostant 1963).
+    The exponents e_i are the dual partition of the positive-root counts per
+    height: exponent h occurs n_h - n_(h+1) times (Kostant 1959)."""
+    counts = Counter(rs.height(a) for a in rs.positive_roots)
+    exponents = [h for h in counts for _ in range(counts[h] - counts[h + 1])]
+    dim = rs.rank + 2 * len(rs.positive_roots)
+    series = [comb(dim - 1 + k, k) for k in range(degree + 1)]
+    for e in exponents:
+        series = [s - (series[k - e - 1] if k > e else 0) for k, s in enumerate(series)]
+    return series[degree]
+
+
+@pytest.mark.parametrize("name,low,high", [
+    *((name, 0, 2) for name in ALL_TYPES + ["A16", "D16"]),
+    ("E8", 3, 3),
+    *((name, 3, 5) for name in ("A3", "D4", "E6")),
+])
+def test_graded_euler_weight_zero_is_the_nilcone_hilbert_series(name, low, high):
+    # the Springer resolution T*G/B -> N has no higher cohomology of O, so
+    # chi_d(0) is the degree-d part of C[N]; the series uses only heights,
+    # which the fold over positive roots does not
+    rs = build(name)
+    zero = weight_vector(*([0] * rs.rank))
+    for d in range(low, high + 1):
+        assert euler_characteristic_graded(rs, zero, d) == _nilcone_hilbert(rs, d), d
