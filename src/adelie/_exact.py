@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import log10
 
 import numpy as np
 
@@ -32,6 +34,22 @@ def int_det(m: Matrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def digits_past_limit(n: int) -> int:
+    """The number of decimal digits of n when Python refuses to print that
+    many (more than sys.get_int_max_str_digits(), 0 meaning no limit), else 0.
+    The count is found without str(), which is what refuses."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    n = abs(n)
+    if not limit or n < 10 ** limit:
+        return 0
+    d = int(n.bit_length() * log10(2))  # within one of the count
+    while n >= 10 ** d:
+        d += 1
+    while n < 10 ** (d - 1):
+        d -= 1
+    return d
 
 
 def fraction_inverse(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -75,6 +93,28 @@ def ldl_decomposition(
             )
             lower[j][i] = t / s
     return tuple(tuple(row) for row in lower), tuple(diag)
+
+
+def pack(coords: np.ndarray) -> np.ndarray:
+    """One int64 per row of an integer matrix, sum_i c_i * base**i.  The base
+    is wide enough that vectors with entries up to twice the largest pack to
+    distinct ints, so the sum of two rows is found by adding their keys."""
+    base = 4 * int(np.abs(coords).max()) + 1
+    return coords @ base ** np.arange(coords.shape[1], dtype=np.int64)
+
+
+def find(keys: np.ndarray, order: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Position of each query among keys, which order sorts, or len(keys)."""
+    k = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
+    return np.where(keys[k] == queries, k, len(keys))
+
+
+def runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index): index runs through starts[i]..ends[i] - 1 for each i in
+    turn, and owner holds that i."""
+    lens = ends - starts
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return owner, np.arange(len(owner)) + (starts - np.cumsum(lens) + lens)[owner]
 
 
 def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

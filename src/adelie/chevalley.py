@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from ._exact import sum_by_key
+from ._exact import find, pack, runs, sum_by_key
 from .errors import ConstructionFailure, SystemMismatch
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build
@@ -81,7 +81,9 @@ class ChevalleyConstants:
         """Brackets of the basis h_1..h_r, x_alpha (canonical root order) as
         padded arrays: [b_i, b_j] = sum_m coeffs[i, j, m] b_{targets[i, j, m]},
         zero coefficients padding, and [x_a, x_{-a}] = h_a has term m on h_m.
-        Signs, weight coordinates and root coordinates (at most 6) fit int8."""
+        Signs, weight coordinates and root coordinates (at most 6) fit int8.
+        This is the one stored table; the Jacobi sweep and the obstruction
+        expansion read its nonzero terms through bracket_terms."""
         rs = self.system
         r = rs.rank
         n_roots = len(rs.all_roots)
@@ -101,6 +103,16 @@ class ChevalleyConstants:
         targets[x, r + self.negation] = np.arange(r)
         coeffs[x, r + self.negation] = coords
         return targets, coeffs
+
+    def bracket_terms(self) -> tuple[np.ndarray, ...]:
+        """The nonzero terms of bracket_table, [b_row, b_col] has coeff on
+        b_target, as int32 rows, columns and targets and int8 coefficients in
+        cell order (row, column, term).  Derived afresh on each call, so a
+        replaced or corrupted table reaches every reader."""
+        targets, coeffs = self.bracket_table
+        i, j, m = np.nonzero(coeffs)
+        return (i.astype(np.int32), j.astype(np.int32),
+                targets[i, j, m].astype(np.int32), coeffs[i, j, m])
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -220,16 +232,13 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     n_roots = len(roots)
     coords = np.array([r.coords for r in roots], dtype=np.int64)
 
-    # pack each root into one int, sum_i c_i * base**i, with a base wide
-    # enough for pair sums, and look each row of pair sums up among the
-    # sorted root keys; one row at a time keeps the peak memory small
-    base = 4 * int(np.abs(coords).max()) + 1
-    keys = coords @ base ** np.arange(rs.rank, dtype=np.int64)
+    # pack each root into one int and look each row of pair sums up among
+    # the root keys; one row at a time keeps the peak memory small
+    keys = pack(coords)
     order = np.argsort(keys, kind="stable")
     sum_index = np.empty((n_roots, n_roots), dtype=np.int32)
     for i, key in enumerate(keys):
-        k = order[np.minimum(np.searchsorted(keys, key + keys, sorter=order), n_roots - 1)]
-        sum_index[i] = np.where(keys[k] == key + keys, k, n_roots)
+        sum_index[i] = find(keys, order, key + keys)
 
     # eps parity over all pairs in one shot, then the negative-root correction
     parity = (coords @ _eps_parity_matrix(rs) @ coords.T) % 2
@@ -312,41 +321,58 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     index u, with sign +1, when (p, q, u) is a rotation of the sorted triple:
     p < q with u outside [p, q], or p > q with u between them.  Products are
     keyed ((i * dim + j) * dim + k) * dim + target and equal keys summed.
-    One step per smallest index lo gathers every product of every triple
+    One step per smallest index lo expands every product of every triple
     that starts at lo and of no other, so the least surviving key of the
     first step that keeps one is the first failing triple.
+
+    Only stored terms are expanded, never a dense slice of the table.  The
+    term lists come from c.bracket_terms once per call.  Row lo's cells
+    (lo, t) meet the inner terms [b_p, b_q] = v b_t, lo < p < q, as one run
+    of those terms keyed by (t, p).  The cells (lo, q) and (q, lo) meet their
+    outer terms [b_u, b_t] as one run of a copy in column order, keyed by
+    (t, u), over the rows u that the sign rule allows.
     """
-    targets, coeffs = c.bracket_table
-    dim = len(targets)
-    # the terms of the cells (p, q) with p < q, in order of p
-    p, q, m = np.nonzero(coeffs)
-    keep = p < q
-    p, q, m = p[keep], q[keep], m[keep]
-    upper = np.stack([p, q, targets[p, q, m], coeffs[p, q, m]]).astype(np.int64)
-    after = np.searchsorted(p, np.arange(1, dim + 1))
+    row, col, tgt, val = c.bracket_terms()
+    dim = len(c.bracket_table[0])
+    val = val.astype(np.int64)
+    # the terms in column order, keyed column * dim + row: the terms
+    # [b_u, b_t] with first <= u < last are the run between two keys
+    by_col = np.argsort(col, kind="stable")
+    c_row, c_tgt, c_val = row[by_col], tgt[by_col], val[by_col]
+    c_key = col[by_col] * dim + c_row
+    row_ptr = np.searchsorted(row, np.arange(dim + 1))
+    # the terms of the inner cells (p, q) with p < q, keyed target * dim + p
+    upper = np.flatnonzero(row < col)
+    upper = upper[np.argsort(tgt[upper] * dim + row[upper], kind="stable")]
+    u_key = tgt[upper] * dim + row[upper]
+
+    def outer(t, v, first, last):
+        n, k = runs(np.searchsorted(c_key, t * dim + first),
+                    np.searchsorted(c_key, t * dim + last))
+        return n, c_row[k], c_tgt[k], v[n] * c_val[k]
+
     for lo in range(dim - 2):
-        # outer row lo against the inner cells (p, q), lo < p < q
-        p, q, t, v = upper[:, after[lo]:]
-        outer = coeffs[lo, t]
-        n, m = np.nonzero(outer)
-        keys = [((lo * dim + p[n]) * dim + q[n]) * dim + targets[lo, t[n], m]]
-        vals = [v[n] * outer[n, m]]
-        # outer rows u > lo against the inner cells (lo, q) when u > q, and
-        # against the inner cells (q, lo) when u < q
-        for cell_t, cell_c, between in (
-            (targets[lo], coeffs[lo], False), (targets[:, lo], coeffs[:, lo], True)
-        ):
-            q, k = np.nonzero(cell_c[lo + 1:])
-            q += lo + 1
-            t, v = cell_t[q, k].astype(np.intp), cell_c[q, k].astype(np.int64)
-            outer = coeffs[lo + 1:, t]
-            u, n, m = np.nonzero(outer)
-            keep = (u + lo + 1 < q[n]) if between else (u + lo + 1 > q[n])
-            u, n, m = u[keep], n[keep], m[keep]
-            vals.append(v[n] * outer[u, n, m])
-            u += lo + 1
-            mid, hi = (u, q[n]) if between else (q[n], u)
-            keys.append(((lo * dim + mid) * dim + hi) * dim + targets[u, t[n], m])
+        base = np.int64(lo * dim)
+        # outer row lo, its cells (lo, t), against the inner cells (p, q)
+        # with lo < p < q and target t
+        s, e = row_ptr[lo], row_ptr[lo + 1]
+        t = col[s:e] * dim
+        n, k = runs(np.searchsorted(u_key, t + lo + 1), np.searchsorted(u_key, t + dim))
+        n, k = s + n, upper[k]
+        keys = [((base + row[k]) * dim + col[k]) * dim + tgt[n]]
+        vals = [val[k] * val[n]]
+        # outer rows u > q against the inner cells (lo, q), lo < q
+        s += np.searchsorted(col[s:e], lo + 1)
+        q = col[s:e]
+        n, u, t, v = outer(tgt[s:e], val[s:e], q + 1, dim)
+        keys.append(((base + q[n]) * dim + u) * dim + t)
+        vals.append(v)
+        # outer rows lo < u < q against the inner cells (q, lo), lo < q
+        cells = slice(*np.searchsorted(c_key, [base + lo + 1, base + dim]))
+        q = c_row[cells]
+        n, u, t, v = outer(c_tgt[cells], c_val[cells], lo + 1, q)
+        keys.append(((base + u) * dim + q[n]) * dim + t)
+        vals.append(v)
         keys, _ = sum_by_key(np.concatenate(keys), np.concatenate(vals))
         if keys.size:
             return (lo, *divmod(int(keys[0]) // dim % (dim * dim), dim))

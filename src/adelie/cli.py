@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import __version__
+from ._exact import digits_past_limit
 from .chevalley import build_constants, dump_constants, verify_chevalley
 from .cotangent import cht, cotangent_verdict, euler_characteristic_graded
 from .errors import AdelieError, CancellationFailure, ConstructionFailure
@@ -47,6 +48,13 @@ def _vector(args, rs: RootSystem) -> LatticeVector:
 
 def _coords(v: LatticeVector | None) -> list[int] | None:
     return None if v is None else list(v.coords)
+
+
+def _printable(what: str, *values: int) -> None:
+    """AdelieError when a value has more digits than Python will print."""
+    for v in values:
+        if digits := digits_past_limit(v):
+            raise AdelieError(f"{what} has {digits} digits, too many to print")
 
 
 def _report_payload(rs: RootSystem, rep: VerificationReport) -> dict:
@@ -101,6 +109,8 @@ def _cmd_bwb(args):
     rs = build(args.type)
     lam = _vector(args, rs)
     verdict = bwb(rs, lam)
+    euler = euler_characteristic(rs, lam)
+    _printable(f"{rs.name}: the dimension", verdict.dimension or 0, euler)
     payload = {
         "schema": SCHEMA,
         "type": rs.name,
@@ -110,7 +120,7 @@ def _cmd_bwb(args):
         "highest_weight": _coords(verdict.highest_weight),
         "dimension": verdict.dimension,
         "word": None if verdict.word is None else list(verdict.word),
-        "euler": euler_characteristic(rs, lam),
+        "euler": euler,
     }
     if verdict.status == ALL_VANISH:
         lines = [f"{rs.name} {lam}: all cohomology vanishes"]
@@ -176,6 +186,7 @@ def _cmd_euler(args):
     rs = build(args.type)
     lam = _vector(args, rs)
     value = euler_characteristic_graded(rs, lam, args.degree, max_terms=args.max_terms)
+    _printable(f"{rs.name}: the graded euler characteristic", value)
     payload = {
         "schema": SCHEMA,
         "type": rs.name,

@@ -29,6 +29,7 @@ from math import comb
 
 import numpy as np
 
+from ._exact import digits_past_limit
 from .errors import BudgetExceeded, ConstructionFailure, NegativeDegree, NotARootClass
 from .flag import dominant_conjugate, euler_characteristic
 from .report import VerificationReport
@@ -321,8 +322,9 @@ def euler_characteristic_graded(
     n_pos = len(rs.positive_roots)
     terms = comb(n_pos + degree - 1, degree) if degree else 1
     if terms > max_terms:
+        count = f"more than {max_terms}" if digits_past_limit(terms) else terms
         raise BudgetExceeded(
-            f"{terms} multisets of degree {degree} exceed the budget {max_terms}"
+            f"{count} multisets of degree {degree} exceed the budget {max_terms}"
         )
     lam_w = rs.to_weight_basis(lam).coords
     shifts = [rs.to_weight_basis(a).coords for a in rs.positive_roots]

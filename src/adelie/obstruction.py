@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._exact import sum_by_key
+from ._exact import find, pack, runs, sum_by_key
 from .chevalley import ChevalleyConstants
 from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from .report import VerificationReport
@@ -242,44 +242,49 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     rank = rs.rank
     roots = half_roots(rs, half)
     n = len(roots)
-    # ad(x_a) for the root a at each position of the half: rows of the table
-    rows = [rank + rs.root_order_index(a) for a in roots]
-    targets, coeffs = (table[rows] for table in constants.bracket_table)
-    dim = targets.shape[1]
+    index = np.array([rs.root_order_index(a) for a in roots])
+    # the terms of ad(x_a), a in the half, from the table's term lists: the
+    # position a in the half, the target and the coefficient, in column order
+    # so that the terms [x_a, b_g] of column g are one run
+    row, col, tgt, val = constants.bracket_terms()
+    dim = len(constants.bracket_table[0])
+    position = np.full(dim, -1)
+    position[rank + index] = np.arange(n)
+    keep = np.flatnonzero(position[row] >= 0)
+    keep = keep[np.argsort(col[keep] * n + position[row[keep]], kind="stable")]
+    at_a, at_t, at_c = position[row[keep]], tgt[keep], val[keep].astype(np.int64)
+    col_ptr = np.searchsorted(col[keep], np.arange(dim + 1))
     # a monomial of D^2 is psi_p (id p) or phi_p phi_q with p < q (id n + p*n + q);
     # one key of a column is monomial id * dim + target basis index
 
     def first(g: int):
         # D(g) = sum_a phi_a [x_a, g]: positions a, targets t1, coefficients c1
-        a, m = np.nonzero(coeffs[:, g])
-        return a, targets[a, g, m].astype(np.intp), coeffs[a, g, m].astype(np.int64)
+        g = slice(col_ptr[g], col_ptr[g + 1])
+        return at_a[g], at_t[g], at_c[g]
 
     def square(a, t1, c1):
         # delta(phi_a) = psi_a, then phi_b phi_a [x_b, [x_a, g]] for b != a,
         # with the sign of sorting phi_b phi_a: +1 when b comes before a
-        inner = coeffs[:, t1]
-        b, j, m = np.nonzero(inner)
+        j, k = runs(col_ptr[t1], col_ptr[t1 + 1])
+        b = at_a[k]
         keep = b != a[j]
-        b, j, m = b[keep], j[keep], m[keep]
+        b, j, k = b[keep], j[keep], k[keep]
         aj = a[j]
         lo, hi = np.minimum(b, aj), np.maximum(b, aj)
         sign = np.where(b < aj, 1, -1)
-        keys = np.concatenate([
-            a.astype(np.int64) * dim + t1,
-            (n + lo * n + hi).astype(np.int64) * dim + targets[b, t1[j], m],
-        ])
-        vals = np.concatenate([c1, sign * c1[j] * inner[b, j, m]])
+        keys = np.concatenate([a * dim + t1, (n + lo * n + hi) * dim + at_t[k]])
+        vals = np.concatenate([c1, sign * c1[j] * at_c[k]])
         return sum_by_key(keys, vals)
 
     # extract E_a from the Cartan columns: ad(x_a) h_k = -(a, a_k) x_a
+    coords = np.array([a.coords for a in roots], dtype=np.int64)
+    pairings = coords @ np.array(rs.cartan, dtype=np.int64)
     h_cols = [square(*first(k)) for k in range(rank)]
     e_monos: list[np.ndarray] = []
     e_vals: list[np.ndarray] = []
-    for alpha, ia in zip(roots, rows):
-        k = next(
-            k for k in range(rank) if rs.pairing(alpha, rs.simple_roots[k]) != 0
-        )
-        denom = -rs.pairing(alpha, rs.simple_roots[k])
+    for alpha, ia, w in zip(roots, rank + index, pairings.tolist()):
+        k = next(k for k in range(rank) if w[k] != 0)
+        denom = -w[k]
         keys, vals = h_cols[k]
         at = keys % dim == ia
         if (vals[at] % denom).any():
@@ -289,7 +294,8 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
             )
         e_monos.append(keys[at] // dim)
         e_vals.append(vals[at] // denom)
-    e_ptr = np.concatenate([[0], np.cumsum([len(v) for v in e_vals])])
+    e_lens = [len(v) for v in e_vals]
+    e_ptr = np.concatenate([[0], np.cumsum(e_lens)])
     e_monos_flat = np.concatenate(e_monos)
     e_vals_flat = np.concatenate(e_vals)
 
@@ -298,10 +304,7 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     for g in range(dim):
         a, t1, c1 = first(g)
         d2_keys, d2_vals = h_cols[g] if g < rank else square(a, t1, c1)
-        lens = e_ptr[a + 1] - e_ptr[a]
-        term = np.repeat(np.arange(len(a)), lens)
-        pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-        pick = e_ptr[a][term] + pos
+        term, pick = runs(e_ptr[a], e_ptr[a + 1])
         exp_keys, exp_vals = sum_by_key(
             e_monos_flat[pick] * dim + t1[term], e_vals_flat[pick] * c1[term]
         )
@@ -313,37 +316,42 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
                 f"obstruction action on column {g}"
             )
 
-    coords = [r.coords for r in roots]
-
-    def monomial(mono: int) -> Monomial:
-        if mono < n:
-            return ((), (coords[mono],))
-        p, q = divmod(mono - n, n)
-        return ((coords[p], coords[q]), ())
-
-    obstructions = {
-        c: FormalForm(
-            {monomial(m): v for m, v in zip(monos.tolist(), vals.tolist())}
-        )
-        for c, monos, vals in zip(coords, e_monos, e_vals)
-    }
-
-    # independent route: the closed quadratic formula must agree exactly
-    closed = {r.coords: FormalForm.psi(r.coords) for r in roots}
-    for i, beta in enumerate(roots):
-        for gamma in roots[i + 1 :]:
-            s = beta + gamma
-            if rs.is_root(s):
-                term = FormalForm.phi(beta.coords) * FormalForm.phi(gamma.coords)
-                closed[s.coords] = closed[s.coords] + term.scale(
-                    constants.n(beta, gamma)
-                )
-    if closed != obstructions:  # double expansion against direct folding
+    # independent route, from root coordinates and the sign table alone: the
+    # closed quadratic formula, psi_s plus n_{p,q} phi_p phi_q for each pair
+    # p < q of the half whose packed coordinates add up to those of s, must
+    # give the extracted E_s monomial for monomial
+    packed = pack(coords)
+    p, q = np.triu_indices(n, 1)
+    s = find(packed, np.argsort(packed), packed[p] + packed[q])
+    p, q, s = p[s < n], q[s < n], s[s < n]
+    width = n + n * n
+    closed_keys = np.concatenate([np.arange(n) * (width + 1), s * width + n + p * n + q])
+    closed_vals = np.concatenate([np.ones(n, dtype=np.int64),
+                                  constants.sign_table[index[p], index[q]]])
+    closed_keys, closed_vals = sum_by_key(closed_keys, closed_vals)
+    e_keys = np.repeat(np.arange(n), e_lens) * width + e_monos_flat
+    if not (
+        np.array_equal(closed_keys, e_keys) and np.array_equal(closed_vals, e_vals_flat)
+    ):  # double expansion against direct folding
         raise ConstructionFailure(
             f"{rs.name} {half.value}: the closed quadratic formula disagrees "
             f"with the double expansion of D^2"
         )
 
+    names = [r.coords for r in roots]
+
+    def monomial(mono: int) -> Monomial:
+        if mono < n:
+            return ((), (names[mono],))
+        p, q = divmod(mono - n, n)
+        return ((names[p], names[q]), ())
+
+    obstructions = {
+        c: FormalForm(
+            {monomial(m): v for m, v in zip(monos.tolist(), vals.tolist())}
+        )
+        for c, monos, vals in zip(names, e_monos, e_vals)
+    }
     return ObstructionSystem(constants, half, roots, obstructions)
 
 

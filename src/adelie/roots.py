@@ -159,7 +159,8 @@ class RootSystem:
         self.kind = kind
         self.rank = rank
         self.cartan = _cartan_matrix(kind, rank)
-        if int_det(self.cartan) == 0:
+        self._det = int_det(self.cartan)
+        if self._det == 0:
             raise IllegalType(f"degenerate Cartan matrix for {kind}{rank}")
         pos = _positive_roots(self.cartan)
         self.positive_roots: tuple[LatticeVector, ...] = tuple(
@@ -176,7 +177,24 @@ class RootSystem:
             -r for r in self.positive_roots
         )
         self._root_index = {r.coords: i for i, r in enumerate(self.all_roots)}
-        self._inverse_cartan = fraction_inverse(self.cartan)
+
+    @cached_property
+    def _inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
+        # the surface dictionary solves for divisor classes through it
+        return fraction_inverse(self.cartan)
+
+    @cached_property
+    def _adjugate_columns(self) -> tuple[tuple[int, ...], ...]:
+        # column i of adj(C) = det(C) C^-1: the signed cofactors of row i of C
+        c = self.cartan
+        return tuple(
+            tuple(
+                (-1) ** (i + k)
+                * int_det(tuple(row[:k] + row[k + 1:] for row in c[:i] + c[i + 1:]))
+                for k in range(self.rank)
+            )
+            for i in range(self.rank)
+        )
 
     # -- identity ---------------------------------------------------------
 
@@ -210,25 +228,27 @@ class RootSystem:
         )
         return LatticeVector(coords, Basis.FUNDAMENTAL_WEIGHT)
 
-    def root_coords_exact(self, v: LatticeVector) -> tuple[Fraction, ...]:
-        """Simple-root coordinates as exact rationals (weights may be fractional)."""
+    def _root_numerators(self, v: LatticeVector) -> tuple[int, ...]:
+        """det(C) times the simple-root coordinates of the weight v: v adj(C)."""
         if v.rank != self.rank:
             raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
+        return tuple(sum(map(mul, v.coords, col)) for col in self._adjugate_columns)
+
+    def root_coords_exact(self, v: LatticeVector) -> tuple[Fraction, ...]:
+        """Simple-root coordinates as exact rationals (weights may be fractional)."""
         if v.basis is Basis.SIMPLE_ROOT:
+            if v.rank != self.rank:
+                raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
             return tuple(Fraction(c) for c in v.coords)
-        inv = self._inverse_cartan
-        return tuple(
-            sum((v.coords[k] * inv[k][i] for k in range(self.rank)), Fraction(0))
-            for i in range(self.rank)
-        )
+        return tuple(Fraction(x, self._det) for x in self._root_numerators(v))
 
     def to_root_basis(self, v: LatticeVector) -> LatticeVector:
         if v.basis is Basis.SIMPLE_ROOT:
             return v
-        exact = self.root_coords_exact(v)
-        if any(c.denominator != 1 for c in exact):
+        nums = self._root_numerators(v)
+        if any(x % self._det for x in nums):
             raise NotInRootLattice(f"{v} is not in the root lattice of {self.name}")
-        return LatticeVector(tuple(int(c) for c in exact), Basis.SIMPLE_ROOT)
+        return LatticeVector(tuple(x // self._det for x in nums), Basis.SIMPLE_ROOT)
 
     # -- bilinear form ----------------------------------------------------
 

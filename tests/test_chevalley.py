@@ -379,3 +379,26 @@ def test_the_check_runs_once_per_instance(monkeypatch):
     a1, a2, _ = c.system.simple_roots
     assert not verify_chevalley(c.flip(a1, a2)).ok
     assert len(calls) == 2
+
+
+# SHA-256 of the exact `chevalley T --format json` and `verify T all --format
+# json` stdout, recorded from the dense-gather sweep that the term lists
+# replaced: the gate's verdict and checked count cannot drift.
+GATE_PAYLOAD_SHA256 = {
+    ("chevalley", "A8"): "2115572f2d4864468800ba3401dc239e348f706f04bb2abcf3fc6e1f161d4fe1",
+    ("chevalley", "D8"): "9f2afcfffca3c07e0afa5a069a046b149400c44c28ccad9d93260999d51d63a6",
+    ("chevalley", "E6"): "dfec37a830b6b9a439f8a1692e3ddee5f5116e11c5a04719eaa8505149c787ec",
+    ("chevalley", "E7"): "ae130e31476a6db122c76445a84b223f083598074bcf3bfce678cf7e8f9f8441",
+    ("chevalley", "E8"): "5b5dc810f7a167f3383218c9e20d8ce88f39c60b3232164004e941a344e638f0",
+    ("verify", "A8"): "ecefb07aefb6c93a3bdfadf4f70921128a10b18979f42f3f65c40a2af50d7b61",
+    ("verify", "D8"): "da43d2260d0535340faca37587480d08ae58f4110511c36cc3704cb2d38f3e88",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(GATE_PAYLOAD_SHA256))
+def test_gate_payload_is_pinned(capsys, command, name):
+    argv = [command, name] + (["all"] if command == "verify" else []) + ["--format", "json"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GATE_PAYLOAD_SHA256[command, name]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -262,3 +263,53 @@ def test_cht_payload_is_pinned(capsys, name, coords):
     code, out, err = run(capsys, "cht", name, "--format", "json", "--", *map(str, coords))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CHT_PAYLOAD_SHA256[name, coords]
+
+
+# Python refuses to print an int of more than sys.get_int_max_str_digits()
+# digits (4300 by default); an answer that long is a usage error, not a crash
+needs_print_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python prints any int"
+)
+HUGE = str(10 ** 1000)
+
+
+@needs_print_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exit_two_when_the_bwb_dimension_is_too_long_to_print(capsys, fmt):
+    code, out, err = run(capsys, "bwb", "E8", "--format", fmt, "--", HUGE, *"0" * 7)
+    assert (code, out) == (2, "")
+    assert err == "error: E8: the dimension has 77921 digits, too many to print\n"
+
+
+@needs_print_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exit_two_when_the_graded_euler_value_is_too_long_to_print(capsys, fmt):
+    code, out, err = run(
+        capsys, "euler", "E8", "--degree", "0", "--format", fmt, "--", HUGE, *"0" * 7
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: E8: the graded euler characteristic has 77921 digits, too many to print\n"
+    )
+
+
+@needs_print_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_budget_message_for_a_count_too_long_to_print(capsys, fmt):
+    # the degree-10**40 multisets of the 120 positive roots of E8 number
+    # C(10**40 + 119, 119), which has 4,564 digits
+    degree = str(10 ** 40)
+    code, out, err = run(
+        capsys, "euler", "E8", "--degree", degree, "--format", fmt, "--", *"0" * 8
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: more than 1000000 multisets of degree {degree} exceed the budget 1000000\n"
+    )
+    # a count that prints is still named exactly
+    code, out, err = run(capsys, "euler", "E8", "--degree", "30", "--", *"0" * 8)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 25759028272395653625172989187520 multisets of degree 30 "
+        "exceed the budget 1000000\n"
+    )

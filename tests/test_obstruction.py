@@ -22,6 +22,7 @@ from adelie.obstruction import (
     half_roots,
     system_text,
 )
+from test_chevalley import _reference_first_failure
 
 
 def phi(*c):
@@ -291,3 +292,33 @@ def test_obstruction_payload_is_pinned(capsys, name, half, certify):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == OBSTRUCTION_PAYLOAD_SHA256[name, half, certify]
+
+
+# cells that the clean table leaves empty, given the coefficient 1 on their
+# padding target h_1; the outcomes of build_system were recorded from the
+# dense gathers that the term lists replaced
+@pytest.mark.parametrize("name,a,b,positive", [
+    ("A2", (1, 0), (1, 1), "column 0"),
+    ("A2", (0, 1), (0, 1), "column 2"),
+    ("A3", (1, 0, 0), (1, 1, 0), "column 0"),
+    ("A3", (0, 1, 1), (1, 1, 1), "column 0"),
+])
+def test_a_term_in_an_empty_cell_reaches_both_readers(name, a, b, positive):
+    c = build_constants(build(name))
+    rs = c.system
+    i, j = _x(rs, *a), _x(rs, *b)
+    assert not c.bracket_table[1][i, j].any()
+    bad = _with_bracket_cell(c, i, j, lambda v: np.r_[1, v[1:]])
+    _, triple = _reference_first_failure(bad)
+    assert verify_chevalley(bad).violations == [
+        "jacobi fails on basis triple ({},{},{})".format(*triple)
+    ]
+    with pytest.raises(CancellationFailure) as exc:
+        build_system(bad, Half.POSITIVE)
+    assert str(exc.value) == (
+        f"{name} positive: D^2 does not reduce to the obstruction action on {positive}"
+    )
+    # the cell lies outside the rows of the negative half
+    assert build_system(bad, Half.NEGATIVE).obstructions == build_system(
+        c, Half.NEGATIVE
+    ).obstructions

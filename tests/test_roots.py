@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 from adelie import Basis, LatticeVector, build, parse_type, root_vector, weight_vector
+from adelie._exact import fraction_inverse
 from adelie.errors import (
     BasisMismatch,
     DependentRoots,
@@ -243,3 +244,30 @@ def test_positive_pairings_match_pairing(name):
     rs = build(name)
     for v in (rs.rho(), weight_vector(*range(-2, rs.rank - 2)), rs.all_roots[-1]):
         assert rs.positive_pairings(v) == [rs.pairing(v, a) for a in rs.positive_roots]
+
+
+@pytest.mark.parametrize("name", ["A3", "D5", "E6", "E8"])
+def test_integer_root_coordinates_match_the_fraction_inverse(name):
+    # the old route: weight coordinates times the Fraction inverse of C;
+    # to_root_basis raises exactly where a coordinate is fractional
+    rs = build(name)
+    inv = fraction_inverse(rs.cartan)
+    weights = [rs.to_weight_basis(a) for a in rs.all_roots]
+    weights += [weight_vector(*c) for c in product((-1, 0, 1), repeat=rs.rank)]
+    weights += [weight_vector(*range(2, 2 + rs.rank)), weight_vector(-5, *[0] * (rs.rank - 1))]
+    raised = 0
+    for w in weights:
+        old = tuple(
+            sum((w.coords[k] * inv[k][i] for k in range(rs.rank)), Fraction(0))
+            for i in range(rs.rank)
+        )
+        assert rs.root_coords_exact(w) == old, w
+        if all(c.denominator == 1 for c in old):
+            assert rs.to_root_basis(w) == root_vector(*map(int, old)), w
+            continue
+        raised += 1
+        with pytest.raises(NotInRootLattice) as exc:
+            rs.to_root_basis(w)
+        assert str(exc.value) == f"{w} is not in the root lattice of {name}"
+    # the root lattice has index det(C) in the weight lattice: 4, 4, 3, 1
+    assert (raised > 0) == (name != "E8")
