@@ -110,9 +110,11 @@ class ChevalleyConstants:
         cell order (row, column, term).  Derived afresh on each call, so a
         replaced or corrupted table reaches every reader."""
         targets, coeffs = self.bracket_table
-        i, j, m = np.nonzero(coeffs)
-        return (i.astype(np.int32), j.astype(np.int32),
-                targets[i, j, m].astype(np.int32), coeffs[i, j, m])
+        dim, _, r = coeffs.shape
+        at = np.flatnonzero(coeffs).astype(np.int32)
+        cell = at // r
+        target = targets.reshape(-1)[at].astype(np.int32)
+        return cell // dim, cell % dim, target, coeffs.reshape(-1)[at]
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -334,7 +336,6 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     """
     row, col, tgt, val = c.bracket_terms()
     dim = len(c.bracket_table[0])
-    val = val.astype(np.int64)
     # the terms in column order, keyed column * dim + row: the terms
     # [b_u, b_t] with first <= u < last are the run between two keys
     by_col = np.argsort(col, kind="stable")
@@ -349,7 +350,7 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     def outer(t, v, first, last):
         n, k = runs(np.searchsorted(c_key, t * dim + first),
                     np.searchsorted(c_key, t * dim + last))
-        return n, c_row[k], c_tgt[k], v[n] * c_val[k]
+        return n, c_row[k], c_tgt[k], v[n].astype(np.int64) * c_val[k]
 
     for lo in range(dim - 2):
         base = np.int64(lo * dim)
@@ -360,7 +361,7 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
         n, k = runs(np.searchsorted(u_key, t + lo + 1), np.searchsorted(u_key, t + dim))
         n, k = s + n, upper[k]
         keys = [((base + row[k]) * dim + col[k]) * dim + tgt[n]]
-        vals = [val[k] * val[n]]
+        vals = [val[k].astype(np.int64) * val[n]]
         # outer rows u > q against the inner cells (lo, q), lo < q
         s += np.searchsorted(col[s:e], lo + 1)
         q = col[s:e]
