@@ -37,18 +37,14 @@ def int_det(m: Matrix) -> int:
 
 
 def digits_past_limit(n: int) -> int:
-    """The number of decimal digits of n when Python refuses to print that
-    many (more than sys.get_int_max_str_digits(), 0 meaning no limit), else 0.
-    The count is found without str(), which is what refuses."""
+    """The decimal digits of n if Python refuses to print that many (more than
+    sys.get_int_max_str_digits(), 0 meaning no limit), else 0; without str()."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    n = abs(n)
-    if not limit or n < 10 ** limit:
+    if not limit or abs(n) < 10 ** limit:
         return 0
-    d = int(n.bit_length() * log10(2))  # within one of the count
-    while n >= 10 ** d:
+    d = int(abs(n).bit_length() * log10(2))  # the count or, by rounding, less
+    while abs(n) >= 10 ** d:
         d += 1
-    while n < 10 ** (d - 1):
-        d -= 1
     return d
 
 
@@ -93,20 +89,6 @@ def ldl_decomposition(
             )
             lower[j][i] = t / s
     return tuple(tuple(row) for row in lower), tuple(diag)
-
-
-def pack(coords: np.ndarray) -> np.ndarray:
-    """One int64 per row of an integer matrix, sum_i c_i * base**i.  The base
-    is wide enough that vectors with entries up to twice the largest pack to
-    distinct ints, so the sum of two rows is found by adding their keys."""
-    base = 4 * int(np.abs(coords).max()) + 1
-    return coords @ base ** np.arange(coords.shape[1], dtype=np.int64)
-
-
-def find(keys: np.ndarray, order: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Position of each query among keys, which order sorts, or len(keys)."""
-    k = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
-    return np.where(keys[k] == queries, k, len(keys))
 
 
 def runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from ._exact import find, pack, runs, sum_by_key
+from ._exact import runs, sum_by_key
 from .errors import ConstructionFailure, SystemMismatch
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build
@@ -110,11 +110,9 @@ class ChevalleyConstants:
         cell order (row, column, term).  Derived afresh on each call, so a
         replaced or corrupted table reaches every reader."""
         targets, coeffs = self.bracket_table
-        dim, _, r = coeffs.shape
         at = np.flatnonzero(coeffs).astype(np.int32)
-        cell = at // r
-        target = targets.reshape(-1)[at].astype(np.int32)
-        return cell // dim, cell % dim, target, coeffs.reshape(-1)[at]
+        row, col = np.divmod(at // coeffs.shape[2], len(coeffs))
+        return row, col, targets.ravel()[at].astype(np.int32), coeffs.ravel()[at]
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -217,14 +215,8 @@ class LieElement:
 
 def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
     """Exponent of -1 in eps on generator pairs: E[i][j] with eps = (-1)^E."""
-    r = rs.rank
-    e = np.zeros((r, r), dtype=np.int64)
-    for i in range(r):
-        e[i, i] = 1
-        for j in range(i + 1, r):
-            if rs.cartan[i][j] == -1:
-                e[i, j] = 1
-    return e
+    adjacent = np.triu(np.array(rs.cartan) == -1)
+    return np.eye(rs.rank, dtype=np.int64) + adjacent
 
 
 @lru_cache(maxsize=None)
@@ -234,13 +226,16 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     n_roots = len(roots)
     coords = np.array([r.coords for r in roots], dtype=np.int64)
 
-    # pack each root into one int and look each row of pair sums up among
-    # the root keys; one row at a time keeps the peak memory small
-    keys = pack(coords)
+    # pack each root into one int, sum_i c_i * base**i, with a base wide
+    # enough for pair sums, and look each row of pair sums up among the
+    # sorted root keys; one row at a time keeps the peak memory small
+    base = 4 * int(np.abs(coords).max()) + 1
+    keys = coords @ base ** np.arange(rs.rank, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     sum_index = np.empty((n_roots, n_roots), dtype=np.int32)
     for i, key in enumerate(keys):
-        sum_index[i] = find(keys, order, key + keys)
+        k = order[np.minimum(np.searchsorted(keys, key + keys, sorter=order), n_roots - 1)]
+        sum_index[i] = np.where(keys[k] == key + keys, k, n_roots)
 
     # eps parity over all pairs in one shot, then the negative-root correction
     parity = (coords @ _eps_parity_matrix(rs) @ coords.T) % 2
@@ -251,10 +246,7 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     # freed before the gate's Jacobi sweep, whose gathered products set the peak
     del parity, neg_of_sum, total_parity
 
-    negation = np.empty(n_roots, dtype=np.int32)
-    half = n_roots // 2
-    negation[:half] = np.arange(half) + half
-    negation[half:] = np.arange(half)
+    negation = (np.arange(n_roots, dtype=np.int32) + n_roots // 2) % n_roots
 
     constants = ChevalleyConstants(rs, table, sum_index, negation)
     report = constants.report
@@ -327,54 +319,47 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     that starts at lo and of no other, so the least surviving key of the
     first step that keeps one is the first failing triple.
 
-    Only stored terms are expanded, never a dense slice of the table.  The
-    term lists come from c.bracket_terms once per call.  Row lo's cells
-    (lo, t) meet the inner terms [b_p, b_q] = v b_t, lo < p < q, as one run
-    of those terms keyed by (t, p).  The cells (lo, q) and (q, lo) meet their
-    outer terms [b_u, b_t] as one run of a copy in column order, keyed by
-    (t, u), over the rows u that the sign rule allows.
+    Only stored terms are expanded, never a dense slice of the table: each
+    inner term [b_p, b_q] = v b_t meets its outer terms [b_u, b_t] as one run
+    of the term lists of c.bracket_terms, sorted by (column, row) or, for
+    row lo's cells against the cells (p, q) with lo < p < q, by (target, p).
     """
     row, col, tgt, val = c.bracket_terms()
     dim = len(c.bracket_table[0])
-    # the terms in column order, keyed column * dim + row: the terms
-    # [b_u, b_t] with first <= u < last are the run between two keys
-    by_col = np.argsort(col, kind="stable")
-    c_row, c_tgt, c_val = row[by_col], tgt[by_col], val[by_col]
-    c_key = col[by_col] * dim + c_row
-    row_ptr = np.searchsorted(row, np.arange(dim + 1))
-    # the terms of the inner cells (p, q) with p < q, keyed target * dim + p
+    col_key = col * dim + row
+    by_col = np.argsort(col_key, kind="stable")
     upper = np.flatnonzero(row < col)
-    upper = upper[np.argsort(tgt[upper] * dim + row[upper], kind="stable")]
-    u_key = tgt[upper] * dim + row[upper]
+    tgt_key = tgt[upper] * dim + row[upper]
+    by_tgt = upper[np.argsort(tgt_key, kind="stable")]
+    col_key, tgt_key = col_key[by_col], np.sort(tgt_key)
+    row_ptr = np.searchsorted(row, np.arange(dim + 1))
 
-    def outer(t, v, first, last):
-        n, k = runs(np.searchsorted(c_key, t * dim + first),
-                    np.searchsorted(c_key, t * dim + last))
-        return n, c_row[k], c_tgt[k], v[n].astype(np.int64) * c_val[k]
+    def run(cells, order, keys, first, last):
+        # each term of cells against the terms of order keyed in [first, last)
+        n, k = runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
+        return cells[n], order[k]
 
     for lo in range(dim - 2):
         base = np.int64(lo * dim)
-        # outer row lo, its cells (lo, t), against the inner cells (p, q)
-        # with lo < p < q and target t
-        s, e = row_ptr[lo], row_ptr[lo + 1]
-        t = col[s:e] * dim
-        n, k = runs(np.searchsorted(u_key, t + lo + 1), np.searchsorted(u_key, t + dim))
-        n, k = s + n, upper[k]
-        keys = [((base + row[k]) * dim + col[k]) * dim + tgt[n]]
-        vals = [val[k].astype(np.int64) * val[n]]
-        # outer rows u > q against the inner cells (lo, q), lo < q
-        s += np.searchsorted(col[s:e], lo + 1)
-        q = col[s:e]
-        n, u, t, v = outer(tgt[s:e], val[s:e], q + 1, dim)
-        keys.append(((base + q[n]) * dim + u) * dim + t)
-        vals.append(v)
-        # outer rows lo < u < q against the inner cells (q, lo), lo < q
-        cells = slice(*np.searchsorted(c_key, [base + lo + 1, base + dim]))
-        q = c_row[cells]
-        n, u, t, v = outer(c_tgt[cells], c_val[cells], lo + 1, q)
-        keys.append(((base + u) * dim + q[n]) * dim + t)
-        vals.append(v)
-        keys, _ = sum_by_key(np.concatenate(keys), np.concatenate(vals))
+        cells = np.arange(row_ptr[lo], row_ptr[lo + 1])
+        # (mid, hi, outer term, inner term) of the triple (lo, mid, hi):
+        # outer row lo against the inner cells (p, q), lo < p < q, ...
+        a, b = run(cells, by_tgt, tgt_key, col[cells] * dim + lo + 1, (col[cells] + 1) * dim)
+        parts = [(row[b], col[b], a, b)]
+        # ... outer rows u > q against the inner cells (lo, q), lo < q ...
+        right = cells[col[cells] > lo]
+        t = tgt[right] * dim
+        a, b = run(right, by_col, col_key, t + col[right] + 1, t + dim)
+        parts.append((col[a], row[b], b, a))
+        # ... and outer rows lo < u < q against the inner cells (q, lo)
+        left = by_col[slice(*np.searchsorted(col_key, [base + lo + 1, base + dim]))]
+        t = tgt[left] * dim
+        a, b = run(left, by_col, col_key, t + lo + 1, t + row[left])
+        parts.append((row[b], row[a], b, a))
+        keys, _ = sum_by_key(
+            np.concatenate([((base + j) * dim + k) * dim + tgt[o] for j, k, o, _ in parts]),
+            np.concatenate([val[o].astype(np.int64) * val[i] for _, _, o, i in parts]),
+        )
         if keys.size:
             return (lo, *divmod(int(keys[0]) // dim % (dim * dim), dim))
     return None

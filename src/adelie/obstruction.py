@@ -10,17 +10,17 @@ by column produces one even quadratic form E_a per root of the half:
     E_a = psi_a + sum over unordered pairs b < g with b + g = a of
           n_{b,g} phi_b phi_g.
 
-The build computes D^2 honestly by double application, as integer gathers.
-It slices the rows ad(x_a), a in the half, out of the bracket table that
-the Jacobi sweep certifies: two padded arrays indexed by (position of a in
-the half, basis column, term), the targets and the coefficients.  For
-column g the first application of D is a slice of these arrays; the second
-is one gather over (b, first-level term), each term signed by the sort of
-phi_b phi_a, and equal keys (monomial id, target) are summed after a sort.
-It extracts each E_a from the Cartan columns by exact division, checks the
-remainder against every column (CancellationFailure otherwise), converts
-the E_a to coordinate-keyed forms, and then checks the closed formula above
-against the extracted system (ConstructionFailure otherwise).
+The build computes D^2 honestly by double application, as integer gathers
+over the nonzero terms of the bracket table that the Jacobi sweep certifies
+(ChevalleyConstants.bracket_terms), those of the rows ad(x_a), a in the
+half, sorted by column.  For column g the first application of D is the run
+of terms [x_a, b_g]; the second gathers the runs of their targets, each term
+signed by the sort of phi_b phi_a, and equal keys (monomial id, target) are
+summed after a sort.  It extracts each E_a from the Cartan columns by exact
+division and checks the remainder against every column (CancellationFailure
+otherwise).  The closed formula above, over pairs of packed root
+coordinates, must then give the extracted E_a monomial for monomial
+(ConstructionFailure otherwise) before they become coordinate-keyed forms.
 
 The E_a satisfy the Bianchi-type identity checked by check_bianchi, and
 certify_solvability matches them against an H^2 vanishing oracle: classes of
@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._exact import find, pack, runs, sum_by_key
+from ._exact import runs, sum_by_key
 from .chevalley import ChevalleyConstants
 from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from .report import VerificationReport
@@ -80,14 +80,6 @@ class FormalForm:
 
     def __init__(self, terms: dict[Monomial, int] | None = None) -> None:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def zero(cls) -> "FormalForm":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "FormalForm":
-        return cls({((), ()): 1})
 
     @classmethod
     def phi(cls, c: Coords) -> "FormalForm":
@@ -243,15 +235,14 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     roots = half_roots(rs, half)
     n = len(roots)
     index = np.array([rs.root_order_index(a) for a in roots])
-    # the terms of ad(x_a), a in the half, from the table's term lists: the
-    # position a in the half, the target and the coefficient, in column order
-    # so that the terms [x_a, b_g] of column g are one run
+    # the terms [x_a, b_g] of the half's rows, a as its position in the half,
+    # sorted by column: the terms of column g are one run
     row, col, tgt, val = constants.bracket_terms()
     dim = len(constants.bracket_table[0])
     position = np.full(dim, -1)
     position[rank + index] = np.arange(n)
     keep = np.flatnonzero(position[row] >= 0)
-    keep = keep[np.argsort(col[keep] * n + position[row[keep]], kind="stable")]
+    keep = keep[np.argsort(col[keep], kind="stable")]
     at_a, at_t, at_c = position[row[keep]], tgt[keep], val[keep].astype(np.int64)
     col_ptr = np.searchsorted(col[keep], np.arange(dim + 1))
     # a monomial of D^2 is psi_p (id p) or phi_p phi_q with p < q (id n + p*n + q);
@@ -316,23 +307,22 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
                 f"obstruction action on column {g}"
             )
 
-    # independent route, from root coordinates and the sign table alone: the
-    # closed quadratic formula, psi_s plus n_{p,q} phi_p phi_q for each pair
-    # p < q of the half whose packed coordinates add up to those of s, must
-    # give the extracted E_s monomial for monomial
-    packed = pack(coords)
+    # independent route, from root coordinates and the sign table: psi_s plus
+    # n_{p,q} phi_p phi_q for each pair p < q of the half whose coordinates,
+    # packed into one int with room for pair sums, add up to those of s must
+    # give E_s monomial for monomial
+    packed = coords @ (4 * int(np.abs(coords).max()) + 1) ** np.arange(rank)
+    position_of = dict(zip(packed.tolist(), range(n)))
     p, q = np.triu_indices(n, 1)
-    s = find(packed, np.argsort(packed), packed[p] + packed[q])
-    p, q, s = p[s < n], q[s < n], s[s < n]
+    s = np.array([position_of.get(k, -1) for k in (packed[p] + packed[q]).tolist()], int)
+    p, q, s = p[s >= 0], q[s >= 0], s[s >= 0]
     width = n + n * n
-    closed_keys = np.concatenate([np.arange(n) * (width + 1), s * width + n + p * n + q])
-    closed_vals = np.concatenate([np.ones(n, dtype=np.int64),
-                                  constants.sign_table[index[p], index[q]]])
-    closed_keys, closed_vals = sum_by_key(closed_keys, closed_vals)
-    e_keys = np.repeat(np.arange(n), e_lens) * width + e_monos_flat
-    if not (
-        np.array_equal(closed_keys, e_keys) and np.array_equal(closed_vals, e_vals_flat)
-    ):  # double expansion against direct folding
+    closed = sum_by_key(
+        np.r_[np.arange(n) * (width + 1), s * width + n + p * n + q],
+        np.r_[np.ones(n, dtype=np.int64), constants.sign_table[index[p], index[q]]],
+    )
+    extracted = (np.repeat(np.arange(n), e_lens) * width + e_monos_flat, e_vals_flat)
+    if not all(map(np.array_equal, closed, extracted)):
         raise ConstructionFailure(
             f"{rs.name} {half.value}: the closed quadratic formula disagrees "
             f"with the double expansion of D^2"

@@ -177,24 +177,11 @@ class RootSystem:
             -r for r in self.positive_roots
         )
         self._root_index = {r.coords: i for i, r in enumerate(self.all_roots)}
-
-    @cached_property
-    def _inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        # the surface dictionary solves for divisor classes through it
-        return fraction_inverse(self.cartan)
-
-    @cached_property
-    def _adjugate_columns(self) -> tuple[tuple[int, ...], ...]:
-        # column i of adj(C) = det(C) C^-1: the signed cofactors of row i of C
-        c = self.cartan
-        return tuple(
-            tuple(
-                (-1) ** (i + k)
-                * int_det(tuple(row[:k] + row[k + 1:] for row in c[:i] + c[i + 1:]))
-                for k in range(self.rank)
-            )
-            for i in range(self.rank)
-        )
+        self._inverse_cartan = fraction_inverse(self.cartan)
+        # adj(C) = det(C) C^-1 by columns, for the integer route to the root basis
+        self._adjugate = [
+            tuple(int(x * self._det) for x in col) for col in zip(*self._inverse_cartan)
+        ]
 
     # -- identity ---------------------------------------------------------
 
@@ -228,19 +215,17 @@ class RootSystem:
         )
         return LatticeVector(coords, Basis.FUNDAMENTAL_WEIGHT)
 
-    def _root_numerators(self, v: LatticeVector) -> tuple[int, ...]:
-        """det(C) times the simple-root coordinates of the weight v: v adj(C)."""
-        if v.rank != self.rank:
-            raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
-        return tuple(sum(map(mul, v.coords, col)) for col in self._adjugate_columns)
-
     def root_coords_exact(self, v: LatticeVector) -> tuple[Fraction, ...]:
         """Simple-root coordinates as exact rationals (weights may be fractional)."""
-        if v.basis is Basis.SIMPLE_ROOT:
-            if v.rank != self.rank:
-                raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
+        if v.basis is Basis.SIMPLE_ROOT and v.rank == self.rank:
             return tuple(Fraction(c) for c in v.coords)
         return tuple(Fraction(x, self._det) for x in self._root_numerators(v))
+
+    def _root_numerators(self, v: LatticeVector) -> list[int]:
+        # det(C) times the simple-root coordinates of the weight v: v adj(C)
+        if v.rank != self.rank:
+            raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
+        return [sum(map(mul, v.coords, col)) for col in self._adjugate]
 
     def to_root_basis(self, v: LatticeVector) -> LatticeVector:
         if v.basis is Basis.SIMPLE_ROOT:
