@@ -100,12 +100,14 @@ def runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the values of equal keys; sorted keys, zero sums dropped."""
+    """Sum the values of equal keys; sorted keys, zero sums dropped.  Integer
+    sums do not depend on the order of equal keys, so the sort need not be
+    stable."""
     if not keys.size:
         return keys, vals
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     sums = np.add.reduceat(vals, starts)
     keep = sums != 0
     return keys[starts][keep], sums[keep]

@@ -215,8 +215,14 @@ class LieElement:
 
 def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
     """Exponent of -1 in eps on generator pairs: E[i][j] with eps = (-1)^E."""
-    adjacent = np.triu(np.array(rs.cartan) == -1)
-    return np.eye(rs.rank, dtype=np.int64) + adjacent
+    r = rs.rank
+    e = np.zeros((r, r), dtype=np.int64)
+    for i in range(r):
+        e[i, i] = 1
+        for j in range(i + 1, r):
+            if rs.cartan[i][j] == -1:
+                e[i, j] = 1
+    return e
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +252,10 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     # freed before the gate's Jacobi sweep, whose gathered products set the peak
     del parity, neg_of_sum, total_parity
 
-    negation = (np.arange(n_roots, dtype=np.int32) + n_roots // 2) % n_roots
+    negation = np.empty(n_roots, dtype=np.int32)
+    half = n_roots // 2
+    negation[:half] = np.arange(half) + half
+    negation[half:] = np.arange(half)
 
     constants = ChevalleyConstants(rs, table, sum_index, negation)
     report = constants.report
@@ -344,7 +353,8 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
         cells = np.arange(row_ptr[lo], row_ptr[lo + 1])
         # (mid, hi, outer term, inner term) of the triple (lo, mid, hi):
         # outer row lo against the inner cells (p, q), lo < p < q, ...
-        a, b = run(cells, by_tgt, tgt_key, col[cells] * dim + lo + 1, (col[cells] + 1) * dim)
+        t = col[cells] * dim
+        a, b = run(cells, by_tgt, tgt_key, t + lo + 1, t + dim)
         parts = [(row[b], col[b], a, b)]
         # ... outer rows u > q against the inner cells (lo, q), lo < q ...
         right = cells[col[cells] > lo]

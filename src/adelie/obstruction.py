@@ -82,6 +82,14 @@ class FormalForm:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
+    def zero(cls) -> "FormalForm":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FormalForm":
+        return cls({((), ()): 1})
+
+    @classmethod
     def phi(cls, c: Coords) -> "FormalForm":
         return cls({((tuple(c),), ()): 1})
 
@@ -268,8 +276,9 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
         return sum_by_key(keys, vals)
 
     # extract E_a from the Cartan columns: ad(x_a) h_k = -(a, a_k) x_a
-    coords = np.array([a.coords for a in roots], dtype=np.int64)
-    pairings = coords @ np.array(rs.cartan, dtype=np.int64)
+    coords = [a.coords for a in roots]
+    root_coords = np.array(coords, dtype=np.int64)
+    pairings = root_coords @ np.array(rs.cartan, dtype=np.int64)
     h_cols = [square(*first(k)) for k in range(rank)]
     e_monos: list[np.ndarray] = []
     e_vals: list[np.ndarray] = []
@@ -311,7 +320,7 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     # n_{p,q} phi_p phi_q for each pair p < q of the half whose coordinates,
     # packed into one int with room for pair sums, add up to those of s must
     # give E_s monomial for monomial
-    packed = coords @ (4 * int(np.abs(coords).max()) + 1) ** np.arange(rank)
+    packed = root_coords @ (4 * int(np.abs(root_coords).max()) + 1) ** np.arange(rank)
     position_of = dict(zip(packed.tolist(), range(n)))
     p, q = np.triu_indices(n, 1)
     s = np.array([position_of.get(k, -1) for k in (packed[p] + packed[q]).tolist()], int)
@@ -328,19 +337,17 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
             f"with the double expansion of D^2"
         )
 
-    names = [r.coords for r in roots]
-
     def monomial(mono: int) -> Monomial:
         if mono < n:
-            return ((), (names[mono],))
+            return ((), (coords[mono],))
         p, q = divmod(mono - n, n)
-        return ((names[p], names[q]), ())
+        return ((coords[p], coords[q]), ())
 
     obstructions = {
         c: FormalForm(
             {monomial(m): v for m, v in zip(monos.tolist(), vals.tolist())}
         )
-        for c, monos, vals in zip(names, e_monos, e_vals)
+        for c, monos, vals in zip(coords, e_monos, e_vals)
     }
     return ObstructionSystem(constants, half, roots, obstructions)
 

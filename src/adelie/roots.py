@@ -217,14 +217,14 @@ class RootSystem:
 
     def root_coords_exact(self, v: LatticeVector) -> tuple[Fraction, ...]:
         """Simple-root coordinates as exact rationals (weights may be fractional)."""
-        if v.basis is Basis.SIMPLE_ROOT and v.rank == self.rank:
-            return tuple(Fraction(c) for c in v.coords)
         return tuple(Fraction(x, self._det) for x in self._root_numerators(v))
 
     def _root_numerators(self, v: LatticeVector) -> list[int]:
-        # det(C) times the simple-root coordinates of the weight v: v adj(C)
+        # det(C) times the simple-root coordinates of v, v adj(C) for a weight
         if v.rank != self.rank:
             raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
+        if v.basis is Basis.SIMPLE_ROOT:
+            return [self._det * c for c in v.coords]
         return [sum(map(mul, v.coords, col)) for col in self._adjugate]
 
     def to_root_basis(self, v: LatticeVector) -> LatticeVector:
