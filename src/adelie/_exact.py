@@ -40,7 +40,8 @@ def digits_past_limit(n: int) -> int:
     """The decimal digits of n if Python refuses to print that many (more than
     sys.get_int_max_str_digits(), 0 meaning no limit), else 0; without str()."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or abs(n) < 10 ** limit:
+    # 2**(3 * limit) < 10**limit, so the bit length settles most ints at once
+    if not limit or abs(n).bit_length() <= 3 * limit or abs(n) < 10 ** limit:
         return 0
     d = int(abs(n).bit_length() * log10(2))  # the count or, by rounding, less
     while abs(n) >= 10 ** d:

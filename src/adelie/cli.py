@@ -50,11 +50,16 @@ def _coords(v: LatticeVector | None) -> list[int] | None:
     return None if v is None else list(v.coords)
 
 
-def _printable(what: str, *values: int) -> None:
-    """AdelieError when a value has more digits than Python will print."""
-    for v in values:
-        if digits := digits_past_limit(v):
-            raise AdelieError(f"{what} has {digits} digits, too many to print")
+def _printable(rs: RootSystem, payload: dict) -> None:
+    """AdelieError naming the first payload entry with an int of more digits
+    than Python prints; entries are ints or lists of them, at most two deep."""
+    for key, value in payload.items():
+        for v in value if isinstance(value, list) else [value]:
+            for x in v if isinstance(v, list) else [v]:
+                if isinstance(x, int) and (digits := digits_past_limit(x)):
+                    raise AdelieError(
+                        f"{rs.name}: {key} has {digits} digits, too many to print"
+                    )
 
 
 def _report_payload(rs: RootSystem, rep: VerificationReport) -> dict:
@@ -109,8 +114,6 @@ def _cmd_bwb(args):
     rs = build(args.type)
     lam = _vector(args, rs)
     verdict = bwb(rs, lam)
-    euler = euler_characteristic(rs, lam)
-    _printable(f"{rs.name}: the dimension", verdict.dimension or 0, euler)
     payload = {
         "schema": SCHEMA,
         "type": rs.name,
@@ -120,8 +123,9 @@ def _cmd_bwb(args):
         "highest_weight": _coords(verdict.highest_weight),
         "dimension": verdict.dimension,
         "word": None if verdict.word is None else list(verdict.word),
-        "euler": euler,
+        "euler": euler_characteristic(rs, lam),
     }
+    _printable(rs, payload)
     if verdict.status == ALL_VANISH:
         lines = [f"{rs.name} {lam}: all cohomology vanishes"]
     else:
@@ -151,6 +155,7 @@ def _cmd_cht(args):
         "interval_points": rep.interval_points,
         "chain": [_coords(v) for v in rep.chain],
     }
+    _printable(rs, payload)
     lines = [
         f"{rs.name} {lam}: cht {rep.value}",
         f"  lambda* {rep.lambda_star}",
@@ -173,6 +178,7 @@ def _cmd_cotangent(args):
         "vanishing_above": verdict.vanishing_above,
         "h2_vanish": verdict.h2_vanish,
     }
+    _printable(rs, payload)
     state = "vanishes" if verdict.h2_vanish else "not excluded"
     lines = [
         f"{rs.name} {lam}: cht {verdict.report.value}, "
@@ -186,7 +192,6 @@ def _cmd_euler(args):
     rs = build(args.type)
     lam = _vector(args, rs)
     value = euler_characteristic_graded(rs, lam, args.degree, max_terms=args.max_terms)
-    _printable(f"{rs.name}: the graded euler characteristic", value)
     payload = {
         "schema": SCHEMA,
         "type": rs.name,
@@ -194,6 +199,7 @@ def _cmd_euler(args):
         "degree": args.degree,
         "euler": value,
     }
+    _printable(rs, payload)
     lines = [f"{rs.name} {lam}: graded euler characteristic at degree {args.degree} is {value}"]
     return OK, payload, lines
 

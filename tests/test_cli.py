@@ -278,7 +278,7 @@ HUGE = str(10 ** 1000)
 def test_exit_two_when_the_bwb_dimension_is_too_long_to_print(capsys, fmt):
     code, out, err = run(capsys, "bwb", "E8", "--format", fmt, "--", HUGE, *"0" * 7)
     assert (code, out) == (2, "")
-    assert err == "error: E8: the dimension has 77921 digits, too many to print\n"
+    assert err == "error: E8: dimension has 77921 digits, too many to print\n"
 
 
 @needs_print_limit
@@ -288,9 +288,20 @@ def test_exit_two_when_the_graded_euler_value_is_too_long_to_print(capsys, fmt):
         capsys, "euler", "E8", "--degree", "0", "--format", fmt, "--", HUGE, *"0" * 7
     )
     assert (code, out) == (2, "")
-    assert err == (
-        "error: E8: the graded euler characteristic has 77921 digits, too many to print\n"
-    )
+    assert err == "error: E8: euler has 77921 digits, too many to print\n"
+
+
+@needs_print_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exit_two_when_a_cht_weight_is_too_long_to_print(capsys, fmt):
+    # root coordinates (N, (N + 1) / 2) with N = 10**4300 - 1 give the dominant
+    # weight ((3N - 1) / 2, 1), so the interval is one point and its first
+    # coordinate has 4,301 digits
+    n = 10 ** 4300 - 1
+    root = [str(n), str((n + 1) // 2)]
+    code, out, err = run(capsys, "cht", "A2", "--basis", "root", "--format", fmt, "--", *root)
+    assert (code, out) == (2, "")
+    assert err == "error: A2: weight has 4301 digits, too many to print\n"
 
 
 @needs_print_limit
