@@ -49,6 +49,12 @@ def digits_past_limit(n: int) -> int:
     return d
 
 
+def int_text(n: int) -> str:
+    """str(n), or its digit count if Python refuses to print that many."""
+    d = digits_past_limit(n)
+    return f"{'-' * (n < 0)}<{d} digits>" if d else str(n)
+
+
 def fraction_inverse(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse of an integer matrix; raises ZeroDivisionError if singular."""
     n = len(m)

@@ -25,18 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import comb
+from itertools import islice
+from math import comb, prod
 
 import numpy as np
 
-from ._exact import digits_past_limit
+from ._exact import digits_past_limit, int_text
 from .errors import BudgetExceeded, ConstructionFailure, NegativeDegree, NotARootClass
-from .flag import dominant_conjugate, euler_characteristic
+from .flag import dominant_conjugate
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build, weight_vector
 
 # cap on the dominant weights one interval walk may keep
 _POINT_BUDGET = 2 * 10 ** 4
+# distinct weights per chunk of the graded Euler sum's Weyl products
+_CHUNK = 128
 
 
 def dominance_leq(rs: RootSystem, mu: LatticeVector, nu: LatticeVector) -> bool:
@@ -164,7 +167,7 @@ def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
                     raise BudgetExceeded(
                         f"{rs.name} {lam}: interval walk kept {len(best)} "
                         f"dominant weights (cap {_POINT_BUDGET}) and reached "
-                        f"height {h} of {sum(slack)} above lambda*"
+                        f"height {h} of {int_text(sum(slack))} above lambda*"
                     )
                 heappush(heap, (h + dh, -nxt))
             elif old >= up:
@@ -309,13 +312,23 @@ def euler_characteristic_graded(
     """Sum of Euler characteristics of lam shifted by all degree-multisets of
     positive roots: the Euler characteristic of the degree-th symmetric-power
     twist.  Raises NegativeDegree for a degree below zero and BudgetExceeded
-    when the multiset count passes max_terms.
+    when the multiset count, or the degree + 1 layers of the fold, pass
+    max_terms.
 
     Many multisets share a root sum, so they are first folded into distinct
-    sums with multiplicities, one positive root at a time, and each distinct
-    shifted weight costs one Euler characteristic.  A sum is packed into one
-    int, sum_i c_i * base**i with |c_i| < base / 2, so adding roots is adding
-    ints and the fold stores no tuples.
+    sums with multiplicities, one positive root at a time.  A sum is packed
+    into one int, sum_i c_i * base**i with |c_i| < base / 2, so adding roots
+    is adding ints and the fold stores no tuples.
+
+    Bott's theorem with Weyl's dimension formula gives, for every weight nu,
+    chi(nu) = prod_a (nu + rho, a) / prod_a (rho, a) over the positive roots
+    a: zero exactly on singular nu + rho, and signed (-1)^length of the Weyl
+    element that makes nu + rho dominant, so no dominant conjugate is needed.
+    Chunks of distinct sums decode into digit columns c, and (lam + c + rho,
+    a) is (lam + rho, a) plus c against a's simple-root coordinates.  The
+    factors multiply in groups whose products stay in int64, or on Python
+    ints (dtype object) when a factor might not; each regular numerator must
+    divide by the rho-product, as in weyl_dim.
     """
     if degree < 0:
         raise NegativeDegree(f"degree must be non-negative, got {degree}")
@@ -326,12 +339,15 @@ def euler_characteristic_graded(
         raise BudgetExceeded(
             f"{count} multisets of degree {degree} exceed the budget {max_terms}"
         )
-    lam_w = rs.to_weight_basis(lam).coords
-    shifts = [rs.to_weight_basis(a).coords for a in rs.positive_roots]
-    base = 2 * degree * max(abs(c) for a in shifts for c in a) + 1
+    if degree >= max_terms:  # only on A1, whose one root has one multiset per degree
+        raise BudgetExceeded(
+            f"{degree + 1} fold layers of degree {degree} exceed the budget {max_terms}"
+        )
+    steps = _root_steps(rs.kind, rs.rank)
+    base = 2 * degree * max(abs(c) for _, a in steps for c in a) + 1
     # layers[j]: packed sum -> number of j-multisets of the roots seen so far
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(degree)]
-    for a in shifts:
+    for _, a in steps:
         step = sum(c * base ** i for i, c in enumerate(a))
         # ascending j reuses this root's own update of layers[j - 1], so a
         # root may repeat any number of times within a multiset
@@ -340,12 +356,36 @@ def euler_characteristic_graded(
             for key, m in below.items():
                 key += step
                 layer[key] = layer.get(key, 0) + m
+
+    lam = rs.to_weight_basis(lam)
+    shifted = rs.positive_pairings(lam + rs.rho())
+    den = prod(rs.positive_pairings(rs.rho()))  # (rho, a) is the height of a
+    half = base // 2
+    # a sum of degree roots pairs with a root within [-2 degree, 2 degree]
+    bound = 2 * degree + max(map(abs, shifted)) + 1
+    wide = max(bound, base ** rs.rank) >= 2 ** 63
+    dtype = object if wide else np.int64
+    cuts = np.arange(0, n_pos, n_pos if wide else 63 // bound.bit_length())
+    roots = np.array([r for r, _ in steps], dtype=dtype).T
+    shifted = np.array(shifted, dtype=dtype)
+    offset = sum(half * base ** i for i in range(rs.rank))
     total = 0
-    for key, m in layers[degree].items():
-        mu = []
-        for w in lam_w:
-            c = (key + base // 2) % base - base // 2
-            key = (key - c) // base
-            mu.append(w + c)
-        total += m * euler_characteristic(rs, weight_vector(*mu))
+    items = iter(layers[degree].items())
+    while chunk := list(islice(items, _CHUNK)):
+        keys, mults = zip(*chunk)
+        rest = np.array(keys, dtype=dtype) + offset
+        digits = np.empty((len(keys), rs.rank), dtype=dtype)
+        for i in range(rs.rank):
+            digits[:, i] = rest % base - half
+            rest //= base
+        groups = np.multiply.reduceat(digits @ roots + shifted, cuts, axis=1)
+        live = np.flatnonzero((groups != 0).all(axis=1))
+        for k, row in zip(live.tolist(), groups[live].tolist()):
+            q, r = divmod(prod(row), den)
+            if r:
+                mu = lam + weight_vector(*digits[k])
+                raise ConstructionFailure(
+                    f"{rs.name}: Weyl numerator of {mu} is not divisible by the rho-product"
+                )
+            total += mults[k] * q
     return total

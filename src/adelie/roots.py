@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 import re
 
-from ._exact import fraction_inverse, int_det
+from ._exact import fraction_inverse, int_det, int_text
 from .errors import (
     BasisMismatch,
     ConstructionFailure,
@@ -78,7 +78,9 @@ class LatticeVector:
         return all(c == 0 for c in self.coords)
 
     def __repr__(self) -> str:
-        return f"{'{'}{','.join(map(str, self.coords))}|{self.basis.value}{'}'}"
+        # int_text names a coordinate too long to print by its digit count,
+        # so every message that formats a vector can be printed
+        return f"{'{'}{','.join(map(int_text, self.coords))}|{self.basis.value}{'}'}"
 
 
 def root_vector(*coords: int) -> LatticeVector:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -306,6 +307,28 @@ def test_exit_two_when_a_cht_weight_is_too_long_to_print(capsys, fmt):
 
 @needs_print_limit
 @pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["cht", "cotangent"])
+def test_exit_two_when_a_budget_message_names_a_weight_too_long_to_print(
+    capsys, monkeypatch, command, fmt
+):
+    # root coordinates (-N, 0) with N = 10**4300 - 1 are the weight (-2N, N);
+    # the walk reaches its cap, and the message names the 4,301-digit
+    # coordinate and the interval's height by their digit counts
+    monkeypatch.setattr(cotangent, "_POINT_BUDGET", 50)
+    cotangent._cht_cached.cache_clear()
+    n = 10 ** 4300 - 1
+    code, out, err = run(
+        capsys, command, "A2", "--basis", "root", "--format", fmt, "--", str(-n), "0"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: A2 {{-<4301 digits>,{n}|weight}}: interval walk kept 50 dominant "
+        "weights (cap 50) and reached height 14 of <4301 digits> above lambda*\n"
+    )
+
+
+@needs_print_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_budget_message_for_a_count_too_long_to_print(capsys, fmt):
     # the degree-10**40 multisets of the 120 positive roots of E8 number
     # C(10**40 + 119, 119), which has 4,564 digits
@@ -324,3 +347,39 @@ def test_budget_message_for_a_count_too_long_to_print(capsys, fmt):
         "error: 25759028272395653625172989187520 multisets of degree 30 "
         "exceed the budget 1000000\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_budget_bounds_the_fold_layers(capsys, fmt):
+    # A1 has one multiset of each degree, but the fold keeps degree + 1 layers
+    start = time.perf_counter()
+    code, out, err = run(capsys, "euler", "A1", "--degree", str(10 ** 7), "--format", fmt, "--", "0")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: 10000001 fold layers of degree 10000000 exceed the budget 1000000\n"
+    # the largest degree the budget allows still answers
+    code, out, err = run(capsys, "euler", "A1", "--degree", "999", "--max-terms", "1000", "--", "0")
+    assert (code, out, err) == (0, "A1 {0|weight}: graded euler characteristic at degree 999 is 1999\n", "")
+
+
+# SHA-256 of the exact `euler --format json` stdout, recorded from the sum that
+# called flag.euler_characteristic once per distinct weight
+EULER_PAYLOAD_SHA256 = {
+    ("E6", 2, (0,) * 6): "cd0a14b7cb086c3abd5e5fb27d41c54c51909172a88e3bc332cd473e60f608cf",
+    ("E6", 2, (2, -1, 0, 1, 0, 0)): "cc398e366851e2d255632f23fe100d4ece048824fce34b39ca1bdabae04b9028",
+    ("E7", 2, (0,) * 7): "8491d7c17cdd43682379d2fe6cd460210ce27f76a8bc96f43ce8f279bde3190f",
+    ("E7", 2, (-2, 2, 2, -2, 0, 2, 1)): "cb9615ef99a05bbd3a3c76ac3d8249a3450ae31f3f235aa7888b87c810867970",
+    ("E8", 2, (0,) * 8): "dc1e4e2c8bd629cdeac65f30a0fa76ef8674d67f5e4cc01232a9a80503bc3d3d",
+    ("E8", 2, (2, 2, -3, 1, 2, 0, 2, 0)): "cc4d817c5fb212e241e1f3fa66d92737af4c5500949ff4a18539fc26656ef591",
+    ("E8", 3, (0,) * 8): "7b85704a4f400c72a38c16185e84814e2bd140dd4e3436e75f3b090c926776f9",
+    ("E8", 3, (2, 2, -3, 1, 2, 0, 2, 0)): "4ae880099095fca21f5d795599279a0fd64137d707d81d09b56eba5e0a99f9c0",
+}
+
+
+@pytest.mark.parametrize("name,degree,coords", sorted(EULER_PAYLOAD_SHA256))
+def test_euler_payload_is_pinned(capsys, name, degree, coords):
+    code, out, err = run(
+        capsys, "euler", name, "--degree", str(degree), "--format", "json", "--", *map(str, coords)
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EULER_PAYLOAD_SHA256[name, degree, coords]

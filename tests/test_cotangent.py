@@ -20,8 +20,9 @@ from adelie.cotangent import (
     verify_chain_criterion,
     verify_descent,
 )
-from adelie.errors import BudgetExceeded, NotARootClass
+from adelie.errors import BudgetExceeded, ConstructionFailure, NotARootClass
 from adelie.flag import euler_characteristic
+from adelie.roots import RootSystem
 
 ALL_TYPES = "A1 A2 A3 A4 A5 A6 A7 D3 D4 D5 D6 D7 E6 E7 E8".split()
 SMALL = ("A1", "A2", "A3", "D4")
@@ -250,16 +251,47 @@ def _naive_graded_euler(rs, lam, degree):
     return total
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "E6"])
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "degree,name",
+    [(d, name) for d in range(4) for name in ("A1", "A2", "A3", "A4", "D4", "E6")]
+    + [(2, "E7")],
+)
 def test_graded_euler_fold_matches_multiset_sum(name, degree):
     rs = build(name)
     zero = weight_vector(*([0] * rs.rank))
     mixed = weight_vector(*((-1) ** i * (i % 3 + 1) for i in range(rs.rank)))
-    for lam in (zero, mixed, -rs.highest_root()):
+    weights = [zero, mixed, -rs.highest_root()]
+    if name in ("A3", "D4"):
+        # larger pairings leave fewer factors per int64 group product: D4's
+        # 12 factors then take two groups (E6 and E7 take several at any weight)
+        weights += [weight_vector(*((-1) ** i * 40 for i in range(rs.rank))),
+                    weight_vector(*(40 - i for i in range(rs.rank)))]
+    for lam in weights:
         assert euler_characteristic_graded(rs, lam, degree) == _naive_graded_euler(
             rs, lam, degree
         ), lam
+
+
+def test_graded_euler_past_int64_matches_multiset_sum():
+    # pairings near 10**25 leave int64, so the Weyl products run on Python ints
+    rs = build("A2")
+    for lam in (weight_vector(10 ** 25, -10 ** 25 + 3), weight_vector(-10 ** 25, 7)):
+        assert euler_characteristic_graded(rs, lam, 1) == _naive_graded_euler(rs, lam, 1)
+
+
+def test_graded_euler_rejects_a_broken_rho_product(monkeypatch):
+    # (rho, a) raised by one at every positive root: the rho-product then
+    # fails to divide a Weyl numerator of D4 at weight (1, 0, 0, 0), degree 2
+    real = RootSystem.positive_pairings
+
+    def pairings(self, v):
+        return [p + (v == self.rho()) for p in real(self, v)]
+
+    monkeypatch.setattr(RootSystem, "positive_pairings", pairings)
+    with pytest.raises(
+        ConstructionFailure, match=r"^D4: Weyl numerator of \{.*\|weight\} is not divisible"
+    ):
+        euler_characteristic_graded(build("D4"), weight_vector(1, 0, 0, 0), 2)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ reflections and never consults the string-based generator, so the two
 enumerations cross-check each other.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -271,3 +272,12 @@ def test_integer_root_coordinates_match_the_fraction_inverse(name):
         assert str(exc.value) == f"{w} is not in the root lattice of {name}"
     # the root lattice has index det(C) in the weight lattice: 4, 4, 3, 1
     assert (raised > 0) == (name != "E8")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python prints any int"
+)
+def test_repr_names_the_digits_of_a_coordinate_too_long_to_print():
+    big = 10 ** 5000
+    assert repr(weight_vector(big, -big, -3)) == "{<5001 digits>,-<5001 digits>,-3|weight}"
+    assert repr(root_vector(10 ** 4299, 0)) == f"{{{10 ** 4299},0|root}}"
