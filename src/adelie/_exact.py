@@ -11,31 +11,6 @@ import numpy as np
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def int_det(m: Matrix) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def digits_past_limit(n: int) -> int:
     """The decimal digits of n if Python refuses to print that many (more than
     sys.get_int_max_str_digits(), 0 meaning no limit), else 0; without str()."""
@@ -55,21 +30,26 @@ def int_text(n: int) -> str:
     return f"{'-' * (n < 0)}<{d} digits>" if d else str(n)
 
 
-def fraction_inverse(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of an integer matrix; raises ZeroDivisionError if singular."""
+def int_adjugate(m: Matrix) -> tuple[tuple[int, ...], Matrix | None]:
+    """(leading principal minors, adj(m)) of an integer matrix by
+    fraction-free Gauss-Jordan elimination of [m | I]: the k-th pivot is the
+    k-th leading minor, and [m | I] ends as [det(m) I | adj(m)].  The minors
+    stop at the first zero, with None for adj(m)."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    minors: list[int] = []
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        minors.append(pivot)
+        if pivot == 0:
+            return tuple(minors), None
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = pivot
+    return tuple(minors), tuple(tuple(row[n:]) for row in a)
 
 
 def ldl_decomposition(

@@ -22,13 +22,7 @@ from .flag import ALL_VANISH, bwb, euler_characteristic
 from .obstruction import Half, build_system, certify_solvability, check_bianchi, system_text
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build, root_vector, weight_vector
-from .surface import (
-    minus_two_classes,
-    resolution_lattice,
-    root_to_divisor,
-    surface_h2_oracle,
-    verify_surface,
-)
+from .surface import resolution_lattice, root_to_divisor, surface_h2_oracle, verify_surface
 from .verify import SUITES, cotangent_h2_oracle, run_suite
 
 SCHEMA = 1
@@ -230,17 +224,15 @@ def _cmd_obstruction(args):
     half = Half(args.half)
     system = build_system(constants, half)
     closure = check_bianchi(system)
+    lines = system_text(system).splitlines()
     payload = {
         "schema": SCHEMA,
         "type": rs.name,
         "half": half.value,
-        "classes": {
-            ",".join(str(v) for v in c): repr(form)
-            for c, form in system.obstructions.items()
-        },
+        # each form is rendered once: its line "(coords): text" gives the entry
+        "classes": dict(line[1:].split("): ", 1) for line in lines[1:]),
         "bianchi_ok": closure.ok,
     }
-    lines = system_text(system).splitlines()
     lines.append(f"# bianchi closure: {'ok' if closure.ok else 'FAILED'}")
     code = OK if closure.ok else FAILED
     if args.certify:
@@ -274,9 +266,7 @@ def _cmd_surface(args):
             "root": _coords(alpha),
             "divisor": list(d.coeffs),
             "self_intersection": lattice.self_intersection(d),
-            "restrictions": [
-                lattice.restriction_degree(d, i) for i in range(1, rs.rank + 1)
-            ],
+            "restrictions": list(lattice.degrees(d)),
             "h2_vanishes": verdict.vanishes,
             "descent": verdict.detail,
         }
@@ -289,7 +279,7 @@ def _cmd_surface(args):
         return OK, payload, lines
     rep = verify_surface(rs)
     payload = _report_payload(rs, rep)
-    payload["minus_two_classes"] = len(minus_two_classes(lattice))
+    payload["minus_two_classes"] = rep.details["minus_two_classes"]
     return (OK if rep.ok else FAILED), payload, _report_lines(rep)
 
 

@@ -82,14 +82,6 @@ class FormalForm:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
-    def zero(cls) -> "FormalForm":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "FormalForm":
-        return cls({((), ()): 1})
-
-    @classmethod
     def phi(cls, c: Coords) -> "FormalForm":
         return cls({((tuple(c),), ()): 1})
 
@@ -106,11 +98,7 @@ class FormalForm:
     def __add__(self, other: "FormalForm") -> "FormalForm":
         out = dict(self.terms)
         for k, v in other.terms.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                del out[k]
+            out[k] = out.get(k, 0) + v
         return FormalForm(out)
 
     def __neg__(self) -> "FormalForm":
@@ -120,8 +108,6 @@ class FormalForm:
         return self + (-other)
 
     def scale(self, k: int) -> "FormalForm":
-        if k == 0:
-            return FormalForm()
         return FormalForm({m: k * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "FormalForm") -> "FormalForm":
@@ -132,13 +118,8 @@ class FormalForm:
                 if merged is None:
                     continue
                 phis, sign = merged
-                psis = tuple(sorted(sa + sb, key=_root_key))
-                key = (phis, psis)
-                nv = out.get(key, 0) + sign * va * vb
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
+                key = (phis, tuple(sorted(sa + sb, key=_root_key)))
+                out[key] = out.get(key, 0) + sign * va * vb
         return FormalForm(out)
 
     def differential(self) -> "FormalForm":
@@ -146,16 +127,11 @@ class FormalForm:
         out: dict[Monomial, int] = {}
         for (phis, psis), coeff in self.terms.items():
             for i, c in enumerate(phis):
-                s = -coeff if i % 2 else coeff
                 key = (
                     phis[:i] + phis[i + 1 :],
                     tuple(sorted(psis + (c,), key=_root_key)),
                 )
-                nv = out.get(key, 0) + s
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
+                out[key] = out.get(key, 0) + (-coeff if i % 2 else coeff)
         return FormalForm(out)
 
     def substitute_psi(self, mapping: dict[Coords, "FormalForm"]) -> "FormalForm":
@@ -354,22 +330,65 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
 
 def check_bianchi(system: ObstructionSystem) -> VerificationReport:
     """Differentiate each obstruction form and close the result by replacing
-    psi_c with psi_c - E_c; the residual must vanish identically."""
+    psi_c with psi_c - E_c; the residual must vanish identically.
+
+    With E_c = psi_c + Q_c that is psi_c -> -Q_c, so E_a = psi_a +
+    sum n phi_p phi_q leaves sum n (phi_p Q_q - Q_p phi_q).  The terms are
+    encoded once as arrays (class, p, q, n), p < q positions in system.roots;
+    class by class both sides are expanded by runs over the class pointers,
+    each triple signed by its sort, and summed by triple.  Only a class with a
+    nonzero sum has its residual rebuilt as a FormalForm, for the message.  A
+    form with a term other than psi_a (coefficient 1) or phi_p phi_q fails by
+    its shape.
+    """
+    roots, forms = system.roots, system.obstructions
+    n = len(roots)
+    position = {a.coords: i for i, a in enumerate(roots)}
+    terms, misshapen = [], set()
+    for a, alpha in enumerate(roots):
+        own = ((), (alpha.coords,))
+        if forms[alpha.coords].terms.get(own) != 1:
+            misshapen.add(a)
+        for (phis, psis), v in forms[alpha.coords].terms.items():
+            ends = [position.get(c, -1) for c in phis]
+            if not psis and len(ends) == 2 and min(ends) >= 0 and ends[0] != ends[1]:
+                terms.append((a, *sorted(ends), v if ends[0] < ends[1] else -v))
+            elif (phis, psis) != own:
+                misshapen.add(a)
+    cls, p, q, val = np.array(terms, dtype=object).reshape(-1, 4).T
+    cls, p, q = np.array([cls, p, q], dtype=np.int64)
+    ptr = np.searchsorted(cls, np.arange(n + 1))
+    # a class expands to at most 2 len(terms)**2 products of two
+    # coefficients: int64 holds their sums when that bound fits
+    if 2 * len(terms) ** 2 * max(map(abs, val), default=0) ** 2 < 2**63:
+        val = val.astype(np.int64)
+    failing = set()
+    for a in range(n):
+        # n phi_p Q_q and -n Q_p phi_q = -n phi_q Q_p for each term of E_a;
+        # phi_x phi_y phi_z (y < z) is its sorted triple signed by the sort,
+        # and 0 when x repeats y or z
+        t = slice(ptr[a], ptr[a + 1])
+        x, right, v = np.r_[p[t], q[t]], np.r_[q[t], p[t]], np.r_[val[t], -val[t]]
+        j, k = runs(ptr[right], ptr[right + 1])
+        x, y, z = x[j], p[k], q[k]
+        vals = v[j] * val[k]
+        vals[(y < x) & (x < z)] *= -1
+        vals[(x == y) | (x == z)] = 0
+        lo, hi = np.minimum(x, y), np.maximum(x, z)
+        if sum_by_key((lo * n + x + y + z - lo - hi) * n + hi, vals)[0].size:
+            failing.add(a)
+
     rep = VerificationReport(
-        name=f"bianchi-{system.system.name}-{system.half.value}"
+        name=f"bianchi-{system.system.name}-{system.half.value}", checked=n
     )
-    mapping = {
-        c: FormalForm.psi(c) - form for c, form in system.obstructions.items()
-    }
-    for alpha in system.roots:
-        rep.checked += 1
-        resid = system.obstructions[alpha.coords].differential().substitute_psi(
-            mapping
-        )
-        if not resid.is_zero():
-            rep.violations.append(
-                f"class {alpha}: residual {form_text(resid)}"
-            )
+    mapping = {c: FormalForm.psi(c) - f for c, f in forms.items()} if failing else {}
+    for a in sorted(misshapen | failing):
+        alpha, form = roots[a], forms[roots[a].coords]
+        if a in misshapen:
+            rep.violations.append(f"class {alpha}: {form_text(form)} is not psi + phi phi")
+        else:
+            resid = form.differential().substitute_psi(mapping)
+            rep.violations.append(f"class {alpha}: residual {form_text(resid)}")
     return rep
 
 

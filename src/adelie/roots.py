@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 import re
 
-from ._exact import fraction_inverse, int_det, int_text
+from ._exact import int_adjugate, int_text
 from .errors import (
     BasisMismatch,
     ConstructionFailure,
@@ -161,9 +161,10 @@ class RootSystem:
         self.kind = kind
         self.rank = rank
         self.cartan = _cartan_matrix(kind, rank)
-        self._det = int_det(self.cartan)
-        if self._det == 0:
+        minors, adjugate = int_adjugate(self.cartan)
+        if adjugate is None:
             raise IllegalType(f"degenerate Cartan matrix for {kind}{rank}")
+        self._det = minors[-1]
         pos = _positive_roots(self.cartan)
         self.positive_roots: tuple[LatticeVector, ...] = tuple(
             LatticeVector(c, Basis.SIMPLE_ROOT) for c in pos
@@ -179,11 +180,8 @@ class RootSystem:
             -r for r in self.positive_roots
         )
         self._root_index = {r.coords: i for i, r in enumerate(self.all_roots)}
-        self._inverse_cartan = fraction_inverse(self.cartan)
         # adj(C) = det(C) C^-1 by columns, for the integer route to the root basis
-        self._adjugate = [
-            tuple(int(x * self._det) for x in col) for col in zip(*self._inverse_cartan)
-        ]
+        self._adjugate = list(zip(*adjugate))
 
     # -- identity ---------------------------------------------------------
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul, sub
 
-from ._exact import int_det, ldl_decomposition
+from ._exact import int_adjugate, ldl_decomposition
 from .errors import ConstructionFailure, IndexOutOfRange, NotARootClass
-from .flag import schubert_restriction_degree
 from .obstruction import H2VanishVerdict
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, root_vector
@@ -55,12 +55,12 @@ class ResolutionLattice:
             raise IndexOutOfRange(f"curve index {i} outside 1..{self.rank}")
         return DivisorClass(tuple(int(j == i - 1) for j in range(self.rank)))
 
+    def degrees(self, d: DivisorClass) -> tuple[int, ...]:
+        """(d . C_i) for every exceptional curve, in one integer pass."""
+        return tuple(sum(map(mul, d.coeffs, col)) for col in zip(*self.intersection))
+
     def pair(self, a: DivisorClass, b: DivisorClass) -> int:
-        return sum(
-            a.coeffs[i] * self.intersection[i][j] * b.coeffs[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        return sum(map(mul, self.degrees(a), b.coeffs))
 
     def self_intersection(self, d: DivisorClass) -> int:
         return self.pair(d, d)
@@ -76,8 +76,7 @@ def resolution_lattice(rs: RootSystem) -> ResolutionLattice:
     Every leading principal minor of the Cartan matrix must be positive;
     a failure raises ConstructionFailure.
     """
-    for k in range(1, rs.rank + 1):
-        minor = int_det(tuple(row[:k] for row in rs.cartan[:k]))
+    for k, minor in enumerate(int_adjugate(rs.cartan)[0], 1):
         if minor <= 0:
             raise ConstructionFailure(
                 f"{rs.name}: leading minor {k} is {minor}, form not definite"
@@ -92,25 +91,22 @@ def root_to_divisor(lattice: ResolutionLattice, alpha: LatticeVector) -> Divisor
     """Divisor class of a root, solved from its restriction degrees.
 
     The multiplicities m are the unique solution of
-    (m . intersection) . C_i = -(alpha, alpha_i); the solution is checked to
-    be integral, to equal the simple-root coordinates, and to square to -2
+    (m . intersection) . C_i = -(alpha, alpha_i), the weight coordinates of
+    alpha times adj(C) over det(C); the division is checked to be exact, m to
+    equal the simple-root coordinates, and to square to -2
     (ConstructionFailure otherwise).
     """
     rs = lattice.system
     if not rs.is_root(alpha):
         raise NotARootClass(f"{alpha} is not a root of {rs.name}")
-    pairings = [rs.pairing(alpha, s) for s in rs.simple_roots]
-    inv = rs._inverse_cartan
-    m = [
-        sum(inv[i][k] * pairings[i] for i in range(rs.rank))
-        for k in range(rs.rank)
-    ]
-    if any(f.denominator != 1 for f in m):
+    coords = rs.to_root_basis(alpha).coords
+    nums = rs._root_numerators(rs.to_weight_basis(alpha))
+    if any(x % rs._det for x in nums):
         raise ConstructionFailure(
-            f"{rs.name}: root {alpha} has divisor {m}, not integral"
+            f"{rs.name}: root {alpha} has divisor {nums}/{rs._det}, not integral"
         )
-    d = DivisorClass(tuple(int(f) for f in m))
-    if d.coeffs != rs.to_root_basis(alpha).coords:
+    d = DivisorClass(tuple(x // rs._det for x in nums))
+    if d.coeffs != coords:
         raise ConstructionFailure(
             f"{rs.name}: root {alpha} has divisor {d.coeffs}, not its root coordinates"
         )
@@ -172,9 +168,11 @@ def minus_two_classes(lattice: ResolutionLattice) -> tuple[DivisorClass, ...]:
 def surface_h2_oracle(lattice: ResolutionLattice):
     """H^2 oracle for root classes: replay the exceptional-curve descent.
 
-    Negative classes are routed through their negation.  Each step checks the
-    degree -1 restriction honestly; the height-one base case rests on the
-    vanishing of H^1 and H^2 of the resolution's structure sheaf.
+    Negative classes are routed through their negation.  The walk carries
+    the weight coordinates (one Cartan row per step) and the curve degrees
+    (one intersection row per step) of the current class, so each step
+    checks the degree -1 restriction honestly; the height-one base case
+    rests on the vanishing of H^1 and H^2 of the resolution's structure sheaf.
     """
     rs = lattice.system
 
@@ -183,31 +181,30 @@ def surface_h2_oracle(lattice: ResolutionLattice):
         if not rs.is_root(a):
             raise NotARootClass(f"{a} is not a root class")
         negated = not rs.is_positive_root(a)
-        cur = -a if negated else a
+        cur = (-a if negated else a).coords
+        weights = rs.to_weight_basis(root_vector(*cur)).coords
+        degrees = lattice.degrees(DivisorClass(cur))
         word: list[int] = []
-        while rs.height(cur) >= 2:
-            i = next(
-                (
-                    k
-                    for k, s in enumerate(rs.simple_roots)
-                    if rs.pairing(cur, s) == 1 and rs.is_root(cur - s)
-                ),
-                None,
-            )
-            if i is None:
+        while sum(cur) >= 2:
+            for i in range(rs.rank):
+                step = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
+                if weights[i] == 1 and step in rs._pos_set:
+                    break
+            else:
                 return H2VanishVerdict(
                     root=a, vanishes=False, source="surface-descent",
-                    detail=f"no descent curve at {cur}",
+                    detail=f"no descent curve at {root_vector(*cur)}",
                 )
-            deg = lattice.restriction_degree(DivisorClass(cur.coords), i + 1)
-            if deg != -1:
+            if degrees[i] != -1:
                 return H2VanishVerdict(
                     root=a, vanishes=False, source="surface-descent",
-                    detail=f"restriction degree {deg} on curve {i + 1}",
+                    detail=f"restriction degree {degrees[i]} on curve {i + 1}",
                 )
             word.append(i + 1)
-            cur = cur - rs.simple_roots[i]
-        base = cur.coords.index(1) + 1
+            cur = step
+            weights = tuple(map(sub, weights, rs.cartan[i]))
+            degrees = tuple(map(sub, degrees, lattice.intersection[i]))
+        base = cur.index(1) + 1
         prefix = "negated; " if negated else ""
         return H2VanishVerdict(
             root=a,
@@ -221,7 +218,8 @@ def surface_h2_oracle(lattice: ResolutionLattice):
 
 def verify_surface(rs: RootSystem) -> VerificationReport:
     """Dictionary isometry, -2 class matching, bookkeeping, and the flag
-    cross-check of restriction degrees, all exact."""
+    cross-check of restriction degrees (the Schubert degrees of a root are
+    its weight coordinates), all exact integer dot products."""
     rep = VerificationReport(name=f"surface-{rs.name}")
     try:
         lattice = resolution_lattice(rs)
@@ -230,13 +228,15 @@ def verify_surface(rs: RootSystem) -> VerificationReport:
         return rep
     rep.checked += rs.rank  # the minors
 
-    divisors = {a.coords: root_to_divisor(lattice, a) for a in rs.all_roots}
+    divisors = [root_to_divisor(lattice, a) for a in rs.all_roots]
     pos = rs.positive_roots
-    for i, a in enumerate(pos):
-        for b in pos[i:]:
-            rep.checked += 1
-            if lattice.pair(divisors[a.coords], divisors[b.coords]) != -rs.pairing(a, b):
+    degrees = [lattice.degrees(d) for d in divisors[:len(pos)]]
+    weights = [rs.to_weight_basis(a).coords for a in pos]
+    for i, (a, g) in enumerate(zip(pos, degrees)):
+        for b, d, w in zip(pos[i:], divisors[i:], weights[i:]):
+            if sum(map(mul, g, d.coeffs)) != -sum(map(mul, a.coords, w)):
                 rep.violations.append(f"isometry fails at ({a}, {b})")
+    rep.checked += len(pos) * (len(pos) + 1) // 2
 
     classes = minus_two_classes(lattice)
     rep.checked += 1
@@ -245,15 +245,14 @@ def verify_surface(rs: RootSystem) -> VerificationReport:
         rep.violations.append("-2 classes do not match the roots")
     rep.details["minus_two_classes"] = len(classes)
     rep.checked += 1
-    if rs.rank + len(classes) != rs.rank + 2 * len(rs.positive_roots):
+    if rs.rank + len(classes) != rs.rank + 2 * len(pos):
         rep.violations.append("lattice rank plus -2 count misses the dimension")
 
-    for a in pos:
-        d = divisors[a.coords]
-        for i in range(1, rs.rank + 1):
-            rep.checked += 1
-            if lattice.restriction_degree(d, i) != -schubert_restriction_degree(rs, a, i):
-                rep.violations.append(f"restriction mismatch at ({a}, {i})")
+    for a, g, w in zip(pos, degrees, weights):
+        for i in range(rs.rank):
+            if g[i] != -w[i]:
+                rep.violations.append(f"restriction mismatch at ({a}, {i + 1})")
+    rep.checked += len(pos) * rs.rank
 
     oracle = surface_h2_oracle(lattice)
     for a in rs.all_roots:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -243,6 +244,89 @@ def test_bianchi_blind_spot_is_covered_by_table_checks():
     assert not verify_chevalley(bad).ok  # the covering check
 
 
+def _formal_bianchi(system):
+    # the residual as a FormalForm: delta E_a with psi_c -> psi_c - E_c
+    mapping = {c: psi(*c) - form for c, form in system.obstructions.items()}
+    out = []
+    for alpha in system.roots:
+        resid = system.obstructions[alpha.coords].differential().substitute_psi(mapping)
+        if not resid.is_zero():
+            out.append(f"class {alpha}: residual {form_text(resid)}")
+    return out
+
+
+BIANCHI_ORACLE_CASES = [
+    (name, half) for name in ("A2", "A3", "D4", "A4", "D5", "E6") for half in Half
+]
+
+
+@pytest.mark.parametrize("name,half", BIANCHI_ORACLE_CASES)
+def test_bianchi_matches_the_formal_residual_on_corruptions(name, half):
+    # 26 seeded corruptions per case, 312 in all: each negates, doubles or
+    # drops one phi phi coefficient of one form, and every other one also
+    # lists the roots out of the canonical order
+    system = build_system(build_constants(build(name)), half)
+    pairs = [
+        (c, mono)
+        for c, form in system.obstructions.items()
+        for mono in form.terms
+        if mono[0]
+    ]
+    rng = random.Random(f"{name}-{half.value}")
+    flagged = 0
+    for i in range(26):
+        c, mono = rng.choice(pairs)
+        scale = rng.choice((-1, 2, 0))
+        terms = dict(system.obstructions[c].terms)
+        terms[mono] *= scale
+        roots = list(system.roots)
+        if i % 2:
+            rng.shuffle(roots)
+        forged = dataclasses.replace(
+            system,
+            roots=tuple(roots),
+            obstructions={**system.obstructions, c: FormalForm(terms)},
+        )
+        expected = _formal_bianchi(forged)
+        assert check_bianchi(forged).violations == expected, (c, mono, scale)
+        flagged += bool(expected)
+    # in A2 only the highest root has phi phi terms, and its two factors are
+    # simple roots, whose forms are psi alone: every A2 residual vanishes
+    assert (flagged > 0) == (name != "A2")
+
+
+def test_bianchi_stays_exact_past_int64():
+    # one negated coefficient, then every phi phi coefficient times 2**32:
+    # the residual's coefficient is -2 * 2**64, which int64 would wrap to 0
+    system = build_system(build_constants(build("A3")), Half.POSITIVE)
+    forms = dict(system.obstructions)
+    mono = next(m for m in forms[(1, 1, 1)].terms if m[0])
+    forms[(1, 1, 1)] = forms[(1, 1, 1)] - FormalForm({mono: 2 * forms[(1, 1, 1)].terms[mono]})
+    for c, form in forms.items():
+        forms[c] = FormalForm({m: v * 2**32 if m[0] else v for m, v in form.terms.items()})
+    forged = dataclasses.replace(system, obstructions=forms)
+    assert check_bianchi(forged).violations == _formal_bianchi(forged) == [
+        "class {1,1,1|root}: residual "
+        f"{-2 * 2**64}*phi[0,0,1]phi[0,1,0]phi[1,0,0]"
+    ]
+
+
+def test_bianchi_reports_a_form_of_another_shape():
+    system = build_system(build_constants(build("A2")), Half.POSITIVE)
+    forms = system.obstructions
+    # a lone phi, another class's psi, psi_a twice or not at all, a cubic term
+    cubic = phi(0, 1) * phi(1, 0) * phi(1, 1)
+    for extra in (phi(1, 0), psi(0, 1), psi(1, 1), -psi(1, 1), cubic):
+        forged = dataclasses.replace(
+            system, obstructions={**forms, (1, 1): forms[(1, 1)] + extra}
+        )
+        rep = check_bianchi(forged)
+        assert rep.checked == 3
+        assert rep.violations == [
+            f"class {{1,1|root}}: {form_text(forms[(1, 1)] + extra)} is not psi + phi phi"
+        ]
+
+
 def test_certification_flow():
     sys = build_system(build_constants(build("A2")), Half.NEGATIVE)
 
@@ -281,6 +365,7 @@ OBSTRUCTION_PAYLOAD_SHA256 = {
     ("E8", "positive", False): "1b1c6159ddb624ec12afda4a46f86de7bacea3a68d0363c80a564362d2dbaf8b",
     ("E8", "negative", False): "a1ee66349201cf7668acdd187c8925bddcf27d9edd2864c58ffc68de10d0c9d9",
     ("E8", "negative", True): "5e11832480e6bcc4b7852c775dfbb967331875ce3153b5c941e3f32146f85fa8",
+    ("E8", "positive", True): "946d74fd2a23d635722ab28d5489956cf020eea1c086d58aca3ad7af804633c5",
 }
 
 

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from adelie import Basis, LatticeVector, build, parse_type, root_vector, weight_vector
-from adelie._exact import fraction_inverse
+from adelie._exact import int_adjugate
 from adelie.errors import (
     BasisMismatch,
     DependentRoots,
@@ -247,12 +247,46 @@ def test_positive_pairings_match_pairing(name):
         assert rs.positive_pairings(v) == [rs.pairing(v, a) for a in rs.positive_roots]
 
 
+def _fraction_inverse(m):
+    # exact inverse by Gauss-Jordan elimination over Fraction, with pivoting
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def test_adjugate_times_cartan_is_det_times_identity():
+    # det(C) is n + 1 on A_n, 4 on D_n and 9 - n on E_n; every leading minor
+    # of a positive-definite form is positive
+    names = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)]
+    for rs in map(build, names + ["E6", "E7", "E8"]):
+        minors, adj = int_adjugate(rs.cartan)
+        det = {"A": rs.rank + 1, "D": 4, "E": 9 - rs.rank}[rs.kind]
+        assert len(minors) == rs.rank and min(minors) > 0 and minors[-1] == det
+        rows = range(rs.rank)
+        adj_c = [[sum(adj[i][k] * rs.cartan[k][j] for k in rows) for j in rows] for i in rows]
+        assert adj_c == [[det * (i == j) for j in rows] for i in rows], rs.name
+
+
+def test_adjugate_stops_at_a_vanishing_minor():
+    assert int_adjugate(((2, -2), (-2, 2))) == ((2, 0), None)
+    assert int_adjugate(((0, 1), (1, 0))) == ((0,), None)
+
+
 @pytest.mark.parametrize("name", ["A3", "D5", "E6", "E8"])
 def test_integer_root_coordinates_match_the_fraction_inverse(name):
-    # the old route: weight coordinates times the Fraction inverse of C;
-    # to_root_basis raises exactly where a coordinate is fractional
+    # the independent route: weight coordinates times the Fraction inverse of
+    # C; to_root_basis raises exactly where a coordinate is fractional
     rs = build(name)
-    inv = fraction_inverse(rs.cartan)
+    inv = _fraction_inverse(rs.cartan)
     weights = [rs.to_weight_basis(a) for a in rs.all_roots]
     weights += [weight_vector(*c) for c in product((-1, 0, 1), repeat=rs.rank)]
     weights += [weight_vector(*range(2, 2 + rs.rank)), weight_vector(-5, *[0] * (rs.rank - 1))]

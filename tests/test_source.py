@@ -14,3 +14,38 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+# Fraction is for weights that are really fractional and the Fincke-Pohst
+# LDL factors; every other route stays on integers
+FRACTION_MODULES = {"roots.py", "surface.py", "_exact.py"}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_fractions_imported_only_where_weights_are_fractional(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    if path.name not in FRACTION_MODULES:
+        assert "fractions" not in set(_imported_modules(tree)), path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_fraction_inverse(path):
+    # adj(C) comes from fraction-free elimination, so no Fraction inverse
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    names |= {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert "fraction_inverse" not in names, path.name

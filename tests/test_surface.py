@@ -1,10 +1,12 @@
 """Root-divisor dictionary, -2 class enumeration, and the descent oracle."""
 
+import hashlib
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
+from adelie.cli import main
 from adelie.errors import ConstructionFailure, IndexOutOfRange, NotARootClass
 from adelie.flag import schubert_restriction_degree
 from adelie.roots import build, root_vector
@@ -196,7 +198,83 @@ def test_verify_surface_reports_indefinite_form():
 def test_root_to_divisor_invariants_raise(monkeypatch):
     rs = build("A2")
     lat = resolution_lattice(rs)
-    # an identity "inverse" returns the weight coordinates, not the root ones
-    monkeypatch.setattr(rs, "_inverse_cartan", ((1, 0), (0, 1)))
+    # det(C) times the identity as "adjugate" returns the weight coordinates,
+    # not the root ones
+    monkeypatch.setattr(rs, "_adjugate", [(3, 0), (0, 3)])
     with pytest.raises(ConstructionFailure, match=r"root \{1,0\|root\}"):
         root_to_divisor(lat, root_vector(1, 0))
+
+
+# SHA-256 of the exact `--format json` stdout, recorded from the per-call
+# coordinate route (Fraction inverse, rank x rank pairings) that the integer
+# tables replaced.
+SURFACE_PAYLOAD_SHA256 = {
+    ("surface", "E6"): "4d36e52010e8bafc2a54619b19e72c0d7f47fec5a59d31ac8fdf6bae5f6fd0b2",
+    ("surface", "E7"): "98439e300a5ad44479f574c48f18c6e75a9ce99126b00a09275bab0d8bfefe3d",
+    ("surface", "E8"): "19f9c709b1082f0f879142b5664a1d48003f372535fa232ee0283f261f15f59d",
+    ("verify", "A8", "surface"): "ec3b4d21d76135b839624c8462c2b2bc928be25e5be4fe155b584fb1f2a4a7a1",
+    ("verify", "D8", "surface"): "c7d1a44d6e71fc563e94347f6e211d9fdcc94e88658c7fe054d34857fab18fa5",
+    ("verify", "E6", "surface"): "58050fbaf5beadfddbc9b51b8b996adc498f4410c2bfcbfeee20f42c0c0552a7",
+    ("verify", "E7", "surface"): "ef010f67c16f2d08e16c2f62778b58157d43e0fd923999158e8ede2cdfcd3c31",
+    ("verify", "E8", "surface"): "b56423820430d9d78bb34c85cd78e2545d3e10a93fff41d8b1f3ab4bfeeed256",
+    ("surface", "E8", "--root", "2", "3", "4", "6", "5", "4", "3", "2"):
+        "7ae8613596afc0c3787aeecde717970b9de11fc3862963124d1fe531ba37c250",
+    ("surface", "E8", "--root", "-2", "-3", "-4", "-6", "-5", "-4", "-3", "-2"):
+        "07926c98938b55f852e7957e993f86e398ce6b5ac68e0a834ea1575763e5c602",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SURFACE_PAYLOAD_SHA256), ids=" ".join)
+def test_surface_payload_is_pinned(capsys, argv):
+    assert main([*argv, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SURFACE_PAYLOAD_SHA256[argv]
+
+
+def test_pinned_roots_are_the_highest_root_and_its_negation():
+    th = build("E8").highest_root().coords
+    roots = [tuple(map(int, argv[3:])) for argv in SURFACE_PAYLOAD_SHA256 if "--root" in argv]
+    assert roots == [th, tuple(-c for c in th)]
+
+
+def _stepwise_descent(lattice, alpha):
+    # the descent recomputed at every step: pairings with the simple roots,
+    # root membership and the restriction degree of the whole current class
+    rs = lattice.system
+    cur = rs.to_root_basis(alpha)
+    if not rs.is_positive_root(cur):
+        cur = -cur
+    while rs.height(cur) >= 2:
+        i = next(
+            k for k, s in enumerate(rs.simple_roots)
+            if rs.pairing(cur, s) == 1 and rs.is_root(cur - s)
+        )
+        deg = lattice.restriction_degree(DivisorClass(cur.coords), i + 1)
+        if deg != -1:
+            return False, f"restriction degree {deg} on curve {i + 1}"
+        cur = cur - rs.simple_roots[i]
+    return True, None
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "A4"])
+def test_oracle_matches_a_stepwise_descent_on_tampered_lattices(name):
+    # one entry of the intersection form moved by -1 or +1, symmetric or not:
+    # the oracle carries the curve degrees from step to step, and must reach
+    # the verdict that recomputing them at every step reaches
+    rs = build(name)
+    cases = failures = 0
+    for i, j, delta in product(range(rs.rank), range(rs.rank), (-1, 1)):
+        rows = [list(row) for row in resolution_lattice(rs).intersection]
+        rows[i][j] += delta
+        bad = ResolutionLattice(rs, tuple(map(tuple, rows)))
+        oracle = surface_h2_oracle(bad)
+        for a in rs.all_roots:
+            vanishes, detail = _stepwise_descent(bad, a)
+            v = oracle(a)
+            assert v.vanishes == vanishes, (i, j, delta, a)
+            if not vanishes:
+                assert v.detail == detail
+            cases += 1
+            failures += not vanishes
+    assert 0 < failures < cases
