@@ -6,8 +6,6 @@ import sys
 from fractions import Fraction
 from math import log10
 
-import numpy as np
-
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -76,25 +74,3 @@ def ldl_decomposition(
             )
             lower[j][i] = t / s
     return tuple(tuple(row) for row in lower), tuple(diag)
-
-
-def runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, index): index runs through starts[i]..ends[i] - 1 for each i in
-    turn, and owner holds that i."""
-    lens = ends - starts
-    owner = np.repeat(np.arange(len(lens)), lens)
-    return owner, np.arange(len(owner)) + (starts - np.cumsum(lens) + lens)[owner]
-
-
-def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the values of equal keys; sorted keys, zero sums dropped.  Integer
-    sums do not depend on the order of equal keys, so the sort need not be
-    stable."""
-    if not keys.size:
-        return keys, vals
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    sums = np.add.reduceat(vals, starts)
-    keep = sums != 0
-    return keys[starts][keep], sums[keep]

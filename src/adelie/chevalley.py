@@ -27,7 +27,6 @@ from math import comb
 
 import numpy as np
 
-from ._exact import runs, sum_by_key
 from .errors import ConstructionFailure, SystemMismatch
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build
@@ -313,6 +312,28 @@ def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:
     for i, a in _indexed(x, c):
         np.add.at(m, (targets[i], cols), a * coeffs[i].astype(np.int64))
     return m
+
+
+def runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, index): index runs through starts[i]..ends[i] - 1 for each i in
+    turn, and owner holds that i."""
+    lens = ends - starts
+    owner = np.repeat(np.arange(len(lens)), lens)
+    return owner, np.arange(len(owner)) + (starts - np.cumsum(lens) + lens)[owner]
+
+
+def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the values of equal keys; sorted keys, zero sums dropped.  Integer
+    sums do not depend on the order of equal keys, so the sort need not be
+    stable."""
+    if not keys.size:
+        return keys, vals
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(vals, starts)
+    keep = sums != 0
+    return keys[starts][keep], sums[keep]
 
 
 def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:

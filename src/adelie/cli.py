@@ -5,6 +5,10 @@ with "schema": 1 and sorted keys, so repeated runs are byte-identical.  Exit
 status: 0 on success, 1 when a verification or certification fails, 2 on bad
 input or an exhausted budget, 3 on an internal error (an invariant of the
 construction failed, which is a bug).
+
+chevalley, obstruction and verify, and through them numpy, are imported only
+by the commands that run them; euler imports numpy in its kernel, and the
+other commands start without it.
 """
 
 from __future__ import annotations
@@ -15,15 +19,12 @@ import sys
 
 from . import __version__
 from ._exact import digits_past_limit
-from .chevalley import build_constants, dump_constants, verify_chevalley
 from .cotangent import cht, cotangent_verdict, euler_characteristic_graded
 from .errors import AdelieError, CancellationFailure, ConstructionFailure
-from .flag import ALL_VANISH, bwb, euler_characteristic
-from .obstruction import Half, build_system, certify_solvability, check_bianchi, system_text
-from .report import VerificationReport
+from .flag import ALL_VANISH, bwb
+from .report import SUITES, VerificationReport
 from .roots import LatticeVector, RootSystem, build, root_vector, weight_vector
 from .surface import resolution_lattice, root_to_divisor, surface_h2_oracle, verify_surface
-from .verify import SUITES, cotangent_h2_oracle, run_suite
 
 SCHEMA = 1
 OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
@@ -117,7 +118,7 @@ def _cmd_bwb(args):
         "highest_weight": _coords(verdict.highest_weight),
         "dimension": verdict.dimension,
         "word": None if verdict.word is None else list(verdict.word),
-        "euler": euler_characteristic(rs, lam),
+        "euler": verdict.euler,
     }
     _printable(rs, payload)
     if verdict.status == ALL_VANISH:
@@ -199,6 +200,8 @@ def _cmd_euler(args):
 
 
 def _cmd_chevalley(args):
+    from .chevalley import build_constants, dump_constants, verify_chevalley
+
     rs = build(args.type)
     constants = build_constants(rs)
     if args.dump:
@@ -219,6 +222,10 @@ def _cmd_chevalley(args):
 
 
 def _cmd_obstruction(args):
+    from .chevalley import build_constants
+    from .obstruction import Half, build_system, certify_solvability, check_bianchi, system_text
+    from .verify import cotangent_h2_oracle
+
     rs = build(args.type)
     constants = build_constants(rs)
     half = Half(args.half)
@@ -281,6 +288,13 @@ def _cmd_surface(args):
     payload = _report_payload(rs, rep)
     payload["minus_two_classes"] = rep.details["minus_two_classes"]
     return (OK if rep.ok else FAILED), payload, _report_lines(rep)
+
+
+def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
+    """verify.run_suite, imported only when a verify command runs."""
+    from .verify import run_suite
+
+    return run_suite(rs, suite)
 
 
 def _cmd_verify(args):

@@ -25,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import islice, product
 from math import comb, prod
-
-import numpy as np
 
 from ._exact import digits_past_limit, int_text
 from .errors import BudgetExceeded, ConstructionFailure, NegativeDegree, NotARootClass
@@ -239,16 +237,16 @@ def verify_chain_criterion(
     """Exhaustive ball check: cht(lam) = 0 iff lam pairs >= -1 with every
     positive root.
 
-    max_support, when set, keeps only weights with that many nonzero
+    max_support, when set, keeps only weights with at most that many nonzero
     coordinates.  cht walks every dominant weight of [lam_star, lam_plus],
     and deep in the antidominant cone that interval grows fast with rank,
     up to the walk's cap on interval points.
     """
     rep = VerificationReport(name=f"chain-criterion-{rs.name}")
-    for coords in np.ndindex(*([2 * radius + 1] * rs.rank)):
-        if max_support is not None and sum(v != radius for v in coords) > max_support:
+    for coords in product(range(-radius, radius + 1), repeat=rs.rank):
+        if max_support is not None and sum(v != 0 for v in coords) > max_support:
             continue
-        lam = weight_vector(*(int(v) - radius for v in coords))
+        lam = weight_vector(*coords)
         rep.checked += 1
         flat = min(rs.positive_pairings(lam)) >= -1
         if (cht(rs, lam).value == 0) != flat:
@@ -330,6 +328,8 @@ def euler_characteristic_graded(
     ints (dtype object) when a factor might not; each regular numerator must
     divide by the rho-product, as in weyl_dim.
     """
+    import numpy as np  # here, so that cht and cotangent start without numpy
+
     if degree < 0:
         raise NegativeDegree(f"degree must be non-negative, got {degree}")
     n_pos = len(rs.positive_roots)

@@ -46,6 +46,13 @@ class CohomologyVerdict:
     def vanishes_in_degree(self, d: int) -> bool:
         return self.status == ALL_VANISH or self.degree != d
 
+    @property
+    def euler(self) -> int:
+        """Signed dimension (-1)^degree * dim of the surviving group, or zero."""
+        if self.status == ALL_VANISH:
+            return 0
+        return (-1) ** self.degree * self.dimension
+
 
 def is_singular(rs: RootSystem, mu: LatticeVector) -> bool:
     """True when mu is orthogonal to some positive root."""
@@ -116,10 +123,7 @@ def bwb(rs: RootSystem, lam: LatticeVector) -> CohomologyVerdict:
 
 def euler_characteristic(rs: RootSystem, lam: LatticeVector) -> int:
     """Signed dimension (-1)^degree * dim of the surviving group, or zero."""
-    v = bwb(rs, lam)
-    if v.status == ALL_VANISH:
-        return 0
-    return (-1) ** v.degree * v.dimension
+    return bwb(rs, lam).euler
 
 
 def schubert_restriction_degree(rs: RootSystem, lam: LatticeVector, i: int) -> int:

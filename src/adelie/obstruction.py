@@ -35,10 +35,9 @@ from enum import Enum
 
 import numpy as np
 
-from ._exact import runs, sum_by_key
-from .chevalley import ChevalleyConstants
+from .chevalley import ChevalleyConstants, runs, sum_by_key
 from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
-from .report import VerificationReport
+from .report import H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem
 
 Coords = tuple[int, ...]
@@ -390,16 +389,6 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
             resid = form.differential().substitute_psi(mapping)
             rep.violations.append(f"class {alpha}: residual {form_text(resid)}")
     return rep
-
-
-@dataclass(frozen=True)
-class H2VanishVerdict:
-    """One oracle answer: whether H^2 vanishes for the given root class."""
-
-    root: LatticeVector
-    vanishes: bool
-    source: str
-    detail: str = ""
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
-"""Uniform result record for verification sweeps."""
+"""Uniform result records (a verification sweep, one H^2 oracle answer) and
+the names of the verification suites."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from .roots import LatticeVector
+
+# the suites of verify.run_suite, here so that cli reads them without verify
+SUITES = ("chevalley", "bwb", "index", "cht", "descent", "surface", "obstruction")
 
 
 @dataclass
@@ -36,3 +42,13 @@ class VerificationReport:
         if self.details:
             out["details"] = {k: self.details[k] for k in sorted(self.details)}
         return out
+
+
+@dataclass(frozen=True)
+class H2VanishVerdict:
+    """One oracle answer: whether H^2 vanishes for the given root class."""
+
+    root: LatticeVector
+    vanishes: bool
+    source: str
+    detail: str = ""

@@ -23,8 +23,7 @@ from operator import mul, sub
 
 from ._exact import int_adjugate, ldl_decomposition
 from .errors import ConstructionFailure, IndexOutOfRange, NotARootClass
-from .obstruction import H2VanishVerdict
-from .report import VerificationReport
+from .report import H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem, root_vector
 
 

@@ -12,26 +12,10 @@ from .chevalley import ChevalleyConstants, build_constants, verify_chevalley
 from .cotangent import cht, cotangent_verdict, verify_chain_criterion, verify_descent
 from .errors import CancellationFailure, IllegalType
 from .flag import ALL_VANISH, bwb, verify_index_bound, verify_root_cohomology
-from .obstruction import (
-    H2VanishVerdict,
-    Half,
-    build_system,
-    certify_solvability,
-    check_bianchi,
-)
-from .report import VerificationReport
+from .obstruction import Half, build_system, certify_solvability, check_bianchi
+from .report import SUITES, H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem
 from .surface import resolution_lattice, surface_h2_oracle, verify_surface
-
-SUITES = (
-    "chevalley",
-    "bwb",
-    "index",
-    "cht",
-    "descent",
-    "surface",
-    "obstruction",
-)
 
 
 def flag_h2_oracle(rs: RootSystem):

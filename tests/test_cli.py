@@ -10,6 +10,7 @@ import pytest
 from adelie import cli, cotangent
 from adelie.cli import COMMAND_FOR_OPERATION, _report_lines, _report_payload, main
 from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailure
+from adelie.flag import bwb
 from adelie.report import VerificationReport
 from adelie.roots import build
 
@@ -194,6 +195,13 @@ def test_exit_zero_on_success(capsys):
     assert "all cohomology vanishes" in out
 
 
+def test_bwb_runs_borel_weil_bott_once(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "bwb", lambda rs, lam: calls.append(lam) or bwb(rs, lam))
+    code, payload = run_json(capsys, "bwb", "A2", "--", "-3", "2")
+    assert (code, payload["degree"], payload["euler"], len(calls)) == (0, 1, -3, 1)
+
+
 def test_exit_one_on_failed_verification(capsys, monkeypatch):
     failing = VerificationReport(name="demo", checked=1, violations=["broken fact"])
     monkeypatch.setattr(cli, "run_suite", lambda rs, suite: failing)
@@ -264,6 +272,26 @@ def test_cht_payload_is_pinned(capsys, name, coords):
     code, out, err = run(capsys, "cht", name, "--format", "json", "--", *map(str, coords))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CHT_PAYLOAD_SHA256[name, coords]
+
+
+# SHA-256 of the exact `verify T cht --format json` stdout and its checked
+# count, recorded from the np.ndindex ball sweep that itertools.product
+# replaced, so the sweep's slice and coverage cannot drift.
+VERIFY_CHT_SHA256 = {
+    "A5": (3155, "4ec05576b884c6b14211387a8db053b6695ed48ce1d9d6ff34f7758782eea5a8"),
+    "E6": (801, "5a135c313ed8f71f70445e8b0e8778a45d7371879e2c57fb6788853c0756a8a7"),
+    "E7": (505, "9e0b8d12a50f099417920d6057ae870cf90d11443ef90a23fa767b81c4fb49aa"),
+    "E8": (257, "b1ab640cae91decb0587cca30458147f91c8afe20b419b6f3d723ba1af7e0543"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CHT_SHA256))
+def test_verify_cht_payload_is_pinned(capsys, name):
+    checked, digest = VERIFY_CHT_SHA256[name]
+    code, out, err = run(capsys, "verify", name, "cht", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checked"] == checked
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # Python refuses to print an int of more than sys.get_int_max_str_digits()

@@ -36,6 +36,39 @@ def test_fractions_imported_only_where_weights_are_fractional(path):
         assert "fractions" not in set(_imported_modules(tree)), path.name
 
 
+# numpy is imported at module level only by the modules that build arrays, and
+# elsewhere only inside the graded Euler kernel, so that the commands that build
+# no arrays start without it
+NUMPY_SITES = {
+    ("chevalley.py", None),
+    ("obstruction.py", None),
+    ("cotangent.py", "euler_characteristic_graded"),
+}
+
+
+def _numpy_import_owners(node, owner=None):
+    """The function around each numpy import below node, None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _numpy_import_owners(child, child.name)
+            continue
+        names = []
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        if any(name.split(".")[0] == "numpy" for name in names):
+            yield owner
+        yield from _numpy_import_owners(child, owner)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_numpy_imported_only_where_arrays_are_built(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = {(path.name, owner) for owner in _numpy_import_owners(tree)}
+    assert sites <= NUMPY_SITES, sorted(sites - NUMPY_SITES, key=str)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_fraction_inverse(path):
     # adj(C) comes from fraction-free elimination, so no Fraction inverse
