@@ -22,22 +22,22 @@ negated simple root in height-many steps.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import islice, product
+from itertools import accumulate, product
 from math import comb, prod
+from operator import mul
 
 from ._exact import digits_past_limit, int_text
 from .errors import BudgetExceeded, ConstructionFailure, NegativeDegree, NotARootClass
 from .flag import dominant_conjugate
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, build, weight_vector
+from .roots import LatticeVector, RootSystem, build, root_vector, weight_vector
 
 # cap on the dominant weights one interval walk may keep
 _POINT_BUDGET = 2 * 10 ** 4
-# distinct weights per chunk of the graded Euler sum's Weyl products
-_CHUNK = 128
 
 
 def dominance_leq(rs: RootSystem, mu: LatticeVector, nu: LatticeVector) -> bool:
@@ -314,19 +314,28 @@ def euler_characteristic_graded(
     max_terms.
 
     Many multisets share a root sum, so they are first folded into distinct
-    sums with multiplicities, one positive root at a time.  A sum is packed
-    into one int, sum_i c_i * base**i with |c_i| < base / 2, so adding roots
-    is adding ints and the fold stores no tuples.
+    sums with multiplicities.  A sum of degree positive roots has simple-root
+    coordinate i in 0..degree * m_i, m the highest root, so it packs into one
+    mixed-radix integer, and adding roots is adding integers.  Layer j lists
+    the packed j-multisets ordered by their last root; those whose last root
+    is r are the (j - 1)-multisets over roots 0..r shifted by r, which are
+    the first C(r + j - 1, j - 1) entries of layer j - 1.  Only two layers
+    live at once, so memory follows the multiset count, which max_terms
+    bounds.  One sort and a run-length count of the last layer give the
+    distinct sums and their multiplicities.
 
     Bott's theorem with Weyl's dimension formula gives, for every weight nu,
     chi(nu) = prod_a (nu + rho, a) / prod_a (rho, a) over the positive roots
     a: zero exactly on singular nu + rho, and signed (-1)^length of the Weyl
     element that makes nu + rho dominant, so no dominant conjugate is needed.
-    Chunks of distinct sums decode into digit columns c, and (lam + c + rho,
-    a) is (lam + rho, a) plus c against a's simple-root coordinates.  The
-    factors multiply in groups whose products stay in int64, or on Python
-    ints (dtype object) when a factor might not; each regular numerator must
-    divide by the rho-product, as in weyl_dim.
+    The factors (nu + rho, a) are columns over the distinct sums, taken in
+    height order: a simple root's column decodes from the packed sums, and
+    root k plus alpha_i adds column alpha_i to column k, as positive_pairings
+    does for one weight.  A sum leaves at its first zero factor, so only
+    regular sums reach the later columns.  The factors multiply in blocks
+    whose products stay in int64 (on Python ints, dtype object, when a factor
+    might not), the blocks on Python ints, and each numerator must divide by
+    the rho-product, as in weyl_dim.
     """
     import numpy as np  # here, so that cht and cotangent start without numpy
 
@@ -343,49 +352,85 @@ def euler_characteristic_graded(
         raise BudgetExceeded(
             f"{degree + 1} fold layers of degree {degree} exceed the budget {max_terms}"
         )
-    steps = _root_steps(rs.kind, rs.rank)
-    base = 2 * degree * max(abs(c) for _, a in steps for c in a) + 1
-    # layers[j]: packed sum -> number of j-multisets of the roots seen so far
-    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(degree)]
-    for _, a in steps:
-        step = sum(c * base ** i for i, c in enumerate(a))
-        # ascending j reuses this root's own update of layers[j - 1], so a
-        # root may repeat any number of times within a multiset
-        for j in range(1, degree + 1):
-            below, layer = layers[j - 1], layers[j]
-            for key, m in below.items():
-                key += step
-                layer[key] = layer.get(key, 0) + m
+    radix = [degree * m + 1 for m in rs.highest_root().coords]
+    strides = list(accumulate(radix, mul, initial=1))
+    # the largest packed sum is strides[-1] - 1
+    key_type = (
+        np.int32 if strides[-1] <= 2 ** 31
+        else np.int64 if strides[-1] <= 2 ** 63
+        else object
+    )
+    packed = [sum(map(mul, a.coords, strides)) for a in rs.positive_roots]
+    layer = np.zeros(1, dtype=key_type)
+    for j in range(1, degree + 1):
+        # C(n_pos + j - 1, j) j-multisets; count is C(r + j - 1, j - 1)
+        nxt = np.empty(len(layer) * (n_pos + j - 1) // j, dtype=key_type)
+        end, count = 0, 1
+        for r, step in enumerate(packed):
+            np.add(layer[:count], step, out=nxt[end:end + count])
+            end += count
+            count = count * (r + j) // (r + 1)
+        layer = nxt
+    layer.sort()
+    first = np.empty(len(layer), dtype=bool)
+    first[0] = True
+    np.not_equal(layer[1:], layer[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    keys = layer[starts]
+    del layer, first  # the last layer is the largest array; free it first
+    # a multiplicity is at most terms; int32 keeps the peak at the fold's
+    mults = np.diff(starts, append=terms).astype(np.int32 if terms < 2 ** 31 else np.int64)
+    del starts
 
     lam = rs.to_weight_basis(lam)
-    shifted = rs.positive_pairings(lam + rs.rho())
+    top = (lam + rs.rho()).coords
     den = prod(rs.positive_pairings(rs.rho()))  # (rho, a) is the height of a
-    half = base // 2
     # a sum of degree roots pairs with a root within [-2 degree, 2 degree]
-    bound = 2 * degree + max(map(abs, shifted)) + 1
-    wide = max(bound, base ** rs.rank) >= 2 ** 63
-    dtype = object if wide else np.int64
-    cuts = np.arange(0, n_pos, n_pos if wide else 63 // bound.bit_length())
-    roots = np.array([r for r, _ in steps], dtype=dtype).T
-    shifted = np.array(shifted, dtype=dtype)
-    offset = sum(half * base ** i for i in range(rs.rank))
-    total = 0
-    items = iter(layers[degree].items())
-    while chunk := list(islice(items, _CHUNK)):
-        keys, mults = zip(*chunk)
-        rest = np.array(keys, dtype=dtype) + offset
-        digits = np.empty((len(keys), rs.rank), dtype=dtype)
-        for i in range(rs.rank):
-            digits[:, i] = rest % base - half
-            rest //= base
-        groups = np.multiply.reduceat(digits @ roots + shifted, cuts, axis=1)
-        live = np.flatnonzero((groups != 0).all(axis=1))
-        for k, row in zip(live.tolist(), groups[live].tolist()):
-            q, r = divmod(prod(row), den)
-            if r:
-                mu = lam + weight_vector(*digits[k])
-                raise ConstructionFailure(
-                    f"{rs.name}: Weyl numerator of {mu} is not divisible by the rho-product"
-                )
-            total += mults[k] * q
-    return total
+    bound = 2 * degree + max(map(abs, rs.positive_pairings(lam + rs.rho()))) + 1
+    wide = bound >= 2 ** 63
+    size = n_pos if wide else 63 // bound.bit_length()
+    value_type = object if wide else np.int64
+    # Column a holds (nu + rho, a) over the live sums.  Root a is root k plus
+    # alpha_i, so its column is column k plus column alpha_i, and a column is
+    # kept only while a later root still builds on it.
+    steps = rs._positive_steps
+    simple = {i: a for a, (k, i) in enumerate(steps) if k < 0}
+    inputs = [() if k < 0 else (k, simple[i]) for k, i in steps]
+    uses = Counter(j for pair in inputs for j in pair)
+    cols: dict[int, object] = {}
+    # products of size factors, each within int64
+    groups: list = []
+    for a, (k, i) in enumerate(steps):
+        if k < 0:  # (nu + rho, alpha_i) = (lam + rho)_i + (C c)_i
+            col = np.full(len(keys), top[i], dtype=value_type)
+            for j, entry in enumerate(rs.cartan[i]):
+                if entry:
+                    digit = keys // strides[j]
+                    digit %= radix[j]
+                    digit *= entry
+                    np.add(col, digit, out=col, casting="unsafe")
+        else:
+            col = cols[k] + cols[simple[i]]
+        for j in inputs[a]:
+            uses[j] -= 1
+            if not uses[j]:
+                del cols[j]
+        if uses[a]:
+            cols[a] = col
+        groups.append(groups.pop() * col if a % size else col)
+        regular = col != 0
+        if not regular.all():  # nu + rho is singular: chi(nu) = 0
+            keys, mults = keys[regular], mults[regular]
+            groups = [g[regular] for g in groups]
+            cols = {j: v[regular] for j, v in cols.items()}
+    num = np.ones(len(keys), dtype=object)
+    while groups:
+        num = num * groups.pop()
+    bad = np.flatnonzero(num % den)
+    if len(bad):
+        c = root_vector(*(int(keys[bad[0]]) // s % b for s, b in zip(strides, radix)))
+        raise ConstructionFailure(
+            f"{rs.name}: Weyl numerator of {lam + rs.to_weight_basis(c)} "
+            "is not divisible by the rho-product"
+        )
+    return int(np.dot(num // den, mults.astype(object)))

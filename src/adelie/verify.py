@@ -131,7 +131,10 @@ def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
         return verify_index_bound(rs)
     if suite == "cht":
         # ball size shrinks with rank so the sweep stays exhaustive on its
-        # slice and its dominance intervals stay small
+        # slice and its dominance intervals stay small.  cht == 0 holds
+        # exactly when lambda* = lambda+, so the ball criterion checks the
+        # firing, not the walk; the walk's value is checked by the chain-step
+        # and brute-force tests
         if rs.rank <= 5:
             radius, support = 2, None
         elif rs.rank == 6:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import subprocess
 import sys
 import time
 
@@ -13,6 +14,7 @@ from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailu
 from adelie.flag import bwb
 from adelie.report import VerificationReport
 from adelie.roots import build
+from test_acceptance import _cli_env
 
 
 def run(capsys, *argv):
@@ -390,6 +392,31 @@ def test_budget_bounds_the_fold_layers(capsys, fmt):
     assert (code, out, err) == (0, "A1 {0|weight}: graded euler characteristic at degree 999 is 1999\n", "")
 
 
+# runs argv as a grandchild and prints [exit code, stdout, stderr, maxrss]: a
+# child's ru_maxrss starts from the high-water mark of the process that forked
+# it, so a small intermediate keeps the test suite's own size out of it
+MAXRSS_CHILD = """
+import json, resource, subprocess, sys
+run = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+maxrss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([run.returncode, run.stdout, run.stderr, maxrss]))
+"""
+
+
+def test_deep_fold_on_a1_keeps_two_layers():
+    # the fold keeps two layers, each one multiset on A1, so the peak stays
+    # near the interpreter's and numpy's own, whatever the degree
+    cmd = [sys.executable, "-m", "adelie", "euler", "A1", "--degree", "300000", "--", "0"]
+    child = subprocess.run([sys.executable, "-c", MAXRSS_CHILD, *cmd],
+                           capture_output=True, cwd="/", env=_cli_env(), text=True)
+    assert child.returncode == 0, child.stderr
+    code, out, err, maxrss = json.loads(child.stdout)
+    assert (code, out, err) == (
+        0, "A1 {0|weight}: graded euler characteristic at degree 300000 is 600001\n", ""
+    )
+    assert maxrss < 60 * 1024, maxrss  # kilobytes on Linux
+
+
 # SHA-256 of the exact `euler --format json` stdout, recorded from the sum that
 # called flag.euler_characteristic once per distinct weight
 EULER_PAYLOAD_SHA256 = {
@@ -401,6 +428,10 @@ EULER_PAYLOAD_SHA256 = {
     ("E8", 2, (2, 2, -3, 1, 2, 0, 2, 0)): "cc4d817c5fb212e241e1f3fa66d92737af4c5500949ff4a18539fc26656ef591",
     ("E8", 3, (0,) * 8): "7b85704a4f400c72a38c16185e84814e2bd140dd4e3436e75f3b090c926776f9",
     ("E8", 3, (2, 2, -3, 1, 2, 0, 2, 0)): "4ae880099095fca21f5d795599279a0fd64137d707d81d09b56eba5e0a99f9c0",
+    # recorded from the dict fold before the prefix-slice fold replaced it
+    ("E7", 3, (0,) * 7): "16dfbb150dcfcf370a091ae537edaf68aa738b5763415a51e34dac8a18288a76",
+    ("D8", 3, (0,) * 8): "3021fa509cb61919b7c36b7a0983976e2120f4b8e278fb9b73d0a6c0bdcf2c1b",
+    ("A8", 3, (0,) * 8): "760dd3a74e9b13ba887ae8882990567f1d3831fe36333e44108ea2475f1957e0",
 }
 
 

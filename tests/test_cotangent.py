@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -266,6 +266,10 @@ def test_graded_euler_fold_matches_multiset_sum(name, degree):
         # 12 factors then take two groups (E6 and E7 take several at any weight)
         weights += [weight_vector(*((-1) ** i * 40 for i in range(rs.rank))),
                     weight_vector(*(40 - i for i in range(rs.rank)))]
+    if name == "A3":
+        # (lam + rho, a) = 699041 * height(a): each factor has 21 bits, and a
+        # block of three fills 58 to 62 of int64's 63; a fourth would overflow
+        weights.append(weight_vector(699040, 699040, 699040))
     for lam in weights:
         assert euler_characteristic_graded(rs, lam, degree) == _naive_graded_euler(
             rs, lam, degree
@@ -292,6 +296,86 @@ def test_graded_euler_rejects_a_broken_rho_product(monkeypatch):
         ConstructionFailure, match=r"^D4: Weyl numerator of \{.*\|weight\} is not divisible"
     ):
         euler_characteristic_graded(build("D4"), weight_vector(1, 0, 0, 0), 2)
+
+
+def _dict_fold_graded_euler(rs, lam, degree):
+    """Oracle: the graded Euler sum as the dict fold the kernel replaced.
+
+    The fold adds one positive root at a time to a dict per layer, keyed by
+    the weight coordinates of the sum packed in one signed base, and every
+    distinct sum then takes the whole Weyl product of its pairings, singular
+    or not, in int64 groups (Python ints past int64).
+    """
+    weights = [rs.to_weight_basis(a).coords for a in rs.positive_roots]
+    base = 2 * degree * max(abs(c) for w in weights for c in w) + 1
+    layers = [{0: 1}] + [{} for _ in range(degree)]
+    for w in weights:
+        step = sum(c * base ** i for i, c in enumerate(w))
+        for j in range(1, degree + 1):
+            below, layer = layers[j - 1], layers[j]
+            for key, m in below.items():
+                key += step
+                layer[key] = layer.get(key, 0) + m
+    n_pos = len(weights)
+    shifted = rs.positive_pairings(rs.to_weight_basis(lam) + rs.rho())
+    den = prod(rs.positive_pairings(rs.rho()))
+    half = base // 2
+    bound = 2 * degree + max(map(abs, shifted)) + 1
+    wide = bound >= 2 ** 63
+    dtype = object if wide else np.int64
+    cuts = np.arange(0, n_pos, n_pos if wide else 63 // bound.bit_length())
+    roots = np.array([a.coords for a in rs.positive_roots], dtype=dtype).T
+    rest = np.array(list(layers[degree]), dtype=object)
+    rest += sum(half * base ** i for i in range(rs.rank))
+    digits = np.empty((len(rest), rs.rank), dtype=dtype)
+    for i in range(rs.rank):
+        digits[:, i] = rest % base - half
+        rest //= base
+    groups = np.multiply.reduceat(digits @ roots + np.array(shifted, dtype=dtype), cuts, axis=1)
+    total = 0
+    for row, m in zip(groups.tolist(), layers[degree].values()):
+        q, r = divmod(prod(row), den)
+        assert r == 0
+        total += m * q
+    return total
+
+
+def _oracle_weights(rs):
+    """Weight 0, a mixed weight, minus the highest root, and a dominant weight
+    far from the walls, at which every sum of three roots is regular."""
+    zero = weight_vector(*([0] * rs.rank))
+    mixed = weight_vector(*((-1) ** i * (i % 3 + 1) for i in range(rs.rank)))
+    return [zero, mixed, -rs.highest_root(), weight_vector(*([7] * rs.rank))]
+
+
+@pytest.mark.parametrize("name", ["D8", "E7", "E8"])
+def test_graded_euler_matches_the_dict_fold_at_degree_three(name):
+    rs = build(name)
+    for lam in _oracle_weights(rs):
+        assert euler_characteristic_graded(rs, lam, 3) == _dict_fold_graded_euler(
+            rs, lam, 3
+        ), lam
+
+
+@pytest.mark.parametrize("name,degree,top", [
+    # the packed sums have root coordinate i in 0..degree * m_i, m the
+    # highest root; the largest is prod(degree * m_i + 1) - 1, which the
+    # highest root alone reaches at degree one
+    ("A31", 1, 2 ** 31), ("A32", 1, 2 ** 32),  # int32 to int64
+    ("D14", 2, 3 ** 3 * 5 ** 11), ("D15", 2, 3 ** 3 * 5 ** 12),
+    ("A63", 1, 2 ** 63), ("A64", 1, 2 ** 64),  # int64 to Python ints
+])
+def test_graded_euler_matches_the_dict_fold_at_each_key_width(name, degree, top):
+    rs = build(name, max_rank=64)
+    assert prod(degree * m + 1 for m in rs.highest_root().coords) == top
+    # the oracle's dense products take seconds on the 2,016 and 2,080 roots
+    # of A63 and A64, so those keep weight 0, whose largest sum, the highest
+    # root, is regular
+    weights = _oracle_weights(rs)[:2] + [weight_vector(*([1] * rs.rank))]
+    for lam in weights[:1] if len(rs.positive_roots) > 2000 else weights:
+        assert euler_characteristic_graded(rs, lam, degree) == _dict_fold_graded_euler(
+            rs, lam, degree
+        ), lam
 
 
 @pytest.mark.parametrize(
