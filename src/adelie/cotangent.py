@@ -378,8 +378,7 @@ def euler_characteristic_graded(
     starts = np.flatnonzero(first)
     keys = layer[starts]
     del layer, first  # the last layer is the largest array; free it first
-    # a multiplicity is at most terms; int32 keeps the peak at the fold's
-    mults = np.diff(starts, append=terms).astype(np.int32 if terms < 2 ** 31 else np.int64)
+    mults = np.diff(starts, append=terms)
     del starts
 
     lam = rs.to_weight_basis(lam)
@@ -390,6 +389,23 @@ def euler_characteristic_graded(
     wide = bound >= 2 ** 63
     size = n_pos if wide else 63 // bound.bit_length()
     value_type = object if wide else np.int64
+
+    def simple_column(keys, i):  # (nu + rho, alpha_i) = (lam + rho)_i + (C c)_i
+        col = np.full(len(keys), top[i], dtype=value_type)
+        for j, entry in enumerate(rs.cartan[i]):
+            if entry:
+                digit = keys // strides[j]
+                digit %= radix[j]
+                digit *= entry
+                np.add(col, digit, out=col, casting="unsafe")
+        return col
+
+    # most singular sums have a zero on a simple root (at weight 0 on E8, 34,607
+    # of the 40,741 at degree 3), so those leave before any column is kept
+    for i in range(rs.rank):
+        regular = simple_column(keys, i) != 0
+        keys, mults = keys[regular], mults[regular]
+
     # Column a holds (nu + rho, a) over the live sums.  Root a is root k plus
     # alpha_i, so its column is column k plus column alpha_i, and a column is
     # kept only while a later root still builds on it.
@@ -401,14 +417,8 @@ def euler_characteristic_graded(
     # products of size factors, each within int64
     groups: list = []
     for a, (k, i) in enumerate(steps):
-        if k < 0:  # (nu + rho, alpha_i) = (lam + rho)_i + (C c)_i
-            col = np.full(len(keys), top[i], dtype=value_type)
-            for j, entry in enumerate(rs.cartan[i]):
-                if entry:
-                    digit = keys // strides[j]
-                    digit %= radix[j]
-                    digit *= entry
-                    np.add(col, digit, out=col, casting="unsafe")
+        if k < 0:
+            col = simple_column(keys, i)
         else:
             col = cols[k] + cols[simple[i]]
         for j in inputs[a]:
@@ -425,7 +435,7 @@ def euler_characteristic_graded(
             cols = {j: v[regular] for j, v in cols.items()}
     num = np.ones(len(keys), dtype=object)
     while groups:
-        num = num * groups.pop()
+        num *= groups.pop()
     bad = np.flatnonzero(num % den)
     if len(bad):
         c = root_vector(*(int(keys[bad[0]]) // s % b for s, b in zip(strides, radix)))
@@ -433,4 +443,5 @@ def euler_characteristic_graded(
             f"{rs.name}: Weyl numerator of {lam + rs.to_weight_basis(c)} "
             "is not divisible by the rho-product"
         )
-    return int(np.dot(num // den, mults.astype(object)))
+    num //= den
+    return int(np.dot(num, mults.astype(object)))
