@@ -435,7 +435,7 @@ EULER_PAYLOAD_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name,degree,coords", sorted(EULER_PAYLOAD_SHA256))
+@pytest.mark.parametrize("name,degree,coords", list(EULER_PAYLOAD_SHA256))
 def test_euler_payload_is_pinned(capsys, name, degree, coords):
     code, out, err = run(
         capsys, "euler", name, "--degree", str(degree), "--format", "json", "--", *map(str, coords)
