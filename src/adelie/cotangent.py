@@ -382,16 +382,16 @@ def euler_characteristic_graded(
     del starts
 
     lam = rs.to_weight_basis(lam)
-    top = (lam + rs.rho()).coords
+    top = lam + rs.rho()
     den = prod(rs.positive_pairings(rs.rho()))  # (rho, a) is the height of a
     # a sum of degree roots pairs with a root within [-2 degree, 2 degree]
-    bound = 2 * degree + max(map(abs, rs.positive_pairings(lam + rs.rho()))) + 1
+    bound = 2 * degree + max(map(abs, rs.positive_pairings(top))) + 1
     wide = bound >= 2 ** 63
     size = n_pos if wide else 63 // bound.bit_length()
     value_type = object if wide else np.int64
 
     def simple_column(keys, i):  # (nu + rho, alpha_i) = (lam + rho)_i + (C c)_i
-        col = np.full(len(keys), top[i], dtype=value_type)
+        col = np.full(len(keys), top.coords[i], dtype=value_type)
         for j, entry in enumerate(rs.cartan[i]):
             if entry:
                 digit = keys // strides[j]

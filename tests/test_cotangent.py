@@ -299,7 +299,7 @@ def test_graded_euler_rejects_a_broken_rho_product(monkeypatch):
 
 
 def _dict_fold_graded_euler(rs, lam, degree):
-    """Oracle: the graded Euler sum as the dict fold the kernel replaced.
+    """Oracle: the graded Euler sum by a dict fold and dense Weyl products.
 
     The fold adds one positive root at a time to a dict per layer, keyed by
     the weight coordinates of the sum packed in one signed base, and every
