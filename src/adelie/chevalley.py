@@ -27,11 +27,16 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConstructionFailure, SystemMismatch
+from .errors import BudgetExceeded, ConstructionFailure, SystemMismatch
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build
 
 Coords = tuple[int, ...]
+
+# products that one block of the Jacobi sweep, the D^2 remainder check or the
+# Bianchi closure expands at a time: enough that numpy's per-call overhead is
+# spread thin, few enough that the arrays of one block stay small
+_PRODUCT_BUDGET = 8192
 
 
 @dataclass
@@ -96,9 +101,12 @@ class ChevalleyConstants:
         coeffs[:r, r:, 0] = weights.T
         targets[r:, :r, 0] = x[:, None]
         coeffs[r:, :r, 0] = -weights
-        valid = self.sum_index < n_roots
-        targets[r:, r:, 0] = np.where(valid, r + self.sum_index, 0)
-        coeffs[r:, r:, 0] = np.where(valid, self.sign_table, 0)
+        # filled in place: no temporary as large as sum_index
+        invalid = self.sum_index >= n_roots
+        targets[r:, r:, 0] = self.sum_index
+        targets[r:, r:, 0] += r
+        targets[r:, r:, 0][invalid] = 0
+        coeffs[r:, r:, 0] = np.where(invalid, 0, self.sign_table)
         targets[x, r + self.negation] = np.arange(r)
         coeffs[x, r + self.negation] = coords
         return targets, coeffs
@@ -215,7 +223,7 @@ class LieElement:
 def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
     """Exponent of -1 in eps on generator pairs: E[i][j] with eps = (-1)^E."""
     r = rs.rank
-    e = np.zeros((r, r), dtype=np.int64)
+    e = np.zeros((r, r), dtype=np.uint8)
     for i in range(r):
         e[i, i] = 1
         for j in range(i + 1, r):
@@ -242,14 +250,18 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
         k = order[np.minimum(np.searchsorted(keys, key + keys, sorter=order), n_roots - 1)]
         sum_index[i] = np.where(keys[k] == key + keys, k, n_roots)
 
-    # eps parity over all pairs in one shot, then the negative-root correction
-    parity = (coords @ _eps_parity_matrix(rs) @ coords.T) % 2
-    neg_flag = np.array([0] * (n_roots // 2) + [1] * (n_roots // 2), dtype=np.int64)
-    neg_of_sum = np.where(sum_index < n_roots, neg_flag[np.minimum(sum_index, n_roots - 1)], 0)
-    total_parity = (parity + neg_flag[:, None] + neg_flag[None, :] + neg_of_sum) % 2
-    table = np.where(sum_index < n_roots, 1 - 2 * total_parity, 0).astype(np.int8)
-    # freed before the gate's Jacobi sweep, whose gathered products set the peak
-    del parity, neg_of_sum, total_parity
+    # eps parity over all pairs in one shot, then the negative-root correction;
+    # uint8 arithmetic runs mod 256, an even modulus, so every parity is
+    # exact, and no temporary outgrows a 240 x 240 byte array
+    odd = (coords % 2).astype(np.uint8)
+    parity = odd @ (_eps_parity_matrix(rs) % 2).astype(np.uint8) @ odd.T
+    # negative flags of the roots and, at index n_roots, of "not a root"
+    negative = (np.arange(n_roots + 1) >= n_roots // 2).astype(np.uint8)
+    negative[n_roots] = 0
+    parity += negative[:n_roots, None] + negative[None, :n_roots] + negative[sum_index]
+    table = 1 - 2 * (parity & 1).view(np.int8)
+    table[sum_index == n_roots] = 0
+    del odd, parity
 
     negation = np.empty(n_roots, dtype=np.int32)
     half = n_roots // 2
@@ -336,6 +348,19 @@ def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return keys[starts][keep], sums[keep]
 
 
+def blocks(costs: np.ndarray):
+    """Yield (start, end) for consecutive ranges of owners 0..len(costs) - 1
+    whose costs add up to at most _PRODUCT_BUDGET; an owner that costs more
+    on its own is a range of one."""
+    ends = np.concatenate(([0], np.cumsum(costs)))
+    start = 0
+    while start < len(costs):
+        end = int(np.searchsorted(ends, ends[start] + _PRODUCT_BUDGET, "right")) - 1
+        end = max(end, start + 1)
+        yield start, end
+        start = end
+
+
 def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     """Lexicographically first basis triple i < j < k whose Jacobi sum
     [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is not zero.
@@ -345,55 +370,109 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     index u, with sign +1, when (p, q, u) is a rotation of the sorted triple:
     p < q with u outside [p, q], or p > q with u between them.  Products are
     keyed ((i * dim + j) * dim + k) * dim + target and equal keys summed.
-    One step per smallest index lo expands every product of every triple
-    that starts at lo and of no other, so the least surviving key of the
-    first step that keeps one is the first failing triple.
+    Every product belongs to the triples of one smallest index lo, and the
+    sweep expands consecutive ranges of lo, each of at most _PRODUCT_BUDGET
+    products unless a single lo has more, so the least surviving key of the
+    first range that keeps one is the first failing triple.
 
     Only stored terms are expanded, never a dense slice of the table: each
     inner term [b_p, b_q] = v b_t meets its outer terms [b_u, b_t] as one run
     of the term lists of c.bracket_terms, sorted by (column, row) or, for
-    row lo's cells against the cells (p, q) with lo < p < q, by (target, p).
+    row lo's cells against the cells (p, q) with lo < p < q, by (target, p);
+    the runs of every lo are found at once.  A product of two int8
+    coefficients lies in -16384..16384, so it is added to its key shifted
+    left by 16 bits: one sort brings equal keys together, in key order, and
+    rounding the shift back recovers the key.  The sorted terms' shares of
+    the key, below dim ** 3, are int32, and the shifted keys, below
+    dim ** 4 << 16, fit int64: both hold for dim < 1291, far past D16
+    (dim 496).
     """
-    row, col, tgt, val = c.bracket_terms()
     dim = len(c.bracket_table[0])
-    col_key = col * dim + row
-    by_col = np.argsort(col_key, kind="stable")
-    upper = np.flatnonzero(row < col)
+    if dim ** 3 >= 2 ** 31:
+        raise BudgetExceeded(f"{c.system.name}: dimension {dim} is past the packed Jacobi keys")
+    cost, parts = _jacobi_parts(c, dim)
+    for lo0, lo1 in blocks(cost):
+        packed = []
+        for ptr, starts, lens, a_key, a_val, b_key, b_val in parts:
+            s = slice(ptr[lo0], ptr[lo1])
+            n = lens[s]
+            k = np.arange(n.sum()) + np.repeat(starts[s] - np.cumsum(n) + n, n)
+            part = np.repeat(a_key[s], n) + b_key[k]
+            part <<= 16
+            part += np.repeat(a_val[s], n) * b_val[k]
+            packed.append(part)
+        packed = np.concatenate(packed)
+        if not packed.size:
+            continue
+        packed.sort()
+        keys = (packed + 0x8000) >> 16
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        bad = np.flatnonzero(np.add.reduceat(packed - (keys << 16), first))
+        if bad.size:
+            key = int(keys[first[bad[0]]])
+            return key // dim ** 3, key // dim ** 2 % dim, key // dim % dim
+    return None
+
+
+def _jacobi_parts(c: ChevalleyConstants, dim: int):
+    """The runs of the Jacobi sweep, one part per kind of triple (lo, mid, hi):
+    for each inner or outer cell, by ascending owner lo, the start and length
+    of its run among the sorted terms, its share of the key (int64) and its
+    coefficient, and for each sorted term its share of the key (int32) and
+    its coefficient; with the pointers of each lo into the part and the
+    product count of each lo."""
+    row, col, tgt, val = c.bracket_terms()
+    val = val.astype(np.int16)
+    cost = np.zeros(dim, dtype=np.int64)
+    parts = []
+
+    def key(dtype, *digits):
+        # the base-dim number (lo, mid, hi, target) with the given digits,
+        # None for a 0 digit
+        out = np.zeros(max(map(np.size, digits)), dtype=dtype)
+        for d in digits:
+            out *= dim
+            if d is not None:
+                out += d
+        return out
+
+    def add(cells, owner, keys, first, last, a_key, b_key, order):
+        # the terms of cells, by ascending owner, against their runs of the
+        # terms of order, keyed by keys in [first, last)
+        starts = np.searchsorted(keys, first).astype(np.int32)
+        lens = np.searchsorted(keys, last).astype(np.int32)
+        lens -= starts
+        ptr = np.searchsorted(owner, np.arange(dim + 1))
+        done = np.zeros(len(lens) + 1, dtype=np.int64)
+        np.cumsum(lens, out=done[1:])
+        cost[:] += done[ptr[1:]] - done[ptr[:-1]]
+        parts.append((ptr, starts, lens, a_key, val[cells], b_key, val[order]))
+
+    # outer row lo against the inner cells (p, q), lo < p < q, sorted by
+    # (target, p) ...
+    upper = np.flatnonzero(row < col).astype(np.int32)
     tgt_key = tgt[upper] * dim + row[upper]
     by_tgt = upper[np.argsort(tgt_key, kind="stable")]
-    col_key, tgt_key = col_key[by_col], np.sort(tgt_key)
-    row_ptr = np.searchsorted(row, np.arange(dim + 1))
-
-    def run(cells, order, keys, first, last):
-        # each term of cells against the terms of order keyed in [first, last)
-        n, k = runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
-        return cells[n], order[k]
-
-    for lo in range(dim - 2):
-        base = np.int64(lo * dim)
-        cells = np.arange(row_ptr[lo], row_ptr[lo + 1])
-        # (mid, hi, outer term, inner term) of the triple (lo, mid, hi):
-        # outer row lo against the inner cells (p, q), lo < p < q, ...
-        t = col[cells] * dim
-        a, b = run(cells, by_tgt, tgt_key, t + lo + 1, t + dim)
-        parts = [(row[b], col[b], a, b)]
-        # ... outer rows u > q against the inner cells (lo, q), lo < q ...
-        right = cells[col[cells] > lo]
-        t = tgt[right] * dim
-        a, b = run(right, by_col, col_key, t + col[right] + 1, t + dim)
-        parts.append((col[a], row[b], b, a))
-        # ... and outer rows lo < u < q against the inner cells (q, lo)
-        left = by_col[slice(*np.searchsorted(col_key, [base + lo + 1, base + dim]))]
-        t = tgt[left] * dim
-        a, b = run(left, by_col, col_key, t + lo + 1, t + row[left])
-        parts.append((row[b], row[a], b, a))
-        keys, _ = sum_by_key(
-            np.concatenate([((base + j) * dim + k) * dim + tgt[o] for j, k, o, _ in parts]),
-            np.concatenate([val[o].astype(np.int64) * val[i] for _, _, o, i in parts]),
-        )
-        if keys.size:
-            return (lo, *divmod(int(keys[0]) // dim % (dim * dim), dim))
-    return None
+    tgt_key.sort()
+    add(slice(None), row, tgt_key, col * dim + row + 1, col * dim + dim,
+        key(np.int64, row, None, None, tgt),
+        key(np.int32, row[by_tgt], col[by_tgt], None), by_tgt)
+    del tgt_key, by_tgt
+    # ... then against the terms sorted by (column, row): outer rows u > q
+    # against the inner cells (lo, q), lo < q ...
+    col_key = col * dim + row
+    by_col = np.argsort(col_key, kind="stable").astype(np.int32)
+    col_key = col_key[by_col]
+    r, q, t = row[upper], col[upper], tgt[upper]
+    add(upper, r, col_key, t * dim + q + 1, t * dim + dim,
+        key(np.int64, r, q, None, None), key(np.int32, row[by_col], tgt[by_col]), by_col)
+    # ... and outer rows lo < u < q against the inner cells (q, lo)
+    left = by_col[row[by_col] > col[by_col]]
+    q, r, t = row[left], col[left], tgt[left]
+    add(left, r, col_key, t * dim + r + 1, t * dim + q,
+        key(np.int64, r, None, q, None),
+        key(np.int32, row[by_col], None, tgt[by_col]), by_col)
+    return cost, parts
 
 
 def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate, product
 from math import comb, prod
-from operator import mul
+from operator import add, mul
 
 from ._exact import digits_past_limit, int_text
 from .errors import BudgetExceeded, ConstructionFailure, NegativeDegree, NotARootClass
@@ -244,7 +244,7 @@ def verify_chain_criterion(
     """
     rep = VerificationReport(name=f"chain-criterion-{rs.name}")
     for coords in product(range(-radius, radius + 1), repeat=rs.rank):
-        if max_support is not None and sum(v != 0 for v in coords) > max_support:
+        if max_support is not None and rs.rank - coords.count(0) > max_support:
             continue
         lam = weight_vector(*coords)
         rep.checked += 1
@@ -261,44 +261,46 @@ def negative_root_descent(rs: RootSystem, lam: LatticeVector) -> tuple[LatticeVe
 
     Each step adds the first simple root pairing to -1 whose sum stays a root;
     the chain has height-many entries and every entry is a negative root.
+    The walk carries the root coordinates and the weight coordinates, which
+    are the pairings with the simple roots, one Cartan row per step.
     """
     if not rs.is_root(lam) or rs.is_positive_root(lam):
         raise NotARootClass(f"{lam} is not a negative root")
-    lam = rs.to_root_basis(lam)
-    chain = [lam]
-    cur = lam
-    while rs.height(cur) >= 2:
-        step = next(
-            (
-                a
-                for a in rs.simple_roots
-                if rs.pairing(cur, a) == -1 and rs.is_root(cur + a)
-            ),
-            None,
-        )
-        if step is None:  # cannot happen: a root pairs positively with itself
-            raise ConstructionFailure(f"{rs.name}: no descent step from {cur}")
-        cur = cur + step
+    cur = rs.to_root_basis(lam).coords
+    weights = rs.to_weight_basis(lam).coords
+    chain = [cur]
+    while sum(cur) <= -2:
+        for i in range(rs.rank):
+            if weights[i] == -1:
+                step = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
+                if step in rs._root_index:
+                    break
+        else:  # cannot happen: a root pairs positively with itself
+            raise ConstructionFailure(f"{rs.name}: no descent step from {root_vector(*cur)}")
+        cur = step
+        weights = tuple(map(add, weights, rs.cartan[i]))
         chain.append(cur)
-    return tuple(chain)
+    return tuple(root_vector(*c) for c in chain)
 
 
 def verify_descent(rs: RootSystem) -> VerificationReport:
     """Every negative root of height >= 2 steps down by a simple root, and the
     chains reach a negated simple root without leaving the negative roots."""
     rep = VerificationReport(name=f"descent-{rs.name}")
+    negative = {tuple(-x for x in c) for c in rs._pos_set}
     longest = 0
     for a in rs.positive_roots:
         lam = -a
         rep.checked += 1
         chain = negative_root_descent(rs, lam)
         longest = max(longest, len(chain) - 1)
-        if len(chain) != rs.height(lam):
+        if len(chain) != sum(a.coords):
             rep.violations.append(f"{lam}: chain length {len(chain) - 1}")
             continue
-        if any(rs.is_positive_root(c) or not rs.is_root(c) for c in chain):
+        if any(c.coords not in negative for c in chain):
             rep.violations.append(f"{lam}: chain leaves the negative roots")
-        elif -chain[-1] not in rs.simple_roots:
+        elif sum(chain[-1].coords) != -1:
+            # a negative root is a negated simple root exactly at height one
             rep.violations.append(f"{lam}: chain ends at {chain[-1]}")
     rep.details["longest_chain"] = longest
     return rep

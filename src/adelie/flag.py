@@ -73,16 +73,21 @@ def dominant_conjugate(
     Each such reflection turns exactly one positive root's pairing from
     negative to positive and permutes the rest, so the loop runs exactly
     index(rs, mu) times; the returned word lists 1-based simple-reflection
-    indices in application order.
+    indices in application order.  s_i subtracts mu_i times the Cartan row
+    of i, which is 2 at i and -1 at its Dynkin neighbours: it negates
+    coordinate i and adds its old value to each neighbour.
     """
-    cur = rs.to_weight_basis(mu).coords
+    cur = list(rs.to_weight_basis(mu).coords)
+    neighbours = rs.neighbours
     word: list[int] = []
     while True:
         i = next((k for k, v in enumerate(cur) if v < 0), None)
         if i is None:
-            return LatticeVector(cur, Basis.FUNDAMENTAL_WEIGHT), tuple(word)
+            return LatticeVector(tuple(cur), Basis.FUNDAMENTAL_WEIGHT), tuple(word)
         k = cur[i]
-        cur = tuple(v - k * c for v, c in zip(cur, rs.cartan[i]))
+        cur[i] = -k
+        for j in neighbours[i]:
+            cur[j] += k
         word.append(i + 1)
 
 

@@ -15,10 +15,11 @@ over the nonzero terms of the bracket table that the Jacobi sweep certifies
 (ChevalleyConstants.bracket_terms), those of the rows ad(x_a), a in the
 half, sorted by column.  For column g the first application of D is the run
 of terms [x_a, b_g]; the second gathers the runs of their targets, each term
-signed by the sort of phi_b phi_a, and equal keys (monomial id, target) are
-summed after a sort.  It extracts each E_a from the Cartan columns by exact
-division and checks the remainder against every column (CancellationFailure
-otherwise).  The closed formula above, over pairs of packed root
+signed by the sort of phi_b phi_a, and equal keys (column, monomial id,
+target) are summed after a sort.  Consecutive columns are expanded together,
+up to a fixed product budget (chevalley.blocks).  It extracts each E_a from
+the Cartan columns by exact division and checks the remainder against every
+column (CancellationFailure naming the first column otherwise).  The closed formula above, over pairs of packed root
 coordinates, must then give the extracted E_a monomial for monomial
 (ConstructionFailure otherwise) before they become coordinate-keyed forms.
 
@@ -35,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .chevalley import ChevalleyConstants, runs, sum_by_key
+from .chevalley import ChevalleyConstants, blocks, runs, sum_by_key
 from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from .report import H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem
@@ -207,7 +208,7 @@ def half_roots(rs: RootSystem, half: Half) -> tuple[LatticeVector, ...]:
 
 
 def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem:
-    """Expand D^2 column by column and extract the obstruction forms.
+    """Expand D^2 in ranges of columns and extract the obstruction forms.
 
     Raises CancellationFailure when the expansion does not reduce to
     sum_a E_a ad(x_a) exactly, and checks the closed quadratic formula
@@ -227,18 +228,26 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     keep = np.flatnonzero(position[row] >= 0)
     keep = keep[np.argsort(col[keep], kind="stable")]
     at_a, at_t, at_c = position[row[keep]], tgt[keep], val[keep].astype(np.int64)
-    col_ptr = np.searchsorted(col[keep], np.arange(dim + 1))
+    at_g = col[keep].astype(np.int64)
+    col_ptr = np.searchsorted(at_g, np.arange(dim + 1))
+    del row, col, tgt, val, keep
+
+    def per_column(products):
+        # the sum of products over the terms of each column
+        done = np.zeros(len(products) + 1, dtype=np.int64)
+        np.cumsum(products, out=done[1:])
+        return np.diff(done[col_ptr])
+
     # a monomial of D^2 is psi_p (id p) or phi_p phi_q with p < q (id n + p*n + q);
-    # one key of a column is monomial id * dim + target basis index
+    # one key of columns g0..g1 - 1 is (g * width + monomial id) * dim + target
+    width = n + n * n
 
-    def first(g: int):
-        # D(g) = sum_a phi_a [x_a, g]: positions a, targets t1, coefficients c1
-        g = slice(col_ptr[g], col_ptr[g + 1])
-        return at_a[g], at_t[g], at_c[g]
-
-    def square(a, t1, c1):
-        # delta(phi_a) = psi_a, then phi_b phi_a [x_b, [x_a, g]] for b != a,
+    def square(g0: int, g1: int):
+        # D(g) = sum_a phi_a [x_a, g] over the columns g of the range, then
+        # delta(phi_a) = psi_a and phi_b phi_a [x_b, [x_a, g]] for b != a,
         # with the sign of sorting phi_b phi_a: +1 when b comes before a
+        g = slice(col_ptr[g0], col_ptr[g1])
+        a, t1, c1, gw = at_a[g], at_t[g], at_c[g], at_g[g] * width
         j, k = runs(col_ptr[t1], col_ptr[t1 + 1])
         b = at_a[k]
         keep = b != a[j]
@@ -246,7 +255,7 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
         aj = a[j]
         lo, hi = np.minimum(b, aj), np.maximum(b, aj)
         sign = np.where(b < aj, 1, -1)
-        keys = np.concatenate([a * dim + t1, (n + lo * n + hi) * dim + at_t[k]])
+        keys = np.concatenate([(gw + a) * dim + t1, (gw[j] + n + lo * n + hi) * dim + at_t[k]])
         vals = np.concatenate([c1, sign * c1[j] * at_c[k]])
         return sum_by_key(keys, vals)
 
@@ -254,42 +263,57 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     coords = [a.coords for a in roots]
     root_coords = np.array(coords, dtype=np.int64)
     pairings = root_coords @ np.array(rs.cartan, dtype=np.int64)
-    h_cols = [square(*first(k)) for k in range(rank)]
+    # products of the square of column g: its terms and their second application
+    cost = per_column(1 + col_ptr[at_t + 1] - col_ptr[at_t])
+    h_keys, h_vals = (
+        np.concatenate(x) for x in zip(*(square(*g) for g in blocks(cost[:rank])))
+    )
+    h_ptr = np.searchsorted(h_keys, np.arange(rank + 1) * width * dim)
     e_monos: list[np.ndarray] = []
     e_vals: list[np.ndarray] = []
     for alpha, ia, w in zip(roots, rank + index, pairings.tolist()):
         k = next(k for k in range(rank) if w[k] != 0)
         denom = -w[k]
-        keys, vals = h_cols[k]
+        h = slice(h_ptr[k], h_ptr[k + 1])
+        keys, vals = h_keys[h], h_vals[h]
         at = keys % dim == ia
         if (vals[at] % denom).any():
             raise CancellationFailure(
                 f"{rs.name} {half.value}: column h{k + 1} is not divisible "
                 f"by {denom} at class {alpha}"
             )
-        e_monos.append(keys[at] // dim)
+        e_monos.append(keys[at] // dim % width)
         e_vals.append(vals[at] // denom)
     e_lens = [len(v) for v in e_vals]
     e_ptr = np.concatenate([[0], np.cumsum(e_lens)])
     e_monos_flat = np.concatenate(e_monos)
     e_vals_flat = np.concatenate(e_vals)
+    del e_monos, e_vals
 
-    # the remainder check over every basis column:
-    # D^2(g) must equal sum_a E_a [x_a, g] term for term
-    for g in range(dim):
-        a, t1, c1 = first(g)
-        d2_keys, d2_vals = h_cols[g] if g < rank else square(a, t1, c1)
+    # the remainder check over every basis column, in ranges of columns:
+    # D^2(g) must equal sum_a E_a [x_a, g] term for term, and the first
+    # column that does not holds the first key where the two sums part
+    def remainder(g0: int, g1: int, d2_keys, d2_vals):
+        g = slice(col_ptr[g0], col_ptr[g1])
+        a, t1, c1, gw = at_a[g], at_t[g], at_c[g], at_g[g] * width
         term, pick = runs(e_ptr[a], e_ptr[a + 1])
         exp_keys, exp_vals = sum_by_key(
-            e_monos_flat[pick] * dim + t1[term], e_vals_flat[pick] * c1[term]
+            (gw[term] + e_monos_flat[pick]) * dim + t1[term], e_vals_flat[pick] * c1[term]
         )
-        if not (
-            np.array_equal(d2_keys, exp_keys) and np.array_equal(d2_vals, exp_vals)
-        ):
+        key = _first_apart(d2_keys, d2_vals, exp_keys, exp_vals)
+        if key is not None:
             raise CancellationFailure(
                 f"{rs.name} {half.value}: D^2 does not reduce to the "
-                f"obstruction action on column {g}"
+                f"obstruction action on column {key // dim // width}"
             )
+
+    # products of the remainder check of column g: its square and the expected sum
+    cost += per_column(np.diff(e_ptr)[at_a])
+    for g0, g1 in blocks(cost[:rank]):
+        h = slice(h_ptr[g0], h_ptr[g1])
+        remainder(g0, g1, h_keys[h], h_vals[h])
+    for g0, g1 in blocks(cost[rank:]):
+        remainder(rank + g0, rank + g1, *square(rank + g0, rank + g1))
 
     # independent route, from root coordinates and the sign table: psi_s plus
     # n_{p,q} phi_p phi_q for each pair p < q of the half whose coordinates,
@@ -322,9 +346,25 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
         c: FormalForm(
             {monomial(m): v for m, v in zip(monos.tolist(), vals.tolist())}
         )
-        for c, monos, vals in zip(coords, e_monos, e_vals)
+        for c, monos, vals in zip(
+            coords, np.split(e_monos_flat, e_ptr[1:-1]), np.split(e_vals_flat, e_ptr[1:-1])
+        )
     }
     return ObstructionSystem(constants, half, roots, obstructions)
+
+
+def _first_apart(keys, vals, other_keys, other_vals):
+    """The least key at which two sorted lists of distinct keys with values
+    differ, or None when they are equal: the lists agree up to the first
+    position where they part, and the lesser key there, or the next key of
+    the longer list, is the first one they do not share."""
+    m = min(len(keys), len(other_keys))
+    apart = np.flatnonzero((keys[:m] != other_keys[:m]) | (vals[:m] != other_vals[:m]))
+    if apart.size:
+        return min(keys[apart[0]], other_keys[apart[0]])
+    if len(keys) != len(other_keys):
+        return max(keys, other_keys, key=len)[m]
+    return None
 
 
 def check_bianchi(system: ObstructionSystem) -> VerificationReport:
@@ -334,8 +374,7 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
     With E_c = psi_c + Q_c that is psi_c -> -Q_c, so E_a = psi_a +
     sum n phi_p phi_q leaves sum n (phi_p Q_q - Q_p phi_q).  The terms are
     encoded once as arrays (class, p, q, n), p < q positions in system.roots;
-    class by class both sides are expanded by runs over the class pointers,
-    each triple signed by its sort, and summed by triple.  Only a class with a
+    _failing_classes expands and sums both sides.  Only a class with a
     nonzero sum has its residual rebuilt as a FormalForm, for the message.  A
     form with a term other than psi_a (coefficient 1) or phi_p phi_q fails by
     its shape.
@@ -356,26 +395,11 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
                 misshapen.add(a)
     cls, p, q, val = np.array(terms, dtype=object).reshape(-1, 4).T
     cls, p, q = np.array([cls, p, q], dtype=np.int64)
-    ptr = np.searchsorted(cls, np.arange(n + 1))
     # a class expands to at most 2 len(terms)**2 products of two
     # coefficients: int64 holds their sums when that bound fits
     if 2 * len(terms) ** 2 * max(map(abs, val), default=0) ** 2 < 2**63:
         val = val.astype(np.int64)
-    failing = set()
-    for a in range(n):
-        # n phi_p Q_q and -n Q_p phi_q = -n phi_q Q_p for each term of E_a;
-        # phi_x phi_y phi_z (y < z) is its sorted triple signed by the sort,
-        # and 0 when x repeats y or z
-        t = slice(ptr[a], ptr[a + 1])
-        x, right, v = np.r_[p[t], q[t]], np.r_[q[t], p[t]], np.r_[val[t], -val[t]]
-        j, k = runs(ptr[right], ptr[right + 1])
-        x, y, z = x[j], p[k], q[k]
-        vals = v[j] * val[k]
-        vals[(y < x) & (x < z)] *= -1
-        vals[(x == y) | (x == z)] = 0
-        lo, hi = np.minimum(x, y), np.maximum(x, z)
-        if sum_by_key((lo * n + x + y + z - lo - hi) * n + hi, vals)[0].size:
-            failing.add(a)
+    failing = _failing_classes(n, cls, p, q, val)
 
     rep = VerificationReport(
         name=f"bianchi-{system.system.name}-{system.half.value}", checked=n
@@ -389,6 +413,33 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
             resid = form.differential().substitute_psi(mapping)
             rep.violations.append(f"class {alpha}: residual {form_text(resid)}")
     return rep
+
+
+def _failing_classes(n: int, cls, p, q, val) -> set[int]:
+    """The classes a whose closure sum does not vanish, from the terms
+    (cls, p, q, val) of every E_a sorted by class: n phi_p Q_q and
+    -n Q_p phi_q = -n phi_q Q_p for each term of E_a, where phi_x phi_y phi_z
+    (y < z) is its sorted triple signed by the sort, and 0 when x repeats y
+    or z.  Both sides are expanded by runs over the class pointers and summed
+    by (class, triple), in consecutive ranges of classes of at most
+    _PRODUCT_BUDGET products each unless one class has more."""
+    ptr = np.searchsorted(cls, np.arange(n + 1))
+    # products of class a: each term's partner terms, both ways round
+    per_term = np.cumsum(ptr[p + 1] - ptr[p] + ptr[q + 1] - ptr[q])
+    done = np.concatenate(([0], per_term))[ptr]
+    failing = set()
+    for a0, a1 in blocks(np.diff(done)):
+        t = slice(ptr[a0], ptr[a1])
+        x, right, v = np.r_[p[t], q[t]], np.r_[q[t], p[t]], np.r_[val[t], -val[t]]
+        j, k = runs(ptr[right], ptr[right + 1])
+        a, x, y, z = np.r_[cls[t], cls[t]][j], x[j], p[k], q[k]
+        vals = v[j] * val[k]
+        vals[(y < x) & (x < z)] *= -1
+        vals[(x == y) | (x == z)] = 0
+        lo, hi = np.minimum(x, y), np.maximum(x, z)
+        keys, _ = sum_by_key(((a * n + lo) * n + x + y + z - lo - hi) * n + hi, vals)
+        failing.update((keys // n ** 3).tolist())
+    return failing
 
 
 @dataclass(frozen=True)

@@ -209,10 +209,8 @@ class RootSystem:
             raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
         if v.basis is Basis.FUNDAMENTAL_WEIGHT:
             return v
-        coords = tuple(
-            sum(v.coords[k] * self.cartan[k][i] for k in range(self.rank))
-            for i in range(self.rank)
-        )
+        # the Cartan matrix is symmetric: its rows are its columns
+        coords = tuple(sum(map(mul, v.coords, row)) for row in self.cartan)
         return LatticeVector(coords, Basis.FUNDAMENTAL_WEIGHT)
 
     def root_coords_exact(self, v: LatticeVector) -> tuple[Fraction, ...]:
@@ -252,6 +250,13 @@ class RootSystem:
         rv = self.root_coords_exact(v)
         s = sum((a * b for a, b in zip(rv, w.coords)), Fraction(0))
         return int(s) if s.denominator == 1 else s
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """0-based Dynkin neighbours of each node: the -1 entries of its row."""
+        return tuple(
+            tuple(j for j, c in enumerate(row) if c == -1) for row in self.cartan
+        )
 
     @cached_property
     def _positive_steps(self) -> tuple[tuple[int, int], ...]:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -17,6 +19,8 @@ from adelie.chevalley import (
     bracket,
     build_constants,
     dump_constants,
+    runs,
+    sum_by_key,
     _constants_cached,
     verify_chevalley,
 )
@@ -402,3 +406,112 @@ def test_gate_payload_is_pinned(capsys, command, name):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GATE_PAYLOAD_SHA256[command, name]
+
+
+def _per_lo_first_failure(c):
+    # the Jacobi sweep one smallest index lo at a time, each step expanding
+    # the products of the triples (lo, mid, hi) alone: the oracle for the
+    # blocked sweep, which must return the same first failing triple
+    row, col, tgt, val = c.bracket_terms()
+    dim = len(c.bracket_table[0])
+    col_key = col * dim + row
+    by_col = np.argsort(col_key, kind="stable")
+    upper = np.flatnonzero(row < col)
+    tgt_key = tgt[upper] * dim + row[upper]
+    by_tgt = upper[np.argsort(tgt_key, kind="stable")]
+    col_key, tgt_key = col_key[by_col], np.sort(tgt_key)
+    row_ptr = np.searchsorted(row, np.arange(dim + 1))
+
+    def run(cells, order, keys, first, last):
+        n, k = runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
+        return cells[n], order[k]
+
+    for lo in range(dim - 2):
+        base = np.int64(lo * dim)
+        cells = np.arange(row_ptr[lo], row_ptr[lo + 1])
+        t = col[cells] * dim
+        a, b = run(cells, by_tgt, tgt_key, t + lo + 1, t + dim)
+        parts = [(row[b], col[b], a, b)]
+        right = cells[col[cells] > lo]
+        t = tgt[right] * dim
+        a, b = run(right, by_col, col_key, t + col[right] + 1, t + dim)
+        parts.append((col[a], row[b], b, a))
+        left = by_col[slice(*np.searchsorted(col_key, [base + lo + 1, base + dim]))]
+        t = tgt[left] * dim
+        a, b = run(left, by_col, col_key, t + lo + 1, t + row[left])
+        parts.append((row[b], row[a], b, a))
+        keys, _ = sum_by_key(
+            np.concatenate([((base + j) * dim + k) * dim + tgt[o] for j, k, o, _ in parts]),
+            np.concatenate([val[o].astype(np.int64) * val[i] for _, _, o, i in parts]),
+        )
+        if keys.size:
+            return (lo, *divmod(int(keys[0]) // dim % (dim * dim), dim))
+    return None
+
+
+# the budget of one product puts every lo in a block of its own; the other
+# puts the whole sweep in one block
+BUDGETS = [1, 2 ** 40]
+
+
+def _gate(c, sweep, monkeypatch):
+    # violations and checked of a fresh copy of c, its Jacobi sweep replaced
+    with monkeypatch.context() as m:
+        m.setattr(chevalley, "_jacobi_first_failure", sweep)
+        rep = verify_chevalley(dataclasses.replace(c))
+    return rep.violations, rep.checked
+
+
+def _flips(c, cells):
+    # each cell negated on one side, and each pair of cells mirrored once:
+    # the mirrored flips of (a, b) and (b, a) are the same table
+    index = c.system.root_order_index
+    return [c.flip(a, b, one_sided=True) for a, b in cells] + [
+        c.flip(a, b) for a, b in cells if index(a) < index(b)
+    ]
+
+
+def _assert_blocked_sweep_matches(flips, monkeypatch):
+    sweep = chevalley._jacobi_first_failure
+    for bad in flips:
+        expected = _gate(bad, _per_lo_first_failure, monkeypatch)
+        assert any(v.startswith("jacobi") for v in expected[0])
+        for budget in BUDGETS:
+            monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+            assert _gate(bad, sweep, monkeypatch) == expected
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_blocked_sweep_matches_the_per_lo_sweep_on_every_flip(name, monkeypatch):
+    c = build_constants(build(name))
+    cells = [(a, b) for a, b, _ in c.nonzero_entries()]
+    _assert_blocked_sweep_matches(_flips(c, cells), monkeypatch)
+
+
+def test_blocked_sweep_matches_the_per_lo_sweep_on_e8_cells(monkeypatch):
+    c = build_constants(build("E8"))
+    cells = random.Random(8).sample([(a, b) for a, b, _ in c.nonzero_entries()], 12)
+    _assert_blocked_sweep_matches(_flips(c, cells), monkeypatch)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_blocked_sweep_on_clean_tables(budget, monkeypatch):
+    monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+    for name in ("A1", "A3", "D4", "E6"):
+        c = build_constants(build(name))
+        assert chevalley._jacobi_first_failure(c) is None
+        assert _per_lo_first_failure(c) is None
+
+
+def test_e8_sweep_memory_is_bounded():
+    # the sweep's peak is about 1.5 MB (numpy 2.4); the whole sweep in one
+    # block would take about 20 MB
+    c = build_constants(build("E8"))
+    c.bracket_terms()
+    tracemalloc.start()
+    try:
+        assert chevalley._jacobi_first_failure(c) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20

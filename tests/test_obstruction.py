@@ -3,12 +3,13 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from adelie import build, root_vector
-from adelie.chevalley import build_constants, verify_chevalley
+from adelie import build, chevalley, obstruction, root_vector
+from adelie.chevalley import build_constants, runs, sum_by_key, verify_chevalley
 from adelie.cli import main
 from adelie.errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from adelie.obstruction import (
@@ -23,7 +24,7 @@ from adelie.obstruction import (
     half_roots,
     system_text,
 )
-from test_chevalley import _reference_first_failure
+from test_chevalley import BUDGETS, _reference_first_failure
 
 
 def phi(*c):
@@ -224,7 +225,7 @@ def test_closed_formula_disagrees_with_a_flipped_sign_table():
     )
 
 
-def test_bianchi_blind_spot_is_covered_by_table_checks():
+def test_bianchi_blind_spot_is_covered_by_table_checks(monkeypatch):
     # a consistent sign flip leaves every rank-two Bianchi residual at zero,
     # so detection must also run the bracket verification, which catches it
     c = build_constants(build("A2"))
@@ -240,7 +241,7 @@ def test_bianchi_blind_spot_is_covered_by_table_checks():
                     FormalForm.phi(b.coords) * FormalForm.phi(g.coords)
                 ).scale(bad.n(b, g))
     forged = ObstructionSystem(bad, Half.POSITIVE, roots, closed)
-    assert check_bianchi(forged).ok  # the blind spot
+    assert _bianchi_violations(forged, monkeypatch) == []  # the blind spot
     assert not verify_chevalley(bad).ok  # the covering check
 
 
@@ -261,7 +262,7 @@ BIANCHI_ORACLE_CASES = [
 
 
 @pytest.mark.parametrize("name,half", BIANCHI_ORACLE_CASES)
-def test_bianchi_matches_the_formal_residual_on_corruptions(name, half):
+def test_bianchi_matches_the_formal_residual_on_corruptions(name, half, monkeypatch):
     # 26 seeded corruptions per case, 312 in all: each negates, doubles or
     # drops one phi phi coefficient of one form, and every other one also
     # lists the roots out of the canonical order
@@ -288,14 +289,14 @@ def test_bianchi_matches_the_formal_residual_on_corruptions(name, half):
             obstructions={**system.obstructions, c: FormalForm(terms)},
         )
         expected = _formal_bianchi(forged)
-        assert check_bianchi(forged).violations == expected, (c, mono, scale)
+        assert _bianchi_violations(forged, monkeypatch) == expected, (c, mono, scale)
         flagged += bool(expected)
     # in A2 only the highest root has phi phi terms, and its two factors are
     # simple roots, whose forms are psi alone: every A2 residual vanishes
     assert (flagged > 0) == (name != "A2")
 
 
-def test_bianchi_stays_exact_past_int64():
+def test_bianchi_stays_exact_past_int64(monkeypatch):
     # one negated coefficient, then every phi phi coefficient times 2**32:
     # the residual's coefficient is -2 * 2**64, which int64 would wrap to 0
     system = build_system(build_constants(build("A3")), Half.POSITIVE)
@@ -305,13 +306,13 @@ def test_bianchi_stays_exact_past_int64():
     for c, form in forms.items():
         forms[c] = FormalForm({m: v * 2**32 if m[0] else v for m, v in form.terms.items()})
     forged = dataclasses.replace(system, obstructions=forms)
-    assert check_bianchi(forged).violations == _formal_bianchi(forged) == [
+    assert _bianchi_violations(forged, monkeypatch) == _formal_bianchi(forged) == [
         "class {1,1,1|root}: residual "
         f"{-2 * 2**64}*phi[0,0,1]phi[0,1,0]phi[1,0,0]"
     ]
 
 
-def test_bianchi_reports_a_form_of_another_shape():
+def test_bianchi_reports_a_form_of_another_shape(monkeypatch):
     system = build_system(build_constants(build("A2")), Half.POSITIVE)
     forms = system.obstructions
     # a lone phi, another class's psi, psi_a twice or not at all, a cubic term
@@ -320,9 +321,8 @@ def test_bianchi_reports_a_form_of_another_shape():
         forged = dataclasses.replace(
             system, obstructions={**forms, (1, 1): forms[(1, 1)] + extra}
         )
-        rep = check_bianchi(forged)
-        assert rep.checked == 3
-        assert rep.violations == [
+        assert check_bianchi(forged).checked == 3
+        assert _bianchi_violations(forged, monkeypatch) == [
             f"class {{1,1|root}}: {form_text(forms[(1, 1)] + extra)} is not psi + phi phi"
         ]
 
@@ -407,3 +407,175 @@ def test_a_term_in_an_empty_cell_reaches_both_readers(name, a, b, positive):
     assert build_system(bad, Half.NEGATIVE).obstructions == build_system(
         c, Half.NEGATIVE
     ).obstructions
+
+
+def _columnwise_cancellation(constants, half):
+    # build_system's extraction of E_a and its remainder check, one basis
+    # column at a time as they ran before the blocked kernel: the oracle for
+    # the CancellationFailure message, or None when both stages pass
+    rs = constants.system
+    rank = rs.rank
+    roots = half_roots(rs, half)
+    n = len(roots)
+    index = np.array([rs.root_order_index(a) for a in roots])
+    row, col, tgt, val = constants.bracket_terms()
+    dim = len(constants.bracket_table[0])
+    position = np.full(dim, -1)
+    position[rank + index] = np.arange(n)
+    keep = np.flatnonzero(position[row] >= 0)
+    keep = keep[np.argsort(col[keep], kind="stable")]
+    at_a, at_t, at_c = position[row[keep]], tgt[keep], val[keep].astype(np.int64)
+    col_ptr = np.searchsorted(col[keep], np.arange(dim + 1))
+
+    def first(g):
+        g = slice(col_ptr[g], col_ptr[g + 1])
+        return at_a[g], at_t[g], at_c[g]
+
+    def square(a, t1, c1):
+        j, k = runs(col_ptr[t1], col_ptr[t1 + 1])
+        b = at_a[k]
+        keep = b != a[j]
+        b, j, k = b[keep], j[keep], k[keep]
+        aj = a[j]
+        lo, hi = np.minimum(b, aj), np.maximum(b, aj)
+        sign = np.where(b < aj, 1, -1)
+        keys = np.concatenate([a * dim + t1, (n + lo * n + hi) * dim + at_t[k]])
+        vals = np.concatenate([c1, sign * c1[j] * at_c[k]])
+        return sum_by_key(keys, vals)
+
+    weights = np.array([a.coords for a in roots]) @ np.array(rs.cartan)
+    h_cols = [square(*first(k)) for k in range(rank)]
+    e_monos, e_vals = [], []
+    for alpha, ia, w in zip(roots, rank + index, weights.tolist()):
+        k = next(k for k in range(rank) if w[k] != 0)
+        keys, vals = h_cols[k]
+        at = keys % dim == ia
+        if (vals[at] % -w[k]).any():
+            return (f"{rs.name} {half.value}: column h{k + 1} is not divisible "
+                    f"by {-w[k]} at class {alpha}")
+        e_monos.append(keys[at] // dim)
+        e_vals.append(vals[at] // -w[k])
+    e_ptr = np.concatenate([[0], np.cumsum([len(v) for v in e_vals])])
+    e_monos, e_vals = np.concatenate(e_monos), np.concatenate(e_vals)
+    for g in range(dim):
+        a, t1, c1 = first(g)
+        d2 = h_cols[g] if g < rank else square(a, t1, c1)
+        term, pick = runs(e_ptr[a], e_ptr[a + 1])
+        expected = sum_by_key(e_monos[pick] * dim + t1[term], e_vals[pick] * c1[term])
+        if not all(map(np.array_equal, d2, expected)):
+            return (f"{rs.name} {half.value}: D^2 does not reduce to the "
+                    f"obstruction action on column {g}")
+    return None
+
+
+def _cancellation(constants, half):
+    try:
+        build_system(constants, half)
+    except CancellationFailure as exc:
+        return str(exc)
+    except ConstructionFailure:  # the closed-formula check, after both stages
+        pass
+    return None
+
+
+def _forged_constants():
+    # the forged tables of the tests above, then every single-cell flip of A3
+    a2 = build_constants(build("A2"))
+    rs = a2.system
+    a1, a2_ = rs.simple_roots
+    closed = a2.flip(a1, a2_)
+    closed.__dict__["bracket_table"] = a2.bracket_table
+    forged = [
+        a2.flip(a1, a2_),
+        a2.flip(a1, a2_, one_sided=True),
+        closed,
+        _with_bracket_cell(a2, _x(rs, 1, 0), 0, lambda v: np.r_[-3, v[1:]]),
+        _with_bracket_cell(a2, _x(rs, 1, 1), _x(rs, 0, -1), lambda v: -v),
+    ]
+    for name, a, b in [
+        ("A2", (1, 0), (1, 1)), ("A2", (0, 1), (0, 1)),
+        ("A3", (1, 0, 0), (1, 1, 0)), ("A3", (0, 1, 1), (1, 1, 1)),
+    ]:
+        c = build_constants(build(name))
+        i, j = _x(c.system, *a), _x(c.system, *b)
+        forged.append(_with_bracket_cell(c, i, j, lambda v: np.r_[1, v[1:]]))
+    a3 = build_constants(build("A3"))
+    forged += [
+        a3.flip(a, b, one_sided=one) for a, b, _ in a3.nonzero_entries() for one in (False, True)
+    ]
+    return forged
+
+
+@pytest.mark.parametrize("half", list(Half))
+def test_blocked_remainder_check_matches_the_per_column_check(half, monkeypatch):
+    failures = 0
+    for bad in _forged_constants():
+        expected = _columnwise_cancellation(bad, half)
+        failures += expected is not None
+        for budget in BUDGETS:
+            monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+            assert _cancellation(bad, half) == expected
+    assert failures > 10
+
+
+def _per_class_failing(n, cls, p, q, val):
+    # the Bianchi closure one class at a time, as it ran before the blocked
+    # kernel: the oracle for the failing classes
+    ptr = np.searchsorted(cls, np.arange(n + 1))
+    failing = set()
+    for a in range(n):
+        t = slice(ptr[a], ptr[a + 1])
+        x, right, v = np.r_[p[t], q[t]], np.r_[q[t], p[t]], np.r_[val[t], -val[t]]
+        j, k = runs(ptr[right], ptr[right + 1])
+        x, y, z = x[j], p[k], q[k]
+        vals = v[j] * val[k]
+        vals[(y < x) & (x < z)] *= -1
+        vals[(x == y) | (x == z)] = 0
+        lo, hi = np.minimum(x, y), np.maximum(x, z)
+        if sum_by_key((lo * n + x + y + z - lo - hi) * n + hi, vals)[0].size:
+            failing.add(a)
+    return failing
+
+
+def _bianchi_violations(system, monkeypatch):
+    # check_bianchi's violations, the same under both budgets and with the
+    # per-class kernel
+    with monkeypatch.context() as m:
+        m.setattr(obstruction, "_failing_classes", _per_class_failing)
+        expected = check_bianchi(system).violations
+    for budget in BUDGETS:
+        with monkeypatch.context() as m:
+            m.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+            assert check_bianchi(system).violations == expected
+    return expected
+
+
+def test_e8_build_system_memory_is_bounded():
+    # one E8 half peaks at about 1.2 MB (numpy 2.4); the whole remainder
+    # check in one block would take about 24 MB
+    c = build_constants(build("E8"))
+    c.bracket_terms()
+    tracemalloc.start()
+    try:
+        build_system(c, Half.POSITIVE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("other,apart", [
+    (([1, 5, 9], [2, 2, 2]), None),
+    (([1, 5, 9], [2, 3, 2]), 5),
+    (([1, 6, 9], [2, 2, 2]), 5),
+    (([1, 5], [2, 2]), 9),
+    (([1, 5, 9, 11], [2, 2, 2, 1]), 11),
+    (([], []), 1),
+])
+def test_first_apart_names_the_least_key_the_sums_do_not_share(other, apart):
+    # the remainder check names the column of this key; a sum that is the
+    # other's prefix parts at the longer one's next key
+    keys, vals = np.array([1, 5, 9]), np.array([2, 2, 2])
+    other_keys, other_vals = map(np.array, other)
+    assert obstruction._first_apart(keys, vals, other_keys, other_vals) == apart
+    assert obstruction._first_apart(other_keys, other_vals, keys, vals) == apart
