@@ -101,12 +101,9 @@ class ChevalleyConstants:
         coeffs[:r, r:, 0] = weights.T
         targets[r:, :r, 0] = x[:, None]
         coeffs[r:, :r, 0] = -weights
-        # filled in place: no temporary as large as sum_index
-        invalid = self.sum_index >= n_roots
-        targets[r:, r:, 0] = self.sum_index
-        targets[r:, r:, 0] += r
-        targets[r:, r:, 0][invalid] = 0
-        coeffs[r:, r:, 0] = np.where(invalid, 0, self.sign_table)
+        valid = self.sum_index < n_roots
+        targets[r:, r:, 0] = np.where(valid, r + self.sum_index, 0)
+        coeffs[r:, r:, 0] = np.where(valid, self.sign_table, 0)
         targets[x, r + self.negation] = np.arange(r)
         coeffs[x, r + self.negation] = coords
         return targets, coeffs
