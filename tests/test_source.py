@@ -82,3 +82,20 @@ def test_no_fraction_inverse(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     }
     assert "fraction_inverse" not in names, path.name
+
+
+# det(C) and adj(C) stay behind roots.RootSystem: every other module reaches
+# the root basis through to_root_basis or root_coords_exact
+ADJUGATE_ATTRIBUTES = {"_det", "_adjugate", "_root_numerators"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "roots.py"], ids=lambda p: p.name
+)
+def test_adjugate_read_only_in_roots(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ADJUGATE_ATTRIBUTES
+    ]
+    assert lines == [], f"{path.name}: adjugate attributes on lines {lines}"

@@ -1,6 +1,7 @@
 """Root-divisor dictionary, -2 class enumeration, and the descent oracle."""
 
 import hashlib
+import json
 from itertools import product
 from types import SimpleNamespace
 
@@ -126,6 +127,18 @@ def test_minus_two_classes_sorted():
     ]
 
 
+def test_minus_two_classes_read_the_lattice_form():
+    # A2 roots on the A1 x A1 form: the enumeration and the square both read
+    # the lattice, so (1, 1), which squares to -4 there, is neither a class
+    # nor a divisor
+    lat = ResolutionLattice(build("A2"), ((-2, 0), (0, -2)))
+    assert [c.coeffs for c in minus_two_classes(lat)] == [
+        (-1, 0), (0, -1), (0, 1), (1, 0),
+    ]
+    with pytest.raises(ConstructionFailure, match="does not square to -2"):
+        root_to_divisor(lat, root_vector(1, 1))
+
+
 def test_restriction_degrees_negate_flag_degrees():
     for name in ["A2", "A3", "D4"]:
         rs = build(name)
@@ -195,41 +208,41 @@ def test_verify_surface_reports_indefinite_form():
     assert "definite" in rep.violations[0]
 
 
-def test_root_to_divisor_invariants_raise(monkeypatch):
-    rs = build("A2")
-    lat = resolution_lattice(rs)
-    # det(C) times the identity as "adjugate" returns the weight coordinates,
-    # not the root ones
-    monkeypatch.setattr(rs, "_adjugate", [(3, 0), (0, 3)])
-    with pytest.raises(ConstructionFailure, match=r"root \{1,0\|root\}"):
-        root_to_divisor(lat, root_vector(1, 0))
-
-
-# SHA-256 of the exact `--format json` stdout, recorded from the per-call
-# coordinate route (Fraction inverse, rank x rank pairings) that the integer
-# tables replaced.
+# (checked, SHA-256 of the exact `--format json` stdout less its checked
+# field).  The digests were recorded from the suite that also compared two
+# products of the Cartan matrix root by root, so dropping those comparisons
+# moved checked alone: one fact per minor, the class match and one descent
+# per root.  The --root payloads carry no checked field.
 SURFACE_PAYLOAD_SHA256 = {
-    ("surface", "E6"): "4d36e52010e8bafc2a54619b19e72c0d7f47fec5a59d31ac8fdf6bae5f6fd0b2",
-    ("surface", "E7"): "98439e300a5ad44479f574c48f18c6e75a9ce99126b00a09275bab0d8bfefe3d",
-    ("surface", "E8"): "19f9c709b1082f0f879142b5664a1d48003f372535fa232ee0283f261f15f59d",
-    ("verify", "A8", "surface"): "ec3b4d21d76135b839624c8462c2b2bc928be25e5be4fe155b584fb1f2a4a7a1",
-    ("verify", "D8", "surface"): "c7d1a44d6e71fc563e94347f6e211d9fdcc94e88658c7fe054d34857fab18fa5",
-    ("verify", "E6", "surface"): "58050fbaf5beadfddbc9b51b8b996adc498f4410c2bfcbfeee20f42c0c0552a7",
-    ("verify", "E7", "surface"): "ef010f67c16f2d08e16c2f62778b58157d43e0fd923999158e8ede2cdfcd3c31",
-    ("verify", "E8", "surface"): "b56423820430d9d78bb34c85cd78e2545d3e10a93fff41d8b1f3ab4bfeeed256",
+    ("surface", "E6"): (79, "46decd757023a9bfa85570e6a363d46dc0b09ebd737586e358fbd4919cbf2433"),
+    ("surface", "E7"): (134, "b92686410ea06e012ab0c85cedc0ed5024ff4529a84f6c8ae39db592083964b9"),
+    ("surface", "E8"): (249, "04803c18ed798c25c338eaca1a9ab220735d8dff0483a8117ad96d17d2cf76fe"),
+    ("verify", "A8", "surface"):
+        (81, "73cc1696ffab850a4bfee092d09281df692b3e5784a3037b50afeeae2281ae79"),
+    ("verify", "D8", "surface"):
+        (121, "110b063c166c76c6959056564cf7c5f4aaae8c5de62d0e6100beebb2a19849f0"),
+    ("verify", "E6", "surface"):
+        (79, "7f08034fc2b6637e86b8f3940b9b55dbb8ce495cc014629ebebf2a427e8a0ec7"),
+    ("verify", "E7", "surface"):
+        (134, "6cfd3fc3cf9e098ffc7fe4302603b8b61ce47f0c7c65636f05f46946d6bef3d4"),
+    ("verify", "E8", "surface"):
+        (249, "590693e0ff0bb8cd3c4b31c70fad46bd1b2af51eca4786367bdc10f8677e9613"),
     ("surface", "E8", "--root", "2", "3", "4", "6", "5", "4", "3", "2"):
-        "7ae8613596afc0c3787aeecde717970b9de11fc3862963124d1fe531ba37c250",
+        (None, "7ae8613596afc0c3787aeecde717970b9de11fc3862963124d1fe531ba37c250"),
     ("surface", "E8", "--root", "-2", "-3", "-4", "-6", "-5", "-4", "-3", "-2"):
-        "07926c98938b55f852e7957e993f86e398ce6b5ac68e0a834ea1575763e5c602",
+        (None, "07926c98938b55f852e7957e993f86e398ce6b5ac68e0a834ea1575763e5c602"),
 }
 
 
 @pytest.mark.parametrize("argv", sorted(SURFACE_PAYLOAD_SHA256), ids=" ".join)
 def test_surface_payload_is_pinned(capsys, argv):
+    checked, digest = SURFACE_PAYLOAD_SHA256[argv]
     assert main([*argv, "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == SURFACE_PAYLOAD_SHA256[argv]
+    assert json.loads(out).get("checked") == checked
+    rest = out.replace(f'"checked": {checked}, ', "", 1)
+    assert hashlib.sha256(rest.encode()).hexdigest() == digest
 
 
 def test_pinned_roots_are_the_highest_root_and_its_negation():
