@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import log10
+
+from .errors import NotPositiveDefinite
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -50,22 +51,22 @@ def int_adjugate(m: Matrix) -> tuple[tuple[int, ...], Matrix | None]:
     return tuple(minors), tuple(tuple(row[n:]) for row in a)
 
 
-def ldl_decomposition(
-    m: Matrix,
-) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[Fraction, ...]]:
+def ldl_decomposition(m: Matrix) -> tuple[tuple[tuple, ...], tuple]:
     """Exact LDL^T factorisation of a symmetric positive-definite integer matrix.
 
-    Returns (L, diag) with L unit lower triangular.  Raises ValueError if a
-    pivot fails to be positive, which certifies the matrix is not positive
-    definite.
+    Returns (L, diag) of Fractions with L unit lower triangular.  Raises
+    NotPositiveDefinite if a pivot fails to be positive, which certifies the
+    matrix is not positive definite.
     """
+    from fractions import Fraction  # here, so that integer commands start without it
+
     n = len(m)
     lower = [[Fraction(0)] * n for _ in range(n)]
     diag = [Fraction(0)] * n
     for i in range(n):
         s = Fraction(m[i][i]) - sum(lower[i][k] ** 2 * diag[k] for k in range(i))
         if s <= 0:
-            raise ValueError("matrix is not positive definite")
+            raise NotPositiveDefinite("matrix is not positive definite")
         diag[i] = s
         lower[i][i] = Fraction(1)
         for j in range(i + 1, n):

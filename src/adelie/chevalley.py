@@ -21,7 +21,7 @@ ConstructionFailure at table-build time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -477,7 +477,7 @@ def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:
     per instance, and a caller's edit of the copy does not reach the next
     call."""
     rep = c.report
-    return replace(rep, violations=list(rep.violations), details=dict(rep.details))
+    return VerificationReport(rep.name, rep.checked, list(rep.violations), dict(rep.details))
 
 
 def dump_constants(c: ChevalleyConstants) -> str:

@@ -23,15 +23,21 @@ negated simple root in height-many steps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate, product
 from math import comb, prod
 from operator import add, mul
+from typing import NamedTuple
 
 from ._exact import digits_past_limit, int_text
-from .errors import BudgetExceeded, ConstructionFailure, NegativeDegree, NotARootClass
+from .errors import (
+    BudgetExceeded,
+    ConstructionFailure,
+    NegativeDegree,
+    NotARootClass,
+    NotInRootLattice,
+)
 from .flag import dominant_conjugate
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build, root_vector, weight_vector
@@ -43,9 +49,10 @@ _POINT_BUDGET = 2 * 10 ** 4
 def dominance_leq(rs: RootSystem, mu: LatticeVector, nu: LatticeVector) -> bool:
     """True when nu - mu is a non-negative integer combination of simple roots."""
     diff = rs.to_weight_basis(nu) - rs.to_weight_basis(mu)
-    return all(
-        f.denominator == 1 and f >= 0 for f in rs.root_coords_exact(diff)
-    )
+    try:
+        return all(x >= 0 for x in rs.to_root_basis(diff).coords)
+    except NotInRootLattice:
+        return False
 
 
 def lambda_plus(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
@@ -105,8 +112,7 @@ def _least_action(rs: RootSystem, lam: LatticeVector):
             w[j] += k * v
 
 
-@dataclass(frozen=True)
-class ChtReport:
+class ChtReport(NamedTuple):
     """Chain-height data for one weight.
 
     value is the edge count of the longest dominance chain of dominant weights
@@ -207,8 +213,7 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     return _cht_cached(rs.kind, rs.rank, rs.to_weight_basis(lam).coords)
 
 
-@dataclass(frozen=True)
-class CotangentVerdict:
+class CotangentVerdict(NamedTuple):
     """Vanishing verdict for the cotangent-twisted cohomology of one weight.
 
     Cohomology can survive only in degrees up to vanishing_above; h2_vanish

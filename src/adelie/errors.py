@@ -13,6 +13,22 @@ class BasisMismatch(AdelieError):
     """Two lattice vectors disagree on rank or were combined across bases."""
 
 
+class NonIntegerCoordinate(AdelieError, TypeError):
+    """Lattice coordinate that is not an integer (a float, Fraction or str)."""
+
+
+class ImmutableVector(AdelieError, AttributeError):
+    """Attempt to change or delete a coordinate or the basis of a lattice vector."""
+
+
+class MixedSigns(AdelieError, ValueError):
+    """Vector with both positive and negative simple-root coordinates."""
+
+
+class NotPositiveDefinite(AdelieError, ValueError):
+    """Symmetric form with a non-positive pivot in its LDL factorisation."""
+
+
 class NotInRootLattice(AdelieError):
     """Weight-basis vector has no integral simple-root expansion."""
 
@@ -29,8 +45,8 @@ class NotDominant(AdelieError):
     """Operation requires a dominant weight."""
 
 
-class IndexOutOfRange(AdelieError):
-    """Simple-root index outside 1..rank."""
+class IndexOutOfRange(AdelieError, IndexError):
+    """Simple-root or curve index outside its range."""
 
 
 class NegativeDegree(AdelieError):

@@ -11,8 +11,8 @@ dimension comes from the Weyl product formula, evaluated in exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .errors import ConstructionFailure, IndexOutOfRange, NotDominant
 from .report import VerificationReport
@@ -22,8 +22,7 @@ ALL_VANISH = "AllVanish"
 CONCENTRATED = "Concentrated"
 
 
-@dataclass(frozen=True)
-class CohomologyVerdict:
+class CohomologyVerdict(NamedTuple):
     """Outcome of the cohomology computation for one line bundle.
 
     status is AllVanish or Concentrated.  In the concentrated case, degree is

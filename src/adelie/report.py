@@ -3,8 +3,7 @@ the names of the verification suites."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .roots import LatticeVector
 
@@ -12,7 +11,6 @@ from .roots import LatticeVector
 SUITES = ("chevalley", "bwb", "index", "cht", "descent", "surface", "obstruction")
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verification sweep.
 
@@ -20,10 +18,17 @@ class VerificationReport:
     per failed fact.  An empty violation list means the sweep passed.
     """
 
-    name: str
-    checked: int = 0
-    violations: list[Any] = field(default_factory=list)
-    details: dict[str, Any] = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        checked: int = 0,
+        violations: list[Any] | None = None,
+        details: dict[str, Any] | None = None,
+    ) -> None:
+        self.name = name
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.details = {} if details is None else details
 
     @property
     def ok(self) -> bool:
@@ -44,8 +49,7 @@ class VerificationReport:
         return out
 
 
-@dataclass(frozen=True)
-class H2VanishVerdict:
+class H2VanishVerdict(NamedTuple):
     """One oracle answer: whether H^2 vanishes for the given root class."""
 
     root: LatticeVector

@@ -9,11 +9,9 @@ computed by integer dot products and stays exact at any rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import index, mul
 import re
 
 from ._exact import int_adjugate, int_text
@@ -22,6 +20,10 @@ from .errors import (
     ConstructionFailure,
     DependentRoots,
     IllegalType,
+    ImmutableVector,
+    IndexOutOfRange,
+    MixedSigns,
+    NonIntegerCoordinate,
     NotInRootLattice,
 )
 
@@ -36,15 +38,40 @@ class Basis(Enum):
     FUNDAMENTAL_WEIGHT = "weight"
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # LatticeVector's own __setattr__ refuses every write
+
+
 class LatticeVector:
-    """Integer coordinate vector tagged with the basis it is written in."""
+    """Immutable integer coordinate vector tagged with the basis it is written in.
 
-    coords: tuple[int, ...]
-    basis: Basis
+    Coordinates are read through operator.index, so numpy integers convert
+    exactly and a float, Fraction or str raises NonIntegerCoordinate.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    __slots__ = ("coords", "basis")
+
+    def __init__(self, coords, basis: Basis) -> None:
+        try:
+            _set(self, "coords", tuple(map(index, coords)))
+        except TypeError:
+            raise NonIntegerCoordinate(f"coordinates {coords!r} are not integers") from None
+        _set(self, "basis", basis)
+
+    def __setattr__(self, name, value=None):
+        raise ImmutableVector(f"cannot change {name} of a LatticeVector")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return LatticeVector, (self.coords, self.basis)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords and self.basis is other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.coords, self.basis))
 
     @property
     def rank(self) -> int:
@@ -213,8 +240,10 @@ class RootSystem:
         coords = tuple(sum(map(mul, v.coords, row)) for row in self.cartan)
         return LatticeVector(coords, Basis.FUNDAMENTAL_WEIGHT)
 
-    def root_coords_exact(self, v: LatticeVector) -> tuple[Fraction, ...]:
-        """Simple-root coordinates as exact rationals (weights may be fractional)."""
+    def root_coords_exact(self, v: LatticeVector) -> tuple:
+        """Simple-root coordinates as exact Fractions (weights may be fractional)."""
+        from fractions import Fraction  # here, so that integer commands start without it
+
         return tuple(Fraction(x, self._det) for x in self._root_numerators(v))
 
     def _root_numerators(self, v: LatticeVector) -> list[int]:
@@ -247,9 +276,12 @@ class RootSystem:
             v, w = w, v
         if v.basis is Basis.SIMPLE_ROOT:
             return sum(map(mul, v.coords, self.to_weight_basis(w).coords))
-        rv = self.root_coords_exact(v)
-        s = sum((a * b for a, b in zip(rv, w.coords)), Fraction(0))
-        return int(s) if s.denominator == 1 else s
+        num = sum(map(mul, self._root_numerators(v), w.coords))
+        if num % self._det == 0:
+            return num // self._det
+        from fractions import Fraction  # only two fractional weights reach here
+
+        return Fraction(num, self._det)
 
     @cached_property
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
@@ -327,7 +359,7 @@ class RootSystem:
             return s
         if all(x <= 0 for x in c):
             return -s
-        raise ValueError(f"{v} has mixed-sign root coordinates")
+        raise MixedSigns(f"{v} has mixed-sign root coordinates")
 
     def coordinate_sum(self, v: LatticeVector) -> int:
         return sum(self.to_root_basis(v).coords)
@@ -364,7 +396,7 @@ class RootSystem:
     def reflect_simple(self, v: LatticeVector, i: int) -> LatticeVector:
         """Simple reflection s_i, 0-based index, basis-preserving."""
         if not 0 <= i < self.rank:
-            raise IndexError(i)
+            raise IndexOutOfRange(f"simple index {i} outside 0..{self.rank - 1}")
         w = self.to_weight_basis(v)
         k = w.coords[i]
         new = tuple(

@@ -15,10 +15,9 @@ height-one base case is settled by the rationality of the singularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from operator import mul, sub
+from typing import NamedTuple
 
 from ._exact import int_adjugate, ldl_decomposition
 from .errors import ConstructionFailure, IndexOutOfRange, NotARootClass
@@ -26,8 +25,7 @@ from .report import H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem, root_vector
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple):
     """Integer combination of the exceptional curves."""
 
     coeffs: tuple[int, ...]
@@ -36,8 +34,7 @@ class DivisorClass:
         return f"DivisorClass{self.coeffs}"
 
 
-@dataclass(frozen=True)
-class ResolutionLattice:
+class ResolutionLattice(NamedTuple):
     """Exceptional-curve lattice with the negated Cartan intersection form."""
 
     system: RootSystem
@@ -146,7 +143,7 @@ def minus_two_classes(lattice: ResolutionLattice) -> tuple[DivisorClass, ...]:
             rec(i - 1, budget - diag[i] * (xi + c) ** 2)
         x[i] = 0
 
-    rec(n - 1, Fraction(2))
+    rec(n - 1, 2)  # each budget below is a Fraction, from the LDL factors
     return tuple(DivisorClass(c) for c in sorted(found))
 
 

@@ -1,4 +1,5 @@
-"""numpy stays out of the commands that build no arrays."""
+"""numpy stays out of the commands that build no arrays, and dataclasses,
+inspect, fractions and decimal out of the start of every command."""
 
 import json
 import subprocess
@@ -60,6 +61,21 @@ def test_import_leaves_the_array_modules_out(modules):
         f"import sys, {modules}; "
         "print(sorted(m for m in sys.modules if m == 'numpy' or m in "
         "('adelie.chevalley', 'adelie.obstruction', 'adelie.verify')))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, cwd="/", env=_cli_env(), text=True
+    )
+    assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
+
+
+def test_start_up_leaves_dataclasses_and_fractions_out():
+    # the baseline is what the interpreter had loaded before adelie, so a
+    # module its site hooks import is not counted against the package
+    script = (
+        "import sys; before = set(sys.modules); "
+        "import adelie.cli; from adelie import roots, surface; roots.build('E8'); "
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} "
+        "& set(sys.modules) - before))"
     )
     child = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, cwd="/", env=_cli_env(), text=True

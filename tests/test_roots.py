@@ -5,6 +5,8 @@ reflections and never consults the string-based generator, so the two
 enumerations cross-check each other.
 """
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 from itertools import product
@@ -12,12 +14,18 @@ from itertools import product
 import pytest
 
 from adelie import Basis, LatticeVector, build, parse_type, root_vector, weight_vector
-from adelie._exact import int_adjugate
+from adelie._exact import int_adjugate, ldl_decomposition
 from adelie.errors import (
+    AdelieError,
     BasisMismatch,
     DependentRoots,
     IllegalType,
+    ImmutableVector,
+    IndexOutOfRange,
+    MixedSigns,
+    NonIntegerCoordinate,
     NotInRootLattice,
+    NotPositiveDefinite,
 )
 
 # expected positive-root counts, frozen from the closure formulas
@@ -151,8 +159,9 @@ def test_heights():
     assert rs.height(theta) == 2
     assert rs.height(-theta) == 2
     assert rs.coordinate_sum(-theta) == -2
-    with pytest.raises(ValueError):
+    with pytest.raises(MixedSigns, match="mixed-sign") as exc:
         rs.height(root_vector(1, -1))
+    assert isinstance(exc.value, ValueError)
 
 
 def test_root_string_values():
@@ -214,6 +223,55 @@ def test_simple_reflection():
                 im = rs.reflect_simple(r, i)
                 assert rs.is_root(im)
                 assert rs.reflect_simple(im, i).coords == r.coords
+    for i in (-1, rs.rank):
+        with pytest.raises(IndexOutOfRange) as exc:
+            rs.reflect_simple(rs.highest_root(), i)
+        assert isinstance(exc.value, IndexError)
+
+
+def test_ldl_refuses_a_form_that_is_not_positive_definite():
+    with pytest.raises(NotPositiveDefinite) as exc:
+        ldl_decomposition(((0, -1), (-1, 0)))
+    assert isinstance(exc.value, ValueError)
+    lower, diag = ldl_decomposition(build("A2").cartan)
+    assert diag == (2, Fraction(3, 2)) and lower[1][0] == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), Fraction(2), "1", None])
+def test_coordinates_must_be_integers(bad):
+    # weight_vector(1.5, 0) used to read as (1, 0); every non-integer is refused
+    with pytest.raises(NonIntegerCoordinate) as exc:
+        weight_vector(bad, 0)
+    assert isinstance(exc.value, TypeError)
+    with pytest.raises(AdelieError):
+        root_vector(0, bad)
+
+
+def test_numpy_integer_coordinates_convert_exactly():
+    import numpy as np
+
+    v = weight_vector(np.int64(2 ** 62), np.int8(-3), True)
+    assert v.coords == (2 ** 62, -3, 1)
+    assert all(type(c) is int for c in v.coords)
+    assert v == weight_vector(2 ** 62, -3, 1)
+
+
+def test_lattice_vectors_are_immutable_values():
+    v = weight_vector(1, -2)
+    for name in ("coords", "basis", "other"):
+        with pytest.raises(ImmutableVector) as exc:
+            setattr(v, name, (0, 0))
+        assert isinstance(exc.value, AttributeError)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+    assert v.coords == (1, -2) and v.basis is Basis.FUNDAMENTAL_WEIGHT
+    # equal vectors hash alike; the basis is part of the value
+    assert v == weight_vector(1, -2) and hash(v) == hash(weight_vector(1, -2))
+    assert v != root_vector(1, -2) and v != (1, -2)
+    assert len({v, weight_vector(1, -2), root_vector(1, -2)}) == 2
+    for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert twin == v and twin.basis is v.basis
+    assert repr(v) == "{1,-2|weight}"
 
 
 def test_dominance_flags():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from adelie import errors
+
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "adelie").glob("*.py"))
 
 
@@ -16,24 +18,41 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
+def _import_owners(node, module, owner=None):
+    """The function around each import of module below node, None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _import_owners(child, module, child.name)
+            continue
+        names = []
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        if any(name.split(".")[0] == module for name in names):
+            yield owner
+        yield from _import_owners(child, module, owner)
+
+
+def _import_sites(path, module):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {(path.name, owner) for owner in _import_owners(tree, module)}
+
+
 # Fraction is for weights that are really fractional and the Fincke-Pohst
-# LDL factors; every other route stays on integers
-FRACTION_MODULES = {"roots.py", "surface.py", "_exact.py"}
-
-
-def _imported_modules(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            yield node.module
+# LDL factors, imported inside those functions so that every other route,
+# and the start of every command, stays on integers
+FRACTION_SITES = {
+    ("roots.py", "root_coords_exact"),
+    ("roots.py", "pairing"),
+    ("_exact.py", "ldl_decomposition"),
+}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_fractions_imported_only_where_weights_are_fractional(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    if path.name not in FRACTION_MODULES:
-        assert "fractions" not in set(_imported_modules(tree)), path.name
+    sites = _import_sites(path, "fractions")
+    assert sites <= FRACTION_SITES, sorted(sites - FRACTION_SITES, key=str)
 
 
 # numpy is imported at module level only by the modules that build arrays, and
@@ -46,27 +65,21 @@ NUMPY_SITES = {
 }
 
 
-def _numpy_import_owners(node, owner=None):
-    """The function around each numpy import below node, None at module level."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _numpy_import_owners(child, child.name)
-            continue
-        names = []
-        if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [child.module or ""]
-        if any(name.split(".")[0] == "numpy" for name in names):
-            yield owner
-        yield from _numpy_import_owners(child, owner)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_numpy_imported_only_where_arrays_are_built(path):
+    sites = _import_sites(path, "numpy")
+    assert sites <= NUMPY_SITES, sorted(sites - NUMPY_SITES, key=str)
+
+
+# dataclasses (and the inspect it imports) only where numpy is loaded anyway;
+# every other record is a NamedTuple or a plain class
+DATACLASS_SITES = {("chevalley.py", None), ("obstruction.py", None)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_numpy_imported_only_where_arrays_are_built(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    sites = {(path.name, owner) for owner in _numpy_import_owners(tree)}
-    assert sites <= NUMPY_SITES, sorted(sites - NUMPY_SITES, key=str)
+def test_dataclasses_imported_only_beside_numpy(path):
+    sites = _import_sites(path, "dataclasses")
+    assert sites <= DATACLASS_SITES, sorted(sites - DATACLASS_SITES, key=str)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -99,3 +112,27 @@ def test_adjugate_read_only_in_roots(path):
         if isinstance(node, ast.Attribute) and node.attr in ADJUGATE_ATTRIBUTES
     ]
     assert lines == [], f"{path.name}: adjugate attributes on lines {lines}"
+
+
+def _raised_names(tree):
+    """(line, name) of each raise: the class raised or called, None if bare."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, exc.id if isinstance(exc, ast.Name) else None
+
+
+ADELIE_ERRORS = {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, errors.AdelieError)
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_raise_names_an_adelie_error(path):
+    # a caller catches AdelieError for every failure the package reports; the
+    # entry point alone leaves through SystemExit
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = ADELIE_ERRORS | ({"SystemExit"} if path.name == "__main__.py" else set())
+    bad = [(line, name) for line, name in _raised_names(tree) if name not in allowed]
+    assert bad == [], f"{path.name}: raises outside AdelieError {bad}"

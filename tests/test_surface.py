@@ -8,7 +8,12 @@ from types import SimpleNamespace
 import pytest
 
 from adelie.cli import main
-from adelie.errors import ConstructionFailure, IndexOutOfRange, NotARootClass
+from adelie.errors import (
+    ConstructionFailure,
+    IndexOutOfRange,
+    NotARootClass,
+    NotPositiveDefinite,
+)
 from adelie.flag import schubert_restriction_degree
 from adelie.roots import build, root_vector
 from adelie.surface import (
@@ -137,6 +142,15 @@ def test_minus_two_classes_read_the_lattice_form():
     ]
     with pytest.raises(ConstructionFailure, match="does not square to -2"):
         root_to_divisor(lat, root_vector(1, 1))
+
+
+def test_minus_two_classes_refuse_an_indefinite_lattice():
+    # a hand-built lattice that is not negative definite has no finite -2
+    # class list; the refusal is an AdelieError that is still a ValueError
+    lat = ResolutionLattice(build("A2"), ((0, 1), (1, 0)))
+    with pytest.raises(NotPositiveDefinite) as exc:
+        minus_two_classes(lat)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_restriction_degrees_negate_flag_degrees():
