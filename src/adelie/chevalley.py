@@ -33,9 +33,9 @@ from .roots import LatticeVector, RootSystem, build
 
 Coords = tuple[int, ...]
 
-# products that one block of the Jacobi sweep, the D^2 remainder check or the
-# Bianchi closure expands at a time: enough that numpy's per-call overhead is
-# spread thin, few enough that the arrays of one block stay small
+# products that one block of the Jacobi sweep or the Bianchi closure expands
+# at a time: enough that numpy's per-call overhead is spread thin, few enough
+# that the arrays of one block stay small
 _PRODUCT_BUDGET = 8192
 
 
@@ -106,6 +106,9 @@ class ChevalleyConstants:
         coeffs[r:, r:, 0] = np.where(valid, self.sign_table, 0)
         targets[x, r + self.negation] = np.arange(r)
         coeffs[x, r + self.negation] = coords
+        # read-only: the cached report, which build_system trusts, stays the
+        # verdict on these cells
+        targets.flags.writeable = coeffs.flags.writeable = False
         return targets, coeffs
 
     def bracket_terms(self) -> tuple[np.ndarray, ...]:

@@ -425,6 +425,9 @@ def main(argv=None) -> int:
     except AdelieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:  # any other failure is a bug, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

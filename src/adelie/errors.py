@@ -17,6 +17,10 @@ class NonIntegerCoordinate(AdelieError, TypeError):
     """Lattice coordinate that is not an integer (a float, Fraction or str)."""
 
 
+class NonIntegerRank(AdelieError, TypeError):
+    """Root system rank that is not an integer (a float, Fraction or str)."""
+
+
 class ImmutableVector(AdelieError, AttributeError):
     """Attempt to change or delete a coordinate or the basis of a lattice vector."""
 

@@ -4,24 +4,30 @@ The algebra has an odd degree-one generator phi_a and an even degree-two
 generator psi_a for every root a in the chosen half, with the differential
 delta(phi_a) = psi_a, delta(psi_a) = 0 extended by the graded Leibniz rule.
 The connection-style operator D = delta + sum_a phi_a . ad(x_a) acts on forms
-valued in the Lie algebra; its square is form-linear, and expanding it column
-by column produces one even quadratic form E_a per root of the half:
+valued in the Lie algebra; its square is form-linear, D^2(g) = sum_a E_a
+[x_a, g] on every basis column g, with one even quadratic form E_a per root
+of the half:
 
     E_a = psi_a + sum over unordered pairs b < g with b + g = a of
           n_{b,g} phi_b phi_g.
 
-The build computes D^2 honestly by double application, as integer gathers
-over the nonzero terms of the bracket table that the Jacobi sweep certifies
+That D^2 reduces so is the Jacobi identity on the triples (x_a, x_b, g),
+which the check that gates the table (ChevalleyConstants.report) sweeps on
+every basis triple: the build reads it first (CancellationFailure naming its
+first violation otherwise).  It then computes D^2 honestly by double
+application on the Cartan columns, where ad(x_a) h_k = -(a, a_k) x_a holds
+E_a, as integer gathers over the nonzero terms of the bracket table
 (ChevalleyConstants.bracket_terms), those of the rows ad(x_a), a in the
 half, sorted by column.  For column g the first application of D is the run
 of terms [x_a, b_g]; the second gathers the runs of their targets, each term
 signed by the sort of phi_b phi_a, and equal keys (column, monomial id,
 target) are summed after a sort.  Consecutive columns are expanded together,
-up to a fixed product budget (chevalley.blocks).  It extracts each E_a from
-the Cartan columns by exact division and checks the remainder against every
-column (CancellationFailure naming the first column otherwise).  The closed formula above, over pairs of packed root
-coordinates, must then give the extracted E_a monomial for monomial
-(ConstructionFailure otherwise) before they become coordinate-keyed forms.
+up to a fixed product budget (chevalley.blocks).  Each E_a comes out of one
+Cartan column by exact division (CancellationFailure otherwise).  The closed
+formula above, over pairs of packed root coordinates and the sign table,
+must then give the extracted E_a monomial for monomial (ConstructionFailure
+otherwise) before they become coordinate-keyed forms: it is the one check
+that ties the sign table to the bracket table the gate swept.
 
 The E_a satisfy the Bianchi-type identity checked by check_bianchi, and
 certify_solvability matches them against an H^2 vanishing oracle: classes of
@@ -50,31 +56,10 @@ def _root_key(c: Coords) -> tuple[int, Coords]:
     return (abs(sum(c)), c)
 
 
-def _merge_phis(a: tuple[Coords, ...], b: tuple[Coords, ...]):
-    """Concatenate two sorted odd blocks; None on a repeat, else (tuple, sign)."""
-    out: list[Coords] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ka, kb = _root_key(a[i]), _root_key(b[j])
-        if ka == kb:
-            return None
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
 class FormalForm:
     """Integer combination of monomials in the phi (odd) and psi (even)
-    generators, keyed by canonically sorted generator blocks."""
+    generators, keyed by canonically sorted generator blocks.  It holds and
+    prints forms; the package computes with integer arrays, not with it."""
 
     __slots__ = ("terms",)
 
@@ -94,55 +79,6 @@ class FormalForm:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalForm) and other.terms == self.terms
-
-    def __add__(self, other: "FormalForm") -> "FormalForm":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return FormalForm(out)
-
-    def __neg__(self) -> "FormalForm":
-        return FormalForm({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "FormalForm") -> "FormalForm":
-        return self + (-other)
-
-    def scale(self, k: int) -> "FormalForm":
-        return FormalForm({m: k * v for m, v in self.terms.items()})
-
-    def __mul__(self, other: "FormalForm") -> "FormalForm":
-        out: dict[Monomial, int] = {}
-        for (pa, sa), va in self.terms.items():
-            for (pb, sb), vb in other.terms.items():
-                merged = _merge_phis(pa, pb)
-                if merged is None:
-                    continue
-                phis, sign = merged
-                key = (phis, tuple(sorted(sa + sb, key=_root_key)))
-                out[key] = out.get(key, 0) + sign * va * vb
-        return FormalForm(out)
-
-    def differential(self) -> "FormalForm":
-        """delta: phi_a -> psi_a, psi_a -> 0, with graded Leibniz signs."""
-        out: dict[Monomial, int] = {}
-        for (phis, psis), coeff in self.terms.items():
-            for i, c in enumerate(phis):
-                key = (
-                    phis[:i] + phis[i + 1 :],
-                    tuple(sorted(psis + (c,), key=_root_key)),
-                )
-                out[key] = out.get(key, 0) + (-coeff if i % 2 else coeff)
-        return FormalForm(out)
-
-    def substitute_psi(self, mapping: dict[Coords, "FormalForm"]) -> "FormalForm":
-        """Replace each psi_c by mapping[c] (even forms, so no sign budget)."""
-        total = FormalForm()
-        for (phis, psis), coeff in self.terms.items():
-            part = FormalForm({(phis, ()): coeff})
-            for c in psis:
-                part = part * mapping.get(c, FormalForm.psi(c))
-            total = total + part
-        return total
 
     def max_degree(self) -> int:
         return max(
@@ -208,13 +144,16 @@ def half_roots(rs: RootSystem, half: Half) -> tuple[LatticeVector, ...]:
 
 
 def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem:
-    """Expand D^2 in ranges of columns and extract the obstruction forms.
+    """Expand D^2 on the Cartan columns and extract the obstruction forms.
 
-    Raises CancellationFailure when the expansion does not reduce to
-    sum_a E_a ad(x_a) exactly, and checks the closed quadratic formula
-    against the extracted forms.
+    Raises CancellationFailure when the table fails the check that gates it
+    or a Cartan column does not divide by its weight, and ConstructionFailure
+    when the closed quadratic formula disagrees with the extracted forms.
     """
     rs = constants.system
+    gate = constants.report
+    if not gate.ok:
+        raise CancellationFailure(f"{rs.name} {half.value}: {gate.violations[0]}")
     rank = rs.rank
     roots = half_roots(rs, half)
     n = len(roots)
@@ -232,42 +171,30 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     col_ptr = np.searchsorted(at_g, np.arange(dim + 1))
     del row, col, tgt, val, keep
 
-    def per_column(products):
-        # the sum of products over the terms of each column
-        done = np.zeros(len(products) + 1, dtype=np.int64)
-        np.cumsum(products, out=done[1:])
-        return np.diff(done[col_ptr])
-
     # a monomial of D^2 is psi_p (id p) or phi_p phi_q with p < q (id n + p*n + q);
-    # one key of columns g0..g1 - 1 is (g * width + monomial id) * dim + target
+    # one key of the Cartan column h_k is (k * width + monomial id) * dim + target
     width = n + n * n
-
-    def square(g0: int, g1: int):
-        # D(g) = sum_a phi_a [x_a, g] over the columns g of the range, then
-        # delta(phi_a) = psi_a and phi_b phi_a [x_b, [x_a, g]] for b != a,
-        # with the sign of sorting phi_b phi_a: +1 when b comes before a
-        g = slice(col_ptr[g0], col_ptr[g1])
-        a, t1, c1, gw = at_a[g], at_t[g], at_c[g], at_g[g] * width
-        j, k = runs(col_ptr[t1], col_ptr[t1 + 1])
-        b = at_a[k]
-        keep = b != a[j]
-        b, j, k = b[keep], j[keep], k[keep]
-        aj = a[j]
-        lo, hi = np.minimum(b, aj), np.maximum(b, aj)
-        sign = np.where(b < aj, 1, -1)
-        keys = np.concatenate([(gw + a) * dim + t1, (gw[j] + n + lo * n + hi) * dim + at_t[k]])
-        vals = np.concatenate([c1, sign * c1[j] * at_c[k]])
-        return sum_by_key(keys, vals)
+    # D(h_k) = sum_a phi_a [x_a, h_k], then delta(phi_a) = psi_a and
+    # phi_b phi_a [x_b, [x_a, h_k]] for b != a, with the sign of sorting
+    # phi_b phi_a: +1 when b comes before a
+    g = slice(0, col_ptr[rank])
+    a, t1, c1, gw = at_a[g], at_t[g], at_c[g], at_g[g] * width
+    j, k = runs(col_ptr[t1], col_ptr[t1 + 1])
+    b = at_a[k]
+    keep = b != a[j]
+    b, j, k = b[keep], j[keep], k[keep]
+    lo, hi = np.minimum(b, a[j]), np.maximum(b, a[j])
+    sign = np.where(b < a[j], 1, -1)
+    h_keys, h_vals = sum_by_key(
+        np.concatenate([(gw + a) * dim + t1, (gw[j] + n + lo * n + hi) * dim + at_t[k]]),
+        np.concatenate([c1, sign * c1[j] * at_c[k]]),
+    )
+    del a, t1, c1, gw, j, k, b, keep, lo, hi, sign
 
     # extract E_a from the Cartan columns: ad(x_a) h_k = -(a, a_k) x_a
     coords = [a.coords for a in roots]
     root_coords = np.array(coords, dtype=np.int64)
     pairings = root_coords @ np.array(rs.cartan, dtype=np.int64)
-    # products of the square of column g: its terms and their second application
-    cost = per_column(1 + col_ptr[at_t + 1] - col_ptr[at_t])
-    h_keys, h_vals = (
-        np.concatenate(x) for x in zip(*(square(*g) for g in blocks(cost[:rank])))
-    )
     h_ptr = np.searchsorted(h_keys, np.arange(rank + 1) * width * dim)
     e_monos: list[np.ndarray] = []
     e_vals: list[np.ndarray] = []
@@ -290,31 +217,6 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     e_vals_flat = np.concatenate(e_vals)
     del e_monos, e_vals
 
-    # the remainder check over every basis column, in ranges of columns:
-    # D^2(g) must equal sum_a E_a [x_a, g] term for term, and the first
-    # column that does not holds the first key where the two sums part
-    def remainder(g0: int, g1: int, d2_keys, d2_vals):
-        g = slice(col_ptr[g0], col_ptr[g1])
-        a, t1, c1, gw = at_a[g], at_t[g], at_c[g], at_g[g] * width
-        term, pick = runs(e_ptr[a], e_ptr[a + 1])
-        exp_keys, exp_vals = sum_by_key(
-            (gw[term] + e_monos_flat[pick]) * dim + t1[term], e_vals_flat[pick] * c1[term]
-        )
-        key = _first_apart(d2_keys, d2_vals, exp_keys, exp_vals)
-        if key is not None:
-            raise CancellationFailure(
-                f"{rs.name} {half.value}: D^2 does not reduce to the "
-                f"obstruction action on column {key // dim // width}"
-            )
-
-    # products of the remainder check of column g: its square and the expected sum
-    cost += per_column(np.diff(e_ptr)[at_a])
-    for g0, g1 in blocks(cost[:rank]):
-        h = slice(h_ptr[g0], h_ptr[g1])
-        remainder(g0, g1, h_keys[h], h_vals[h])
-    for g0, g1 in blocks(cost[rank:]):
-        remainder(rank + g0, rank + g1, *square(rank + g0, rank + g1))
-
     # independent route, from root coordinates and the sign table: psi_s plus
     # n_{p,q} phi_p phi_q for each pair p < q of the half whose coordinates,
     # packed into one int with room for pair sums, add up to those of s must
@@ -324,7 +226,6 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     p, q = np.triu_indices(n, 1)
     s = np.array([position_of.get(k, -1) for k in (packed[p] + packed[q]).tolist()], int)
     p, q, s = p[s >= 0], q[s >= 0], s[s >= 0]
-    width = n + n * n
     closed = sum_by_key(
         np.r_[np.arange(n) * (width + 1), s * width + n + p * n + q],
         np.r_[np.ones(n, dtype=np.int64), constants.sign_table[index[p], index[q]]],
@@ -353,33 +254,21 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     return ObstructionSystem(constants, half, roots, obstructions)
 
 
-def _first_apart(keys, vals, other_keys, other_vals):
-    """The least key at which two sorted lists of distinct keys with values
-    differ, or None when they are equal: the lists agree up to the first
-    position where they part, and the lesser key there, or the next key of
-    the longer list, is the first one they do not share."""
-    m = min(len(keys), len(other_keys))
-    apart = np.flatnonzero((keys[:m] != other_keys[:m]) | (vals[:m] != other_vals[:m]))
-    if apart.size:
-        return min(keys[apart[0]], other_keys[apart[0]])
-    if len(keys) != len(other_keys):
-        return max(keys, other_keys, key=len)[m]
-    return None
-
-
 def check_bianchi(system: ObstructionSystem) -> VerificationReport:
     """Differentiate each obstruction form and close the result by replacing
     psi_c with psi_c - E_c; the residual must vanish identically.
 
     With E_c = psi_c + Q_c that is psi_c -> -Q_c, so E_a = psi_a +
-    sum n phi_p phi_q leaves sum n (phi_p Q_q - Q_p phi_q).  The terms are
-    encoded once as arrays (class, p, q, n), p < q positions in system.roots;
-    _failing_classes expands and sums both sides.  Only a class with a
-    nonzero sum has its residual rebuilt as a FormalForm, for the message.  A
-    form with a term other than psi_a (coefficient 1) or phi_p phi_q fails by
-    its shape.
+    sum n phi_p phi_q leaves sum n (phi_p Q_q - Q_p phi_q), a sum of cubic
+    phi monomials.  The terms are encoded once as arrays (class, p, q, n),
+    p < q the places of the roots in canonical order, so that each triple
+    comes out of _failing_classes sorted the way form_text writes it, with
+    its sum as its coefficient: a class with a nonzero sum is reported with
+    that residual, in the order of system.roots.  A form with a term other
+    than psi_a (coefficient 1) or phi_p phi_q fails by its shape.
     """
-    roots, forms = system.roots, system.obstructions
+    order = sorted(range(len(system.roots)), key=lambda i: _root_key(system.roots[i].coords))
+    roots, forms = [system.roots[i] for i in order], system.obstructions
     n = len(roots)
     position = {a.coords: i for i, a in enumerate(roots)}
     terms, misshapen = [], set()
@@ -399,24 +288,29 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
     # coefficients: int64 holds their sums when that bound fits
     if 2 * len(terms) ** 2 * max(map(abs, val), default=0) ** 2 < 2**63:
         val = val.astype(np.int64)
-    failing = _failing_classes(n, cls, p, q, val)
+    keys, sums = _failing_classes(n, cls, p, q, val)
+    residuals: dict[int, dict[Monomial, int]] = {}
+    for key, v in zip(keys.tolist(), sums.tolist()):
+        a, key = divmod(key, n ** 3)
+        triple = tuple(roots[key // n ** i % n].coords for i in (2, 1, 0))
+        residuals.setdefault(a, {})[triple, ()] = v
 
     rep = VerificationReport(
         name=f"bianchi-{system.system.name}-{system.half.value}", checked=n
     )
-    mapping = {c: FormalForm.psi(c) - f for c, f in forms.items()} if failing else {}
-    for a in sorted(misshapen | failing):
+    for a in sorted(misshapen | residuals.keys(), key=order.__getitem__):
         alpha, form = roots[a], forms[roots[a].coords]
         if a in misshapen:
             rep.violations.append(f"class {alpha}: {form_text(form)} is not psi + phi phi")
         else:
-            resid = form.differential().substitute_psi(mapping)
+            resid = FormalForm(residuals[a])
             rep.violations.append(f"class {alpha}: residual {form_text(resid)}")
     return rep
 
 
-def _failing_classes(n: int, cls, p, q, val) -> set[int]:
-    """The classes a whose closure sum does not vanish, from the terms
+def _failing_classes(n: int, cls, p, q, val):
+    """The nonzero closure sums, as sorted keys ((a * n + x) * n + y) * n + z
+    for class a and triple x < y < z, with their sums, from the terms
     (cls, p, q, val) of every E_a sorted by class: n phi_p Q_q and
     -n Q_p phi_q = -n phi_q Q_p for each term of E_a, where phi_x phi_y phi_z
     (y < z) is its sorted triple signed by the sort, and 0 when x repeats y
@@ -427,7 +321,7 @@ def _failing_classes(n: int, cls, p, q, val) -> set[int]:
     # products of class a: each term's partner terms, both ways round
     per_term = np.cumsum(ptr[p + 1] - ptr[p] + ptr[q + 1] - ptr[q])
     done = np.concatenate(([0], per_term))[ptr]
-    failing = set()
+    found = []
     for a0, a1 in blocks(np.diff(done)):
         t = slice(ptr[a0], ptr[a1])
         x, right, v = np.r_[p[t], q[t]], np.r_[q[t], p[t]], np.r_[val[t], -val[t]]
@@ -437,9 +331,9 @@ def _failing_classes(n: int, cls, p, q, val) -> set[int]:
         vals[(y < x) & (x < z)] *= -1
         vals[(x == y) | (x == z)] = 0
         lo, hi = np.minimum(x, y), np.maximum(x, z)
-        keys, _ = sum_by_key(((a * n + lo) * n + x + y + z - lo - hi) * n + hi, vals)
-        failing.update((keys // n ** 3).tolist())
-    return failing
+        found.append(sum_by_key(((a * n + lo) * n + x + y + z - lo - hi) * n + hi, vals))
+    keys, sums = map(np.concatenate, zip(*found))
+    return keys, sums
 
 
 @dataclass(frozen=True)

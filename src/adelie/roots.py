@@ -24,6 +24,7 @@ from .errors import (
     IndexOutOfRange,
     MixedSigns,
     NonIntegerCoordinate,
+    NonIntegerRank,
     NotInRootLattice,
 )
 
@@ -420,7 +421,13 @@ def parse_type(spec: str, max_rank: int = DEFAULT_MAX_RANK) -> tuple[str, int]:
     return kind, rank
 
 
-def _validate(kind: str, rank: int, max_rank: int) -> None:
+def _validate(kind: str, rank: int, max_rank: int) -> int:
+    """The rank as a plain int, read through operator.index, once kind and
+    rank name a supported type."""
+    try:
+        rank = index(rank)
+    except TypeError:
+        raise NonIntegerRank(f"rank {rank!r} is not an integer") from None
     if kind == "A":
         lo, hi = 1, max_rank
     elif kind == "D":
@@ -431,6 +438,7 @@ def _validate(kind: str, rank: int, max_rank: int) -> None:
         raise IllegalType(f"kind {kind!r} is not simply laced")
     if not lo <= rank <= hi:
         raise IllegalType(f"{kind}{rank} outside supported range {kind}{lo}..{kind}{hi}")
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -445,5 +453,5 @@ def build(spec_or_kind: str, rank: int | None = None,
         kind, rank = parse_type(spec_or_kind, max_rank)
     else:
         kind = spec_or_kind.upper()
-        _validate(kind, rank, max_rank)
+        rank = _validate(kind, rank, max_rank)
     return _build_cached(kind, rank)

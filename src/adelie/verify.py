@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .chevalley import ChevalleyConstants, build_constants, verify_chevalley
 from .cotangent import cht, verify_chain_criterion, verify_descent
-from .errors import CancellationFailure, IllegalType
+from .errors import CancellationFailure, ConstructionFailure, IllegalType
 from .flag import ALL_VANISH, bwb, verify_index_bound, verify_root_cohomology
 from .obstruction import Half, build_system, certify_solvability, check_bianchi
 from .report import SUITES, H2VanishVerdict, VerificationReport
@@ -93,11 +93,14 @@ def verify_obstruction(rs: RootSystem) -> VerificationReport:
 def detect_tampering(constants: ChevalleyConstants) -> tuple[bool, str]:
     """Combined corruption detector for a structure-constant table.
 
-    Layer one is the bracket verification (support, antisymmetry and the
-    Jacobi sweep, whose triples with an h cover the Cartan relations), run
-    once per constants instance.  Layer two rebuilds both obstruction
-    systems, where a corrupt table surfaces as a cancellation failure or a
-    broken Bianchi closure.
+    Layer one is the bracket verification (support and antisymmetry of the
+    sign table, and the Jacobi sweep over the bracket table, whose triples
+    with an h cover the Cartan relations), run once per constants instance.
+    It never compares the two tables, and a sign table that disagrees with
+    the bracket table it was swept on passes it.  Layer two rebuilds both
+    obstruction systems: their closed formula reads the sign table against
+    the forms extracted from the bracket table (a construction failure), and
+    the Bianchi closure checks the forms themselves.
     Returns (detected, reason); (False, "") means the table looks clean.
     """
     rep = verify_chevalley(constants)
@@ -106,7 +109,7 @@ def detect_tampering(constants: ChevalleyConstants) -> tuple[bool, str]:
     for half in (Half.POSITIVE, Half.NEGATIVE):
         try:
             system = build_system(constants, half)
-        except CancellationFailure as exc:
+        except (CancellationFailure, ConstructionFailure) as exc:
             return True, f"{half.value} build: {exc}"
         closure = check_bianchi(system)
         if not closure.ok:

@@ -234,6 +234,15 @@ def test_exit_three_on_internal_error(capsys, monkeypatch, exc):
     assert err == f"internal error: {exc}\n"
 
 
+def test_exit_three_on_any_other_exception(capsys, monkeypatch):
+    # an exception outside the AdelieError tree is a bug in adelie, not bad
+    # input or a failed verification, and leaves no traceback
+    monkeypatch.setitem(COMMAND_FOR_OPERATION, "roots", _raising(KeyError("h1")))
+    code, out, err = run(capsys, "roots", "A2")
+    assert (code, out) == (3, "")
+    assert err == "internal error: KeyError: 'h1'\n"
+
+
 def test_other_adelie_errors_stay_at_two(capsys, monkeypatch):
     monkeypatch.setitem(COMMAND_FOR_OPERATION, "roots", _raising(BudgetExceeded("too many")))
     code, _, err = run(capsys, "roots", "A2")

@@ -24,6 +24,7 @@ from adelie.errors import (
     IndexOutOfRange,
     MixedSigns,
     NonIntegerCoordinate,
+    NonIntegerRank,
     NotInRootLattice,
     NotPositiveDefinite,
 )
@@ -199,6 +200,26 @@ def test_parse_type():
         build("A", 20)
     # configurable cap
     assert build("A", 18, max_rank=18).rank == 18
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, Fraction(3), "3"])
+def test_rank_must_be_an_integer(bad):
+    # build("A", 2.5) used to fail with a bare TypeError from deep in the
+    # Cartan build
+    with pytest.raises(NonIntegerRank) as exc:
+        build("A", bad)
+    assert isinstance(exc.value, TypeError)
+    assert isinstance(exc.value, AdelieError)
+
+
+def test_numpy_integer_rank_converts_exactly():
+    import numpy as np
+
+    # A13 is built nowhere else, so the cached system is this call's
+    rs = build("A", np.int64(13))
+    assert rs is build("A13")
+    assert type(rs.rank) is int
+    assert build("A", np.int8(3)) is build("A3")
 
 
 def test_vector_arithmetic_guards():

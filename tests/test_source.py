@@ -136,3 +136,24 @@ def test_every_raise_names_an_adelie_error(path):
     allowed = ADELIE_ERRORS | ({"SystemExit"} if path.name == "__main__.py" else set())
     bad = [(line, name) for line, name in _raised_names(tree) if name not in allowed]
     assert bad == [], f"{path.name}: raises outside AdelieError {bad}"
+
+
+# FormalForm holds and prints forms; the graded algebra over them (sums,
+# products, the differential, psi substitution) is the test oracle in
+# test_obstruction.py, which nothing in the package runs
+FORM_ARITHMETIC = {
+    "__add__", "__mul__", "__neg__", "__sub__", "scale", "differential", "substitute_psi",
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_formal_form_defines_no_arithmetic(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {
+        item.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "FormalForm"
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert defined.isdisjoint(FORM_ARITHMETIC), sorted(defined & FORM_ARITHMETIC)

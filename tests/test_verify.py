@@ -2,7 +2,7 @@
 
 import pytest
 
-from adelie.chevalley import build_constants
+from adelie.chevalley import build_constants, verify_chevalley
 from adelie.errors import IllegalType
 from adelie.roots import build
 from adelie.verify import (
@@ -90,3 +90,19 @@ def test_detector_catches_every_single_flip():
             detected, reason = detect_tampering(c.flip(a, b, one_sided=one_sided))
             assert detected, (a, b, one_sided)
             assert reason
+
+
+def test_detector_reports_a_sign_table_that_disagrees_with_its_brackets():
+    # a flipped sign table over the clean bracket table passes the bracket
+    # verification, which never compares the two; the closed formula of the
+    # rebuild reads the sign table and catches it
+    c = build_constants(build("A2"))
+    a1, a2 = c.system.simple_roots
+    bad = c.flip(a1, a2)
+    bad.__dict__["bracket_table"] = c.bracket_table
+    assert verify_chevalley(bad).ok
+    assert detect_tampering(bad) == (
+        True,
+        "positive build: A2 positive: the closed quadratic formula disagrees "
+        "with the double expansion of D^2",
+    )
