@@ -52,6 +52,12 @@ class ChevalleyConstants:
     sum_index: np.ndarray
     negation: np.ndarray
 
+    def __post_init__(self) -> None:
+        # read-only, as bracket_table is: the cached report stays the verdict
+        # on these cells (flip and replace build new arrays or reuse these)
+        for table in (self.sign_table, self.sum_index, self.negation):
+            table.flags.writeable = False
+
     def n(self, alpha: LatticeVector, beta: LatticeVector) -> int:
         """n_{alpha,beta}; zero when alpha + beta is not a root."""
         i = self.system.root_order_index(alpha)

@@ -30,7 +30,7 @@ class MixedSigns(AdelieError, ValueError):
 
 
 class NotPositiveDefinite(AdelieError, ValueError):
-    """Symmetric form with a non-positive pivot in its LDL factorisation."""
+    """Symmetric form with a leading principal minor that is not positive."""
 
 
 class NotInRootLattice(AdelieError):

@@ -21,8 +21,9 @@ E_a, as integer gathers over the nonzero terms of the bracket table
 half, sorted by column.  For column g the first application of D is the run
 of terms [x_a, b_g]; the second gathers the runs of their targets, each term
 signed by the sort of phi_b phi_a, and equal keys (column, monomial id,
-target) are summed after a sort.  Consecutive columns are expanded together,
-up to a fixed product budget (chevalley.blocks).  Each E_a comes out of one
+target) are summed after a sort.  The rank Cartan columns are expanded in one
+pass; only the Jacobi sweep and the Bianchi closure are cut into blocks of a
+fixed product budget (chevalley.blocks).  Each E_a comes out of one
 Cartan column by exact division (CancellationFailure otherwise).  The closed
 formula above, over pairs of packed root coordinates and the sign table,
 must then give the extracted E_a monomial for monomial (ConstructionFailure

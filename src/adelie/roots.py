@@ -189,7 +189,7 @@ class RootSystem:
         self.kind = kind
         self.rank = rank
         self.cartan = _cartan_matrix(kind, rank)
-        minors, adjugate = int_adjugate(self.cartan)
+        minors, _, adjugate = int_adjugate(self.cartan)
         if adjugate is None:
             raise IllegalType(f"degenerate Cartan matrix for {kind}{rank}")
         self._det = minors[-1]

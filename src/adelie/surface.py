@@ -19,8 +19,8 @@ from math import isqrt
 from operator import mul, sub
 from typing import NamedTuple
 
-from ._exact import int_adjugate, ldl_decomposition
-from .errors import ConstructionFailure, IndexOutOfRange, NotARootClass
+from ._exact import int_adjugate
+from .errors import ConstructionFailure, IndexOutOfRange, NotARootClass, NotPositiveDefinite
 from .report import H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem, root_vector
 
@@ -108,42 +108,46 @@ def divisor_to_root(lattice: ResolutionLattice, d: DivisorClass) -> LatticeVecto
 
 
 def minus_two_classes(lattice: ResolutionLattice) -> tuple[DivisorClass, ...]:
-    """All classes of self-intersection -2, by exact lattice enumeration.
+    """All classes of self-intersection -2, by Fincke-Pohst in integers.
 
-    Fincke-Pohst over the rational LDL factors of the negated intersection
-    form: coordinates are scanned inside exact integer-square-root windows, so
-    the enumeration reads the lattice, not the root listing it is later
-    matched against.
+    With m_0 = 1, m_1..m_n the leading minors of G = -intersection and A[j][i]
+    the entry under pivot i of its fraction-free elimination, the LDL^T
+    factors of G are d_i = m_{i+1}/m_i and l_ji = A[j][i]/m_{i+1}, so each
+    coordinate is scanned inside an integer-square-root window.  This reads
+    the lattice, not the root listing it is later matched against; a G that is
+    not positive definite raises NotPositiveDefinite.
     """
     n = lattice.rank
-    lower, diag = ldl_decomposition(
-        tuple(tuple(-v for v in row) for row in lattice.intersection)
-    )
+    minors, below, _ = int_adjugate(tuple(tuple(-v for v in row) for row in lattice.intersection))
+    if min(minors) <= 0:  # a zero minor also ends the elimination
+        raise NotPositiveDefinite(
+            f"{lattice.system.name}: the negated form has leading minors {minors}"
+        )
+    m = (1, *minors)
     x = [0] * n
     found: list[tuple[int, ...]] = []
 
-    def ceil_div(a: int, b: int) -> int:
-        return -((-a) // b)
-
-    def rec(i: int, budget) -> None:
+    def rec(i: int, budget: int) -> None:
+        # budget: 2 less what x_{i+1}.. spend, times m_{i+1}
         if i < 0:
             if budget == 0:
                 found.append(tuple(x))
             return
-        c = sum(lower[j][i] * x[j] for j in range(i + 1, n))
-        ratio = budget / diag[i]
-        p, q = c.numerator, c.denominator
-        u = ratio.numerator * q * q
-        v = ratio.denominator
-        t = isqrt(u // v)
-        while (t + 1) * (t + 1) * v <= u:
-            t += 1
-        for xi in range(ceil_div(-t - p, q), (t - p) // q + 1):
+        s, r, p = sum(map(mul, below[i], x[i + 1:])), budget * m[i], m[i + 1]
+        t = isqrt(r)  # d_i (x_i + s/p)^2 <= budget/p exactly when |p x_i + s| <= t
+        for xi in range(-((t + s) // p), (t - s) // p + 1):
             x[i] = xi
-            rec(i - 1, budget - diag[i] * (xi + c) ** 2)
+            # exact: left is m_i (2 - q(x_i..)) for q the form of G's Schur
+            # complement to its leading i-block, whose denominators divide m_i
+            left, rem = divmod(r - (p * xi + s) ** 2, p)
+            if rem:
+                raise ConstructionFailure(
+                    f"{lattice.system.name}: Fincke-Pohst budget at {i + 1} not divisible by {p}"
+                )
+            rec(i - 1, left)
         x[i] = 0
 
-    rec(n - 1, 2)  # each budget below is a Fraction, from the LDL factors
+    rec(n - 1, 2 * m[n])
     return tuple(DivisorClass(c) for c in sorted(found))
 
 

@@ -203,6 +203,23 @@ def test_construction_failure_path():
     assert not rep.ok
 
 
+def test_the_gated_tables_cannot_be_edited_in_place():
+    # a one-sided sign flip made in place after the gate ran would keep its
+    # cached verdict: the closed formula reads only (a2, a1) of this pair
+    cached = build_constants(build("A2"))
+    c = dataclasses.replace(cached)
+    assert c.report.ok
+    a1, a2 = (c.system.root_order_index(a) for a in c.system.simple_roots)
+    for constants in (c, cached):
+        with pytest.raises(ValueError):
+            constants.sign_table[a1, a2] *= -1
+        with pytest.raises(ValueError):
+            constants.sum_index[a1, a2] = 0
+        with pytest.raises(ValueError):
+            constants.negation[a1] = a1
+    assert verify_chevalley(c.flip(*c.system.simple_roots, one_sided=True)).ok is False
+
+
 # SHA-256 of the nonzero bracket-table entries, one "i,j,k,coeff" line each
 # ([b_i, b_j] has coefficient coeff on b_k), sorted; recorded from the
 # list-of-tuples table that the padded arrays replaced.

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,21 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, argv[0], "--format", "json", *argv[1:])
     assert err == ""
     return code, json.loads(out)
+
+
+def _readme_commands():
+    # each `adelie ...` line of the README's "Command line" block, less its comment
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines() if line.startswith("adelie ")
+    ]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_exit_zero(capsys, argv):
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_dispatch_table_covers_all_commands():

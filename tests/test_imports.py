@@ -68,6 +68,20 @@ def test_import_leaves_the_array_modules_out(modules):
     assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
 
 
+def test_surface_suite_leaves_fractions_and_decimal_out():
+    # the -2 class enumeration runs on the integer elimination
+    script = (
+        "import sys; before = set(sys.modules); "
+        "from adelie import roots, surface; "
+        "surface.verify_surface(roots.build('E8')); "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules) - before))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, cwd="/", env=_cli_env(), text=True
+    )
+    assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
+
+
 def test_start_up_leaves_dataclasses_and_fractions_out():
     # the baseline is what the interpreter had loaded before adelie, so a
     # module its site hooks import is not counted against the package

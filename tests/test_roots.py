@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 
 from adelie import Basis, LatticeVector, build, parse_type, root_vector, weight_vector
-from adelie._exact import int_adjugate, ldl_decomposition
+from adelie._exact import int_adjugate
 from adelie.errors import (
     AdelieError,
     BasisMismatch,
@@ -26,7 +26,6 @@ from adelie.errors import (
     NonIntegerCoordinate,
     NonIntegerRank,
     NotInRootLattice,
-    NotPositiveDefinite,
 )
 
 # expected positive-root counts, frozen from the closure formulas
@@ -250,12 +249,21 @@ def test_simple_reflection():
         assert isinstance(exc.value, IndexError)
 
 
-def test_ldl_refuses_a_form_that_is_not_positive_definite():
-    with pytest.raises(NotPositiveDefinite) as exc:
-        ldl_decomposition(((0, -1), (-1, 0)))
-    assert isinstance(exc.value, ValueError)
-    lower, diag = ldl_decomposition(build("A2").cartan)
-    assert diag == (2, Fraction(3, 2)) and lower[1][0] == Fraction(-1, 2)
+def test_entries_below_the_pivots_are_the_fraction_free_ldl_factor():
+    # with m_0 = 1 and m_1..m_n the leading minors, d_i = m_{i+1} / m_i and
+    # l_ji = A[j][i] / m_{i+1}; on A2, d = (2, 3/2) and l_10 = -1/2
+    assert int_adjugate(build("A2").cartan)[:2] == ((2, 3), ((-1,), ()))
+    for name in ("A4", "D5", "E8"):
+        cartan = build(name).cartan
+        minors, below, _ = int_adjugate(cartan)
+        m, rows = (1, *minors), range(len(cartan))
+        d = [Fraction(m[i + 1], m[i]) for i in rows]
+        lower = [
+            [Fraction(below[i][j - i - 1], m[i + 1]) if j > i else Fraction(j == i) for i in rows]
+            for j in rows
+        ]
+        ldl = [[sum(lower[j][i] * d[i] * lower[k][i] for i in rows) for k in rows] for j in rows]
+        assert ldl == [list(row) for row in cartan], name
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), Fraction(2), "1", None])
@@ -347,7 +355,7 @@ def test_adjugate_times_cartan_is_det_times_identity():
     # of a positive-definite form is positive
     names = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)]
     for rs in map(build, names + ["E6", "E7", "E8"]):
-        minors, adj = int_adjugate(rs.cartan)
+        minors, _, adj = int_adjugate(rs.cartan)
         det = {"A": rs.rank + 1, "D": 4, "E": 9 - rs.rank}[rs.kind]
         assert len(minors) == rs.rank and min(minors) > 0 and minors[-1] == det
         rows = range(rs.rank)
@@ -356,8 +364,8 @@ def test_adjugate_times_cartan_is_det_times_identity():
 
 
 def test_adjugate_stops_at_a_vanishing_minor():
-    assert int_adjugate(((2, -2), (-2, 2))) == ((2, 0), None)
-    assert int_adjugate(((0, 1), (1, 0))) == ((0,), None)
+    assert int_adjugate(((2, -2), (-2, 2))) == ((2, 0), ((-2,),), None)
+    assert int_adjugate(((0, 1), (1, 0))) == ((0,), (), None)
 
 
 @pytest.mark.parametrize("name", ["A3", "D5", "E6", "E8"])

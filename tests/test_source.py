@@ -39,13 +39,12 @@ def _import_sites(path, module):
     return {(path.name, owner) for owner in _import_owners(tree, module)}
 
 
-# Fraction is for weights that are really fractional and the Fincke-Pohst
-# LDL factors, imported inside those functions so that every other route,
-# and the start of every command, stays on integers
+# Fraction is for weights that are really fractional, imported inside those
+# functions so that every other route, and the start of every command, stays
+# on integers
 FRACTION_SITES = {
     ("roots.py", "root_coords_exact"),
     ("roots.py", "pairing"),
-    ("_exact.py", "ldl_decomposition"),
 }
 
 

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from adelie._exact import int_adjugate
 from adelie.cli import main
 from adelie.errors import (
     ConstructionFailure,
@@ -28,6 +29,7 @@ from adelie.surface import (
 )
 
 SMALL = ["A1", "A2", "A3", "D4", "D5", "E6"]
+SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + ["E6", "E7", "E8"]
 
 
 def test_intersection_is_negated_cartan():
@@ -96,7 +98,7 @@ def test_divisor_to_root_rejects_wrong_square():
 
 
 def test_minus_two_classes_match_roots():
-    for name in SMALL:
+    for name in SUPPORTED:
         rs = build(name)
         lat = resolution_lattice(rs)
         classes = minus_two_classes(lat)
@@ -125,6 +127,34 @@ def test_minus_two_classes_brute_force():
         assert [c.coeffs for c in minus_two_classes(lat)] == brute
 
 
+# positive-definite forms G that are not Cartan matrices, by their leading
+# minors: minors above 1 at several steps make the integer windows divide by
+# them; every coordinate of a class with x.G.x = 2 is at most
+# sqrt(2 (G^-1)_ii) <= 2 here
+FORMS = {
+    "3": ((3,),),
+    "4,4": ((4, 2), (2, 2)),
+    "3,8,8": ((3, -1, 1), (-1, 3, 1), (1, 1, 2)),
+    "4,4,4": ((4, 2, 0), (2, 2, -1), (0, -1, 2)),
+    "2,4,4,5": ((2, 0, -1, -2), (0, 2, -1, -1), (-1, -1, 2, 2), (-2, -1, 2, 4)),
+    "5,11,18,27": ((5, 2, 1, 0), (2, 3, 1, 1), (1, 1, 2, 0), (0, 1, 0, 2)),
+}
+
+
+@pytest.mark.parametrize("minors", FORMS)
+def test_minus_two_classes_match_a_box_scan_on_other_forms(minors):
+    form = FORMS[minors]
+    n = len(form)
+    assert ",".join(map(str, int_adjugate(form)[0])) == minors
+    lat = ResolutionLattice(build(f"A{n}"), tuple(tuple(-v for v in row) for row in form))
+    brute = sorted(
+        x
+        for x in product(range(-3, 4), repeat=n)
+        if sum(x[i] * form[i][j] * x[j] for i in range(n) for j in range(n)) == 2
+    )
+    assert [c.coeffs for c in minus_two_classes(lat)] == brute
+
+
 def test_minus_two_classes_sorted():
     lat = resolution_lattice(build("A2"))
     assert [c.coeffs for c in minus_two_classes(lat)] == [
@@ -146,11 +176,14 @@ def test_minus_two_classes_read_the_lattice_form():
 
 def test_minus_two_classes_refuse_an_indefinite_lattice():
     # a hand-built lattice that is not negative definite has no finite -2
-    # class list; the refusal is an AdelieError that is still a ValueError
-    lat = ResolutionLattice(build("A2"), ((0, 1), (1, 0)))
-    with pytest.raises(NotPositiveDefinite) as exc:
-        minus_two_classes(lat)
-    assert isinstance(exc.value, ValueError)
+    # class list; the refusal is an AdelieError that is still a ValueError.
+    # The elimination stops at a zero first minor, reaches a negative second
+    # one, or, on the singular form, a zero second one
+    for form in (((0, 1), (1, 0)), ((-1, 2), (2, -1)), ((-2, 2), (2, -2))):
+        lat = ResolutionLattice(build("A2"), form)
+        with pytest.raises(NotPositiveDefinite) as exc:
+            minus_two_classes(lat)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_restriction_degrees_negate_flag_degrees():
