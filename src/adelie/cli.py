@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Every command prints either readable text (default) or a single JSON object
-with "schema": 1 and sorted keys, so repeated runs are byte-identical.  Exit
+with "schema": 1 and sorted keys, so repeated runs are byte-identical.  main
+builds the root system, passes it to the command, adds "schema" and "type"
+to the payload the command returns and picks the format.  Exit
 status: 0 on success, 1 when a verification or certification fails, 2 on bad
 input or an exhausted budget, 3 on an internal error (an invariant of the
 construction failed, which is a bug).
@@ -61,28 +63,18 @@ def _printable(rs: RootSystem, payload: dict) -> None:
                     )
 
 
-def _report_payload(rs: RootSystem, rep: VerificationReport) -> dict:
-    out = rep.to_json()
-    out["schema"] = SCHEMA
-    out["type"] = rs.name
-    out["ok"] = rep.ok
-    return out
-
-
-def _report_lines(rep: VerificationReport) -> list[str]:
+def _report(rep: VerificationReport) -> tuple[int, dict, list[str]]:
+    payload = rep.to_json()
+    payload["ok"] = rep.ok
     lines = [f"{rep.name}: {'ok' if rep.ok else 'FAILED'} ({rep.checked} checks)"]
     lines += [f"  violation: {v}" for v in rep.violations[:20]]
-    for k in sorted(rep.details):
-        lines.append(f"  {k}: {rep.details[k]}")
-    return lines
+    lines += [f"  {k}: {rep.details[k]}" for k in sorted(rep.details)]
+    return (OK if rep.ok else FAILED), payload, lines
 
 
-def _cmd_roots(args):
-    rs = build(args.type)
+def _cmd_roots(rs, args):
     pos = rs.positive_roots
     payload = {
-        "schema": SCHEMA,
-        "type": rs.name,
         "rank": rs.rank,
         "count": len(pos),
         "positive_roots": [_coords(a) for a in pos],
@@ -96,11 +88,8 @@ def _cmd_roots(args):
     return OK, payload, lines
 
 
-def _cmd_cartan(args):
-    rs = build(args.type)
+def _cmd_cartan(rs, args):
     payload = {
-        "schema": SCHEMA,
-        "type": rs.name,
         "rank": rs.rank,
         "cartan": [list(row) for row in rs.cartan],
     }
@@ -109,13 +98,10 @@ def _cmd_cartan(args):
     return OK, payload, lines
 
 
-def _cmd_bwb(args):
-    rs = build(args.type)
+def _cmd_bwb(rs, args):
     lam = _vector(args, rs)
     verdict = bwb(rs, lam)
     payload = {
-        "schema": SCHEMA,
-        "type": rs.name,
         "weight": _coords(rs.to_weight_basis(lam)),
         "status": verdict.status,
         "degree": verdict.degree,
@@ -139,13 +125,10 @@ def _cmd_bwb(args):
     return OK, payload, lines
 
 
-def _cmd_cht(args):
-    rs = build(args.type)
+def _cmd_cht(rs, args):
     lam = _vector(args, rs)
     rep = cht(rs, lam)
     payload = {
-        "schema": SCHEMA,
-        "type": rs.name,
         "weight": _coords(rs.to_weight_basis(lam)),
         "value": rep.value,
         "lambda_star": _coords(rep.lambda_star),
@@ -165,13 +148,10 @@ def _cmd_cht(args):
     return OK, payload, lines
 
 
-def _cmd_cotangent(args):
-    rs = build(args.type)
+def _cmd_cotangent(rs, args):
     lam = _vector(args, rs)
     verdict = cotangent_verdict(rs, lam)
     payload = {
-        "schema": SCHEMA,
-        "type": rs.name,
         "weight": _coords(verdict.weight),
         "cht": verdict.report.value,
         "vanishing_above": verdict.vanishing_above,
@@ -187,13 +167,10 @@ def _cmd_cotangent(args):
     return OK, payload, lines
 
 
-def _cmd_euler(args):
-    rs = build(args.type)
+def _cmd_euler(rs, args):
     lam = _vector(args, rs)
     value = euler_characteristic_graded(rs, lam, args.degree, max_terms=args.max_terms)
     payload = {
-        "schema": SCHEMA,
-        "type": rs.name,
         "weight": _coords(rs.to_weight_basis(lam)),
         "degree": args.degree,
         "euler": value,
@@ -203,42 +180,34 @@ def _cmd_euler(args):
     return OK, payload, lines
 
 
-def _cmd_chevalley(args):
+def _cmd_chevalley(rs, args):
     from .chevalley import build_constants, dump_constants, verify_chevalley
-
-    rs = build(args.type)
     constants = build_constants(rs)
     if args.dump:
         text = dump_constants(constants)
         payload = {
-            "schema": SCHEMA,
-            "type": rs.name,
             "entries": [
                 [_coords(a), _coords(b), s]
                 for a, b, s in constants.nonzero_entries()
             ],
         }
         return OK, payload, text.splitlines()
-    rep = verify_chevalley(constants)
-    payload = _report_payload(rs, rep)
+    code, payload, lines = _report(verify_chevalley(constants))
     payload["dimension"] = rs.rank + len(rs.all_roots)
-    return (OK if rep.ok else FAILED), payload, _report_lines(rep)
+    return code, payload, lines
 
 
-def _cmd_obstruction(args):
+def _cmd_obstruction(rs, args):
     from .chevalley import build_constants
     from .obstruction import Half, build_system, certify_solvability, check_bianchi, system_text
-    from .verify import cotangent_h2_oracle
+    from .verify import half_h2_oracle
 
-    rs = build(args.type)
     constants = build_constants(rs)
     half = Half(args.half)
     system = build_system(constants, half)
     closure = check_bianchi(system)
     lines = system_text(system).splitlines()
     payload = {
-        "schema": SCHEMA,
-        "type": rs.name,
         "half": half.value,
         # each form is rendered once: its line "(coords): text" gives the entry
         "classes": dict(line[1:].split("): ", 1) for line in lines[1:]),
@@ -247,12 +216,7 @@ def _cmd_obstruction(args):
     lines.append(f"# bianchi closure: {'ok' if closure.ok else 'FAILED'}")
     code = OK if closure.ok else FAILED
     if args.certify:
-        oracle = (
-            surface_h2_oracle(resolution_lattice(rs))
-            if half is Half.POSITIVE
-            else cotangent_h2_oracle(rs)
-        )
-        cert = certify_solvability(system, oracle)
+        cert = certify_solvability(system, half_h2_oracle(rs, half))
         payload["solvable"] = cert.solvable
         payload["requirements"] = [_coords(a) for a in cert.requirements]
         lines.append(f"# solvable: {cert.solvable}")
@@ -262,8 +226,7 @@ def _cmd_obstruction(args):
     return code, payload, lines
 
 
-def _cmd_surface(args):
-    rs = build(args.type)
+def _cmd_surface(rs, args):
     lattice = resolution_lattice(rs)
     if args.root is not None:
         alpha = root_vector(*args.root) if len(args.root) == rs.rank else None
@@ -272,8 +235,6 @@ def _cmd_surface(args):
         d = root_to_divisor(lattice, alpha)
         verdict = surface_h2_oracle(lattice)(alpha)
         payload = {
-            "schema": SCHEMA,
-            "type": rs.name,
             "root": _coords(alpha),
             "divisor": list(d.coeffs),
             "self_intersection": lattice.self_intersection(d),
@@ -289,9 +250,9 @@ def _cmd_surface(args):
         ]
         return OK, payload, lines
     rep = verify_surface(rs)
-    payload = _report_payload(rs, rep)
+    code, payload, lines = _report(rep)
     payload["minus_two_classes"] = rep.details["minus_two_classes"]
-    return (OK if rep.ok else FAILED), payload, _report_lines(rep)
+    return code, payload, lines
 
 
 def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
@@ -301,41 +262,51 @@ def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
     return run_suite(rs, suite)
 
 
-def _cmd_verify(args):
-    rs = build(args.type)
-    rep = run_suite(rs, args.suite)
-    payload = _report_payload(rs, rep)
+def _cmd_verify(rs, args):
+    code, payload, lines = _report(run_suite(rs, args.suite))
     payload["suite"] = args.suite
-    return (OK if rep.ok else FAILED), payload, _report_lines(rep)
+    return code, payload, lines
 
 
-COMMAND_FOR_OPERATION = {
-    "roots": _cmd_roots,
-    "cartan": _cmd_cartan,
-    "bwb": _cmd_bwb,
-    "cht": _cmd_cht,
-    "cotangent": _cmd_cotangent,
-    "euler": _cmd_euler,
-    "chevalley": _cmd_chevalley,
-    "obstruction": _cmd_obstruction,
-    "surface": _cmd_surface,
-    "verify": _cmd_verify,
-}
+_WEIGHT = (
+    ("coords", {"nargs": "+", "type": int, "help": "weight coordinates"}),
+    ("--basis", {"choices": ("weight", "root"), "default": "weight",
+                 "help": "basis of the input coordinates (default weight)"}),
+)
 
+# name, command, help and the command's own arguments; build_parser adds
+# "type" before them and "--format" after them
+COMMANDS = (
+    ("roots", _cmd_roots, "list the positive roots", ()),
+    ("cartan", _cmd_cartan, "print the Cartan matrix", ()),
+    ("bwb", _cmd_bwb, "line-bundle cohomology on the flag variety", _WEIGHT),
+    ("cht", _cmd_cht, "chain height and the dominance interval", _WEIGHT),
+    ("cotangent", _cmd_cotangent, "degree-two vanishing verdict", _WEIGHT),
+    ("euler", _cmd_euler, "graded euler characteristic", _WEIGHT + (
+        ("--degree", {"type": int, "default": 0, "help": "symmetric degree (default 0)"}),
+        ("--max-terms", {"type": int, "default": 10**6,
+                         "help": "term budget before giving up (default 1000000)"}),
+    )),
+    ("chevalley", _cmd_chevalley, "verify or dump the structure constants", (
+        ("--dump", {"action": "store_true", "help": "print the sign table"}),
+    )),
+    ("obstruction", _cmd_obstruction, "build one half obstruction system", (
+        ("--half", {"choices": ("positive", "negative"), "default": "positive",
+                    "help": "which half (default positive)"}),
+        ("--certify", {"action": "store_true",
+                       "help": "certify solvability against the matching H^2 oracle"}),
+    )),
+    ("surface", _cmd_surface, "resolved-surface dictionary and descent", (
+        ("--root", {"nargs": "+", "type": int, "default": None,
+                    "help": "root coordinates to look up instead of running the full check"}),
+    )),
+    ("verify", _cmd_verify, "run a named verification suite", (
+        ("suite", {"choices": SUITES + ("all",)}),
+    )),
+)
 
-def _add_common(sub):
-    sub.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default text)",
-    )
-
-
-def _add_weight_args(sub):
-    sub.add_argument("coords", nargs="+", type=int, help="weight coordinates")
-    sub.add_argument(
-        "--basis", choices=("weight", "root"), default="weight",
-        help="basis of the input coordinates (default weight)",
-    )
+# the dispatch table main reads
+COMMAND_FOR_OPERATION = {name: command for name, command, _, _ in COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,70 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("roots", help="list the positive roots")
-    sub.add_argument("type", help="root system, e.g. A2, D5, E8")
-    _add_common(sub)
-
-    sub = subs.add_parser("cartan", help="print the Cartan matrix")
-    sub.add_argument("type")
-    _add_common(sub)
-
-    sub = subs.add_parser("bwb", help="line-bundle cohomology on the flag variety")
-    sub.add_argument("type")
-    _add_weight_args(sub)
-    _add_common(sub)
-
-    sub = subs.add_parser("cht", help="chain height and the dominance interval")
-    sub.add_argument("type")
-    _add_weight_args(sub)
-    _add_common(sub)
-
-    sub = subs.add_parser("cotangent", help="degree-two vanishing verdict")
-    sub.add_argument("type")
-    _add_weight_args(sub)
-    _add_common(sub)
-
-    sub = subs.add_parser("euler", help="graded euler characteristic")
-    sub.add_argument("type")
-    _add_weight_args(sub)
-    sub.add_argument("--degree", type=int, default=0, help="symmetric degree (default 0)")
-    sub.add_argument(
-        "--max-terms", type=int, default=10**6,
-        help="term budget before giving up (default 1000000)",
-    )
-    _add_common(sub)
-
-    sub = subs.add_parser("chevalley", help="verify or dump the structure constants")
-    sub.add_argument("type")
-    sub.add_argument("--dump", action="store_true", help="print the sign table")
-    _add_common(sub)
-
-    sub = subs.add_parser("obstruction", help="build one half obstruction system")
-    sub.add_argument("type")
-    sub.add_argument(
-        "--half", choices=("positive", "negative"), default="positive",
-        help="which half (default positive)",
-    )
-    sub.add_argument(
-        "--certify", action="store_true",
-        help="certify solvability against the matching H^2 oracle",
-    )
-    _add_common(sub)
-
-    sub = subs.add_parser("surface", help="resolved-surface dictionary and descent")
-    sub.add_argument("type")
-    sub.add_argument(
-        "--root", nargs="+", type=int, default=None,
-        help="root coordinates to look up instead of running the full check",
-    )
-    _add_common(sub)
-
-    sub = subs.add_parser("verify", help="run a named verification suite")
-    sub.add_argument("type")
-    sub.add_argument("suite", choices=SUITES + ("all",))
-    _add_common(sub)
-
+    for name, _, help_text, arguments in COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        # only roots' help describes the type
+        sub.add_argument("type", help="root system, e.g. A2, D5, E8" if name == "roots" else None)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.add_argument(
+            "--format", choices=("text", "json"), default="text",
+            help="output format (default text)",
+        )
     return parser
 
 
@@ -418,7 +335,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, payload, lines = COMMAND_FOR_OPERATION[args.command](args)
+        rs = build(args.type)
+        code, payload, lines = COMMAND_FOR_OPERATION[args.command](rs, args)
     except (ConstructionFailure, CancellationFailure) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL
@@ -429,7 +347,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({**payload, "schema": SCHEMA, "type": rs.name}, sort_keys=True))
     else:
         print("\n".join(lines))
     return code

@@ -17,7 +17,6 @@ import re
 from ._exact import int_adjugate, int_text
 from .errors import (
     BasisMismatch,
-    ConstructionFailure,
     DependentRoots,
     IllegalType,
     ImmutableVector,
@@ -141,41 +140,35 @@ def _cartan_matrix(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
-def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """All positive roots in simple-root coordinates, by closure from the simples.
+def _positive_roots(
+    cartan: tuple[tuple[int, ...], ...],
+) -> tuple[list[tuple[int, ...]], tuple[tuple[int, int], ...]]:
+    """All positive roots in simple-root coordinates, sorted by (height, lex),
+    and the step that builds each: (k, i) when it is positive root k plus the
+    simple root alpha_i, with k = -1 for alpha_i itself.
 
-    A candidate beta + alpha_i is admitted exactly when the alpha_i-string
-    through beta has q = p - (beta, alpha_i) >= 1, where p counts the steps
-    beta - k*alpha_i that are already known roots.
+    Every root has square 2, so beta + alpha_i is a root exactly when
+    (beta, alpha_i) = -1.  The closure runs over i outside the layer, so a
+    root is first reached from its predecessor of least i.
     """
     rank = len(cartan)
     simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    known = set(simples)
-    layer = list(simples)
+    first = {s: (None, i) for i, s in enumerate(simples)}
+    layer = simples
     while layer:
         nxt = []
-        for beta in layer:
-            pairing = [
-                sum(beta[k] * cartan[k][i] for k in range(rank)) for i in range(rank)
-            ]
-            for i in range(rank):
-                p = 0
-                cur = list(beta)
-                while True:
-                    cur[i] -= 1
-                    if tuple(cur) in known:
-                        p += 1
-                    else:
-                        break
-                if p - pairing[i] >= 1:
-                    cand = list(beta)
-                    cand[i] += 1
-                    cand_t = tuple(cand)
-                    if cand_t not in known:
-                        known.add(cand_t)
-                        nxt.append(cand_t)
+        for i, row in enumerate(cartan):
+            for beta in layer:
+                if sum(map(mul, beta, row)) == -1:
+                    cand = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if cand not in first:
+                        first[cand] = (beta, i)
+                        nxt.append(cand)
         layer = nxt
-    return sorted(known, key=lambda c: (sum(c), c))
+    pos = sorted(first, key=lambda c: (sum(c), c))
+    index = {c: k for k, c in enumerate(pos)}
+    steps = tuple((-1 if beta is None else index[beta], i) for beta, i in map(first.get, pos))
+    return pos, steps
 
 
 class RootSystem:
@@ -193,7 +186,8 @@ class RootSystem:
         if adjugate is None:
             raise IllegalType(f"degenerate Cartan matrix for {kind}{rank}")
         self._det = minors[-1]
-        pos = _positive_roots(self.cartan)
+        # the steps are ordered by height, so k always precedes the root it builds
+        pos, self._positive_steps = _positive_roots(self.cartan)
         self.positive_roots: tuple[LatticeVector, ...] = tuple(
             LatticeVector(c, Basis.SIMPLE_ROOT) for c in pos
         )
@@ -290,29 +284,6 @@ class RootSystem:
         return tuple(
             tuple(j for j, c in enumerate(row) if c == -1) for row in self.cartan
         )
-
-    @cached_property
-    def _positive_steps(self) -> tuple[tuple[int, int], ...]:
-        # (k, i) for each positive root: it is positive root k plus the simple
-        # root alpha_i, with k = -1 for alpha_i itself.  The list is sorted by
-        # height, so k always precedes the root it builds.
-        index = {a.coords: k for k, a in enumerate(self.positive_roots)}
-        steps = []
-        for a in self.positive_roots:
-            c = a.coords
-            if sum(c) == 1:
-                steps.append((-1, c.index(1)))
-                continue
-            for i in range(self.rank):
-                k = index.get(c[:i] + (c[i] - 1,) + c[i + 1:])
-                if k is not None:
-                    steps.append((k, i))
-                    break
-            else:
-                raise ConstructionFailure(
-                    f"{self.name}: positive root {c} has no positive predecessor"
-                )
-        return tuple(steps)
 
     def positive_pairings(self, v: LatticeVector) -> list[int]:
         """(v, a) for every positive root a, in the order of positive_roots.

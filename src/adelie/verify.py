@@ -57,18 +57,19 @@ def cotangent_h2_oracle(rs: RootSystem):
     return oracle
 
 
-def verify_obstruction(rs: RootSystem) -> VerificationReport:
-    """Build both half systems, check closure, and certify solvability.
+def half_h2_oracle(rs: RootSystem, half: Half):
+    """The oracle a half system is certified against: curve descent for the
+    positive half, chain height for the negative half."""
+    if half is Half.POSITIVE:
+        return surface_h2_oracle(resolution_lattice(rs))
+    return cotangent_h2_oracle(rs)
 
-    The positive half is certified against the curve-descent oracle, the
-    negative half against the chain-height oracle.
-    """
+
+def verify_obstruction(rs: RootSystem) -> VerificationReport:
+    """Build both half systems, check closure, and certify each against
+    its half_h2_oracle."""
     rep = VerificationReport(name=f"obstruction-{rs.name}")
     constants = build_constants(rs)
-    oracles = {
-        Half.POSITIVE: surface_h2_oracle(resolution_lattice(rs)),
-        Half.NEGATIVE: cotangent_h2_oracle(rs),
-    }
     for half in (Half.POSITIVE, Half.NEGATIVE):
         try:
             system = build_system(constants, half)
@@ -78,7 +79,7 @@ def verify_obstruction(rs: RootSystem) -> VerificationReport:
         rep.checked += len(system.obstructions)
         closure = check_bianchi(system)
         rep.merge(closure)
-        cert = certify_solvability(system, oracles[half])
+        cert = certify_solvability(system, half_h2_oracle(rs, half))
         rep.checked += len(cert.verdicts)
         for v in cert.verdicts:
             if not v.vanishes:

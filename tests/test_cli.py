@@ -11,11 +11,10 @@ from pathlib import Path
 import pytest
 
 from adelie import cli, cotangent
-from adelie.cli import COMMAND_FOR_OPERATION, _report_lines, _report_payload, main
+from adelie.cli import COMMAND_FOR_OPERATION, _report, main
 from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailure
 from adelie.flag import bwb
 from adelie.report import VerificationReport
-from adelie.roots import build
 from test_acceptance import _cli_env
 
 
@@ -193,16 +192,15 @@ def test_thread_env_is_tolerated(capsys, monkeypatch):
 
 def test_failed_report_rendering():
     rep = VerificationReport(name="demo", checked=3, violations=["broken fact"])
-    lines = _report_lines(rep)
+    _, payload, lines = _report(rep)
     assert lines[0] == "demo: FAILED (3 checks)"
     assert any("broken fact" in line for line in lines)
-    payload = _report_payload(build("A1"), rep)
     assert payload["ok"] is False
     assert payload["violations"] == ["broken fact"]
 
 
 def _raising(exc):
-    def command(args):
+    def command(rs, args):
         raise exc
 
     return command

@@ -1,7 +1,7 @@
 """Root system construction, pairings, strings, heights.
 
 The independent oracle here closes the simple roots under all simple
-reflections and never consults the string-based generator, so the two
+reflections and never consults the pairing-based closure, so the two
 enumerations cross-check each other.
 """
 
@@ -66,6 +66,29 @@ def test_positive_root_counts(name, count):
     orbit = reflection_orbit(rs.cartan)
     assert {r.coords for r in rs.all_roots} == orbit
     assert len(orbit) == 2 * count
+
+
+SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_each_positive_root_is_its_step_plus_a_simple_root(name):
+    # (k, i) builds positive root k plus alpha_i, k = -1 exactly on the simple
+    # roots, and i is the least index whose alpha_i leaves a positive root
+    rs = build(name)
+    assert len(rs._positive_steps) == len(rs.positive_roots)
+    positive = {a.coords for a in rs.positive_roots}
+    for a, (k, i) in zip(rs.positive_roots, rs._positive_steps):
+        below = [
+            j for j in range(rs.rank)
+            if a.coords[:j] + (a.coords[j] - 1,) + a.coords[j + 1:] in positive
+        ]
+        if k == -1:
+            assert (a, below) == (rs.simple_roots[i], [])
+        else:
+            assert 0 <= k < len(rs.positive_roots)
+            assert rs.positive_roots[k] + rs.simple_roots[i] == a
+            assert i == min(below)
 
 
 @pytest.mark.parametrize("name", sorted(POSITIVE_COUNTS))
@@ -353,8 +376,7 @@ def _fraction_inverse(m):
 def test_adjugate_times_cartan_is_det_times_identity():
     # det(C) is n + 1 on A_n, 4 on D_n and 9 - n on E_n; every leading minor
     # of a positive-definite form is positive
-    names = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)]
-    for rs in map(build, names + ["E6", "E7", "E8"]):
+    for rs in map(build, SUPPORTED):
         minors, _, adj = int_adjugate(rs.cartan)
         det = {"A": rs.rank + 1, "D": 4, "E": 9 - rs.rank}[rs.kind]
         assert len(minors) == rs.rank and min(minors) > 0 and minors[-1] == det
