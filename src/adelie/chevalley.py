@@ -33,9 +33,9 @@ from .roots import LatticeVector, RootSystem, build
 
 Coords = tuple[int, ...]
 
-# products that one block of the Jacobi sweep or the Bianchi closure expands
-# at a time: enough that numpy's per-call overhead is spread thin, few enough
-# that the arrays of one block stay small
+# products that one block of the Jacobi sweep expands at a time: enough that
+# numpy's per-call overhead is spread thin, few enough that the arrays of one
+# block stay small
 _PRODUCT_BUDGET = 8192
 
 

@@ -60,13 +60,6 @@ def lambda_plus(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
     return dominant_conjugate(rs, lam)[0]
 
 
-@lru_cache(maxsize=None)
-def _root_steps(kind: str, rank: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(root-basis, weight-basis) coordinates of every positive root."""
-    rs = build(kind, rank)
-    return tuple((a.coords, rs.to_weight_basis(a).coords) for a in rs.positive_roots)
-
-
 @lru_cache(maxsize=64)
 def _packed_steps(kind: str, rank: int, width: int) -> tuple[tuple[int, int], ...]:
     """(packed step, height) of every positive root for fields of width bits.
@@ -75,10 +68,11 @@ def _packed_steps(kind: str, rank: int, width: int) -> tuple[tuple[int, int], ..
     slack d_i - c_i into field 2 rank - 1 - i, so adding a root beta adds
     beta's weight coordinates and subtracts its root coordinates.
     """
+    rs = build(kind, rank)
     out = []
-    for root, weight in _root_steps(kind, rank):
-        fields = list(weight) + [-v for v in reversed(root)]
-        out.append((sum(v << (width * f) for f, v in enumerate(fields)), sum(root)))
+    for a in rs.positive_roots:
+        fields = list(rs.to_weight_basis(a).coords) + [-v for v in reversed(a.coords)]
+        out.append((sum(v << (width * f) for f, v in enumerate(fields)), sum(a.coords)))
     return tuple(out)
 
 
@@ -243,9 +237,9 @@ def verify_chain_criterion(
     positive root.
 
     max_support, when set, keeps only weights with at most that many nonzero
-    coordinates.  cht walks every dominant weight of [lam_star, lam_plus],
-    and deep in the antidominant cone that interval grows fast with rank,
-    up to the walk's cap on interval points.
+    coordinates.  cht(lam) = 0 exactly when the interval [lam_star, lam_plus]
+    is one point, that is when the firing stops at lambda+ (c = d in
+    _least_action), so the check reads the firing and walks no interval.
     """
     rep = VerificationReport(name=f"chain-criterion-{rs.name}")
     for coords in product(range(-radius, radius + 1), repeat=rs.rank):
@@ -254,7 +248,8 @@ def verify_chain_criterion(
         lam = weight_vector(*coords)
         rep.checked += 1
         flat = min(rs.positive_pairings(lam)) >= -1
-        if (cht(rs, lam).value == 0) != flat:
+        _, d, c, _ = _least_action(rs, lam)
+        if (tuple(c) == d) != flat:
             rep.violations.append(
                 f"{lam}: cht {'0' if not flat else 'nonzero'} against pairing bound"
             )

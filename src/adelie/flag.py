@@ -66,20 +66,18 @@ def dominant_conjugate(
     negative to positive and permutes the rest, so the loop runs exactly
     index(rs, mu) times; the returned word lists 1-based simple-reflection
     indices in application order.  s_i subtracts mu_i times the Cartan row
-    of i, which is 2 at i and -1 at its Dynkin neighbours: it negates
-    coordinate i and adds its old value to each neighbour.
+    of i, the weight coordinates of alpha_i, as the firing of
+    cotangent._least_action adds it.
     """
     cur = list(rs.to_weight_basis(mu).coords)
-    neighbours = rs.neighbours
     word: list[int] = []
     while True:
         i = next((k for k, v in enumerate(cur) if v < 0), None)
         if i is None:
             return LatticeVector(tuple(cur), Basis.FUNDAMENTAL_WEIGHT), tuple(word)
         k = cur[i]
-        cur[i] = -k
-        for j in neighbours[i]:
-            cur[j] += k
+        for j, v in enumerate(rs.cartan[i]):
+            cur[j] -= k * v
         word.append(i + 1)
 
 

@@ -22,18 +22,20 @@ half, sorted by column.  For column g the first application of D is the run
 of terms [x_a, b_g]; the second gathers the runs of their targets, each term
 signed by the sort of phi_b phi_a, and equal keys (column, monomial id,
 target) are summed after a sort.  The rank Cartan columns are expanded in one
-pass; only the Jacobi sweep and the Bianchi closure are cut into blocks of a
-fixed product budget (chevalley.blocks).  Each E_a comes out of one
-Cartan column by exact division (CancellationFailure otherwise).  The closed
+pass, and one selection over the summed keys extracts every E_a: its class is
+read from the key's target, it keeps the keys of its column k_a, the first k
+with (a, a_k) != 0, and one exact division runs over all of them
+(CancellationFailure on the first failing class otherwise).  The closed
 formula above, over pairs of packed root coordinates and the sign table,
 must then give the extracted E_a monomial for monomial (ConstructionFailure
 otherwise) before they become coordinate-keyed forms: it is the one check
 that ties the sign table to the bracket table the gate swept.
 
-The E_a satisfy the Bianchi-type identity checked by check_bianchi, and
-certify_solvability matches them against an H^2 vanishing oracle: classes of
-height two and above must vanish, classes of height one are recorded as
-nontriviality requirements on the target.
+The E_a satisfy the Bianchi-type identity checked by check_bianchi, whose
+closure expands every class in one pass, and certify_solvability matches
+them against an H^2 vanishing oracle: classes of height two and above must
+vanish, classes of height one are recorded as nontriviality requirements on
+the target.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .chevalley import ChevalleyConstants, blocks, runs, sum_by_key
+from .chevalley import ChevalleyConstants, runs, sum_by_key
 from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from .report import H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem
@@ -192,31 +194,27 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     )
     del a, t1, c1, gw, j, k, b, keep, lo, hi, sign
 
-    # extract E_a from the Cartan columns: ad(x_a) h_k = -(a, a_k) x_a
+    # extract every E_a at once: ad(x_a) h_k = -(a, a_k) x_a, so E_a is the
+    # part of the Cartan column k_a, the first k with (a, a_k) != 0, at the
+    # target x_a, divided by -(a, a_k); a key's class is read from its target
     coords = [a.coords for a in roots]
     root_coords = np.array(coords, dtype=np.int64)
     pairings = root_coords @ np.array(rs.cartan, dtype=np.int64)
-    h_ptr = np.searchsorted(h_keys, np.arange(rank + 1) * width * dim)
-    e_monos: list[np.ndarray] = []
-    e_vals: list[np.ndarray] = []
-    for alpha, ia, w in zip(roots, rank + index, pairings.tolist()):
-        k = next(k for k in range(rank) if w[k] != 0)
-        denom = -w[k]
-        h = slice(h_ptr[k], h_ptr[k + 1])
-        keys, vals = h_keys[h], h_vals[h]
-        at = keys % dim == ia
-        if (vals[at] % denom).any():
-            raise CancellationFailure(
-                f"{rs.name} {half.value}: column h{k + 1} is not divisible "
-                f"by {denom} at class {alpha}"
-            )
-        e_monos.append(keys[at] // dim % width)
-        e_vals.append(vals[at] // denom)
-    e_lens = [len(v) for v in e_vals]
-    e_ptr = np.concatenate([[0], np.cumsum(e_lens)])
-    e_monos_flat = np.concatenate(e_monos)
-    e_vals_flat = np.concatenate(e_vals)
-    del e_monos, e_vals
+    first = (pairings != 0).argmax(axis=1)
+    denom = -pairings[np.arange(n), first]
+    cls = position[h_keys % dim]
+    at = (cls >= 0) & (h_keys // (width * dim) == first[cls])
+    cls, vals, den = cls[at], h_vals[at], denom[cls[at]]
+    bad = cls[vals % den != 0]
+    if bad.size:
+        a = int(bad.min())
+        raise CancellationFailure(
+            f"{rs.name} {half.value}: column h{first[a] + 1} is not divisible "
+            f"by {denom[a]} at class {roots[a]}"
+        )
+    e_keys = cls * width + h_keys[at] // dim % width
+    order = np.argsort(e_keys)
+    extracted = (e_keys[order], (vals // den)[order])
 
     # independent route, from root coordinates and the sign table: psi_s plus
     # n_{p,q} phi_p phi_q for each pair p < q of the half whose coordinates,
@@ -231,7 +229,6 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
         np.r_[np.arange(n) * (width + 1), s * width + n + p * n + q],
         np.r_[np.ones(n, dtype=np.int64), constants.sign_table[index[p], index[q]]],
     )
-    extracted = (np.repeat(np.arange(n), e_lens) * width + e_monos_flat, e_vals_flat)
     if not all(map(np.array_equal, closed, extracted)):
         raise ConstructionFailure(
             f"{rs.name} {half.value}: the closed quadratic formula disagrees "
@@ -244,14 +241,13 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
         p, q = divmod(mono - n, n)
         return ((coords[p], coords[q]), ())
 
-    obstructions = {
-        c: FormalForm(
-            {monomial(m): v for m, v in zip(monos.tolist(), vals.tolist())}
-        )
-        for c, monos, vals in zip(
-            coords, np.split(e_monos_flat, e_ptr[1:-1]), np.split(e_vals_flat, e_ptr[1:-1])
-        )
-    }
+    # the keys are sorted by class, and the closed formula gives every class
+    # its psi term, so the forms come out in the order of roots
+    terms: dict[Coords, dict[Monomial, int]] = {}
+    for key, v in zip(*(x.tolist() for x in extracted)):
+        a, mono = divmod(key, width)
+        terms.setdefault(coords[a], {})[monomial(mono)] = v
+    obstructions = {c: FormalForm(t) for c, t in terms.items()}
     return ObstructionSystem(constants, half, roots, obstructions)
 
 
@@ -315,26 +311,17 @@ def _failing_classes(n: int, cls, p, q, val):
     (cls, p, q, val) of every E_a sorted by class: n phi_p Q_q and
     -n Q_p phi_q = -n phi_q Q_p for each term of E_a, where phi_x phi_y phi_z
     (y < z) is its sorted triple signed by the sort, and 0 when x repeats y
-    or z.  Both sides are expanded by runs over the class pointers and summed
-    by (class, triple), in consecutive ranges of classes of at most
-    _PRODUCT_BUDGET products each unless one class has more."""
+    or z.  Both sides of every class are expanded in one pass, by runs over
+    the class pointers, and summed by (class, triple)."""
     ptr = np.searchsorted(cls, np.arange(n + 1))
-    # products of class a: each term's partner terms, both ways round
-    per_term = np.cumsum(ptr[p + 1] - ptr[p] + ptr[q + 1] - ptr[q])
-    done = np.concatenate(([0], per_term))[ptr]
-    found = []
-    for a0, a1 in blocks(np.diff(done)):
-        t = slice(ptr[a0], ptr[a1])
-        x, right, v = np.r_[p[t], q[t]], np.r_[q[t], p[t]], np.r_[val[t], -val[t]]
-        j, k = runs(ptr[right], ptr[right + 1])
-        a, x, y, z = np.r_[cls[t], cls[t]][j], x[j], p[k], q[k]
-        vals = v[j] * val[k]
-        vals[(y < x) & (x < z)] *= -1
-        vals[(x == y) | (x == z)] = 0
-        lo, hi = np.minimum(x, y), np.maximum(x, z)
-        found.append(sum_by_key(((a * n + lo) * n + x + y + z - lo - hi) * n + hi, vals))
-    keys, sums = map(np.concatenate, zip(*found))
-    return keys, sums
+    x, right, v = np.r_[p, q], np.r_[q, p], np.r_[val, -val]
+    j, k = runs(ptr[right], ptr[right + 1])
+    a, x, y, z = np.r_[cls, cls][j], x[j], p[k], q[k]
+    vals = v[j] * val[k]
+    vals[(y < x) & (x < z)] *= -1
+    vals[(x == y) | (x == z)] = 0
+    lo, hi = np.minimum(x, y), np.maximum(x, z)
+    return sum_by_key(((a * n + lo) * n + x + y + z - lo - hi) * n + hi, vals)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ computed by integer dot products and stays exact at any rank.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import index, mul
 import re
 
@@ -277,13 +277,6 @@ class RootSystem:
         from fractions import Fraction  # only two fractional weights reach here
 
         return Fraction(num, self._det)
-
-    @cached_property
-    def neighbours(self) -> tuple[tuple[int, ...], ...]:
-        """0-based Dynkin neighbours of each node: the -1 entries of its row."""
-        return tuple(
-            tuple(j for j, c in enumerate(row) if c == -1) for row in self.cartan
-        )
 
     def positive_pairings(self, v: LatticeVector) -> list[int]:
         """(v, a) for every positive root a, in the order of positive_roots.

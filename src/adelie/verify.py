@@ -134,11 +134,11 @@ def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
     if suite == "index":
         return verify_index_bound(rs)
     if suite == "cht":
-        # ball size shrinks with rank so the sweep stays exhaustive on its
-        # slice and its dominance intervals stay small.  cht == 0 holds
-        # exactly when lambda* = lambda+, so the ball criterion checks the
-        # firing, not the walk; the walk's value is checked by the chain-step
-        # and brute-force tests
+        # the ball shrinks with rank to bound its weight count, so the sweep
+        # stays exhaustive on its slice.  cht == 0 holds exactly when
+        # lambda* = lambda+, so the criterion reads the firing and walks no
+        # interval; the walk's value is checked by the chain-step and
+        # brute-force tests and, on the roots, by verify_cht_roots
         if rs.rank <= 5:
             radius, support = 2, None
         elif rs.rank == 6:

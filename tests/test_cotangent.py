@@ -8,7 +8,7 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from adelie import build, root_vector, weight_vector
+from adelie import build, cotangent, root_vector, weight_vector
 from adelie.cotangent import (
     cht,
     cotangent_verdict,
@@ -170,11 +170,27 @@ def test_chain_steps_are_positive_roots(name, weights):
             assert rs.is_positive_root(hi - lo), (lam, lo, hi)
 
 
-@pytest.mark.parametrize("name,radius", [("A2", 3), ("A3", 2), ("D4", 2)])
-def test_chain_criterion(name, radius):
+@pytest.mark.parametrize("name,radius", [("A2", 3), ("A3", 2), ("D4", 2), ("E6", 1)])
+def test_chain_criterion(name, radius, monkeypatch):
+    # the criterion reads the firing alone: with the interval walk gone it
+    # still gives its verdict on the whole ball
+    def walk(*args):
+        raise AssertionError(f"interval walk called on {args}")
+
+    monkeypatch.setattr(cotangent, "_cht_cached", walk)
     rep = verify_chain_criterion(build(name), radius=radius)
     assert rep.ok, rep.violations
     assert rep.checked == (2 * radius + 1) ** build(name).rank
+
+
+@pytest.mark.parametrize("name,radius", [("A3", 2), ("D4", 2), ("E6", 1)])
+def test_the_walk_gives_cht_zero_exactly_when_the_firing_stops_at_lambda_plus(name, radius):
+    # the route the criterion no longer takes, kept as its oracle: the walk
+    # finds a one-point interval exactly when lambda* = lambda+
+    rs = build(name)
+    for coords in product(range(-radius, radius + 1), repeat=rs.rank):
+        lam = weight_vector(*coords)
+        assert (lambda_star(rs, lam) == lambda_plus(rs, lam)) == (cht(rs, lam).value == 0), lam
 
 
 def test_cotangent_verdict_roots_always_pass_degree_two():

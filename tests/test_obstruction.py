@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adelie import build, chevalley, obstruction, root_vector
+from adelie import build, obstruction, root_vector
 from adelie.chevalley import build_constants, runs, sum_by_key, verify_chevalley
 from adelie.cli import main
 from adelie.errors import CancellationFailure, ConstructionFailure, IncompleteOracle
@@ -29,7 +29,8 @@ from adelie.obstruction import (
     half_roots,
     system_text,
 )
-from test_chevalley import BUDGETS, _reference_first_failure
+from adelie.verify import detect_tampering
+from test_chevalley import _reference_first_failure
 
 
 def _merge_phis(a, b):
@@ -279,6 +280,59 @@ def test_cartan_column_not_divisible():
         build_system(bad, Half.POSITIVE)
     assert str(exc.value) == "A2 positive: jacobi fails on basis triple (0,1,3)"
     assert _reference_first_failure(bad)[1] == (0, 1, 3)
+
+
+def _with_simple_roots_swapped(c, i, j):
+    # a copy whose bracket table relabels the basis by x_{a_i} <-> x_{a_j}
+    # and x_{-a_i} <-> x_{-a_j}, in targets, rows and columns: the same Lie
+    # algebra, so it passes the gate, with root labels that no longer match
+    # the Cartan relations
+    rs = c.system
+    perm = np.arange(len(c.bracket_table[0]))
+    for sign in (1, -1):
+        u, v = (_x(rs, *(sign * int(t == k) for t in range(rs.rank))) for k in (i, j))
+        perm[u], perm[v] = v, u
+    targets, coeffs = c.bracket_table
+    bad_targets, bad_coeffs = np.empty_like(targets), np.empty_like(coeffs)
+    bad_targets[np.ix_(perm, perm)] = perm[targets]
+    bad_coeffs[np.ix_(perm, perm)] = coeffs
+    copy = dataclasses.replace(c)
+    copy.__dict__["bracket_table"] = (bad_targets, bad_coeffs)
+    return copy
+
+
+def test_a_relabelled_table_fails_the_exact_division():
+    # x_{a1} <-> x_{a2} on A2 passes the gate, but [x_{a1}, h_1] now has the
+    # coefficient -(a2, a1) = 1 that x_{a2} had, so the column h_1 holds
+    # psi_{a1} with 1, which -(a1, a1) = -2 does not divide
+    bad = _with_simple_roots_swapped(build_constants(build("A2")), 0, 1)
+    rep = verify_chevalley(bad)
+    assert rep.ok and rep.checked == 128
+    for half, message in [
+        (Half.POSITIVE, "A2 positive: column h1 is not divisible by -2 at class {1,0|root}"),
+        (Half.NEGATIVE, "A2 negative: column h1 is not divisible by 2 at class {-1,0|root}"),
+    ]:
+        with pytest.raises(CancellationFailure) as exc:
+            build_system(bad, half)
+        assert str(exc.value) == message
+    assert detect_tampering(bad) == (
+        True, "positive build: A2 positive: column h1 is not divisible by -2 at class {1,0|root}"
+    )
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_a_relabelled_table_passes_the_division_and_fails_the_closed_formula(name):
+    # x_{a1} <-> x_{a3}: every Cartan column divides, and the closed formula
+    # over the sign table catches the forms the relabelled table gives
+    bad = _with_simple_roots_swapped(build_constants(build(name)), 0, 2)
+    assert verify_chevalley(bad).ok
+    for half in Half:
+        with pytest.raises(ConstructionFailure) as exc:
+            build_system(bad, half)
+        assert str(exc.value) == (
+            f"{name} {half.value}: the closed quadratic formula disagrees "
+            "with the double expansion of D^2"
+        )
 
 
 def test_root_column_does_not_reduce():
@@ -537,8 +591,8 @@ def test_every_single_cell_corruption_fails_the_gate_on_both_halves():
 
 
 def _per_class_failing(n, cls, p, q, val):
-    # the Bianchi closure one class at a time, as it ran before the blocked
-    # kernel: the oracle for the nonzero closure sums
+    # the Bianchi closure one class at a time: the oracle for the nonzero
+    # closure sums of the one-pass kernel
     ptr = np.searchsorted(cls, np.arange(n + 1))
     found = []
     for a in range(n):
@@ -556,15 +610,11 @@ def _per_class_failing(n, cls, p, q, val):
 
 
 def _bianchi_violations(system, monkeypatch):
-    # check_bianchi's violations, the same under both budgets and with the
-    # per-class kernel
+    # check_bianchi's violations, the same with the per-class kernel
     with monkeypatch.context() as m:
         m.setattr(obstruction, "_failing_classes", _per_class_failing)
         expected = check_bianchi(system).violations
-    for budget in BUDGETS:
-        with monkeypatch.context() as m:
-            m.setattr(chevalley, "_PRODUCT_BUDGET", budget)
-            assert check_bianchi(system).violations == expected
+    assert check_bianchi(system).violations == expected
     return expected
 
 
