@@ -17,7 +17,8 @@ certifies vanishing in degree two and beyond.
 Negative roots admit a descent structure used by the inductive vanishing
 arguments: any negative root of height two or more pairs to -1 with some
 simple root and stays a negative root after adding it, so it walks down to a
-negated simple root in height-many steps.
+negated simple root in height-many steps.  The steps are the descent word
+that the root closure records (RootSystem.descent), read on the negation.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, prod
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from ._exact import digits_past_limit, int_text
@@ -230,6 +231,19 @@ def cotangent_verdict(rs: RootSystem, lam: LatticeVector) -> CotangentVerdict:
     )
 
 
+def _capped_ball(rank: int, radius: int, cap: int):
+    """The coordinate tuples of product(range(-radius, radius + 1),
+    repeat=rank) with at most cap nonzero entries, in product's order.  They
+    are built entry by entry, so the rest of the box is never walked."""
+    if not rank:
+        yield ()
+        return
+    for v in range(-radius, radius + 1):
+        if cap >= (v != 0):
+            for rest in _capped_ball(rank - 1, radius, cap - (v != 0)):
+                yield (v, *rest)
+
+
 def verify_chain_criterion(
     rs: RootSystem, radius: int = 2, max_support: int | None = None
 ) -> VerificationReport:
@@ -242,9 +256,8 @@ def verify_chain_criterion(
     _least_action), so the check reads the firing and walks no interval.
     """
     rep = VerificationReport(name=f"chain-criterion-{rs.name}")
-    for coords in product(range(-radius, radius + 1), repeat=rs.rank):
-        if max_support is not None and rs.rank - coords.count(0) > max_support:
-            continue
+    cap = rs.rank if max_support is None else max_support
+    for coords in _capped_ball(rs.rank, radius, cap):
         lam = weight_vector(*coords)
         rep.checked += 1
         flat = min(rs.positive_pairings(lam)) >= -1
@@ -259,26 +272,16 @@ def verify_chain_criterion(
 def negative_root_descent(rs: RootSystem, lam: LatticeVector) -> tuple[LatticeVector, ...]:
     """Descent chain from a negative root down to a negated simple root.
 
-    Each step adds the first simple root pairing to -1 whose sum stays a root;
+    Each step adds the next simple root of the descent word of -lam
+    (RootSystem.descent), the least one pairing to -1 whose sum stays a root;
     the chain has height-many entries and every entry is a negative root.
-    The walk carries the root coordinates and the weight coordinates, which
-    are the pairings with the simple roots, one Cartan row per step.
     """
     if not rs.is_root(lam) or rs.is_positive_root(lam):
         raise NotARootClass(f"{lam} is not a negative root")
     cur = rs.to_root_basis(lam).coords
-    weights = rs.to_weight_basis(lam).coords
     chain = [cur]
-    while sum(cur) <= -2:
-        for i in range(rs.rank):
-            if weights[i] == -1:
-                step = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
-                if step in rs._root_index:
-                    break
-        else:  # cannot happen: a root pairs positively with itself
-            raise ConstructionFailure(f"{rs.name}: no descent step from {root_vector(*cur)}")
-        cur = step
-        weights = tuple(map(add, weights, rs.cartan[i]))
+    for i in rs.descent(-lam)[:-1]:
+        cur = cur[:i] + (cur[i] + 1,) + cur[i + 1:]
         chain.append(cur)
     return tuple(root_vector(*c) for c in chain)
 

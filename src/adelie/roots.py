@@ -24,6 +24,7 @@ from .errors import (
     MixedSigns,
     NonIntegerCoordinate,
     NonIntegerRank,
+    NotARootClass,
     NotInRootLattice,
 )
 
@@ -149,7 +150,8 @@ def _positive_roots(
 
     Every root has square 2, so beta + alpha_i is a root exactly when
     (beta, alpha_i) = -1.  The closure runs over i outside the layer, so a
-    root is first reached from its predecessor of least i.
+    root is first reached from its predecessor of least i: the steps, read
+    down from a root, are its descent word (RootSystem.descent).
     """
     rank = len(cartan)
     simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
@@ -304,6 +306,20 @@ class RootSystem:
             return self.to_root_basis(v).coords in self._pos_set
         except NotInRootLattice:
             return False
+
+    def descent(self, alpha: LatticeVector) -> tuple[int, ...]:
+        """The descent word of a positive root: the 0-based simple roots that
+        its closure steps subtract, in order, and last the simple root it
+        ends at.  Each step subtracts the least alpha_i that leaves a root,
+        so the word has height-many letters."""
+        k = self._root_index.get(self.to_root_basis(alpha).coords, -1)
+        if not 0 <= k < len(self.positive_roots):
+            raise NotARootClass(f"{alpha} is not a positive root of {self.name}")
+        word = []
+        while k >= 0:
+            k, i = self._positive_steps[k]
+            word.append(i)
+        return tuple(word)
 
     def root_order_index(self, v: LatticeVector) -> int:
         c = self.to_root_basis(v).coords

@@ -10,7 +10,9 @@ with the roots class by class checks the lattice against the root system.
 H^2 vanishing for a root class is certified by replaying the curve-by-curve
 descent: a positive class of height two or more restricts to degree -1 on
 some exceptional curve, where cohomology drops to the shorter class, and the
-height-one base case is settled by the rationality of the singularity.
+height-one base case is settled by the rationality of the singularity.  The
+curves come from the root's descent word, which the root closure records;
+the lattice side reads only the rows of the intersection form.
 """
 
 from __future__ import annotations
@@ -154,49 +156,36 @@ def minus_two_classes(lattice: ResolutionLattice) -> tuple[DivisorClass, ...]:
 def surface_h2_oracle(lattice: ResolutionLattice):
     """H^2 oracle for root classes: replay the exceptional-curve descent.
 
-    Negative classes are routed through their negation.  The walk carries
-    the weight coordinates (one Cartan row per step) and the curve degrees
-    (one intersection row per step) of the current class, so each step
-    checks the degree -1 restriction honestly; the height-one base case
-    rests on the vanishing of H^1 and H^2 of the resolution's structure sheaf.
+    Negative classes are routed through their negation.  The walk follows
+    the root's descent word (RootSystem.descent) and carries the curve
+    degrees of the current class, one intersection row per step, so each
+    step checks the degree -1 restriction on the lattice's own form; the
+    height-one base case rests on the vanishing of H^1 and H^2 of the
+    resolution's structure sheaf.
     """
     rs = lattice.system
 
     def oracle(alpha: LatticeVector) -> H2VanishVerdict:
+        if not rs.is_root(alpha):
+            raise NotARootClass(f"{alpha} is not a root class")
         a = rs.to_root_basis(alpha)
-        if not rs.is_root(a):
-            raise NotARootClass(f"{a} is not a root class")
         negated = not rs.is_positive_root(a)
-        cur = (-a if negated else a).coords
-        weights = rs.to_weight_basis(root_vector(*cur)).coords
-        degrees = lattice.degrees(DivisorClass(cur))
-        word: list[int] = []
-        while sum(cur) >= 2:
-            for i in range(rs.rank):
-                step = cur[:i] + (cur[i] - 1,) + cur[i + 1:]
-                if weights[i] == 1 and step in rs._pos_set:
-                    break
-            else:
-                return H2VanishVerdict(
-                    root=a, vanishes=False, source="surface-descent",
-                    detail=f"no descent curve at {root_vector(*cur)}",
-                )
+        top = -a if negated else a
+        *word, base = rs.descent(top)
+        degrees = lattice.degrees(DivisorClass(top.coords))
+        for i in word:
             if degrees[i] != -1:
                 return H2VanishVerdict(
                     root=a, vanishes=False, source="surface-descent",
                     detail=f"restriction degree {degrees[i]} on curve {i + 1}",
                 )
-            word.append(i + 1)
-            cur = step
-            weights = tuple(map(sub, weights, rs.cartan[i]))
             degrees = tuple(map(sub, degrees, lattice.intersection[i]))
-        base = cur.index(1) + 1
         prefix = "negated; " if negated else ""
         return H2VanishVerdict(
             root=a,
             vanishes=True,
             source="surface-descent",
-            detail=f"{prefix}curves {word} to base {base}",
+            detail=f"{prefix}curves {[i + 1 for i in word]} to base {base + 1}",
         )
 
     return oracle

@@ -319,6 +319,59 @@ def test_verify_cht_payload_is_pinned(capsys, name):
     assert json.loads(out)["checked"] == checked
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+# (checked, SHA-256 of the exact stdout, seconds allowed) of `verify T all
+# --format json` on every supported type.  A bound is ten times the in-process
+# figure measured on a 2-vCPU VM, and at least 1 s, so a suite that walks a
+# 3^rank box again fails here in seconds (such a walk took 11-13 s on A16
+# and D16).
+VERIFY_ALL_SHA256 = {
+    "A1": (29, "ea4f3a087fe2a1b75dcce1ced07c1d5e14c253a9477cf6542f30fc4bccf440c4", 2),
+    "A2": (197, "2d18a03d16b4edda289716042bb1bad0a64efe919eb5b650b68fe3056f20138b", 1),
+    "A3": (956, "fe8424bf042660a81a9ca7d5365854b64a66e34736de7d50a9657119b5f15789", 1),
+    "A4": (3596, "e22b628b581dbefcb905671684e156ae27d3c3c8461868299eeb4c4a0bcb3f47", 1),
+    "A5": (11691, "66ee92f33d879df740f80b24f60725f86d85d67ebace8191cb95dd5a51c61637", 2),
+    "A6": (21863, "ae4a9588834e5a2ce56a1f9633af6ffa3d871c57e784266743083e5d11251de5", 1),
+    "A7": (46776, "801c40ac1c9cb2d2b9bd3a8a7f187aa4e2882df7c88befbfe2b72e6d0d9efc54", 1),
+    "A8": (93078, "e36d41c6f38d8318097753f86eb791ef148d2491aacff7794bf0501314a88f80", 1),
+    "A9": (173735, "04ebacb12a51fcb8990b0516c216c13574430d8f8d1c8c77b195ddcfef853256", 1),
+    "A10": (305877, "1c988078c2d55a47fc04b9fe13bb4355c28439a8f9cd631e854907619e97c663", 1),
+    "A11": (513042, "9a865d25c8d8fa796c5fd89d735fc6ceabe123347b8871c50177c39d5755cf7a", 1),
+    "A12": (826072, "7f6557d53979a34cb5ca2e27277537f197d6eca0c00ff1b295e912bb71ef176e", 1),
+    "A13": (1284493, "8bba11affa8d7e5ec835f6f8f0a5598c5b5699124934e46d19c7ec6b257816d8", 1),
+    "A14": (1938015, "ab7e6108dad20a54a0a3ccfb5c1076d7a51d3515d27c11e7ebc7b3201677b041", 2),
+    "A15": (2848152, "488504368b13976f3af3dfa1a672220065fed18de5d0d644f5cb393fa0d34201", 2),
+    "A16": (4089962, "d1b320d02d7638ed0a14949570ec1ffc3580be1a1517e018e53b7cfd1e3ac3d4", 2),
+    "D3": (956, "74d064fc650455a9ffffc85e34f42dad31990c4e0f99ca6ccc63271968b2c72f", 1),
+    "D4": (5230, "78be9ea3b39948a3c232fd1e2e68090eed9d8ac145f669aa6f159db97afecd5a", 1),
+    "D5": (20811, "65ab2d39a72e00b9e5a818623562671f360a429a3c29331db7f476533c2e3b7a", 2),
+    "D6": (54134, "1bebf46963bb5953167224a7dd39d6ebc0da596c4efc3b35150c5a364314158f", 1),
+    "D7": (136600, "8d7503d365b6db687f217c49574bb0630a74bc54acf6b82b232941cd1526fdb1", 1),
+    "D8": (306778, "85d3352b0cb8aaf7b4f118c4e95749c5f96d1e3318f398349d591f1a178aae65", 1),
+    "D9": (627839, "556f9bfa8eddff6ac0262a32c4e9850f4eca200c898554244a29d390dd7801d9", 1),
+    "D10": (1191342, "9f964eb9d6fa9edeb045f6f2e5a75efaf83e51f77803d9dd837da46c78044510", 2),
+    "D11": (2126258, "18cde46f222fab427b4fdd1e63c8e736568592a6d9b2eb97226c684aedc2b480", 2),
+    "D12": (3607486, "078b655c82b03158f7768de04420e55856f6e821c3bed7527a28dd055351e0ce", 2),
+    "D13": (5865693, "c846c6b919eceb8aa3429a78704f4d539ac3fd57577f33f3ad6c275e3d2da2c6", 3),
+    "D14": (9198114, "29b8ec65d53d0a845a5d4f9e325114e3055d3b39d56a77b755afb5ba4232c477", 3),
+    "D15": (13980312, "3c857b62658c62339b42e183ef2f326421e2c79a9407058305a3ae508d4ccb78", 4),
+    "D16": (20678898, "9192eb2c526bb2fb65e93c45253cca3688066f4ce38d30f39f013fa7481137bd", 6),
+    "E6": (87708, "43e4b1da91745ca1bc1b2defa02f64c0d3cf1f72a6b8798ce028802c775d0c66", 1),
+    "E7": (416376, "0ad95904581d7c780d0d5ec3a4d9957d45e24e746c42c9cfc255896929bcdb4c", 1),
+    "E8": (2628506, "a98916f78431ea9c73508e806cc9d86c57b2349f3cd5060c08a316eef7726d1a", 2),
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFY_ALL_SHA256))
+def test_verify_all_payload_is_pinned_on_every_type(capsys, name):
+    checked, digest, seconds = VERIFY_ALL_SHA256[name]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", name, "all", "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checked"] == checked
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < seconds, f"{name}: {elapsed:.2f} s"
+
 
 # Python refuses to print an int of more than sys.get_int_max_str_digits()
 # digits (4300 by default); an answer that long is a usage error, not a crash

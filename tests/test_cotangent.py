@@ -1,6 +1,7 @@
 """Dominance order, lambda_star / cht invariants, descent chains, graded Euler."""
 
 import random
+import time
 from collections import Counter
 from itertools import combinations_with_replacement, product
 from math import comb, prod
@@ -181,6 +182,30 @@ def test_chain_criterion(name, radius, monkeypatch):
     rep = verify_chain_criterion(build(name), radius=radius)
     assert rep.ok, rep.violations
     assert rep.checked == (2 * radius + 1) ** build(name).rank
+
+
+@pytest.mark.parametrize(
+    "rank,radius,support", [(4, 2, None), (7, 1, 3), (8, 1, 1), (5, 2, 2), (6, 2, 3), (3, 1, 0)]
+)
+def test_capped_ball_is_the_filtered_box_in_its_order(rank, radius, support):
+    cap = rank if support is None else support
+    box = [
+        c for c in product(range(-radius, radius + 1), repeat=rank)
+        if rank - c.count(0) <= cap
+    ]
+    assert list(cotangent._capped_ball(rank, radius, cap)) == box
+
+
+@pytest.mark.parametrize("name", ["A16", "D16"])
+def test_chain_criterion_at_rank_sixteen_walks_only_the_kept_weights(name):
+    # radius 1, support 1 keeps 33 of the 3^16 weights of the box; walking
+    # the whole box and filtering it takes about 10 s
+    rs = build(name)
+    t0 = time.perf_counter()
+    rep = verify_chain_criterion(rs, radius=1, max_support=1)
+    assert time.perf_counter() - t0 < 2.0
+    assert rep.ok, rep.violations
+    assert rep.checked == 33
 
 
 @pytest.mark.parametrize("name,radius", [("A3", 2), ("D4", 2), ("E6", 1)])

@@ -25,6 +25,7 @@ from adelie.errors import (
     MixedSigns,
     NonIntegerCoordinate,
     NonIntegerRank,
+    NotARootClass,
     NotInRootLattice,
 )
 
@@ -89,6 +90,30 @@ def test_each_positive_root_is_its_step_plus_a_simple_root(name):
             assert 0 <= k < len(rs.positive_roots)
             assert rs.positive_roots[k] + rs.simple_roots[i] == a
             assert i == min(below)
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_descent_word_subtracts_the_steps_down_to_a_simple_root(name):
+    # one letter per unit of height: each but the last leaves the positive
+    # root its closure step names, and the last is the simple root reached
+    rs = build(name)
+    for k, a in enumerate(rs.positive_roots):
+        word = rs.descent(a)
+        assert len(word) == rs.height(a)
+        for i in word[:-1]:
+            step, j = rs._positive_steps[k]
+            assert i == j
+            a, k = a - rs.simple_roots[i], step
+        assert a == rs.simple_roots[word[-1]]
+        assert rs._positive_steps[k] == (-1, word[-1])
+
+
+def test_descent_refuses_all_but_positive_roots():
+    rs = build("A2")
+    assert rs.descent(weight_vector(1, 1)) == (0, 1)  # the highest root
+    for v in (-rs.highest_root(), root_vector(1, -1), root_vector(0, 0)):
+        with pytest.raises(NotARootClass):
+            rs.descent(v)
 
 
 @pytest.mark.parametrize("name", sorted(POSITIVE_COUNTS))

@@ -16,7 +16,8 @@ from adelie.errors import (
     NotPositiveDefinite,
 )
 from adelie.flag import schubert_restriction_degree
-from adelie.roots import build, root_vector
+from adelie.cotangent import negative_root_descent
+from adelie.roots import build, root_vector, weight_vector
 from adelie.surface import (
     DivisorClass,
     ResolutionLattice,
@@ -229,6 +230,39 @@ def test_oracle_rejects_non_root():
     oracle = surface_h2_oracle(resolution_lattice(build("A2")))
     with pytest.raises(NotARootClass):
         oracle(root_vector(1, -1))
+
+
+def test_oracle_rejects_a_weight_off_the_root_lattice():
+    # the same error as root_to_divisor and negative_root_descent give, not
+    # the NotInRootLattice of a conversion run before the root check
+    rs = build("A2")
+    lattice = resolution_lattice(rs)
+    for check in (
+        surface_h2_oracle(lattice),
+        lambda v: root_to_divisor(lattice, v),
+        lambda v: negative_root_descent(rs, v),
+    ):
+        with pytest.raises(NotARootClass):
+            check(weight_vector(1, 0))
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_oracle_steps_on_the_least_curve_that_leaves_a_root(name):
+    # the word recomputed at every step from the pairings and root membership
+    # alone, against the oracle's detail on the untampered lattice
+    rs = build(name)
+    oracle = surface_h2_oracle(resolution_lattice(rs))
+    for a in rs.positive_roots:
+        cur, word = a, []
+        while rs.height(cur) >= 2:
+            i = next(
+                k for k, s in enumerate(rs.simple_roots)
+                if rs.pairing(cur, s) == 1 and rs.is_root(cur - s)
+            )
+            word.append(i + 1)
+            cur = cur - rs.simple_roots[i]
+        base = cur.coords.index(1) + 1
+        assert oracle(a).detail == f"curves {word} to base {base}"
 
 
 def test_oracle_detects_tampered_lattice():
