@@ -373,6 +373,93 @@ def test_verify_all_payload_is_pinned_on_every_type(capsys, name):
     assert elapsed < seconds, f"{name}: {elapsed:.2f} s"
 
 
+# (exit code, SHA-256 of the exact stdout, seconds allowed) of `obstruction T
+# --half H --certify --format json` on every supported type and both halves,
+# recorded from the padded bracket table that the term lists replaced.  A
+# bound is ten times the in-process figure, constants built afresh, measured
+# on a 2-vCPU VM, and at least 1 s.
+OBSTRUCTION_SHA256 = {
+    ("A1", "positive"): (0, "7b3d6e4a90b9b74935eb4f668753e7c709d2eb8a0b367323e90c2503d7ac60a4", 1),
+    ("A1", "negative"): (0, "1736009d0fb875d7fb9ba1f9ce49b7d05c588f28854f8b5824f6917c2b2d1874", 1),
+    ("A2", "positive"): (0, "0f39478ceabe512c56d20e572147a146ec56fbebb2b62e8ef149660c17f36ed9", 1),
+    ("A2", "negative"): (0, "74c3cacd97bc12fd4a39f0d93bdf9850a7eb8cbad8250076c8195aed092506a3", 1),
+    ("A3", "positive"): (0, "2b1372363e9779eeaf84e2a539c83114c9d9f66288d5a3240b4a989442723f15", 1),
+    ("A3", "negative"): (0, "3b2ce486f957b345e04b87b216c752fa368af43ea2ea9d31581571f1ed6e450c", 1),
+    ("A4", "positive"): (0, "0b82d0e87357203085c14c64b5a1ace02687ecd1dfe0804d14e95b8c414474b4", 1),
+    ("A4", "negative"): (0, "bb3690e2f11ec4e8fee58e959964f8057370b05c6e4b165db12b747ad8c4b3f5", 1),
+    ("A5", "positive"): (0, "09f9076477a03fc9918be3a533b23a03e95c1a1bc054b56ead214dda243947d9", 1),
+    ("A5", "negative"): (0, "8a9d6f5a0d27f17602e81efccb302974c2c7646b63be00233b287a6577c81a83", 1),
+    ("A6", "positive"): (0, "6f8e1b67d96505ded43bfbc3310b6e077afbebfa63a46d89e2b19b1fbf6ed84c", 1),
+    ("A6", "negative"): (0, "88a277fbff79690ecdce8f7f31f22ba1be6c2398b94c610af4399837c6cc494e", 1),
+    ("A7", "positive"): (0, "cce0ed44754483d9d204b07f8e8ca35cd119d5ba68894e31f8336b4b1ce411db", 1),
+    ("A7", "negative"): (0, "f1783c245f94d3af8da85b94034a232d242c41fb46dfbb84bdccc99cac702723", 1),
+    ("A8", "positive"): (0, "7b70fab596486684326127aa2588b6c75bcd350aba65530c04253baf7316de6f", 1),
+    ("A8", "negative"): (0, "24cbeed9bfeea1b00a31fc9b973a9670225d26453373f0efd4b6c7f2a2106c92", 1),
+    ("A9", "positive"): (0, "f7ee724259c0391153b720c0a129e16961659d643d7c0af538b275af3683034a", 1),
+    ("A9", "negative"): (0, "08c3df7ee13cb5b143f3aac7fb0390d2913fc9c3915dc3bc275d4489039d6f16", 1),
+    ("A10", "positive"): (0, "f0a7a313a18c1c8781f6cbae4e1533e3ed9d24df39907f28bc9c632fe0af60c5", 1),
+    ("A10", "negative"): (0, "7267cd4e9751b571cc8aeeec759074602fe716f03f168bb7c8eb98f0a197dfe1", 1),
+    ("A11", "positive"): (0, "c14551ea165babc5508c59b21cc60c710a5708c3c7a407b374729276d6299860", 1),
+    ("A11", "negative"): (0, "67ffc5d9e898f13f0ac15493238e992a620d4042b82e433ee66880e678a7e241", 1),
+    ("A12", "positive"): (0, "c5cb5d492589bef23b2bd9589187f8df6e9b763f34444ea19945c24a604d16a8", 1),
+    ("A12", "negative"): (0, "779a14e70920338612161922770d6930688ca560c15e934fc305c55255c67d9f", 1),
+    ("A13", "positive"): (0, "9041f78bea2bb0fed462818ad0a030c84eadb32a756966bc15d1087bf842dad6", 1),
+    ("A13", "negative"): (0, "7b67787bab6ddf2b7954c11da7364625ae86acb271c0db3c7b214d7b1709594f", 1),
+    ("A14", "positive"): (0, "8f2f23c4912f1ad78606e77e1a6b16000a73fb7eb6260479aa6da76049146d60", 1),
+    ("A14", "negative"): (0, "44294ddb0a2eab5322529a5d55df6605ba1545d340a8f5a7f5e330d637b2dcee", 1),
+    ("A15", "positive"): (0, "2bce5dca2a5707dffe5c0baff700b8bdbd025d904704da9cf65696b91356847c", 1),
+    ("A15", "negative"): (0, "4e5b022acf65f9214aca4b2191145c9bc4358e0d7754706239fe0d54f3b24d93", 1),
+    ("A16", "positive"): (0, "b09e0e4f959e3e429e92cb4caea47a8c000e4f55ece4f84e903588844b802b1d", 1),
+    ("A16", "negative"): (0, "92fd5f832698f3b4c98a2d8d7ec1ae695d329b00d9a21231141b5cc2fbc573de", 1),
+    ("D3", "positive"): (0, "af779beeea133ec849526b1f5b8b17f4ad930d8a19862cf46e828c66aed146a5", 1),
+    ("D3", "negative"): (0, "adfb4c1c71d0c92db33df2211e85775b07f03512817d0fd7745fadcdff32ec35", 1),
+    ("D4", "positive"): (0, "1a4e8c2e6a7ca8036d9463a2a2510565479d217afdfd28283012731a53121df4", 1),
+    ("D4", "negative"): (0, "84f63210ec0e54fa568a6aca401cbf4b4488f4377f32526ed05f106f1f88b9f9", 1),
+    ("D5", "positive"): (0, "b22b808254a57a0f20ab25e7bd38bb5d3d1195eefc447526225a29f46c86457f", 1),
+    ("D5", "negative"): (0, "93bfb8abb04deff0b03b408388754945bf9f888dc36d211591d59bd6db13077d", 1),
+    ("D6", "positive"): (0, "7b8cde6291e972512c5c12ef781ce16758f1c68c056542f8a623b397a9b316a1", 1),
+    ("D6", "negative"): (0, "65884561fd3cdc5247a87345e095a8429bd698e4e8a4f03d68e1b11165cf8e96", 1),
+    ("D7", "positive"): (0, "c0dbbe397130bcf74fc3d82701e1dda28786cda46e9139a5ce748a6854ca13cf", 1),
+    ("D7", "negative"): (0, "a9821e735df1c7931945087ab029911b0cc4db6c58d978d96ab24a8379e47d6d", 1),
+    ("D8", "positive"): (0, "35167b182712cbf1567e43e2392e58155b88a74c01fcb8c1ae1e4872163d0da8", 1),
+    ("D8", "negative"): (0, "ddc6e68a8872a4c5fb66d9fbe962ce696457a7be75143b6da235aa9bc04cba05", 1),
+    ("D9", "positive"): (0, "55352823ef36a61a52c355fe1977c27ab595e410b208d6743ddd457b231d1b5b", 1),
+    ("D9", "negative"): (0, "19c0d5ded36d059d81ef358d8d7b045842b7446eb8e76e5b81f071975b1c1237", 1),
+    ("D10", "positive"): (0, "048147424c1de2aa429bd97a69e1de37d5010566c66ab8b2ce96315a87488bad", 1),
+    ("D10", "negative"): (0, "6e75b574d7cc824cb00754c6bcdf8e29dca9c9affcf7ad171f7ebca81b9fd01e", 1),
+    ("D11", "positive"): (0, "52a0548254e0289488559a5dab5cdb3aca47ddd0f9fcf1ac445246a41ed68dc1", 1),
+    ("D11", "negative"): (0, "f686a36936f8aa252e1e4130ff4ce7eaa79d2934983619341f6fd68cb0808edf", 1),
+    ("D12", "positive"): (0, "1db00cc2daae49628de949babf6097c72eb4f51d2bb6fcf127b11ccb720f503f", 1),
+    ("D12", "negative"): (0, "bce92c7f4690273105c33967f75e45ee30a633877b125992723303a4d2e2cc49", 1),
+    ("D13", "positive"): (0, "02161d12d418460709ee375fe8d433112e874026ad1ce7b3b52d7ead40ff568a", 1),
+    ("D13", "negative"): (0, "b0070dac63ee2b0b519e10335ea531ea6f2b5e7d4b10832fe1735c75f8dcd29f", 1),
+    ("D14", "positive"): (0, "5fe7e41119a88ca61a0e31cb1daf9bc5233c70e940a0e6cecbb46b702d3e1d53", 1),
+    ("D14", "negative"): (0, "4096f62e13e1f6afcfab8ecf6d7019e0689d0c9dc324ed26b97486b7730414c2", 1),
+    ("D15", "positive"): (0, "e9aafd8824669f8dc42833a19eb6670150da16a700aa14079622461845cdf01b", 2),
+    ("D15", "negative"): (0, "42579248eae5218eb54ab3607cdc4b95b17276f8cf50d3de570d0ebee5502afb", 2),
+    ("D16", "positive"): (0, "897b2dea83ec8d33757213106620266211cf78fe53e29e170c3df1571d2cbec4", 2),
+    ("D16", "negative"): (0, "9512e69dbde47d208edeb74dfec5703f48135a5e50d2a0a6c2e6bf85f3a0f1c2", 2),
+    ("E6", "positive"): (0, "283a189f244700b99d1e5b4b38781eeb07f8d5039c52a0e808e5f31324b7675e", 1),
+    ("E6", "negative"): (0, "6a795a8de4fc0ae723e614eca327f90542af99220eeeac62613ca87d663cb037", 1),
+    ("E7", "positive"): (0, "dcd2dc017d68343eeee2ac9268d76b1bfba4421c250b8b22e6d4109e7e57c5df", 1),
+    ("E7", "negative"): (0, "d93a23f2d741622d0485970b417e5fcfe60d037cc6f972df22801774f1d5706e", 1),
+    ("E8", "positive"): (0, "946d74fd2a23d635722ab28d5489956cf020eea1c086d58aca3ad7af804633c5", 1),
+    ("E8", "negative"): (0, "5e11832480e6bcc4b7852c775dfbb967331875ce3153b5c941e3f32146f85fa8", 1),
+}
+
+
+@pytest.mark.parametrize("name,half", list(OBSTRUCTION_SHA256))
+def test_certified_obstruction_payload_is_pinned_on_every_type(capsys, name, half):
+    expected, digest, seconds = OBSTRUCTION_SHA256[name, half]
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "obstruction", name, "--half", half, "--certify",
+                         "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (expected, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < seconds, f"{name} {half}: {elapsed:.2f} s"
+
+
 # Python refuses to print an int of more than sys.get_int_max_str_digits()
 # digits (4300 by default); an answer that long is a usage error, not a crash
 needs_print_limit = pytest.mark.skipif(
