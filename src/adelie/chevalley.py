@@ -27,9 +27,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConstructionFailure, SystemMismatch
+from .errors import BudgetExceeded, ConstructionFailure, IndexOutOfRange, SystemMismatch
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, build
+from .roots import LatticeVector, RootSystem, build, root_vector
 
 Coords = tuple[int, ...]
 
@@ -53,7 +53,7 @@ class ChevalleyConstants:
     negation: np.ndarray
 
     def __post_init__(self) -> None:
-        # read-only, as bracket_table is: the cached report stays the verdict
+        # read-only, as bracket_table's are: the cached report stays the verdict
         # on these cells (flip and replace build new arrays or reuse these)
         for table in (self.sign_table, self.sum_index, self.negation):
             table.flags.writeable = False
@@ -87,45 +87,35 @@ class ChevalleyConstants:
         return ChevalleyConstants(self.system, table, self.sum_index, self.negation)
 
     @cached_property
-    def bracket_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def bracket_table(self) -> tuple[np.ndarray, ...]:
         """Brackets of the basis h_1..h_r, x_alpha (canonical root order) as
-        padded arrays: [b_i, b_j] = sum_m coeffs[i, j, m] b_{targets[i, j, m]},
-        zero coefficients padding, and [x_a, x_{-a}] = h_a has term m on h_m.
-        Signs, weight coordinates and root coordinates (at most 6) fit int8.
-        This is the one stored table; the Jacobi sweep and the obstruction
-        expansion read its nonzero terms through bracket_terms."""
+        term lists in cell order: [b_row, b_col] has coeff on b_target, as
+        int32 rows, columns and targets and int8 coefficients (signs, weight
+        and root coordinates, at most 6), and [x_a, x_{-a}] = h_a has a term
+        on h_m for each nonzero coordinate m of a.  This is the one stored
+        table; the Jacobi sweep, the obstruction expansion and adjoint_matrix
+        read it as it is."""
         rs = self.system
         r = rs.rank
-        n_roots = len(rs.all_roots)
-        dim = r + n_roots
         coords = np.array([a.coords for a in rs.all_roots], dtype=np.int64)
         weights = coords @ np.array(rs.cartan, dtype=np.int64)
-        x = r + np.arange(n_roots)
-        targets = np.zeros((dim, dim, r), dtype=np.int16)
-        coeffs = np.zeros((dim, dim, r), dtype=np.int8)
-        targets[:r, r:, 0] = x
-        coeffs[:r, r:, 0] = weights.T
-        targets[r:, :r, 0] = x[:, None]
-        coeffs[r:, :r, 0] = -weights
-        valid = self.sum_index < n_roots
-        targets[r:, r:, 0] = np.where(valid, r + self.sum_index, 0)
-        coeffs[r:, r:, 0] = np.where(valid, self.sign_table, 0)
-        targets[x, r + self.negation] = np.arange(r)
-        coeffs[x, r + self.negation] = coords
+        i, a = np.nonzero(weights.T)
+        b, k = np.nonzero(weights)
+        p, q = np.nonzero((self.sum_index < len(coords)) & (self.sign_table != 0))
+        s, m = np.nonzero(coords)
+        row = np.concatenate([i, r + b, r + p, r + s])
+        col = np.concatenate([r + a, k, r + q, r + self.negation[s]])
+        tgt = np.concatenate([r + a, r + b, r + self.sum_index[p, q], m])
+        val = np.concatenate([weights[a, i], -weights[b, k], self.sign_table[p, q], coords[s, m]])
+        order = np.lexsort((tgt, col, row))
+        table = tuple(x[order].astype(np.int32) for x in (row, col, tgt)) + (
+            val[order].astype(np.int8),
+        )
         # read-only: the cached report, which build_system trusts, stays the
-        # verdict on these cells
-        targets.flags.writeable = coeffs.flags.writeable = False
-        return targets, coeffs
-
-    def bracket_terms(self) -> tuple[np.ndarray, ...]:
-        """The nonzero terms of bracket_table, [b_row, b_col] has coeff on
-        b_target, as int32 rows, columns and targets and int8 coefficients in
-        cell order (row, column, term).  Derived afresh on each call, so a
-        replaced or corrupted table reaches every reader."""
-        targets, coeffs = self.bracket_table
-        at = np.flatnonzero(coeffs).astype(np.int32)
-        row, col = np.divmod(at // coeffs.shape[2], len(coeffs))
-        return row, col, targets.ravel()[at].astype(np.int32), coeffs.ravel()[at]
+        # verdict on these terms
+        for x in table:
+            x.flags.writeable = False
+        return table
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -290,17 +280,22 @@ def build_constants(rs: RootSystem) -> ChevalleyConstants:
 
 
 def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
-    """(basis index, coefficient) for each component of e."""
+    """(basis index, coefficient) for each component of e; IndexOutOfRange or
+    NotARootClass for a Cartan index or root key that names no basis element."""
     rs = c.system
     if e.system != rs:
         raise SystemMismatch("bracket arguments over a different system")
+    for i in e.cartan:
+        if not 0 <= i < rs.rank:
+            raise IndexOutOfRange(f"Cartan index {i} outside 0..{rs.rank - 1}")
     return list(e.cartan.items()) + [
-        (rs.rank + rs._root_index[cc], v) for cc, v in e.roots.items()
+        (rs.rank + rs.root_order_index(root_vector(*cc)), v)
+        for cc, v in e.roots.items()
     ]
 
 
 def bracket(x: LieElement, y: LieElement, c: ChevalleyConstants) -> LieElement:
-    """Lie bracket [x, y] = ad(x) y, from the cells of c.bracket_table."""
+    """Lie bracket [x, y] = ad(x) y, from the terms of c.bracket_table."""
     rs = c.system
     ys = _indexed(y, c)
     image = adjoint_matrix(x, c)[:, [j for j, _ in ys]] @ np.array(
@@ -322,13 +317,14 @@ def basis_elements(c: ChevalleyConstants) -> list[LieElement]:
 
 
 def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:
-    """Matrix of ad(x) on the basis (h_1..h_r, x_roots), from x's table rows."""
-    targets, coeffs = c.bracket_table
-    dim = len(targets)
+    """Matrix of ad(x) on the basis (h_1..h_r, x_roots), from the runs of
+    x's rows in the table."""
+    row, col, tgt, val = c.bracket_table
+    dim = c.system.rank + len(c.system.all_roots)
     m = np.zeros((dim, dim), dtype=np.int64)
-    cols = np.broadcast_to(np.arange(dim)[:, None], targets.shape[1:])
     for i, a in _indexed(x, c):
-        np.add.at(m, (targets[i], cols), a * coeffs[i].astype(np.int64))
+        run = slice(*np.searchsorted(row, [i, i + 1]))
+        np.add.at(m, (tgt[run], col[run]), a * val[run].astype(np.int64))
     return m
 
 
@@ -383,7 +379,7 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
 
     Only stored terms are expanded, never a dense slice of the table: each
     inner term [b_p, b_q] = v b_t meets its outer terms [b_u, b_t] as one run
-    of the term lists of c.bracket_terms, sorted by (column, row) or, for
+    of the term lists of c.bracket_table, sorted by (column, row) or, for
     row lo's cells against the cells (p, q) with lo < p < q, by (target, p);
     the runs of every lo are found at once.  A product of two int8
     coefficients lies in -16384..16384, so it is added to its key shifted
@@ -393,7 +389,7 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     dim ** 4 << 16, fit int64: both hold for dim < 1291, far past D16
     (dim 496).
     """
-    dim = len(c.bracket_table[0])
+    dim = c.system.rank + len(c.system.all_roots)
     if dim ** 3 >= 2 ** 31:
         raise BudgetExceeded(f"{c.system.name}: dimension {dim} is past the packed Jacobi keys")
     cost, parts = _jacobi_parts(c, dim)
@@ -427,7 +423,7 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int):
     coefficient, and for each sorted term its share of the key (int32) and
     its coefficient; with the pointers of each lo into the part and the
     product count of each lo."""
-    row, col, tgt, val = c.bracket_terms()
+    row, col, tgt, val = c.bracket_table
     val = val.astype(np.int16)
     cost = np.zeros(dim, dtype=np.int64)
     parts = []

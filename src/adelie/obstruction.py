@@ -16,8 +16,8 @@ which the check that gates the table (ChevalleyConstants.report) sweeps on
 every basis triple: the build reads it first (CancellationFailure naming its
 first violation otherwise).  It then computes D^2 honestly by double
 application on the Cartan columns, where ad(x_a) h_k = -(a, a_k) x_a holds
-E_a, as integer gathers over the nonzero terms of the bracket table
-(ChevalleyConstants.bracket_terms), those of the rows ad(x_a), a in the
+E_a, as integer gathers over the term lists of the bracket table
+(ChevalleyConstants.bracket_table), those of the rows ad(x_a), a in the
 half, sorted by column.  For column g the first application of D is the run
 of terms [x_a, b_g]; the second gathers the runs of their targets, each term
 signed by the sort of phi_b phi_a, and equal keys (column, monomial id,
@@ -163,8 +163,8 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     index = np.array([rs.root_order_index(a) for a in roots])
     # the terms [x_a, b_g] of the half's rows, a as its position in the half,
     # sorted by column: the terms of column g are one run
-    row, col, tgt, val = constants.bracket_terms()
-    dim = len(constants.bracket_table[0])
+    row, col, tgt, val = constants.bracket_table
+    dim = rank + len(rs.all_roots)
     position = np.full(dim, -1)
     position[rank + index] = np.arange(n)
     keep = np.flatnonzero(position[row] >= 0)

@@ -197,7 +197,6 @@ class RootSystem:
             LatticeVector(tuple(int(i == j) for j in range(rank)), Basis.SIMPLE_ROOT)
             for i in range(rank)
         )
-        self._pos_set = frozenset(pos)
         # canonical total order on the full root set: positives by (height,
         # lex), then their negatives in the same order
         self.all_roots: tuple[LatticeVector, ...] = self.positive_roots + tuple(
@@ -294,25 +293,25 @@ class RootSystem:
 
     # -- roots ------------------------------------------------------------
 
-    def is_root(self, v: LatticeVector) -> bool:
+    def _lookup(self, v: LatticeVector) -> int:
+        # the place of v in all_roots, -1 when v is not a root
         try:
-            c = self.to_root_basis(v).coords
+            return self._root_index.get(self.to_root_basis(v).coords, -1)
         except NotInRootLattice:
-            return False
-        return c in self._pos_set or tuple(-x for x in c) in self._pos_set
+            return -1
+
+    def is_root(self, v: LatticeVector) -> bool:
+        return self._lookup(v) >= 0
 
     def is_positive_root(self, v: LatticeVector) -> bool:
-        try:
-            return self.to_root_basis(v).coords in self._pos_set
-        except NotInRootLattice:
-            return False
+        return 0 <= self._lookup(v) < len(self.positive_roots)
 
     def descent(self, alpha: LatticeVector) -> tuple[int, ...]:
         """The descent word of a positive root: the 0-based simple roots that
         its closure steps subtract, in order, and last the simple root it
         ends at.  Each step subtracts the least alpha_i that leaves a root,
         so the word has height-many letters."""
-        k = self._root_index.get(self.to_root_basis(alpha).coords, -1)
+        k = self._lookup(alpha)
         if not 0 <= k < len(self.positive_roots):
             raise NotARootClass(f"{alpha} is not a positive root of {self.name}")
         word = []
@@ -322,11 +321,11 @@ class RootSystem:
         return tuple(word)
 
     def root_order_index(self, v: LatticeVector) -> int:
-        c = self.to_root_basis(v).coords
-        try:
-            return self._root_index[c]
-        except KeyError:
-            raise DependentRoots(f"{v} is not a root of {self.name}") from None
+        """The place of v in all_roots; NotARootClass when v is not a root."""
+        k = self._lookup(v)
+        if k < 0:
+            raise NotARootClass(f"{v} is not a root of {self.name}")
+        return k
 
     def height(self, v: LatticeVector) -> int:
         """Coordinate sum for a nonnegative vector, negated for a nonpositive one.

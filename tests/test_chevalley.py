@@ -26,7 +26,7 @@ from adelie.chevalley import (
     verify_chevalley,
 )
 from adelie.cli import main
-from adelie.errors import ConstructionFailure, SystemMismatch
+from adelie.errors import ConstructionFailure, IndexOutOfRange, NotARootClass, SystemMismatch
 
 SMALL = ("A1", "A2", "A3", "D4")
 
@@ -122,6 +122,30 @@ def test_bracket_bilinear():
     assert lhs == rhs
     with pytest.raises(SystemMismatch):
         bracket(x, LieElement.h(build("A3"), 0), c)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 5])
+def test_a_cartan_index_out_of_range_is_refused(i):
+    # numpy would read h_{-1} as the last basis element and h_5 of A2 as a
+    # root vector
+    c = build_constants(build("A2"))
+    rs = c.system
+    bad, h1 = LieElement.h(rs, i), LieElement.h(rs, 0)
+    for call in (lambda: bracket(bad, h1, c), lambda: bracket(h1, bad, c),
+                 lambda: adjoint_matrix(bad, c)):
+        with pytest.raises(IndexOutOfRange, match=f"Cartan index {i} outside 0..1"):
+            call()
+
+
+@pytest.mark.parametrize("key", [(2, 0), (1, -1), (0, 0), (1, 0, 0)])
+def test_a_root_key_that_is_not_a_root_is_refused(key):
+    c = build_constants(build("A2"))
+    rs = c.system
+    bad, h1 = LieElement(rs, roots={key: 1}), LieElement.h(rs, 0)
+    for call in (lambda: bracket(bad, h1, c), lambda: bracket(h1, bad, c),
+                 lambda: adjoint_matrix(bad, c)):
+        with pytest.raises(NotARootClass, match="is not a root of A2"):
+            call()
 
 
 @pytest.mark.parametrize("name", SMALL + ("A5", "D5", "E6"))
@@ -222,7 +246,7 @@ def test_the_gated_tables_cannot_be_edited_in_place():
 
 # SHA-256 of the nonzero bracket-table entries, one "i,j,k,coeff" line each
 # ([b_i, b_j] has coefficient coeff on b_k), sorted; recorded from the
-# list-of-tuples table that the padded arrays replaced.
+# list-of-tuples table, before padded arrays and then the term lists replaced it.
 BRACKET_TABLE_SHA256 = {
     "A4": "71a27827484452c836ee8b793f673b349e1b04879fe8888022f8f6156e7d65cb",
     "D6": "19d8df4beeb0778b770fe6d6a68608e5fdd33fc3f79e75392bab7c53510721da",
@@ -234,11 +258,9 @@ BRACKET_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(BRACKET_TABLE_SHA256))
 def test_bracket_table_is_pinned(name):
-    targets, coeffs = build_constants(build(name)).bracket_table
-    i, j, m = np.nonzero(coeffs)
-    entries = sorted(zip(
-        i.tolist(), j.tolist(), targets[i, j, m].tolist(), coeffs[i, j, m].tolist()
-    ))
+    table = build_constants(build(name)).bracket_table
+    entries = list(zip(*(x.tolist() for x in table)))
+    assert entries == sorted(entries)  # cell order
     text = "".join(f"{a},{b},{k},{v}\n" for a, b, k, v in entries)
     assert hashlib.sha256(text.encode()).hexdigest() == BRACKET_TABLE_SHA256[name]
 
@@ -278,15 +300,26 @@ def test_jacobi_sweep_matches_the_per_triple_reference(name):
         assert found == [_jacobi_message(_reference_first_failure(bad)[1])]
 
 
+def _with_terms(c, row, col, tgt, val):
+    # a copy of c whose cached bracket table holds the given terms, those
+    # with coefficient 0 dropped, sorted into cell order
+    keep = np.flatnonzero(val)
+    order = keep[np.lexsort((tgt[keep], col[keep], row[keep]))]
+    copy = dataclasses.replace(c)
+    copy.__dict__["bracket_table"] = tuple(
+        x[order].astype(dtype)
+        for x, dtype in zip((row, col, tgt, val), (np.int32, np.int32, np.int32, np.int8))
+    )
+    return copy
+
+
 def _negating_cells(c, *cells):
     # a copy whose cached bracket table has the given cells negated
-    targets, coeffs = c.bracket_table
-    coeffs = coeffs.copy()
+    row, col, tgt, val = c.bracket_table
+    hit = np.zeros(len(row), dtype=bool)
     for i, j in cells:
-        coeffs[i, j] = -coeffs[i, j]
-    copy = dataclasses.replace(c)
-    copy.__dict__["bracket_table"] = (targets, coeffs)
-    return copy
+        hit |= (row == i) & (col == j)
+    return _with_terms(c, row, col, tgt, np.where(hit, -val, val))
 
 
 def _triple_class(rs, triple):
@@ -443,8 +476,8 @@ def _per_lo_first_failure(c):
     # the Jacobi sweep one smallest index lo at a time, each step expanding
     # the products of the triples (lo, mid, hi) alone: the oracle for the
     # blocked sweep, which must return the same first failing triple
-    row, col, tgt, val = c.bracket_terms()
-    dim = len(c.bracket_table[0])
+    row, col, tgt, val = c.bracket_table
+    dim = c.system.rank + len(c.system.all_roots)
     col_key = col * dim + row
     by_col = np.argsort(col_key, kind="stable")
     upper = np.flatnonzero(row < col)
@@ -535,10 +568,10 @@ def test_blocked_sweep_on_clean_tables(budget, monkeypatch):
 
 
 def test_e8_sweep_memory_is_bounded():
-    # the sweep's peak is about 1.5 MB (numpy 2.4); the whole sweep in one
+    # the sweep's peak is about 1.3 MB (numpy 2.4); the whole sweep in one
     # block would take about 20 MB
     c = build_constants(build("E8"))
-    c.bracket_terms()
+    c.bracket_table
     tracemalloc.start()
     try:
         assert chevalley._jacobi_first_failure(c) is None

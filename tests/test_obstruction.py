@@ -30,7 +30,7 @@ from adelie.obstruction import (
     system_text,
 )
 from adelie.verify import detect_tampering
-from test_chevalley import _reference_first_failure
+from test_chevalley import _reference_first_failure, _with_terms
 
 
 def _merge_phis(a, b):
@@ -260,14 +260,14 @@ def _x(rs, *coords):
 
 
 def _with_bracket_cell(c, i, j, cell):
-    # a copy whose cached bracket table has the coefficients of cell (i, j)
-    # replaced by cell(old coefficients)
-    targets, coeffs = c.bracket_table
-    coeffs = coeffs.copy()
-    coeffs[i, j] = cell(coeffs[i, j])
-    copy = dataclasses.replace(c)
-    copy.__dict__["bracket_table"] = (targets, coeffs)
-    return copy
+    # a copy whose cached bracket table has the terms of cell (i, j), as
+    # (targets, coefficients), replaced by cell(old targets, old coefficients)
+    row, col, tgt, val = c.bracket_table
+    at = (row == i) & (col == j)
+    t, v = map(np.asarray, cell(tgt[at], val[at]))
+    i, j = np.full(len(t), i), np.full(len(t), j)
+    return _with_terms(c, np.r_[row[~at], i], np.r_[col[~at], j], np.r_[tgt[~at], t],
+                       np.r_[val[~at], v])
 
 
 def test_cartan_column_not_divisible():
@@ -275,7 +275,7 @@ def test_cartan_column_not_divisible():
     # in column h_1 where E_a1 must come out times -(a1, a1) = -2; the gate
     # rejects the table before any column is expanded
     c = build_constants(build("A2"))
-    bad = _with_bracket_cell(c, _x(c.system, 1, 0), 0, lambda v: np.r_[-3, v[1:]])
+    bad = _with_bracket_cell(c, _x(c.system, 1, 0), 0, lambda t, v: (t, np.r_[-3, v[1:]]))
     with pytest.raises(CancellationFailure) as exc:
         build_system(bad, Half.POSITIVE)
     assert str(exc.value) == "A2 positive: jacobi fails on basis triple (0,1,3)"
@@ -288,17 +288,12 @@ def _with_simple_roots_swapped(c, i, j):
     # algebra, so it passes the gate, with root labels that no longer match
     # the Cartan relations
     rs = c.system
-    perm = np.arange(len(c.bracket_table[0]))
+    perm = np.arange(rs.rank + len(rs.all_roots))
     for sign in (1, -1):
         u, v = (_x(rs, *(sign * int(t == k) for t in range(rs.rank))) for k in (i, j))
         perm[u], perm[v] = v, u
-    targets, coeffs = c.bracket_table
-    bad_targets, bad_coeffs = np.empty_like(targets), np.empty_like(coeffs)
-    bad_targets[np.ix_(perm, perm)] = perm[targets]
-    bad_coeffs[np.ix_(perm, perm)] = coeffs
-    copy = dataclasses.replace(c)
-    copy.__dict__["bracket_table"] = (bad_targets, bad_coeffs)
-    return copy
+    row, col, tgt, val = c.bracket_table
+    return _with_terms(c, perm[row], perm[col], perm[tgt], val)
 
 
 def test_a_relabelled_table_fails_the_exact_division():
@@ -341,7 +336,7 @@ def test_root_column_does_not_reduce():
     # is the Jacobi identity failing on a triple that the gate sweeps
     c = build_constants(build("A2"))
     rs = c.system
-    bad = _with_bracket_cell(c, _x(rs, 1, 1), _x(rs, 0, -1), lambda v: -v)
+    bad = _with_bracket_cell(c, _x(rs, 1, 1), _x(rs, 0, -1), lambda t, v: (t, -v))
     with pytest.raises(CancellationFailure) as exc:
         build_system(bad, Half.POSITIVE)
     triple = _reference_first_failure(bad)[1]
@@ -353,11 +348,11 @@ def test_the_gated_table_cannot_be_edited_in_place():
     # cells it was given on cannot change under it
     c = dataclasses.replace(build_constants(build("A2")))
     assert c.report.ok
-    targets, coeffs = c.bracket_table
+    row, col, tgt, val = c.bracket_table
     with pytest.raises(ValueError):
-        coeffs[_x(c.system, 1, 1), _x(c.system, 0, -1)] *= -1
+        val[(row == _x(c.system, 1, 1)) & (col == _x(c.system, 0, -1))] *= -1
     with pytest.raises(ValueError):
-        targets[0, 0, 0] = 1
+        tgt[0] = 1
 
 
 def test_closed_formula_disagrees_with_a_flipped_sign_table():
@@ -529,9 +524,9 @@ def test_obstruction_payload_is_pinned(capsys, name, half, certify):
     assert digest == OBSTRUCTION_PAYLOAD_SHA256[name, half, certify]
 
 
-# cells that the clean table leaves empty, given the coefficient 1 on their
-# padding target h_1: the stray term reaches the Jacobi sweep through the
-# term lists, and build_system reports the sweep's first failing triple
+# cells that the clean table leaves empty, given the term 1 h_1: the stray
+# term reaches the Jacobi sweep through the term lists, and build_system
+# reports the sweep's first failing triple
 @pytest.mark.parametrize("name,a,b", [
     ("A2", (1, 0), (1, 1)),
     ("A2", (0, 1), (0, 1)),
@@ -542,8 +537,9 @@ def test_a_term_in_an_empty_cell_reaches_both_readers(name, a, b):
     c = build_constants(build(name))
     rs = c.system
     i, j = _x(rs, *a), _x(rs, *b)
-    assert not c.bracket_table[1][i, j].any()
-    bad = _with_bracket_cell(c, i, j, lambda v: np.r_[1, v[1:]])
+    row, col = c.bracket_table[:2]
+    assert not ((row == i) & (col == j)).any()
+    bad = _with_bracket_cell(c, i, j, lambda t, v: ([0], [1]))
     _, triple = _reference_first_failure(bad)
     violation = "jacobi fails on basis triple ({},{},{})".format(*triple)
     assert verify_chevalley(bad).violations == [violation]
@@ -556,21 +552,22 @@ def test_a_term_in_an_empty_cell_reaches_both_readers(name, a, b):
 def _single_cell_corruptions(c):
     # every table that differs from c in one cell of its bracket table: each
     # stored term negated, zeroed, doubled or moved to the next target, and
-    # each empty cell given the coefficient 1 on its padding target
-    targets, coeffs = c.bracket_table
-    for i, j in np.ndindex(coeffs.shape[:2]):
-        stored = np.flatnonzero(coeffs[i, j])
-        edits = [(m, coeffs[i, j, m] * k, targets[i, j, m])
-                 for m in stored for k in (-1, 0, 2)]
-        edits += [(m, coeffs[i, j, m], (targets[i, j, m] + 1) % len(coeffs)) for m in stored]
-        if not stored.size:
-            edits.append((0, 1, targets[i, j, 0]))
+    # each empty cell given the coefficient 1 on its padding target, x_a in
+    # the cells of h_i and x_a, h_1 in the others
+    row, col, tgt, val = c.bracket_table
+    rank = c.system.rank
+    dim = rank + len(c.system.all_roots)
+    for i, j in np.ndindex(dim, dim):
+        stored = np.flatnonzero((row == i) & (col == j))
+        edits = [(m, val[m] * k, tgt[m]) for m in stored for k in (-1, 0, 2)]
+        edits += [(m, val[m], (tgt[m] + 1) % dim) for m in stored]
         for m, coeff, target in edits:
-            bad_targets, bad_coeffs = targets.copy(), coeffs.copy()
-            bad_targets[i, j, m], bad_coeffs[i, j, m] = target, coeff
-            copy = dataclasses.replace(c)
-            copy.__dict__["bracket_table"] = (bad_targets, bad_coeffs)
-            yield copy
+            bad_tgt, bad_val = tgt.copy(), val.copy()
+            bad_tgt[m], bad_val[m] = target, coeff
+            yield _with_terms(c, row, col, bad_tgt, bad_val)
+        if not stored.size:
+            pad = max(i, j) if min(i, j) < rank <= max(i, j) else 0
+            yield _with_terms(c, np.r_[row, i], np.r_[col, j], np.r_[tgt, pad], np.r_[val, 1])
 
 
 def test_every_single_cell_corruption_fails_the_gate_on_both_halves():
@@ -622,7 +619,7 @@ def test_e8_build_system_memory_is_bounded():
     # one E8 half peaks at about 1.0 MB (numpy 2.4): D^2 is expanded on the
     # eight Cartan columns only
     c = build_constants(build("E8"))
-    c.bracket_terms()
+    c.bracket_table
     tracemalloc.start()
     try:
         build_system(c, Half.POSITIVE)

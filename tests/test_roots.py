@@ -212,6 +212,15 @@ def test_heights():
     assert isinstance(exc.value, ValueError)
 
 
+def test_root_order_index_refuses_a_non_root_as_not_a_root():
+    rs = build("A2")
+    assert [rs.root_order_index(a) for a in rs.all_roots] == list(range(6))
+    for v in (root_vector(1, -1), root_vector(0, 0), root_vector(2, 0), weight_vector(1, 0)):
+        with pytest.raises(NotARootClass, match="is not a root of A2"):
+            rs.root_order_index(v)
+        assert not rs.is_root(v) and not rs.is_positive_root(v)
+
+
 def test_root_string_values():
     rs = build("A2")
     a1, a2 = rs.simple_roots
