@@ -286,9 +286,9 @@ def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
     if e.system != rs:
         raise SystemMismatch("bracket arguments over a different system")
     for i in e.cartan:
-        if not 0 <= i < rs.rank:
+        if i not in range(rs.rank):
             raise IndexOutOfRange(f"Cartan index {i} outside 0..{rs.rank - 1}")
-    return list(e.cartan.items()) + [
+    return [(int(i), v) for i, v in e.cartan.items()] + [
         (rs.rank + rs.root_order_index(root_vector(*cc)), v)
         for cc, v in e.roots.items()
     ]

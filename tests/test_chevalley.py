@@ -124,10 +124,10 @@ def test_bracket_bilinear():
         bracket(x, LieElement.h(build("A3"), 0), c)
 
 
-@pytest.mark.parametrize("i", [-1, 2, 5])
+@pytest.mark.parametrize("i", [-1, 2, 5, 0.5])
 def test_a_cartan_index_out_of_range_is_refused(i):
     # numpy would read h_{-1} as the last basis element and h_5 of A2 as a
-    # root vector
+    # root vector, and a search for h_0.5 among the rows finds h_2
     c = build_constants(build("A2"))
     rs = c.system
     bad, h1 = LieElement.h(rs, i), LieElement.h(rs, 0)

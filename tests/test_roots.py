@@ -111,7 +111,7 @@ def test_descent_word_subtracts_the_steps_down_to_a_simple_root(name):
 def test_descent_refuses_all_but_positive_roots():
     rs = build("A2")
     assert rs.descent(weight_vector(1, 1)) == (0, 1)  # the highest root
-    for v in (-rs.highest_root(), root_vector(1, -1), root_vector(0, 0)):
+    for v in (-rs.highest_root(), root_vector(1, -1), root_vector(0, 0), weight_vector(1, 0)):
         with pytest.raises(NotARootClass):
             rs.descent(v)
 
