@@ -50,12 +50,11 @@ class ChevalleyConstants:
     system: RootSystem
     sign_table: np.ndarray
     sum_index: np.ndarray
-    negation: np.ndarray
 
     def __post_init__(self) -> None:
         # read-only, as bracket_table's are: the cached report stays the verdict
         # on these cells (flip and replace build new arrays or reuse these)
-        for table in (self.sign_table, self.sum_index, self.negation):
+        for table in (self.sign_table, self.sum_index):
             table.flags.writeable = False
 
     def n(self, alpha: LatticeVector, beta: LatticeVector) -> int:
@@ -84,7 +83,7 @@ class ChevalleyConstants:
         table[i, j] = -table[i, j]
         if not one_sided:
             table[j, i] = -table[j, i]
-        return ChevalleyConstants(self.system, table, self.sum_index, self.negation)
+        return ChevalleyConstants(self.system, table, self.sum_index)
 
     @cached_property
     def bracket_table(self) -> tuple[np.ndarray, ...]:
@@ -92,19 +91,21 @@ class ChevalleyConstants:
         term lists in cell order: [b_row, b_col] has coeff on b_target, as
         int32 rows, columns and targets and int8 coefficients (signs, weight
         and root coordinates, at most 6), and [x_a, x_{-a}] = h_a has a term
-        on h_m for each nonzero coordinate m of a.  This is the one stored
-        table; the Jacobi sweep, the obstruction expansion and adjoint_matrix
-        read it as it is."""
+        on h_m for each nonzero coordinate m of a (x_{-a} is n_roots // 2 from
+        x_a, mod n_roots: all_roots lists the positives, then their negatives
+        in the same order).  This is the one stored table; the Jacobi sweep,
+        the obstruction expansion, bracket and adjoint_matrix read it as it is."""
         rs = self.system
         r = rs.rank
         coords = np.array([a.coords for a in rs.all_roots], dtype=np.int64)
+        n_roots = len(coords)
         weights = coords @ np.array(rs.cartan, dtype=np.int64)
         i, a = np.nonzero(weights.T)
         b, k = np.nonzero(weights)
-        p, q = np.nonzero((self.sum_index < len(coords)) & (self.sign_table != 0))
+        p, q = np.nonzero((self.sum_index < n_roots) & (self.sign_table != 0))
         s, m = np.nonzero(coords)
         row = np.concatenate([i, r + b, r + p, r + s])
-        col = np.concatenate([r + a, k, r + q, r + self.negation[s]])
+        col = np.concatenate([r + a, k, r + q, r + (s + n_roots // 2) % n_roots])
         tgt = np.concatenate([r + a, r + b, r + self.sum_index[p, q], m])
         val = np.concatenate([weights[a, i], -weights[b, k], self.sign_table[p, q], coords[s, m]])
         order = np.lexsort((tgt, col, row))
@@ -172,9 +173,7 @@ class LieElement:
 
     @classmethod
     def x(cls, system: RootSystem, alpha: LatticeVector) -> "LieElement":
-        c = system.to_root_basis(alpha).coords
-        system.root_order_index(alpha)  # validates alpha is a root
-        return cls(system, roots={c: 1})
+        return cls(system, roots={system.all_roots[system.root_order_index(alpha)].coords: 1})
 
     def __add__(self, other: "LieElement") -> "LieElement":
         if other.system != self.system:
@@ -201,14 +200,6 @@ class LieElement:
 
     def is_zero(self) -> bool:
         return not self.cartan and not self.roots
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LieElement)
-            and other.system == self.system
-            and other.cartan == self.cartan
-            and other.roots == self.roots
-        )
 
     def __repr__(self) -> str:
         hs = [f"{v}*h{i + 1}" for i, v in sorted(self.cartan.items())]
@@ -259,12 +250,7 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     table[sum_index == n_roots] = 0
     del odd, parity
 
-    negation = np.empty(n_roots, dtype=np.int32)
-    half = n_roots // 2
-    negation[:half] = np.arange(half) + half
-    negation[half:] = np.arange(half)
-
-    constants = ChevalleyConstants(rs, table, sum_index, negation)
+    constants = ChevalleyConstants(rs, table, sum_index)
     report = constants.report
     if not report.ok:
         raise ConstructionFailure(
@@ -294,13 +280,24 @@ def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
     ]
 
 
+def _run(keys: np.ndarray, i: int) -> slice:
+    """The run of sorted keys equal to i (a needle of another dtype would cast every key)."""
+    return slice(*np.searchsorted(keys, np.array([i, i + 1], dtype=keys.dtype)))
+
+
 def bracket(x: LieElement, y: LieElement, c: ChevalleyConstants) -> LieElement:
-    """Lie bracket [x, y] = ad(x) y, from the terms of c.bracket_table."""
+    """Lie bracket [x, y] = ad(x) y, from the cells (i, j) of c.bracket_table,
+    i a component of x and j of y: the run of column j in the run of row i."""
     rs = c.system
+    row, col, tgt, val = c.bracket_table
     ys = _indexed(y, c)
-    image = adjoint_matrix(x, c)[:, [j for j, _ in ys]] @ np.array(
-        [b for _, b in ys], dtype=np.int64
-    )
+    image = np.zeros(rs.rank + len(rs.all_roots), dtype=np.int64)
+    for i, a in _indexed(x, c):
+        cells = _run(row, i)
+        cols, targets, coeffs = col[cells], tgt[cells], val[cells]
+        for j, b in ys:
+            cell = _run(cols, j)
+            np.add.at(image, targets[cell], coeffs[cell].astype(np.int64) * (a * b))
     return LieElement(
         rs,
         {i: v for i, v in enumerate(image[:rs.rank].tolist()) if v},
@@ -323,7 +320,7 @@ def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:
     dim = c.system.rank + len(c.system.all_roots)
     m = np.zeros((dim, dim), dtype=np.int64)
     for i, a in _indexed(x, c):
-        run = slice(*np.searchsorted(row, [i, i + 1]))
+        run = _run(row, i)
         np.add.at(m, (tgt[run], col[run]), a * val[run].astype(np.int64))
     return m
 
@@ -395,13 +392,12 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     cost, parts = _jacobi_parts(c, dim)
     for lo0, lo1 in blocks(cost):
         packed = []
-        for ptr, starts, lens, a_key, a_val, b_key, b_val in parts:
+        for ptr, starts, ends, a_key, a_val, b_key, b_val in parts:
             s = slice(ptr[lo0], ptr[lo1])
-            n = lens[s]
-            k = np.arange(n.sum()) + np.repeat(starts[s] - np.cumsum(n) + n, n)
-            part = np.repeat(a_key[s], n) + b_key[k]
+            j, k = runs(starts[s], ends[s])
+            part = a_key[s][j] + b_key[k]
             part <<= 16
-            part += np.repeat(a_val[s], n) * b_val[k]
+            part += a_val[s][j] * b_val[k]
             packed.append(part)
         packed = np.concatenate(packed)
         if not packed.size:
@@ -418,7 +414,7 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
 
 def _jacobi_parts(c: ChevalleyConstants, dim: int):
     """The runs of the Jacobi sweep, one part per kind of triple (lo, mid, hi):
-    for each inner or outer cell, by ascending owner lo, the start and length
+    for each inner or outer cell, by ascending owner lo, the start and end
     of its run among the sorted terms, its share of the key (int64) and its
     coefficient, and for each sorted term its share of the key (int32) and
     its coefficient; with the pointers of each lo into the part and the
@@ -442,13 +438,12 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int):
         # the terms of cells, by ascending owner, against their runs of the
         # terms of order, keyed by keys in [first, last)
         starts = np.searchsorted(keys, first).astype(np.int32)
-        lens = np.searchsorted(keys, last).astype(np.int32)
-        lens -= starts
+        ends = np.searchsorted(keys, last).astype(np.int32)
         ptr = np.searchsorted(owner, np.arange(dim + 1))
-        done = np.zeros(len(lens) + 1, dtype=np.int64)
-        np.cumsum(lens, out=done[1:])
+        done = np.zeros(len(ends) + 1, dtype=np.int64)
+        np.cumsum(ends - starts, out=done[1:])
         cost[:] += done[ptr[1:]] - done[ptr[:-1]]
-        parts.append((ptr, starts, lens, a_key, val[cells], b_key, val[order]))
+        parts.append((ptr, starts, ends, a_key, val[cells], b_key, val[order]))
 
     # outer row lo against the inner cells (p, q), lo < p < q, sorted by
     # (target, p) ...

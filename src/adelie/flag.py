@@ -123,9 +123,9 @@ def euler_characteristic(rs: RootSystem, lam: LatticeVector) -> int:
 
 def schubert_restriction_degree(rs: RootSystem, lam: LatticeVector, i: int) -> int:
     """Degree of the lam-line bundle on the i-th simple Schubert curve (1-based)."""
-    if not 1 <= i <= rs.rank:
+    if i not in range(1, rs.rank + 1):
         raise IndexOutOfRange(f"curve index {i} outside 1..{rs.rank}")
-    return rs.to_weight_basis(lam).coords[i - 1]
+    return rs.to_weight_basis(lam).coords[int(i) - 1]
 
 
 def triviality_criterion(rs: RootSystem, lam: LatticeVector) -> bool:

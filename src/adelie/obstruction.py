@@ -26,10 +26,11 @@ pass, and one selection over the summed keys extracts every E_a: its class is
 read from the key's target, it keeps the keys of its column k_a, the first k
 with (a, a_k) != 0, and one exact division runs over all of them
 (CancellationFailure on the first failing class otherwise).  The closed
-formula above, over pairs of packed root coordinates and the sign table,
-must then give the extracted E_a monomial for monomial (ConstructionFailure
-otherwise) before they become coordinate-keyed forms: it is the one check
-that ties the sign table to the bracket table the gate swept.
+formula above, over the pairs of the half with their sums and signs read
+from sum_index and the sign table, must then give the extracted E_a monomial
+for monomial (ConstructionFailure otherwise) before they become
+coordinate-keyed forms: it is the one check that ties the sign and sum
+tables to the bracket table the gate swept.
 
 The E_a satisfy the Bianchi-type identity checked by check_bianchi, whose
 closure expands every class in one pass, and certify_solvability matches
@@ -165,7 +166,8 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     # sorted by column: the terms of column g are one run
     row, col, tgt, val = constants.bracket_table
     dim = rank + len(rs.all_roots)
-    position = np.full(dim, -1)
+    # half positions of the basis, -1 elsewhere and at dim ("not a root")
+    position = np.full(dim + 1, -1)
     position[rank + index] = np.arange(n)
     keep = np.flatnonzero(position[row] >= 0)
     keep = keep[np.argsort(col[keep], kind="stable")]
@@ -216,14 +218,11 @@ def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem
     order = np.argsort(e_keys)
     extracted = (e_keys[order], (vals // den)[order])
 
-    # independent route, from root coordinates and the sign table: psi_s plus
-    # n_{p,q} phi_p phi_q for each pair p < q of the half whose coordinates,
-    # packed into one int with room for pair sums, add up to those of s must
+    # the closed formula, from the sum and sign tables: psi_s plus
+    # n_{p,q} phi_p phi_q for each pair p < q of the half whose sum is s must
     # give E_s monomial for monomial
-    packed = root_coords @ (4 * int(np.abs(root_coords).max()) + 1) ** np.arange(rank)
-    position_of = dict(zip(packed.tolist(), range(n)))
     p, q = np.triu_indices(n, 1)
-    s = np.array([position_of.get(k, -1) for k in (packed[p] + packed[q]).tolist()], int)
+    s = position[rank + constants.sum_index[index[p], index[q]]]
     p, q, s = p[s >= 0], q[s >= 0], s[s >= 0]
     closed = sum_by_key(
         np.r_[np.arange(n) * (width + 1), s * width + n + p * n + q],

@@ -375,13 +375,11 @@ class RootSystem:
 
     def reflect_simple(self, v: LatticeVector, i: int) -> LatticeVector:
         """Simple reflection s_i, 0-based index, basis-preserving."""
-        if not 0 <= i < self.rank:
+        if i not in range(self.rank):
             raise IndexOutOfRange(f"simple index {i} outside 0..{self.rank - 1}")
         w = self.to_weight_basis(v)
-        k = w.coords[i]
-        new = tuple(
-            w.coords[j] - k * self.cartan[i][j] for j in range(self.rank)
-        )
+        k, row = w.coords[int(i)], self.cartan[int(i)]
+        new = tuple(w.coords[j] - k * row[j] for j in range(self.rank))
         out = LatticeVector(new, Basis.FUNDAMENTAL_WEIGHT)
         return self.to_root_basis(out) if v.basis is Basis.SIMPLE_ROOT else out
 

@@ -48,7 +48,7 @@ class ResolutionLattice(NamedTuple):
 
     def curve(self, i: int) -> DivisorClass:
         """The i-th exceptional curve, 1-based."""
-        if not 1 <= i <= self.rank:
+        if i not in range(1, self.rank + 1):
             raise IndexOutOfRange(f"curve index {i} outside 1..{self.rank}")
         return DivisorClass(tuple(int(j == i - 1) for j in range(self.rank)))
 

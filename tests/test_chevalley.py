@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from adelie import build, chevalley, root_vector
+from adelie import build, chevalley, root_vector, weight_vector
 from adelie.chevalley import (
     ChevalleyConstants,
     LieElement,
@@ -148,6 +148,42 @@ def test_a_root_key_that_is_not_a_root_is_refused(key):
             call()
 
 
+def test_x_of_a_weight_off_the_root_lattice_is_not_a_root():
+    with pytest.raises(NotARootClass, match=r"\{1,0\|weight\} is not a root of A2"):
+        LieElement.x(build("A2"), weight_vector(1, 0))
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_bracket_of_basis_elements_is_a_column_of_the_adjoint_matrix(name):
+    # bracket reads single cells of the table, adjoint_matrix whole rows
+    c = build_constants(build(name))
+    basis = basis_elements(c)
+    for x in basis:
+        m = adjoint_matrix(x, c)
+        for j, y in enumerate(basis):
+            column = np.zeros(len(basis), dtype=np.int64)
+            for k, v in chevalley._indexed(bracket(x, y, c), c):
+                column[k] = v
+            assert np.array_equal(column, m[:, j])
+
+
+def test_e8_bracket_of_two_basis_vectors_builds_no_dense_matrix():
+    # ad(x) alone would be 248 x 248 int64, 481 KB
+    c = build_constants(build("E8"))
+    rs = c.system
+    a1, a3 = rs.simple_roots[0], rs.simple_roots[2]
+    x, y = LieElement.x(rs, a1), LieElement.x(rs, a3)
+    expected = LieElement.x(rs, a1 + a3).scale(c.n(a1, a3))
+    assert bracket(x, y, c) == expected
+    tracemalloc.start()
+    try:
+        assert bracket(x, y, c) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+
+
 @pytest.mark.parametrize("name", SMALL + ("A5", "D5", "E6"))
 def test_full_verification(name):
     rep = verify_chevalley(build_constants(build(name)))
@@ -222,7 +258,7 @@ def test_construction_failure_path():
     c = build_constants(build("A2"))
     t = c.sign_table.copy()
     t[0, 1] = 0
-    broken = ChevalleyConstants(c.system, t, c.sum_index, c.negation)
+    broken = ChevalleyConstants(c.system, t, c.sum_index)
     rep = verify_chevalley(broken)
     assert not rep.ok
 
@@ -239,8 +275,6 @@ def test_the_gated_tables_cannot_be_edited_in_place():
             constants.sign_table[a1, a2] *= -1
         with pytest.raises(ValueError):
             constants.sum_index[a1, a2] = 0
-        with pytest.raises(ValueError):
-            constants.negation[a1] = a1
     assert verify_chevalley(c.flip(*c.system.simple_roots, one_sided=True)).ok is False
 
 
@@ -381,7 +415,7 @@ def _uncorrected(c):
     sum_negative = (c.sum_index < n_roots) & (c.sum_index >= n_roots // 2)
     undo = negative[:, None] ^ negative[None, :] ^ sum_negative
     table = np.where(undo, -c.sign_table, c.sign_table)
-    return ChevalleyConstants(c.system, table, c.sum_index, c.negation)
+    return ChevalleyConstants(c.system, table, c.sum_index)
 
 
 @pytest.mark.parametrize("name,triple", [

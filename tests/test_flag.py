@@ -174,6 +174,13 @@ def test_schubert_restriction_degrees():
         schubert_restriction_degree(rs, lam, 3)
 
 
+def test_a_non_integer_schubert_curve_index_is_refused():
+    # 1 <= 1.5 <= 2 holds, yet 1.5 indexes no coordinate
+    rs = build("A2")
+    with pytest.raises(IndexOutOfRange, match=r"curve index 1\.5 outside 1\.\.2"):
+        schubert_restriction_degree(rs, weight_vector(4, -7), 1.5)
+
+
 def test_triviality_criterion():
     rs = build("A3")
     assert triviality_criterion(rs, weight_vector(0, 0, 0))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from adelie import build, obstruction, root_vector
-from adelie.chevalley import build_constants, runs, sum_by_key, verify_chevalley
+from adelie.chevalley import ChevalleyConstants, build_constants, runs, sum_by_key, verify_chevalley
 from adelie.cli import main
 from adelie.errors import CancellationFailure, ConstructionFailure, IncompleteOracle
 from adelie.obstruction import (
@@ -585,6 +585,29 @@ def test_every_single_cell_corruption_fails_the_gate_on_both_halves():
                     build_system(bad, half)
                 assert str(exc.value) == f"{name} {half.value}: {rep.violations[0]}"
     assert tables == 815
+
+
+@pytest.mark.parametrize("name,cells", [("A3", 48), ("D4", 192)])
+def test_every_single_cell_retargeting_of_the_sum_table_fails_the_gate(name, cells):
+    # the closed formula reads root sums from sum_index alone, so a cell sent
+    # to another root must be caught by the gate: the bracket table built
+    # from it fails the Jacobi identity on a triple that holds an h
+    c = build_constants(build(name))
+    rank, n_roots = c.system.rank, len(c.system.all_roots)
+    retargeted = np.argwhere(c.sum_index < n_roots)
+    assert len(retargeted) == cells
+    for i, j in retargeted:
+        table = c.sum_index.copy()
+        table[i, j] = (table[i, j] + 1) % n_roots
+        bad = ChevalleyConstants(c.system, c.sign_table, table)
+        violations = verify_chevalley(bad).violations
+        assert len(violations) == 1 and violations[0].startswith("jacobi fails")
+        triple = violations[0][violations[0].index("(") + 1:-1].split(",")
+        assert int(triple[0]) < rank
+        for half in Half:
+            with pytest.raises(CancellationFailure) as exc:
+                build_system(bad, half)
+            assert str(exc.value) == f"{name} {half.value}: {violations[0]}"
 
 
 def _per_class_failing(n, cls, p, q, val):

@@ -306,6 +306,13 @@ def test_simple_reflection():
         assert isinstance(exc.value, IndexError)
 
 
+def test_a_non_integer_simple_index_is_refused():
+    # 0 <= 0.5 < 2 holds, yet 0.5 indexes no coordinate
+    rs = build("A2")
+    with pytest.raises(IndexOutOfRange, match=r"simple index 0\.5 outside 0\.\.1"):
+        rs.reflect_simple(rs.highest_root(), 0.5)
+
+
 def test_entries_below_the_pivots_are_the_fraction_free_ldl_factor():
     # with m_0 = 1 and m_1..m_n the leading minors, d_i = m_{i+1} / m_i and
     # l_ji = A[j][i] / m_{i+1}; on A2, d = (2, 3/2) and l_10 = -1/2

@@ -50,6 +50,13 @@ def test_curve_index_bounds():
         lat.curve(3)
 
 
+def test_a_non_integer_curve_index_is_refused():
+    # 1 <= 1.5 <= 3 holds, yet 1.5 names no curve
+    lat = resolution_lattice(build("A3"))
+    with pytest.raises(IndexOutOfRange, match=r"curve index 1\.5 outside 1\.\.3"):
+        lat.curve(1.5)
+
+
 def test_indefinite_form_rejected():
     fake = SimpleNamespace(rank=2, name="fake", cartan=((2, -2), (-2, 2)))
     with pytest.raises(ConstructionFailure):
