@@ -10,9 +10,9 @@ with the roots class by class checks the lattice against the root system.
 H^2 vanishing for a root class is certified by replaying the curve-by-curve
 descent: a positive class of height two or more restricts to degree -1 on
 some exceptional curve, where cohomology drops to the shorter class, and the
-height-one base case is settled by the rationality of the singularity.  The
-curves come from the root's descent word, which the root closure records;
-the lattice side reads only the rows of the intersection form.
+height-one base case is settled by the rationality of the singularity; a
+negative class is settled by its negation.  The curves come from the root's
+descent word; the lattice side reads only the rows of the intersection form.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def verify_surface(rs: RootSystem) -> VerificationReport:
     """Each lattice fact once, against the root side: the leading minors of
     the Cartan form, the -2 classes of the lattice matched with the roots
     (so every root squares to -2 and nothing else does), and the curve descent
-    of every root."""
+    of every positive root (the oracle settles -a by walking a)."""
     rep = VerificationReport(name=f"surface-{rs.name}")
     try:
         lattice = resolution_lattice(rs)
@@ -211,7 +211,7 @@ def verify_surface(rs: RootSystem) -> VerificationReport:
     rep.details["minus_two_classes"] = len(classes)
 
     oracle = surface_h2_oracle(lattice)
-    for a in rs.all_roots:
+    for a in rs.positive_roots:
         rep.checked += 1
         verdict = oracle(a)
         if not verdict.vanishes:

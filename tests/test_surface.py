@@ -216,12 +216,18 @@ def test_oracle_certifies_every_root():
             assert v.source == "surface-descent"
 
 
-def test_oracle_negation_routing():
-    rs = build("A3")
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_oracle_negation_routing(name):
+    # the oracle answers on -a by walking a, so verify_surface, which runs it
+    # on the positive roots alone, covers every root class
+    rs = build(name)
     oracle = surface_h2_oracle(resolution_lattice(rs))
-    th = rs.highest_root()
-    assert not oracle(th).detail.startswith("negated")
-    assert oracle(-th).detail.startswith("negated")
+    for a in rs.positive_roots:
+        up, down = oracle(a), oracle(-a)
+        assert not up.detail.startswith("negated")
+        assert (down.vanishes, down.source) == (up.vanishes, up.source)
+        assert down.root == -up.root
+        assert down.detail == "negated; " + up.detail
 
 
 def test_oracle_descent_length():
@@ -284,9 +290,12 @@ def test_oracle_detects_tampered_lattice():
 
 def test_verify_surface_small_types():
     for name in SMALL:
-        rep = verify_surface(build(name))
+        rs = build(name)
+        rep = verify_surface(rs)
         assert rep.ok, rep.violations[:3]
-        assert rep.details["minus_two_classes"] == len(build(name).all_roots)
+        assert rep.details["minus_two_classes"] == len(rs.all_roots)
+        # the minors, the class match and one descent per positive root
+        assert rep.checked == rs.rank + 1 + len(rs.positive_roots)
 
 
 def test_verify_surface_reports_indefinite_form():
@@ -298,23 +307,24 @@ def test_verify_surface_reports_indefinite_form():
 
 # (checked, SHA-256 of the exact `--format json` stdout less its checked
 # field).  The digests were recorded from the suite that also compared two
-# products of the Cartan matrix root by root, so dropping those comparisons
-# moved checked alone: one fact per minor, the class match and one descent
-# per root.  The --root payloads carry no checked field.
+# products of the Cartan matrix root by root, and that then walked the
+# descent of every root, negative ones too; dropping the comparisons and the
+# negated walks moved checked alone: one fact per minor, the class match and
+# one descent per positive root.  The --root payloads carry no checked field.
 SURFACE_PAYLOAD_SHA256 = {
-    ("surface", "E6"): (79, "46decd757023a9bfa85570e6a363d46dc0b09ebd737586e358fbd4919cbf2433"),
-    ("surface", "E7"): (134, "b92686410ea06e012ab0c85cedc0ed5024ff4529a84f6c8ae39db592083964b9"),
-    ("surface", "E8"): (249, "04803c18ed798c25c338eaca1a9ab220735d8dff0483a8117ad96d17d2cf76fe"),
+    ("surface", "E6"): (43, "46decd757023a9bfa85570e6a363d46dc0b09ebd737586e358fbd4919cbf2433"),
+    ("surface", "E7"): (71, "b92686410ea06e012ab0c85cedc0ed5024ff4529a84f6c8ae39db592083964b9"),
+    ("surface", "E8"): (129, "04803c18ed798c25c338eaca1a9ab220735d8dff0483a8117ad96d17d2cf76fe"),
     ("verify", "A8", "surface"):
-        (81, "73cc1696ffab850a4bfee092d09281df692b3e5784a3037b50afeeae2281ae79"),
+        (45, "73cc1696ffab850a4bfee092d09281df692b3e5784a3037b50afeeae2281ae79"),
     ("verify", "D8", "surface"):
-        (121, "110b063c166c76c6959056564cf7c5f4aaae8c5de62d0e6100beebb2a19849f0"),
+        (65, "110b063c166c76c6959056564cf7c5f4aaae8c5de62d0e6100beebb2a19849f0"),
     ("verify", "E6", "surface"):
-        (79, "7f08034fc2b6637e86b8f3940b9b55dbb8ce495cc014629ebebf2a427e8a0ec7"),
+        (43, "7f08034fc2b6637e86b8f3940b9b55dbb8ce495cc014629ebebf2a427e8a0ec7"),
     ("verify", "E7", "surface"):
-        (134, "6cfd3fc3cf9e098ffc7fe4302603b8b61ce47f0c7c65636f05f46946d6bef3d4"),
+        (71, "6cfd3fc3cf9e098ffc7fe4302603b8b61ce47f0c7c65636f05f46946d6bef3d4"),
     ("verify", "E8", "surface"):
-        (249, "590693e0ff0bb8cd3c4b31c70fad46bd1b2af51eca4786367bdc10f8677e9613"),
+        (129, "590693e0ff0bb8cd3c4b31c70fad46bd1b2af51eca4786367bdc10f8677e9613"),
     ("surface", "E8", "--root", "2", "3", "4", "6", "5", "4", "3", "2"):
         (None, "7ae8613596afc0c3787aeecde717970b9de11fc3862963124d1fe531ba37c250"),
     ("surface", "E8", "--root", "-2", "-3", "-4", "-6", "-5", "-4", "-3", "-2"):
