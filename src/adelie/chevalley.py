@@ -27,7 +27,13 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConstructionFailure, IndexOutOfRange, SystemMismatch
+from .errors import (
+    BudgetExceeded,
+    CoefficientOverflow,
+    ConstructionFailure,
+    IndexOutOfRange,
+    SystemMismatch,
+)
 from .report import VerificationReport
 from .roots import LatticeVector, RootSystem, build, root_vector
 
@@ -287,21 +293,23 @@ def _run(keys: np.ndarray, i: int) -> slice:
 
 def bracket(x: LieElement, y: LieElement, c: ChevalleyConstants) -> LieElement:
     """Lie bracket [x, y] = ad(x) y, from the cells (i, j) of c.bracket_table,
-    i a component of x and j of y: the run of column j in the run of row i."""
+    i a component of x and j of y: the run of column j in the run of row i,
+    summed in Python integers, so no coefficient wraps."""
     rs = c.system
     row, col, tgt, val = c.bracket_table
     ys = _indexed(y, c)
-    image = np.zeros(rs.rank + len(rs.all_roots), dtype=np.int64)
+    image = [0] * (rs.rank + len(rs.all_roots))
     for i, a in _indexed(x, c):
         cells = _run(row, i)
         cols, targets, coeffs = col[cells], tgt[cells], val[cells]
         for j, b in ys:
             cell = _run(cols, j)
-            np.add.at(image, targets[cell], coeffs[cell].astype(np.int64) * (a * b))
+            for t, v in zip(targets[cell].tolist(), coeffs[cell].tolist()):
+                image[t] += a * b * v
     return LieElement(
         rs,
-        {i: v for i, v in enumerate(image[:rs.rank].tolist()) if v},
-        {a.coords: v for a, v in zip(rs.all_roots, image[rs.rank:].tolist()) if v},
+        {i: v for i, v in enumerate(image[:rs.rank]) if v},
+        {a.coords: v for a, v in zip(rs.all_roots, image[rs.rank:]) if v},
     )
 
 
@@ -314,12 +322,16 @@ def basis_elements(c: ChevalleyConstants) -> list[LieElement]:
 
 
 def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:
-    """Matrix of ad(x) on the basis (h_1..h_r, x_roots), from the runs of
-    x's rows in the table."""
+    """Int64 matrix of ad(x) on the basis (h_1..h_r, x_roots), from the runs
+    of x's rows in the table; CoefficientOverflow when the sum of |x|'s
+    coefficients times the largest |table coefficient| leaves int64."""
     row, col, tgt, val = c.bracket_table
     dim = c.system.rank + len(c.system.all_roots)
+    xs = _indexed(x, c)
+    if sum(abs(a) for _, a in xs) * max(int(val.max()), -int(val.min())) >= 2 ** 63:
+        raise CoefficientOverflow(f"ad({x}) may leave int64")
     m = np.zeros((dim, dim), dtype=np.int64)
-    for i, a in _indexed(x, c):
+    for i, a in xs:
         run = _run(row, i)
         np.add.at(m, (tgt[run], col[run]), a * val[run].astype(np.int64))
     return m

@@ -28,7 +28,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import comb, prod
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from ._exact import digits_past_limit, int_text
@@ -36,6 +36,7 @@ from .errors import (
     BudgetExceeded,
     ConstructionFailure,
     NegativeDegree,
+    NonIntegerDegree,
     NotARootClass,
     NotInRootLattice,
 )
@@ -303,9 +304,10 @@ def euler_characteristic_graded(
 ) -> int:
     """Sum of Euler characteristics of lam shifted by all degree-multisets of
     positive roots: the Euler characteristic of the degree-th symmetric-power
-    twist.  Raises NegativeDegree for a degree below zero and BudgetExceeded
-    when the multiset count, or the degree + 1 layers of the fold, pass
-    max_terms.
+    twist.  The degree is read through operator.index.  Raises
+    NonIntegerDegree for a degree that is not an integer, NegativeDegree for
+    one below zero and BudgetExceeded when the multiset count, or the
+    degree + 1 layers of the fold, pass max_terms.
 
     Many multisets share a root sum, so they are first folded into distinct
     sums with multiplicities.  A sum of degree positive roots has simple-root
@@ -333,6 +335,10 @@ def euler_characteristic_graded(
     """
     import numpy as np  # here, so that cht and cotangent start without numpy
 
+    try:
+        degree = index(degree)
+    except TypeError:
+        raise NonIntegerDegree(f"degree {degree!r} is not an integer") from None
     if degree < 0:
         raise NegativeDegree(f"degree must be non-negative, got {degree}")
     n_pos = len(rs.positive_roots)

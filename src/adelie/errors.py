@@ -57,6 +57,14 @@ class NegativeDegree(AdelieError):
     """Symmetric degree below zero."""
 
 
+class NonIntegerDegree(AdelieError, TypeError):
+    """Symmetric degree that is not an integer (a float, Fraction or str)."""
+
+
+class CoefficientOverflow(AdelieError, OverflowError):
+    """Coefficients too large for the int64 array asked for."""
+
+
 class BudgetExceeded(AdelieError):
     """Enumeration would exceed the configured budget."""
 

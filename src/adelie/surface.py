@@ -18,11 +18,18 @@ descent word; the lattice side reads only the rows of the intersection form.
 from __future__ import annotations
 
 from math import isqrt
-from operator import mul, sub
+from operator import index, mul, sub
 from typing import NamedTuple
 
 from ._exact import int_adjugate
-from .errors import ConstructionFailure, IndexOutOfRange, NotARootClass, NotPositiveDefinite
+from .errors import (
+    BasisMismatch,
+    ConstructionFailure,
+    IndexOutOfRange,
+    NonIntegerCoordinate,
+    NotARootClass,
+    NotPositiveDefinite,
+)
 from .report import H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem, root_vector
 
@@ -52,12 +59,23 @@ class ResolutionLattice(NamedTuple):
             raise IndexOutOfRange(f"curve index {i} outside 1..{self.rank}")
         return DivisorClass(tuple(int(j == i - 1) for j in range(self.rank)))
 
+    def _coefficients(self, d: DivisorClass) -> tuple[int, ...]:
+        """d's coefficients read through operator.index: BasisMismatch unless
+        there is one per curve, NonIntegerCoordinate unless each is an integer."""
+        if len(d.coeffs) != self.rank:
+            raise BasisMismatch(f"{len(d.coeffs)} coefficients on {self.rank} curves")
+        try:
+            return tuple(map(index, d.coeffs))
+        except TypeError:
+            raise NonIntegerCoordinate(f"coefficients {d.coeffs!r} are not integers") from None
+
     def degrees(self, d: DivisorClass) -> tuple[int, ...]:
         """(d . C_i) for every exceptional curve, in one integer pass."""
-        return tuple(sum(map(mul, d.coeffs, col)) for col in zip(*self.intersection))
+        coeffs = self._coefficients(d)
+        return tuple(sum(map(mul, coeffs, col)) for col in zip(*self.intersection))
 
     def pair(self, a: DivisorClass, b: DivisorClass) -> int:
-        return sum(map(mul, self.degrees(a), b.coeffs))
+        return sum(map(mul, self.degrees(a), self._coefficients(b)))
 
     def self_intersection(self, d: DivisorClass) -> int:
         return self.pair(d, d)

@@ -26,7 +26,13 @@ from adelie.chevalley import (
     verify_chevalley,
 )
 from adelie.cli import main
-from adelie.errors import ConstructionFailure, IndexOutOfRange, NotARootClass, SystemMismatch
+from adelie.errors import (
+    CoefficientOverflow,
+    ConstructionFailure,
+    IndexOutOfRange,
+    NotARootClass,
+    SystemMismatch,
+)
 
 SMALL = ("A1", "A2", "A3", "D4")
 
@@ -203,6 +209,28 @@ def test_adjoint_matrix_shape_and_linearity():
         adjoint_matrix(x + y.scale(4), c),
         adjoint_matrix(x, c) + 4 * adjoint_matrix(y, c),
     )
+
+
+def test_bracket_is_exact_past_int64():
+    # [2^k h_1, x_a1] = 2^(k + 1) x_a1 lies past int64 for both k
+    rs = build("A2")
+    c = build_constants(rs)
+    x = LieElement.x(rs, rs.simple_roots[0])
+    for k in (62, 70):
+        assert bracket(LieElement.h(rs, 0).scale(2 ** k), x, c) == x.scale(2 ** (k + 1))
+
+
+def test_adjoint_matrix_refuses_coefficients_past_int64():
+    # |coefficients| 2^k times the table's largest |coefficient| 2 passes
+    # 2^63 - 1 at k = 62, and 2^70 does not fit int64 at all
+    rs = build("A2")
+    c = build_constants(rs)
+    j = rs.rank + rs.root_order_index(rs.simple_roots[0])
+    assert adjoint_matrix(LieElement.h(rs, 0).scale(2 ** 61), c)[j, j] == 2 ** 62
+    for k in (62, 70):
+        with pytest.raises(CoefficientOverflow, match="may leave int64") as exc:
+            adjoint_matrix(LieElement.h(rs, 0).scale(2 ** k), c)
+        assert isinstance(exc.value, OverflowError)
 
 
 def test_adjoint_trace_and_killing():

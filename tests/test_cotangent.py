@@ -21,7 +21,7 @@ from adelie.cotangent import (
     verify_chain_criterion,
     verify_descent,
 )
-from adelie.errors import BudgetExceeded, ConstructionFailure, NotARootClass
+from adelie.errors import BudgetExceeded, ConstructionFailure, NonIntegerDegree, NotARootClass
 from adelie.flag import euler_characteristic
 from adelie.roots import RootSystem
 
@@ -281,6 +281,16 @@ def test_graded_euler_budget():
     rs = build("A2")
     with pytest.raises(BudgetExceeded):
         euler_characteristic_graded(rs, weight_vector(0, 0), 3, max_terms=2)
+
+
+def test_a_non_integer_degree_is_refused():
+    # the degree is read through operator.index, as the rank of a type is
+    rs = build("A2")
+    with pytest.raises(NonIntegerDegree, match=r"degree 1\.5 is not an integer") as exc:
+        euler_characteristic_graded(rs, weight_vector(0, 0), 1.5)
+    assert isinstance(exc.value, TypeError)
+    zero = weight_vector(0, 0)
+    assert euler_characteristic_graded(rs, zero, np.int64(1)) == euler_characteristic_graded(rs, zero, 1)
 
 
 def test_interval_budget_guard():

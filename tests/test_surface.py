@@ -10,8 +10,10 @@ import pytest
 from adelie._exact import int_adjugate
 from adelie.cli import main
 from adelie.errors import (
+    BasisMismatch,
     ConstructionFailure,
     IndexOutOfRange,
+    NonIntegerCoordinate,
     NotARootClass,
     NotPositiveDefinite,
 )
@@ -55,6 +57,24 @@ def test_a_non_integer_curve_index_is_refused():
     lat = resolution_lattice(build("A3"))
     with pytest.raises(IndexOutOfRange, match=r"curve index 1\.5 outside 1\.\.3"):
         lat.curve(1.5)
+
+
+def test_a_class_of_another_length_is_refused():
+    # zip would pair the curves with the first coefficients and drop the rest
+    lat = resolution_lattice(build("A3"))
+    with pytest.raises(BasisMismatch, match="2 coefficients on 3 curves"):
+        lat.self_intersection(DivisorClass((1, 1)))
+    with pytest.raises(BasisMismatch, match="5 coefficients on 3 curves"):
+        lat.pair(lat.curve(1), DivisorClass((1, 0, 0, 0, 0)))
+
+
+def test_a_non_integer_coefficient_is_refused():
+    # a float square would pass for an integer one
+    lat = resolution_lattice(build("A3"))
+    for a, b in [(DivisorClass((1.0, 0, 0)),) * 2, (lat.curve(1), DivisorClass((1, 0.5, 0)))]:
+        with pytest.raises(NonIntegerCoordinate, match="are not integers") as exc:
+            lat.pair(a, b)
+        assert isinstance(exc.value, TypeError)
 
 
 def test_indefinite_form_rejected():
