@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
+from operator import index
 
 import numpy as np
 
@@ -32,10 +33,11 @@ from .errors import (
     CoefficientOverflow,
     ConstructionFailure,
     IndexOutOfRange,
+    NonIntegerCoordinate,
     SystemMismatch,
 )
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, build, root_vector
+from .roots import LatticeVector, RootSystem, root_vector
 
 Coords = tuple[int, ...]
 
@@ -226,8 +228,9 @@ def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
-    rs = build(kind, rank)
+def build_constants(rs: RootSystem) -> ChevalleyConstants:
+    """Build the full sign table for rs, once per root system, and verify its
+    invariants exhaustively."""
     roots = rs.all_roots
     n_roots = len(roots)
     coords = np.array([r.coords for r in roots], dtype=np.int64)
@@ -266,24 +269,25 @@ def _constants_cached(kind: str, rank: int) -> ChevalleyConstants:
     return constants
 
 
-def build_constants(rs: RootSystem) -> ChevalleyConstants:
-    """Build the full sign table for rs and verify its invariants exhaustively."""
-    return _constants_cached(rs.kind, rs.rank)
-
-
 def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
-    """(basis index, coefficient) for each component of e; IndexOutOfRange or
-    NotARootClass for a Cartan index or root key that names no basis element."""
+    """(basis index, coefficient) for each component of e, the coefficient
+    read through operator.index; IndexOutOfRange or NotARootClass for a
+    Cartan index or root key that names no basis element, and
+    NonIntegerCoordinate for a coefficient that is not an integer."""
     rs = c.system
     if e.system != rs:
         raise SystemMismatch("bracket arguments over a different system")
     for i in e.cartan:
         if i not in range(rs.rank):
             raise IndexOutOfRange(f"Cartan index {i} outside 0..{rs.rank - 1}")
-    return [(int(i), v) for i, v in e.cartan.items()] + [
+    terms = [(int(i), v) for i, v in e.cartan.items()] + [
         (rs.rank + rs.root_order_index(root_vector(*cc)), v)
         for cc, v in e.roots.items()
     ]
+    try:
+        return [(k, index(v)) for k, v in terms]
+    except TypeError:
+        raise NonIntegerCoordinate(f"{e} has a coefficient that is not an integer") from None
 
 
 def _run(keys: np.ndarray, i: int) -> slice:

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .flag import dominant_conjugate
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, build, root_vector, weight_vector
+from .roots import LatticeVector, RootSystem, root_vector, weight_vector
 
 # cap on the dominant weights one interval walk may keep
 _POINT_BUDGET = 2 * 10 ** 4
@@ -63,14 +63,13 @@ def lambda_plus(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
 
 
 @lru_cache(maxsize=64)
-def _packed_steps(kind: str, rank: int, width: int) -> tuple[tuple[int, int], ...]:
+def _packed_steps(rs: RootSystem, width: int) -> tuple[tuple[int, int], ...]:
     """(packed step, height) of every positive root for fields of width bits.
 
     A point packs its weight coordinates w_i into fields 0..rank-1 and its
     slack d_i - c_i into field 2 rank - 1 - i, so adding a root beta adds
     beta's weight coordinates and subtracts its root coordinates.
     """
-    rs = build(kind, rank)
     out = []
     for a in rs.positive_roots:
         fields = list(rs.to_weight_basis(a).coords) + [-v for v in reversed(a.coords)]
@@ -127,10 +126,9 @@ class ChtReport(NamedTuple):
     interval_points: int
 
 
-@lru_cache(maxsize=4096)
-def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
-    rs = build(kind, rank)
-    lam = weight_vector(*coords)
+def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
+    """Chain height of lam, with the interval data and a witness chain."""
+    lam = rs.to_weight_basis(lam)
     plus, d, c_star, w_star = _least_action(rs, lam)
 
     # Walk up from lambda* by positive roots, keeping the dominant points
@@ -139,11 +137,11 @@ def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
     # values stay within (-half, half), so adding a step never carries.
     width = (max(plus.coords) + sum(d) + 8).bit_length() + 1
     half = 1 << (width - 1)
-    guard = sum(half << (width * f) for f in range(2 * rank))
+    guard = sum(half << (width * f) for f in range(2 * rs.rank))
     slack = [dv - cv for dv, cv in zip(d, c_star)]
     fields = w_star + slack[::-1]
     start = guard + sum(v << (width * f) for f, v in enumerate(fields))
-    steps = _packed_steps(kind, rank, width)
+    steps = _packed_steps(rs, width)
 
     # Pop the points in the order (height, lexicographic c): the slack fields
     # lead the key with coordinate 1 on top, so a larger key is a smaller c.
@@ -186,7 +184,7 @@ def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
 
     def to_weight(key: int) -> LatticeVector:
         return weight_vector(
-            *(((key >> (width * f)) & mask) - half for f in range(rank))
+            *(((key >> (width * f)) & mask) - half for f in range(rs.rank))
         )
 
     return ChtReport(
@@ -202,11 +200,6 @@ def _cht_cached(kind: str, rank: int, coords: tuple[int, ...]) -> ChtReport:
 def lambda_star(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
     """The unique minimal dominant weight above lam in dominance order."""
     return weight_vector(*_least_action(rs, rs.to_weight_basis(lam))[3])
-
-
-def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
-    """Chain height of lam, with the interval data and a witness chain."""
-    return _cht_cached(rs.kind, rs.rank, rs.to_weight_basis(lam).coords)
 
 
 class CotangentVerdict(NamedTuple):
@@ -289,12 +282,21 @@ def negative_root_descent(rs: RootSystem, lam: LatticeVector) -> tuple[LatticeVe
 
 def verify_descent(rs: RootSystem) -> VerificationReport:
     """Every negative root descends to a negated simple root: the chain of
-    negative_root_descent exists for each, one simple root added per step."""
+    negative_root_descent, one simple root added per step, holds only
+    negative roots and ends at a negated simple root."""
     rep = VerificationReport(name=f"descent-{rs.name}")
     longest = 0
     for a in rs.positive_roots:
         rep.checked += 1
-        longest = max(longest, len(negative_root_descent(rs, -a)) - 1)
+        chain = negative_root_descent(rs, -a)
+        off = next((v for v in chain if not rs.is_positive_root(-v)), None)
+        if off is not None:
+            rep.violations.append(f"descent of {-a} leaves the negative roots at {off}")
+        elif -chain[-1] not in rs.simple_roots:
+            rep.violations.append(
+                f"descent of {-a} ends at {chain[-1]}, not a negated simple root"
+            )
+        longest = max(longest, len(chain) - 1)
     rep.details["longest_chain"] = longest
     return rep
 

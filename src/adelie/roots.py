@@ -28,8 +28,8 @@ from .errors import (
     NotInRootLattice,
 )
 
-#: largest admitted rank for the A and D series; E is fixed at 6, 7, 8.
-DEFAULT_MAX_RANK = 16
+#: largest rank that build admits for the A and D series; E is fixed at 6, 7, 8.
+MAX_RANK = 16
 
 _SPEC_RE = re.compile(r"^([ADEade])\s*([0-9]{1,2})$")
 
@@ -176,8 +176,9 @@ def _positive_roots(
 class RootSystem:
     """Immutable container for one simply-laced root system.
 
-    Built through :func:`build`; two instances compare equal iff they carry
-    the same kind and rank.
+    Built through :func:`build`, which admits the supported types and keeps
+    one instance of each, or directly at any rank; two instances compare
+    equal iff they carry the same kind and rank.
     """
 
     def __init__(self, kind: str, rank: int) -> None:
@@ -345,12 +346,10 @@ class RootSystem:
         return sum(self.to_root_basis(v).coords)
 
     def root_string(self, alpha: LatticeVector, beta: LatticeVector) -> tuple[int, int]:
-        """(p, q) with beta - p*alpha .. beta + q*alpha the alpha-string through beta."""
-        a = self.to_root_basis(alpha)
-        b = self.to_root_basis(beta)
-        if not self.is_root(a) or not self.is_root(b):
-            raise DependentRoots("root string requires two roots")
-        if a.coords == b.coords or a.coords == tuple(-x for x in b.coords):
+        """(p, q) with beta - p*alpha .. beta + q*alpha the alpha-string through
+        beta; NotARootClass when alpha or beta is not a root."""
+        a, b = (self.all_roots[self.root_order_index(v)] for v in (alpha, beta))
+        if a == b or a == -b:
             raise DependentRoots("root string undefined for beta = +-alpha")
         p = 0
         cur = b - a
@@ -387,18 +386,18 @@ class RootSystem:
         return all(c >= 0 for c in self.to_weight_basis(v).coords)
 
 
-def parse_type(spec: str, max_rank: int = DEFAULT_MAX_RANK) -> tuple[str, int]:
+def parse_type(spec: str) -> tuple[str, int]:
     """Parse a case-insensitive series string such as "A3" or "e8"."""
     m = _SPEC_RE.match(spec.strip())
     if not m:
         raise IllegalType(f"unrecognised root system {spec!r}")
     kind = m.group(1).upper()
     rank = int(m.group(2))
-    _validate(kind, rank, max_rank)
+    _validate(kind, rank)
     return kind, rank
 
 
-def _validate(kind: str, rank: int, max_rank: int) -> int:
+def _validate(kind: str, rank: int) -> int:
     """The rank as a plain int, read through operator.index, once kind and
     rank name a supported type."""
     try:
@@ -406,9 +405,9 @@ def _validate(kind: str, rank: int, max_rank: int) -> int:
     except TypeError:
         raise NonIntegerRank(f"rank {rank!r} is not an integer") from None
     if kind == "A":
-        lo, hi = 1, max_rank
+        lo, hi = 1, MAX_RANK
     elif kind == "D":
-        lo, hi = 3, max_rank
+        lo, hi = 3, MAX_RANK
     elif kind == "E":
         lo, hi = 6, 8
     else:
@@ -423,12 +422,11 @@ def _build_cached(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
 
-def build(spec_or_kind: str, rank: int | None = None,
-          max_rank: int = DEFAULT_MAX_RANK) -> RootSystem:
+def build(spec_or_kind: str, rank: int | None = None) -> RootSystem:
     """Construct (and cache) a root system from "D4" or from ("D", 4)."""
     if rank is None:
-        kind, rank = parse_type(spec_or_kind, max_rank)
+        kind, rank = parse_type(spec_or_kind)
     else:
         kind = spec_or_kind.upper()
-        rank = _validate(kind, rank, max_rank)
+        rank = _validate(kind, rank)
     return _build_cached(kind, rank)

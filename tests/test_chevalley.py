@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -22,7 +23,6 @@ from adelie.chevalley import (
     dump_constants,
     runs,
     sum_by_key,
-    _constants_cached,
     verify_chevalley,
 )
 from adelie.cli import main
@@ -30,6 +30,7 @@ from adelie.errors import (
     CoefficientOverflow,
     ConstructionFailure,
     IndexOutOfRange,
+    NonIntegerCoordinate,
     NotARootClass,
     SystemMismatch,
 )
@@ -233,6 +234,29 @@ def test_adjoint_matrix_refuses_coefficients_past_int64():
         assert isinstance(exc.value, OverflowError)
 
 
+@pytest.mark.parametrize("k", [1.5, Fraction(3, 2)], ids=["float", "Fraction"])
+def test_a_non_integer_coefficient_is_refused(k):
+    # adjoint_matrix once truncated 1.5 h_1 to -1 on the diagonal where -1.5
+    # is due, and bracket returned 3.0*x[1, 0]
+    rs = build("A2")
+    c = build_constants(rs)
+    x, h = LieElement.x(rs, rs.simple_roots[0]), LieElement.h(rs, 0).scale(k)
+    for call in (lambda: adjoint_matrix(h, c), lambda: bracket(h, x, c), lambda: bracket(x, h, c)):
+        with pytest.raises(NonIntegerCoordinate, match="coefficient that is not an integer") as exc:
+            call()
+        assert isinstance(exc.value, TypeError)
+
+
+def test_numpy_integer_coefficients_stay_exact():
+    rs = build("A2")
+    c = build_constants(rs)
+    x, h = LieElement.x(rs, rs.simple_roots[0]), LieElement.h(rs, 0)
+    image = bracket(h.scale(np.int64(3)), x, c)
+    assert image == x.scale(6)
+    assert all(type(v) is int for v in image.roots.values())
+    assert np.array_equal(adjoint_matrix(h.scale(np.int8(3)), c), 3 * adjoint_matrix(h, c))
+
+
 def test_adjoint_trace_and_killing():
     # Killing form via ad: trace(ad x_a ad x_{-a}) = 2 * dual Coxeter number
     c = build_constants(build("A2"))
@@ -422,7 +446,7 @@ def _zero_parity(rs):
 def test_build_gate_raises_construction_failure(monkeypatch, capsys):
     # eps = +1 on every generator pair makes the sign table symmetric
     monkeypatch.setattr(chevalley, "_eps_parity_matrix", _zero_parity)
-    _constants_cached.cache_clear()
+    build_constants.cache_clear()
     try:
         with pytest.raises(ConstructionFailure) as exc:
             build_constants(build("A2"))
@@ -432,7 +456,7 @@ def test_build_gate_raises_construction_failure(monkeypatch, capsys):
         assert main(["chevalley", "A2"]) == 3
         assert "internal error:" in capsys.readouterr().err
     finally:
-        _constants_cached.cache_clear()
+        build_constants.cache_clear()
 
 
 def _uncorrected(c):

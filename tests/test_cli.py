@@ -46,6 +46,19 @@ def test_readme_command_line_examples_exit_zero(capsys, argv):
     assert main(argv) == 0, capsys.readouterr().err
 
 
+def test_readme_library_quickstart_prints_what_its_comments_say(capsys):
+    # each printed line equals its print's comment, up to the first ", "
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    expected = [
+        line.split("# ", 1)[1].split(", ", 1)[0]
+        for line in block.splitlines() if line.startswith("print(")
+    ]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+    assert expected == ["AllVanish", "1", "1", "psi[1,1] + phi[0,1]phi[1,0]"]
+
+
 def test_dispatch_table_covers_all_commands():
     assert sorted(COMMAND_FOR_OPERATION) == [
         "bwb", "cartan", "chevalley", "cht", "cotangent",
@@ -268,7 +281,6 @@ def test_other_adelie_errors_stay_at_two(capsys, monkeypatch):
 def test_exit_three_when_firing_passes_lambda_plus(capsys, monkeypatch):
     # lambda+ bounds the firing from above, so passing it is a bug, not bad input
     monkeypatch.setattr(cotangent, "lambda_plus", lambda rs, lam: lam)
-    cotangent._cht_cached.cache_clear()
     code, out, err = run(capsys, "cht", "A2", "--", "-1", "0")
     assert (code, out) == (3, "")
     assert err.startswith("internal error:") and "firing from" in err
@@ -276,7 +288,6 @@ def test_exit_three_when_firing_passes_lambda_plus(capsys, monkeypatch):
 
 def test_exit_two_when_the_interval_walk_reaches_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(cotangent, "_POINT_BUDGET", 50)
-    cotangent._cht_cached.cache_clear()
     code, out, err = run(capsys, "cht", "A4", "--", "-3", "-3", "-3", "-3")
     assert (code, out) == (2, "")
     assert err.startswith("error: A4 {-3,-3,-3,-3|weight}: interval walk kept 50 ")
@@ -512,7 +523,6 @@ def test_exit_two_when_a_budget_message_names_a_weight_too_long_to_print(
     # the walk reaches its cap, and the message names the 4,301-digit
     # coordinate and the interval's height by their digit counts
     monkeypatch.setattr(cotangent, "_POINT_BUDGET", 50)
-    cotangent._cht_cached.cache_clear()
     n = 10 ** 4300 - 1
     code, out, err = run(
         capsys, command, "A2", "--basis", "root", "--format", fmt, "--", str(-n), "0"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from adelie import build, cotangent, root_vector, weight_vector
+from adelie.chevalley import build_constants, verify_chevalley
 from adelie.cotangent import (
     cht,
     cotangent_verdict,
@@ -178,7 +179,7 @@ def test_chain_criterion(name, radius, monkeypatch):
     def walk(*args):
         raise AssertionError(f"interval walk called on {args}")
 
-    monkeypatch.setattr(cotangent, "_cht_cached", walk)
+    monkeypatch.setattr(cotangent, "cht", walk)
     rep = verify_chain_criterion(build(name), radius=radius)
     assert rep.ok, rep.violations
     assert rep.checked == (2 * radius + 1) ** build(name).rank
@@ -246,6 +247,26 @@ def test_descent_all_types(name):
         assert (-chain[-1]).coords in simples
 
 
+@pytest.mark.parametrize("word,violations", [
+    # all zeros: -(a2 + a3) and the lowest root pass through {1,-1,-1|root},
+    # which is not a root
+    (lambda self, alpha: (0,) * self.height(alpha), [
+        "descent of {0,-1,-1|root} leaves the negative roots at {1,-1,-1|root}",
+        "descent of {-1,-1,-1|root} leaves the negative roots at {1,-1,-1|root}",
+    ]),
+    # one letter: every chain stops at its own negative root
+    (lambda self, alpha: (0,), [
+        f"descent of {{{c}|root}} ends at {{{c}|root}}, not a negated simple root"
+        for c in ("0,-1,-1", "-1,-1,0", "-1,-1,-1")
+    ]),
+], ids=["zeros", "one-letter"])
+def test_verify_descent_checks_the_chain_it_counts(monkeypatch, word, violations):
+    monkeypatch.setattr(RootSystem, "descent", word)
+    rep = verify_descent(build("A3"))
+    assert rep.violations == violations
+    assert rep.checked == 6
+
+
 def test_descent_chain_example():
     rs = build("A2")
     chain = negative_root_descent(rs, -rs.highest_root())
@@ -297,6 +318,25 @@ def test_interval_budget_guard():
     rs = build("A2")
     with pytest.raises(BudgetExceeded):
         cht(rs, weight_vector(-10 ** 5, -10 ** 5))
+
+
+def test_a_system_past_the_build_cap_is_answered_on_itself():
+    # build admits A1..A16; cht, cotangent_verdict and build_constants answer
+    # on the RootSystem they are given, so A18, constructed directly, is
+    # answered as the built A16 is: cht(-2 theta) is 4 on every A_n, n >= 4
+    a16, a18 = build("A16"), RootSystem("A", 18)
+    for rs in (a16, a18):
+        lam = -rs.highest_root().scale(2)
+        rep = cht(rs, lam)
+        assert (rep.value, rep.interval_points, rep.shift) == (4, 6, 2 * rs.rank)
+        assert rep.chain[0] == rep.lambda_star and rep.chain[-1] == rep.lambda_plus
+        assert all(rs.is_positive_root(hi - lo) for lo, hi in zip(rep.chain, rep.chain[1:]))
+        verdict = cotangent_verdict(rs, lam)
+        assert (verdict.vanishing_above, verdict.h2_vanish) == (4, False)
+    c = build_constants(a18)
+    rep = verify_chevalley(c)
+    n_roots = len(a18.all_roots)
+    assert rep.ok and rep.checked == 2 * n_roots ** 2 + comb(a18.rank + n_roots, 3)
 
 
 def _naive_graded_euler(rs, lam, degree):
@@ -427,7 +467,7 @@ def test_graded_euler_matches_the_dict_fold_at_degree_three(name):
     ("A63", 1, 2 ** 63), ("A64", 1, 2 ** 64),  # int64 to Python ints
 ])
 def test_graded_euler_matches_the_dict_fold_at_each_key_width(name, degree, top):
-    rs = build(name, max_rank=64)
+    rs = RootSystem(name[0], int(name[1:]))
     assert prod(degree * m + 1 for m in rs.highest_root().coords) == top
     # the oracle's dense products take seconds on the 2,016 and 2,080 roots
     # of A63 and A64, so those keep weight 0, whose largest sum, the highest

@@ -232,6 +232,19 @@ def test_root_string_values():
         rs.root_string(a1, -a1)
 
 
+@pytest.mark.parametrize("name,v", [
+    ("A3", root_vector(1, -1, 0)),  # in the root lattice, mixed signs
+    ("A2", weight_vector(1, 0)),  # outside the root lattice
+], ids=["A3-mixed", "A2-weight"])
+def test_root_string_refuses_a_non_root(name, v):
+    rs = build(name)
+    a = rs.simple_roots[0]
+    for args in ((v, a), (a, v)):
+        with pytest.raises(NotARootClass) as exc:
+            rs.root_string(*args)
+        assert str(exc.value) == f"{v} is not a root of {name}"
+
+
 def test_root_string_bound():
     # simply laced: p + q <= 1 for independent roots
     for name in ("A3", "D4"):
@@ -254,8 +267,6 @@ def test_parse_type():
             parse_type(bad)
     with pytest.raises(IllegalType):
         build("A", 20)
-    # configurable cap
-    assert build("A", 18, max_rank=18).rank == 18
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, Fraction(3), "3"])

@@ -156,3 +156,20 @@ def test_formal_form_defines_no_arithmetic(path):
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     assert defined.isdisjoint(FORM_ARITHMETIC), sorted(defined & FORM_ARITHMETIC)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name
+)
+def test_only_the_cli_calls_build(path):
+    # every other module answers on the RootSystem it is given: a table keyed
+    # by (kind, rank) and rebuilt through build would refuse a system that
+    # build does not admit, and answer for an equal one it was not given
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name)
+             else getattr(node.func, "attr", None)) == "build"
+    ]
+    assert lines == [], f"{path.name}: build called on lines {lines}"
