@@ -285,14 +285,16 @@ def verify_descent(rs: RootSystem) -> VerificationReport:
     negative_root_descent, one simple root added per step, holds only
     negative roots and ends at a negated simple root."""
     rep = VerificationReport(name=f"descent-{rs.name}")
+    negatives = set(rs.all_roots[len(rs.positive_roots):])
+    ends = {-s for s in rs.simple_roots}
     longest = 0
     for a in rs.positive_roots:
         rep.checked += 1
         chain = negative_root_descent(rs, -a)
-        off = next((v for v in chain if not rs.is_positive_root(-v)), None)
+        off = next((v for v in chain if v not in negatives), None)
         if off is not None:
             rep.violations.append(f"descent of {-a} leaves the negative roots at {off}")
-        elif -chain[-1] not in rs.simple_roots:
+        elif chain[-1] not in ends:
             rep.violations.append(
                 f"descent of {-a} ends at {chain[-1]}, not a negated simple root"
             )

@@ -236,8 +236,8 @@ def test_adjoint_matrix_refuses_coefficients_past_int64():
 
 @pytest.mark.parametrize("k", [1.5, Fraction(3, 2)], ids=["float", "Fraction"])
 def test_a_non_integer_coefficient_is_refused(k):
-    # adjoint_matrix once truncated 1.5 h_1 to -1 on the diagonal where -1.5
-    # is due, and bracket returned 3.0*x[1, 0]
+    # the int64 adjoint matrix would hold -1 where [1.5 h_1, x_a2] is
+    # -1.5 x_a2, and bracket would give a float coefficient
     rs = build("A2")
     c = build_constants(rs)
     x, h = LieElement.x(rs, rs.simple_roots[0]), LieElement.h(rs, 0).scale(k)

@@ -323,7 +323,7 @@ def test_interval_budget_guard():
 def test_a_system_past_the_build_cap_is_answered_on_itself():
     # build admits A1..A16; cht, cotangent_verdict and build_constants answer
     # on the RootSystem they are given, so A18, constructed directly, is
-    # answered as the built A16 is: cht(-2 theta) is 4 on every A_n, n >= 4
+    # answered as the built A16 is: cht(-2 theta) is 4 on A4 through A18
     a16, a18 = build("A16"), RootSystem("A", 18)
     for rs in (a16, a18):
         lam = -rs.highest_root().scale(2)
