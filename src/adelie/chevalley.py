@@ -71,10 +71,6 @@ class ChevalleyConstants:
         j = self.system.root_order_index(beta)
         return int(self.sign_table[i, j])
 
-    def h_coeffs(self, alpha: LatticeVector) -> Coords:
-        """Coefficients of h_alpha on h_1..h_r: the simple-root coordinates."""
-        return self.system.to_root_basis(alpha).coords
-
     def nonzero_entries(self):
         """Yield (alpha, beta, sign) in canonical order, one per nonzero entry."""
         roots = self.system.all_roots
@@ -227,7 +223,7 @@ def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
     return e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=33)  # one entry for each type that build admits
 def build_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the full sign table for rs, once per root system, and verify its
     invariants exhaustively."""

@@ -6,7 +6,7 @@ class AdelieError(Exception):
 
 
 class IllegalType(AdelieError):
-    """Root system kind/rank combination outside the supported range."""
+    """Kind and rank that draw no ADE Dynkin diagram, or a type past build's cap."""
 
 
 class BasisMismatch(AdelieError):

@@ -9,6 +9,7 @@ computed by integer dot products and stays exact at any rank.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from enum import Enum
 from functools import lru_cache
 from operator import index, mul
@@ -122,16 +123,17 @@ def weight_vector(*coords: int) -> LatticeVector:
 def _edges(kind: str, rank: int) -> list[tuple[int, int]]:
     # 0-based node pairs.  A: a path.  D: a path 1..n-2 with both n-1 and n
     # hanging off node n-2.  E: the classical Bourbaki numbering, where node 2
-    # is the branch node attached to node 4 of the path 1-3-4-5-...
-    if kind == "A":
+    # is the branch node attached to node 4 of the path 1-3-4-5-...  The one
+    # list of the admitted types: IllegalType for every other (kind, rank).
+    if kind == "A" and rank >= 1:
         return [(i, i + 1) for i in range(rank - 1)]
-    if kind == "D":
+    if kind == "D" and rank >= 3:
         path = [(i, i + 1) for i in range(rank - 3)]
         return path + [(rank - 3, rank - 2), (rank - 3, rank - 1)]
-    chain = [(0, 2), (2, 3), (3, 4), (4, 5)]
-    chain += [(5, 6)] if rank >= 7 else []
-    chain += [(6, 7)] if rank == 8 else []
-    return chain + [(1, 3)]
+    if kind == "E" and 6 <= rank <= 8:
+        chain = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][: rank - 2]
+        return chain + [(1, 3)]
+    raise IllegalType(f"{kind}{rank} is not an ADE Dynkin diagram: A1.., D3.., E6..E8")
 
 
 def _cartan_matrix(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -174,20 +176,17 @@ def _positive_roots(
 
 
 class RootSystem:
-    """Immutable container for one simply-laced root system.
-
-    Built through :func:`build`, which admits the supported types and keeps
-    one instance of each, or directly at any rank; two instances compare
-    equal iff they carry the same kind and rank.
-    """
+    """Immutable container for one ADE root system, A_n (n >= 1), D_n (n >= 3)
+    or E6-E8 at any rank; IllegalType for any other diagram, NonIntegerRank for
+    a rank that is not an integer.  :func:`build` caps A and D at MAX_RANK and
+    keeps one instance of each type; instances are equal iff kind and rank are."""
 
     def __init__(self, kind: str, rank: int) -> None:
         self.kind = kind
-        self.rank = rank
+        self.rank = rank = _plain_rank(rank)
         self.cartan = _cartan_matrix(kind, rank)
+        # a Dynkin diagram's Cartan matrix is positive definite: the adjugate exists
         minors, _, adjugate = int_adjugate(self.cartan)
-        if adjugate is None:
-            raise IllegalType(f"degenerate Cartan matrix for {kind}{rank}")
         self._det = minors[-1]
         # the steps are ordered by height, so k always precedes the root it builds
         pos, self._positive_steps = _positive_roots(self.cartan)
@@ -391,33 +390,34 @@ def parse_type(spec: str) -> tuple[str, int]:
     m = _SPEC_RE.match(spec.strip())
     if not m:
         raise IllegalType(f"unrecognised root system {spec!r}")
-    kind = m.group(1).upper()
-    rank = int(m.group(2))
-    _validate(kind, rank)
+    return _capped(m.group(1).upper(), int(m.group(2)))
+
+
+def _plain_rank(rank) -> int:
+    try:
+        return index(rank)
+    except TypeError:
+        raise NonIntegerRank(f"rank {rank!r} is not an integer") from None
+
+
+def _draws(kind: str, rank: int) -> bool:
+    """Whether _edges admits (kind, rank), for the least rank the cap message names."""
+    with suppress(IllegalType):
+        return _edges(kind, rank) is not None
+    return False
+
+
+def _capped(kind: str, rank) -> tuple[str, int]:
+    """(kind, rank) once they draw a Dynkin diagram within MAX_RANK (only A and D reach past 8)."""
+    rank = _plain_rank(rank)
+    _edges(kind, rank)
+    if rank > MAX_RANK:
+        lo = next(r for r in range(1, rank) if _draws(kind, r))
+        raise IllegalType(f"{kind}{rank} outside supported range {kind}{lo}..{kind}{MAX_RANK}")
     return kind, rank
 
 
-def _validate(kind: str, rank: int) -> int:
-    """The rank as a plain int, read through operator.index, once kind and
-    rank name a supported type."""
-    try:
-        rank = index(rank)
-    except TypeError:
-        raise NonIntegerRank(f"rank {rank!r} is not an integer") from None
-    if kind == "A":
-        lo, hi = 1, MAX_RANK
-    elif kind == "D":
-        lo, hi = 3, MAX_RANK
-    elif kind == "E":
-        lo, hi = 6, 8
-    else:
-        raise IllegalType(f"kind {kind!r} is not simply laced")
-    if not lo <= rank <= hi:
-        raise IllegalType(f"{kind}{rank} outside supported range {kind}{lo}..{kind}{hi}")
-    return rank
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=33)  # one entry for each type that build admits
 def _build_cached(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
@@ -427,6 +427,5 @@ def build(spec_or_kind: str, rank: int | None = None) -> RootSystem:
     if rank is None:
         kind, rank = parse_type(spec_or_kind)
     else:
-        kind = spec_or_kind.upper()
-        rank = _validate(kind, rank)
+        kind, rank = _capped(spec_or_kind.upper(), rank)
     return _build_cached(kind, rank)

@@ -12,7 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from adelie import build, chevalley, root_vector, weight_vector
+from adelie import RootSystem, build, chevalley, root_vector, weight_vector
 from adelie.chevalley import (
     ChevalleyConstants,
     LieElement,
@@ -27,6 +27,7 @@ from adelie.chevalley import (
 )
 from adelie.cli import main
 from adelie.errors import (
+    BudgetExceeded,
     CoefficientOverflow,
     ConstructionFailure,
     IndexOutOfRange,
@@ -77,16 +78,12 @@ def test_rescale_invariant_products(name):
                 assert c.n(b, -(a + b)) == c.n(a, b)
 
 
-def test_h_coeffs_are_root_coordinates():
-    c = build_constants(build("D4"))
-    rs = c.system
-    for a in rs.all_roots:
-        assert c.h_coeffs(a) == a.coords
-    theta = rs.highest_root()
-    x, y = LieElement.x(rs, theta), LieElement.x(rs, -theta)
-    br = bracket(x, y, c)
-    assert not br.roots
-    assert br.cartan == {i: v for i, v in enumerate(theta.coords) if v}
+def test_build_constants_refuses_a_system_past_the_packed_jacobi_keys():
+    # RootSystem admits A35, past build's cap; its dimension 35 * 37 = 1295 is
+    # past the dim < 1291 of the packed Jacobi keys, so the gate refuses it
+    with pytest.raises(BudgetExceeded, match="dimension 1295 "):
+        build_constants(RootSystem("A", 35))
+    assert build_constants.cache_info().maxsize == 33
 
 
 def test_sl2_triples():
@@ -96,6 +93,9 @@ def test_sl2_triples():
         for a in rs.positive_roots:
             e, f = LieElement.x(rs, a), LieElement.x(rs, -a)
             h = bracket(e, f, c)
+            # [x_a, x_-a] = h_a, whose coefficients on h_1..h_r are a's coordinates
+            assert not h.roots
+            assert h.cartan == {i: v for i, v in enumerate(a.coords) if v}
             assert bracket(h, e, c) == e.scale(2)
             assert bracket(h, f, c) == f.scale(-2)
 

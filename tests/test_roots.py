@@ -15,6 +15,7 @@ import pytest
 
 from adelie import Basis, LatticeVector, build, parse_type, root_vector, weight_vector
 from adelie._exact import int_adjugate
+from adelie.roots import RootSystem, _build_cached, _cartan_matrix
 from adelie.errors import (
     AdelieError,
     BasisMismatch,
@@ -277,6 +278,50 @@ def test_rank_must_be_an_integer(bad):
         build("A", bad)
     assert isinstance(exc.value, TypeError)
     assert isinstance(exc.value, AdelieError)
+
+
+@pytest.mark.parametrize("kind,rank", [
+    ("D", 2), ("E", 9), ("E", 10), ("B", 3), ("A", 0), ("A", -1), ("D", 1),
+    ("E", 4), ("E", 5), ("a", 3),
+])
+def test_root_system_admits_only_ade_diagrams(kind, rank):
+    # D2 once built a Cartan matrix of determinant -3 and E9, E10 65 and 66
+    # "positive roots"; B3, A0, D1, E4, E5 and a3 raised a bare IndexError
+    with pytest.raises(IllegalType) as exc:
+        RootSystem(kind, rank)
+    assert str(exc.value).startswith(f"{kind}{rank} is not an ADE Dynkin diagram")
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, "3"])
+def test_root_system_rank_must_be_an_integer(bad):
+    with pytest.raises(NonIntegerRank):
+        RootSystem("A", bad)
+
+
+def test_every_admitted_cartan_matrix_is_positive_definite():
+    # up to rank 40 _cartan_matrix admits exactly A_n (n >= 1), D_n (n >= 3)
+    # and E6-E8, and each has positive leading minors and determinant n + 1
+    # on A_n, 4 on D_n and 9 - n on E_n: the adjugate always exists
+    admitted = []
+    for kind, rank in product("ADE", range(-1, 41)):
+        try:
+            cartan = _cartan_matrix(kind, rank)
+        except IllegalType:
+            continue
+        admitted.append(f"{kind}{rank}")
+        minors, _, adj = int_adjugate(cartan)
+        det = {"A": rank + 1, "D": 4, "E": 9 - rank}[kind]
+        assert adj is not None and min(minors) > 0 and minors[-1] == det, (kind, rank)
+    expected = [f"A{r}" for r in range(1, 41)] + [f"D{r}" for r in range(3, 41)]
+    assert admitted == expected + ["E6", "E7", "E8"]
+
+
+def test_build_keeps_one_instance_of_every_supported_type():
+    # the cache holds 33 entries, one per type that build admits, so a sweep
+    # over all of them evicts none
+    systems = [build(name) for name in SUPPORTED]
+    assert all(build(name) is rs for name, rs in zip(SUPPORTED, systems))
+    assert _build_cached.cache_info().maxsize == len(SUPPORTED) == 33
 
 
 def test_numpy_integer_rank_converts_exactly():

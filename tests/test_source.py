@@ -173,3 +173,50 @@ def test_only_the_cli_calls_build(path):
              else getattr(node.func, "attr", None)) == "build"
     ]
     assert lines == [], f"{path.name}: build called on lines {lines}"
+
+
+def _unbounded_caches(tree):
+    """Lines that cache without an integer bound: functools.cache, and any
+    lru_cache not called with an int literal maxsize (bare, or maxsize=None)."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node.lineno
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "cache" and isinstance(node, ast.Attribute):
+            yield node.lineno
+        if name == "lru_cache":
+            call = calls.get(id(node), ast.Call(args=[], keywords=[]))
+            size = call.args + [k.value for k in call.keywords if k.arg == "maxsize"]
+            if not (size and isinstance(size[0], ast.Constant) and type(size[0].value) is int):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_lru_cache_is_bounded(path):
+    # a cache keyed by what callers pass holds one entry per system they
+    # construct unless it names its bound
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(_unbounded_caches(tree))
+    assert lines == [], f"{path.name}: unbounded cache on lines {lines}"
+
+
+def test_the_cache_rule_finds_each_unbounded_form():
+    source = """
+import functools
+from functools import cache, lru_cache
+@lru_cache
+def a(): pass
+@lru_cache(maxsize=None)
+def b(): pass
+@functools.lru_cache()
+def c(): pass
+@functools.cache
+def d(): pass
+@lru_cache(maxsize=64)
+def e(): pass
+@functools.lru_cache(33)
+def f(): pass
+"""
+    assert sorted(_unbounded_caches(ast.parse(source))) == [3, 4, 6, 8, 10]

@@ -5,6 +5,7 @@ import pytest
 from adelie.chevalley import build_constants, verify_chevalley
 from adelie.errors import IllegalType
 from adelie.roots import build
+from adelie.surface import resolution_lattice, surface_h2_oracle
 from adelie.verify import (
     SUITES,
     cotangent_h2_oracle,
@@ -31,6 +32,27 @@ def test_all_suite_merges_details():
     assert rep.name == "A2-all"
     for suite in SUITES:
         assert rep.details[suite] == "ok"
+
+
+SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + ["E6", "E7", "E8"]
+
+
+def test_three_h2_oracles_agree_on_every_supported_type():
+    # flag index, chain height and curve descent answer the same on each of
+    # the 4,786 roots of the 33 types (acceptance criterion 9 runs four)
+    disagreements, roots = [], 0
+    for rs in map(build, SUPPORTED):
+        oracles = (
+            flag_h2_oracle(rs),
+            cotangent_h2_oracle(rs),
+            surface_h2_oracle(resolution_lattice(rs)),
+        )
+        for a in rs.all_roots:
+            answers = [oracle(a).vanishes for oracle in oracles]
+            if len(set(answers)) != 1:
+                disagreements.append((rs.name, a, answers))
+        roots += len(rs.all_roots)
+    assert (roots, disagreements) == (4786, [])
 
 
 def test_unknown_suite_rejected():
