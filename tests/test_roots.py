@@ -15,7 +15,6 @@ import pytest
 
 from adelie import Basis, LatticeVector, build, parse_type, root_vector, weight_vector
 from adelie._exact import int_adjugate
-from adelie.roots import RootSystem, _build_cached, _cartan_matrix
 from adelie.errors import (
     AdelieError,
     BasisMismatch,
@@ -29,6 +28,7 @@ from adelie.errors import (
     NotARootClass,
     NotInRootLattice,
 )
+from adelie.roots import RootSystem, _build_cached, _cartan_matrix
 
 # expected positive-root counts, frozen from the closure formulas
 # A_n: n(n+1)/2, D_n: n(n-1), E6/7/8: 36/63/120
