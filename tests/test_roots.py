@@ -270,7 +270,7 @@ def test_parse_type():
         build("A", 20)
 
 
-@pytest.mark.parametrize("bad", [2.0, 2.5, 3.0, Fraction(3), "3"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, Fraction(3), "3", 2.0])
 def test_rank_must_be_an_integer(bad):
     # build("A", 2.5) and RootSystem("A", 2.5) used to fail with a bare
     # TypeError from deep in the Cartan build
