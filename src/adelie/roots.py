@@ -387,7 +387,7 @@ class RootSystem:
 
 def parse_type(spec: str) -> tuple[str, int]:
     """Parse a case-insensitive series string such as "A3" or "e8"."""
-    m = _SPEC_RE.match(spec.strip())
+    m = isinstance(spec, str) and _SPEC_RE.match(spec.strip())
     if not m:
         raise IllegalType(f"unrecognised root system {spec!r}")
     return _capped(m.group(1).upper(), int(m.group(2)))
@@ -427,5 +427,6 @@ def build(spec_or_kind: str, rank: int | None = None) -> RootSystem:
     if rank is None:
         kind, rank = parse_type(spec_or_kind)
     else:
-        kind, rank = _capped(spec_or_kind.upper(), rank)
+        kind = spec_or_kind.upper() if isinstance(spec_or_kind, str) else spec_or_kind
+        kind, rank = _capped(kind, rank)
     return _build_cached(kind, rank)

@@ -6,6 +6,8 @@ divisor class with its simple-root coordinates is an isometry onto the
 self-intersection -2 classes.  The -2 classes are enumerated by exact
 lattice-point search on the lattice's own intersection form, so matching them
 with the roots class by class checks the lattice against the root system.
+The search's leading minors are the one certificate that the form is negative
+definite; any other form raises NotPositiveDefinite there.
 
 H^2 vanishing for a root class is certified by replaying the curve-by-curve
 descent: a positive class of height two or more restricts to degree -1 on
@@ -86,20 +88,9 @@ class ResolutionLattice(NamedTuple):
 
 
 def resolution_lattice(rs: RootSystem) -> ResolutionLattice:
-    """Build the lattice and certify negative definiteness exactly.
-
-    Every leading principal minor of the Cartan matrix must be positive;
-    a failure raises ConstructionFailure.
-    """
-    for k, minor in enumerate(int_adjugate(rs.cartan)[0], 1):
-        if minor <= 0:
-            raise ConstructionFailure(
-                f"{rs.name}: leading minor {k} is {minor}, form not definite"
-            )
-    intersection = tuple(
-        tuple(-v for v in row) for row in rs.cartan
-    )
-    return ResolutionLattice(rs, intersection)
+    """The exceptional-curve lattice of rs, intersecting by the negated Cartan
+    matrix; minus_two_classes certifies that the form is negative definite."""
+    return ResolutionLattice(rs, tuple(tuple(-v for v in row) for row in rs.cartan))
 
 
 def root_to_divisor(lattice: ResolutionLattice, alpha: LatticeVector) -> DivisorClass:
@@ -141,7 +132,8 @@ def minus_two_classes(lattice: ResolutionLattice) -> tuple[DivisorClass, ...]:
     minors, below, _ = int_adjugate(tuple(tuple(-v for v in row) for row in lattice.intersection))
     if min(minors) <= 0:  # a zero minor also ends the elimination
         raise NotPositiveDefinite(
-            f"{lattice.system.name}: the negated form has leading minors {minors}"
+            f"{lattice.system.name}: form not definite, "
+            f"the negated form has leading minors {minors}"
         )
     m = (1, *minors)
     x = [0] * n
@@ -211,19 +203,18 @@ def surface_h2_oracle(lattice: ResolutionLattice):
 
 def verify_surface(rs: RootSystem) -> VerificationReport:
     """Each lattice fact once, against the root side: the leading minors of
-    the Cartan form, the -2 classes of the lattice matched with the roots
+    the lattice's form as minus_two_classes reads them (an indefinite form is
+    a violation, with nothing checked), the -2 classes matched with the roots
     (so every root squares to -2 and nothing else does), and the curve descent
     of every positive root (the oracle settles -a by walking a)."""
     rep = VerificationReport(name=f"surface-{rs.name}")
+    lattice = resolution_lattice(rs)
     try:
-        lattice = resolution_lattice(rs)
-    except ConstructionFailure as exc:
+        classes = minus_two_classes(lattice)
+    except NotPositiveDefinite as exc:
         rep.violations.append(str(exc))
         return rep
-    rep.checked += rs.rank  # the minors
-
-    classes = minus_two_classes(lattice)
-    rep.checked += 1
+    rep.checked += rs.rank + 1  # the minors and the class match
     if [c.coeffs for c in classes] != sorted(r.coords for r in rs.all_roots):
         rep.violations.append("-2 classes do not match the roots")
     rep.details["minus_two_classes"] = len(classes)

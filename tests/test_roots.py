@@ -263,11 +263,13 @@ def test_parse_type():
     assert parse_type("a3") == ("A", 3)
     assert parse_type(" E8 ") == ("E", 8)
     assert parse_type("D16") == ("D", 16)
-    for bad in ("B2", "A0", "D2", "E9", "A17", "foo", "E5"):
+    for bad in ("B2", "A0", "D2", "E9", "A17", "foo", "E5", None):
         with pytest.raises(IllegalType):
             parse_type(bad)
-    with pytest.raises(IllegalType):
-        build("A", 20)
+    # a kind or spec that is not a str once raised a bare AttributeError
+    for args in (("A", 20), (None, 3), (3, 3), (None,)):
+        with pytest.raises(IllegalType):
+            build(*args)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, Fraction(3), "3", 2.0])

@@ -18,33 +18,50 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert on lines {lines}"
 
 
-def _import_owners(node, module, owner=None):
-    """The function around each import of module below node, None at module level."""
+def _owners(node, wanted, owner=None):
+    """The function around each node below node that wanted accepts, named
+    with its class (RootSystem.pairing), None at module level."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _import_owners(child, module, child.name)
-            continue
-        names = []
-        if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [child.module or ""]
-        if any(name.split(".")[0] == module for name in names):
+        if wanted(child):
             yield owner
-        yield from _import_owners(child, module, owner)
+        inner = owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if owner is None else f"{owner}.{child.name}"
+        yield from _owners(child, wanted, inner)
+
+
+def _sites(path, wanted):
+    """(file name, owner) of each node in path that wanted accepts, in order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(path.name, owner) for owner in _owners(tree, wanted)]
+
+
+def _imports(node, module):
+    names = []
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    return any(name.split(".")[0] == module for name in names)
 
 
 def _import_sites(path, module):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return {(path.name, owner) for owner in _import_owners(tree, module)}
+    return set(_sites(path, lambda node: _imports(node, module)))
+
+
+def _callee(node):
+    """The name a call calls, f in f(...) and obj.f(...); None for anything else."""
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
 
 
 # Fraction is for weights that are really fractional, imported inside those
 # functions so that every other route, and the start of every command, stays
 # on integers
 FRACTION_SITES = {
-    ("roots.py", "root_coords_exact"),
-    ("roots.py", "pairing"),
+    ("roots.py", "RootSystem.root_coords_exact"),
+    ("roots.py", "RootSystem.pairing"),
 }
 
 
@@ -166,13 +183,23 @@ def test_only_the_cli_calls_build(path):
     # by (kind, rank) and rebuilt through build would refuse a system that
     # build does not admit, and answer for an equal one it was not given
     tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and (node.func.id if isinstance(node.func, ast.Name)
-             else getattr(node.func, "attr", None)) == "build"
-    ]
+    lines = [node.lineno for node in ast.walk(tree) if _callee(node) == "build"]
     assert lines == [], f"{path.name}: build called on lines {lines}"
+
+
+# one fraction-free elimination per form: RootSystem's Cartan matrix for its
+# determinant and adjugate, and the lattice's own form, whose leading minors
+# certify it definite where the -2 classes are enumerated.  A second
+# elimination of either form would be a second route to the same fact
+ADJUGATE_SITES = [("roots.py", "RootSystem.__init__"), ("surface.py", "minus_two_classes")]
+
+
+def test_int_adjugate_runs_once_per_form():
+    sites = [
+        site for path in SOURCES
+        for site in _sites(path, lambda node: _callee(node) == "int_adjugate")
+    ]
+    assert sites == ADJUGATE_SITES
 
 
 def _unbounded_caches(tree):

@@ -77,12 +77,6 @@ def test_a_non_integer_coefficient_is_refused():
         assert isinstance(exc.value, TypeError)
 
 
-def test_indefinite_form_rejected():
-    fake = SimpleNamespace(rank=2, name="fake", cartan=((2, -2), (-2, 2)))
-    with pytest.raises(ConstructionFailure):
-        resolution_lattice(fake)
-
-
 def test_root_divisor_coordinates_and_square():
     for name in SMALL:
         rs = build(name)
@@ -323,6 +317,15 @@ def test_verify_surface_reports_indefinite_form():
     rep = verify_surface(fake)
     assert not rep.ok
     assert "definite" in rep.violations[0]
+    assert rep.checked == 0
+    # resolution_lattice builds this singular form as it is; the enumeration's
+    # elimination refuses it at its zero second minor, before anything counts
+    fake = SimpleNamespace(rank=2, name="fake", cartan=((2, -2), (-2, 2)))
+    rep = verify_surface(fake)
+    assert rep.violations == [
+        "fake: form not definite, the negated form has leading minors (2, 0)"
+    ]
+    assert rep.checked == 0
 
 
 # (checked, SHA-256 of the exact `--format json` stdout less its checked
