@@ -32,12 +32,11 @@ from .errors import (
     BudgetExceeded,
     CoefficientOverflow,
     ConstructionFailure,
-    IndexOutOfRange,
     NonIntegerCoordinate,
     SystemMismatch,
 )
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, root_vector
+from .roots import LatticeVector, RootSystem, checked_index, root_vector
 
 Coords = tuple[int, ...]
 
@@ -273,13 +272,8 @@ def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
     rs = c.system
     if e.system != rs:
         raise SystemMismatch("bracket arguments over a different system")
-    for i in e.cartan:
-        if i not in range(rs.rank):
-            raise IndexOutOfRange(f"Cartan index {i} outside 0..{rs.rank - 1}")
-    terms = [(int(i), v) for i, v in e.cartan.items()] + [
-        (rs.rank + rs.root_order_index(root_vector(*cc)), v)
-        for cc, v in e.roots.items()
-    ]
+    terms = [(checked_index(i, 0, rs.rank - 1, "Cartan index"), v) for i, v in e.cartan.items()]
+    terms += [(rs.rank + rs.root_order_index(root_vector(*cc)), v) for cc, v in e.roots.items()]
     try:
         return [(k, index(v)) for k, v in terms]
     except TypeError:

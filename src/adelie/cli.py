@@ -255,14 +255,8 @@ def _cmd_surface(rs, args):
     return code, payload, lines
 
 
-def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
-    """verify.run_suite, imported only when a verify command runs."""
-    from .verify import run_suite
-
-    return run_suite(rs, suite)
-
-
 def _cmd_verify(rs, args):
+    from .verify import run_suite
     code, payload, lines = _report(run_suite(rs, args.suite))
     payload["suite"] = args.suite
     return code, payload, lines

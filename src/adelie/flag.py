@@ -14,9 +14,9 @@ from __future__ import annotations
 from math import prod
 from typing import NamedTuple
 
-from .errors import ConstructionFailure, IndexOutOfRange, NotDominant
+from .errors import ConstructionFailure, NotDominant
 from .report import VerificationReport
-from .roots import Basis, LatticeVector, RootSystem
+from .roots import Basis, LatticeVector, RootSystem, checked_index
 
 ALL_VANISH = "AllVanish"
 CONCENTRATED = "Concentrated"
@@ -123,9 +123,7 @@ def euler_characteristic(rs: RootSystem, lam: LatticeVector) -> int:
 
 def schubert_restriction_degree(rs: RootSystem, lam: LatticeVector, i: int) -> int:
     """Degree of the lam-line bundle on the i-th simple Schubert curve (1-based)."""
-    if i not in range(1, rs.rank + 1):
-        raise IndexOutOfRange(f"curve index {i} outside 1..{rs.rank}")
-    return rs.to_weight_basis(lam).coords[int(i) - 1]
+    return rs.to_weight_basis(lam).coords[checked_index(i, 1, rs.rank, "curve index") - 1]
 
 
 def triviality_criterion(rs: RootSystem, lam: LatticeVector) -> bool:
@@ -147,7 +145,7 @@ def verify_root_cohomology(rs: RootSystem) -> VerificationReport:
             rep.violations.append(f"root {a} has cohomology in degree {v.degree}")
             continue
         has_h1 = v.status == CONCENTRATED and v.degree == 1
-        expect_h1 = (-a).coords in simples and not rs.is_positive_root(a)
+        expect_h1 = (-a).coords in simples
         if has_h1 != expect_h1:
             rep.violations.append(
                 f"root {a}: degree-one cohomology {'present' if has_h1 else 'absent'}"
@@ -171,12 +169,12 @@ def verify_index_bound(rs: RootSystem) -> VerificationReport:
     simples = set(r.coords for r in rs.simple_roots)
     for a in rs.all_roots:
         rep.checked += 1
-        shifted = rs.to_weight_basis(a) + rho
+        w = rs.to_weight_basis(a)
+        shifted = w + rho
         if not is_singular(rs, shifted):
             ind = index(rs, shifted)
             if ind > 1:
                 rep.violations.append(f"root {a}: index {ind} exceeds 1")
-        w = rs.to_weight_basis(a)
         allowed = {-1, 0, 1}
         if a.coords in simples:
             allowed = {-1, 0, 1, 2}

@@ -332,8 +332,6 @@ class SolvabilityCertificate:
     must instead act nontrivially on the target for the system to deform.
     """
 
-    system_name: str
-    half: str
     solvable: bool
     verdicts: tuple[H2VanishVerdict, ...]
     requirements: tuple[LatticeVector, ...]
@@ -355,8 +353,6 @@ def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertifi
             answer = H2VanishVerdict(root=alpha, vanishes=answer, source="oracle")
         verdicts.append(answer)
     return SolvabilityCertificate(
-        system_name=rs.name,
-        half=system.half.value,
         solvable=all(v.vanishes for v in verdicts),
         verdicts=tuple(verdicts),
         requirements=tuple(requirements),

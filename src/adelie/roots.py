@@ -120,6 +120,16 @@ def weight_vector(*coords: int) -> LatticeVector:
     return LatticeVector(tuple(coords), Basis.FUNDAMENTAL_WEIGHT)
 
 
+def checked_index(i, lo: int, hi: int, what: str) -> int:
+    """i as an int when it is an integer from lo to hi, read through
+    operator.index so that numpy integers pass; IndexOutOfRange otherwise,
+    for a float equal to an integer such as 1.0 too."""
+    with suppress(TypeError):
+        if lo <= index(i) <= hi:
+            return index(i)
+    raise IndexOutOfRange(f"{what} {i} outside {lo}..{hi}")
+
+
 def _edges(kind: str, rank: int) -> list[tuple[int, int]]:
     # 0-based node pairs.  A: a path.  D: a path 1..n-2 with both n-1 and n
     # hanging off node n-2.  E: the classical Bourbaki numbering, where node 2
@@ -133,7 +143,8 @@ def _edges(kind: str, rank: int) -> list[tuple[int, int]]:
     if kind == "E" and 6 <= rank <= 8:
         chain = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][: rank - 2]
         return chain + [(1, 3)]
-    raise IllegalType(f"{kind}{rank} is not an ADE Dynkin diagram: A1.., D3.., E6..E8")
+    name = f"{kind}{rank}" if isinstance(kind, str) else f"kind {kind!r} with rank {rank}"
+    raise IllegalType(f"{name} is not an ADE Dynkin diagram: A1.., D3.., E6..E8")
 
 
 def _cartan_matrix(kind: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -333,12 +344,11 @@ class RootSystem:
         A negative root therefore reports the height of its negation; use
         :meth:`coordinate_sum` for the signed value.
         """
-        s = self.coordinate_sum(v)
         c = self.to_root_basis(v).coords
         if all(x >= 0 for x in c):
-            return s
+            return sum(c)
         if all(x <= 0 for x in c):
-            return -s
+            return -sum(c)
         raise MixedSigns(f"{v} has mixed-sign root coordinates")
 
     def coordinate_sum(self, v: LatticeVector) -> int:
@@ -373,10 +383,9 @@ class RootSystem:
 
     def reflect_simple(self, v: LatticeVector, i: int) -> LatticeVector:
         """Simple reflection s_i, 0-based index, basis-preserving."""
-        if i not in range(self.rank):
-            raise IndexOutOfRange(f"simple index {i} outside 0..{self.rank - 1}")
+        i = checked_index(i, 0, self.rank - 1, "simple index")
         w = self.to_weight_basis(v)
-        k, row = w.coords[int(i)], self.cartan[int(i)]
+        k, row = w.coords[i], self.cartan[i]
         new = tuple(w.coords[j] - k * row[j] for j in range(self.rank))
         out = LatticeVector(new, Basis.FUNDAMENTAL_WEIGHT)
         return self.to_root_basis(out) if v.basis is Basis.SIMPLE_ROOT else out

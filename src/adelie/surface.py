@@ -27,13 +27,12 @@ from ._exact import int_adjugate
 from .errors import (
     BasisMismatch,
     ConstructionFailure,
-    IndexOutOfRange,
     NonIntegerCoordinate,
     NotARootClass,
     NotPositiveDefinite,
 )
 from .report import H2VanishVerdict, VerificationReport
-from .roots import LatticeVector, RootSystem, root_vector
+from .roots import LatticeVector, RootSystem, checked_index, root_vector
 
 
 class DivisorClass(NamedTuple):
@@ -57,8 +56,7 @@ class ResolutionLattice(NamedTuple):
 
     def curve(self, i: int) -> DivisorClass:
         """The i-th exceptional curve, 1-based."""
-        if i not in range(1, self.rank + 1):
-            raise IndexOutOfRange(f"curve index {i} outside 1..{self.rank}")
+        i = checked_index(i, 1, self.rank, "curve index")
         return DivisorClass(tuple(int(j == i - 1) for j in range(self.rank)))
 
     def _coefficients(self, d: DivisorClass) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from adelie import cli, cotangent
+from adelie import cli, cotangent, verify
 from adelie.cli import COMMAND_FOR_OPERATION, _report, main
 from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailure
 from adelie.flag import bwb
@@ -234,7 +234,7 @@ def test_bwb_runs_borel_weil_bott_once(capsys, monkeypatch):
 
 def test_exit_one_on_failed_verification(capsys, monkeypatch):
     failing = VerificationReport(name="demo", checked=1, violations=["broken fact"])
-    monkeypatch.setattr(cli, "run_suite", lambda rs, suite: failing)
+    monkeypatch.setattr(verify, "run_suite", lambda rs, suite: failing)
     code, payload = run_json(capsys, "verify", "A2", "bwb")
     assert code == 1
     assert payload["ok"] is False

@@ -1,15 +1,17 @@
 """Flag-variety cohomology: dimension anchors, duality, root-weight sweeps."""
 
+from copy import copy
 from itertools import product
 from math import comb
 
 import pytest
 
-from adelie import build, root_vector, weight_vector
+from adelie import build, flag, root_vector, weight_vector
 from adelie.errors import IndexOutOfRange, NotDominant
 from adelie.flag import (
     ALL_VANISH,
     CONCENTRATED,
+    CohomologyVerdict,
     bwb,
     dominant_conjugate,
     euler_characteristic,
@@ -159,6 +161,45 @@ def test_root_cohomology_sweep(name):
 def test_index_bound_sweep(name):
     rep = verify_index_bound(build(name))
     assert rep.ok, rep.violations
+
+
+@pytest.mark.parametrize("coords,verdict,violation,degree_one", [
+    ((1, 1), CohomologyVerdict(CONCENTRATED, degree=2, dimension=1),
+     "root {1,1|root} has cohomology in degree 2", 2),
+    ((1, 0), CohomologyVerdict(CONCENTRATED, degree=1, dimension=1),
+     "root {1,0|root}: degree-one cohomology present but negated-simple is False", 2),
+    ((-1, 0), CohomologyVerdict(ALL_VANISH),
+     "root {-1,0|root}: degree-one cohomology absent but negated-simple is True", 1),
+    ((-1, 0), CohomologyVerdict(CONCENTRATED, degree=1, dimension=2),
+     "root {-1,0|root}: degree-one dimension 2 != 1", 2),
+])
+def test_root_cohomology_sweep_reports_each_wrong_verdict(
+    monkeypatch, coords, verdict, violation, degree_one
+):
+    # the sweep's own bwb, wrong on one root of A2, leaves exactly one violation
+    real = flag.bwb
+    monkeypatch.setattr(flag, "bwb", lambda rs, a: verdict if a.coords == coords else real(rs, a))
+    rep = verify_root_cohomology(build("A2"))
+    assert (rep.checked, rep.violations) == (6, [violation])
+    assert rep.details["degree_one_count"] == degree_one
+
+
+def test_index_bound_reports_an_index_above_one(monkeypatch):
+    rs = build("A2")
+    real, top = flag.index, rs.to_weight_basis(rs.highest_root()) + rs.rho()
+    monkeypatch.setattr(flag, "index", lambda rs, mu: 2 if mu == top else real(rs, mu))
+    rep = verify_index_bound(rs)
+    assert (rep.checked, rep.violations) == (6, ["root {1,1|root}: index 2 exceeds 1"])
+
+
+def test_index_bound_reports_a_weight_coordinate_outside_its_box():
+    # 2 alpha_1 is no root; its weight coordinates (4, -2) leave the box {-1, 0, 1}
+    rs = copy(build("A2"))
+    rs.all_roots += (root_vector(2, 0),)
+    rep = verify_index_bound(rs)
+    assert (rep.checked, rep.violations) == (
+        7, ["root {2,0|root}: weight coordinate 4 out of range"]
+    )
 
 
 def test_schubert_restriction_degrees():

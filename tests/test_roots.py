@@ -266,10 +266,17 @@ def test_parse_type():
     for bad in ("B2", "A0", "D2", "E9", "A17", "foo", "E5", None):
         with pytest.raises(IllegalType):
             parse_type(bad)
-    # a kind or spec that is not a str once raised a bare AttributeError
-    for args in (("A", 20), (None, 3), (3, 3), (None,)):
-        with pytest.raises(IllegalType):
+    # a kind or spec that is not a str once raised a bare AttributeError, and
+    # a kind that is not a str is named by its repr, apart from the rank
+    for args, message in (
+        (("A", 20), "A20 outside supported range A1..A16"),
+        ((None, 3), "kind None with rank 3 is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
+        ((3, 3), "kind 3 with rank 3 is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
+        ((None,), "unrecognised root system None"),
+    ):
+        with pytest.raises(IllegalType) as exc:
             build(*args)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, Fraction(3), "3", 2.0])
@@ -342,10 +349,28 @@ def test_simple_reflection():
 
 
 def test_a_non_integer_simple_index_is_refused():
+    import numpy as np
+    from adelie.chevalley import LieElement, bracket, build_constants
+    from adelie.flag import schubert_restriction_degree
+    from adelie.surface import resolution_lattice
+
     # 0 <= 0.5 < 2 holds, yet 0.5 indexes no coordinate
     rs = build("A2")
     with pytest.raises(IndexOutOfRange, match=r"simple index 0\.5 outside 0\.\.1"):
         rs.reflect_simple(rs.highest_root(), 0.5)
+    # 1.0 equals an integer, so it once passed every range check and was
+    # read as int(1.0); a numpy integer is an integer and still passes
+    c, lat, lam = build_constants(rs), resolution_lattice(rs), weight_vector(4, -7)
+    for site, message in (
+        (lambda i: rs.reflect_simple(rs.highest_root(), i), r"simple index 1\.0 outside 0\.\.1"),
+        (lambda i: schubert_restriction_degree(rs, lam, i), r"curve index 1\.0 outside 1\.\.2"),
+        (lat.curve, r"curve index 1\.0 outside 1\.\.2"),
+        (lambda i: bracket(LieElement.h(rs, i), LieElement.x(rs, rs.highest_root()), c),
+         r"Cartan index 1\.0 outside 0\.\.1"),
+    ):
+        with pytest.raises(IndexOutOfRange, match=message):
+            site(1.0)
+        assert site(np.int64(1)) == site(1)
 
 
 def test_entries_below_the_pivots_are_the_fraction_free_ldl_factor():

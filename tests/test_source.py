@@ -130,6 +130,48 @@ def test_adjugate_read_only_in_roots(path):
     assert lines == [], f"{path.name}: adjugate attributes on lines {lines}"
 
 
+def _foreign_private_attributes(tree):
+    """(line, name) of each single-underscore attribute taken from anything but self."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ):
+            yield node.lineno, node.attr
+
+
+# a class's single-underscore state is read only through self, behind its
+# methods; the one read from outside is the graded Euler recurrence, which
+# walks RootSystem's closure steps as positive_pairings does
+PRIVATE_READS = {("cotangent.py", "_positive_steps")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_attributes_read_only_through_self(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = [
+        (line, name) for line, name in _foreign_private_attributes(tree)
+        if (path.name, name) not in PRIVATE_READS
+    ]
+    assert bad == [], f"{path.name}: private attributes of another object {bad}"
+
+
+def test_the_private_attribute_rule_finds_each_foreign_read():
+    source = """
+self._a
+rs._b
+rs._c = 1
+f()._d
+self.x._e
+rs.__dict__
+rs.f
+"""
+    assert list(_foreign_private_attributes(ast.parse(source))) == [
+        (3, "_b"), (4, "_c"), (5, "_d"), (6, "_e"),
+    ]
+
+
 def _raised_names(tree):
     """(line, name) of each raise: the class raised or called, None if bare."""
     for node in ast.walk(tree):
