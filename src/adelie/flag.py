@@ -123,7 +123,8 @@ def euler_characteristic(rs: RootSystem, lam: LatticeVector) -> int:
 
 def schubert_restriction_degree(rs: RootSystem, lam: LatticeVector, i: int) -> int:
     """Degree of the lam-line bundle on the i-th simple Schubert curve (1-based)."""
-    return rs.to_weight_basis(lam).coords[checked_index(i, 1, rs.rank, "curve index") - 1]
+    i = checked_index(i, 1, rs.rank, "curve index")
+    return rs.to_weight_basis(lam).coords[i - 1]
 
 
 def triviality_criterion(rs: RootSystem, lam: LatticeVector) -> bool:
