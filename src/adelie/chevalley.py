@@ -131,11 +131,14 @@ class ChevalleyConstants:
         On a table with the right support that is antisymmetric, the
         three-term identity n_{a,b} n_{a+b,g} + n_{b,g} n_{b+g,a} +
         n_{g,a} n_{g+a,b} = 0 is, up to sign, the x_{a+b+g} coefficient of the
-        Jacobi sum on (x_a, x_b, x_g), so the sweep covers it.  Distinct
+        Jacobi sum on (x_a, x_b, x_g), so the check covers it.  Distinct
         unordered triples determine the identity (it is alternating and
-        vanishes identically on repeats).  checked counts both pair sweeps,
-        then the triples in lexicographic order up to the first failing one:
-        all C(dim, 3) if none.
+        vanishes identically on repeats).  The triples that hold an h_i or a
+        simple root vector are expanded; the rest are certified from the
+        bracket table, or expanded too when the certificate does not hold
+        (_jacobi_first_failure), so the verdict is that of the full sweep.
+        checked counts both pair sweeps, then the triples in lexicographic
+        order up to the first failing one: all C(dim, 3) if none.
         """
         rep = VerificationReport(name=f"chevalley-{self.system.name}")
         rep.details["jacobi"] = "exhaustive"
@@ -172,7 +175,8 @@ class LieElement:
 
     @classmethod
     def h(cls, system: RootSystem, i: int) -> "LieElement":
-        return cls(system, cartan={i: 1})
+        """h_{i+1}; IndexOutOfRange for an i that is not an integer in 0..rank-1."""
+        return cls(system, cartan={checked_index(i, 0, system.rank - 1, "Cartan index"): 1})
 
     @classmethod
     def x(cls, system: RootSystem, alpha: LatticeVector) -> "LieElement":
@@ -370,6 +374,13 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     """Lexicographically first basis triple i < j < k whose Jacobi sum
     [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is not zero.
 
+    The sweep expands the triples that hold an h_i or a simple root vector,
+    those whose smallest index is below stop, rank + 1 + the last place of a
+    simple root in all_roots; a failure there precedes every other triple.
+    Otherwise _jacobi_certified proves the identity on the rest, which only
+    a table that fails its checks has swept too: the verdict is that of the
+    full sweep either way.
+
     Sign rule: the inner cells are read in that cyclic order, so the table
     need not be antisymmetric, and an inner cell (p, q) serves the outer
     index u, with sign +1, when (p, q, u) is a rotation of the sorted triple:
@@ -392,10 +403,21 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     dim ** 4 << 16, fit int64: both hold for dim < 1291, far past D16
     (dim 496).
     """
-    dim = c.system.rank + len(c.system.all_roots)
+    rs = c.system
+    dim = rs.rank + len(rs.all_roots)
     if dim ** 3 >= 2 ** 31:
-        raise BudgetExceeded(f"{c.system.name}: dimension {dim} is past the packed Jacobi keys")
-    cost, parts = _jacobi_parts(c, dim)
+        raise BudgetExceeded(f"{rs.name}: dimension {dim} is past the packed Jacobi keys")
+    stop = rs.rank + 1 + max(map(rs.root_order_index, rs.simple_roots))
+    failure = _jacobi_sweep(c, dim, 0, stop)
+    if failure is None and not _jacobi_certified(c):
+        failure = _jacobi_sweep(c, dim, stop, dim)
+    return failure
+
+
+def _jacobi_sweep(c: ChevalleyConstants, dim: int, start: int,
+                  end: int) -> tuple[int, int, int] | None:
+    """The first failing triple whose smallest index is in [start, end)."""
+    cost, parts = _jacobi_parts(c, dim, start, end)
     for lo0, lo1 in blocks(cost):
         packed = []
         for ptr, starts, ends, a_key, a_val, b_key, b_val in parts:
@@ -418,22 +440,24 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     return None
 
 
-def _jacobi_parts(c: ChevalleyConstants, dim: int):
-    """The runs of the Jacobi sweep, one part per kind of triple (lo, mid, hi):
-    for each inner or outer cell, by ascending owner lo, the start and end
-    of its run among the sorted terms, its share of the key (int64) and its
-    coefficient, and for each sorted term its share of the key (int32) and
-    its coefficient; with the pointers of each lo into the part and the
-    product count of each lo."""
+def _jacobi_parts(c: ChevalleyConstants, dim: int, start: int, end: int):
+    """The runs of the Jacobi sweep over the triples (lo, mid, hi) with
+    start <= lo < end, one part per kind of triple: for each inner or outer
+    cell of such an lo, by ascending lo, the start and end of its run among
+    the sorted terms, its share of the key (int64) and its coefficient, and
+    for each sorted term its share of the key (int32) and its coefficient;
+    with the pointers of each lo into the part and the product count of each
+    lo, both indexed from start.  Only the cells of the owners in range get
+    runs; the sorted terms are the whole table."""
     row, col, tgt, val = c.bracket_table
     val = val.astype(np.int16)
-    cost = np.zeros(dim, dtype=np.int64)
+    cost = np.zeros(end - start, dtype=np.int64)
     parts = []
 
     def key(dtype, *digits):
         # the base-dim number (lo, mid, hi, target) with the given digits,
         # None for a 0 digit
-        out = np.zeros(max(map(np.size, digits)), dtype=dtype)
+        out = np.zeros(len(digits[0]), dtype=dtype)
         for d in digits:
             out *= dim
             if d is not None:
@@ -445,20 +469,22 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int):
         # terms of order, keyed by keys in [first, last)
         starts = np.searchsorted(keys, first).astype(np.int32)
         ends = np.searchsorted(keys, last).astype(np.int32)
-        ptr = np.searchsorted(owner, np.arange(dim + 1))
+        ptr = np.searchsorted(owner, np.arange(start, end + 1))
         done = np.zeros(len(ends) + 1, dtype=np.int64)
         np.cumsum(ends - starts, out=done[1:])
         cost[:] += done[ptr[1:]] - done[ptr[:-1]]
         parts.append((ptr, starts, ends, a_key, val[cells], b_key, val[order]))
 
-    # outer row lo against the inner cells (p, q), lo < p < q, sorted by
-    # (target, p) ...
+    # the terms of rows start..end - 1, the outer rows lo ...
+    own = np.arange(*np.searchsorted(row, [start, end])).astype(np.int32)
+    r, q, t = row[own], col[own], tgt[own]
+    # ... against the inner cells (p, q), lo < p < q, sorted by (target, p) ...
     upper = np.flatnonzero(row < col).astype(np.int32)
     tgt_key = tgt[upper] * dim + row[upper]
     by_tgt = upper[np.argsort(tgt_key, kind="stable")]
     tgt_key.sort()
-    add(slice(None), row, tgt_key, col * dim + row + 1, col * dim + dim,
-        key(np.int64, row, None, None, tgt),
+    add(own, r, tgt_key, q * dim + r + 1, q * dim + dim,
+        key(np.int64, r, None, None, t),
         key(np.int32, row[by_tgt], col[by_tgt], None), by_tgt)
     del tgt_key, by_tgt
     # ... then against the terms sorted by (column, row): outer rows u > q
@@ -466,16 +492,73 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int):
     col_key = col * dim + row
     by_col = np.argsort(col_key, kind="stable").astype(np.int32)
     col_key = col_key[by_col]
-    r, q, t = row[upper], col[upper], tgt[upper]
-    add(upper, r, col_key, t * dim + q + 1, t * dim + dim,
+    own = own[r < q]
+    r, q, t = row[own], col[own], tgt[own]
+    add(own, r, col_key, t * dim + q + 1, t * dim + dim,
         key(np.int64, r, q, None, None), key(np.int32, row[by_col], tgt[by_col]), by_col)
     # ... and outer rows lo < u < q against the inner cells (q, lo)
-    left = by_col[row[by_col] > col[by_col]]
+    left = by_col[slice(*np.searchsorted(col_key, [start * dim, end * dim]))]
+    left = left[row[left] > col[left]]
     q, r, t = row[left], col[left], tgt[left]
     add(left, r, col_key, t * dim + r + 1, t * dim + q,
         key(np.int64, r, None, q, None),
         key(np.int32, row[by_col], None, tgt[by_col]), by_col)
     return cost, parts
+
+
+def _jacobi_certified(c: ChevalleyConstants) -> bool:
+    """Whether three checks of c.bracket_table prove the Jacobi identity on
+    every basis triple, given that it holds on each triple with an h_i or a
+    simple root vector e_i.
+
+    The elements x whose ad x is a derivation of the bracket form a
+    subalgebra D, as ad [x, y] = [ad x, ad y].  On an antisymmetric table,
+    Jacobi on a triple is the derivation identity, so every h_i and e_i lies
+    in D.  The Chevalley involution w (h -> -h, x_a -> -x_{-a}) is an
+    automorphism when the table is w-invariant; then D is w-stable and holds
+    each f_i = -w(e_i).  If each non-simple positive root a has a cell
+    (x_b, e_i), i the first letter of a's descent and b = a - a_i, with one
+    term, nonzero and on x_a, then every x_a lies in D by induction on
+    height, and every x_{-a} by w: D is the whole algebra.  The checks:
+    the terms, transposed and negated, are the terms; the terms, mapped by
+    w and negated, are the terms; and the step cells hold one such term.
+    """
+    rs = c.system
+    r, n_roots = rs.rank, len(rs.all_roots)
+    dim = r + n_roots
+    row, col, tgt, val = c.bracket_table
+    val = val.astype(np.int16)  # so that -(-128) does not wrap
+    # w on the basis: the identity on the h's, x_a to x_{-a}, n_roots // 2 on
+    w = np.arange(dim, dtype=np.int32)
+    w[r:] = r + (w[r:] - r + n_roots // 2) % n_roots
+
+    def packed(row, col, tgt, val):
+        # the terms as sorted int64 keys; |val| <= 128 < 512, so distinct
+        # terms get distinct keys
+        key = row.astype(np.int64)
+        for digit in (col, tgt):
+            key *= dim
+            key += digit
+        key <<= 10
+        key += val
+        key.sort()
+        return key
+
+    terms = packed(row, col, tgt, val)
+    if not (np.array_equal(terms, packed(col, row, tgt, -val))
+            and np.array_equal(terms, packed(w[row], w[col], w[tgt], -val))):
+        return False
+    steps = []
+    for a in rs.positive_roots:
+        i, *rest = rs.descent(a)
+        if rest:
+            e = rs.simple_roots[i]
+            steps.append([rs.root_order_index(x) for x in (a - e, e, a)])
+    cell_row, cell_col, target = r + np.array(steps, dtype=np.int64).reshape(-1, 3).T
+    cells, wanted = row * dim + col, cell_row * dim + cell_col
+    at = np.searchsorted(cells, wanted)
+    one = np.searchsorted(cells, wanted, "right") - at == 1
+    return bool(one.all() and ((tgt[at] == target) & (val[at] != 0)).all())
 
 
 def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:

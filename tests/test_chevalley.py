@@ -134,12 +134,14 @@ def test_bracket_bilinear():
 @pytest.mark.parametrize("i", [-1, 2, 5, 0.5])
 def test_a_cartan_index_out_of_range_is_refused(i):
     # numpy would read h_{-1} as the last basis element and h_5 of A2 as a
-    # root vector, and a search for h_0.5 among the rows finds h_2
+    # root vector, and a search for h_0.5 among the rows finds h_2; h refuses
+    # the index where the element is made, and an element built from its
+    # fields still meets the check of bracket and adjoint_matrix
     c = build_constants(build("A2"))
     rs = c.system
-    bad, h1 = LieElement.h(rs, i), LieElement.h(rs, 0)
-    for call in (lambda: bracket(bad, h1, c), lambda: bracket(h1, bad, c),
-                 lambda: adjoint_matrix(bad, c)):
+    bad, h1 = LieElement(rs, cartan={i: 1}), LieElement.h(rs, 0)
+    for call in (lambda: LieElement.h(rs, i), lambda: bracket(bad, h1, c),
+                 lambda: bracket(h1, bad, c), lambda: adjoint_matrix(bad, c)):
         with pytest.raises(IndexOutOfRange, match=f"Cartan index {i} outside 0..1"):
             call()
 
@@ -558,10 +560,11 @@ def test_gate_payload_is_pinned(capsys, command, name):
     assert hashlib.sha256(rest.encode()).hexdigest() == digest
 
 
-def _per_lo_first_failure(c):
-    # the Jacobi sweep one smallest index lo at a time, each step expanding
-    # the products of the triples (lo, mid, hi) alone: the oracle for the
-    # blocked sweep, which must return the same first failing triple
+def _per_lo_first_failure(c, first=0):
+    # the Jacobi sweep one smallest index lo at a time, from lo = first, each
+    # step expanding the products of the triples (lo, mid, hi) alone: the
+    # oracle for the blocked sweep, which must return the same first failing
+    # triple
     row, col, tgt, val = c.bracket_table
     dim = c.system.rank + len(c.system.all_roots)
     col_key = col * dim + row
@@ -576,7 +579,7 @@ def _per_lo_first_failure(c):
         n, k = runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
         return cells[n], order[k]
 
-    for lo in range(dim - 2):
+    for lo in range(first, dim - 2):
         base = np.int64(lo * dim)
         cells = np.arange(row_ptr[lo], row_ptr[lo + 1])
         t = col[cells] * dim
@@ -665,3 +668,122 @@ def test_e8_sweep_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2 ** 20
+
+
+SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + ["E6", "E7", "E8"]
+
+
+def _swept_ranges(c, monkeypatch):
+    # the gate's first failing triple on c, and the number of owners of each
+    # sweep it ran: blocks cuts one range of owners per sweep
+    sizes, cut = [], chevalley.blocks
+    with monkeypatch.context() as m:
+        m.setattr(chevalley, "blocks", lambda cost: sizes.append(len(cost)) or cut(cost))
+        return chevalley._jacobi_first_failure(c), sizes
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_the_certificate_holds_and_the_sweep_stops_at_the_simple_roots(name, monkeypatch):
+    # the triples with an h or a simple root vector are those whose smallest
+    # index is below 2 * rank: all_roots lists the simple roots first, so a
+    # silent fall-back to the full sweep would show as a second range
+    c = build_constants(build(name))
+    rs = c.system
+    assert sorted(a.coords for a in rs.all_roots[:rs.rank]) == sorted(
+        a.coords for a in rs.simple_roots)
+    assert chevalley._jacobi_certified(c)
+    assert _swept_ranges(c, monkeypatch) == (None, [2 * rs.rank])
+
+
+def _rescaled(c, u):
+    # the same algebra in the basis with x_u negated, u an index of all_roots:
+    # each term of [b_i, b_j] = v b_t takes the sign s_i s_j s_t; Jacobi
+    # still holds, but x_u and x_{-u} no longer swap under the involution
+    row, col, tgt, val = c.bracket_table
+    s = np.ones(c.system.rank + len(c.system.all_roots), dtype=np.int64)
+    s[c.system.rank + u] = -1
+    return _with_terms(c, row, col, tgt, s[row] * s[col] * s[tgt] * val)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_a_valid_table_off_the_involution_passes_through_the_continued_sweep(
+        name, budget, monkeypatch):
+    monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+    c = build_constants(build(name))
+    rs = c.system
+    dim = rs.rank + len(rs.all_roots)
+    for u in (0, len(rs.positive_roots) - 1):
+        bad = _rescaled(c, u)
+        assert not chevalley._jacobi_certified(bad)
+        assert _swept_ranges(bad, monkeypatch) == (None, [2 * rs.rank, dim - 2 * rs.rank])
+        rep = verify_chevalley(_rescaled(c, u))
+        assert (rep.violations, rep.checked) == ([], verify_chevalley(c).checked)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_continued_sweep_on_clean_tables(budget, monkeypatch):
+    # the sweep over the owners past the simple roots, which a table that
+    # fails the certificate reaches, on tables where it must find nothing
+    monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+    monkeypatch.setattr(chevalley, "_jacobi_certified", lambda c: False)
+    for name in ("A1", "A3", "D4", "E6"):
+        c = build_constants(build(name))
+        dim = c.system.rank + len(c.system.all_roots)
+        assert _swept_ranges(c, monkeypatch) == (None, [2 * c.system.rank, dim - 2 * c.system.rank])
+
+
+def _tampered(c):
+    # makers of tampered copies of c: every sign flip, one-sided and
+    # mirrored, and every bracket term negated alone and dropped alone
+    index = c.system.root_order_index
+    makers = [
+        lambda a=a, b=b, one=one: c.flip(a, b, one_sided=one)
+        for a, b, _ in c.nonzero_entries()
+        for one in (True, False)
+        if one or index(a) < index(b)
+    ]
+    row, col, tgt, val = c.bracket_table
+    for n in range(len(row)):
+        for factor in (-1, 0):
+            edited = val.astype(np.int64)
+            edited[n] *= factor
+            makers.append(lambda edited=edited: _with_terms(c, row, col, tgt, edited))
+    return makers
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "D4"])
+def test_the_certified_gate_matches_the_full_sweep_on_tampered_tables(name, monkeypatch):
+    # a tampered table either fails the swept triples, at the full sweep's
+    # first failure, or fails the certificate and is swept to the end
+    c = build_constants(build(name))
+
+    def report(make, sweep):
+        with monkeypatch.context() as m:
+            m.setattr(chevalley, "_jacobi_first_failure", sweep)
+            rep = verify_chevalley(make())
+        return rep.violations, rep.checked
+
+    makers = _tampered(c)
+    failing = 0
+    for make in makers:
+        expected = report(make, _per_lo_first_failure)
+        assert report(make, chevalley._jacobi_first_failure) == expected
+        failing += any(v.startswith("jacobi") for v in expected[0])
+    assert failing == len(makers)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_the_sweep_from_an_owner_matches_the_per_lo_sweep_from_it(budget, monkeypatch):
+    # the continued sweep builds runs for the owners from stop = 2 * rank
+    # alone; on D4 that is 8, and 17 starts past the positive roots
+    monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+    c = build_constants(build("D4"))
+    found = 0
+    for make in _tampered(c):
+        bad = make()
+        for first in (8, 17):
+            expected = _per_lo_first_failure(bad, first)
+            assert chevalley._jacobi_sweep(bad, 28, first, 28) == expected
+            found += expected is not None
+    assert found
