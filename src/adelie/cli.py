@@ -8,15 +8,19 @@ status: 0 on success, 1 when a verification or certification fails, 2 on bad
 input or an exhausted budget, 3 on an internal error (an invariant of the
 construction failed, which is a bug).
 
-chevalley, obstruction and verify, and through them numpy, are imported only
-by the commands that run them; euler imports numpy in its kernel, and the
-other commands start without it.
+chevalley, obstruction, verify and surface are imported only by the commands
+that run them, and so is batch, the graded Euler kernel that euler reaches
+through cotangent.euler_characteristic_graded.  Only chevalley, obstruction,
+verify and euler import numpy; the other commands start without it.  main
+caps OpenBLAS at one thread unless the caller chose a count: adelie's numpy
+work is integer work and never calls BLAS.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -24,13 +28,12 @@ from ._exact import digits_past_limit
 # cotangent and flag stay module-level imports although only some commands run
 # them: perfbench/tracer.py wraps the functions of the modules loaded before it
 # installs, and CI's "benchmark spans" step fails on an absent cotangent.* or
-# flag.* span
+# flag.* span (perfbench/child.py imports surface itself)
 from .cotangent import cht, cotangent_verdict, euler_characteristic_graded
 from .errors import AdelieError, CancellationFailure, ConstructionFailure
 from .flag import ALL_VANISH, bwb
 from .report import SUITES, VerificationReport
 from .roots import LatticeVector, RootSystem, build, root_vector, weight_vector
-from .surface import resolution_lattice, root_to_divisor, surface_h2_oracle, verify_surface
 
 SCHEMA = 1
 OK, FAILED, USAGE, INTERNAL = 0, 1, 2, 3
@@ -227,6 +230,7 @@ def _cmd_obstruction(rs, args):
 
 
 def _cmd_surface(rs, args):
+    from .surface import resolution_lattice, root_to_divisor, surface_h2_oracle, verify_surface
     lattice = resolution_lattice(rs)
     if args.root is not None:
         alpha = root_vector(*args.root) if len(args.root) == rs.rank else None
@@ -326,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # before any command imports numpy, whose import starts the thread pool
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

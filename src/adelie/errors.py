@@ -61,6 +61,10 @@ class NonIntegerDegree(AdelieError, TypeError):
     """Symmetric degree that is not an integer (a float, Fraction or str)."""
 
 
+class InvalidBound(AdelieError, ValueError):
+    """Search radius or support cap that is not a non-negative integer."""
+
+
 class CoefficientOverflow(AdelieError, OverflowError):
     """Coefficients too large for the int64 array asked for."""
 

@@ -657,7 +657,7 @@ def test_blocked_sweep_on_clean_tables(budget, monkeypatch):
 
 
 def test_e8_sweep_memory_is_bounded():
-    # the sweep's peak is about 1.3 MB (numpy 2.4); the whole sweep in one
+    # the sweep's peak is about 0.78 MB (numpy 2.4); the whole sweep in one
     # block would take about 20 MB
     c = build_constants(build("E8"))
     c.bracket_table

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -201,6 +202,36 @@ def test_thread_env_is_tolerated(capsys, monkeypatch):
     assert run(capsys, "roots", "A1")[0] == 0
     monkeypatch.setenv("ADELIE_THREADS", "junk")
     assert run(capsys, "roots", "A1")[0] == 0
+
+
+def test_main_caps_openblas_at_one_thread_when_unset(capsys, monkeypatch):
+    # setenv first, so that the value main sets is undone after the test
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert run(capsys, "roots", "A1")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_main_keeps_the_callers_openblas_threads(capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert run(capsys, "roots", "A1")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+
+
+def test_the_library_leaves_the_environment_alone():
+    # only the command line chooses the thread count
+    script = (
+        "import os; before = dict(os.environ); "
+        "import adelie, adelie.cli, adelie.verify; "
+        "from adelie.chevalley import build_constants; build_constants(adelie.build('A2')); "
+        "print(dict(os.environ) == before)"
+    )
+    env = _cli_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, cwd="/", env=env, text=True
+    )
+    assert (child.returncode, child.stdout) == (0, "True\n"), child.stderr
 
 
 def test_failed_report_rendering():

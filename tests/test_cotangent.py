@@ -1,5 +1,6 @@
 """Dominance order, lambda_star / cht invariants, descent chains, graded Euler."""
 
+import inspect
 import random
 import time
 from collections import Counter
@@ -9,7 +10,7 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from adelie import build, cotangent, root_vector, weight_vector
+from adelie import batch, build, cotangent, root_vector, weight_vector
 from adelie.chevalley import build_constants, verify_chevalley
 from adelie.cotangent import (
     cht,
@@ -22,7 +23,13 @@ from adelie.cotangent import (
     verify_chain_criterion,
     verify_descent,
 )
-from adelie.errors import BudgetExceeded, ConstructionFailure, NonIntegerDegree, NotARootClass
+from adelie.errors import (
+    BudgetExceeded,
+    ConstructionFailure,
+    InvalidBound,
+    NonIntegerDegree,
+    NotARootClass,
+)
 from adelie.flag import euler_characteristic
 from adelie.roots import RootSystem
 
@@ -186,6 +193,22 @@ def test_chain_criterion(name, radius, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    # max_support=None is the default, no cap; radius=-1 gave an empty ball
+    # that read ok with nothing checked
+    "name,value",
+    [("radius", v) for v in (None, 1.5, "1", -1)] + [("max_support", v) for v in (1.5, "1", -1)],
+)
+def test_chain_criterion_refuses_a_bound_that_is_not_a_count(name, value):
+    with pytest.raises(InvalidBound, match=f"^{name} "):
+        verify_chain_criterion(build("A2"), **{name: value})
+
+
+def test_chain_criterion_admits_zero_bounds():
+    rep = verify_chain_criterion(build("A3"), radius=0, max_support=np.int64(0))
+    assert (rep.ok, rep.checked) == (True, 1)
+
+
+@pytest.mark.parametrize(
     "rank,radius,support", [(4, 2, None), (7, 1, 3), (8, 1, 1), (5, 2, 2), (6, 2, 3), (3, 1, 0)]
 )
 def test_capped_ball_is_the_filtered_box_in_its_order(rank, radius, support):
@@ -295,6 +318,12 @@ def test_graded_euler_anchors():
     # degree one: sum of chi over the three positive-root shifts of zero
     assert euler_characteristic_graded(a2, zero, 1) == sum(
         euler_characteristic_graded(a2, rs_a, 0) for rs_a in a2.positive_roots
+    )
+
+
+def test_graded_euler_delegates_with_the_kernels_signature():
+    assert inspect.signature(euler_characteristic_graded) == inspect.signature(
+        batch.euler_characteristic_graded
     )
 
 

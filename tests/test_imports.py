@@ -1,5 +1,6 @@
-"""numpy stays out of the commands that build no arrays, and dataclasses,
-inspect, fractions and decimal out of the start of every command."""
+"""numpy stays out of the commands that build no arrays, batch and surface
+out of the commands that do not run them, and dataclasses, inspect, fractions
+and decimal out of the start of every command."""
 
 import json
 import subprocess
@@ -60,12 +61,43 @@ def test_import_leaves_the_array_modules_out(modules):
     script = (
         f"import sys, {modules}; "
         "print(sorted(m for m in sys.modules if m == 'numpy' or m in "
-        "('adelie.chevalley', 'adelie.obstruction', 'adelie.verify')))"
+        "('adelie.batch', 'adelie.chevalley', 'adelie.obstruction', 'adelie.verify')))"
     )
     child = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, cwd="/", env=_cli_env(), text=True
     )
     assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
+
+
+# imports adelie.cli, runs each argv through main and prints, as one JSON list,
+# which of batch and surface are loaded after the import and after each command
+LAZY_CHILD = """
+import contextlib, io, json, sys
+from adelie.cli import main
+def loaded():
+    return sorted(m for m in ("adelie.batch", "adelie.surface") if m in sys.modules)
+out = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        out.append([main(argv), loaded()])
+print(json.dumps(out))
+"""
+
+
+def test_batch_and_surface_load_only_in_the_commands_that_run_them():
+    commands = [
+        ["cht", "E6", "--", *["-1"] * 6],
+        ["euler", "E6", "--degree", "2", "--", *["0"] * 6],
+        ["surface", "E6"],
+    ]
+    child = subprocess.run(
+        [sys.executable, "-c", LAZY_CHILD, json.dumps(commands)],
+        capture_output=True, cwd="/", env=_cli_env(), text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [
+        [], [0, []], [0, ["adelie.batch"]], [0, ["adelie.batch", "adelie.surface"]],
+    ]
 
 
 def test_surface_suite_leaves_fractions_and_decimal_out():

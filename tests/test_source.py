@@ -71,14 +71,10 @@ def test_fractions_imported_only_where_weights_are_fractional(path):
     assert sites <= FRACTION_SITES, sorted(sites - FRACTION_SITES, key=str)
 
 
-# numpy is imported at module level only by the modules that build arrays, and
-# elsewhere only inside the graded Euler kernel, so that the commands that build
-# no arrays start without it
-NUMPY_SITES = {
-    ("chevalley.py", None),
-    ("obstruction.py", None),
-    ("cotangent.py", "euler_characteristic_graded"),
-}
+# numpy is imported at module level by the modules that build arrays and
+# nowhere else: the commands that build no arrays import none of the three
+# (cotangent.euler_characteristic_graded imports batch inside)
+NUMPY_SITES = {("chevalley.py", None), ("obstruction.py", None), ("batch.py", None)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -144,7 +140,7 @@ def _foreign_private_attributes(tree):
 # a class's single-underscore state is read only through self, behind its
 # methods; the one read from outside is the graded Euler recurrence, which
 # walks RootSystem's closure steps as positive_pairings does
-PRIVATE_READS = {("cotangent.py", "_positive_steps")}
+PRIVATE_READS = {("batch.py", "_positive_steps")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
