@@ -28,9 +28,10 @@ def euler_characteristic_graded(
     """Sum of Euler characteristics of lam shifted by all degree-multisets of
     positive roots: the Euler characteristic of the degree-th symmetric-power
     twist.  The degree is read through operator.index.  Raises
-    NonIntegerDegree for a degree that is not an integer, NegativeDegree for
-    one below zero and BudgetExceeded when the multiset count, or the
-    degree + 1 layers of the fold, pass max_terms.
+    BasisMismatch, before any fold work, for a lam that is not a
+    LatticeVector of rs's rank, NonIntegerDegree for a degree that is not an
+    integer, NegativeDegree for one below zero and BudgetExceeded when the
+    multiset count, or the degree + 1 layers of the fold, pass max_terms.
 
     Many multisets share a root sum, so they are first folded into distinct
     sums with multiplicities.  A sum of degree positive roots has simple-root
@@ -56,6 +57,7 @@ def euler_characteristic_graded(
     might not), the blocks on Python ints, and each numerator must divide by
     the rho-product, as in weyl_dim.
     """
+    lam = rs.to_weight_basis(lam)
     try:
         degree = index(degree)
     except TypeError:
@@ -102,7 +104,6 @@ def euler_characteristic_graded(
     mults = np.diff(starts, append=terms)
     del starts
 
-    lam = rs.to_weight_basis(lam)
     top = lam + rs.rho()
     den = prod(rs.positive_pairings(rs.rho()))  # (rho, a) is the height of a
     # a sum of degree roots pairs with a root within [-2 degree, 2 degree]

@@ -9,8 +9,9 @@ input or an exhausted budget, 3 on an internal error (an invariant of the
 construction failed, which is a bug).
 
 chevalley, obstruction, verify and surface are imported only by the commands
-that run them, and so is batch, the graded Euler kernel that euler reaches
-through cotangent.euler_characteristic_graded.  Only chevalley, obstruction,
+that run them (obstruction imports verify only to --certify), and so is
+batch, the graded Euler kernel that euler reaches through
+cotangent.euler_characteristic_graded.  Only chevalley, obstruction,
 verify and euler import numpy; the other commands start without it.  main
 caps OpenBLAS at one thread unless the caller chose a count: adelie's numpy
 work is integer work and never calls BLAS.
@@ -203,7 +204,6 @@ def _cmd_chevalley(rs, args):
 def _cmd_obstruction(rs, args):
     from .chevalley import build_constants
     from .obstruction import Half, build_system, certify_solvability, check_bianchi, system_text
-    from .verify import half_h2_oracle
 
     constants = build_constants(rs)
     half = Half(args.half)
@@ -219,6 +219,7 @@ def _cmd_obstruction(rs, args):
     lines.append(f"# bianchi closure: {'ok' if closure.ok else 'FAILED'}")
     code = OK if closure.ok else FAILED
     if args.certify:
+        from .verify import half_h2_oracle
         cert = certify_solvability(system, half_h2_oracle(rs, half))
         payload["solvable"] = cert.solvable
         payload["requirements"] = [_coords(a) for a in cert.requirements]

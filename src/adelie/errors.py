@@ -10,7 +10,9 @@ class IllegalType(AdelieError):
 
 
 class BasisMismatch(AdelieError):
-    """Two lattice vectors disagree on rank or were combined across bases."""
+    """Two lattice vectors disagree on rank or were combined across bases, or a
+    root system was handed a vector argument that is not a LatticeVector of its
+    rank (RootSystem checks every such argument at one door)."""
 
 
 class NonIntegerCoordinate(AdelieError, TypeError):
@@ -70,7 +72,8 @@ class CoefficientOverflow(AdelieError, OverflowError):
 
 
 class BudgetExceeded(AdelieError):
-    """Enumeration would exceed the configured budget."""
+    """Enumeration would exceed the configured budget, or a RootSystem rank is
+    past MAX_SYSTEM_RANK."""
 
 
 class CancellationFailure(AdelieError):
@@ -78,7 +81,8 @@ class CancellationFailure(AdelieError):
 
 
 class IncompleteOracle(AdelieError):
-    """Solvability certification queried a root the oracle does not cover."""
+    """An H^2 oracle answered certify_solvability with something other than an
+    H2VanishVerdict (None and a bool included)."""
 
 
 class NotARootClass(AdelieError):

@@ -338,7 +338,9 @@ class SolvabilityCertificate:
 
 
 def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertificate:
-    """oracle(root) -> H2VanishVerdict | bool; None means it cannot answer."""
+    """Certify the classes of height two and above against oracle(root), which
+    must answer an H2VanishVerdict; any other answer, None or a bool too,
+    raises IncompleteOracle.  Height-one classes become requirements."""
     rs = system.system
     verdicts: list[H2VanishVerdict] = []
     requirements: list[LatticeVector] = []
@@ -347,10 +349,8 @@ def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertifi
             requirements.append(alpha)
             continue
         answer = oracle(alpha)
-        if answer is None:
-            raise IncompleteOracle(f"oracle cannot decide H^2 for {alpha}")
-        if isinstance(answer, bool):
-            answer = H2VanishVerdict(root=alpha, vanishes=answer, source="oracle")
+        if not isinstance(answer, H2VanishVerdict):
+            raise IncompleteOracle(f"oracle answered {answer!r} for {alpha}, no H2VanishVerdict")
         verdicts.append(answer)
     return SolvabilityCertificate(
         solvable=all(v.vanishes for v in verdicts),

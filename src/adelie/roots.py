@@ -18,6 +18,7 @@ import re
 from ._exact import int_adjugate, int_text
 from .errors import (
     BasisMismatch,
+    BudgetExceeded,
     DependentRoots,
     IllegalType,
     ImmutableVector,
@@ -31,6 +32,9 @@ from .errors import (
 
 #: largest rank that build admits for the A and D series; E is fixed at 6, 7, 8.
 MAX_RANK = 16
+#: largest rank that RootSystem constructs: D64 takes about 0.4 s, A100 1.1 s,
+#: and the root closure grows about as the fourth power of the rank
+MAX_SYSTEM_RANK = 64
 
 _SPEC_RE = re.compile(r"^([ADEade])\s*([0-9]{1,2})$")
 
@@ -188,13 +192,17 @@ def _positive_roots(
 
 class RootSystem:
     """Immutable container for one ADE root system, A_n (n >= 1), D_n (n >= 3)
-    or E6-E8 at any rank; IllegalType for any other diagram, NonIntegerRank for
-    a rank that is not an integer.  :func:`build` caps A and D at MAX_RANK and
-    keeps one instance of each type; instances are equal iff kind and rank are."""
+    or E6-E8 up to rank MAX_SYSTEM_RANK; IllegalType for any other diagram,
+    NonIntegerRank for a rank that is not an integer and BudgetExceeded, before
+    any work, for one past MAX_SYSTEM_RANK.  :func:`build` caps A and D at
+    MAX_RANK and keeps one instance of each type; instances are equal iff kind
+    and rank are."""
 
     def __init__(self, kind: str, rank: int) -> None:
         self.kind = kind
         self.rank = rank = _plain_rank(rank)
+        if rank > MAX_SYSTEM_RANK:
+            raise BudgetExceeded(f"rank {rank} past the RootSystem budget, rank {MAX_SYSTEM_RANK}")
         self.cartan = _cartan_matrix(kind, rank)
         # a Dynkin diagram's Cartan matrix is positive definite: the adjugate exists
         minors, _, adjugate = int_adjugate(self.cartan)
@@ -238,10 +246,15 @@ class RootSystem:
 
     # -- basis conversion -------------------------------------------------
 
+    def _vector(self, v: LatticeVector) -> LatticeVector:
+        # the one check of a vector argument, made by every method that reads
+        # a weight or a root: a LatticeVector of this rank passes
+        if isinstance(v, LatticeVector) and v.rank == self.rank:
+            return v
+        raise BasisMismatch(f"{self.name} reads LatticeVectors of rank {self.rank}, not {v!r}")
+
     def to_weight_basis(self, v: LatticeVector) -> LatticeVector:
-        if v.rank != self.rank:
-            raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
-        if v.basis is Basis.FUNDAMENTAL_WEIGHT:
+        if self._vector(v).basis is Basis.FUNDAMENTAL_WEIGHT:
             return v
         # the Cartan matrix is symmetric: its rows are its columns
         coords = tuple(sum(map(mul, v.coords, row)) for row in self.cartan)
@@ -255,14 +268,12 @@ class RootSystem:
 
     def _root_numerators(self, v: LatticeVector) -> list[int]:
         # det(C) times the simple-root coordinates of v, v adj(C) for a weight
-        if v.rank != self.rank:
-            raise BasisMismatch(f"rank {v.rank} vector in {self.name}")
-        if v.basis is Basis.SIMPLE_ROOT:
+        if self._vector(v).basis is Basis.SIMPLE_ROOT:
             return [self._det * c for c in v.coords]
         return [sum(map(mul, v.coords, col)) for col in self._adjugate]
 
     def to_root_basis(self, v: LatticeVector) -> LatticeVector:
-        if v.basis is Basis.SIMPLE_ROOT:
+        if self._vector(v).basis is Basis.SIMPLE_ROOT:
             return v
         nums = self._root_numerators(v)
         if any(x % self._det for x in nums):
@@ -277,8 +288,7 @@ class RootSystem:
         Returns an int whenever either argument lies in the root lattice;
         a Fraction can only arise for two genuinely fractional weights.
         """
-        if v.rank != self.rank or w.rank != self.rank:
-            raise BasisMismatch(f"rank mismatch against {self.name}")
+        v, w = self._vector(v), self._vector(w)
         if w.basis is Basis.SIMPLE_ROOT:
             v, w = w, v
         if v.basis is Basis.SIMPLE_ROOT:
@@ -305,10 +315,12 @@ class RootSystem:
     # -- roots ------------------------------------------------------------
 
     def _lookup(self, v: LatticeVector) -> int:
-        # the place of v in all_roots, -1 when v is not a root
+        # the place of v in all_roots, -1 when v is not a root: off the root
+        # lattice, or a vector of another rank; the door refuses what is no vector
+        other_rank = BasisMismatch if isinstance(v, LatticeVector) else NotInRootLattice
         try:
             return self._root_index.get(self.to_root_basis(v).coords, -1)
-        except NotInRootLattice:
+        except (NotInRootLattice, other_rank):
             return -1
 
     def is_root(self, v: LatticeVector) -> bool:

@@ -71,11 +71,7 @@ def verify_obstruction(rs: RootSystem) -> VerificationReport:
     rep = VerificationReport(name=f"obstruction-{rs.name}")
     constants = build_constants(rs)
     for half in (Half.POSITIVE, Half.NEGATIVE):
-        try:
-            system = build_system(constants, half)
-        except CancellationFailure as exc:
-            rep.violations.append(f"{half.value}: {exc}")
-            continue
+        system = build_system(constants, half)
         rep.checked += len(system.obstructions)
         closure = check_bianchi(system)
         rep.merge(closure)

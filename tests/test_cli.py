@@ -15,7 +15,7 @@ from adelie import cli, cotangent, verify
 from adelie.cli import COMMAND_FOR_OPERATION, _report, main
 from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailure
 from adelie.flag import bwb
-from adelie.report import VerificationReport
+from adelie.report import H2VanishVerdict, VerificationReport
 from test_acceptance import _cli_env
 
 
@@ -155,6 +155,21 @@ def test_obstruction_halves(capsys):
     assert len(payload["requirements"]) == 2
 
 
+def test_obstruction_certify_exits_one_when_not_solvable(capsys, monkeypatch):
+    # an oracle that never vanishes leaves the closure ok and the system unsolvable
+    monkeypatch.setattr(
+        verify, "half_h2_oracle",
+        lambda rs, half: lambda a: H2VanishVerdict(root=a, vanishes=False, source="fake"),
+    )
+    code, out, err = run(capsys, "obstruction", "A2", "--half", "negative", "--certify")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-3:] == [
+        "# bianchi closure: ok", "# solvable: False", "# nontriviality requirements: 2",
+    ]
+    code, payload = run_json(capsys, "obstruction", "A2", "--certify")
+    assert (code, payload["bianchi_ok"], payload["solvable"]) == (1, True, False)
+
+
 def test_surface_check_and_lookup(capsys):
     code, payload = run_json(capsys, "surface", "A2")
     assert code == 0
@@ -291,6 +306,13 @@ def test_exit_three_on_internal_error(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "roots", "A2")
     assert (code, out) == (3, "")
     assert err == f"internal error: {exc}\n"
+
+
+def test_exit_three_when_the_obstruction_suite_build_fails(capsys, monkeypatch):
+    # the suite reports a failed build as the bug it is, not as a violation
+    monkeypatch.setattr(verify, "build_system", _raising(CancellationFailure("stray terms")))
+    code, out, err = run(capsys, "verify", "A2", "obstruction")
+    assert (code, out, err) == (3, "", "internal error: stray terms\n")
 
 
 def test_exit_three_on_any_other_exception(capsys, monkeypatch):

@@ -24,6 +24,7 @@ from adelie.cotangent import (
     verify_descent,
 )
 from adelie.errors import (
+    BasisMismatch,
     BudgetExceeded,
     ConstructionFailure,
     InvalidBound,
@@ -203,6 +204,24 @@ def test_chain_criterion_refuses_a_bound_that_is_not_a_count(name, value):
         verify_chain_criterion(build("A2"), **{name: value})
 
 
+def test_chain_criterion_reports_a_firing_that_disagrees_with_the_pairing_bound(monkeypatch):
+    # a firing faked on two weights of A2: (0, 0) pairs >= -1 with every root
+    # but is made to stop short of lambda+, and (-1, -1) pairs to -2 with the
+    # highest root but is made to reach it
+    real = cotangent._least_action
+
+    def fake(rs, lam):
+        plus, d, c, w = real(rs, lam)
+        return plus, d, {(0, 0): [1, 0], (-1, -1): list(d)}.get(lam.coords, c), w
+
+    monkeypatch.setattr(cotangent, "_least_action", fake)
+    rep = verify_chain_criterion(build("A2"), radius=1)
+    assert (rep.checked, rep.violations) == (9, [
+        "{-1,-1|weight}: cht 0 against pairing bound",
+        "{0,0|weight}: cht nonzero against pairing bound",
+    ])
+
+
 def test_chain_criterion_admits_zero_bounds():
     rep = verify_chain_criterion(build("A3"), radius=0, max_support=np.int64(0))
     assert (rep.ok, rep.checked) == (True, 1)
@@ -325,6 +344,15 @@ def test_graded_euler_delegates_with_the_kernels_signature():
     assert inspect.signature(euler_characteristic_graded) == inspect.signature(
         batch.euler_characteristic_graded
     )
+
+
+def test_graded_euler_refuses_a_weight_before_the_fold(monkeypatch):
+    # with numpy gone from batch, any fold work would fail with a bare error;
+    # the weight is converted, and refused, first (a tuple on E8 at degree 3
+    # used to fail after 41 ms of folding)
+    monkeypatch.setattr(batch, "np", None)
+    with pytest.raises(BasisMismatch, match=r"E8 reads LatticeVectors of rank 8, not \(0,"):
+        euler_characteristic_graded(build("E8"), (0,) * 8, 3)
 
 
 def test_graded_euler_budget():

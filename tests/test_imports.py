@@ -1,6 +1,6 @@
-"""numpy stays out of the commands that build no arrays, batch and surface
-out of the commands that do not run them, and dataclasses, inspect, fractions
-and decimal out of the start of every command."""
+"""numpy stays out of the commands that build no arrays, batch, surface and
+verify out of the commands that do not run them, and dataclasses, inspect,
+fractions and decimal out of the start of every command."""
 
 import json
 import subprocess
@@ -70,12 +70,14 @@ def test_import_leaves_the_array_modules_out(modules):
 
 
 # imports adelie.cli, runs each argv through main and prints, as one JSON list,
-# which of batch and surface are loaded after the import and after each command
+# which of batch, surface and verify are loaded after the import and after
+# each command
 LAZY_CHILD = """
 import contextlib, io, json, sys
 from adelie.cli import main
 def loaded():
-    return sorted(m for m in ("adelie.batch", "adelie.surface") if m in sys.modules)
+    lazy = ("adelie.batch", "adelie.surface", "adelie.verify")
+    return sorted(m for m in lazy if m in sys.modules)
 out = [loaded()]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -97,6 +99,19 @@ def test_batch_and_surface_load_only_in_the_commands_that_run_them():
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == [
         [], [0, []], [0, ["adelie.batch"]], [0, ["adelie.batch", "adelie.surface"]],
+    ]
+
+
+def test_obstruction_loads_the_suites_only_to_certify():
+    # verify holds the oracle that --certify reads; verify imports surface
+    commands = [["obstruction", "E6"], ["obstruction", "E6", "--certify"]]
+    child = subprocess.run(
+        [sys.executable, "-c", LAZY_CHILD, json.dumps(commands)],
+        capture_output=True, cwd="/", env=_cli_env(), text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [
+        [], [0, []], [0, ["adelie.surface", "adelie.verify"]],
     ]
 
 

@@ -475,7 +475,9 @@ def test_bianchi_reports_a_form_of_another_shape(monkeypatch):
 def test_certification_flow():
     sys = build_system(build_constants(build("A2")), Half.NEGATIVE)
 
-    cert = certify_solvability(sys, lambda a: True)
+    cert = certify_solvability(
+        sys, lambda a: H2VanishVerdict(root=a, vanishes=True, source="test")
+    )
     assert cert.solvable
     assert len(cert.verdicts) == 1
     assert [r.coords for r in cert.requirements] == [(-1, 0), (0, -1)]
@@ -487,8 +489,10 @@ def test_certification_flow():
     assert not cert.solvable
     assert cert.verdicts[0].source == "test"
 
-    with pytest.raises(IncompleteOracle):
-        certify_solvability(sys, lambda a: None)
+    # an oracle answers an H2VanishVerdict; None and a bool are refused
+    for answer in (None, True, False):
+        with pytest.raises(IncompleteOracle, match=f"oracle answered {answer} for"):
+            certify_solvability(sys, lambda a: answer)
 
 
 def test_system_text_stable_and_anchored():

@@ -1,0 +1,144 @@
+"""One refusal table: every public callable that reads a weight or a root
+refuses what is not a LatticeVector of its system's rank with an AdelieError.
+
+RootSystem checks a vector argument in one place, and every function below
+reaches the system through its basis conversions, so none needs a check of
+its own.  The table names each callable and each vector position once; a
+completeness check finds every public function or method whose signature
+takes a LatticeVector, so a new one cannot be left out.
+"""
+
+import inspect
+import time
+
+import pytest
+
+from adelie import batch, chevalley, cotangent, flag, surface
+from adelie.chevalley import LieElement, build_constants
+from adelie.errors import AdelieError, BasisMismatch, BudgetExceeded
+from adelie.roots import MAX_SYSTEM_RANK, RootSystem, build, root_vector, weight_vector
+from adelie.verify import cotangent_h2_oracle, flag_h2_oracle
+
+RS = build("A2")
+ROOT = RS.simple_roots[0]
+
+BAD = {
+    "None": None,
+    "tuple": (1, 0),
+    "str": "1 0",
+    "float": 1.5,
+    "other rank": weight_vector(1, 0, 0),
+}
+
+# name, and the call with the bad value v in one vector position; a name
+# that ends in [k] puts it in position k of a callable with two vectors
+CALLS = {
+    "flag.is_singular": lambda v: flag.is_singular(RS, v),
+    "flag.index": lambda v: flag.index(RS, v),
+    "flag.dominant_conjugate": lambda v: flag.dominant_conjugate(RS, v),
+    "flag.weyl_dim": lambda v: flag.weyl_dim(RS, v),
+    "flag.bwb": lambda v: flag.bwb(RS, v),
+    "flag.euler_characteristic": lambda v: flag.euler_characteristic(RS, v),
+    "flag.schubert_restriction_degree": lambda v: flag.schubert_restriction_degree(RS, v, 1),
+    "flag.triviality_criterion": lambda v: flag.triviality_criterion(RS, v),
+    "cotangent.dominance_leq[0]": lambda v: cotangent.dominance_leq(RS, v, ROOT),
+    "cotangent.dominance_leq[1]": lambda v: cotangent.dominance_leq(RS, ROOT, v),
+    "cotangent.lambda_plus": lambda v: cotangent.lambda_plus(RS, v),
+    "cotangent.cht": lambda v: cotangent.cht(RS, v),
+    "cotangent.lambda_star": lambda v: cotangent.lambda_star(RS, v),
+    "cotangent.cotangent_verdict": lambda v: cotangent.cotangent_verdict(RS, v),
+    "cotangent.negative_root_descent": lambda v: cotangent.negative_root_descent(RS, v),
+    "cotangent.euler_characteristic_graded":
+        lambda v: cotangent.euler_characteristic_graded(RS, v, 2),
+    "batch.euler_characteristic_graded": lambda v: batch.euler_characteristic_graded(RS, v, 2),
+    "surface.root_to_divisor":
+        lambda v: surface.root_to_divisor(surface.resolution_lattice(RS), v),
+    "surface.surface_h2_oracle": lambda v: surface.surface_h2_oracle(
+        surface.resolution_lattice(RS))(v),
+    "verify.flag_h2_oracle": lambda v: flag_h2_oracle(RS)(v),
+    "verify.cotangent_h2_oracle": lambda v: cotangent_h2_oracle(RS)(v),
+    "chevalley.ChevalleyConstants.n[0]": lambda v: build_constants(RS).n(v, ROOT),
+    "chevalley.ChevalleyConstants.n[1]": lambda v: build_constants(RS).n(ROOT, v),
+    "chevalley.ChevalleyConstants.flip[0]": lambda v: build_constants(RS).flip(v, ROOT),
+    "chevalley.ChevalleyConstants.flip[1]": lambda v: build_constants(RS).flip(ROOT, v),
+    "chevalley.LieElement.x": lambda v: LieElement.x(RS, v),
+    "roots.RootSystem.to_weight_basis": lambda v: RS.to_weight_basis(v),
+    "roots.RootSystem.root_coords_exact": lambda v: RS.root_coords_exact(v),
+    "roots.RootSystem.to_root_basis": lambda v: RS.to_root_basis(v),
+    "roots.RootSystem.pairing[0]": lambda v: RS.pairing(v, ROOT),
+    "roots.RootSystem.pairing[1]": lambda v: RS.pairing(ROOT, v),
+    "roots.RootSystem.positive_pairings": lambda v: RS.positive_pairings(v),
+    "roots.RootSystem.is_root": lambda v: RS.is_root(v),
+    "roots.RootSystem.is_positive_root": lambda v: RS.is_positive_root(v),
+    "roots.RootSystem.descent": lambda v: RS.descent(v),
+    "roots.RootSystem.root_order_index": lambda v: RS.root_order_index(v),
+    "roots.RootSystem.height": lambda v: RS.height(v),
+    "roots.RootSystem.coordinate_sum": lambda v: RS.coordinate_sum(v),
+    "roots.RootSystem.root_string[0]": lambda v: RS.root_string(v, ROOT),
+    "roots.RootSystem.root_string[1]": lambda v: RS.root_string(ROOT, v),
+    "roots.RootSystem.reflect_simple": lambda v: RS.reflect_simple(v, 0),
+    "roots.RootSystem.is_dominant": lambda v: RS.is_dominant(v),
+}
+
+# a LatticeVector of another rank is no root: these two answer False for it
+ANSWER_FALSE = {"roots.RootSystem.is_root", "roots.RootSystem.is_positive_root"}
+
+
+@pytest.mark.parametrize("bad", BAD, ids=str)
+@pytest.mark.parametrize("name", CALLS, ids=str)
+def test_every_vector_argument_is_refused_with_an_adelie_error(name, bad):
+    call = CALLS[name]
+    if bad == "other rank" and name in ANSWER_FALSE:
+        assert call(BAD[bad]) is False
+        return
+    with pytest.raises(AdelieError):
+        call(BAD[bad])
+
+
+def _takes_a_vector(obj) -> bool:
+    return any(
+        "LatticeVector" in str(p.annotation) for p in inspect.signature(obj).parameters.values()
+    )
+
+
+def test_the_table_names_every_public_callable_that_takes_a_vector():
+    import adelie.roots as roots
+
+    found = set()
+    for module in (roots, flag, cotangent, batch, surface, chevalley):
+        short = module.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) and _takes_a_vector(obj):
+                found.add(f"{short}.{name}")
+            if inspect.isclass(obj):
+                for attr in vars(obj):
+                    member = getattr(obj, attr)
+                    if (not attr.startswith("_") and callable(member)
+                            and not inspect.isclass(member) and _takes_a_vector(member)):
+                        found.add(f"{short}.{name}.{attr}")
+    named = {name.split("[")[0] for name in CALLS}
+    assert found <= named, sorted(found - named)
+
+
+def test_a_root_of_another_rank_has_no_height():
+    # the root basis returned the vector unchecked, and height read 3
+    message = r"A2 reads LatticeVectors of rank 2, not \{1,1,1\|root\}"
+    with pytest.raises(BasisMismatch, match=message):
+        RS.height(root_vector(1, 1, 1))
+
+
+def test_true_is_read_as_one():
+    # operator.index reads True as 1, as it reads every integer argument
+    assert RootSystem("A", True).name == "A1"
+
+
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_a_system_past_the_budget_is_refused_before_any_work(kind):
+    # A300 ran past a minute; A64, the bound, is built in test_cotangent.py
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="rank 300 past the RootSystem budget, rank 64"):
+        RootSystem(kind, 300)
+    assert time.perf_counter() - start < 1
+    assert MAX_SYSTEM_RANK == 64

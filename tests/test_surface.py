@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from adelie import surface
 from adelie._exact import int_adjugate
 from adelie.cli import main
 from adelie.errors import (
@@ -310,6 +311,20 @@ def test_verify_surface_small_types():
         assert rep.details["minus_two_classes"] == len(rs.all_roots)
         # the minors, the class match and one descent per positive root
         assert rep.checked == rs.rank + 1 + len(rs.positive_roots)
+
+
+def test_verify_surface_reports_a_class_mismatch_and_a_failed_descent(monkeypatch):
+    # the lattice of A1 x A1 under A2's roots: its four -2 classes miss
+    # alpha_1 + alpha_2, and the descent of that root finds degree -2 on C_1
+    monkeypatch.setattr(
+        surface, "resolution_lattice", lambda rs: ResolutionLattice(rs, ((-2, 0), (0, -2)))
+    )
+    rep = verify_surface(build("A2"))
+    assert (rep.checked, rep.violations) == (6, [
+        "-2 classes do not match the roots",
+        "descent fails for {1,1|root}: restriction degree -2 on curve 1",
+    ])
+    assert rep.details["minus_two_classes"] == 4
 
 
 def test_verify_surface_reports_indefinite_form():

@@ -2,8 +2,10 @@
 
 import pytest
 
+from adelie import verify
 from adelie.chevalley import build_constants, verify_chevalley
 from adelie.errors import IllegalType
+from adelie.report import H2VanishVerdict, VerificationReport
 from adelie.roots import build
 from adelie.surface import resolution_lattice, surface_h2_oracle
 from adelie.verify import (
@@ -86,6 +88,34 @@ def test_cht_roots_sweep():
     assert rep.checked == 72
 
 
+def test_cht_roots_sweep_reports_a_wrong_value(monkeypatch):
+    # the sweep's own cht, one too high on the highest root of A2
+    real, rs = verify.cht, build("A2")
+    monkeypatch.setattr(
+        verify, "cht",
+        lambda rs, a: real(rs, a)._replace(value=real(rs, a).value + (a == rs.highest_root())),
+    )
+    rep = verify_cht_roots(rs)
+    assert (rep.checked, rep.violations) == (6, ["cht({1,1|root}) != 0"])
+
+
+def test_obstruction_suite_reports_h2_that_does_not_vanish(monkeypatch):
+    # an oracle that never vanishes fails the one class of height two in each half
+    monkeypatch.setattr(
+        verify, "half_h2_oracle",
+        lambda rs, half: lambda a: H2VanishVerdict(root=a, vanishes=False, source="fake"),
+    )
+    rep = verify_obstruction(build("A2"))
+    assert (rep.checked, rep.violations) == (14, [
+        "positive: H^2 fails to vanish for {1,1|root}",
+        "negative: H^2 fails to vanish for {-1,-1|root}",
+    ])
+    assert rep.details == {
+        "positive_solvable": False, "positive_requirements": 2,
+        "negative_solvable": False, "negative_requirements": 2,
+    }
+
+
 def test_obstruction_suite_certifies_both_halves():
     rs = build("A3")
     rep = verify_obstruction(rs)
@@ -101,6 +131,15 @@ def test_detector_accepts_clean_table():
     detected, reason = detect_tampering(build_constants(build("A2")))
     assert not detected
     assert reason == ""
+
+
+def test_detector_reports_a_closure_failure(monkeypatch):
+    # the bracket verification and both builds pass; the faked closure fails
+    failed = VerificationReport(name="bianchi", violations=["class {1,1|root}: residual psi"])
+    monkeypatch.setattr(verify, "check_bianchi", lambda system: failed)
+    assert detect_tampering(build_constants(build("A2"))) == (
+        True, "positive closure: class {1,1|root}: residual psi",
+    )
 
 
 def test_detector_catches_every_single_flip():
