@@ -18,7 +18,9 @@ from operator import index, mul
 import numpy as np
 
 from ._exact import digits_past_limit
-from .errors import BudgetExceeded, ConstructionFailure, NegativeDegree, NonIntegerDegree
+from .errors import (
+    BudgetExceeded, ConstructionFailure, InvalidBound, NegativeDegree, NonIntegerDegree
+)
 from .roots import LatticeVector, RootSystem, root_vector
 
 
@@ -27,10 +29,10 @@ def euler_characteristic_graded(
 ) -> int:
     """Sum of Euler characteristics of lam shifted by all degree-multisets of
     positive roots: the Euler characteristic of the degree-th symmetric-power
-    twist.  The degree is read through operator.index.  Raises
-    BasisMismatch, before any fold work, for a lam that is not a
-    LatticeVector of rs's rank, NonIntegerDegree for a degree that is not an
-    integer, NegativeDegree for one below zero and BudgetExceeded when the
+    twist.  Raises, before any fold work, BasisMismatch for a lam that is
+    not a LatticeVector of rs's rank, NonIntegerDegree for a degree and
+    InvalidBound for a max_terms that operator.index does not read,
+    NegativeDegree for a degree below zero and BudgetExceeded when the
     multiset count, or the degree + 1 layers of the fold, pass max_terms.
 
     Many multisets share a root sum, so they are first folded into distinct
@@ -62,6 +64,10 @@ def euler_characteristic_graded(
         degree = index(degree)
     except TypeError:
         raise NonIntegerDegree(f"degree {degree!r} is not an integer") from None
+    try:
+        max_terms = index(max_terms)
+    except TypeError:
+        raise InvalidBound(f"max_terms {max_terms!r} is not an integer") from None
     if degree < 0:
         raise NegativeDegree(f"degree must be non-negative, got {degree}")
     n_pos = len(rs.positive_roots)

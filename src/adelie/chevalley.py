@@ -133,10 +133,9 @@ class ChevalleyConstants:
         n_{g,a} n_{g+a,b} = 0 is, up to sign, the x_{a+b+g} coefficient of the
         Jacobi sum on (x_a, x_b, x_g), so the check covers it.  Distinct
         unordered triples determine the identity (it is alternating and
-        vanishes identically on repeats).  The triples that hold an h_i or a
-        simple root vector are expanded; the rest are certified from the
-        bracket table, or expanded too when the certificate does not hold
-        (_jacobi_first_failure), so the verdict is that of the full sweep.
+        vanishes identically on repeats).  _jacobi_first_failure reads the
+        certificate first, then expands the triples with an h_i or a simple
+        root vector, or every triple when it fails: the full sweep's verdict.
         checked counts both pair sweeps, then the triples in lexicographic
         order up to the first failing one: all C(dim, 3) if none.
         """
@@ -229,7 +228,8 @@ def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
 @lru_cache(maxsize=33)  # one entry for each type that build admits
 def build_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the full sign table for rs, once per root system, and verify its
-    invariants exhaustively."""
+    invariants exhaustively; a system past the Jacobi keys is refused first."""
+    _jacobi_dim(rs)
     roots = rs.all_roots
     n_roots = len(roots)
     coords = np.array([r.coords for r in roots], dtype=np.int64)
@@ -370,16 +370,23 @@ def blocks(costs: np.ndarray):
         start = end
 
 
+def _jacobi_dim(rs: RootSystem) -> int:
+    """rs's Lie algebra dimension; BudgetExceeded past the Jacobi sweep's packed keys."""
+    dim = rs.rank + len(rs.all_roots)
+    if dim ** 3 >= 2 ** 31:
+        raise BudgetExceeded(f"{rs.name}: dimension {dim} is past the packed Jacobi keys")
+    return dim
+
+
 def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     """Lexicographically first basis triple i < j < k whose Jacobi sum
     [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is not zero.
 
-    The sweep expands the triples that hold an h_i or a simple root vector,
-    those whose smallest index is below stop, rank + 1 + the last place of a
-    simple root in all_roots; a failure there precedes every other triple.
-    Otherwise _jacobi_certified proves the identity on the rest, which only
-    a table that fails its checks has swept too: the verdict is that of the
-    full sweep either way.
+    _jacobi_certified is read first.  When it holds, Jacobi on the triples
+    with an h_i or a simple root vector (smallest index below stop, rank + 1
+    + the last place of a simple root in all_roots) proves it on the rest,
+    and one sweep expands those alone, whose failures precede every other
+    triple; when it does not, one sweep expands every triple.
 
     Sign rule: the inner cells are read in that cyclic order, so the table
     need not be antisymmetric, and an inner cell (p, q) serves the outer
@@ -404,20 +411,14 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     (dim 496).
     """
     rs = c.system
-    dim = rs.rank + len(rs.all_roots)
-    if dim ** 3 >= 2 ** 31:
-        raise BudgetExceeded(f"{rs.name}: dimension {dim} is past the packed Jacobi keys")
+    dim = _jacobi_dim(rs)  # a table built by hand may be past the keys too
     stop = rs.rank + 1 + max(map(rs.root_order_index, rs.simple_roots))
-    failure = _jacobi_sweep(c, dim, 0, stop)
-    if failure is None and not _jacobi_certified(c):
-        failure = _jacobi_sweep(c, dim, stop, dim)
-    return failure
+    return _jacobi_sweep(c, dim, stop if _jacobi_certified(c) else dim)
 
 
-def _jacobi_sweep(c: ChevalleyConstants, dim: int, start: int,
-                  end: int) -> tuple[int, int, int] | None:
-    """The first failing triple whose smallest index is in [start, end)."""
-    cost, parts = _jacobi_parts(c, dim, start, end)
+def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, int] | None:
+    """The first failing triple whose smallest index is below end."""
+    cost, parts = _jacobi_parts(c, dim, end)
     for lo0, lo1 in blocks(cost):
         packed = []
         for ptr, starts, ends, a_key, a_val, b_key, b_val in parts:
@@ -440,18 +441,18 @@ def _jacobi_sweep(c: ChevalleyConstants, dim: int, start: int,
     return None
 
 
-def _jacobi_parts(c: ChevalleyConstants, dim: int, start: int, end: int):
+def _jacobi_parts(c: ChevalleyConstants, dim: int, end: int):
     """The runs of the Jacobi sweep over the triples (lo, mid, hi) with
-    start <= lo < end, one part per kind of triple: for each inner or outer
-    cell of such an lo, by ascending lo, the start and end of its run among
-    the sorted terms, its share of the key (int64) and its coefficient, and
-    for each sorted term its share of the key (int32) and its coefficient;
-    with the pointers of each lo into the part and the product count of each
-    lo, both indexed from start.  Only the cells of the owners in range get
-    runs; the sorted terms are the whole table."""
+    lo < end, one part per kind of triple: for each inner or outer cell of
+    such an lo, by ascending lo, the start and end of its run among the
+    sorted terms, its share of the key (int64) and its coefficient, and for
+    each sorted term its share of the key (int32) and its coefficient; with
+    the pointers of each lo into the part and the product count of each lo.
+    Only the cells of the owners below end get runs; the sorted terms are
+    the whole table."""
     row, col, tgt, val = c.bracket_table
     val = val.astype(np.int16)
-    cost = np.zeros(end - start, dtype=np.int64)
+    cost = np.zeros(end, dtype=np.int64)
     parts = []
 
     def key(dtype, *digits):
@@ -469,14 +470,13 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int, start: int, end: int):
         # terms of order, keyed by keys in [first, last)
         starts = np.searchsorted(keys, first).astype(np.int32)
         ends = np.searchsorted(keys, last).astype(np.int32)
-        ptr = np.searchsorted(owner, np.arange(start, end + 1))
-        done = np.zeros(len(ends) + 1, dtype=np.int64)
-        np.cumsum(ends - starts, out=done[1:])
-        cost[:] += done[ptr[1:]] - done[ptr[:-1]]
+        ptr = np.searchsorted(owner, np.arange(end + 1))
+        done = np.concatenate(([0], np.cumsum(ends - starts, dtype=np.int64)))
+        cost[:] += np.diff(done[ptr])
         parts.append((ptr, starts, ends, a_key, val[cells], b_key, val[order]))
 
-    # the terms of rows start..end - 1, the outer rows lo ...
-    own = np.arange(*np.searchsorted(row, [start, end])).astype(np.int32)
+    # the terms of rows 0..end - 1, the outer rows lo ...
+    own = np.arange(np.searchsorted(row, end), dtype=np.int32)
     r, q, t = row[own], col[own], tgt[own]
     # ... against the inner cells (p, q), lo < p < q, sorted by (target, p) ...
     upper = np.flatnonzero(row < col).astype(np.int32)
@@ -497,7 +497,7 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int, start: int, end: int):
     add(own, r, col_key, t * dim + q + 1, t * dim + dim,
         key(np.int64, r, q, None, None), key(np.int32, row[by_col], tgt[by_col]), by_col)
     # ... and outer rows lo < u < q against the inner cells (q, lo)
-    left = by_col[slice(*np.searchsorted(col_key, [start * dim, end * dim]))]
+    left = by_col[:np.searchsorted(col_key, end * dim)]
     left = left[row[left] > col[left]]
     q, r, t = row[left], col[left], tgt[left]
     add(left, r, col_key, t * dim + r + 1, t * dim + q,

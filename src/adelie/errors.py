@@ -64,7 +64,7 @@ class NonIntegerDegree(AdelieError, TypeError):
 
 
 class InvalidBound(AdelieError, ValueError):
-    """Search radius or support cap that is not a non-negative integer."""
+    """Radius, support cap or term budget that is not an integer, or a negative radius or cap."""
 
 
 class CoefficientOverflow(AdelieError, OverflowError):

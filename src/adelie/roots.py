@@ -421,20 +421,14 @@ def _plain_rank(rank) -> int:
         raise NonIntegerRank(f"rank {rank!r} is not an integer") from None
 
 
-def _draws(kind: str, rank: int) -> bool:
-    """Whether _edges admits (kind, rank), for the least rank the cap message names."""
-    with suppress(IllegalType):
-        return _edges(kind, rank) is not None
-    return False
-
-
 def _capped(kind: str, rank) -> tuple[str, int]:
-    """(kind, rank) once they draw a Dynkin diagram within MAX_RANK (only A and D reach past 8)."""
+    """(kind, rank) once they draw a Dynkin diagram within MAX_RANK; only A (from
+    rank 1) and D (from 3) reach past 8, so the cap is read before _edges draws."""
     rank = _plain_rank(rank)
-    _edges(kind, rank)
-    if rank > MAX_RANK:
-        lo = next(r for r in range(1, rank) if _draws(kind, r))
+    if rank > MAX_RANK and kind in ("A", "D"):
+        lo = 1 if kind == "A" else 3
         raise IllegalType(f"{kind}{rank} outside supported range {kind}{lo}..{kind}{MAX_RANK}")
+    _edges(kind, rank)
     return kind, rank
 
 

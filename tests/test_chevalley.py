@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -84,6 +85,34 @@ def test_build_constants_refuses_a_system_past_the_packed_jacobi_keys():
     with pytest.raises(BudgetExceeded, match="dimension 1295 "):
         build_constants(RootSystem("A", 35))
     assert build_constants.cache_info().maxsize == 33
+
+
+@pytest.mark.parametrize("kind,dim", [("A", 4224), ("D", 8128)])
+def test_build_constants_refuses_a_system_past_the_keys_before_its_tables(kind, dim):
+    # the refusal came from the gate, after the n_roots ** 2 sum and sign
+    # tables were built: D64 took 6.7 s and peaked at 610 MB, A64 1.35 s
+    rs = RootSystem(kind, 64)
+    message = f"^{kind}64: dimension {dim} is past the packed Jacobi keys$"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=message):
+            build_constants(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 2 ** 20
+
+
+def test_the_sweep_keeps_its_own_key_guard():
+    # a table built by hand reaches the gate without build_constants' check
+    rs = RootSystem("A", 35)
+    n_roots = len(rs.all_roots)
+    c = ChevalleyConstants(rs, np.zeros((n_roots, n_roots), dtype=np.int8),
+                           np.full((n_roots, n_roots), n_roots, dtype=np.int32))
+    with pytest.raises(BudgetExceeded, match="^A35: dimension 1295 is past the packed Jacobi keys$"):
+        c.report
 
 
 def test_sl2_triples():
@@ -560,8 +589,8 @@ def test_gate_payload_is_pinned(capsys, command, name):
     assert hashlib.sha256(rest.encode()).hexdigest() == digest
 
 
-def _per_lo_first_failure(c, first=0):
-    # the Jacobi sweep one smallest index lo at a time, from lo = first, each
+def _per_lo_first_failure(c, end=None):
+    # the Jacobi sweep one smallest index lo at a time, below lo = end, each
     # step expanding the products of the triples (lo, mid, hi) alone: the
     # oracle for the blocked sweep, which must return the same first failing
     # triple
@@ -579,7 +608,7 @@ def _per_lo_first_failure(c, first=0):
         n, k = runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
         return cells[n], order[k]
 
-    for lo in range(first, dim - 2):
+    for lo in range(dim - 2)[:end]:
         base = np.int64(lo * dim)
         cells = np.arange(row_ptr[lo], row_ptr[lo + 1])
         t = col[cells] * dim
@@ -716,21 +745,21 @@ def test_a_valid_table_off_the_involution_passes_through_the_continued_sweep(
     for u in (0, len(rs.positive_roots) - 1):
         bad = _rescaled(c, u)
         assert not chevalley._jacobi_certified(bad)
-        assert _swept_ranges(bad, monkeypatch) == (None, [2 * rs.rank, dim - 2 * rs.rank])
+        assert _swept_ranges(bad, monkeypatch) == (None, [dim])
         rep = verify_chevalley(_rescaled(c, u))
         assert (rep.violations, rep.checked) == ([], verify_chevalley(c).checked)
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_continued_sweep_on_clean_tables(budget, monkeypatch):
-    # the sweep over the owners past the simple roots, which a table that
-    # fails the certificate reaches, on tables where it must find nothing
+    # the one sweep over every owner, which a table that fails the
+    # certificate runs, on tables where it must find nothing
     monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
     monkeypatch.setattr(chevalley, "_jacobi_certified", lambda c: False)
     for name in ("A1", "A3", "D4", "E6"):
         c = build_constants(build(name))
         dim = c.system.rank + len(c.system.all_roots)
-        assert _swept_ranges(c, monkeypatch) == (None, [2 * c.system.rank, dim - 2 * c.system.rank])
+        assert _swept_ranges(c, monkeypatch) == (None, [dim])
 
 
 def _tampered(c):
@@ -775,15 +804,15 @@ def test_the_certified_gate_matches_the_full_sweep_on_tampered_tables(name, monk
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_the_sweep_from_an_owner_matches_the_per_lo_sweep_from_it(budget, monkeypatch):
-    # the continued sweep builds runs for the owners from stop = 2 * rank
-    # alone; on D4 that is 8, and 17 starts past the positive roots
+    # the sweep builds runs for the owners below its end alone: on D4, 8 is
+    # stop = 2 * rank, 17 ends past the positive roots and 28 is dim
     monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
     c = build_constants(build("D4"))
     found = 0
     for make in _tampered(c):
         bad = make()
-        for first in (8, 17):
-            expected = _per_lo_first_failure(bad, first)
-            assert chevalley._jacobi_sweep(bad, 28, first, 28) == expected
+        for end in (8, 17, 28):
+            expected = _per_lo_first_failure(bad, end)
+            assert chevalley._jacobi_sweep(bad, 28, end) == expected
             found += expected is not None
     assert found

@@ -371,6 +371,20 @@ def test_a_non_integer_degree_is_refused():
     assert euler_characteristic_graded(rs, zero, np.int64(1)) == euler_characteristic_graded(rs, zero, 1)
 
 
+def test_a_non_integer_term_budget_is_refused():
+    # None and "10" raised a bare TypeError from the comparison with the
+    # multiset count, and 1.5 was taken as a budget
+    rs, zero = build("A2"), weight_vector(0, 0)
+    for bad in (None, "10", 1.5, 10.0):
+        for graded in (euler_characteristic_graded, batch.euler_characteristic_graded):
+            with pytest.raises(InvalidBound, match=f"^max_terms {bad!r} is not an integer$"):
+                graded(rs, zero, 2, bad)
+    # a negative integer is a budget that nothing fits
+    with pytest.raises(BudgetExceeded, match="exceed the budget -1$"):
+        euler_characteristic_graded(rs, zero, 0, -1)
+    assert euler_characteristic_graded(rs, zero, 2, np.int64(6)) == euler_characteristic_graded(rs, zero, 2)
+
+
 def test_interval_budget_guard():
     rs = build("A2")
     with pytest.raises(BudgetExceeded):

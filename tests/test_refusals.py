@@ -1,5 +1,7 @@
-"""One refusal table: every public callable that reads a weight or a root
-refuses what is not a LatticeVector of its system's rank with an AdelieError.
+"""Two refusal tables: every public callable that reads a weight or a root
+refuses what is not a LatticeVector of its system's rank, and every integer
+parameter (a rank, an index, a degree, a bound) refuses what is not an
+integer, each with an AdelieError.
 
 RootSystem checks a vector argument in one place, and every function below
 reaches the system through its basis conversions, so none needs a check of
@@ -120,6 +122,57 @@ def test_the_table_names_every_public_callable_that_takes_a_vector():
                         found.add(f"{short}.{name}.{attr}")
     named = {name.split("[")[0] for name in CALLS}
     assert found <= named, sorted(found - named)
+
+
+ZERO = weight_vector(0, 0)
+LATTICE = surface.resolution_lattice(RS)
+
+# values that are not integers: each stands in for 1, which every call below
+# answers, so a refusal comes from the value's type and not from its size
+NOT_INTEGERS = {"None": None, "str": "1", "float": 1.5, "integral float": 1.0}
+
+# name, and the call with the value v in one integer position
+INTEGER_CALLS = {
+    "roots.RootSystem[rank]": lambda v: RootSystem("A", v),
+    "roots.build[rank]": lambda v: build("A", v),
+    "roots.RootSystem.reflect_simple": lambda v: RS.reflect_simple(ZERO, v),
+    "flag.schubert_restriction_degree": lambda v: flag.schubert_restriction_degree(RS, ZERO, v),
+    "surface.ResolutionLattice.curve": lambda v: LATTICE.curve(v),
+    "surface.ResolutionLattice.restriction_degree":
+        lambda v: LATTICE.restriction_degree(LATTICE.curve(1), v),
+    "chevalley.LieElement.h": lambda v: LieElement.h(RS, v),
+    "cotangent.euler_characteristic_graded[degree]":
+        lambda v: cotangent.euler_characteristic_graded(RS, ZERO, v),
+    "cotangent.euler_characteristic_graded[max_terms]":
+        lambda v: cotangent.euler_characteristic_graded(RS, ZERO, 0, v),
+    "batch.euler_characteristic_graded[degree]":
+        lambda v: batch.euler_characteristic_graded(RS, ZERO, v),
+    "batch.euler_characteristic_graded[max_terms]":
+        lambda v: batch.euler_characteristic_graded(RS, ZERO, 0, v),
+    "cotangent.verify_chain_criterion[radius]":
+        lambda v: cotangent.verify_chain_criterion(RS, v),
+    "cotangent.verify_chain_criterion[max_support]":
+        lambda v: cotangent.verify_chain_criterion(RS, 1, v),
+}
+
+# max_support reads None, its default, as no cap on the support
+NONE_IS_THE_DEFAULT = {"cotangent.verify_chain_criterion[max_support]"}
+
+
+@pytest.mark.parametrize("name", INTEGER_CALLS, ids=str)
+def test_every_integer_parameter_answers_one(name):
+    INTEGER_CALLS[name](1)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=str)
+@pytest.mark.parametrize("name", INTEGER_CALLS, ids=str)
+def test_every_integer_argument_is_refused_with_an_adelie_error(name, bad):
+    call = INTEGER_CALLS[name]
+    if bad == "None" and name in NONE_IS_THE_DEFAULT:
+        assert call(None).ok
+        return
+    with pytest.raises(AdelieError):
+        call(NOT_INTEGERS[bad])
 
 
 def test_a_root_of_another_rank_has_no_height():

@@ -8,6 +8,7 @@ enumerations cross-check each other.
 import copy
 import pickle
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -277,6 +278,27 @@ def test_parse_type():
         with pytest.raises(IllegalType) as exc:
             build(*args)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("A", "A{} outside supported range A1..A16"),
+    ("D", "D{} outside supported range D3..D16"),
+    ("E", "E{} is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
+], ids=["A", "D", "E"])
+def test_a_type_past_the_cap_is_refused_before_its_diagram_is_drawn(kind, message):
+    # build drew the whole edge list before it read the cap, then drew the
+    # diagrams of ranks 1, 2, ... for the least rank of its message:
+    # build("A", 10 ** 5) peaked at 12 MiB before it refused
+    for rank in (17, 10 ** 5):
+        tracemalloc.start()
+        try:
+            with pytest.raises(IllegalType) as exc:
+                build(kind, rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message.format(rank)
+        assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, Fraction(3), "3", 2.0])
