@@ -40,11 +40,6 @@ from .roots import LatticeVector, RootSystem, checked_index, root_vector
 
 Coords = tuple[int, ...]
 
-# products that one block of the Jacobi sweep expands at a time: enough that
-# numpy's per-call overhead is spread thin, few enough that the arrays of one
-# block stay small
-_PRODUCT_BUDGET = 8192
-
 
 @dataclass
 class ChevalleyConstants:
@@ -357,19 +352,6 @@ def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return keys[starts][keep], sums[keep]
 
 
-def blocks(costs: np.ndarray):
-    """Yield (start, end) for consecutive ranges of owners 0..len(costs) - 1
-    whose costs add up to at most _PRODUCT_BUDGET; an owner that costs more
-    on its own is a range of one."""
-    ends = np.concatenate(([0], np.cumsum(costs)))
-    start = 0
-    while start < len(costs):
-        end = int(np.searchsorted(ends, ends[start] + _PRODUCT_BUDGET, "right")) - 1
-        end = max(end, start + 1)
-        yield start, end
-        start = end
-
-
 def _jacobi_dim(rs: RootSystem) -> int:
     """rs's Lie algebra dimension; BudgetExceeded past the Jacobi sweep's packed keys."""
     dim = rs.rank + len(rs.all_roots)
@@ -394,9 +376,9 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     p < q with u outside [p, q], or p > q with u between them.  Products are
     keyed ((i * dim + j) * dim + k) * dim + target and equal keys summed.
     Every product belongs to the triples of one smallest index lo, and the
-    sweep expands consecutive ranges of lo, each of at most _PRODUCT_BUDGET
-    products unless a single lo has more, so the least surviving key of the
-    first range that keeps one is the first failing triple.
+    sweep expands and sorts the products of one lo at a time, by ascending
+    lo, so the least surviving key of the first lo that keeps one is the
+    first failing triple.
 
     Only stored terms are expanded, never a dense slice of the table: each
     inner term [b_p, b_q] = v b_t meets its outer terms [b_u, b_t] as one run
@@ -418,11 +400,11 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
 
 def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, int] | None:
     """The first failing triple whose smallest index is below end."""
-    cost, parts = _jacobi_parts(c, dim, end)
-    for lo0, lo1 in blocks(cost):
+    parts = _jacobi_parts(c, dim, end)
+    for lo in range(end):
         packed = []
         for ptr, starts, ends, a_key, a_val, b_key, b_val in parts:
-            s = slice(ptr[lo0], ptr[lo1])
+            s = slice(ptr[lo], ptr[lo + 1])
             j, k = runs(starts[s], ends[s])
             part = a_key[s][j] + b_key[k]
             part <<= 16
@@ -447,12 +429,10 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int, end: int):
     such an lo, by ascending lo, the start and end of its run among the
     sorted terms, its share of the key (int64) and its coefficient, and for
     each sorted term its share of the key (int32) and its coefficient; with
-    the pointers of each lo into the part and the product count of each lo.
-    Only the cells of the owners below end get runs; the sorted terms are
-    the whole table."""
+    the pointers of each lo into the part.  Only the cells of the owners
+    below end get runs; the sorted terms are the whole table."""
     row, col, tgt, val = c.bracket_table
     val = val.astype(np.int16)
-    cost = np.zeros(end, dtype=np.int64)
     parts = []
 
     def key(dtype, *digits):
@@ -471,8 +451,6 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int, end: int):
         starts = np.searchsorted(keys, first).astype(np.int32)
         ends = np.searchsorted(keys, last).astype(np.int32)
         ptr = np.searchsorted(owner, np.arange(end + 1))
-        done = np.concatenate(([0], np.cumsum(ends - starts, dtype=np.int64)))
-        cost[:] += np.diff(done[ptr])
         parts.append((ptr, starts, ends, a_key, val[cells], b_key, val[order]))
 
     # the terms of rows 0..end - 1, the outer rows lo ...
@@ -503,7 +481,7 @@ def _jacobi_parts(c: ChevalleyConstants, dim: int, end: int):
     add(left, r, col_key, t * dim + r + 1, t * dim + q,
         key(np.int64, r, None, q, None),
         key(np.int32, row[by_col], None, tgt[by_col]), by_col)
-    return cost, parts
+    return parts
 
 
 def _jacobi_certified(c: ChevalleyConstants) -> bool:

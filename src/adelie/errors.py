@@ -6,7 +6,8 @@ class AdelieError(Exception):
 
 
 class IllegalType(AdelieError):
-    """Kind and rank that draw no ADE Dynkin diagram, or a type past build's cap."""
+    """Kind and rank that draw no ADE Dynkin diagram, a type past build's cap,
+    or a suite or obstruction half that names none."""
 
 
 class BasisMismatch(AdelieError):

@@ -47,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .chevalley import ChevalleyConstants, runs, sum_by_key
-from .errors import CancellationFailure, ConstructionFailure, IncompleteOracle
+from .errors import CancellationFailure, ConstructionFailure, IllegalType, IncompleteOracle
 from .report import H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem
 
@@ -124,8 +124,14 @@ def form_text(form: FormalForm) -> str:
 
 
 class Half(Enum):
+    """A half of the roots; Half(x) raises IllegalType for an x that names neither."""
+
     POSITIVE = "positive"
     NEGATIVE = "negative"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise IllegalType(f"unknown half {value!r}; choose from {tuple(h.value for h in cls)}")
 
 
 @dataclass
@@ -142,18 +148,22 @@ class ObstructionSystem:
         return self.constants.system
 
 
-def half_roots(rs: RootSystem, half: Half) -> tuple[LatticeVector, ...]:
+def half_roots(rs: RootSystem, half: Half | str) -> tuple[LatticeVector, ...]:
+    """The roots of the half Half(half), sorted by _root_key."""
+    half = Half(half)
     base = rs.positive_roots if half is Half.POSITIVE else [-a for a in rs.positive_roots]
     return tuple(sorted(base, key=lambda r: _root_key(r.coords)))
 
 
-def build_system(constants: ChevalleyConstants, half: Half) -> ObstructionSystem:
+def build_system(constants: ChevalleyConstants, half: Half | str) -> ObstructionSystem:
     """Expand D^2 on the Cartan columns and extract the obstruction forms.
 
-    Raises CancellationFailure when the table fails the check that gates it
-    or a Cartan column does not divide by its weight, and ConstructionFailure
-    when the closed quadratic formula disagrees with the extracted forms.
+    Raises IllegalType for a half that Half does not read, CancellationFailure
+    when the table fails the check that gates it or a Cartan column does not
+    divide by its weight, and ConstructionFailure when the closed quadratic
+    formula disagrees with the extracted forms.
     """
+    half = Half(half)
     rs = constants.system
     gate = constants.report
     if not gate.ok:

@@ -57,10 +57,10 @@ def cotangent_h2_oracle(rs: RootSystem):
     return oracle
 
 
-def half_h2_oracle(rs: RootSystem, half: Half):
+def half_h2_oracle(rs: RootSystem, half: Half | str):
     """The oracle a half system is certified against: curve descent for the
-    positive half, chain height for the negative half."""
-    if half is Half.POSITIVE:
+    positive half, chain height for the negative half (half read by Half)."""
+    if Half(half) is Half.POSITIVE:
         return surface_h2_oracle(resolution_lattice(rs))
     return cotangent_h2_oracle(rs)
 

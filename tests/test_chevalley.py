@@ -156,8 +156,11 @@ def test_bracket_bilinear():
         + bracket(LieElement.h(rs, 1), LieElement.x(rs, -a1), c).scale(3)
     )
     assert lhs == rhs
+    assert x.scale(0) == LieElement(rs)
     with pytest.raises(SystemMismatch):
         bracket(x, LieElement.h(build("A3"), 0), c)
+    with pytest.raises(SystemMismatch):
+        x + LieElement.h(build("A3"), 0)
 
 
 @pytest.mark.parametrize("i", [-1, 2, 5, 0.5])
@@ -631,11 +634,6 @@ def _per_lo_first_failure(c, end=None):
     return None
 
 
-# the budget of one product puts every lo in a block of its own; the other
-# puts the whole sweep in one block
-BUDGETS = [1, 2 ** 40]
-
-
 def _gate(c, sweep, monkeypatch):
     # violations and checked of a fresh copy of c, its Jacobi sweep replaced
     with monkeypatch.context() as m:
@@ -658,9 +656,7 @@ def _assert_blocked_sweep_matches(flips, monkeypatch):
     for bad in flips:
         expected = _gate(bad, _per_lo_first_failure, monkeypatch)
         assert any(v.startswith("jacobi") for v in expected[0])
-        for budget in BUDGETS:
-            monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
-            assert _gate(bad, sweep, monkeypatch) == expected
+        assert _gate(bad, sweep, monkeypatch) == expected
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
@@ -676,9 +672,7 @@ def test_blocked_sweep_matches_the_per_lo_sweep_on_e8_cells(monkeypatch):
     _assert_blocked_sweep_matches(_flips(c, cells), monkeypatch)
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
-def test_blocked_sweep_on_clean_tables(budget, monkeypatch):
-    monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+def test_blocked_sweep_on_clean_tables():
     for name in ("A1", "A3", "D4", "E6"):
         c = build_constants(build(name))
         assert chevalley._jacobi_first_failure(c) is None
@@ -686,8 +680,8 @@ def test_blocked_sweep_on_clean_tables(budget, monkeypatch):
 
 
 def test_e8_sweep_memory_is_bounded():
-    # the sweep's peak is about 0.78 MB (numpy 2.4); the whole sweep in one
-    # block would take about 20 MB
+    # the sweep's peak is about 0.78 MB (numpy 2.4); the products of the
+    # whole sweep at once would take about 20 MB
     c = build_constants(build("E8"))
     c.bracket_table
     tracemalloc.start()
@@ -699,16 +693,31 @@ def test_e8_sweep_memory_is_bounded():
     assert peak < 2.5 * 2 ** 20
 
 
+def test_e8_full_sweep_memory_is_bounded():
+    # the sweep over every owner, which a table that fails the certificate
+    # runs, expands one owner at a time: its peak is about 1.3 MB (numpy 2.4)
+    c = build_constants(build("E8"))
+    c.bracket_table
+    tracemalloc.start()
+    try:
+        assert chevalley._jacobi_sweep(c, 248, 248) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
+
+
 SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + ["E6", "E7", "E8"]
 
 
 def _swept_ranges(c, monkeypatch):
-    # the gate's first failing triple on c, and the number of owners of each
-    # sweep it ran: blocks cuts one range of owners per sweep
-    sizes, cut = [], chevalley.blocks
+    # the gate's first failing triple on c, and the end of each sweep it ran:
+    # a sweep expands the owners below its end
+    ends, sweep = [], chevalley._jacobi_sweep
     with monkeypatch.context() as m:
-        m.setattr(chevalley, "blocks", lambda cost: sizes.append(len(cost)) or cut(cost))
-        return chevalley._jacobi_first_failure(c), sizes
+        m.setattr(chevalley, "_jacobi_sweep",
+                  lambda c, dim, end: ends.append(end) or sweep(c, dim, end))
+        return chevalley._jacobi_first_failure(c), ends
 
 
 @pytest.mark.parametrize("name", SUPPORTED)
@@ -734,11 +743,9 @@ def _rescaled(c, u):
     return _with_terms(c, row, col, tgt, s[row] * s[col] * s[tgt] * val)
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
 def test_a_valid_table_off_the_involution_passes_through_the_continued_sweep(
-        name, budget, monkeypatch):
-    monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
+        name, monkeypatch):
     c = build_constants(build(name))
     rs = c.system
     dim = rs.rank + len(rs.all_roots)
@@ -750,11 +757,9 @@ def test_a_valid_table_off_the_involution_passes_through_the_continued_sweep(
         assert (rep.violations, rep.checked) == ([], verify_chevalley(c).checked)
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
-def test_continued_sweep_on_clean_tables(budget, monkeypatch):
+def test_continued_sweep_on_clean_tables(monkeypatch):
     # the one sweep over every owner, which a table that fails the
     # certificate runs, on tables where it must find nothing
-    monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
     monkeypatch.setattr(chevalley, "_jacobi_certified", lambda c: False)
     for name in ("A1", "A3", "D4", "E6"):
         c = build_constants(build(name))
@@ -802,11 +807,9 @@ def test_the_certified_gate_matches_the_full_sweep_on_tampered_tables(name, monk
     assert failing == len(makers)
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
-def test_the_sweep_from_an_owner_matches_the_per_lo_sweep_from_it(budget, monkeypatch):
+def test_the_sweep_from_an_owner_matches_the_per_lo_sweep_from_it():
     # the sweep builds runs for the owners below its end alone: on D4, 8 is
     # stop = 2 * rank, 17 ends past the positive roots and 28 is dim
-    monkeypatch.setattr(chevalley, "_PRODUCT_BUDGET", budget)
     c = build_constants(build("D4"))
     found = 0
     for make in _tampered(c):

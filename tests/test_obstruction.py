@@ -15,7 +15,7 @@ import pytest
 from adelie import build, obstruction, root_vector
 from adelie.chevalley import ChevalleyConstants, build_constants, runs, sum_by_key, verify_chevalley
 from adelie.cli import main
-from adelie.errors import CancellationFailure, ConstructionFailure, IncompleteOracle
+from adelie.errors import CancellationFailure, ConstructionFailure, IllegalType, IncompleteOracle
 from adelie.obstruction import (
     FormalForm,
     _root_key,
@@ -29,7 +29,7 @@ from adelie.obstruction import (
     half_roots,
     system_text,
 )
-from adelie.verify import detect_tampering
+from adelie.verify import detect_tampering, half_h2_oracle
 from test_chevalley import _reference_first_failure, _with_terms
 
 
@@ -139,6 +139,7 @@ def test_product_sorts_into_canonical_order():
     prod = phi(1, 0) * phi(0, 1)
     assert prod.terms == {((((0, 1), (1, 0))), ()): -1}
     assert form_text(prod) == "-phi[0,1]phi[1,0]"
+    assert form_text(FormalForm()) == "0"
 
 
 def test_differential_leibniz_signs():
@@ -172,6 +173,28 @@ def test_half_root_ordering():
     assert [r.coords for r in pos] == [(0, 1), (1, 0), (1, 1)]
     neg = half_roots(rs, Half.NEGATIVE)
     assert [r.coords for r in neg] == [(-1, 0), (0, -1), (-1, -1)]
+
+
+def test_a_half_named_by_its_value_selects_that_half():
+    # a value reaches the same half as its member at every door: "positive"
+    # must not fall through to the negative forms or the chain-height oracle
+    rs = build("A2")
+    c = build_constants(rs)
+    for half in Half:
+        assert half_roots(rs, half.value) == half_roots(rs, half)
+        assert system_text(build_system(c, half.value)) == system_text(build_system(c, half))
+    assert half_h2_oracle(rs, "positive")(rs.simple_roots[0]).source == "surface-descent"
+    assert half_h2_oracle(rs, "negative")(-rs.simple_roots[0]).source == "cotangent-height"
+
+
+@pytest.mark.parametrize("bad", ["up", None, 1], ids=repr)
+def test_a_value_that_names_no_half_is_refused_at_each_door(bad):
+    rs = build("A2")
+    c = build_constants(rs)
+    for door in (lambda: half_roots(rs, bad), lambda: build_system(c, bad),
+                 lambda: half_h2_oracle(rs, bad)):
+        with pytest.raises(IllegalType, match="unknown half"):
+            door()
 
 
 def test_system_a2_positive():

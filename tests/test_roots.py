@@ -187,6 +187,9 @@ def test_pairing_mixed_bases():
     assert rs.pairing(a1, rs.to_weight_basis(a1)) == 2
     w = weight_vector(1, 0)
     assert rs.pairing(w, w) == Fraction(2, 3)
+    # a weight pairing with an integer value is an int, not a Fraction
+    three = rs.pairing(weight_vector(3, 0), w)
+    assert three == 2 and type(three) is int
 
 
 def test_rho_is_half_sum():
@@ -262,6 +265,7 @@ def test_root_string_bound():
 
 def test_parse_type():
     assert parse_type("a3") == ("A", 3)
+    assert repr(build("A2")) == "RootSystem(A2)"
     assert parse_type(" E8 ") == ("E", 8)
     assert parse_type("D16") == ("D", 16)
     for bad in ("B2", "A0", "D2", "E9", "A17", "foo", "E5", None):
