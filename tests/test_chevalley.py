@@ -707,6 +707,27 @@ def test_e8_full_sweep_memory_is_bounded():
     assert peak < 2.5 * 2 ** 20
 
 
+@pytest.mark.parametrize("name", ["A3", "D4", "E6", "E8"])
+def test_each_owner_slice_holds_the_cells_of_that_owner(name):
+    # the sweep reads the cells of owner lo at ptr[lo]:ptr[lo + 1] of each
+    # part; lo is the top base-dim digit of a cell's key, so these slices
+    # must tile the part with every cell under its own owner
+    c = build_constants(build(name))
+    rank = c.system.rank
+    dim = chevalley._jacobi_dim(c.system)
+    for end in (2 * rank, dim):
+        parts = chevalley._jacobi_parts(c, dim, end)
+        assert len(parts) == 3
+        for ptr, starts, ends, a_key, a_val, b_key, b_val in parts:
+            assert len(ptr) == end + 1 and ptr[0] == 0
+            assert ptr[end] == len(starts) == len(ends) == len(a_key) == len(a_val)
+            assert len(b_key) == len(b_val)
+            assert (np.diff(ptr) >= 0).all()
+            owners = np.repeat(np.arange(end), np.diff(ptr))
+            assert (a_key // dim ** 3 == owners).all()
+            assert (starts <= ends).all()
+
+
 SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + ["E6", "E7", "E8"]
 
 
