@@ -102,8 +102,6 @@ def _monomial_text(mono: Monomial) -> str:
 
 def form_text(form: FormalForm) -> str:
     """Deterministic rendering: psi blocks first, then phi blocks, key order."""
-    if form.is_zero():
-        return "0"
     def order(item):
         (phis, psis), _ = item
         return (
@@ -111,16 +109,11 @@ def form_text(form: FormalForm) -> str:
             tuple(_root_key(c) for c in phis),
             tuple(_root_key(c) for c in psis),
         )
-    parts = []
-    for (mono, coeff) in sorted(form.terms.items(), key=order):
-        sign = "-" if coeff < 0 else "+"
-        mag = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
-        parts.append((sign, f"{mag}{_monomial_text(mono)}"))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}{_monomial_text(m)}"
+        for m, c in sorted(form.terms.items(), key=order)
+    )
+    return "-" + text[2:] if text.startswith("-") else text[2:] or "0"
 
 
 class Half(Enum):
@@ -142,6 +135,9 @@ class ObstructionSystem:
     half: Half
     roots: tuple[LatticeVector, ...]
     obstructions: dict[Coords, FormalForm]
+
+    def __post_init__(self) -> None:
+        self.half = Half(self.half)
 
     @property
     def system(self) -> RootSystem:

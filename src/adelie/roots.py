@@ -147,7 +147,8 @@ def _edges(kind: str, rank: int) -> list[tuple[int, int]]:
     if kind == "E" and 6 <= rank <= 8:
         chain = [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][: rank - 2]
         return chain + [(1, 3)]
-    name = f"{kind}{rank}" if isinstance(kind, str) else f"kind {kind!r} with rank {rank}"
+    lettered = isinstance(kind, str) and kind.isalpha()
+    name = f"{kind}{rank}" if lettered else f"kind {kind!r} with rank {rank}"
     raise IllegalType(f"{name} is not an ADE Dynkin diagram: A1.., D3.., E6..E8")
 
 
@@ -191,16 +192,19 @@ def _positive_roots(
 
 
 class RootSystem:
-    """Immutable container for one ADE root system, A_n (n >= 1), D_n (n >= 3)
-    or E6-E8 up to rank MAX_SYSTEM_RANK; IllegalType for any other diagram,
-    NonIntegerRank for a rank that is not an integer and BudgetExceeded, before
-    any work, for one past MAX_SYSTEM_RANK.  :func:`build` caps A and D at
-    MAX_RANK and keeps one instance of each type; instances are equal iff kind
-    and rank are."""
+    """Immutable container for one ADE root system and the door for a (kind,
+    rank) pair: A_n (n >= 1), D_n (n >= 3) or E6-E8 up to rank MAX_SYSTEM_RANK;
+    IllegalType for any other diagram, NonIntegerRank for a rank that is not an
+    integer and BudgetExceeded, before any work, for one past MAX_SYSTEM_RANK.
+    :func:`build`, the door for a spec string, caps A and D at MAX_RANK and
+    keeps one instance of each type; instances are equal iff kind and rank are."""
 
     def __init__(self, kind: str, rank: int) -> None:
         self.kind = kind
-        self.rank = rank = _plain_rank(rank)
+        try:
+            self.rank = rank = index(rank)
+        except TypeError:
+            raise NonIntegerRank(f"rank {rank!r} is not an integer") from None
         if rank > MAX_SYSTEM_RANK:
             raise BudgetExceeded(f"rank {rank} past the RootSystem budget, rank {MAX_SYSTEM_RANK}")
         self.cartan = _cartan_matrix(kind, rank)
@@ -407,24 +411,13 @@ class RootSystem:
 
 
 def parse_type(spec: str) -> tuple[str, int]:
-    """Parse a case-insensitive series string such as "A3" or "e8"."""
+    """(kind, rank) of a case-insensitive spec such as "A3" or "e8", one of the
+    33 types that build admits: A and D are capped at MAX_RANK.  IllegalType
+    for a spec that is not a str or draws no admitted diagram."""
     m = isinstance(spec, str) and _SPEC_RE.match(spec.strip())
     if not m:
         raise IllegalType(f"unrecognised root system {spec!r}")
-    return _capped(m.group(1).upper(), int(m.group(2)))
-
-
-def _plain_rank(rank) -> int:
-    try:
-        return index(rank)
-    except TypeError:
-        raise NonIntegerRank(f"rank {rank!r} is not an integer") from None
-
-
-def _capped(kind: str, rank) -> tuple[str, int]:
-    """(kind, rank) once they draw a Dynkin diagram within MAX_RANK; only A (from
-    rank 1) and D (from 3) reach past 8, so the cap is read before _edges draws."""
-    rank = _plain_rank(rank)
+    kind, rank = m.group(1).upper(), int(m.group(2))
     if rank > MAX_RANK and kind in ("A", "D"):
         lo = 1 if kind == "A" else 3
         raise IllegalType(f"{kind}{rank} outside supported range {kind}{lo}..{kind}{MAX_RANK}")
@@ -437,11 +430,7 @@ def _build_cached(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
 
-def build(spec_or_kind: str, rank: int | None = None) -> RootSystem:
-    """Construct (and cache) a root system from "D4" or from ("D", 4)."""
-    if rank is None:
-        kind, rank = parse_type(spec_or_kind)
-    else:
-        kind = spec_or_kind.upper() if isinstance(spec_or_kind, str) else spec_or_kind
-        kind, rank = _capped(kind, rank)
-    return _build_cached(kind, rank)
+def build(spec: str) -> RootSystem:
+    """The cached root system of a spec such as "D4", read by parse_type; a
+    (kind, rank) pair is admitted by RootSystem(kind, rank)."""
+    return _build_cached(*parse_type(spec))

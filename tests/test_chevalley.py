@@ -595,8 +595,8 @@ def test_gate_payload_is_pinned(capsys, command, name):
 def _per_lo_first_failure(c, end=None):
     # the Jacobi sweep one smallest index lo at a time, below lo = end, each
     # step expanding the products of the triples (lo, mid, hi) alone: the
-    # oracle for the blocked sweep, which must return the same first failing
-    # triple
+    # oracle for the gate's sweep over owner slices, which must return the
+    # same first failing triple
     row, col, tgt, val = c.bracket_table
     dim = c.system.rank + len(c.system.all_roots)
     col_key = col * dim + row
@@ -651,7 +651,7 @@ def _flips(c, cells):
     ]
 
 
-def _assert_blocked_sweep_matches(flips, monkeypatch):
+def _assert_owner_sweep_matches(flips, monkeypatch):
     sweep = chevalley._jacobi_first_failure
     for bad in flips:
         expected = _gate(bad, _per_lo_first_failure, monkeypatch)
@@ -660,19 +660,19 @@ def _assert_blocked_sweep_matches(flips, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
-def test_blocked_sweep_matches_the_per_lo_sweep_on_every_flip(name, monkeypatch):
+def test_owner_sweep_matches_the_per_lo_sweep_on_every_flip(name, monkeypatch):
     c = build_constants(build(name))
     cells = [(a, b) for a, b, _ in c.nonzero_entries()]
-    _assert_blocked_sweep_matches(_flips(c, cells), monkeypatch)
+    _assert_owner_sweep_matches(_flips(c, cells), monkeypatch)
 
 
-def test_blocked_sweep_matches_the_per_lo_sweep_on_e8_cells(monkeypatch):
+def test_owner_sweep_matches_the_per_lo_sweep_on_e8_cells(monkeypatch):
     c = build_constants(build("E8"))
     cells = random.Random(8).sample([(a, b) for a, b, _ in c.nonzero_entries()], 12)
-    _assert_blocked_sweep_matches(_flips(c, cells), monkeypatch)
+    _assert_owner_sweep_matches(_flips(c, cells), monkeypatch)
 
 
-def test_blocked_sweep_on_clean_tables():
+def test_owner_sweep_on_clean_tables():
     for name in ("A1", "A3", "D4", "E6"):
         c = build_constants(build(name))
         assert chevalley._jacobi_first_failure(c) is None
@@ -731,7 +731,7 @@ def test_each_owner_slice_holds_the_cells_of_that_owner(name):
 SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + ["E6", "E7", "E8"]
 
 
-def _swept_ranges(c, monkeypatch):
+def _sweep_ends(c, monkeypatch):
     # the gate's first failing triple on c, and the end of each sweep it ran:
     # a sweep expands the owners below its end
     ends, sweep = [], chevalley._jacobi_sweep
@@ -751,7 +751,7 @@ def test_the_certificate_holds_and_the_sweep_stops_at_the_simple_roots(name, mon
     assert sorted(a.coords for a in rs.all_roots[:rs.rank]) == sorted(
         a.coords for a in rs.simple_roots)
     assert chevalley._jacobi_certified(c)
-    assert _swept_ranges(c, monkeypatch) == (None, [2 * rs.rank])
+    assert _sweep_ends(c, monkeypatch) == (None, [2 * rs.rank])
 
 
 def _rescaled(c, u):
@@ -773,7 +773,7 @@ def test_a_valid_table_off_the_involution_passes_through_the_continued_sweep(
     for u in (0, len(rs.positive_roots) - 1):
         bad = _rescaled(c, u)
         assert not chevalley._jacobi_certified(bad)
-        assert _swept_ranges(bad, monkeypatch) == (None, [dim])
+        assert _sweep_ends(bad, monkeypatch) == (None, [dim])
         rep = verify_chevalley(_rescaled(c, u))
         assert (rep.violations, rep.checked) == ([], verify_chevalley(c).checked)
 
@@ -785,7 +785,7 @@ def test_continued_sweep_on_clean_tables(monkeypatch):
     for name in ("A1", "A3", "D4", "E6"):
         c = build_constants(build(name))
         dim = c.system.rank + len(c.system.all_roots)
-        assert _swept_ranges(c, monkeypatch) == (None, [dim])
+        assert _sweep_ends(c, monkeypatch) == (None, [dim])
 
 
 def _tampered(c):

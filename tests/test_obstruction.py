@@ -197,6 +197,18 @@ def test_a_value_that_names_no_half_is_refused_at_each_door(bad):
             door()
 
 
+def test_a_system_reads_its_half_where_it_is_made():
+    # a system replaced with half="positive" once stored the str, and
+    # system_text and check_bianchi raised a bare AttributeError on it
+    system = build_system(build_constants(build("A2")), Half.POSITIVE)
+    named = dataclasses.replace(system, half="positive")
+    assert named.half is Half.POSITIVE
+    assert system_text(named) == system_text(system)
+    assert check_bianchi(named).ok
+    with pytest.raises(IllegalType, match="unknown half 'up'"):
+        dataclasses.replace(system, half="up")
+
+
 def test_system_a2_positive():
     sys = build_system(build_constants(build("A2")), Half.POSITIVE)
     e = sys.obstructions

@@ -1,7 +1,8 @@
-"""Two refusal tables: every public callable that reads a weight or a root
-refuses what is not a LatticeVector of its system's rank, and every integer
+"""Three refusal tables: every public callable that reads a weight or a root
+refuses what is not a LatticeVector of its system's rank, every integer
 parameter (a rank, an index, a degree, a bound) refuses what is not an
-integer, each with an AdelieError.
+integer, each with an AdelieError, and RootSystem refuses every kind that is
+not A, D or E with an IllegalType that names it.
 
 RootSystem checks a vector argument in one place, and every function below
 reaches the system through its basis conversions, so none needs a check of
@@ -17,7 +18,7 @@ import pytest
 
 from adelie import batch, chevalley, cotangent, flag, surface
 from adelie.chevalley import LieElement, build_constants
-from adelie.errors import AdelieError, BasisMismatch, BudgetExceeded
+from adelie.errors import AdelieError, BasisMismatch, BudgetExceeded, IllegalType
 from adelie.roots import MAX_SYSTEM_RANK, RootSystem, build, root_vector, weight_vector
 from adelie.verify import cotangent_h2_oracle, flag_h2_oracle
 
@@ -134,7 +135,6 @@ NOT_INTEGERS = {"None": None, "str": "1", "float": 1.5, "integral float": 1.0}
 # name, and the call with the value v in one integer position
 INTEGER_CALLS = {
     "roots.RootSystem[rank]": lambda v: RootSystem("A", v),
-    "roots.build[rank]": lambda v: build("A", v),
     "roots.RootSystem.reflect_simple": lambda v: RS.reflect_simple(ZERO, v),
     "flag.schubert_restriction_degree": lambda v: flag.schubert_restriction_degree(RS, ZERO, v),
     "surface.ResolutionLattice.curve": lambda v: LATTICE.curve(v),
@@ -173,6 +173,28 @@ def test_every_integer_argument_is_refused_with_an_adelie_error(name, bad):
         return
     with pytest.raises(AdelieError):
         call(NOT_INTEGERS[bad])
+
+
+# kinds that RootSystem refuses at rank 3, and how its message names each: a
+# kind of letters beside the rank, any other by its repr
+KINDS = {
+    "None": (None, "kind None with rank 3"),
+    "int": (3, "kind 3 with rank 3"),
+    "float": (1.5, "kind 1.5 with rank 3"),
+    "tuple": (("A",), "kind ('A',) with rank 3"),
+    "lower case": ("a", "a3"),
+    "B": ("B", "B3"),
+    "two letters": ("AD", "AD3"),
+    "empty": ("", "kind '' with rank 3"),
+}
+
+
+@pytest.mark.parametrize("name", KINDS, ids=str)
+def test_every_other_kind_is_refused_by_name(name):
+    kind, named = KINDS[name]
+    with pytest.raises(IllegalType) as exc:
+        RootSystem(kind, 3)
+    assert str(exc.value) == f"{named} is not an ADE Dynkin diagram: A1.., D3.., E6..E8"
 
 
 def test_a_root_of_another_rank_has_no_height():

@@ -19,6 +19,7 @@ from adelie._exact import int_adjugate
 from adelie.errors import (
     AdelieError,
     BasisMismatch,
+    BudgetExceeded,
     DependentRoots,
     IllegalType,
     ImmutableVector,
@@ -273,14 +274,19 @@ def test_parse_type():
             parse_type(bad)
     # a kind or spec that is not a str once raised a bare AttributeError, and
     # a kind that is not a str is named by its repr, apart from the rank
-    for args, message in (
-        (("A", 20), "A20 outside supported range A1..A16"),
-        ((None, 3), "kind None with rank 3 is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
-        ((3, 3), "kind 3 with rank 3 is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
-        ((None,), "unrecognised root system None"),
+    for make, message in (
+        (lambda: build("A20"), "A20 outside supported range A1..A16"),
+        (lambda: RootSystem(None, 3),
+         "kind None with rank 3 is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
+        (lambda: RootSystem(3, 3),
+         "kind 3 with rank 3 is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
+        (lambda: build(None), "unrecognised root system None"),
+        (lambda: build("B2"), "unrecognised root system 'B2'"),
+        (lambda: build("D2"), "D2 is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
+        (lambda: build("E9"), "E9 is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
     ):
         with pytest.raises(IllegalType) as exc:
-            build(*args)
+            make()
         assert str(exc.value) == message
 
 
@@ -290,30 +296,30 @@ def test_parse_type():
     ("E", "E{} is not an ADE Dynkin diagram: A1.., D3.., E6..E8"),
 ], ids=["A", "D", "E"])
 def test_a_type_past_the_cap_is_refused_before_its_diagram_is_drawn(kind, message):
-    # build drew the whole edge list before it read the cap, then drew the
-    # diagrams of ranks 1, 2, ... for the least rank of its message:
-    # build("A", 10 ** 5) peaked at 12 MiB before it refused
-    for rank in (17, 10 ** 5):
-        tracemalloc.start()
-        try:
-            with pytest.raises(IllegalType) as exc:
-                build(kind, rank)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(exc.value) == message.format(rank)
-        assert peak < 2 ** 20
+    # a spec's rank has at most two digits, so build never draws a large
+    # diagram; a rank such as 10 ** 5, which no spec names, RootSystem
+    # refuses by its budget before any work
+    tracemalloc.start()
+    try:
+        with pytest.raises(IllegalType) as exc:
+            build(f"{kind}17")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message.format(17)
+    assert peak < 2 ** 20
+    with pytest.raises(BudgetExceeded):
+        RootSystem(kind, 10 ** 5)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, Fraction(3), "3", 2.0])
 def test_rank_must_be_an_integer(bad):
-    # build("A", 2.5) and RootSystem("A", 2.5) used to fail with a bare
-    # TypeError from deep in the Cartan build
-    for make in (build, RootSystem):
-        with pytest.raises(NonIntegerRank) as exc:
-            make("A", bad)
-        assert isinstance(exc.value, TypeError)
-        assert isinstance(exc.value, AdelieError)
+    # RootSystem("A", 2.5) used to fail with a bare TypeError from deep in
+    # the Cartan build
+    with pytest.raises(NonIntegerRank) as exc:
+        RootSystem("A", bad)
+    assert isinstance(exc.value, TypeError)
+    assert isinstance(exc.value, AdelieError)
 
 
 @pytest.mark.parametrize("kind,rank", [
@@ -333,17 +339,17 @@ def test_build_keeps_one_instance_of_every_supported_type():
     # over all of them evicts none
     systems = [build(name) for name in SUPPORTED]
     assert all(build(name) is rs for name, rs in zip(SUPPORTED, systems))
+    assert all(build(name.lower()) is rs for name, rs in zip(SUPPORTED, systems))
     assert _build_cached.cache_info().maxsize == len(SUPPORTED) == 33
 
 
 def test_numpy_integer_rank_converts_exactly():
     import numpy as np
 
-    # A13 is built nowhere else, so the cached system is this call's
-    rs = build("A", np.int64(13))
-    assert rs is build("A13")
+    rs = RootSystem("A", np.int64(13))
+    assert rs == build("A13")
     assert type(rs.rank) is int
-    assert build("A", np.int8(3)) is build("A3")
+    assert RootSystem("A", np.int8(3)) == build("A3")
 
 
 def test_vector_arithmetic_guards():

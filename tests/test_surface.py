@@ -120,6 +120,17 @@ def test_divisor_to_root_rejects_wrong_square():
         divisor_to_root(lat, DivisorClass((1, -1)))  # square -6
 
 
+def test_divisor_to_root_rejects_a_minus_two_class_that_is_no_root():
+    # on a forged lattice whose form is not the negated Cartan matrix,
+    # (1, -1) squares to -2 but is not a root of A2
+    lat = ResolutionLattice(build("A2"), ((-2, -1), (-1, -2)))
+    d = DivisorClass((1, -1))
+    assert lat.self_intersection(d) == -2
+    with pytest.raises(NotARootClass) as exc:
+        divisor_to_root(lat, d)
+    assert str(exc.value) == "DivisorClass(1, -1) does not match a root of A2"
+
+
 def test_minus_two_classes_match_roots():
     for name in SUPPORTED:
         rs = build(name)
