@@ -28,7 +28,6 @@ euler_characteristic_graded here imports it inside and delegates.
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heappop, heappush
 from operator import index
 from typing import NamedTuple
 
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .flag import dominant_conjugate
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, root_vector, weight_vector
+from .roots import LatticeVector, RootSystem, checked_system, root_vector, weight_vector
 
 # cap on the dominant weights one interval walk may keep
 _POINT_BUDGET = 2 * 10 ** 4
@@ -50,7 +49,7 @@ _POINT_BUDGET = 2 * 10 ** 4
 
 def dominance_leq(rs: RootSystem, mu: LatticeVector, nu: LatticeVector) -> bool:
     """True when nu - mu is a non-negative integer combination of simple roots."""
-    diff = rs.to_weight_basis(nu) - rs.to_weight_basis(mu)
+    diff = checked_system(rs).to_weight_basis(nu) - rs.to_weight_basis(mu)
     try:
         return all(x >= 0 for x in rs.to_root_basis(diff).coords)
     except NotInRootLattice:
@@ -63,18 +62,28 @@ def lambda_plus(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
 
 
 @lru_cache(maxsize=64)
-def _packed_steps(rs: RootSystem, width: int) -> tuple[tuple[int, int], ...]:
-    """(packed step, height) of every positive root for fields of width bits.
+def _packed_steps(rs: RootSystem, width: int):
+    """guard, ones, weight_guard and each positive root's (packed step,
+    height) and need, for fields of width bits.
 
     A point packs its weight coordinates w_i into fields 0..rank-1 and its
-    slack d_i - c_i into field 2 rank - 1 - i, so adding a root beta adds
-    beta's weight coordinates and subtracts its root coordinates.
+    slack d_i - c_i into field 2 rank - 1 - i, each offset by half, so adding
+    a root beta adds beta's weight coordinates and subtracts its root
+    coordinates.  guard holds half in every field and weight_guard in each
+    weight field, ones 1 in each weight field, and a step's need half in each
+    weight field where beta's coordinate is -1, its least.
     """
-    out = []
+    half = 1 << (width - 1)
+    ones = sum(1 << (width * f) for f in range(rs.rank))
+    weight_guard = half * ones
+    steps, needs = [], []
     for a in rs.positive_roots:
-        fields = list(rs.to_weight_basis(a).coords) + [-v for v in reversed(a.coords)]
-        out.append((sum(v << (width * f) for f, v in enumerate(fields)), sum(a.coords)))
-    return tuple(out)
+        w = rs.to_weight_basis(a).coords
+        fields = w + tuple(-v for v in reversed(a.coords))
+        steps.append((sum(v << (width * f) for f, v in enumerate(fields)), sum(a.coords)))
+        needs.append(sum(half << (width * f) for f, v in enumerate(w) if v < 0))
+    guard = weight_guard + (weight_guard << (width * rs.rank))
+    return guard, ones, weight_guard, tuple(steps), tuple(needs)
 
 
 def _least_action(rs: RootSystem, lam: LatticeVector):
@@ -83,7 +92,8 @@ def _least_action(rs: RootSystem, lam: LatticeVector):
 
     Firing adds alpha_i while coordinate i is negative, ceil(-w_i / 2) times
     at once, and never passes the least such c (least action), so it stops at
-    lambda*.  lambda+ is one such c, so passing d is a bug.
+    lambda*.  lambda+ is one such c, so passing d is a bug.  alpha_i adds 2
+    to coordinate i and takes 1 from each of i's neighbours.
     """
     plus = lambda_plus(rs, lam)
     d = rs.to_root_basis(plus - lam).coords
@@ -91,20 +101,24 @@ def _least_action(rs: RootSystem, lam: LatticeVector):
         raise ConstructionFailure(
             f"{rs.name}: dominant conjugate {plus} does not dominate {lam}"
         )
+    neighbours = rs.neighbours
     c = [0] * rs.rank
     w = list(lam.coords)
     while True:
-        i = next((i for i, v in enumerate(w) if v < 0), None)
-        if i is None:
+        for i, v in enumerate(w):
+            if v < 0:
+                break
+        else:
             return plus, d, c, w
-        k = (1 - w[i]) // 2
+        k = (1 - v) // 2
         c[i] += k
         if c[i] > d[i]:
             raise ConstructionFailure(
                 f"{rs.name}: firing from {lam} passes {plus} at coordinate {i + 1}"
             )
-        for j, v in enumerate(rs.cartan[i]):
-            w[j] += k * v
+        w[i] += 2 * k
+        for j in neighbours[i]:
+            w[j] -= k
 
 
 class ChtReport(NamedTuple):
@@ -128,7 +142,7 @@ class ChtReport(NamedTuple):
 
 def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     """Chain height of lam, with the interval data and a witness chain."""
-    lam = rs.to_weight_basis(lam)
+    lam = checked_system(rs).to_weight_basis(lam)
     plus, d, c_star, w_star = _least_action(rs, lam)
 
     # Walk up from lambda* by positive roots, keeping the dominant points
@@ -137,48 +151,62 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     # values stay within (-half, half), so adding a step never carries.
     width = (max(plus.coords) + sum(d) + 8).bit_length() + 1
     half = 1 << (width - 1)
-    guard = sum(half << (width * f) for f in range(2 * rs.rank))
+    guard, ones, weight_guard, steps, needs = _packed_steps(rs, width)
     slack = [dv - cv for dv, cv in zip(d, c_star)]
     fields = w_star + slack[::-1]
     start = guard + sum(v << (width * f) for f, v in enumerate(fields))
-    steps = _packed_steps(rs, width)
 
-    # Pop the points in the order (height, lexicographic c): the slack fields
-    # lead the key with coordinate 1 on top, so a larger key is a smaller c.
-    # Every predecessor of a point is lower, so it is popped before the point
-    # and best is final when the point is popped; a point's parent is the
-    # first popped of its predecessors with the longest path.
+    # Visit the points by height, one layer at a time (layers holds at most
+    # one height for each root height above the current one), each layer by
+    # descending key, that is by lexicographic c: the slack fields lead the
+    # key with coordinate 1 on top.  Every predecessor of a point is lower,
+    # so a layer is whole when its height is popped and best is final when a
+    # point is visited.  A point tries only the steps whose need lies in its
+    # pattern, the top bits of its weight fields with w_i >= 1 (no field of
+    # key - ones borrows, as each is at least half); usable keeps each
+    # pattern's steps, and the guard checks every sum.
     best = {start: 0}
-    parent = {start: None}
-    heap = [(0, -start)]
-    while heap:
-        h, key = heappop(heap)
-        key = -key
-        up = best[key] + 1
-        for step, dh in steps:
-            nxt = key + step
-            if nxt & guard != guard:
-                continue
-            old = best.get(nxt)
-            if old is None:
-                if len(best) == _POINT_BUDGET:
-                    raise BudgetExceeded(
-                        f"{rs.name} {lam}: interval walk kept {len(best)} "
-                        f"dominant weights (cap {_POINT_BUDGET}) and reached "
-                        f"height {h} of {int_text(sum(slack))} above lambda*"
-                    )
-                heappush(heap, (h + dh, -nxt))
-            elif old >= up:
-                continue
-            best[nxt] = up
-            parent[nxt] = key
+    layers = {0: [start]}
+    usable = {}
+    while layers:
+        h = min(layers)
+        layer = layers.pop(h)
+        layer.sort(reverse=True)
+        for key in layer:
+            up = best[key] + 1
+            pattern = (key - ones) & weight_guard
+            tried = usable.get(pattern)
+            if tried is None:
+                tried = usable[pattern] = tuple(
+                    step for step, need in zip(steps, needs) if need & pattern == need
+                )
+            for step, dh in tried:
+                nxt = key + step
+                if nxt & guard != guard:
+                    continue
+                old = best.get(nxt)
+                if old is None:
+                    if len(best) == _POINT_BUDGET:
+                        raise BudgetExceeded(
+                            f"{rs.name} {lam}: interval walk kept {len(best)} "
+                            f"dominant weights (cap {_POINT_BUDGET}) and reached "
+                            f"height {h} of {int_text(sum(slack))} above lambda*"
+                        )
+                    layers.setdefault(h + dh, []).append(nxt)
+                elif old >= up:
+                    continue
+                best[nxt] = up
 
-    # lambda+ is the top of the interval, so it alone ends a longest chain
-    top = max(best, key=best.__getitem__)
-    path = []
-    while top is not None:
-        path.append(top)
-        top = parent[top]
+    # lambda+ is the top of the interval, so it alone ends a longest chain.
+    # Below each point the witness steps to its parent, the first visited of
+    # its predecessors one shorter: the lowest, then the largest key.  A key
+    # less a step is in best only when it is a predecessor, as no sum carries.
+    key = max(best, key=best.__getitem__)
+    path = [key]
+    while best[key]:
+        below = best[key] - 1
+        key = max((dh, key - step) for step, dh in steps if best.get(key - step) == below)[1]
+        path.append(key)
 
     mask = (1 << width) - 1
 
@@ -199,7 +227,7 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
 
 def lambda_star(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
     """The unique minimal dominant weight above lam in dominance order."""
-    return weight_vector(*_least_action(rs, rs.to_weight_basis(lam))[3])
+    return weight_vector(*_least_action(rs, checked_system(rs).to_weight_basis(lam))[3])
 
 
 class CotangentVerdict(NamedTuple):
@@ -262,6 +290,7 @@ def verify_chain_criterion(
     is one point, that is when the firing stops at lambda+ (c = d in
     _least_action), so the check reads the firing and walks no interval.
     """
+    checked_system(rs)
     radius = _bound("radius", radius)
     cap = rs.rank if max_support is None else _bound("max_support", max_support)
     rep = VerificationReport(name=f"chain-criterion-{rs.name}")
@@ -284,7 +313,7 @@ def negative_root_descent(rs: RootSystem, lam: LatticeVector) -> tuple[LatticeVe
     (RootSystem.descent), the least one pairing to -1 whose sum stays a root;
     the chain has height-many entries and every entry is a negative root.
     """
-    if not rs.is_root(lam) or rs.is_positive_root(lam):
+    if not checked_system(rs).is_root(lam) or rs.is_positive_root(lam):
         raise NotARootClass(f"{lam} is not a negative root")
     cur = rs.to_root_basis(lam).coords
     chain = [cur]
@@ -298,7 +327,7 @@ def verify_descent(rs: RootSystem) -> VerificationReport:
     """Every negative root descends to a negated simple root: the chain of
     negative_root_descent, one simple root added per step, holds only
     negative roots and ends at a negated simple root."""
-    rep = VerificationReport(name=f"descent-{rs.name}")
+    rep = VerificationReport(name=f"descent-{checked_system(rs).name}")
     negatives = set(rs.all_roots[len(rs.positive_roots):])
     ends = {-s for s in rs.simple_roots}
     longest = 0
@@ -326,6 +355,7 @@ def euler_characteristic_graded(
     the same name and signature, which documents it and its refusals; it is
     imported here, so that cht and the other numpy-free commands neither
     import numpy nor compile it."""
+    checked_system(rs)
     from .batch import euler_characteristic_graded as kernel
 
     return kernel(rs, lam, degree, max_terms)

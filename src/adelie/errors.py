@@ -24,6 +24,10 @@ class NonIntegerRank(AdelieError, TypeError):
     """Root system rank that is not an integer (a float, Fraction or str)."""
 
 
+class NotARootSystem(AdelieError, TypeError):
+    """Root system argument that is not a RootSystem (a spec string or None)."""
+
+
 class ImmutableVector(AdelieError, AttributeError):
     """Attempt to change or delete a coordinate or the basis of a lattice vector."""
 

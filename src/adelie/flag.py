@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import ConstructionFailure, NotDominant
 from .report import VerificationReport
-from .roots import Basis, LatticeVector, RootSystem, checked_index
+from .roots import Basis, LatticeVector, RootSystem, checked_index, checked_system
 
 ALL_VANISH = "AllVanish"
 CONCENTRATED = "Concentrated"
@@ -48,12 +48,12 @@ class CohomologyVerdict(NamedTuple):
 
 def is_singular(rs: RootSystem, mu: LatticeVector) -> bool:
     """True when mu is orthogonal to some positive root."""
-    return 0 in rs.positive_pairings(mu)
+    return 0 in checked_system(rs).positive_pairings(mu)
 
 
 def index(rs: RootSystem, mu: LatticeVector) -> int:
     """Number of positive roots pairing strictly negatively with mu."""
-    return sum(1 for p in rs.positive_pairings(mu) if p < 0)
+    return sum(1 for p in checked_system(rs).positive_pairings(mu) if p < 0)
 
 
 def dominant_conjugate(
@@ -65,19 +65,23 @@ def dominant_conjugate(
     Each such reflection turns exactly one positive root's pairing from
     negative to positive and permutes the rest, so the loop runs exactly
     index(rs, mu) times; the returned word lists 1-based simple-reflection
-    indices in application order.  s_i subtracts mu_i times the Cartan row
-    of i, the weight coordinates of alpha_i, as the firing of
-    cotangent._least_action adds it.
+    indices in application order.  s_i subtracts mu_i times the weight
+    coordinates of alpha_i, as the firing of cotangent._least_action adds
+    them: it negates coordinate i and adds mu_i to i's neighbours, the only
+    other coordinates that alpha_i moves.
     """
+    neighbours = checked_system(rs).neighbours
     cur = list(rs.to_weight_basis(mu).coords)
     word: list[int] = []
     while True:
-        i = next((k for k, v in enumerate(cur) if v < 0), None)
-        if i is None:
+        for i, k in enumerate(cur):
+            if k < 0:
+                break
+        else:
             return LatticeVector(tuple(cur), Basis.FUNDAMENTAL_WEIGHT), tuple(word)
-        k = cur[i]
-        for j, v in enumerate(rs.cartan[i]):
-            cur[j] -= k * v
+        cur[i] = -k
+        for j in neighbours[i]:
+            cur[j] += k
         word.append(i + 1)
 
 
@@ -86,7 +90,7 @@ def weyl_dim(rs: RootSystem, mu: LatticeVector) -> int:
 
     Exact integer product formula; mu must be dominant.
     """
-    mu = rs.to_weight_basis(mu)
+    mu = checked_system(rs).to_weight_basis(mu)
     if not rs.is_dominant(mu):
         raise NotDominant(f"{mu} is not dominant")
     num = prod(rs.positive_pairings(mu + rs.rho()))
@@ -101,7 +105,7 @@ def weyl_dim(rs: RootSystem, mu: LatticeVector) -> int:
 
 def bwb(rs: RootSystem, lam: LatticeVector) -> CohomologyVerdict:
     """Full cohomology verdict for the line bundle attached to the weight lam."""
-    lam = rs.to_weight_basis(lam)
+    lam = checked_system(rs).to_weight_basis(lam)
     shifted = lam + rs.rho()
     if is_singular(rs, shifted):
         return CohomologyVerdict(status=ALL_VANISH)
@@ -123,20 +127,20 @@ def euler_characteristic(rs: RootSystem, lam: LatticeVector) -> int:
 
 def schubert_restriction_degree(rs: RootSystem, lam: LatticeVector, i: int) -> int:
     """Degree of the lam-line bundle on the i-th simple Schubert curve (1-based)."""
-    i = checked_index(i, 1, rs.rank, "curve index")
+    i = checked_index(i, 1, checked_system(rs).rank, "curve index")
     return rs.to_weight_basis(lam).coords[i - 1]
 
 
 def triviality_criterion(rs: RootSystem, lam: LatticeVector) -> bool:
     """True when the lam-line bundle is trivial: lam is the zero weight, so
     every restriction to a simple Schubert curve has degree zero."""
-    return rs.to_weight_basis(lam).is_zero()
+    return checked_system(rs).to_weight_basis(lam).is_zero()
 
 
 def verify_root_cohomology(rs: RootSystem) -> VerificationReport:
     """Sweep every root weight: no cohomology above degree one, and degree one
     occurs exactly for the negatives of simple roots, always one-dimensionally."""
-    rep = VerificationReport(name=f"root-cohomology-{rs.name}")
+    rep = VerificationReport(name=f"root-cohomology-{checked_system(rs).name}")
     simples = set(r.coords for r in rs.simple_roots)
     first_degree = 0
     for a in rs.all_roots:
@@ -165,7 +169,7 @@ def verify_root_cohomology(rs: RootSystem) -> VerificationReport:
 def verify_index_bound(rs: RootSystem) -> VerificationReport:
     """Every nonsingular rho-shift of a root has index at most one, and root
     weights stay within the small coordinate boxes that force that bound."""
-    rep = VerificationReport(name=f"index-bound-{rs.name}")
+    rep = VerificationReport(name=f"index-bound-{checked_system(rs).name}")
     rho = rs.rho()
     simples = set(r.coords for r in rs.simple_roots)
     for a in rs.all_roots:

@@ -27,6 +27,7 @@ from .errors import (
     NonIntegerCoordinate,
     NonIntegerRank,
     NotARootClass,
+    NotARootSystem,
     NotInRootLattice,
 )
 
@@ -208,6 +209,11 @@ class RootSystem:
         if rank > MAX_SYSTEM_RANK:
             raise BudgetExceeded(f"rank {rank} past the RootSystem budget, rank {MAX_SYSTEM_RANK}")
         self.cartan = _cartan_matrix(kind, rank)
+        # the nodes joined to each node, the -1 entries of its Cartan row: a
+        # reflection or a firing at node i changes coordinate i and these
+        self.neighbours: tuple[tuple[int, ...], ...] = tuple(
+            tuple(j for j, v in enumerate(row) if v < 0) for row in self.cartan
+        )
         # a Dynkin diagram's Cartan matrix is positive definite: the adjugate exists
         minors, _, adjugate = int_adjugate(self.cartan)
         self._det = minors[-1]
@@ -408,6 +414,14 @@ class RootSystem:
 
     def is_dominant(self, v: LatticeVector) -> bool:
         return all(c >= 0 for c in self.to_weight_basis(v).coords)
+
+
+def checked_system(rs) -> RootSystem:
+    """rs when it is a RootSystem; NotARootSystem for anything else, so an
+    engine that reads a system refuses a spec string or None by type."""
+    if isinstance(rs, RootSystem):
+        return rs
+    raise NotARootSystem(f"{rs!r} is not a RootSystem")
 
 
 def parse_type(spec: str) -> tuple[str, int]:

@@ -587,6 +587,35 @@ def test_exit_two_when_a_budget_message_names_a_weight_too_long_to_print(
     )
 
 
+# the case above in a child whose address space is capped at 512 MB: the
+# interval walk sizes nothing by the interval's height, which has 4,301
+# digits here, so a table sized by it fails this test by MemoryError instead
+# of filling the machine's memory
+_CAPPED_BUDGET_CHILD = """
+import resource, sys
+limit, hard = 512 * 2 ** 20, resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+from adelie import cotangent
+from adelie.cli import main
+cotangent._POINT_BUDGET = 50
+sys.exit(main(["cht", "A2", "--basis", "root", "--", str(1 - 10 ** 4300), "0"]))
+"""
+
+
+@needs_print_limit
+def test_a_budget_walk_of_huge_height_runs_in_bounded_memory():
+    pytest.importorskip("resource")
+    child = subprocess.run(
+        [sys.executable, "-c", _CAPPED_BUDGET_CHILD],
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
+    )
+    assert (child.returncode, child.stdout) == (2, ""), child.stderr
+    assert child.stderr.endswith(
+        "interval walk kept 50 dominant weights (cap 50) and reached height 14 of "
+        "<4301 digits> above lambda*\n"
+    )
+
+
 @needs_print_limit
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_budget_message_for_a_count_too_long_to_print(capsys, fmt):

@@ -4,8 +4,10 @@ import inspect
 import random
 import time
 from collections import Counter
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement, product
 from math import comb, prod
+from operator import add
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from adelie import batch, build, cotangent, root_vector, weight_vector
 from adelie.chevalley import build_constants, verify_chevalley
 from adelie.cotangent import (
+    ChtReport,
     cht,
     cotangent_verdict,
     dominance_leq,
@@ -70,6 +73,49 @@ def brute_cht(rs, lam):
         return 1 + max((depth(o) for o in succ), default=-1)
 
     return max(depth(m) for m in pts)
+
+
+def reference_cht(rs, lam):
+    """The walk before height layers and step patterns, on plain tuples: a
+    heap over (height, c) pops the points, every positive root is tried at
+    every point, and lambda+ and lambda* come from whole Cartan rows."""
+    lam = plus = rs.to_weight_basis(lam)
+    while not rs.is_dominant(plus):
+        plus = rs.reflect_simple(plus, next(i for i, v in enumerate(plus.coords) if v < 0))
+    d = rs.to_root_basis(plus - lam).coords
+    c, w = [0] * rs.rank, list(lam.coords)
+    while min(w) < 0:
+        i = next(i for i, v in enumerate(w) if v < 0)
+        k = (1 - w[i]) // 2
+        c[i] += k
+        w = [a + k * b for a, b in zip(w, rs.cartan[i])]
+    star = tuple(c)
+    steps = [(a.coords, rs.to_weight_basis(a).coords) for a in rs.positive_roots]
+    best, parent, weight = {star: 0}, {star: None}, {star: tuple(w)}
+    heap = [(sum(star), star)]
+    while heap:
+        h, c = heappop(heap)
+        for dc, dw in steps:
+            nc, nw = tuple(map(add, c, dc)), tuple(map(add, weight[c], dw))
+            if min(nw) < 0 or any(map(int.__gt__, nc, d)):
+                continue
+            if nc not in best:
+                heappush(heap, (h + sum(dc), nc))
+            elif best[nc] > best[c]:
+                continue
+            best[nc], parent[nc], weight[nc] = best[c] + 1, c, nw
+    top, chain = max(best, key=best.__getitem__), []
+    while top is not None:
+        chain.append(weight_vector(*weight[top]))
+        top = parent[top]
+    return ChtReport(
+        value=len(chain) - 1,
+        lambda_star=chain[-1],
+        lambda_plus=plus,
+        shift=sum(d) - sum(star),
+        chain=tuple(reversed(chain)),
+        interval_points=len(best),
+    )
 
 
 def test_dominance_basic():
@@ -159,6 +205,22 @@ def test_chain_is_strictly_increasing():
 
 def _ball(rank, radius):
     return [weight_vector(*c) for c in product(range(-radius, radius + 1), repeat=rank)]
+
+
+@pytest.mark.parametrize("name,radius", [("A2", 3), ("A3", 3), ("D4", 1), ("A4", 1), ("E6", 1)])
+def test_cht_is_the_reference_walk_on_a_ball(name, radius):
+    # the whole report, the witness chain's tie-break included; the radius-3
+    # balls hold the radius-2 ones
+    rs = build(name)
+    for lam in _ball(rs.rank, radius):
+        assert cht(rs, lam) == reference_cht(rs, lam), lam
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_cht_is_the_reference_walk_on_every_root(name):
+    rs = build(name)
+    for a in rs.all_roots:
+        assert cht(rs, a) == reference_cht(rs, a), a
 
 
 @pytest.mark.parametrize(

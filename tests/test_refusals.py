@@ -1,8 +1,10 @@
-"""Three refusal tables: every public callable that reads a weight or a root
+"""Four refusal tables: every public callable that reads a weight or a root
 refuses what is not a LatticeVector of its system's rank, every integer
 parameter (a rank, an index, a degree, a bound) refuses what is not an
-integer, each with an AdelieError, and RootSystem refuses every kind that is
-not A, D or E with an IllegalType that names it.
+integer, each with an AdelieError, every function of flag and cotangent
+refuses a system that is not a RootSystem with NotARootSystem, and
+RootSystem refuses every kind that is not A, D or E with an IllegalType that
+names it.
 
 RootSystem checks a vector argument in one place, and every function below
 reaches the system through its basis conversions, so none needs a check of
@@ -18,7 +20,13 @@ import pytest
 
 from adelie import batch, chevalley, cotangent, flag, surface
 from adelie.chevalley import LieElement, build_constants
-from adelie.errors import AdelieError, BasisMismatch, BudgetExceeded, IllegalType
+from adelie.errors import (
+    AdelieError,
+    BasisMismatch,
+    BudgetExceeded,
+    IllegalType,
+    NotARootSystem,
+)
 from adelie.roots import MAX_SYSTEM_RANK, RootSystem, build, root_vector, weight_vector
 from adelie.verify import cotangent_h2_oracle, flag_h2_oracle
 
@@ -173,6 +181,62 @@ def test_every_integer_argument_is_refused_with_an_adelie_error(name, bad):
         return
     with pytest.raises(AdelieError):
         call(NOT_INTEGERS[bad])
+
+
+# what stands in for a RootSystem: a spec string, None and a lattice, each
+# refused by roots.checked_system before any work
+NOT_SYSTEMS = {"spec": "A2", "None": None, "lattice": LATTICE}
+
+# name, and the call with the value s in the RootSystem position
+SYSTEM_CALLS = {
+    "flag.is_singular": lambda s: flag.is_singular(s, ZERO),
+    "flag.index": lambda s: flag.index(s, ZERO),
+    "flag.dominant_conjugate": lambda s: flag.dominant_conjugate(s, ZERO),
+    "flag.weyl_dim": lambda s: flag.weyl_dim(s, ZERO),
+    "flag.bwb": lambda s: flag.bwb(s, ZERO),
+    "flag.euler_characteristic": lambda s: flag.euler_characteristic(s, ZERO),
+    "flag.schubert_restriction_degree": lambda s: flag.schubert_restriction_degree(s, ZERO, 1),
+    "flag.triviality_criterion": lambda s: flag.triviality_criterion(s, ZERO),
+    "flag.verify_root_cohomology": lambda s: flag.verify_root_cohomology(s),
+    "flag.verify_index_bound": lambda s: flag.verify_index_bound(s),
+    "cotangent.dominance_leq": lambda s: cotangent.dominance_leq(s, ZERO, ZERO),
+    "cotangent.lambda_plus": lambda s: cotangent.lambda_plus(s, ZERO),
+    "cotangent.cht": lambda s: cotangent.cht(s, ZERO),
+    "cotangent.lambda_star": lambda s: cotangent.lambda_star(s, ZERO),
+    "cotangent.cotangent_verdict": lambda s: cotangent.cotangent_verdict(s, ZERO),
+    "cotangent.verify_chain_criterion": lambda s: cotangent.verify_chain_criterion(s, 1),
+    "cotangent.negative_root_descent": lambda s: cotangent.negative_root_descent(s, -ROOT),
+    "cotangent.verify_descent": lambda s: cotangent.verify_descent(s),
+    "cotangent.euler_characteristic_graded":
+        lambda s: cotangent.euler_characteristic_graded(s, ZERO, 2),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEM_CALLS, ids=str)
+def test_every_system_parameter_answers_a_root_system(name):
+    SYSTEM_CALLS[name](RS)
+
+
+@pytest.mark.parametrize("bad", NOT_SYSTEMS, ids=str)
+@pytest.mark.parametrize("name", SYSTEM_CALLS, ids=str)
+def test_every_system_argument_is_refused_as_a_type_error(name, bad):
+    with pytest.raises(NotARootSystem) as exc:
+        SYSTEM_CALLS[name](NOT_SYSTEMS[bad])
+    assert isinstance(exc.value, TypeError)
+    assert str(exc.value) == f"{NOT_SYSTEMS[bad]!r} is not a RootSystem"
+
+
+def test_the_table_names_every_function_of_flag_and_cotangent_that_takes_a_system():
+    found = {
+        f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+        for module in (flag, cotangent)
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+        and getattr(obj, "__module__", None) == module.__name__
+        and any("RootSystem" in str(p.annotation)
+                for p in inspect.signature(obj).parameters.values())
+    }
+    assert found == set(SYSTEM_CALLS)
 
 
 # kinds that RootSystem refuses at rank 3, and how its message names each: a

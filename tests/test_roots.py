@@ -143,12 +143,22 @@ def test_cartan_shape():
                     assert c[i][j] in (0, -1)
 
 
+def test_neighbours_are_the_edges_of_the_cartan_matrix():
+    # a reflection or a firing at node i moves coordinate i and its neighbours
+    for name in POSITIVE_COUNTS:
+        rs = build(name)
+        assert rs.neighbours == tuple(
+            tuple(j for j in range(rs.rank) if rs.cartan[i][j] == -1) for i in range(rs.rank)
+        )
+
+
 def test_d4_center_node():
     rs = build("D4")
     # node 2 (index 1) carries the three edges
     degrees = [sum(1 for j in range(4) if i != j and rs.cartan[i][j] == -1)
                for i in range(4)]
     assert degrees == [1, 3, 1, 1]
+    assert rs.neighbours == ((1,), (0, 2, 3), (1,), (1,))
     assert rs.highest_root().coords == (1, 2, 1, 1)
 
 
