@@ -41,7 +41,7 @@ from .roots import LatticeVector, RootSystem, checked_index, root_vector
 Coords = tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChevalleyConstants:
     """Structure-constant table over one root system.
 
@@ -199,9 +199,6 @@ class LieElement:
             {c: k * v for c, v in self.roots.items()},
         )
 
-    def is_zero(self) -> bool:
-        return not self.cartan and not self.roots
-
     def __repr__(self) -> str:
         hs = [f"{v}*h{i + 1}" for i, v in sorted(self.cartan.items())]
         xs = [f"{v}*x{list(c)}" for c, v in sorted(self.roots.items())]
@@ -304,14 +301,6 @@ def bracket(x: LieElement, y: LieElement, c: ChevalleyConstants) -> LieElement:
         {i: v for i, v in enumerate(image[:rs.rank]) if v},
         {a.coords: v for a, v in zip(rs.all_roots, image[rs.rank:]) if v},
     )
-
-
-def basis_elements(c: ChevalleyConstants) -> list[LieElement]:
-    """h_1..h_r followed by x_alpha in canonical root order."""
-    rs = c.system
-    return [LieElement.h(rs, i) for i in range(rs.rank)] + [
-        LieElement.x(rs, r) for r in rs.all_roots
-    ]
 
 
 def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:

@@ -13,7 +13,8 @@ class IllegalType(AdelieError):
 class BasisMismatch(AdelieError):
     """Two lattice vectors disagree on rank or were combined across bases, or a
     root system was handed a vector argument that is not a LatticeVector of its
-    rank (RootSystem checks every such argument at one door)."""
+    rank (RootSystem checks every such argument at one door), or a lattice a
+    divisor argument that is not a DivisorClass."""
 
 
 class NonIntegerCoordinate(AdelieError, TypeError):
@@ -26,6 +27,10 @@ class NonIntegerRank(AdelieError, TypeError):
 
 class NotARootSystem(AdelieError, TypeError):
     """Root system argument that is not a RootSystem (a spec string or None)."""
+
+
+class NotALattice(AdelieError, TypeError):
+    """Lattice argument that is not a ResolutionLattice (a RootSystem or None)."""
 
 
 class ImmutableVector(AdelieError, AttributeError):
@@ -42,10 +47,6 @@ class NotPositiveDefinite(AdelieError, ValueError):
 
 class NotInRootLattice(AdelieError):
     """Weight-basis vector has no integral simple-root expansion."""
-
-
-class DependentRoots(AdelieError):
-    """Root string requested through a dependent pair (beta = +-alpha)."""
 
 
 class ConstructionFailure(AdelieError):

@@ -131,12 +131,6 @@ def schubert_restriction_degree(rs: RootSystem, lam: LatticeVector, i: int) -> i
     return rs.to_weight_basis(lam).coords[i - 1]
 
 
-def triviality_criterion(rs: RootSystem, lam: LatticeVector) -> bool:
-    """True when the lam-line bundle is trivial: lam is the zero weight, so
-    every restriction to a simple Schubert curve has degree zero."""
-    return checked_system(rs).to_weight_basis(lam).is_zero()
-
-
 def verify_root_cohomology(rs: RootSystem) -> VerificationReport:
     """Sweep every root weight: no cohomology above degree one, and degree one
     occurs exactly for the negatives of simple roots, always one-dimensionally."""

@@ -78,16 +78,8 @@ class FormalForm:
     def psi(cls, c: Coords) -> "FormalForm":
         return cls({((), (tuple(c),)): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalForm) and other.terms == self.terms
-
-    def max_degree(self) -> int:
-        return max(
-            (len(p) + 2 * len(s) for p, s in self.terms), default=0
-        )
 
     def __repr__(self) -> str:
         return form_text(self)
@@ -127,7 +119,7 @@ class Half(Enum):
         raise IllegalType(f"unknown half {value!r}; choose from {tuple(h.value for h in cls)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObstructionSystem:
     """The extracted obstruction forms E_a for every root of one half."""
 
@@ -137,7 +129,7 @@ class ObstructionSystem:
     obstructions: dict[Coords, FormalForm]
 
     def __post_init__(self) -> None:
-        self.half = Half(self.half)
+        object.__setattr__(self, "half", Half(self.half))
 
     @property
     def system(self) -> RootSystem:

@@ -19,7 +19,6 @@ from ._exact import int_adjugate, int_text
 from .errors import (
     BasisMismatch,
     BudgetExceeded,
-    DependentRoots,
     IllegalType,
     ImmutableVector,
     IndexOutOfRange,
@@ -107,9 +106,6 @@ class LatticeVector:
 
     def scale(self, k: int) -> "LatticeVector":
         return LatticeVector(tuple(k * a for a in self.coords), self.basis)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def __repr__(self) -> str:
         # int_text names a coordinate too long to print by its digit count,
@@ -270,12 +266,6 @@ class RootSystem:
         coords = tuple(sum(map(mul, v.coords, row)) for row in self.cartan)
         return LatticeVector(coords, Basis.FUNDAMENTAL_WEIGHT)
 
-    def root_coords_exact(self, v: LatticeVector) -> tuple:
-        """Simple-root coordinates as exact Fractions (weights may be fractional)."""
-        from fractions import Fraction  # here, so that integer commands start without it
-
-        return tuple(Fraction(x, self._det) for x in self._root_numerators(v))
-
     def _root_numerators(self, v: LatticeVector) -> list[int]:
         # det(C) times the simple-root coordinates of v, v adj(C) for a weight
         if self._vector(v).basis is Basis.SIMPLE_ROOT:
@@ -363,8 +353,7 @@ class RootSystem:
     def height(self, v: LatticeVector) -> int:
         """Coordinate sum for a nonnegative vector, negated for a nonpositive one.
 
-        A negative root therefore reports the height of its negation; use
-        :meth:`coordinate_sum` for the signed value.
+        A negative root therefore reports the height of its negation.
         """
         c = self.to_root_basis(v).coords
         if all(x >= 0 for x in c):
@@ -372,27 +361,6 @@ class RootSystem:
         if all(x <= 0 for x in c):
             return -sum(c)
         raise MixedSigns(f"{v} has mixed-sign root coordinates")
-
-    def coordinate_sum(self, v: LatticeVector) -> int:
-        return sum(self.to_root_basis(v).coords)
-
-    def root_string(self, alpha: LatticeVector, beta: LatticeVector) -> tuple[int, int]:
-        """(p, q) with beta - p*alpha .. beta + q*alpha the alpha-string through
-        beta; NotARootClass when alpha or beta is not a root."""
-        a, b = (self.all_roots[self.root_order_index(v)] for v in (alpha, beta))
-        if a == b or a == -b:
-            raise DependentRoots("root string undefined for beta = +-alpha")
-        p = 0
-        cur = b - a
-        while self.is_root(cur):
-            p += 1
-            cur = cur - a
-        q = 0
-        cur = b + a
-        while self.is_root(cur):
-            q += 1
-            cur = cur + a
-        return p, q
 
     def highest_root(self) -> LatticeVector:
         return self.positive_roots[-1]

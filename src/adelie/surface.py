@@ -28,11 +28,12 @@ from .errors import (
     BasisMismatch,
     ConstructionFailure,
     NonIntegerCoordinate,
+    NotALattice,
     NotARootClass,
     NotPositiveDefinite,
 )
 from .report import H2VanishVerdict, VerificationReport
-from .roots import LatticeVector, RootSystem, checked_index, root_vector
+from .roots import LatticeVector, RootSystem, checked_index, checked_system, root_vector
 
 
 class DivisorClass(NamedTuple):
@@ -60,8 +61,11 @@ class ResolutionLattice(NamedTuple):
         return DivisorClass(tuple(int(j == i - 1) for j in range(self.rank)))
 
     def _coefficients(self, d: DivisorClass) -> tuple[int, ...]:
-        """d's coefficients read through operator.index: BasisMismatch unless
-        there is one per curve, NonIntegerCoordinate unless each is an integer."""
+        """d's coefficients read through operator.index: BasisMismatch unless d
+        is a DivisorClass with one per curve, NonIntegerCoordinate unless each
+        is an integer.  The one check of a divisor argument."""
+        if not isinstance(d, DivisorClass):
+            raise BasisMismatch(f"{d!r} is not a DivisorClass")
         if len(d.coeffs) != self.rank:
             raise BasisMismatch(f"{len(d.coeffs)} coefficients on {self.rank} curves")
         try:
@@ -88,14 +92,22 @@ class ResolutionLattice(NamedTuple):
 def resolution_lattice(rs: RootSystem) -> ResolutionLattice:
     """The exceptional-curve lattice of rs, intersecting by the negated Cartan
     matrix; minus_two_classes certifies that the form is negative definite."""
-    return ResolutionLattice(rs, tuple(tuple(-v for v in row) for row in rs.cartan))
+    cartan = checked_system(rs).cartan
+    return ResolutionLattice(rs, tuple(tuple(-v for v in row) for row in cartan))
+
+
+def _checked_lattice(lattice) -> ResolutionLattice:
+    # the one check of a lattice argument, made by every function that reads one
+    if isinstance(lattice, ResolutionLattice):
+        return lattice
+    raise NotALattice(f"{lattice!r} is not a ResolutionLattice")
 
 
 def root_to_divisor(lattice: ResolutionLattice, alpha: LatticeVector) -> DivisorClass:
     """Divisor class of a root: its simple-root coordinates as multiplicities
     of the exceptional curves, checked to square to -2 on the lattice
     (ConstructionFailure otherwise)."""
-    rs = lattice.system
+    rs = _checked_lattice(lattice).system
     if not rs.is_root(alpha):
         raise NotARootClass(f"{alpha} is not a root of {rs.name}")
     d = DivisorClass(rs.to_root_basis(alpha).coords)
@@ -108,7 +120,7 @@ def root_to_divisor(lattice: ResolutionLattice, alpha: LatticeVector) -> Divisor
 
 def divisor_to_root(lattice: ResolutionLattice, d: DivisorClass) -> LatticeVector:
     """Inverse dictionary; NotARootClass unless d has self-intersection -2."""
-    if lattice.self_intersection(d) != -2:
+    if _checked_lattice(lattice).self_intersection(d) != -2:
         raise NotARootClass(f"{d} has self-intersection != -2")
     v = root_vector(*d.coeffs)
     if not lattice.system.is_root(v):
@@ -126,7 +138,7 @@ def minus_two_classes(lattice: ResolutionLattice) -> tuple[DivisorClass, ...]:
     the lattice, not the root listing it is later matched against; a G that is
     not positive definite raises NotPositiveDefinite.
     """
-    n = lattice.rank
+    n = _checked_lattice(lattice).rank
     minors, below, _ = int_adjugate(tuple(tuple(-v for v in row) for row in lattice.intersection))
     if min(minors) <= 0:  # a zero minor also ends the elimination
         raise NotPositiveDefinite(
@@ -171,7 +183,7 @@ def surface_h2_oracle(lattice: ResolutionLattice):
     height-one base case rests on the vanishing of H^1 and H^2 of the
     resolution's structure sheaf.
     """
-    rs = lattice.system
+    rs = _checked_lattice(lattice).system
 
     def oracle(alpha: LatticeVector) -> H2VanishVerdict:
         if not rs.is_root(alpha):
@@ -205,8 +217,8 @@ def verify_surface(rs: RootSystem) -> VerificationReport:
     a violation, with nothing checked), the -2 classes matched with the roots
     (so every root squares to -2 and nothing else does), and the curve descent
     of every positive root (the oracle settles -a by walking a)."""
-    rep = VerificationReport(name=f"surface-{rs.name}")
     lattice = resolution_lattice(rs)
+    rep = VerificationReport(name=f"surface-{rs.name}")
     try:
         classes = minus_two_classes(lattice)
     except NotPositiveDefinite as exc:

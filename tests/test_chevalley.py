@@ -18,7 +18,6 @@ from adelie.chevalley import (
     ChevalleyConstants,
     LieElement,
     adjoint_matrix,
-    basis_elements,
     bracket,
     build_constants,
     dump_constants,
@@ -40,6 +39,11 @@ from adelie.errors import (
 SMALL = ("A1", "A2", "A3", "D4")
 
 
+def _basis(rs):
+    # h_1..h_r followed by x_a in canonical root order: the bracket table's indices
+    return [LieElement.h(rs, i) for i in range(rs.rank)] + [LieElement.x(rs, a) for a in rs.all_roots]
+
+
 def test_support_is_root_sums():
     c = build_constants(build("A2"))
     rs = c.system
@@ -47,7 +51,7 @@ def test_support_is_root_sums():
         for b in rs.all_roots:
             n = c.n(a, b)
             s = a + b
-            if not s.is_zero() and rs.is_root(s):
+            if rs.is_root(s):  # 0 is no root
                 assert n in (-1, 1)
             else:
                 assert n == 0
@@ -139,7 +143,7 @@ def test_cartan_action():
     assert bracket(LieElement.h(rs, 1), LieElement.x(rs, a1), c) == LieElement.x(
         rs, a1
     ).scale(-1)
-    assert bracket(LieElement.h(rs, 0), LieElement.h(rs, 1), c).is_zero()
+    assert bracket(LieElement.h(rs, 0), LieElement.h(rs, 1), c) == LieElement(rs)
 
 
 def test_bracket_bilinear():
@@ -195,10 +199,10 @@ def test_x_of_a_weight_off_the_root_lattice_is_not_a_root():
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
-def test_bracket_of_basis_elements_is_a_column_of_the_adjoint_matrix(name):
+def test_bracket_of_basis_vectors_is_a_column_of_the_adjoint_matrix(name):
     # bracket reads single cells of the table, adjoint_matrix whole rows
     c = build_constants(build(name))
-    basis = basis_elements(c)
+    basis = _basis(c.system)
     for x in basis:
         m = adjoint_matrix(x, c)
         for j, y in enumerate(basis):
@@ -236,7 +240,7 @@ def test_adjoint_matrix_shape_and_linearity():
     c = build_constants(build("A2"))
     rs = c.system
     dim = rs.rank + len(rs.all_roots)
-    basis = basis_elements(c)
+    basis = _basis(c.system)
     for b in basis:
         assert adjoint_matrix(b, c).shape == (dim, dim)
     x, y = basis[2], basis[5]
@@ -328,6 +332,38 @@ def test_flip_copy_brackets_with_its_own_table():
     assert bracket(x1, x2, c) == clean
 
 
+@pytest.mark.parametrize("field", ["system", "sign_table", "sum_index"])
+def test_no_field_of_the_constants_can_be_rebound_or_deleted(field):
+    # the cached report is the verdict on these fields: each rebinding and each
+    # deletion is refused, as FrozenInstanceError, an AttributeError
+    c = build_constants(build("A2"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(c, field, getattr(build_constants(build("A3")), field))
+    with pytest.raises(AttributeError):
+        delattr(c, field)
+    assert {f.name for f in dataclasses.fields(c)} == {"system", "sign_table", "sum_index"}
+
+
+def test_a_refused_rebinding_leaves_the_cached_constants_as_they_were():
+    c = build_constants(build("A2"))
+    before = dump_constants(c)
+    a1, a2 = c.system.simple_roots
+    with pytest.raises(AttributeError):
+        c.sign_table = c.flip(a1, a2, one_sided=True).sign_table
+    again = build_constants(build("A2"))
+    assert again is c and dump_constants(again) == before
+    assert verify_chevalley(again).ok
+
+
+def test_flip_and_replace_build_new_constants_with_their_own_report():
+    c = build_constants(build("A2"))
+    a1, a2 = c.system.simple_roots
+    flipped, replaced = c.flip(a1, a2, one_sided=True), dataclasses.replace(c)
+    assert c.report.ok and replaced.report.ok and not flipped.report.ok
+    assert len({id(x.report) for x in (c, flipped, replaced)}) == 3
+    assert replaced.sign_table is c.sign_table
+
+
 def test_dump_format():
     c = build_constants(build("A2"))
     text = dump_constants(c)
@@ -389,7 +425,7 @@ def _reference_first_failure(c):
     # per-triple reference: the Jacobi sum through bracket() on basis elements,
     # each triple in the cyclic order [x, [y, z]] + [y, [z, x]] + [z, [x, y]];
     # returns the 1-based lexicographic position and the first failing triple
-    basis = basis_elements(c)
+    basis = _basis(c.system)
     for position, (i, j, k) in enumerate(combinations(range(len(basis)), 3), 1):
         x, y, z = basis[i], basis[j], basis[k]
         total = (
@@ -397,7 +433,7 @@ def _reference_first_failure(c):
             + bracket(y, bracket(z, x, c), c)
             + bracket(z, bracket(x, y, c), c)
         )
-        if not total.is_zero():
+        if total != LieElement(c.system):
             return position, (i, j, k)
     return None
 
@@ -446,9 +482,9 @@ def _triple_class(rs, triple):
     if min(triple) < rs.rank:
         return "h"
     a, b, g = (rs.all_roots[i - rs.rank] for i in triple)
-    if any((u + v).is_zero() for u, v in ((a, b), (b, g), (g, a))):
+    if any(u == -v for u, v in ((a, b), (b, g), (g, a))):
         return "cancelling pair"
-    return "zero sum" if (a + b + g).is_zero() else "product identity"
+    return "zero sum" if a + b == -g else "product identity"
 
 
 # D4 basis indices: h_1..h_4 are 0..3; x_a4, x_a3, x_a2 are 4, 5, 6;

@@ -18,7 +18,6 @@ from adelie.flag import (
     index,
     is_singular,
     schubert_restriction_degree,
-    triviality_criterion,
     verify_index_bound,
     verify_root_cohomology,
     weyl_dim,
@@ -220,13 +219,6 @@ def test_a_non_integer_schubert_curve_index_is_refused():
     rs = build("A2")
     with pytest.raises(IndexOutOfRange, match=r"curve index 1\.5 outside 1\.\.2"):
         schubert_restriction_degree(rs, weight_vector(4, -7), 1.5)
-
-
-def test_triviality_criterion():
-    rs = build("A3")
-    assert triviality_criterion(rs, weight_vector(0, 0, 0))
-    assert not triviality_criterion(rs, weight_vector(0, 1, 0))
-    assert not triviality_criterion(rs, rs.simple_roots[0])
 
 
 def test_root_basis_input_accepted():

@@ -1,10 +1,11 @@
-"""Four refusal tables: every public callable that reads a weight or a root
+"""Five refusal tables: every public callable that reads a weight or a root
 refuses what is not a LatticeVector of its system's rank, every integer
 parameter (a rank, an index, a degree, a bound) refuses what is not an
 integer, each with an AdelieError, every function of flag and cotangent
-refuses a system that is not a RootSystem with NotARootSystem, and
-RootSystem refuses every kind that is not A, D or E with an IllegalType that
-names it.
+refuses a system that is not a RootSystem with NotARootSystem, every
+parameter of surface that reads a RootSystem, a ResolutionLattice or a
+DivisorClass refuses anything else at that type's one door, and RootSystem
+refuses every kind that is not A, D or E with an IllegalType that names it.
 
 RootSystem checks a vector argument in one place, and every function below
 reaches the system through its basis conversions, so none needs a check of
@@ -25,6 +26,7 @@ from adelie.errors import (
     BasisMismatch,
     BudgetExceeded,
     IllegalType,
+    NotALattice,
     NotARootSystem,
 )
 from adelie.roots import MAX_SYSTEM_RANK, RootSystem, build, root_vector, weight_vector
@@ -51,7 +53,6 @@ CALLS = {
     "flag.bwb": lambda v: flag.bwb(RS, v),
     "flag.euler_characteristic": lambda v: flag.euler_characteristic(RS, v),
     "flag.schubert_restriction_degree": lambda v: flag.schubert_restriction_degree(RS, v, 1),
-    "flag.triviality_criterion": lambda v: flag.triviality_criterion(RS, v),
     "cotangent.dominance_leq[0]": lambda v: cotangent.dominance_leq(RS, v, ROOT),
     "cotangent.dominance_leq[1]": lambda v: cotangent.dominance_leq(RS, ROOT, v),
     "cotangent.lambda_plus": lambda v: cotangent.lambda_plus(RS, v),
@@ -74,7 +75,6 @@ CALLS = {
     "chevalley.ChevalleyConstants.flip[1]": lambda v: build_constants(RS).flip(ROOT, v),
     "chevalley.LieElement.x": lambda v: LieElement.x(RS, v),
     "roots.RootSystem.to_weight_basis": lambda v: RS.to_weight_basis(v),
-    "roots.RootSystem.root_coords_exact": lambda v: RS.root_coords_exact(v),
     "roots.RootSystem.to_root_basis": lambda v: RS.to_root_basis(v),
     "roots.RootSystem.pairing[0]": lambda v: RS.pairing(v, ROOT),
     "roots.RootSystem.pairing[1]": lambda v: RS.pairing(ROOT, v),
@@ -84,9 +84,6 @@ CALLS = {
     "roots.RootSystem.descent": lambda v: RS.descent(v),
     "roots.RootSystem.root_order_index": lambda v: RS.root_order_index(v),
     "roots.RootSystem.height": lambda v: RS.height(v),
-    "roots.RootSystem.coordinate_sum": lambda v: RS.coordinate_sum(v),
-    "roots.RootSystem.root_string[0]": lambda v: RS.root_string(v, ROOT),
-    "roots.RootSystem.root_string[1]": lambda v: RS.root_string(ROOT, v),
     "roots.RootSystem.reflect_simple": lambda v: RS.reflect_simple(v, 0),
     "roots.RootSystem.is_dominant": lambda v: RS.is_dominant(v),
 }
@@ -106,6 +103,24 @@ def test_every_vector_argument_is_refused_with_an_adelie_error(name, bad):
         call(BAD[bad])
 
 
+def _public_callables(module):
+    """{"module.name": callable} of each public function defined in module,
+    and of each public method of its classes, as the class gives it."""
+    short = module.__name__.rsplit(".", 1)[1]
+    found = {}
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found[f"{short}.{name}"] = obj
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if not attr.startswith("_") and callable(member) and not inspect.isclass(member):
+                    found[f"{short}.{name}.{attr}"] = member
+    return found
+
+
 def _takes_a_vector(obj) -> bool:
     return any(
         "LatticeVector" in str(p.annotation) for p in inspect.signature(obj).parameters.values()
@@ -115,20 +130,10 @@ def _takes_a_vector(obj) -> bool:
 def test_the_table_names_every_public_callable_that_takes_a_vector():
     import adelie.roots as roots
 
-    found = set()
-    for module in (roots, flag, cotangent, batch, surface, chevalley):
-        short = module.__name__.rsplit(".", 1)[1]
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-                continue
-            if inspect.isfunction(obj) and _takes_a_vector(obj):
-                found.add(f"{short}.{name}")
-            if inspect.isclass(obj):
-                for attr in vars(obj):
-                    member = getattr(obj, attr)
-                    if (not attr.startswith("_") and callable(member)
-                            and not inspect.isclass(member) and _takes_a_vector(member)):
-                        found.add(f"{short}.{name}.{attr}")
+    found = {
+        name for module in (roots, flag, cotangent, batch, surface, chevalley)
+        for name, obj in _public_callables(module).items() if _takes_a_vector(obj)
+    }
     named = {name.split("[")[0] for name in CALLS}
     assert found <= named, sorted(found - named)
 
@@ -196,7 +201,6 @@ SYSTEM_CALLS = {
     "flag.bwb": lambda s: flag.bwb(s, ZERO),
     "flag.euler_characteristic": lambda s: flag.euler_characteristic(s, ZERO),
     "flag.schubert_restriction_degree": lambda s: flag.schubert_restriction_degree(s, ZERO, 1),
-    "flag.triviality_criterion": lambda s: flag.triviality_criterion(s, ZERO),
     "flag.verify_root_cohomology": lambda s: flag.verify_root_cohomology(s),
     "flag.verify_index_bound": lambda s: flag.verify_index_bound(s),
     "cotangent.dominance_leq": lambda s: cotangent.dominance_leq(s, ZERO, ZERO),
@@ -237,6 +241,67 @@ def test_the_table_names_every_function_of_flag_and_cotangent_that_takes_a_syste
                 for p in inspect.signature(obj).parameters.values())
     }
     assert found == set(SYSTEM_CALLS)
+
+
+CURVE = LATTICE.curve(1)
+
+# the surface's argument types: a value of each, which every call below
+# answers, and the refusal of any other value at that type's one door
+SURFACE_TYPES = {
+    "RootSystem": (RS, NotARootSystem),
+    "ResolutionLattice": (LATTICE, NotALattice),
+    "DivisorClass": (CURVE, BasisMismatch),
+}
+
+# what stands in for each, beside a value of each other surface type
+NOT_SURFACE = {"None": None, "str": "A2", "tuple": (1, 0)}
+
+# name[parameter], and the call with the value v in that parameter
+SURFACE_CALLS = {
+    "surface.resolution_lattice[rs]": lambda v: surface.resolution_lattice(v),
+    "surface.verify_surface[rs]": lambda v: surface.verify_surface(v),
+    "surface.root_to_divisor[lattice]": lambda v: surface.root_to_divisor(v, ROOT),
+    "surface.divisor_to_root[lattice]": lambda v: surface.divisor_to_root(v, CURVE),
+    "surface.divisor_to_root[d]": lambda v: surface.divisor_to_root(LATTICE, v),
+    "surface.minus_two_classes[lattice]": lambda v: surface.minus_two_classes(v),
+    "surface.surface_h2_oracle[lattice]": lambda v: surface.surface_h2_oracle(v),
+    "surface.ResolutionLattice.degrees[d]": lambda v: LATTICE.degrees(v),
+    "surface.ResolutionLattice.pair[a]": lambda v: LATTICE.pair(v, CURVE),
+    "surface.ResolutionLattice.pair[b]": lambda v: LATTICE.pair(CURVE, v),
+    "surface.ResolutionLattice.self_intersection[d]": lambda v: LATTICE.self_intersection(v),
+    "surface.ResolutionLattice.restriction_degree[d]":
+        lambda v: LATTICE.restriction_degree(v, 1),
+}
+
+
+# name[parameter] of every parameter of a public function or method of
+# surface annotated with a surface type, and that type
+SURFACE_PARAMETERS = {
+    f"{name}[{p.name}]": p.annotation
+    for name, obj in _public_callables(surface).items()
+    for p in inspect.signature(obj).parameters.values()
+    if p.annotation in SURFACE_TYPES
+}
+
+
+def test_the_table_names_every_surface_parameter_of_a_surface_type():
+    assert SURFACE_PARAMETERS.keys() == SURFACE_CALLS.keys()
+
+
+@pytest.mark.parametrize("name", SURFACE_CALLS, ids=str)
+def test_every_surface_parameter_answers_its_type(name):
+    SURFACE_CALLS[name](SURFACE_TYPES[SURFACE_PARAMETERS[name]][0])
+
+
+@pytest.mark.parametrize("name,bad", [
+    (name, bad) for name, kind in SURFACE_PARAMETERS.items()
+    for bad in [*NOT_SURFACE, *(other for other in SURFACE_TYPES if other != kind)]
+], ids=str)
+def test_every_surface_argument_is_refused_at_its_type_door(name, bad):
+    kind = SURFACE_PARAMETERS[name]
+    value = NOT_SURFACE[bad] if bad in NOT_SURFACE else SURFACE_TYPES[bad][0]
+    with pytest.raises(SURFACE_TYPES[kind][1]):
+        SURFACE_CALLS[name](value)
 
 
 # kinds that RootSystem refuses at rank 3, and how its message names each: a

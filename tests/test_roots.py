@@ -1,4 +1,4 @@
-"""Root system construction, pairings, strings, heights.
+"""Root system construction, pairings, heights.
 
 The independent oracle here closes the simple roots under all simple
 reflections and never consults the pairing-based closure, so the two
@@ -20,7 +20,6 @@ from adelie.errors import (
     AdelieError,
     BasisMismatch,
     BudgetExceeded,
-    DependentRoots,
     IllegalType,
     ImmutableVector,
     IndexOutOfRange,
@@ -211,7 +210,7 @@ def test_rho_is_half_sum():
         for r in rs.positive_roots[1:]:
             total = total + rs.to_weight_basis(r)
         assert total.coords == tuple(2 * c for c in rho.coords)
-        exact = rs.root_coords_exact(rho)
+        exact = _fraction_root_coords(rs, _fraction_inverse(rs.cartan), rho)
         half = [Fraction(c, 2) for c in rs.to_root_basis(
             LatticeVector(total.coords, Basis.FUNDAMENTAL_WEIGHT)).coords]
         assert list(exact) == half
@@ -222,7 +221,6 @@ def test_heights():
     theta = rs.highest_root()
     assert rs.height(theta) == 2
     assert rs.height(-theta) == 2
-    assert rs.coordinate_sum(-theta) == -2
     with pytest.raises(MixedSigns, match="mixed-sign") as exc:
         rs.height(root_vector(1, -1))
     assert isinstance(exc.value, ValueError)
@@ -235,43 +233,6 @@ def test_root_order_index_refuses_a_non_root_as_not_a_root():
         with pytest.raises(NotARootClass, match="is not a root of A2"):
             rs.root_order_index(v)
         assert not rs.is_root(v) and not rs.is_positive_root(v)
-
-
-def test_root_string_values():
-    rs = build("A2")
-    a1, a2 = rs.simple_roots
-    assert rs.root_string(a1, a2) == (0, 1)
-    assert rs.root_string(a1, rs.highest_root()) == (1, 0)
-    with pytest.raises(DependentRoots):
-        rs.root_string(a1, a1)
-    with pytest.raises(DependentRoots):
-        rs.root_string(a1, -a1)
-
-
-@pytest.mark.parametrize("name,v", [
-    ("A3", root_vector(1, -1, 0)),  # in the root lattice, mixed signs
-    ("A2", weight_vector(1, 0)),  # outside the root lattice
-], ids=["A3-mixed", "A2-weight"])
-def test_root_string_refuses_a_non_root(name, v):
-    rs = build(name)
-    a = rs.simple_roots[0]
-    for args in ((v, a), (a, v)):
-        with pytest.raises(NotARootClass) as exc:
-            rs.root_string(*args)
-        assert str(exc.value) == f"{v} is not a root of {name}"
-
-
-def test_root_string_bound():
-    # simply laced: p + q <= 1 for independent roots
-    for name in ("A3", "D4"):
-        rs = build(name)
-        for a in rs.positive_roots:
-            for b in rs.all_roots:
-                if b.coords == a.coords or b.coords == tuple(-x for x in a.coords):
-                    continue
-                p, q = rs.root_string(a, b)
-                assert p + q <= 1
-                assert p - q == rs.pairing(a, b)
 
 
 def test_parse_type():
@@ -481,8 +442,10 @@ def test_integer_pairing_matches_fraction_route(name):
     rs = build(name)
     box = [weight_vector(*c) for c in product((-1, 0, 1), repeat=rs.rank)]
     vectors = list(rs.all_roots) + box
-    # oracle: rational root coordinates of v against the weight coordinates of w
-    exact = {v: rs.root_coords_exact(v) for v in vectors}
+    # oracle: rational root coordinates of v, by the Fraction inverse of C,
+    # against the weight coordinates of w
+    inv = _fraction_inverse(rs.cartan)
+    exact = {v: _fraction_root_coords(rs, inv, v) for v in vectors}
     weights = {v: rs.to_weight_basis(v).coords for v in vectors}
     pairs = [(a, b) for a in rs.all_roots for b in rs.all_roots]
     pairs += [(a, w) for a in rs.all_roots for w in box]
@@ -514,6 +477,17 @@ def _fraction_inverse(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
+
+
+def _fraction_root_coords(rs, inv, v):
+    """The simple-root coordinates of v as a tuple of Fractions, read through
+    inv, the Fraction inverse of rs.cartan, when v is a weight."""
+    if v.basis is Basis.SIMPLE_ROOT:
+        return tuple(map(Fraction, v.coords))
+    return tuple(
+        sum((v.coords[k] * inv[k][i] for k in range(rs.rank)), Fraction(0))
+        for i in range(rs.rank)
+    )
 
 
 def test_adjugate_times_cartan_is_det_times_identity():
@@ -554,11 +528,7 @@ def test_integer_root_coordinates_match_the_fraction_inverse(name):
     weights += [weight_vector(*range(2, 2 + rs.rank)), weight_vector(-5, *[0] * (rs.rank - 1))]
     raised = 0
     for w in weights:
-        old = tuple(
-            sum((w.coords[k] * inv[k][i] for k in range(rs.rank)), Fraction(0))
-            for i in range(rs.rank)
-        )
-        assert rs.root_coords_exact(w) == old, w
+        old = _fraction_root_coords(rs, inv, w)
         if all(c.denominator == 1 for c in old):
             assert rs.to_root_basis(w) == root_vector(*map(int, old)), w
             continue

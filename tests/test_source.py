@@ -1,6 +1,7 @@
 """Source-level rules that no behavioural test would notice."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -56,13 +57,10 @@ def _callee(node):
     return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
 
 
-# Fraction is for weights that are really fractional, imported inside those
-# functions so that every other route, and the start of every command, stays
-# on integers
-FRACTION_SITES = {
-    ("roots.py", "RootSystem.root_coords_exact"),
-    ("roots.py", "RootSystem.pairing"),
-}
+# Fraction is for weights that are really fractional: the pairing of two of
+# them imports it inside, so that every other route, and the start of every
+# command, stays on integers
+FRACTION_SITES = {("roots.py", "RootSystem.pairing")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -110,7 +108,7 @@ def test_no_fraction_inverse(path):
 
 
 # det(C) and adj(C) stay behind roots.RootSystem: every other module reaches
-# the root basis through to_root_basis or root_coords_exact
+# the root basis through to_root_basis, and a weight's pairing through pairing
 ADJUGATE_ATTRIBUTES = {"_det", "_adjugate", "_root_numerators"}
 
 
@@ -285,3 +283,104 @@ def e(): pass
 def f(): pass
 """
     assert sorted(_unbounded_caches(ast.parse(source))) == [3, 4, 6, 8, 10]
+
+
+def _definitions(tree):
+    """(qualified name, node) of each public function and class at module
+    level, and of each public method of those classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        for item in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(item, functions) and not item.name.startswith("_"):
+                yield f"{node.name}.{item.name}", item
+
+
+def _read_names(tree):
+    """(line, name) of each Name, Attribute and import alias in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name.rsplit(".", 1)[-1]
+
+
+def _unread_definitions(trees, acceptance, texts):
+    """(file name, qualified name) of each public definition in trees (file
+    name to module AST) that has no reader: no Name, Attribute or import
+    alias of its name in trees outside its own lines, none in the acceptance
+    AST, and no word of texts that spells it."""
+    reads = {}
+    for file, tree in trees.items():
+        for line, name in _read_names(tree):
+            reads.setdefault(name, []).append((file, line))
+    outside = {name for _, name in _read_names(acceptance)} | set(re.findall(r"\w+", texts))
+    for file, tree in trees.items():
+        for qualified, node in _definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if node.name not in outside and all(
+                other == file and line in own for other, line in reads.get(node.name, [])
+            ):
+                yield file, qualified
+
+
+# a public function, class or method is a promise that README and the tests
+# must keep, so each has a reader: a use in src/adelie or in the acceptance
+# tests, or a mention in README or perfbench/.  These are kept without one
+KEPT_WITHOUT_READER = {
+    # the brute-force dominance order that tests/test_cotangent.py checks the
+    # chain walk against
+    ("cotangent.py", "dominance_leq"),
+    # the inverse of the surface dictionary, the way back from a -2 class
+    ("surface.py", "divisor_to_root"),
+    # scalar multiples beside +, - and negation, which the package uses: the
+    # tests' weights and brackets are built with them
+    ("roots.py", "LatticeVector.scale"),
+    ("chevalley.py", "LieElement.scale"),
+}
+
+
+def test_every_public_definition_has_a_reader():
+    root = Path(__file__).parent.parent
+    perfbench = sorted((root / "perfbench").rglob("*.[mp][dy]"))  # .md and .py
+    texts = [root / "README.md", *perfbench]
+    unread = set(_unread_definitions(
+        {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES},
+        ast.parse((root / "tests" / "test_acceptance.py").read_text()),
+        "\n".join(path.read_text() for path in texts),
+    ))
+    assert unread == KEPT_WITHOUT_READER, sorted(unread ^ KEPT_WITHOUT_READER)
+
+
+def test_the_reader_rule_finds_each_unread_definition():
+    source = """
+def recursive(n):
+    return recursive(n - 1)
+
+def called(): pass
+
+def imported(): pass
+
+def accepted(): pass
+
+def documented(): pass
+
+def _private(): pass
+
+class Kept:
+    def method(self): pass
+
+    def used(self): pass
+
+    def __repr__(self): pass
+
+Kept().used
+called()
+"""
+    trees = {"m.py": ast.parse(source), "n.py": ast.parse("from m import imported")}
+    unread = _unread_definitions(trees, ast.parse("accepted()"), "`documented` in README")
+    assert list(unread) == [("m.py", "recursive"), ("m.py", "Kept.method")]

@@ -3,7 +3,6 @@
 import hashlib
 import json
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +19,7 @@ from adelie.errors import (
 )
 from adelie.flag import schubert_restriction_degree
 from adelie.cotangent import negative_root_descent
-from adelie.roots import build, root_vector, weight_vector
+from adelie.roots import RootSystem, build, root_vector, weight_vector
 from adelie.surface import (
     DivisorClass,
     ResolutionLattice,
@@ -338,15 +337,24 @@ def test_verify_surface_reports_a_class_mismatch_and_a_failed_descent(monkeypatc
     assert rep.details["minus_two_classes"] == 4
 
 
+class _ForgedSystem(RootSystem):
+    # a RootSystem with a form that no Dynkin diagram has, so that verify_surface,
+    # which refuses anything but a RootSystem, reaches its indefinite branch
+    name = "fake"
+
+    def __init__(self, cartan):
+        self.kind, self.rank, self.cartan = "fake", len(cartan), cartan
+
+
 def test_verify_surface_reports_indefinite_form():
-    fake = SimpleNamespace(rank=1, name="fake", cartan=((0,),))
+    fake = _ForgedSystem(((0,),))
     rep = verify_surface(fake)
     assert not rep.ok
     assert "definite" in rep.violations[0]
     assert rep.checked == 0
     # resolution_lattice builds this singular form as it is; the enumeration's
     # elimination refuses it at its zero second minor, before anything counts
-    fake = SimpleNamespace(rank=2, name="fake", cartan=((2, -2), (-2, 2)))
+    fake = _ForgedSystem(((2, -2), (-2, 2)))
     rep = verify_surface(fake)
     assert rep.violations == [
         "fake: form not definite, the negated form has leading minors (2, 0)"
