@@ -21,7 +21,7 @@ from ._exact import digits_past_limit
 from .errors import (
     BudgetExceeded, ConstructionFailure, InvalidBound, NegativeDegree, NonIntegerDegree
 )
-from .roots import LatticeVector, RootSystem, root_vector
+from .roots import LatticeVector, RootSystem, checked_system, root_vector
 
 
 def euler_characteristic_graded(
@@ -29,11 +29,12 @@ def euler_characteristic_graded(
 ) -> int:
     """Sum of Euler characteristics of lam shifted by all degree-multisets of
     positive roots: the Euler characteristic of the degree-th symmetric-power
-    twist.  Raises, before any fold work, BasisMismatch for a lam that is
-    not a LatticeVector of rs's rank, NonIntegerDegree for a degree and
-    InvalidBound for a max_terms that operator.index does not read,
-    NegativeDegree for a degree below zero and BudgetExceeded when the
-    multiset count, or the degree + 1 layers of the fold, pass max_terms.
+    twist.  Raises, before any fold work, NotARootSystem for an rs that is
+    not a RootSystem, BasisMismatch for a lam that is not a LatticeVector of
+    rs's rank, NonIntegerDegree for a degree and InvalidBound for a
+    max_terms that operator.index does not read, NegativeDegree for a degree
+    below zero and BudgetExceeded when the multiset count, or the degree + 1
+    layers of the fold, pass max_terms.
 
     Many multisets share a root sum, so they are first folded into distinct
     sums with multiplicities.  A sum of degree positive roots has simple-root
@@ -59,7 +60,7 @@ def euler_characteristic_graded(
     might not), the blocks on Python ints, and each numerator must divide by
     the rho-product, as in weyl_dim.
     """
-    lam = rs.to_weight_basis(lam)
+    lam = checked_system(rs).to_weight_basis(lam)
     try:
         degree = index(degree)
     except TypeError:

@@ -33,25 +33,28 @@ from .errors import (
     CoefficientOverflow,
     ConstructionFailure,
     NonIntegerCoordinate,
+    NotChevalleyConstants,
     SystemMismatch,
 )
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, checked_index, root_vector
+from .roots import LatticeVector, RootSystem, checked_index, checked_system, root_vector
 
 Coords = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChevalleyConstants:
     """Structure-constant table over one root system.
 
     sum_index[i, j] holds the canonical index of root_i + root_j, or n_roots
-    when the sum is not a root; sign_table[i, j] is n in {-1, 0, +1}.
+    when the sum is not a root; sign_table[i, j] is n in {-1, 0, +1}.  Two
+    tables are equal only when they are the same instance, which is hashed
+    as an object, and the repr names the system alone.
     """
 
     system: RootSystem
-    sign_table: np.ndarray
-    sum_index: np.ndarray
+    sign_table: np.ndarray = field(repr=False)
+    sum_index: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         # read-only, as bracket_table's are: the cached report stays the verdict
@@ -170,11 +173,13 @@ class LieElement:
     @classmethod
     def h(cls, system: RootSystem, i: int) -> "LieElement":
         """h_{i+1}; IndexOutOfRange for an i that is not an integer in 0..rank-1."""
-        return cls(system, cartan={checked_index(i, 0, system.rank - 1, "Cartan index"): 1})
+        rank = checked_system(system).rank
+        return cls(system, cartan={checked_index(i, 0, rank - 1, "Cartan index"): 1})
 
     @classmethod
     def x(cls, system: RootSystem, alpha: LatticeVector) -> "LieElement":
-        return cls(system, roots={system.all_roots[system.root_order_index(alpha)].coords: 1})
+        k = checked_system(system).root_order_index(alpha)
+        return cls(system, roots={system.all_roots[k].coords: 1})
 
     def __add__(self, other: "LieElement") -> "LieElement":
         if other.system != self.system:
@@ -221,21 +226,23 @@ def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
 def build_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the full sign table for rs, once per root system, and verify its
     invariants exhaustively; a system past the Jacobi keys is refused first."""
-    _jacobi_dim(rs)
+    _jacobi_dim(checked_system(rs))
     roots = rs.all_roots
     n_roots = len(roots)
     coords = np.array([r.coords for r in roots], dtype=np.int64)
 
     # pack each root into one int, sum_i c_i * base**i, with a base wide
     # enough for pair sums, and look each row of pair sums up among the
-    # sorted root keys; one row at a time keeps the peak memory small
+    # root keys, sorted once; one row at a time keeps the peak memory small
     base = 4 * int(np.abs(coords).max()) + 1
     keys = coords @ base ** np.arange(rs.rank, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
     sum_index = np.empty((n_roots, n_roots), dtype=np.int32)
     for i, key in enumerate(keys):
-        k = order[np.minimum(np.searchsorted(keys, key + keys, sorter=order), n_roots - 1)]
-        sum_index[i] = np.where(keys[k] == key + keys, k, n_roots)
+        sums = key + keys
+        at = np.minimum(np.searchsorted(sorted_keys, sums), n_roots - 1)
+        sum_index[i] = np.where(sorted_keys[at] == sums, order[at], n_roots)
 
     # eps parity over all pairs in one shot, then the negative-root correction;
     # uint8 arithmetic runs mod 256, an even modulus, so every parity is
@@ -258,6 +265,14 @@ def build_constants(rs: RootSystem) -> ChevalleyConstants:
             f"first: {report.violations[0]}"
         )
     return constants
+
+
+def checked_constants(c) -> ChevalleyConstants:
+    """c when it is a ChevalleyConstants; NotChevalleyConstants for anything
+    else, so a function that reads a table refuses a system or None by type."""
+    if isinstance(c, ChevalleyConstants):
+        return c
+    raise NotChevalleyConstants(f"{c!r} is not a ChevalleyConstants")
 
 
 def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
@@ -285,7 +300,7 @@ def bracket(x: LieElement, y: LieElement, c: ChevalleyConstants) -> LieElement:
     """Lie bracket [x, y] = ad(x) y, from the cells (i, j) of c.bracket_table,
     i a component of x and j of y: the run of column j in the run of row i,
     summed in Python integers, so no coefficient wraps."""
-    rs = c.system
+    rs = checked_constants(c).system
     row, col, tgt, val = c.bracket_table
     ys = _indexed(y, c)
     image = [0] * (rs.rank + len(rs.all_roots))
@@ -307,7 +322,7 @@ def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:
     """Int64 matrix of ad(x) on the basis (h_1..h_r, x_roots), from the runs
     of x's rows in the table; CoefficientOverflow when the sum of |x|'s
     coefficients times the largest |table coefficient| leaves int64."""
-    row, col, tgt, val = c.bracket_table
+    row, col, tgt, val = checked_constants(c).bracket_table
     dim = c.system.rank + len(c.system.all_roots)
     xs = _indexed(x, c)
     if sum(abs(a) for _, a in xs) * max(int(val.max()), -int(val.min())) >= 2 ** 63:
@@ -532,7 +547,7 @@ def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:
     """The check that gates the build, as a copy of c.report: it runs once
     per instance, and a caller's edit of the copy does not reach the next
     call."""
-    rep = c.report
+    rep = checked_constants(c).report
     return VerificationReport(rep.name, rep.checked, list(rep.violations), dict(rep.details))
 
 
@@ -540,6 +555,6 @@ def dump_constants(c: ChevalleyConstants) -> str:
     """One line per nonzero entry: 'alpha-coords | beta-coords | sign'."""
     lines = [
         f"{','.join(map(str, a.coords))} | {','.join(map(str, b.coords))} | {s:+d}"
-        for a, b, s in c.nonzero_entries()
+        for a, b, s in checked_constants(c).nonzero_entries()
     ]
     return "\n".join(lines) + "\n"

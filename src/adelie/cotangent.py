@@ -45,6 +45,10 @@ from .roots import LatticeVector, RootSystem, checked_system, root_vector, weigh
 
 # cap on the dominant weights one interval walk may keep
 _POINT_BUDGET = 2 * 10 ** 4
+# cap on the patterns one _packed_steps entry keeps usable steps for: every
+# pattern of a system of rank 8 or less, each a tuple of at most as many
+# steps as positive roots
+_PATTERN_CAP = 2 ** 8
 
 
 def dominance_leq(rs: RootSystem, mu: LatticeVector, nu: LatticeVector) -> bool:
@@ -63,8 +67,9 @@ def lambda_plus(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
 
 @lru_cache(maxsize=64)
 def _packed_steps(rs: RootSystem, width: int):
-    """guard, ones, weight_guard and each positive root's (packed step,
-    height) and need, for fields of width bits.
+    """guard, ones, weight_guard, each positive root's (packed step, height)
+    and need, for fields of width bits, and the table of usable steps that
+    cht fills for the calls that share them (at most _PATTERN_CAP patterns).
 
     A point packs its weight coordinates w_i into fields 0..rank-1 and its
     slack d_i - c_i into field 2 rank - 1 - i, each offset by half, so adding
@@ -83,7 +88,7 @@ def _packed_steps(rs: RootSystem, width: int):
         steps.append((sum(v << (width * f) for f, v in enumerate(fields)), sum(a.coords)))
         needs.append(sum(half << (width * f) for f, v in enumerate(w) if v < 0))
     guard = weight_guard + (weight_guard << (width * rs.rank))
-    return guard, ones, weight_guard, tuple(steps), tuple(needs)
+    return guard, ones, weight_guard, tuple(steps), tuple(needs), {}
 
 
 def _least_action(rs: RootSystem, lam: LatticeVector):
@@ -151,7 +156,7 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     # values stay within (-half, half), so adding a step never carries.
     width = (max(plus.coords) + sum(d) + 8).bit_length() + 1
     half = 1 << (width - 1)
-    guard, ones, weight_guard, steps, needs = _packed_steps(rs, width)
+    guard, ones, weight_guard, steps, needs, shared = _packed_steps(rs, width)
     slack = [dv - cv for dv, cv in zip(d, c_star)]
     fields = w_star + slack[::-1]
     start = guard + sum(v << (width * f) for f, v in enumerate(fields))
@@ -164,10 +169,12 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     # point is visited.  A point tries only the steps whose need lies in its
     # pattern, the top bits of its weight fields with w_i >= 1 (no field of
     # key - ones borrows, as each is at least half); usable keeps each
-    # pattern's steps, and the guard checks every sum.
+    # pattern's steps, and the guard checks every sum.  usable is the table
+    # shared by the calls of this width until it holds _PATTERN_CAP
+    # patterns, then this call's copy of it.
     best = {start: 0}
     layers = {0: [start]}
-    usable = {}
+    usable = shared
     while layers:
         h = min(layers)
         layer = layers.pop(h)
@@ -177,6 +184,8 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
             pattern = (key - ones) & weight_guard
             tried = usable.get(pattern)
             if tried is None:
+                if usable is shared and len(shared) >= _PATTERN_CAP:
+                    usable = dict(shared)
                 tried = usable[pattern] = tuple(
                     step for step, need in zip(steps, needs) if need & pattern == need
                 )
@@ -201,12 +210,13 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     # Below each point the witness steps to its parent, the first visited of
     # its predecessors one shorter: the lowest, then the largest key.  A key
     # less a step is in best only when it is a predecessor, as no sum carries.
+    # lambda* is the one point at 0, so the walk down stops at 1.
     key = max(best, key=best.__getitem__)
-    path = [key]
-    while best[key]:
+    value, middle = best[key], []
+    while best[key] > 1:
         below = best[key] - 1
         key = max((dh, key - step) for step, dh in steps if best.get(key - step) == below)[1]
-        path.append(key)
+        middle.append(key)
 
     mask = (1 << width) - 1
 
@@ -215,12 +225,14 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
             *(((key >> (width * f)) & mask) - half for f in range(rs.rank))
         )
 
+    # the chain is lambda* alone when the interval is one point
+    star = weight_vector(*w_star)
     return ChtReport(
-        value=len(path) - 1,
-        lambda_star=weight_vector(*w_star),
+        value=value,
+        lambda_star=star,
         lambda_plus=plus,
         shift=sum(slack),
-        chain=tuple(to_weight(key) for key in reversed(path)),
+        chain=(star, *map(to_weight, reversed(middle)), plus)[: value + 1],
         interval_points=len(best),
     )
 

@@ -33,6 +33,16 @@ class NotALattice(AdelieError, TypeError):
     """Lattice argument that is not a ResolutionLattice (a RootSystem or None)."""
 
 
+class NotChevalleyConstants(AdelieError, TypeError):
+    """Structure-constant argument that is not a ChevalleyConstants (a
+    RootSystem or None)."""
+
+
+class NotAnObstructionSystem(AdelieError, TypeError):
+    """Obstruction-system argument that is not an ObstructionSystem (its
+    ChevalleyConstants or None)."""
+
+
 class ImmutableVector(AdelieError, AttributeError):
     """Attempt to change or delete a coordinate or the basis of a lattice vector."""
 

@@ -41,15 +41,21 @@ the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .chevalley import ChevalleyConstants, runs, sum_by_key
-from .errors import CancellationFailure, ConstructionFailure, IllegalType, IncompleteOracle
+from .chevalley import ChevalleyConstants, checked_constants, runs, sum_by_key
+from .errors import (
+    CancellationFailure,
+    ConstructionFailure,
+    IllegalType,
+    IncompleteOracle,
+    NotAnObstructionSystem,
+)
 from .report import H2VanishVerdict, VerificationReport
-from .roots import LatticeVector, RootSystem
+from .roots import LatticeVector, RootSystem, checked_system
 
 Coords = tuple[int, ...]
 Monomial = tuple[tuple[Coords, ...], tuple[Coords, ...]]
@@ -68,7 +74,9 @@ class FormalForm:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None) -> None:
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        # a dict's copy keeps the hashes of its keys: rebuild only to drop zeros
+        terms = dict(terms or {})
+        self.terms = terms if all(terms.values()) else {k: v for k, v in terms.items() if v}
 
     @classmethod
     def phi(cls, c: Coords) -> "FormalForm":
@@ -85,27 +93,40 @@ class FormalForm:
         return form_text(self)
 
 
-def _monomial_text(mono: Monomial) -> str:
-    phis, psis = mono
-    bits = [f"psi[{','.join(map(str, c))}]" for c in psis]
-    bits += [f"phi[{','.join(map(str, c))}]" for c in phis]
-    return "".join(bits) if bits else "1"
+def _generators(forms) -> tuple[dict[Coords, int], dict[Coords, str], dict[Coords, str]]:
+    """The place of each generator of forms in _root_key order, and its psi
+    and phi texts, each made once."""
+    found = sorted({c for form in forms for phis, psis in form.terms for c in phis + psis},
+                   key=_root_key)
+    texts = [",".join(map(str, c)) for c in found]
+    return (
+        {c: i for i, c in enumerate(found)},
+        {c: f"psi[{t}]" for c, t in zip(found, texts)},
+        {c: f"phi[{t}]" for c, t in zip(found, texts)},
+    )
+
+
+def _form_text(form: FormalForm, generators) -> str:
+    # terms by phi count, then the places of their phi and then psi blocks,
+    # which orders them as their _root_key tuples do
+    place, psi, phi = generators
+
+    def order(item):
+        (phis, psis), _ = item
+        return (len(phis), *map(place.__getitem__, phis), *map(place.__getitem__, psis))
+
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}"
+        f"{''.join([*map(psi.__getitem__, psis), *map(phi.__getitem__, phis)]) or '1'}"
+        for (phis, psis), c in sorted(form.terms.items(), key=order)
+    )
+    return "-" + text[2:] if text.startswith("-") else text[2:] or "0"
 
 
 def form_text(form: FormalForm) -> str:
-    """Deterministic rendering: psi blocks first, then phi blocks, key order."""
-    def order(item):
-        (phis, psis), _ = item
-        return (
-            len(phis),
-            tuple(_root_key(c) for c in phis),
-            tuple(_root_key(c) for c in psis),
-        )
-    text = " ".join(
-        f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}{_monomial_text(m)}"
-        for m, c in sorted(form.terms.items(), key=order)
-    )
-    return "-" + text[2:] if text.startswith("-") else text[2:] or "0"
+    """Deterministic rendering: psi blocks first, then phi blocks, terms in
+    key order (phi count, then the _root_key of each phi and psi block)."""
+    return _form_text(form, _generators([form]))
 
 
 class Half(Enum):
@@ -119,14 +140,16 @@ class Half(Enum):
         raise IllegalType(f"unknown half {value!r}; choose from {tuple(h.value for h in cls)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObstructionSystem:
-    """The extracted obstruction forms E_a for every root of one half."""
+    """The extracted obstruction forms E_a for every root of one half.  Two
+    systems are equal only when they are the same instance, which is hashed
+    as an object, and the repr names the table and the half alone."""
 
     constants: ChevalleyConstants
     half: Half
-    roots: tuple[LatticeVector, ...]
-    obstructions: dict[Coords, FormalForm]
+    roots: tuple[LatticeVector, ...] = field(repr=False)
+    obstructions: dict[Coords, FormalForm] = field(repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "half", Half(self.half))
@@ -136,11 +159,24 @@ class ObstructionSystem:
         return self.constants.system
 
 
+def _checked_obstruction(system) -> ObstructionSystem:
+    # the one check of an obstruction-system argument
+    if isinstance(system, ObstructionSystem):
+        return system
+    raise NotAnObstructionSystem(f"{system!r} is not an ObstructionSystem")
+
+
+def _half_places(rs: RootSystem, half: Half | str) -> list[int]:
+    # the places in all_roots, which lists the positives and then their
+    # negatives, of the roots of the half Half(half), sorted by _root_key
+    roots, n = rs.all_roots, len(rs.positive_roots)
+    first = 0 if Half(half) is Half.POSITIVE else n
+    return sorted(range(first, first + n), key=lambda i: _root_key(roots[i].coords))
+
+
 def half_roots(rs: RootSystem, half: Half | str) -> tuple[LatticeVector, ...]:
     """The roots of the half Half(half), sorted by _root_key."""
-    half = Half(half)
-    base = rs.positive_roots if half is Half.POSITIVE else [-a for a in rs.positive_roots]
-    return tuple(sorted(base, key=lambda r: _root_key(r.coords)))
+    return tuple(map(checked_system(rs).all_roots.__getitem__, _half_places(rs, half)))
 
 
 def build_system(constants: ChevalleyConstants, half: Half | str) -> ObstructionSystem:
@@ -152,14 +188,15 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     formula disagrees with the extracted forms.
     """
     half = Half(half)
-    rs = constants.system
+    rs = checked_constants(constants).system
     gate = constants.report
     if not gate.ok:
         raise CancellationFailure(f"{rs.name} {half.value}: {gate.violations[0]}")
     rank = rs.rank
-    roots = half_roots(rs, half)
+    places = _half_places(rs, half)
+    roots = tuple(map(rs.all_roots.__getitem__, places))
     n = len(roots)
-    index = np.array([rs.root_order_index(a) for a in roots])
+    index = np.array(places)
     # the terms [x_a, b_g] of the half's rows, a as its position in the half,
     # sorted by column: the terms of column g are one run
     row, col, tgt, val = constants.bracket_table
@@ -232,19 +269,18 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
             f"with the double expansion of D^2"
         )
 
-    def monomial(mono: int) -> Monomial:
-        if mono < n:
-            return ((), (coords[mono],))
-        p, q = divmod(mono - n, n)
-        return ((coords[p], coords[q]), ())
-
     # the keys are sorted by class, and the closed formula gives every class
-    # its psi term, so the forms come out in the order of roots
-    terms: dict[Coords, dict[Monomial, int]] = {}
-    for key, v in zip(*(x.tolist() for x in extracted)):
-        a, mono = divmod(key, width)
-        terms.setdefault(coords[a], {})[monomial(mono)] = v
-    obstructions = {c: FormalForm(t) for c, t in terms.items()}
+    # its psi term, so the forms come out in the order of roots; monomial id
+    # n + p * n + q is phi_p phi_q, and an id q below n, psi_q, reads p = -1
+    cls, mono = np.divmod(extracted[0], width)
+    pairs = zip(*(x.tolist() for x in np.divmod(mono - n, n)))
+    monomials = [((coords[p], coords[q]), ()) if p >= 0 else ((), (coords[q],)) for p, q in pairs]
+    values = extracted[1].tolist()
+    ptr = np.searchsorted(cls, np.arange(n + 1)).tolist()
+    obstructions = {
+        c: FormalForm(dict(zip(monomials[lo:hi], values[lo:hi])))
+        for c, lo, hi in zip(coords, ptr, ptr[1:])
+    }
     return ObstructionSystem(constants, half, roots, obstructions)
 
 
@@ -261,27 +297,32 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
     that residual, in the order of system.roots.  A form with a term other
     than psi_a (coefficient 1) or phi_p phi_q fails by its shape.
     """
-    order = sorted(range(len(system.roots)), key=lambda i: _root_key(system.roots[i].coords))
-    roots, forms = [system.roots[i] for i in order], system.obstructions
+    roots = _checked_obstruction(system).roots
+    order = sorted(range(len(roots)), key=lambda i: _root_key(roots[i].coords))
+    roots, forms = [roots[i] for i in order], system.obstructions
     n = len(roots)
     position = {a.coords: i for i, a in enumerate(roots)}
     terms, misshapen = [], set()
     for a, alpha in enumerate(roots):
         own = ((), (alpha.coords,))
-        if forms[alpha.coords].terms.get(own) != 1:
+        form_terms = forms[alpha.coords].terms
+        if form_terms.get(own) != 1:
             misshapen.add(a)
-        for (phis, psis), v in forms[alpha.coords].terms.items():
-            ends = [position.get(c, -1) for c in phis]
-            if not psis and len(ends) == 2 and min(ends) >= 0 and ends[0] != ends[1]:
-                terms.append((a, *sorted(ends), v if ends[0] < ends[1] else -v))
-            elif (phis, psis) != own:
+        for mono, v in form_terms.items():
+            phis, psis = mono
+            if len(phis) == 2 and not psis:
+                x, y = position.get(phis[0], -1), position.get(phis[1], -1)
+                if x >= 0 and y >= 0 and x != y:
+                    terms.append((a, x, y, v) if x < y else (a, y, x, -v))
+                    continue
+            if mono != own:
                 misshapen.add(a)
-    cls, p, q, val = np.array(terms, dtype=object).reshape(-1, 4).T
-    cls, p, q = np.array([cls, p, q], dtype=np.int64)
+    cls, p, q, val = zip(*terms) if terms else ((),) * 4
+    cls, p, q = (np.array(x, dtype=np.int64) for x in (cls, p, q))
     # a class expands to at most 2 len(terms)**2 products of two
     # coefficients: int64 holds their sums when that bound fits
-    if 2 * len(terms) ** 2 * max(map(abs, val), default=0) ** 2 < 2**63:
-        val = val.astype(np.int64)
+    wide = 2 * len(terms) ** 2 * max(map(abs, val), default=0) ** 2 >= 2**63
+    val = np.array(val, dtype=object if wide else np.int64)
     keys, sums = _failing_classes(n, cls, p, q, val)
     residuals: dict[int, dict[Monomial, int]] = {}
     for key, v in zip(keys.tolist(), sums.tolist()):
@@ -339,7 +380,7 @@ def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertifi
     """Certify the classes of height two and above against oracle(root), which
     must answer an H2VanishVerdict; any other answer, None or a bool too,
     raises IncompleteOracle.  Height-one classes become requirements."""
-    rs = system.system
+    rs = _checked_obstruction(system).system
     verdicts: list[H2VanishVerdict] = []
     requirements: list[LatticeVector] = []
     for alpha in system.roots:
@@ -359,8 +400,11 @@ def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertifi
 
 def system_text(system: ObstructionSystem) -> str:
     """Stable text rendering, one obstruction form per line."""
+    system = _checked_obstruction(system)
     lines = [f"# obstruction system {system.system.name} {system.half.value}"]
-    for alpha in system.roots:
+    forms = [system.obstructions[alpha.coords] for alpha in system.roots]
+    generators = _generators(forms)
+    for alpha, form in zip(system.roots, forms):
         coords = ",".join(map(str, alpha.coords))
-        lines.append(f"({coords}): {form_text(system.obstructions[alpha.coords])}")
+        lines.append(f"({coords}): {_form_text(form, generators)}")
     return "\n".join(lines) + "\n"

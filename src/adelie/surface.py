@@ -97,8 +97,10 @@ def resolution_lattice(rs: RootSystem) -> ResolutionLattice:
 
 
 def _checked_lattice(lattice) -> ResolutionLattice:
-    # the one check of a lattice argument, made by every function that reads one
+    # the one check of a lattice argument, made by every function that reads
+    # one: a ResolutionLattice over a RootSystem (NotARootSystem otherwise)
     if isinstance(lattice, ResolutionLattice):
+        checked_system(lattice.system)
         return lattice
     raise NotALattice(f"{lattice!r} is not a ResolutionLattice")
 

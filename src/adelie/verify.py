@@ -14,7 +14,7 @@ from .errors import CancellationFailure, ConstructionFailure, IllegalType
 from .flag import ALL_VANISH, bwb, verify_index_bound, verify_root_cohomology
 from .obstruction import Half, build_system, certify_solvability, check_bianchi
 from .report import SUITES, H2VanishVerdict, VerificationReport
-from .roots import LatticeVector, RootSystem
+from .roots import LatticeVector, RootSystem, checked_system
 from .surface import resolution_lattice, surface_h2_oracle, verify_surface
 
 
@@ -24,6 +24,7 @@ def flag_h2_oracle(rs: RootSystem):
     A root weight is never concentrated above degree one, so H^2 of the
     corresponding bundle vanishes; the degree is recomputed per query.
     """
+    checked_system(rs)
 
     def oracle(alpha: LatticeVector) -> H2VanishVerdict:
         verdict = bwb(rs, alpha)
@@ -44,6 +45,7 @@ def flag_h2_oracle(rs: RootSystem):
 
 def cotangent_h2_oracle(rs: RootSystem):
     """H^2 oracle backed by the chain height: cht < 2 forces vanishing."""
+    checked_system(rs)
 
     def oracle(alpha: LatticeVector) -> H2VanishVerdict:
         value = cht(rs, alpha).value
@@ -68,7 +70,7 @@ def half_h2_oracle(rs: RootSystem, half: Half | str):
 def verify_obstruction(rs: RootSystem) -> VerificationReport:
     """Build both half systems, check closure, and certify each against
     its half_h2_oracle."""
-    rep = VerificationReport(name=f"obstruction-{rs.name}")
+    rep = VerificationReport(name=f"obstruction-{checked_system(rs).name}")
     constants = build_constants(rs)
     for half in (Half.POSITIVE, Half.NEGATIVE):
         system = build_system(constants, half)
@@ -116,6 +118,7 @@ def detect_tampering(constants: ChevalleyConstants) -> tuple[bool, str]:
 
 def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
     """Run one named suite, or every suite for "all"."""
+    checked_system(rs)
     if suite == "all":
         rep = VerificationReport(name=f"{rs.name}-all")
         for name in SUITES:
@@ -158,7 +161,7 @@ def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
 def verify_cht_roots(rs: RootSystem) -> VerificationReport:
     """cht is 0 exactly on positive roots and 1 on negative roots, so H^2
     vanishes for every root class."""
-    rep = VerificationReport(name=f"cht-roots-{rs.name}")
+    rep = VerificationReport(name=f"cht-roots-{checked_system(rs).name}")
     for alpha in rs.all_roots:
         rep.checked += 1
         expected = 0 if rs.is_positive_root(alpha) else 1

@@ -223,6 +223,44 @@ def test_cht_is_the_reference_walk_on_every_root(name):
         assert cht(rs, a) == reference_cht(rs, a), a
 
 
+def _spy_on_packed_steps(monkeypatch):
+    # the _packed_steps entries that cht reads, in call order
+    entries, packed = [], cotangent._packed_steps
+
+    def spy(rs, width):
+        entries.append(packed(rs, width))
+        return entries[-1]
+
+    monkeypatch.setattr(cotangent, "_packed_steps", spy)
+    return entries
+
+
+def test_the_shared_pattern_table_stays_within_its_cap(monkeypatch):
+    # D16 has 2**16 patterns: the walk of (-1)^16 fills the shared table and
+    # goes on with its own copy, up to the point cap, whose message it keeps
+    rs = build("D16")
+    lam = weight_vector(*[-1] * 16)
+    entries = _spy_on_packed_steps(monkeypatch)
+    message = "and reached height 361 of 1240 above lambda*"
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match=message):
+            cht(rs, lam)
+    assert entries[0] is entries[1]
+    assert len(entries[0][-1]) == cotangent._PATTERN_CAP == 256
+
+
+def test_cht_past_the_pattern_cap_is_the_reference_walk(monkeypatch):
+    # with a cap of one pattern every walk goes on with its own table
+    cotangent._packed_steps.cache_clear()
+    monkeypatch.setattr(cotangent, "_PATTERN_CAP", 1)
+    entries = _spy_on_packed_steps(monkeypatch)
+    for name, radius in (("A3", 2), ("D4", 1)):
+        rs = build(name)
+        for lam in _ball(rs.rank, radius):
+            assert cht(rs, lam) == reference_cht(rs, lam), lam
+    assert entries and all(len(entry[-1]) <= 1 for entry in entries)
+
+
 @pytest.mark.parametrize(
     "name,weights",
     [

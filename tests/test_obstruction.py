@@ -555,6 +555,50 @@ def test_system_text_stable_and_anchored():
     assert "(1,1): psi[1,1] + phi[0,1]phi[1,0]" in t1
 
 
+def test_system_text_is_form_text_form_by_form_on_a_forged_system():
+    # system_text orders every form by the places of the system's generators;
+    # form_text by those of the one form.  The forged forms list their terms
+    # backwards, and one holds generators from outside the half
+    c = build_constants(build("A3"))
+    system = build_system(c, Half.NEGATIVE)
+    outside = [a.coords for a in c.system.positive_roots]
+    forms = {
+        a: FormalForm(dict(reversed(form.terms.items())))
+        for a, form in system.obstructions.items()
+    }
+    top = system.roots[-1].coords
+    forms[top] = FormalForm({
+        **forms[top].terms,
+        ((outside[0], outside[-1], top), (outside[2],)): -3,
+        ((), (outside[1], top)): 2,
+        ((), ()): 5,
+    })
+    forged = ObstructionSystem(c, Half.NEGATIVE, system.roots, forms)
+    lines = system_text(forged).splitlines()
+    assert lines[0] == "# obstruction system A3 negative"
+    for line, a in zip(lines[1:], system.roots, strict=True):
+        assert line == f"({','.join(map(str, a.coords))}): {form_text(forms[a.coords])}"
+    assert lines[1:] != system_text(system).splitlines()[1:]
+    # as the renderer that sorted each term by its _root_key tuples wrote it
+    assert form_text(forms[top]) == (
+        "5*1 + 2*psi[0,1,0]psi[-1,-1,-1] + psi[-1,-1,-1] + phi[-1,0,0]phi[0,-1,-1]"
+        " - phi[0,0,-1]phi[-1,-1,0] - 3*psi[1,0,0]phi[0,0,1]phi[1,1,1]phi[-1,-1,-1]"
+    )
+
+
+def test_tables_and_systems_are_equal_by_identity_and_hash():
+    # the fields hold arrays and a dict: value equality raised numpy's bare
+    # ValueError, and hash a TypeError
+    c = build_constants(build("A2"))
+    a1, a2 = c.system.simple_roots
+    system = build_system(c, Half.POSITIVE)
+    assert c == c and c != c.flip(a1, a2)
+    assert system == system and system != build_system(c, Half.POSITIVE)
+    assert len({c, system, c, system}) == 2
+    assert repr(c) == "ChevalleyConstants(system=RootSystem(A2))"
+    assert repr(system) == f"ObstructionSystem(constants={c!r}, half={Half.POSITIVE!r})"
+
+
 # SHA-256 of the exact `obstruction --format json` stdout, recorded from the
 # dict-walk expansion that the array gathers replaced.
 OBSTRUCTION_PAYLOAD_SHA256 = {

@@ -1,10 +1,12 @@
-"""Five refusal tables: every public callable that reads a weight or a root
+"""Six refusal tables: every public callable that reads a weight or a root
 refuses what is not a LatticeVector of its system's rank, every integer
 parameter (a rank, an index, a degree, a bound) refuses what is not an
 integer, each with an AdelieError, every function of flag and cotangent
 refuses a system that is not a RootSystem with NotARootSystem, every
 parameter of surface that reads a RootSystem, a ResolutionLattice or a
-DivisorClass refuses anything else at that type's one door, and RootSystem
+DivisorClass refuses anything else at that type's one door, as does every
+parameter of batch, chevalley, obstruction and verify that reads a
+RootSystem, a ChevalleyConstants or an ObstructionSystem, and RootSystem
 refuses every kind that is not A, D or E with an IllegalType that names it.
 
 RootSystem checks a vector argument in one place, and every function below
@@ -19,7 +21,7 @@ import time
 
 import pytest
 
-from adelie import batch, chevalley, cotangent, flag, surface
+from adelie import batch, chevalley, cotangent, flag, obstruction, surface, verify
 from adelie.chevalley import LieElement, build_constants
 from adelie.errors import (
     AdelieError,
@@ -27,10 +29,14 @@ from adelie.errors import (
     BudgetExceeded,
     IllegalType,
     NotALattice,
+    NotAnObstructionSystem,
     NotARootSystem,
+    NotChevalleyConstants,
 )
+from adelie.obstruction import build_system
 from adelie.roots import MAX_SYSTEM_RANK, RootSystem, build, root_vector, weight_vector
-from adelie.verify import cotangent_h2_oracle, flag_h2_oracle
+from adelie.surface import ResolutionLattice
+from adelie.verify import cotangent_h2_oracle, flag_h2_oracle, half_h2_oracle
 
 RS = build("A2")
 ROOT = RS.simple_roots[0]
@@ -105,13 +111,14 @@ def test_every_vector_argument_is_refused_with_an_adelie_error(name, bad):
 
 def _public_callables(module):
     """{"module.name": callable} of each public function defined in module,
-    and of each public method of its classes, as the class gives it."""
+    a cached one too, and of each public method of its classes, as the class
+    gives it."""
     short = module.__name__.rsplit(".", 1)[1]
     found = {}
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
-        if inspect.isfunction(obj):
+        if inspect.isfunction(inspect.unwrap(obj)):
             found[f"{short}.{name}"] = obj
         if inspect.isclass(obj):
             for attr in vars(obj):
@@ -302,6 +309,87 @@ def test_every_surface_argument_is_refused_at_its_type_door(name, bad):
     value = NOT_SURFACE[bad] if bad in NOT_SURFACE else SURFACE_TYPES[bad][0]
     with pytest.raises(SURFACE_TYPES[kind][1]):
         SURFACE_CALLS[name](value)
+
+
+def test_a_lattice_over_no_root_system_is_refused_at_the_system_door():
+    # root_to_divisor read lattice.system unchecked: a bare AttributeError
+    with pytest.raises(NotARootSystem, match="None is not a RootSystem"):
+        surface.root_to_divisor(ResolutionLattice(None, ()), ROOT)
+
+
+CONSTANTS = build_constants(RS)
+OBSTRUCTIONS = build_system(CONSTANTS, "positive")
+H = LieElement.h(RS, 0)
+
+# the argument types of batch, chevalley, obstruction and verify: a value of
+# each, which every call below answers, and the refusal of any other value
+# at that type's one door
+ALGEBRA_TYPES = {
+    "RootSystem": (RS, NotARootSystem),
+    "ChevalleyConstants": (CONSTANTS, NotChevalleyConstants),
+    "ObstructionSystem": (OBSTRUCTIONS, NotAnObstructionSystem),
+}
+
+# what stands in for each, beside a value of each other of these types
+NOT_ALGEBRA = {"None": None, "str": "A2", "lattice": LATTICE}
+
+# name[parameter], and the call with the value v in that parameter
+ALGEBRA_CALLS = {
+    "batch.euler_characteristic_graded[rs]":
+        lambda v: batch.euler_characteristic_graded(v, ZERO, 2),
+    "chevalley.build_constants[rs]": lambda v: build_constants(v),
+    "chevalley.LieElement.h[system]": lambda v: LieElement.h(v, 0),
+    "chevalley.LieElement.x[system]": lambda v: LieElement.x(v, ROOT),
+    "chevalley.bracket[c]": lambda v: chevalley.bracket(H, H, v),
+    "chevalley.adjoint_matrix[c]": lambda v: chevalley.adjoint_matrix(H, v),
+    "chevalley.verify_chevalley[c]": lambda v: chevalley.verify_chevalley(v),
+    "chevalley.dump_constants[c]": lambda v: chevalley.dump_constants(v),
+    "obstruction.half_roots[rs]": lambda v: obstruction.half_roots(v, "positive"),
+    "obstruction.build_system[constants]": lambda v: build_system(v, "positive"),
+    "obstruction.check_bianchi[system]": lambda v: obstruction.check_bianchi(v),
+    "obstruction.certify_solvability[system]":
+        lambda v: obstruction.certify_solvability(v, half_h2_oracle(RS, "positive")),
+    "obstruction.system_text[system]": lambda v: obstruction.system_text(v),
+    "verify.flag_h2_oracle[rs]": lambda v: flag_h2_oracle(v),
+    "verify.cotangent_h2_oracle[rs]": lambda v: cotangent_h2_oracle(v),
+    "verify.half_h2_oracle[rs]": lambda v: half_h2_oracle(v, "negative"),
+    "verify.verify_obstruction[rs]": lambda v: verify.verify_obstruction(v),
+    "verify.detect_tampering[constants]": lambda v: verify.detect_tampering(v),
+    "verify.run_suite[rs]": lambda v: verify.run_suite(v, "bwb"),
+    "verify.verify_cht_roots[rs]": lambda v: verify.verify_cht_roots(v),
+}
+
+# name[parameter] of every parameter of a public function or method of these
+# modules annotated with one of these types, and that type
+ALGEBRA_PARAMETERS = {
+    f"{name}[{p.name}]": p.annotation
+    for module in (batch, chevalley, obstruction, verify)
+    for name, obj in _public_callables(module).items()
+    for p in inspect.signature(obj).parameters.values()
+    if p.annotation in ALGEBRA_TYPES
+}
+
+
+def test_the_table_names_every_parameter_of_a_system_table_or_obstruction_type():
+    assert ALGEBRA_PARAMETERS.keys() == ALGEBRA_CALLS.keys()
+
+
+@pytest.mark.parametrize("name", ALGEBRA_CALLS, ids=str)
+def test_every_algebra_parameter_answers_its_type(name):
+    ALGEBRA_CALLS[name](ALGEBRA_TYPES[ALGEBRA_PARAMETERS[name]][0])
+
+
+@pytest.mark.parametrize("name,bad", [
+    (name, bad) for name, kind in ALGEBRA_PARAMETERS.items()
+    for bad in [*NOT_ALGEBRA, *(other for other in ALGEBRA_TYPES if other != kind)]
+], ids=str)
+def test_every_algebra_argument_is_refused_as_a_type_error_at_its_door(name, bad):
+    kind = ALGEBRA_PARAMETERS[name]
+    value = NOT_ALGEBRA[bad] if bad in NOT_ALGEBRA else ALGEBRA_TYPES[bad][0]
+    with pytest.raises(ALGEBRA_TYPES[kind][1]) as exc:
+        ALGEBRA_CALLS[name](value)
+    assert isinstance(exc.value, TypeError)
+    assert str(exc.value) in (f"{value!r} is not a {kind}", f"{value!r} is not an {kind}")
 
 
 # kinds that RootSystem refuses at rank 3, and how its message names each: a
