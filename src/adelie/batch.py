@@ -138,7 +138,7 @@ def euler_characteristic_graded(
     # Column a holds (nu + rho, a) over the live sums.  Root a is root k plus
     # alpha_i, so its column is column k plus column alpha_i, and a column is
     # kept only while a later root still builds on it.
-    steps = rs._positive_steps
+    steps = rs.positive_steps
     simple = {i: a for a, (k, i) in enumerate(steps) if k < 0}
     inputs = [() if k < 0 else (k, simple[i]) for k, i in steps]
     uses = Counter(j for pair in inputs for j in pair)

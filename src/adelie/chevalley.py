@@ -109,7 +109,10 @@ class ChevalleyConstants:
         col = np.concatenate([r + a, k, r + q, r + (s + n_roots // 2) % n_roots])
         tgt = np.concatenate([r + a, r + b, r + self.sum_index[p, q], m])
         val = np.concatenate([weights[a, i], -weights[b, k], self.sign_table[p, q], coords[s, m]])
-        order = np.lexsort((tgt, col, row))
+        # cell order is the order of one key per term, below dim ** 3 (a
+        # stable sort keeps a repeated term's order, as the terms come)
+        dim = r + n_roots
+        order = np.argsort((row * dim + col) * dim + tgt, kind="stable")
         table = tuple(x[order].astype(np.int32) for x in (row, col, tgt)) + (
             val[order].astype(np.int8),
         )
@@ -222,27 +225,43 @@ def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
     return e
 
 
-@lru_cache(maxsize=33)  # one entry for each type that build admits
 def build_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the full sign table for rs, once per root system, and verify its
-    invariants exhaustively; a system past the Jacobi keys is refused first."""
-    _jacobi_dim(checked_system(rs))
+    invariants exhaustively.  rs is read through checked_system before the
+    cache hashes it, and a system past the Jacobi keys is refused first."""
+    return _build_constants(checked_system(rs))
+
+
+@lru_cache(maxsize=33)  # one entry for each type that build admits
+def _build_constants(rs: RootSystem) -> ChevalleyConstants:
+    _jacobi_dim(rs)
     roots = rs.all_roots
     n_roots = len(roots)
     coords = np.array([r.coords for r in roots], dtype=np.int64)
 
-    # pack each root into one int, sum_i c_i * base**i, with a base wide
-    # enough for pair sums, and look each row of pair sums up among the
-    # root keys, sorted once; one row at a time keeps the peak memory small
+    # every root has square 2, so a + b is a root exactly when (a, b) = -1:
+    # only those pairs are looked up.  Pack each root into one int, sum_i c_i
+    # * base**i, with a base wide enough for pair sums, and look their sums
+    # up among the root keys, sorted once
     base = 4 * int(np.abs(coords).max()) + 1
     keys = coords @ base ** np.arange(rs.rank, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    sum_index = np.empty((n_roots, n_roots), dtype=np.int32)
-    for i, key in enumerate(keys):
-        sums = key + keys
-        at = np.minimum(np.searchsorted(sorted_keys, sums), n_roots - 1)
-        sum_index[i] = np.where(sorted_keys[at] == sums, order[at], n_roots)
+    small = coords.astype(np.int16)
+    pairings = small @ np.array(rs.cartan, dtype=np.int16) @ small.T
+    p, q = np.divmod(np.flatnonzero(pairings == -1).astype(np.int32), n_roots)
+    sums = keys[p] + keys[q]
+    at = np.minimum(np.searchsorted(sorted_keys, sums), n_roots - 1)
+    missing = np.flatnonzero(sorted_keys[at] != sums)
+    if missing.size:
+        i, j = p[missing[0]], q[missing[0]]
+        raise ConstructionFailure(
+            f"{rs.name}: roots {roots[i]} and {roots[j]} pair to -1, "
+            "but their sum is not a root"
+        )
+    sum_index = np.full((n_roots, n_roots), n_roots, dtype=np.int32)
+    sum_index[p, q] = order[at]
+    del small, pairings, sums, at
 
     # eps parity over all pairs in one shot, then the negative-root correction;
     # uint8 arithmetic runs mod 256, an even modulus, so every parity is
@@ -530,13 +549,14 @@ def _jacobi_certified(c: ChevalleyConstants) -> bool:
     if not (np.array_equal(terms, packed(col, row, tgt, -val))
             and np.array_equal(terms, packed(w[row], w[col], w[tgt], -val))):
         return False
-    steps = []
-    for a in rs.positive_roots:
-        i, *rest = rs.descent(a)
-        if rest:
-            e = rs.simple_roots[i]
-            steps.append([rs.root_order_index(x) for x in (a - e, e, a)])
-    cell_row, cell_col, target = r + np.array(steps, dtype=np.int64).reshape(-1, 3).T
+    # the step cells from the closure's record: positive root a is root k
+    # plus alpha_i, i the first letter of a's descent (k = -1 on the simple
+    # roots, which have no cell); the roots keep their places in all_roots
+    k, i = np.array(rs.positive_steps, dtype=np.int64).T
+    simple = np.empty(r, dtype=np.int64)
+    simple[i[k < 0]] = np.flatnonzero(k < 0)
+    built = np.flatnonzero(k >= 0)
+    cell_row, cell_col, target = r + k[built], r + simple[i[built]], r + built
     cells, wanted = row * dim + col, cell_row * dim + cell_col
     at = np.searchsorted(cells, wanted)
     one = np.searchsorted(cells, wanted, "right") - at == 1

@@ -153,8 +153,12 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     # Walk up from lambda* by positive roots, keeping the dominant points
     # with c <= d.  A point is one int of 2 rank fields, each offset by half
     # so a field is non-negative exactly when its top bit is set; field
-    # values stay within (-half, half), so adding a step never carries.
-    width = (max(plus.coords) + sum(d) + 8).bit_length() + 1
+    # values stay within (-half, half), so adding a step never carries.  The
+    # height of d is never taken below 2 ht(theta), that of the lowest root
+    # -theta: every root walk has lambda+ = theta, so all of them get the
+    # width of -theta and share one _packed_steps entry.
+    depth = max(sum(d), 2 * sum(rs.highest_root().coords))
+    width = (max(plus.coords) + depth + 8).bit_length() + 1
     half = 1 << (width - 1)
     guard, ones, weight_guard, steps, needs, shared = _packed_steps(rs, width)
     slack = [dv - cv for dv, cv in zip(d, c_star)]

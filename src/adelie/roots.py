@@ -213,8 +213,11 @@ class RootSystem:
         # a Dynkin diagram's Cartan matrix is positive definite: the adjugate exists
         minors, _, adjugate = int_adjugate(self.cartan)
         self._det = minors[-1]
-        # the steps are ordered by height, so k always precedes the root it builds
-        pos, self._positive_steps = _positive_roots(self.cartan)
+        pos, steps = _positive_roots(self.cartan)
+        # the closure's step record: positive root k is positive root j plus
+        # alpha_i for its step (j, i), j = -1 on alpha_i itself, so reading
+        # it down gives the descent word; j always precedes k, by height
+        self.positive_steps: tuple[tuple[int, int], ...] = steps
         self.positive_roots: tuple[LatticeVector, ...] = tuple(
             LatticeVector(c, Basis.SIMPLE_ROOT) for c in pos
         )
@@ -308,7 +311,7 @@ class RootSystem:
         """
         w = self.to_weight_basis(v).coords
         out: list[int] = []
-        for k, i in self._positive_steps:
+        for k, i in self.positive_steps:
             out.append(w[i] if k < 0 else out[k] + w[i])
         return out
 
@@ -339,7 +342,7 @@ class RootSystem:
             raise NotARootClass(f"{alpha} is not a positive root of {self.name}")
         word = []
         while k >= 0:
-            k, i = self._positive_steps[k]
+            k, i = self.positive_steps[k]
             word.append(i)
         return tuple(word)
 

@@ -53,7 +53,9 @@ class ResolutionLattice(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return self.system.rank
+        """The system's rank, which every method reads: NotARootSystem for a
+        lattice built over anything but a RootSystem."""
+        return checked_system(self.system).rank
 
     def curve(self, i: int) -> DivisorClass:
         """The i-th exceptional curve, 1-based."""

@@ -88,7 +88,7 @@ def test_build_constants_refuses_a_system_past_the_packed_jacobi_keys():
     # past the dim < 1291 of the packed Jacobi keys, so the gate refuses it
     with pytest.raises(BudgetExceeded, match="dimension 1295 "):
         build_constants(RootSystem("A", 35))
-    assert build_constants.cache_info().maxsize == 33
+    assert chevalley._build_constants.cache_info().maxsize == 33
 
 
 @pytest.mark.parametrize("kind,dim", [("A", 4224), ("D", 8128)])
@@ -516,7 +516,7 @@ def _zero_parity(rs):
 def test_build_gate_raises_construction_failure(monkeypatch, capsys):
     # eps = +1 on every generator pair makes the sign table symmetric
     monkeypatch.setattr(chevalley, "_eps_parity_matrix", _zero_parity)
-    build_constants.cache_clear()
+    chevalley._build_constants.cache_clear()
     try:
         with pytest.raises(ConstructionFailure) as exc:
             build_constants(build("A2"))
@@ -526,7 +526,7 @@ def test_build_gate_raises_construction_failure(monkeypatch, capsys):
         assert main(["chevalley", "A2"]) == 3
         assert "internal error:" in capsys.readouterr().err
     finally:
-        build_constants.cache_clear()
+        chevalley._build_constants.cache_clear()
 
 
 def _uncorrected(c):
@@ -876,3 +876,223 @@ def test_the_sweep_from_an_owner_matches_the_per_lo_sweep_from_it():
             assert chevalley._jacobi_sweep(bad, 28, end) == expected
             found += expected is not None
     assert found
+
+
+def _reference_sum_index(rs):
+    # every pair's sum looked up, one row of the keys at a time: the route
+    # build_constants took before it looked up only the pairs at -1
+    coords = np.array([r.coords for r in rs.all_roots], dtype=np.int64)
+    n_roots = len(coords)
+    base = 4 * int(np.abs(coords).max()) + 1
+    keys = coords @ base ** np.arange(rs.rank, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    sum_index = np.empty((n_roots, n_roots), dtype=np.int32)
+    for i, key in enumerate(keys):
+        sums = key + keys
+        at = np.minimum(np.searchsorted(sorted_keys, sums), n_roots - 1)
+        sum_index[i] = np.where(sorted_keys[at] == sums, order[at], n_roots)
+    return sum_index
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_the_sum_index_is_the_all_pairs_lookup(name):
+    rs = build(name)
+    assert np.array_equal(build_constants(rs).sum_index, _reference_sum_index(rs))
+
+
+def test_a_pair_at_minus_one_whose_sum_is_no_root_is_refused():
+    # A3 without its highest root: alpha_3 pairs to -1 with alpha_1 +
+    # alpha_2, and their sum is missing from the keys
+    rs = RootSystem("A", 3)
+    rs.positive_roots = rs.positive_roots[:-1]
+    rs.all_roots = rs.positive_roots + tuple(-a for a in rs.positive_roots)
+    message = (r"^A3: roots \{0,0,1\|root\} and \{1,1,0\|root\} pair to -1, "
+               r"but their sum is not a root$")
+    with pytest.raises(ConstructionFailure, match=message):
+        chevalley._build_constants.__wrapped__(rs)
+
+
+# SHA-256 of sign_table's and sum_index's bytes (int8 and int32, C order) and
+# of the bracket-table terms, one "i,j,k,coeff" line each in cell order, on
+# every supported type; recorded before the sum index was read from the
+# pairings and the terms sorted by one key
+TABLE_SHA256 = {
+    "A1": ("df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+           "141253dc2e6542a74c1a4c854a9f711f8b1711068aee2be41671fcfc99cf4d98",
+           "71f15e74d61e199cad5be8ac8869bf39977594cffa0b2782e242a62aecaf1e9a"),
+    "A2": ("b048c9e54292ecd2f33f57198f367d6a73d4788fbc62663725d512b84f5d8dfd",
+           "49b6758f5bed0c00dc2fb058d2f91a6850b86e4ed552e26cc30c28ca458ccbf3",
+           "d40b643ad52be4f47e70e0083f029704d94bd608fa5618adad212e074d136d2b"),
+    "A3": ("af342f32ed27853a39374e4c6e2474ef3f3250c4580d914cf1b23d2d88d4bba3",
+           "c9f15cf3b56752d226f036e9b509884497ae768603d26928abb786570238afd6",
+           "dbf5200317f84438db5068d7e296cdee797f12574279b29a0706a1adb8c81abf"),
+    "A4": ("c58db2066615f0bb22d3f647808a3427ddbb8cca40046e67a5019140522e6a78",
+           "df2e9637c94210349afbe8bd105bd56d4c00c3d4264298c0a3b70e9000b6aae3",
+           "71a27827484452c836ee8b793f673b349e1b04879fe8888022f8f6156e7d65cb"),
+    "A5": ("a82d104a8a2377ddebd7fde04ebbe76d889fa264b7cbed3becf0f3764daff4b5",
+           "28a5f681c321eae0b050b424c461ff578a180d145b7af5e545ac86761bc6f5d2",
+           "bf8122456664a9bfaa9d6b4e28267af11df3f58f57b9d21c5ca9824408e14d0d"),
+    "A6": ("0133d35ec976d08169a07ba11855bd43f4dc7cac07cd8aa7734ced27a05fb0e9",
+           "9d06cb071205bc3359fd9225371f34c1629679144451e468c1b06582e8e4808c",
+           "8350b61affb985c89a636a85bbfc9196a9bcb006c80cfbfcb5d42099aa66f27d"),
+    "A7": ("4de39aafec6478f376536a3f6ca1eed26d2884eb3688d190f1961b0662aad947",
+           "f1d6970f4aa7c3bee6a01b268f94348660419651eb78e74f9dbba29ce951f260",
+           "b19ab69ba260afa880c302ba73ae710e1fd0c02940327ff025d627f870da8d15"),
+    "A8": ("cf7366b927c8714a6511673c6c98649325aa107e3608487d6084a3b1236006de",
+           "e51a49ec79f965e34e95a34cbbf0f38424f2435e1a3499dbb8c4d051b957781c",
+           "3f4ad79e67e938936fe1f4ef2c9b5334d9f9e138860be84283eedb6bbb9f1d0f"),
+    "A9": ("fb395cd845c2a5380c0ea62e839b3737cb36810bd862df8e2cef5da8d8a6a8ae",
+           "c418eadff1de75e0b54e19da54f8a9e733ca77111bf64691deb7fe7473e7145e",
+           "4edac52976fe7261f97b8935e32e6deab4111af993ddf9cd2361b26437a8384a"),
+    "A10": ("3204ae1707635c14347dd8f4ce76803376a372009be8462f6b2817739da4cda3",
+            "75c9bf6ece43a86d9bf8dcd7a9d8a9db642a0eebc62fbbebbad80d3aa15ac627",
+            "b1a79d7c8a375077118fccc9aebe438604b0322123e677a929e2503436467564"),
+    "A11": ("4e977205d4ad629128b3464ac3238ff1e51adcc92ad0490e834cdff5534dfa64",
+            "109625e400f97016d12cb5d6865077cb0621b5e3f00ea4c7cd9dbf31f9711c2a",
+            "cbc82e80dccbcb61226643e1779f18093c8615ae923c4d958aa7efbed828e6a6"),
+    "A12": ("d8b399ddc25ebd308b11bc888b4c3787bf5f8f91a3156289920615f22ba14e7f",
+            "02dc7e5b89d42992b4d173a9e70d1c666b6b4114333382331bccba77721c6135",
+            "8470751e062b64d3927f43b2da429040b5f4a95d23909f96715ec16ec997b8db"),
+    "A13": ("18a706f41cbf6fe0470d8b20e936dcfdf58d9ab5b1bbc03dee933331abd06d8a",
+            "cebe8e6217c891b828585b603573cd4829a2c6bfde24a6482b849803be0e1b6a",
+            "2482c36b693d096be446492e35e8ae837c1560373f39d8849e209dfc7dcd233a"),
+    "A14": ("d2b13ac15639ce8c82f36d48ac924b03c7eb7ce9f7d7f0e59ec1cbb6362aa219",
+            "2eade3c4d8d735f9eb7e43c1f03c2f71b6d14b5feb3e312e7ed9cb884e8c578e",
+            "cbfb8874aa729f13255c8ca35d3f93bc190bd48c86e4b719aebab3c91841783b"),
+    "A15": ("4490f72853e1f2ccb14c56a34b65efb44b9b9e9a44d691cbed737b7baade438c",
+            "4ce7fa0cfca6a09ec031d54ecd9773f0b4bb310c242c375e3df339d2d3e5ada1",
+            "14b38defd4440c458a7447ce9136ce16ad2583403ed7ead74c6b92eb6bb51584"),
+    "A16": ("5140b2c6670a1583f528cd074b864c7082bb474855b8e915e76e0e95c3ded565",
+            "3fa50360997293f05f24c7e479e3b67e835846e154a812a035e005adf1fd99a0",
+            "960fe4d25878a1d2125d890e7c45ce0b172756480a4d56d272bc42d50abc3c13"),
+    "D3": ("da2be6be6c9e8b497637ca0a3a1a85961f0e75efe34436b16e3b333bdc518348",
+           "dc82618e6d65565c410fc2fbc2be4a69dfa8b5fa45f5b960c68eb74bdaabbbfb",
+           "40ddd19f41dbaf7e22da683df920a42bca08ef00e58b6d0583520dc45093f3db"),
+    "D4": ("51420ccf9bcb3065029d8220f9d8772865bec0bec058dde5c1b38130f230a241",
+           "42aeb7df0ab74e89af07990f734365d02bcaa6c1a2e79c339a40722cfa8eddc2",
+           "19aa42c35c8409077f386f26d495d9103f6a218e47a3c0f98d55e7c4aa59de85"),
+    "D5": ("0abb4cc1046643b05505801b93aaf6d19479926d5f0b1ed088112dec80cea431",
+           "86d602189f0eafae650b149fb4b84bf5b803a04b465c346f0ef4693d8b748dfa",
+           "c3e148237328d4cfb62c89312a9e2a0479820fe1a3a27cc08576bfb592cdb654"),
+    "D6": ("65109302e27111a09cdddc21559914d152226dafb5572d3d0652b66595048aba",
+           "06fce37bc0b250e18a8b820a90cc9d3470ae9a5a58644bbdf2d33e38ee6ecf4c",
+           "19d8df4beeb0778b770fe6d6a68608e5fdd33fc3f79e75392bab7c53510721da"),
+    "D7": ("adcbfecc1af7032df9e1578b8f8203863547cbaa4b00f9a776d3043503cb42bb",
+           "a50e0e01cf73c3a1bc9deba81c457d686235ea277cad5c5ecdc0361a93cab7e0",
+           "eae26b614b047d34aaebc5400600ac9259f2f3ee9d076857fa97c7996a052760"),
+    "D8": ("a52afd01d3cfc1bb661ba89191dbf383c0d3d63333c14c931c10d77cc42a0089",
+           "47080f8ffdf0caa646011fd69d123fffd43e7f4b79a5e767ed5b08235ee66e1a",
+           "113ed131825a337703df86abc9b3eab7e7a1094c4bc69f969ccd5f8c4c434a4c"),
+    "D9": ("a4e978296a303c716c62c1b4ff70c52dfdd5f7ec1272fb9b355bd3a14e969feb",
+           "edf7d5b96c982b4b11f5efecbc149b26d0837aff4cd86a83abb95cc83195e01c",
+           "56798daf124ecd66836e30cb212f7dbe9c7f84ec784d83af3f40d5f365a48d7a"),
+    "D10": ("49eb9ef934e8fd8ba588ad5ee51f875c06cb45eb88b7f4a5e60aecf5b60fb844",
+            "c6b9623d4897e42f65b4e1a83e707ed630f6178062fe2a6ce2e125202bbe78b4",
+            "63297c4171686f3f66d5404ec04f2576056b1e72ca07fa5fd63a88fa50f642ae"),
+    "D11": ("d27b8c9832ff4dc8bc494b6e8c7ee8c7fbe43ae04bc16dabf8cb489f6ea45749",
+            "443b45006060188f49ef47cc42329bb58b33b9aa2ffeae43b26c396a01be6b72",
+            "988dd7d94f233175606ec27ae4724eec0e98d14a4416f7dc2d612f9005e4f2ea"),
+    "D12": ("6499ec23cb566478ad5a76d46ebc30375e3ff1fec8712108df04bfe07f6940d6",
+            "f5197b54dde81aea9726a309b7a05f15c49683cefaeb18dd6b8ed156e8b00cce",
+            "19e4944a67c9d073677f8f24c1594a89edc61ff16fd36c55aa23238822778621"),
+    "D13": ("16116ec3ef0cc6c7afb038df1f664fed2800c804a3fd3105443f5238f974509e",
+            "6a27f6d1e616952e68a3e137cb59fa1e3fbeebb65f24eb003f373d3e2f60cd79",
+            "ef06c90b06d1bffeda590eed45f3d5e02194a8edacb055a0cb27497ed3f84b38"),
+    "D14": ("3981a5f58ab9ef81823d4e4aba3244c0f64e3d1b110e52f6cc5dd62adf0c249e",
+            "ec476dd97f05a9bc1df7a548d2b1da7752e68a5f125f9fcbb10745f69cbf79a4",
+            "2cef2fbce766d33b981593e7a9c2b810cbab2f2cc55106b7ff87f2ec10bfbd8b"),
+    "D15": ("f1a837b6cfb9c1c5e5d35340ecd03c7e5c84425cd8febd11a3782dfd8d508d44",
+            "1f5cf750148e7800e50449d6a38546aa52b297ac2f471641e44b0de29c316e18",
+            "b7814f03386b32452dda617562f2d138e6079f011871b0afb5c40ec4af868088"),
+    "D16": ("abba936067e31a5c203d5bca3611f8c0cf7691e077ff4d67ea319fcc54245db8",
+            "353a592c829b66aac490482a17c214794f2417b36e6b290f70b9de2e9e35672e",
+            "65a465b3f121ba6bcb523bfdcc40eb16ec18043aae58211f6852e2de6189e271"),
+    "E6": ("ba80604f8042b989538411041cc0b5f2cd520adcbb710424c725b10b972e7d1a",
+           "7901f3e3b586ec59f3da0e01a862b9909b1c7c08d71388e63fd90f16a52676ee",
+           "a0418af3ed0678dc1fb24f6f404185f6a9aac030d197a3dc0405a0a168ee6e34"),
+    "E7": ("65b74a4b052a8572624f183b6edf51643c195a8301861a5f0510e3c5fd4b981a",
+           "3719c47c26072b83b7e97b47a6f035cfbb02e9d183ad58864eebf4bd48468921",
+           "4eba4d238e03c95088ce7a652b24f4ecdfb6b42b7c1bc55ac244fe7514dfc24f"),
+    "E8": ("c4c534c977dce677149b4ff1540f698a87ad2f85b57e141da4a55fd7dee00f26",
+           "363fc3f8efc7f29c92a12f780dca25d1fe49b82a1cb8e07e82728980eed96871",
+           "c9a29839f570ae908b80a803f9916dbf9816d93309912ea1dc947afee30a1cf7"),
+}
+
+
+@pytest.mark.parametrize("name", SUPPORTED)
+def test_every_table_is_pinned(name):
+    c = build_constants(build(name))
+    assert (c.sign_table.dtype, c.sum_index.dtype) == (np.int8, np.int32)
+    entries = zip(*(x.tolist() for x in c.bracket_table))
+    terms = "".join(f"{a},{b},{k},{v}\n" for a, b, k, v in entries)
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (c.sign_table.tobytes(), c.sum_index.tobytes(), terms.encode())
+    )
+    assert digests == TABLE_SHA256[name]
+
+
+def test_a_cold_e8_build_keeps_its_peak_memory_small():
+    # the build's peak is about 1.8 MB (numpy 2.4): the n_roots ** 2 tables
+    # and the gate's sweep, never a temporary per pair and root
+    rs = build("E8")
+    tracemalloc.start()
+    try:
+        chevalley._build_constants.__wrapped__(rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
+
+
+def _reference_certified(c):
+    # the certificate with its step cells found root by root, through descent
+    # and root_order_index
+    rs = c.system
+    r, n_roots = rs.rank, len(rs.all_roots)
+    dim = r + n_roots
+    row, col, tgt, val = c.bracket_table
+    val = val.astype(np.int16)
+    w = np.arange(dim)
+    w[r:] = r + (w[r:] - r + n_roots // 2) % n_roots
+    terms = sorted(zip(row.tolist(), col.tolist(), tgt.tolist(), val.tolist()))
+    if terms != sorted(zip(col.tolist(), row.tolist(), tgt.tolist(), (-val).tolist())):
+        return False
+    if terms != sorted(zip(w[row].tolist(), w[col].tolist(), w[tgt].tolist(), (-val).tolist())):
+        return False
+    cells = {}
+    for p, q, t, v in terms:
+        cells.setdefault((p, q), []).append((t, v))
+    for a in rs.positive_roots:
+        i, *rest = rs.descent(a)
+        if rest:
+            e = rs.simple_roots[i]
+            p, q, t = (r + rs.root_order_index(x) for x in (a - e, e, a))
+            found = cells.get((p, q), [])
+            if len(found) != 1 or found[0][0] != t or found[0][1] == 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5"])
+def test_the_certificate_matches_its_per_root_reference(name):
+    # each sign term dropped with its transpose and their images under the
+    # involution: such a table keeps both symmetries, so the step cells
+    # alone decide the certificate, which fails when a step cell is dropped
+    c = build_constants(build(name))
+    rs = c.system
+    r, n_roots = rs.rank, len(rs.all_roots)
+    w = np.arange(r + n_roots)
+    w[r:] = r + (w[r:] - r + n_roots // 2) % n_roots
+    row, col, tgt, val = c.bracket_table
+    assert chevalley._jacobi_certified(c) and _reference_certified(c)
+    verdicts = []
+    for n in np.flatnonzero((row >= r) & (col >= r) & (tgt >= r)):
+        p, q = row[n], col[n]
+        orbit = {(p, q), (q, p), (w[p], w[q]), (w[q], w[p])}
+        edited = np.where([(i, j) in orbit for i, j in zip(row, col)], 0, val)
+        bad = _with_terms(c, row, col, tgt, edited)
+        verdicts.append(chevalley._jacobi_certified(bad))
+        assert verdicts[-1] == _reference_certified(bad)
+    assert True in verdicts and False in verdicts

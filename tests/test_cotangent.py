@@ -261,6 +261,18 @@ def test_cht_past_the_pattern_cap_is_the_reference_walk(monkeypatch):
     assert entries and all(len(entry[-1]) <= 1 for entry in entries)
 
 
+def test_every_root_walk_of_a_system_shares_one_packed_table():
+    # the shift never falls below that of the lowest root -theta, so the walks
+    # from every root of a system read one _packed_steps entry (without the
+    # floor, E8's took four widths and D8's three)
+    cotangent._packed_steps.cache_clear()
+    for name in ("A8", "D8", "E8"):
+        rs = build(name)
+        for a in rs.all_roots:
+            cht(rs, a)
+    assert cotangent._packed_steps.cache_info().currsize == 3
+
+
 @pytest.mark.parametrize(
     "name,weights",
     [

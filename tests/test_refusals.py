@@ -35,7 +35,7 @@ from adelie.errors import (
 )
 from adelie.obstruction import build_system
 from adelie.roots import MAX_SYSTEM_RANK, RootSystem, build, root_vector, weight_vector
-from adelie.surface import ResolutionLattice
+from adelie.surface import DivisorClass, ResolutionLattice
 from adelie.verify import cotangent_h2_oracle, flag_h2_oracle, half_h2_oracle
 
 RS = build("A2")
@@ -195,9 +195,10 @@ def test_every_integer_argument_is_refused_with_an_adelie_error(name, bad):
         call(NOT_INTEGERS[bad])
 
 
-# what stands in for a RootSystem: a spec string, None and a lattice, each
-# refused by roots.checked_system before any work
-NOT_SYSTEMS = {"spec": "A2", "None": None, "lattice": LATTICE}
+# what stands in for a RootSystem: a spec string, None, a lattice and an
+# unhashable list, each refused by roots.checked_system before any work (and
+# before a cache hashes it)
+NOT_SYSTEMS = {"spec": "A2", "None": None, "lattice": LATTICE, "list": [1, 2]}
 
 # name, and the call with the value s in the RootSystem position
 SYSTEM_CALLS = {
@@ -261,7 +262,7 @@ SURFACE_TYPES = {
 }
 
 # what stands in for each, beside a value of each other surface type
-NOT_SURFACE = {"None": None, "str": "A2", "tuple": (1, 0)}
+NOT_SURFACE = {"None": None, "str": "A2", "tuple": (1, 0), "list": [1, 2]}
 
 # name[parameter], and the call with the value v in that parameter
 SURFACE_CALLS = {
@@ -317,6 +318,23 @@ def test_a_lattice_over_no_root_system_is_refused_at_the_system_door():
         surface.root_to_divisor(ResolutionLattice(None, ()), ROOT)
 
 
+NO_SYSTEM = ResolutionLattice(None, ())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NO_SYSTEM.rank,
+    lambda: NO_SYSTEM.curve(1),
+    lambda: NO_SYSTEM.degrees(DivisorClass(())),
+    lambda: NO_SYSTEM.pair(DivisorClass(()), DivisorClass(())),
+    lambda: NO_SYSTEM.self_intersection(DivisorClass(())),
+    lambda: NO_SYSTEM.restriction_degree(DivisorClass(()), 1),
+], ids=["rank", "curve", "degrees", "pair", "self_intersection", "restriction_degree"])
+def test_a_lattice_over_no_root_system_refuses_in_its_own_methods(call):
+    # rank read self.system unchecked: curve(1) raised a bare AttributeError
+    with pytest.raises(NotARootSystem, match="^None is not a RootSystem$"):
+        call()
+
+
 CONSTANTS = build_constants(RS)
 OBSTRUCTIONS = build_system(CONSTANTS, "positive")
 H = LieElement.h(RS, 0)
@@ -331,7 +349,7 @@ ALGEBRA_TYPES = {
 }
 
 # what stands in for each, beside a value of each other of these types
-NOT_ALGEBRA = {"None": None, "str": "A2", "lattice": LATTICE}
+NOT_ALGEBRA = {"None": None, "str": "A2", "lattice": LATTICE, "list": [1, 2]}
 
 # name[parameter], and the call with the value v in that parameter
 ALGEBRA_CALLS = {

@@ -79,9 +79,9 @@ def test_each_positive_root_is_its_step_plus_a_simple_root(name):
     # (k, i) builds positive root k plus alpha_i, k = -1 exactly on the simple
     # roots, and i is the least index whose alpha_i leaves a positive root
     rs = build(name)
-    assert len(rs._positive_steps) == len(rs.positive_roots)
+    assert len(rs.positive_steps) == len(rs.positive_roots)
     positive = {a.coords for a in rs.positive_roots}
-    for a, (k, i) in zip(rs.positive_roots, rs._positive_steps):
+    for a, (k, i) in zip(rs.positive_roots, rs.positive_steps):
         below = [
             j for j in range(rs.rank)
             if a.coords[:j] + (a.coords[j] - 1,) + a.coords[j + 1:] in positive
@@ -103,11 +103,11 @@ def test_descent_word_subtracts_the_steps_down_to_a_simple_root(name):
         word = rs.descent(a)
         assert len(word) == rs.height(a)
         for i in word[:-1]:
-            step, j = rs._positive_steps[k]
+            step, j = rs.positive_steps[k]
             assert i == j
             a, k = a - rs.simple_roots[i], step
         assert a == rs.simple_roots[word[-1]]
-        assert rs._positive_steps[k] == (-1, word[-1])
+        assert rs.positive_steps[k] == (-1, word[-1])
 
 
 def test_descent_refuses_all_but_positive_roots():

@@ -136,18 +136,12 @@ def _foreign_private_attributes(tree):
 
 
 # a class's single-underscore state is read only through self, behind its
-# methods; the one read from outside is the graded Euler recurrence, which
-# walks RootSystem's closure steps as positive_pairings does
-PRIVATE_READS = {("batch.py", "_positive_steps")}
-
-
+# methods: the closure's step record, which the graded Euler recurrence and
+# the Jacobi certificate walk, is RootSystem.positive_steps
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_private_attributes_read_only_through_self(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    bad = [
-        (line, name) for line, name in _foreign_private_attributes(tree)
-        if (path.name, name) not in PRIVATE_READS
-    ]
+    bad = list(_foreign_private_attributes(tree))
     assert bad == [], f"{path.name}: private attributes of another object {bad}"
 
 
