@@ -18,6 +18,7 @@ from operator import index, mul
 import numpy as np
 
 from ._exact import digits_past_limit
+from .cotangent import MAX_TERMS
 from .errors import (
     BudgetExceeded, ConstructionFailure, InvalidBound, NegativeDegree, NonIntegerDegree
 )
@@ -25,7 +26,7 @@ from .roots import LatticeVector, RootSystem, checked_system, root_vector
 
 
 def euler_characteristic_graded(
-    rs: RootSystem, lam: LatticeVector, degree: int, max_terms: int = 10 ** 6
+    rs: RootSystem, lam: LatticeVector, degree: int, max_terms: int = MAX_TERMS
 ) -> int:
     """Sum of Euler characteristics of lam shifted by all degree-multisets of
     positive roots: the Euler characteristic of the degree-th symmetric-power

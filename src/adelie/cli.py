@@ -30,7 +30,7 @@ from ._exact import digits_past_limit
 # them: perfbench/tracer.py wraps the functions of the modules loaded before it
 # installs, and CI's "benchmark spans" step fails on an absent cotangent.* or
 # flag.* span (perfbench/child.py imports surface itself)
-from .cotangent import cht, cotangent_verdict, euler_characteristic_graded
+from .cotangent import MAX_TERMS, cht, cotangent_verdict, euler_characteristic_graded
 from .errors import AdelieError, CancellationFailure, ConstructionFailure
 from .flag import ALL_VANISH, bwb
 from .report import SUITES, VerificationReport
@@ -46,7 +46,7 @@ def _vector(args, rs: RootSystem) -> LatticeVector:
         raise AdelieError(
             f"{rs.name} needs {rs.rank} coordinates, got {len(coords)}"
         )
-    if getattr(args, "basis", "weight") == "root":
+    if args.basis == "root":
         return root_vector(*coords)
     return weight_vector(*coords)
 
@@ -234,9 +234,9 @@ def _cmd_surface(rs, args):
     from .surface import resolution_lattice, root_to_divisor, surface_h2_oracle, verify_surface
     lattice = resolution_lattice(rs)
     if args.root is not None:
-        alpha = root_vector(*args.root) if len(args.root) == rs.rank else None
-        if alpha is None:
+        if len(args.root) != rs.rank:
             raise AdelieError(f"{rs.name} needs {rs.rank} root coordinates")
+        alpha = root_vector(*args.root)
         d = root_to_divisor(lattice, alpha)
         verdict = surface_h2_oracle(lattice)(alpha)
         payload = {
@@ -283,8 +283,8 @@ COMMANDS = (
     ("cotangent", _cmd_cotangent, "degree-two vanishing verdict", _WEIGHT),
     ("euler", _cmd_euler, "graded euler characteristic", _WEIGHT + (
         ("--degree", {"type": int, "default": 0, "help": "symmetric degree (default 0)"}),
-        ("--max-terms", {"type": int, "default": 10**6,
-                         "help": "term budget before giving up (default 1000000)"}),
+        ("--max-terms", {"type": int, "default": MAX_TERMS,
+                         "help": "term budget before giving up (default %(default)s)"}),
     )),
     ("chevalley", _cmd_chevalley, "verify or dump the structure constants", (
         ("--dump", {"action": "store_true", "help": "print the sign table"}),

@@ -49,6 +49,9 @@ _POINT_BUDGET = 2 * 10 ** 4
 # pattern of a system of rank 8 or less, each a tuple of at most as many
 # steps as positive roots
 _PATTERN_CAP = 2 ** 8
+#: the multiset budget of euler_characteristic_graded, and of the euler
+#: command's --max-terms, unless the caller passes one
+MAX_TERMS = 10 ** 6
 
 
 def dominance_leq(rs: RootSystem, mu: LatticeVector, nu: LatticeVector) -> bool:
@@ -363,7 +366,7 @@ def verify_descent(rs: RootSystem) -> VerificationReport:
 
 
 def euler_characteristic_graded(
-    rs: RootSystem, lam: LatticeVector, degree: int, max_terms: int = 10 ** 6
+    rs: RootSystem, lam: LatticeVector, degree: int, max_terms: int = MAX_TERMS
 ) -> int:
     """Euler characteristic of the degree-th symmetric-power twist of lam: the
     sum of chi(lam + the roots of a multiset) over the degree-multisets of

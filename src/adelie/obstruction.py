@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .errors import (
     NotAnObstructionSystem,
 )
 from .report import H2VanishVerdict, VerificationReport
-from .roots import LatticeVector, RootSystem, checked_system
+from .roots import Basis, LatticeVector, RootSystem
 
 Coords = tuple[int, ...]
 Monomial = tuple[tuple[Coords, ...], tuple[Coords, ...]]
@@ -77,14 +78,6 @@ class FormalForm:
         # a dict's copy keeps the hashes of its keys: rebuild only to drop zeros
         terms = dict(terms or {})
         self.terms = terms if all(terms.values()) else {k: v for k, v in terms.items() if v}
-
-    @classmethod
-    def phi(cls, c: Coords) -> "FormalForm":
-        return cls({((tuple(c),), ()): 1})
-
-    @classmethod
-    def psi(cls, c: Coords) -> "FormalForm":
-        return cls({((), (tuple(c),)): 1})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalForm) and other.terms == self.terms
@@ -142,13 +135,13 @@ class Half(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ObstructionSystem:
-    """The extracted obstruction forms E_a for every root of one half.  Two
+    """The extracted obstruction forms E_a for every root of one half, keyed
+    by the root's coordinates; the roots are read from those keys.  Two
     systems are equal only when they are the same instance, which is hashed
     as an object, and the repr names the table and the half alone."""
 
     constants: ChevalleyConstants
     half: Half
-    roots: tuple[LatticeVector, ...] = field(repr=False)
     obstructions: dict[Coords, FormalForm] = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -158,6 +151,12 @@ class ObstructionSystem:
     def system(self) -> RootSystem:
         return self.constants.system
 
+    @cached_property
+    def roots(self) -> tuple[LatticeVector, ...]:
+        """The classes of the forms, in the order the forms are held:
+        build_system holds them in _root_key order."""
+        return tuple(LatticeVector(c, Basis.SIMPLE_ROOT) for c in self.obstructions)
+
 
 def _checked_obstruction(system) -> ObstructionSystem:
     # the one check of an obstruction-system argument
@@ -166,17 +165,12 @@ def _checked_obstruction(system) -> ObstructionSystem:
     raise NotAnObstructionSystem(f"{system!r} is not an ObstructionSystem")
 
 
-def _half_places(rs: RootSystem, half: Half | str) -> list[int]:
+def _half_places(rs: RootSystem, half: Half) -> list[int]:
     # the places in all_roots, which lists the positives and then their
-    # negatives, of the roots of the half Half(half), sorted by _root_key
+    # negatives, of the roots of the half, sorted by _root_key
     roots, n = rs.all_roots, len(rs.positive_roots)
-    first = 0 if Half(half) is Half.POSITIVE else n
+    first = 0 if half is Half.POSITIVE else n
     return sorted(range(first, first + n), key=lambda i: _root_key(roots[i].coords))
-
-
-def half_roots(rs: RootSystem, half: Half | str) -> tuple[LatticeVector, ...]:
-    """The roots of the half Half(half), sorted by _root_key."""
-    return tuple(map(checked_system(rs).all_roots.__getitem__, _half_places(rs, half)))
 
 
 def build_system(constants: ChevalleyConstants, half: Half | str) -> ObstructionSystem:
@@ -281,7 +275,7 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
         c: FormalForm(dict(zip(monomials[lo:hi], values[lo:hi])))
         for c, lo, hi in zip(coords, ptr, ptr[1:])
     }
-    return ObstructionSystem(constants, half, roots, obstructions)
+    return ObstructionSystem(constants, half, obstructions)
 
 
 def check_bianchi(system: ObstructionSystem) -> VerificationReport:
@@ -369,11 +363,15 @@ class SolvabilityCertificate:
     Classes of height two and above are solvable iff their H^2 vanishes;
     requirements lists the height-one classes, whose first-order obstruction
     must instead act nontrivially on the target for the system to deform.
+    solvable is read from the verdicts, so it cannot disagree with them.
     """
 
-    solvable: bool
     verdicts: tuple[H2VanishVerdict, ...]
     requirements: tuple[LatticeVector, ...]
+
+    @property
+    def solvable(self) -> bool:
+        return all(v.vanishes for v in self.verdicts)
 
 
 def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertificate:
@@ -391,20 +389,14 @@ def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertifi
         if not isinstance(answer, H2VanishVerdict):
             raise IncompleteOracle(f"oracle answered {answer!r} for {alpha}, no H2VanishVerdict")
         verdicts.append(answer)
-    return SolvabilityCertificate(
-        solvable=all(v.vanishes for v in verdicts),
-        verdicts=tuple(verdicts),
-        requirements=tuple(requirements),
-    )
+    return SolvabilityCertificate(tuple(verdicts), tuple(requirements))
 
 
 def system_text(system: ObstructionSystem) -> str:
     """Stable text rendering, one obstruction form per line."""
     system = _checked_obstruction(system)
     lines = [f"# obstruction system {system.system.name} {system.half.value}"]
-    forms = [system.obstructions[alpha.coords] for alpha in system.roots]
-    generators = _generators(forms)
-    for alpha, form in zip(system.roots, forms):
-        coords = ",".join(map(str, alpha.coords))
-        lines.append(f"({coords}): {_form_text(form, generators)}")
+    generators = _generators(system.obstructions.values())
+    for c, form in system.obstructions.items():
+        lines.append(f"({','.join(map(str, c))}): {_form_text(form, generators)}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Command-line coverage: payload shapes, exit codes, determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -11,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from adelie import cli, cotangent, verify
-from adelie.cli import COMMAND_FOR_OPERATION, _report, main
+from adelie import batch, cli, cotangent, verify
+from adelie.cli import COMMAND_FOR_OPERATION, COMMANDS, _report, build_parser, main
 from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailure
 from adelie.flag import bwb
 from adelie.report import H2VanishVerdict, VerificationReport
@@ -649,6 +650,26 @@ def test_budget_bounds_the_fold_layers(capsys, fmt):
     # the largest degree the budget allows still answers
     code, out, err = run(capsys, "euler", "A1", "--degree", "999", "--max-terms", "1000", "--", "0")
     assert (code, out, err) == (0, "A1 {0|weight}: graded euler characteristic at degree 999 is 1999\n", "")
+
+
+def test_the_multiset_budget_has_one_default(capsys, monkeypatch):
+    # euler_characteristic_graded, its batch kernel and --max-terms all read
+    # cotangent.MAX_TERMS, and the help prints it
+    kernels = (cotangent.euler_characteristic_graded, batch.euler_characteristic_graded)
+    defaults = [inspect.signature(f).parameters["max_terms"].default for f in kernels]
+    assert defaults == [cotangent.MAX_TERMS] * 2 and cotangent.MAX_TERMS == 10 ** 6
+    assert build_parser().parse_args(["euler", "A2", "0", "0"]).max_terms == cotangent.MAX_TERMS
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["euler", "--help"])
+    assert "term budget before giving up (default 1000000)\n" in capsys.readouterr().out
+
+
+def test_every_command_that_reads_a_weight_has_a_basis():
+    # _vector reads args.basis with no fallback
+    for name, command, _, arguments in COMMANDS:
+        reads = "_vector(args, rs)" in inspect.getsource(command)
+        assert reads == ("--basis" in dict(arguments)), name
 
 
 # runs argv as a grandchild and prints [exit code, stdout, stderr, maxrss]: a

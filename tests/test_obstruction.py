@@ -22,11 +22,11 @@ from adelie.obstruction import (
     H2VanishVerdict,
     Half,
     ObstructionSystem,
+    SolvabilityCertificate,
     build_system,
     certify_solvability,
     check_bianchi,
     form_text,
-    half_roots,
     system_text,
 )
 from adelie.verify import detect_tampering, half_h2_oracle
@@ -110,17 +110,17 @@ class Form(FormalForm):
         for (phis, psis), coeff in self.terms.items():
             part = Form({(phis, ()): coeff})
             for c in psis:
-                part = part * mapping.get(c, Form.psi(c))
+                part = part * mapping.get(c, psi(*c))
             total = total + part
         return total
 
 
 def phi(*c):
-    return Form.phi(tuple(c))
+    return Form({((c,), ()): 1})
 
 
 def psi(*c):
-    return Form.psi(tuple(c))
+    return Form({((), (c,)): 1})
 
 
 def test_odd_generators_square_to_zero():
@@ -171,11 +171,24 @@ def test_substitution_identity_and_linearity():
 
 
 def test_half_root_ordering():
-    rs = build("A2")
-    pos = half_roots(rs, Half.POSITIVE)
+    c = build_constants(build("A2"))
+    pos = build_system(c, Half.POSITIVE).roots
     assert [r.coords for r in pos] == [(0, 1), (1, 0), (1, 1)]
-    neg = half_roots(rs, Half.NEGATIVE)
+    neg = build_system(c, Half.NEGATIVE).roots
     assert [r.coords for r in neg] == [(-1, 0), (0, -1), (-1, -1)]
+
+
+@pytest.mark.parametrize("name", ["A4", "D5", "E6"])
+@pytest.mark.parametrize("half", Half, ids=lambda h: h.value)
+def test_a_system_holds_its_half_in_canonical_order(name, half):
+    # every reader of system.roots (the certificate's requirements, the
+    # rendered classes) reads the order build_system holds the forms in
+    rs = build(name)
+    system = build_system(build_constants(rs), half)
+    roots = rs.positive_roots if half is Half.POSITIVE else [-a for a in rs.positive_roots]
+    expected = sorted(roots, key=lambda a: _root_key(a.coords))
+    assert system.roots == tuple(expected)
+    assert system.roots is system.roots
 
 
 def test_a_half_named_by_its_value_selects_that_half():
@@ -184,7 +197,6 @@ def test_a_half_named_by_its_value_selects_that_half():
     rs = build("A2")
     c = build_constants(rs)
     for half in Half:
-        assert half_roots(rs, half.value) == half_roots(rs, half)
         assert system_text(build_system(c, half.value)) == system_text(build_system(c, half))
     assert half_h2_oracle(rs, "positive")(rs.simple_roots[0]).source == "surface-descent"
     assert half_h2_oracle(rs, "negative")(-rs.simple_roots[0]).source == "cotangent-height"
@@ -194,8 +206,7 @@ def test_a_half_named_by_its_value_selects_that_half():
 def test_a_value_that_names_no_half_is_refused_at_each_door(bad):
     rs = build("A2")
     c = build_constants(rs)
-    for door in (lambda: half_roots(rs, bad), lambda: build_system(c, bad),
-                 lambda: half_h2_oracle(rs, bad)):
+    for door in (lambda: build_system(c, bad), lambda: half_h2_oracle(rs, bad)):
         with pytest.raises(IllegalType, match="unknown half"):
             door()
 
@@ -428,15 +439,15 @@ def test_bianchi_blind_spot_is_covered_by_table_checks(monkeypatch):
     rs = c.system
     a1, a2 = rs.simple_roots
     bad = c.flip(a1, a2)
-    closed = {r.coords: Form.psi(r.coords) for r in half_roots(rs, Half.POSITIVE)}
-    roots = half_roots(rs, Half.POSITIVE)
+    roots = build_system(c, Half.POSITIVE).roots
+    closed = {r.coords: psi(*r.coords) for r in roots}
     for i, b in enumerate(roots):
         for g in roots[i + 1 :]:
             if rs.is_root(b + g):
                 closed[(b + g).coords] = closed[(b + g).coords] + (
-                    Form.phi(b.coords) * Form.phi(g.coords)
+                    phi(*b.coords) * phi(*g.coords)
                 ).scale(bad.n(b, g))
-    forged = ObstructionSystem(bad, Half.POSITIVE, roots, closed)
+    forged = ObstructionSystem(bad, Half.POSITIVE, closed)
     assert _bianchi_violations(forged, monkeypatch) == []  # the blind spot
     assert not verify_chevalley(bad).ok  # the covering check
 
@@ -462,7 +473,7 @@ BIANCHI_ORACLE_CASES = [
 def test_bianchi_matches_the_formal_residual_on_corruptions(name, half, monkeypatch):
     # 26 seeded corruptions per case, 312 in all: each negates, doubles or
     # drops one phi phi coefficient of one form, and every other one also
-    # lists the roots out of the canonical order
+    # holds the forms out of the canonical order
     system = build_system(build_constants(build(name)), half)
     pairs = [
         (c, mono)
@@ -477,14 +488,11 @@ def test_bianchi_matches_the_formal_residual_on_corruptions(name, half, monkeypa
         scale = rng.choice((-1, 2, 0))
         terms = dict(system.obstructions[c].terms)
         terms[mono] *= scale
-        roots = list(system.roots)
+        forms = {**system.obstructions, c: FormalForm(terms)}
+        classes = list(forms)
         if i % 2:
-            rng.shuffle(roots)
-        forged = dataclasses.replace(
-            system,
-            roots=tuple(roots),
-            obstructions={**system.obstructions, c: FormalForm(terms)},
-        )
+            rng.shuffle(classes)
+        forged = dataclasses.replace(system, obstructions={a: forms[a] for a in classes})
         expected = _formal_bianchi(forged)
         assert _bianchi_violations(forged, monkeypatch) == expected, (c, mono, scale)
         flagged += bool(expected)
@@ -521,6 +529,62 @@ def test_bianchi_reports_a_form_of_another_shape(monkeypatch):
         assert _bianchi_violations(forged, monkeypatch) == [
             f"class {{1,1|root}}: {form_text(form)} is not psi + phi phi"
         ]
+
+
+def test_a_system_is_read_from_its_forms_alone():
+    # the roots are read from the forms' keys: no field beside them can
+    # disagree with them
+    system = build_system(build_constants(build("A2")), Half.POSITIVE)
+    assert [f.name for f in dataclasses.fields(ObstructionSystem)] == [
+        "constants", "half", "obstructions",
+    ]
+    assert [a.coords for a in system.roots] == list(system.obstructions)
+    with pytest.raises(TypeError):
+        dataclasses.replace(system, roots=system.roots[:1])
+
+
+def test_a_system_without_its_forms_renders_and_closes():
+    # a dict without every class of the half once raised a bare KeyError in
+    # check_bianchi and system_text
+    system = build_system(build_constants(build("A3")), Half.POSITIVE)
+    empty = dataclasses.replace(system, obstructions={})
+    assert system_text(empty) == "# obstruction system A3 positive\n"
+    assert (check_bianchi(empty).ok, check_bianchi(empty).checked) == (True, 0)
+    forms = {a: form for a, form in system.obstructions.items() if a != (1, 1, 0)}
+    forged = dataclasses.replace(system, obstructions=forms)
+    assert system_text(forged).splitlines() == [
+        line for line in system_text(system).splitlines() if not line.startswith("(1,1,0)")
+    ]
+    rep = check_bianchi(forged)
+    # E_{1,1,1} holds phi[1,1,0], the generator of no class of the system
+    assert rep.checked == 5
+    assert rep.violations == [
+        f"class {{1,1,1|root}}: {form_text(forms[(1, 1, 1)])} is not psi + phi phi"
+    ]
+
+
+def test_an_extra_class_is_rendered_checked_and_reported(monkeypatch):
+    system = build_system(build_constants(build("A3")), Half.POSITIVE)
+    extra = psi(2, 1, 1) + phi(1, 0, 0) * phi(1, 1, 1)
+    forged = dataclasses.replace(system, obstructions={**system.obstructions, (2, 1, 1): extra})
+    lines = system_text(forged).splitlines()
+    assert lines[:-1] == system_text(system).splitlines()
+    assert lines[-1] == "(2,1,1): psi[2,1,1] + phi[1,0,0]phi[1,1,1]"
+    assert check_bianchi(forged).checked == 7
+    assert _bianchi_violations(forged, monkeypatch) == _formal_bianchi(forged) == [
+        "class {2,1,1|root}: residual -phi[0,0,1]phi[1,0,0]phi[1,1,0]"
+    ]
+
+
+def test_a_certificate_reads_its_verdict_from_its_verdicts():
+    a = root_vector(1, 1)
+    yes, no = (H2VanishVerdict(root=a, vanishes=v, source="test") for v in (True, False))
+    assert [f.name for f in dataclasses.fields(SolvabilityCertificate)] == [
+        "verdicts", "requirements",
+    ]
+    assert SolvabilityCertificate((), ()).solvable
+    assert SolvabilityCertificate((yes, yes), (a,)).solvable
+    assert not SolvabilityCertificate((yes, no), ()).solvable
 
 
 def test_certification_flow():
@@ -573,7 +637,7 @@ def test_system_text_is_form_text_form_by_form_on_a_forged_system():
         ((), (outside[1], top)): 2,
         ((), ()): 5,
     })
-    forged = ObstructionSystem(c, Half.NEGATIVE, system.roots, forms)
+    forged = ObstructionSystem(c, Half.NEGATIVE, forms)
     lines = system_text(forged).splitlines()
     assert lines[0] == "# obstruction system A3 negative"
     for line, a in zip(lines[1:], system.roots, strict=True):

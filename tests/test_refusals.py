@@ -362,7 +362,6 @@ ALGEBRA_CALLS = {
     "chevalley.adjoint_matrix[c]": lambda v: chevalley.adjoint_matrix(H, v),
     "chevalley.verify_chevalley[c]": lambda v: chevalley.verify_chevalley(v),
     "chevalley.dump_constants[c]": lambda v: chevalley.dump_constants(v),
-    "obstruction.half_roots[rs]": lambda v: obstruction.half_roots(v, "positive"),
     "obstruction.build_system[constants]": lambda v: build_system(v, "positive"),
     "obstruction.check_bianchi[system]": lambda v: obstruction.check_bianchi(v),
     "obstruction.certify_solvability[system]":

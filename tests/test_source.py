@@ -1,6 +1,7 @@
 """Source-level rules that no behavioural test would notice."""
 
 import ast
+from itertools import pairwise
 import re
 from pathlib import Path
 
@@ -293,32 +294,47 @@ def _definitions(tree):
 
 
 def _read_names(tree):
-    """(line, name) of each Name, Attribute and import alias in tree."""
+    """(line, name, attribute) of each Name, Attribute and import alias in
+    tree, attribute True for an Attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.lineno, node.id
+            yield node.lineno, node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.lineno, node.attr
+            yield node.lineno, node.attr, True
         elif isinstance(node, ast.alias):
-            yield node.lineno, node.name.rsplit(".", 1)[-1]
+            yield node.lineno, node.name.rsplit(".", 1)[-1], False
 
 
 def _unread_definitions(trees, acceptance, texts):
     """(file name, qualified name) of each public definition in trees (file
-    name to module AST) that has no reader: no Name, Attribute or import
-    alias of its name in trees outside its own lines, none in the acceptance
-    AST, and no word of texts that spells it."""
-    reads = {}
+    name to module AST) that has no reader.  A function or class is read by a
+    Name, Attribute or import alias of its name in trees outside its own
+    lines or in the acceptance AST, or by a word of texts that spells it.  A
+    method is read only by an Attribute of its name there, or by a qualified
+    Class.method in texts: a variable that shares its name reads nothing."""
+    reads, attribute_reads = {}, {}
     for file, tree in trees.items():
-        for line, name in _read_names(tree):
+        for line, name, attribute in _read_names(tree):
             reads.setdefault(name, []).append((file, line))
-    outside = {name for _, name in _read_names(acceptance)} | set(re.findall(r"\w+", texts))
+            if attribute:
+                attribute_reads.setdefault(name, []).append((file, line))
+    accepted = list(_read_names(acceptance))
+    words = {name for _, name, _ in accepted} | set(re.findall(r"\w+", texts))
+    accepted_attributes = {name for _, name, attribute in accepted if attribute}
+    mentioned = {
+        f"{a}.{b}" for chain in re.findall(r"\w+(?:\.\w+)+", texts)
+        for a, b in pairwise(chain.split("."))
+    }
     for file, tree in trees.items():
         for qualified, node in _definitions(tree):
+            if "." in qualified:
+                found = node.name in accepted_attributes or qualified in mentioned
+                sites = attribute_reads.get(node.name, [])
+            else:
+                found = node.name in words
+                sites = reads.get(node.name, [])
             own = range(node.lineno, node.end_lineno + 1)
-            if node.name not in outside and all(
-                other == file and line in own for other, line in reads.get(node.name, [])
-            ):
+            if not found and all(other == file and line in own for other, line in sites):
                 yield file, qualified
 
 
@@ -335,6 +351,11 @@ KEPT_WITHOUT_READER = {
     # tests' weights and brackets are built with them
     ("roots.py", "LatticeVector.scale"),
     ("chevalley.py", "LieElement.scale"),
+    # n_{alpha,beta}, the paper's structure constant, read by root pair: the
+    # tests read the sign table through it
+    ("chevalley.py", "ChevalleyConstants.n"),
+    # h_i beside x_alpha, the two ways to name a basis element of the algebra
+    ("chevalley.py", "LieElement.h"),
 }
 
 
@@ -370,11 +391,24 @@ class Kept:
 
     def used(self): pass
 
+    def shadowed(self): pass
+
+    def named(self): pass
+
+    def qualified(self): pass
+
+    def accepted(self): pass
+
     def __repr__(self): pass
 
 Kept().used
 called()
+shadowed = 1
 """
     trees = {"m.py": ast.parse(source), "n.py": ast.parse("from m import imported")}
-    unread = _unread_definitions(trees, ast.parse("accepted()"), "`documented` in README")
-    assert list(unread) == [("m.py", "recursive"), ("m.py", "Kept.method")]
+    readme = "`documented` and `named`, `adelie.m.Kept.qualified` in README"
+    unread = _unread_definitions(trees, ast.parse("accepted(); k.accepted"), readme)
+    assert list(unread) == [
+        ("m.py", "recursive"), ("m.py", "Kept.method"), ("m.py", "Kept.shadowed"),
+        ("m.py", "Kept.named"),
+    ]
