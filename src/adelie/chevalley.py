@@ -42,6 +42,18 @@ from .roots import LatticeVector, RootSystem, checked_index, checked_system, roo
 Coords = tuple[int, ...]
 
 
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """a as a read-only view of immutable bytes, which refuses
+    flags.writeable = True; an array held so already is returned as it is,
+    so that copies share it."""
+    owner = a
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if isinstance(owner, bytes):
+        return a
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class ChevalleyConstants:
     """Structure-constant table over one root system.
@@ -57,10 +69,10 @@ class ChevalleyConstants:
     sum_index: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        # read-only, as bracket_table's are: the cached report stays the verdict
-        # on these cells (flip and replace build new arrays or reuse these)
-        for table in (self.sign_table, self.sum_index):
-            table.flags.writeable = False
+        # sealed, as bracket_table's are: the cached report stays the verdict
+        # on these cells (flip and replace build new arrays or share these)
+        for name in ("sign_table", "sum_index"):
+            object.__setattr__(self, name, _sealed(getattr(self, name)))
 
     def n(self, alpha: LatticeVector, beta: LatticeVector) -> int:
         """n_{alpha,beta}; zero when alpha + beta is not a root."""
@@ -113,14 +125,11 @@ class ChevalleyConstants:
         # stable sort keeps a repeated term's order, as the terms come)
         dim = r + n_roots
         order = np.argsort((row * dim + col) * dim + tgt, kind="stable")
-        table = tuple(x[order].astype(np.int32) for x in (row, col, tgt)) + (
-            val[order].astype(np.int8),
-        )
-        # read-only: the cached report, which build_system trusts, stays the
+        # sealed: the cached report, which build_system trusts, stays the
         # verdict on these terms
-        for x in table:
-            x.flags.writeable = False
-        return table
+        return tuple(_sealed(x[order].astype(np.int32)) for x in (row, col, tgt)) + (
+            _sealed(val[order].astype(np.int8)),
+        )
 
     @cached_property
     def report(self) -> VerificationReport:
@@ -277,6 +286,7 @@ def _build_constants(rs: RootSystem) -> ChevalleyConstants:
     del odd, parity
 
     constants = ChevalleyConstants(rs, table, sum_index)
+    del table, sum_index  # the constants hold sealed copies
     report = constants.report
     if not report.ok:
         raise ConstructionFailure(
@@ -397,23 +407,9 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     need not be antisymmetric, and an inner cell (p, q) serves the outer
     index u, with sign +1, when (p, q, u) is a rotation of the sorted triple:
     p < q with u outside [p, q], or p > q with u between them.  Products are
-    keyed ((i * dim + j) * dim + k) * dim + target and equal keys summed.
-    Every product belongs to the triples of one smallest index lo, and the
-    sweep expands and sorts the products of one lo at a time, by ascending
-    lo, so the least surviving key of the first lo that keeps one is the
-    first failing triple.
-
-    Only stored terms are expanded, never a dense slice of the table: each
-    inner term [b_p, b_q] = v b_t meets its outer terms [b_u, b_t] as one run
-    of the term lists of c.bracket_table, sorted by (column, row) or, for
-    row lo's cells against the cells (p, q) with lo < p < q, by (target, p);
-    the runs of every lo are found at once.  A product of two int8
-    coefficients lies in -16384..16384, so it is added to its key shifted
-    left by 16 bits: one sort brings equal keys together, in key order, and
-    rounding the shift back recovers the key.  The sorted terms' shares of
-    the key, below dim ** 3, are int32, and the shifted keys, below
-    dim ** 4 << 16, fit int64: both hold for dim < 1291, far past D16
-    (dim 496).
+    keyed ((i * dim + j) * dim + k) * dim + target and equal keys summed, by
+    ascending smallest index, so the least surviving key of the first one
+    that keeps one is the first failing triple.
     """
     rs = c.system
     dim = _jacobi_dim(rs)  # a table built by hand may be past the keys too
@@ -422,18 +418,53 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
 
 
 def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, int] | None:
-    """The first failing triple whose smallest index is below end."""
-    parts = _jacobi_parts(c, dim, end)
+    """The first failing triple whose smallest index lo is below end, one lo
+    at a time: each inner term [b_p, b_q] = v b_t meets its outer terms
+    [b_u, b_t] as one run of the terms sorted by (column, row) or, for row
+    lo's cells against the cells (p, q) with lo < p < q, by (target, p)."""
+    row, col, tgt, val = c.bracket_table
+    val = val.astype(np.int16)
+    col_key = col * dim + row
+    by_col = np.argsort(col_key, kind="stable").astype(np.int32)
+    col_key = col_key[by_col]
+    upper = np.flatnonzero(row < col).astype(np.int32)
+    tgt_key = tgt[upper] * dim + row[upper]
+    by_tgt = upper[np.argsort(tgt_key, kind="stable")]
+    tgt_key.sort()
+    row_ptr = np.searchsorted(row, np.arange(end + 1))
+
+    def run(cells, order, keys, first, last):
+        # each of cells against its run of the terms of order keyed in [first, last)
+        n, k = runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
+        return cells[n], order[k]
+
     for lo in range(end):
-        packed = []
-        for ptr, starts, ends, a_key, a_val, b_key, b_val in parts:
-            s = slice(ptr[lo], ptr[lo + 1])
-            j, k = runs(starts[s], ends[s])
-            part = a_key[s][j] + b_key[k]
-            part <<= 16
-            part += a_val[s][j] * b_val[k]
-            packed.append(part)
-        packed = np.concatenate(packed)
+        cells = np.arange(row_ptr[lo], row_ptr[lo + 1])
+        # outer row lo against the inner cells (p, q), lo < p < q
+        t = col[cells] * dim
+        a, b = run(cells, by_tgt, tgt_key, t + lo + 1, t + dim)
+        parts = [(row[b], col[b], a, b)]
+        # inner cells (lo, q), lo < q, against the outer rows u > q
+        right = cells[col[cells] > lo]
+        t = tgt[right] * dim
+        a, b = run(right, by_col, col_key, t + col[right] + 1, t + dim)
+        parts.append((col[a], row[b], b, a))
+        # inner cells (q, lo), lo < q, against the outer rows lo < u < q
+        span = np.array([lo + 1, dim], dtype=col_key.dtype) + lo * dim
+        left = by_col[slice(*np.searchsorted(col_key, span))]
+        t = tgt[left] * dim
+        a, b = run(left, by_col, col_key, t + lo + 1, t + row[left])
+        parts.append((row[b], row[a], b, a))
+        # (lo, mid, hi, target) keyed in base dim, from an int64 lo so that
+        # the shift does not wrap, shifted left by 16 bits past the product
+        # of two int8 coefficients (in -16384..16384): one sort brings equal
+        # keys together in key order, and rounding the shift back recovers
+        # the key.  Below dim ** 4 << 16, it fits int64 for dim < 1291
+        base = np.int64(lo * dim)
+        packed = np.concatenate([
+            ((((base + j) * dim + k) * dim + tgt[o]) << 16) + val[o] * val[i]
+            for j, k, o, i in parts
+        ])
         if not packed.size:
             continue
         packed.sort()
@@ -442,69 +473,8 @@ def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, 
         bad = np.flatnonzero(np.add.reduceat(packed - (keys << 16), first))
         if bad.size:
             key = int(keys[first[bad[0]]])
-            return key // dim ** 3, key // dim ** 2 % dim, key // dim % dim
+            return lo, key // dim ** 2 % dim, key // dim % dim
     return None
-
-
-def _jacobi_parts(c: ChevalleyConstants, dim: int, end: int):
-    """The runs of the Jacobi sweep over the triples (lo, mid, hi) with
-    lo < end, one part per kind of triple: for each inner or outer cell of
-    such an lo, by ascending lo, the start and end of its run among the
-    sorted terms, its share of the key (int64) and its coefficient, and for
-    each sorted term its share of the key (int32) and its coefficient; with
-    the pointers of each lo into the part.  Only the cells of the owners
-    below end get runs; the sorted terms are the whole table."""
-    row, col, tgt, val = c.bracket_table
-    val = val.astype(np.int16)
-    parts = []
-
-    def key(dtype, *digits):
-        # the base-dim number (lo, mid, hi, target) with the given digits,
-        # None for a 0 digit
-        out = np.zeros(len(digits[0]), dtype=dtype)
-        for d in digits:
-            out *= dim
-            if d is not None:
-                out += d
-        return out
-
-    def add(cells, owner, keys, first, last, a_key, b_key, order):
-        # the terms of cells, by ascending owner, against their runs of the
-        # terms of order, keyed by keys in [first, last)
-        starts = np.searchsorted(keys, first).astype(np.int32)
-        ends = np.searchsorted(keys, last).astype(np.int32)
-        ptr = np.searchsorted(owner, np.arange(end + 1))
-        parts.append((ptr, starts, ends, a_key, val[cells], b_key, val[order]))
-
-    # the terms of rows 0..end - 1, the outer rows lo ...
-    own = np.arange(np.searchsorted(row, end), dtype=np.int32)
-    r, q, t = row[own], col[own], tgt[own]
-    # ... against the inner cells (p, q), lo < p < q, sorted by (target, p) ...
-    upper = np.flatnonzero(row < col).astype(np.int32)
-    tgt_key = tgt[upper] * dim + row[upper]
-    by_tgt = upper[np.argsort(tgt_key, kind="stable")]
-    tgt_key.sort()
-    add(own, r, tgt_key, q * dim + r + 1, q * dim + dim,
-        key(np.int64, r, None, None, t),
-        key(np.int32, row[by_tgt], col[by_tgt], None), by_tgt)
-    del tgt_key, by_tgt
-    # ... then against the terms sorted by (column, row): outer rows u > q
-    # against the inner cells (lo, q), lo < q ...
-    col_key = col * dim + row
-    by_col = np.argsort(col_key, kind="stable").astype(np.int32)
-    col_key = col_key[by_col]
-    own = own[r < q]
-    r, q, t = row[own], col[own], tgt[own]
-    add(own, r, col_key, t * dim + q + 1, t * dim + dim,
-        key(np.int64, r, q, None, None), key(np.int32, row[by_col], tgt[by_col]), by_col)
-    # ... and outer rows lo < u < q against the inner cells (q, lo)
-    left = by_col[:np.searchsorted(col_key, end * dim)]
-    left = left[row[left] > col[left]]
-    q, r, t = row[left], col[left], tgt[left]
-    add(left, r, col_key, t * dim + r + 1, t * dim + q,
-        key(np.int64, r, None, q, None),
-        key(np.int32, row[by_col], None, tgt[by_col]), by_col)
-    return parts
 
 
 def _jacobi_certified(c: ChevalleyConstants) -> bool:

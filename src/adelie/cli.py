@@ -12,7 +12,8 @@ chevalley, obstruction, verify and surface are imported only by the commands
 that run them (obstruction imports verify only to --certify), and so is
 batch, the graded Euler kernel that euler reaches through
 cotangent.euler_characteristic_graded.  Only chevalley, obstruction,
-verify and euler import numpy; the other commands start without it.  main
+euler and the chevalley and obstruction suites of verify import numpy; the
+other commands and suites start without it.  main
 caps OpenBLAS at one thread unless the caller chose a count: adelie's numpy
 work is integer work and never calls BLAS.
 """

@@ -40,7 +40,8 @@ class NotChevalleyConstants(AdelieError, TypeError):
 
 class NotAnObstructionSystem(AdelieError, TypeError):
     """Obstruction-system argument that is not an ObstructionSystem (its
-    ChevalleyConstants or None)."""
+    ChevalleyConstants or None), or forms that are not a dict of FormalForms
+    keyed by integer tuples."""
 
 
 class ImmutableVector(AdelieError, AttributeError):

@@ -146,6 +146,14 @@ class ObstructionSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "half", Half(self.half))
+        forms = self.obstructions
+        if not isinstance(forms, dict):
+            raise NotAnObstructionSystem(f"obstructions is a {type(forms).__name__}, not a dict")
+        for key, form in forms.items():
+            if not (isinstance(key, tuple) and all(isinstance(c, int) for c in key)):
+                raise NotAnObstructionSystem(f"obstruction key {key!r} is not a tuple of integers")
+            if not isinstance(form, FormalForm):
+                raise NotAnObstructionSystem(f"obstruction {key!r} is {form!r}, not a FormalForm")
 
     @property
     def system(self) -> RootSystem:

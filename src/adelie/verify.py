@@ -8,14 +8,20 @@ is what lets the obstruction suite certify solvability without circularity.
 
 from __future__ import annotations
 
-from .chevalley import ChevalleyConstants, build_constants, verify_chevalley
+from typing import TYPE_CHECKING
+
 from .cotangent import cht, verify_chain_criterion, verify_descent
 from .errors import CancellationFailure, ConstructionFailure, IllegalType
 from .flag import ALL_VANISH, bwb, verify_index_bound, verify_root_cohomology
-from .obstruction import Half, build_system, certify_solvability, check_bianchi
 from .report import SUITES, H2VanishVerdict, VerificationReport
 from .roots import LatticeVector, RootSystem, checked_system
 from .surface import resolution_lattice, surface_h2_oracle, verify_surface
+
+# chevalley and obstruction, and numpy with them, load only in the suites that
+# build arrays: bwb, index, cht, descent and surface run without them
+if TYPE_CHECKING:
+    from .chevalley import ChevalleyConstants
+    from .obstruction import Half
 
 
 def flag_h2_oracle(rs: RootSystem):
@@ -62,6 +68,8 @@ def cotangent_h2_oracle(rs: RootSystem):
 def half_h2_oracle(rs: RootSystem, half: Half | str):
     """The oracle a half system is certified against: curve descent for the
     positive half, chain height for the negative half (half read by Half)."""
+    from .obstruction import Half
+
     if Half(half) is Half.POSITIVE:
         return surface_h2_oracle(resolution_lattice(rs))
     return cotangent_h2_oracle(rs)
@@ -70,6 +78,9 @@ def half_h2_oracle(rs: RootSystem, half: Half | str):
 def verify_obstruction(rs: RootSystem) -> VerificationReport:
     """Build both half systems, check closure, and certify each against
     its half_h2_oracle."""
+    from .chevalley import build_constants
+    from .obstruction import Half, build_system, certify_solvability, check_bianchi
+
     rep = VerificationReport(name=f"obstruction-{checked_system(rs).name}")
     constants = build_constants(rs)
     for half in (Half.POSITIVE, Half.NEGATIVE):
@@ -102,6 +113,9 @@ def detect_tampering(constants: ChevalleyConstants) -> tuple[bool, str]:
     the Bianchi closure checks the forms themselves.
     Returns (detected, reason); (False, "") means the table looks clean.
     """
+    from .chevalley import verify_chevalley
+    from .obstruction import Half, build_system, check_bianchi
+
     rep = verify_chevalley(constants)
     if not rep.ok:
         return True, f"bracket verification: {rep.violations[0]}"
@@ -127,6 +141,8 @@ def run_suite(rs: RootSystem, suite: str) -> VerificationReport:
             rep.details[name] = "ok" if sub.ok else "failed"
         return rep
     if suite == "chevalley":
+        from .chevalley import build_constants, verify_chevalley
+
         return verify_chevalley(build_constants(rs))
     if suite == "bwb":
         return verify_root_cohomology(rs)

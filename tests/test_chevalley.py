@@ -21,8 +21,6 @@ from adelie.chevalley import (
     bracket,
     build_constants,
     dump_constants,
-    runs,
-    sum_by_key,
     verify_chevalley,
 )
 from adelie.cli import main
@@ -400,6 +398,19 @@ def test_the_gated_tables_cannot_be_edited_in_place():
     assert verify_chevalley(c.flip(*c.system.simple_roots, one_sided=True)).ok is False
 
 
+def test_every_table_array_refuses_to_become_writeable():
+    # each array is a view of immutable bytes, so it cannot be made writeable
+    # again and edited under its cached verdict, on a built table, on a copy
+    # that shares its arrays and on a flip that builds its own sign table
+    c = build_constants(build("A3"))
+    for constants in (c, dataclasses.replace(c), c.flip(*c.system.simple_roots[:2])):
+        arrays = (constants.sign_table, constants.sum_index, *constants.bracket_table)
+        assert len(arrays) == 6
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+
+
 # SHA-256 of the nonzero bracket-table entries, one "i,j,k,coeff" line each
 # ([b_i, b_j] has coefficient coeff on b_k), sorted; recorded from the
 # list-of-tuples table, before padded arrays and then the term lists replaced it.
@@ -628,56 +639,6 @@ def test_gate_payload_is_pinned(capsys, command, name):
     assert hashlib.sha256(rest.encode()).hexdigest() == digest
 
 
-def _per_lo_first_failure(c, end=None):
-    # the Jacobi sweep one smallest index lo at a time, below lo = end, each
-    # step expanding the products of the triples (lo, mid, hi) alone: the
-    # oracle for the gate's sweep over owner slices, which must return the
-    # same first failing triple
-    row, col, tgt, val = c.bracket_table
-    dim = c.system.rank + len(c.system.all_roots)
-    col_key = col * dim + row
-    by_col = np.argsort(col_key, kind="stable")
-    upper = np.flatnonzero(row < col)
-    tgt_key = tgt[upper] * dim + row[upper]
-    by_tgt = upper[np.argsort(tgt_key, kind="stable")]
-    col_key, tgt_key = col_key[by_col], np.sort(tgt_key)
-    row_ptr = np.searchsorted(row, np.arange(dim + 1))
-
-    def run(cells, order, keys, first, last):
-        n, k = runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
-        return cells[n], order[k]
-
-    for lo in range(dim - 2)[:end]:
-        base = np.int64(lo * dim)
-        cells = np.arange(row_ptr[lo], row_ptr[lo + 1])
-        t = col[cells] * dim
-        a, b = run(cells, by_tgt, tgt_key, t + lo + 1, t + dim)
-        parts = [(row[b], col[b], a, b)]
-        right = cells[col[cells] > lo]
-        t = tgt[right] * dim
-        a, b = run(right, by_col, col_key, t + col[right] + 1, t + dim)
-        parts.append((col[a], row[b], b, a))
-        left = by_col[slice(*np.searchsorted(col_key, [base + lo + 1, base + dim]))]
-        t = tgt[left] * dim
-        a, b = run(left, by_col, col_key, t + lo + 1, t + row[left])
-        parts.append((row[b], row[a], b, a))
-        keys, _ = sum_by_key(
-            np.concatenate([((base + j) * dim + k) * dim + tgt[o] for j, k, o, _ in parts]),
-            np.concatenate([val[o].astype(np.int64) * val[i] for _, _, o, i in parts]),
-        )
-        if keys.size:
-            return (lo, *divmod(int(keys[0]) // dim % (dim * dim), dim))
-    return None
-
-
-def _gate(c, sweep, monkeypatch):
-    # violations and checked of a fresh copy of c, its Jacobi sweep replaced
-    with monkeypatch.context() as m:
-        m.setattr(chevalley, "_jacobi_first_failure", sweep)
-        rep = verify_chevalley(dataclasses.replace(c))
-    return rep.violations, rep.checked
-
-
 def _flips(c, cells):
     # each cell negated on one side, and each pair of cells mirrored once:
     # the mirrored flips of (a, b) and (b, a) are the same table
@@ -687,32 +648,15 @@ def _flips(c, cells):
     ]
 
 
-def _assert_owner_sweep_matches(flips, monkeypatch):
-    sweep = chevalley._jacobi_first_failure
-    for bad in flips:
-        expected = _gate(bad, _per_lo_first_failure, monkeypatch)
-        assert any(v.startswith("jacobi") for v in expected[0])
-        assert _gate(bad, sweep, monkeypatch) == expected
-
-
-@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
-def test_owner_sweep_matches_the_per_lo_sweep_on_every_flip(name, monkeypatch):
+@pytest.mark.parametrize("name", ["A3", "D4", "E6", "E8"])
+def test_every_flip_fails_the_jacobi_sweep(name):
+    # every nonzero cell, or 12 sampled cells of E8, one gate per table
     c = build_constants(build(name))
     cells = [(a, b) for a, b, _ in c.nonzero_entries()]
-    _assert_owner_sweep_matches(_flips(c, cells), monkeypatch)
-
-
-def test_owner_sweep_matches_the_per_lo_sweep_on_e8_cells(monkeypatch):
-    c = build_constants(build("E8"))
-    cells = random.Random(8).sample([(a, b) for a, b, _ in c.nonzero_entries()], 12)
-    _assert_owner_sweep_matches(_flips(c, cells), monkeypatch)
-
-
-def test_owner_sweep_on_clean_tables():
-    for name in ("A1", "A3", "D4", "E6"):
-        c = build_constants(build(name))
-        assert chevalley._jacobi_first_failure(c) is None
-        assert _per_lo_first_failure(c) is None
+    if name == "E8":
+        cells = random.Random(8).sample(cells, 12)
+    for bad in _flips(c, cells):
+        assert any(v.startswith("jacobi") for v in verify_chevalley(bad).violations)
 
 
 def test_e8_sweep_memory_is_bounded():
@@ -741,27 +685,6 @@ def test_e8_full_sweep_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2 ** 20
-
-
-@pytest.mark.parametrize("name", ["A3", "D4", "E6", "E8"])
-def test_each_owner_slice_holds_the_cells_of_that_owner(name):
-    # the sweep reads the cells of owner lo at ptr[lo]:ptr[lo + 1] of each
-    # part; lo is the top base-dim digit of a cell's key, so these slices
-    # must tile the part with every cell under its own owner
-    c = build_constants(build(name))
-    rank = c.system.rank
-    dim = chevalley._jacobi_dim(c.system)
-    for end in (2 * rank, dim):
-        parts = chevalley._jacobi_parts(c, dim, end)
-        assert len(parts) == 3
-        for ptr, starts, ends, a_key, a_val, b_key, b_val in parts:
-            assert len(ptr) == end + 1 and ptr[0] == 0
-            assert ptr[end] == len(starts) == len(ends) == len(a_key) == len(a_val)
-            assert len(b_key) == len(b_val)
-            assert (np.diff(ptr) >= 0).all()
-            owners = np.repeat(np.arange(end), np.diff(ptr))
-            assert (a_key // dim ** 3 == owners).all()
-            assert (starts <= ends).all()
 
 
 SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + ["E6", "E7", "E8"]
@@ -855,27 +778,30 @@ def test_the_certified_gate_matches_the_full_sweep_on_tampered_tables(name, monk
             rep = verify_chevalley(make())
         return rep.violations, rep.checked
 
+    dim = c.system.rank + len(c.system.all_roots)
     makers = _tampered(c)
     failing = 0
     for make in makers:
-        expected = report(make, _per_lo_first_failure)
+        expected = report(make, lambda c: chevalley._jacobi_sweep(c, dim, dim))
         assert report(make, chevalley._jacobi_first_failure) == expected
         failing += any(v.startswith("jacobi") for v in expected[0])
     assert failing == len(makers)
 
 
-def test_the_sweep_from_an_owner_matches_the_per_lo_sweep_from_it():
-    # the sweep builds runs for the owners below its end alone: on D4, 8 is
-    # stop = 2 * rank, 17 ends past the positive roots and 28 is dim
+def test_the_sweep_to_an_end_is_the_full_sweep_cut_at_that_end():
+    # the sweep expands the triples whose smallest index is below its end
+    # alone: on D4, 8 is stop = 2 * rank, 17 ends past the positive roots and
+    # 28 is dim; every tampered table fails below 8, so each is also cut at
+    # its failing smallest index lo, which must hide the failure, and lo + 1
     c = build_constants(build("D4"))
-    found = 0
     for make in _tampered(c):
         bad = make()
-        for end in (8, 17, 28):
-            expected = _per_lo_first_failure(bad, end)
+        full = chevalley._jacobi_sweep(bad, 28, 28)
+        assert full is not None
+        lo = full[0]
+        for end in (8, 17, 28, lo, lo + 1):
+            expected = full if lo < end else None
             assert chevalley._jacobi_sweep(bad, 28, end) == expected
-            found += expected is not None
-    assert found
 
 
 def _reference_sum_index(rs):

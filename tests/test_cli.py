@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from adelie import batch, cli, cotangent, verify
+from adelie import batch, cli, cotangent, obstruction, verify
 from adelie.cli import COMMAND_FOR_OPERATION, COMMANDS, _report, build_parser, main
 from adelie.errors import BudgetExceeded, CancellationFailure, ConstructionFailure
 from adelie.flag import bwb
@@ -310,8 +310,9 @@ def test_exit_three_on_internal_error(capsys, monkeypatch, exc):
 
 
 def test_exit_three_when_the_obstruction_suite_build_fails(capsys, monkeypatch):
-    # the suite reports a failed build as the bug it is, not as a violation
-    monkeypatch.setattr(verify, "build_system", _raising(CancellationFailure("stray terms")))
+    # the suite reports a failed build as the bug it is, not as a violation;
+    # verify reads build_system from obstruction when the suite runs
+    monkeypatch.setattr(obstruction, "build_system", _raising(CancellationFailure("stray terms")))
     code, out, err = run(capsys, "verify", "A2", "obstruction")
     assert (code, out, err) == (3, "", "internal error: stray terms\n")
 

@@ -70,13 +70,14 @@ def test_import_leaves_the_array_modules_out(modules):
 
 
 # imports adelie.cli, runs each argv through main and prints, as one JSON list,
-# which of batch, surface and verify are loaded after the import and after
-# each command
+# which of the lazy modules (batch, surface and verify unless named) are loaded
+# after the import and after each command
 LAZY_CHILD = """
 import contextlib, io, json, sys
 from adelie.cli import main
+lazy = json.loads(sys.argv[2]) if len(sys.argv) > 2 else (
+    "adelie.batch", "adelie.surface", "adelie.verify")
 def loaded():
-    lazy = ("adelie.batch", "adelie.surface", "adelie.verify")
     return sorted(m for m in lazy if m in sys.modules)
 out = [loaded()]
 for argv in json.loads(sys.argv[1]):
@@ -112,6 +113,22 @@ def test_obstruction_loads_the_suites_only_to_certify():
     assert child.returncode == 0, child.stderr
     assert json.loads(child.stdout) == [
         [], [0, []], [0, ["adelie.surface", "adelie.verify"]],
+    ]
+
+
+def test_the_suites_without_arrays_leave_numpy_out():
+    # verify imports chevalley and obstruction only in the suites that build
+    # their arrays; the chevalley suite at the end loads chevalley
+    arrays = ["numpy", "adelie.chevalley", "adelie.obstruction"]
+    commands = [["verify", "E8", suite] for suite in ("bwb", "index", "cht", "descent", "surface")]
+    commands.append(["verify", "A2", "chevalley"])
+    child = subprocess.run(
+        [sys.executable, "-c", LAZY_CHILD, json.dumps(commands), json.dumps(arrays)],
+        capture_output=True, cwd="/", env=_cli_env(), text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == [[]] + [[0, []]] * 5 + [
+        [0, ["adelie.chevalley", "numpy"]],
     ]
 
 

@@ -15,7 +15,13 @@ import pytest
 from adelie import build, obstruction, root_vector
 from adelie.chevalley import ChevalleyConstants, build_constants, runs, sum_by_key, verify_chevalley
 from adelie.cli import main
-from adelie.errors import CancellationFailure, ConstructionFailure, IllegalType, IncompleteOracle
+from adelie.errors import (
+    CancellationFailure,
+    ConstructionFailure,
+    IllegalType,
+    IncompleteOracle,
+    NotAnObstructionSystem,
+)
 from adelie.obstruction import (
     FormalForm,
     _root_key,
@@ -541,6 +547,23 @@ def test_a_system_is_read_from_its_forms_alone():
     assert [a.coords for a in system.roots] == list(system.obstructions)
     with pytest.raises(TypeError):
         dataclasses.replace(system, roots=system.roots[:1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda forms: None,
+    lambda forms: list(forms.items()),
+    lambda forms: {(1, 1): None},
+    lambda forms: {"ab": forms[(1, 0)]},
+], ids=["none", "list-of-pairs", "value-not-a-form", "str-key"])
+def test_forms_that_are_not_a_dict_of_forms_are_refused_where_the_system_is_made(make):
+    # each once built a system on which check_bianchi or system_text raised a
+    # bare TypeError or AttributeError, or system_text rendered "ab" as (a,b)
+    system = build_system(build_constants(build("A2")), Half.POSITIVE)
+    forms = make(system.obstructions)
+    with pytest.raises(NotAnObstructionSystem):
+        dataclasses.replace(system, obstructions=forms)
+    with pytest.raises(NotAnObstructionSystem):
+        ObstructionSystem(system.constants, Half.POSITIVE, forms)
 
 
 def test_a_system_without_its_forms_renders_and_closes():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from adelie import verify
+from adelie import obstruction, verify
 from adelie.chevalley import build_constants, verify_chevalley
 from adelie.errors import IllegalType
 from adelie.report import H2VanishVerdict, VerificationReport
@@ -134,9 +134,10 @@ def test_detector_accepts_clean_table():
 
 
 def test_detector_reports_a_closure_failure(monkeypatch):
-    # the bracket verification and both builds pass; the faked closure fails
+    # the bracket verification and both builds pass; the faked closure, which
+    # verify reads from obstruction when the detector runs, fails
     failed = VerificationReport(name="bianchi", violations=["class {1,1|root}: residual psi"])
-    monkeypatch.setattr(verify, "check_bianchi", lambda system: failed)
+    monkeypatch.setattr(obstruction, "check_bianchi", lambda system: failed)
     assert detect_tampering(build_constants(build("A2"))) == (
         True, "positive closure: class {1,1|root}: residual psi",
     )
