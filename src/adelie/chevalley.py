@@ -425,9 +425,9 @@ def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, 
     row, col, tgt, val = c.bracket_table
     val = val.astype(np.int16)
     col_key = col * dim + row
-    by_col = np.argsort(col_key, kind="stable").astype(np.int32)
+    by_col = np.argsort(col_key, kind="stable")
     col_key = col_key[by_col]
-    upper = np.flatnonzero(row < col).astype(np.int32)
+    upper = np.flatnonzero(row < col)
     tgt_key = tgt[upper] * dim + row[upper]
     by_tgt = upper[np.argsort(tgt_key, kind="stable")]
     tgt_key.sort()

@@ -385,30 +385,24 @@ def test_construction_failure_path():
 
 def test_the_gated_tables_cannot_be_edited_in_place():
     # a one-sided sign flip made in place after the gate ran would keep its
-    # cached verdict: the closed formula reads only (a2, a1) of this pair
+    # cached verdict: the closed formula reads only (a2, a1) of this pair.
+    # Each of the six arrays is a view of immutable bytes, so none can be made
+    # writeable again: on the built table, on a copy that shares its arrays
+    # and on a flip that builds its own sign table
     cached = build_constants(build("A2"))
     c = dataclasses.replace(cached)
     assert c.report.ok
     a1, a2 = (c.system.root_order_index(a) for a in c.system.simple_roots)
-    for constants in (c, cached):
+    flipped = c.flip(*c.system.simple_roots, one_sided=True)
+    for constants in (c, cached, flipped):
         with pytest.raises(ValueError):
             constants.sign_table[a1, a2] *= -1
         with pytest.raises(ValueError):
             constants.sum_index[a1, a2] = 0
-    assert verify_chevalley(c.flip(*c.system.simple_roots, one_sided=True)).ok is False
-
-
-def test_every_table_array_refuses_to_become_writeable():
-    # each array is a view of immutable bytes, so it cannot be made writeable
-    # again and edited under its cached verdict, on a built table, on a copy
-    # that shares its arrays and on a flip that builds its own sign table
-    c = build_constants(build("A3"))
-    for constants in (c, dataclasses.replace(c), c.flip(*c.system.simple_roots[:2])):
-        arrays = (constants.sign_table, constants.sum_index, *constants.bracket_table)
-        assert len(arrays) == 6
-        for a in arrays:
+        for array in (constants.sign_table, constants.sum_index, *constants.bracket_table):
             with pytest.raises(ValueError):
-                a.flags.writeable = True
+                array.flags.writeable = True
+    assert verify_chevalley(flipped).ok is False
 
 
 # SHA-256 of the nonzero bracket-table entries, one "i,j,k,coeff" line each
@@ -692,7 +686,7 @@ SUPPORTED = [f"A{r}" for r in range(1, 17)] + [f"D{r}" for r in range(3, 17)] + 
 
 def _sweep_ends(c, monkeypatch):
     # the gate's first failing triple on c, and the end of each sweep it ran:
-    # a sweep expands the owners below its end
+    # a sweep expands the triples whose smallest index is below its end
     ends, sweep = [], chevalley._jacobi_sweep
     with monkeypatch.context() as m:
         m.setattr(chevalley, "_jacobi_sweep",
