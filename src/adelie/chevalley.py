@@ -15,8 +15,9 @@ constant by -1 for every negative root among {a, b, a+b}:
 
     n_{a,b} = (-1)^(# negative roots among a, b, a+b) * eps(a, b).
 
+A table is its system and its sign table; the root sums are the system's.
 Every invariant below is verified, not assumed; violations raise
-ConstructionFailure at table-build time.
+ConstructionFailure at table-build time, and report hands out copies.
 """
 
 from __future__ import annotations
@@ -56,23 +57,33 @@ def _sealed(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChevalleyConstants:
-    """Structure-constant table over one root system.
-
-    sum_index[i, j] holds the canonical index of root_i + root_j, or n_roots
-    when the sum is not a root; sign_table[i, j] is n in {-1, 0, +1}.  Two
-    tables are equal only when they are the same instance, which is hashed
-    as an object, and the repr names the system alone.
+    """Structure-constant table over one root system: the system and its
+    sign table, sign_table[i, j] = n in {-1, 0, +1}.  Two tables are equal
+    only when they are the same instance, which is hashed as an object, and
+    the repr names the system alone.
     """
 
     system: RootSystem
     sign_table: np.ndarray = field(repr=False)
-    sum_index: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        # sealed, as bracket_table's are: the cached report stays the verdict
-        # on these cells (flip and replace build new arrays or share these)
-        for name in ("sign_table", "sum_index"):
-            object.__setattr__(self, name, _sealed(getattr(self, name)))
+        rs, table = self.system, self.sign_table
+        if not isinstance(rs, RootSystem):
+            raise NotChevalleyConstants(f"{rs!r} is not a RootSystem")
+        shape = (len(rs.all_roots),) * 2
+        if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"
+                and table.shape == shape):
+            raise NotChevalleyConstants(
+                f"{rs.name} reads an integer ndarray of shape {shape} as its sign table"
+            )
+        # sealed, as bracket_table's are: the cached verdict stays the verdict
+        # on these cells (flip and replace build a new array or share this one)
+        object.__setattr__(self, "sign_table", _sealed(table))
+
+    @property
+    def sum_index(self) -> np.ndarray:
+        """The system's root sums: [i, j] indexes root_i + root_j, n_roots if no root."""
+        return _root_sums(self.system)
 
     def n(self, alpha: LatticeVector, beta: LatticeVector) -> int:
         """n_{alpha,beta}; zero when alpha + beta is not a root."""
@@ -96,7 +107,7 @@ class ChevalleyConstants:
         table[i, j] = -table[i, j]
         if not one_sided:
             table[j, i] = -table[j, i]
-        return ChevalleyConstants(self.system, table, self.sum_index)
+        return ChevalleyConstants(self.system, table)
 
     @cached_property
     def bracket_table(self) -> tuple[np.ndarray, ...]:
@@ -131,12 +142,19 @@ class ChevalleyConstants:
             _sealed(val[order].astype(np.int8)),
         )
 
-    @cached_property
+    @property
     def report(self) -> VerificationReport:
+        """A copy of the check that gates the build, so that a caller's edit
+        of it reaches no later read."""
+        rep = self._verdict
+        return VerificationReport(rep.name, rep.checked, list(rep.violations), dict(rep.details))
+
+    @cached_property
+    def _verdict(self) -> VerificationReport:
         """The check that gates the build, run once per instance (flipped and
-        replaced copies run their own; read it through verify_chevalley):
-        support and antisymmetry of the sign table on all root pairs, then
-        the Jacobi identity on every basis triple.
+        replaced copies run their own; read it through report): support and
+        antisymmetry of the sign table on all root pairs, then the Jacobi
+        identity on every basis triple.
 
         On a table with the right support that is antisymmetric, the
         three-term identity n_{a,b} n_{a+b,g} + n_{b,g} n_{b+g,a} +
@@ -242,10 +260,13 @@ def build_constants(rs: RootSystem) -> ChevalleyConstants:
 
 
 @lru_cache(maxsize=33)  # one entry for each type that build admits
-def _build_constants(rs: RootSystem) -> ChevalleyConstants:
-    _jacobi_dim(rs)
+def _root_sums(rs: RootSystem) -> np.ndarray:
+    """The sealed sum_index of every table over rs, behind the packed Jacobi keys' guard."""
     roots = rs.all_roots
     n_roots = len(roots)
+    dim = rs.rank + n_roots
+    if dim ** 3 >= 2 ** 31:
+        raise BudgetExceeded(f"{rs.name}: dimension {dim} is past the packed Jacobi keys")
     coords = np.array([r.coords for r in roots], dtype=np.int64)
 
     # every root has square 2, so a + b is a root exactly when (a, b) = -1:
@@ -270,7 +291,14 @@ def _build_constants(rs: RootSystem) -> ChevalleyConstants:
         )
     sum_index = np.full((n_roots, n_roots), n_roots, dtype=np.int32)
     sum_index[p, q] = order[at]
-    del small, pairings, sums, at
+    return _sealed(sum_index)
+
+
+@lru_cache(maxsize=33)  # one entry for each type that build admits
+def _build_constants(rs: RootSystem) -> ChevalleyConstants:
+    sum_index = _root_sums(rs)
+    n_roots = len(rs.all_roots)
+    coords = np.array([r.coords for r in rs.all_roots], dtype=np.int64)
 
     # eps parity over all pairs in one shot, then the negative-root correction;
     # uint8 arithmetic runs mod 256, an even modulus, so every parity is
@@ -285,8 +313,8 @@ def _build_constants(rs: RootSystem) -> ChevalleyConstants:
     table[sum_index == n_roots] = 0
     del odd, parity
 
-    constants = ChevalleyConstants(rs, table, sum_index)
-    del table, sum_index  # the constants hold sealed copies
+    constants = ChevalleyConstants(rs, table)
+    del table  # the constants hold a sealed copy
     report = constants.report
     if not report.ok:
         raise ConstructionFailure(
@@ -385,14 +413,6 @@ def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return keys[starts][keep], sums[keep]
 
 
-def _jacobi_dim(rs: RootSystem) -> int:
-    """rs's Lie algebra dimension; BudgetExceeded past the Jacobi sweep's packed keys."""
-    dim = rs.rank + len(rs.all_roots)
-    if dim ** 3 >= 2 ** 31:
-        raise BudgetExceeded(f"{rs.name}: dimension {dim} is past the packed Jacobi keys")
-    return dim
-
-
 def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     """Lexicographically first basis triple i < j < k whose Jacobi sum
     [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] is not zero.
@@ -412,7 +432,7 @@ def _jacobi_first_failure(c: ChevalleyConstants) -> tuple[int, int, int] | None:
     that keeps one is the first failing triple.
     """
     rs = c.system
-    dim = _jacobi_dim(rs)  # a table built by hand may be past the keys too
+    dim = rs.rank + len(rs.all_roots)
     stop = rs.rank + 1 + max(map(rs.root_order_index, rs.simple_roots))
     return _jacobi_sweep(c, dim, stop if _jacobi_certified(c) else dim)
 
@@ -534,11 +554,8 @@ def _jacobi_certified(c: ChevalleyConstants) -> bool:
 
 
 def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:
-    """The check that gates the build, as a copy of c.report: it runs once
-    per instance, and a caller's edit of the copy does not reach the next
-    call."""
-    rep = checked_constants(c).report
-    return VerificationReport(rep.name, rep.checked, list(rep.violations), dict(rep.details))
+    """The check that gates the build, as c.report hands it out: a copy."""
+    return checked_constants(c).report
 
 
 def dump_constants(c: ChevalleyConstants) -> str:

@@ -48,6 +48,10 @@ class ImmutableVector(AdelieError, AttributeError):
     """Attempt to change or delete a coordinate or the basis of a lattice vector."""
 
 
+class ImmutableSystem(AdelieError, AttributeError):
+    """Attempt to change or delete an attribute of a built root system."""
+
+
 class MixedSigns(AdelieError, ValueError):
     """Vector with both positive and negative simple-root coordinates."""
 

@@ -20,6 +20,7 @@ from .errors import (
     BasisMismatch,
     BudgetExceeded,
     IllegalType,
+    ImmutableSystem,
     ImmutableVector,
     IndexOutOfRange,
     MixedSigns,
@@ -194,7 +195,11 @@ class RootSystem:
     IllegalType for any other diagram, NonIntegerRank for a rank that is not an
     integer and BudgetExceeded, before any work, for one past MAX_SYSTEM_RANK.
     :func:`build`, the door for a spec string, caps A and D at MAX_RANK and
-    keeps one instance of each type; instances are equal iff kind and rank are."""
+    keeps one instance of each type; instances are equal iff kind and rank are.
+    A built instance refuses every attribute write (ImmutableSystem), as the
+    caches keyed by a system answer for every system equal to it."""
+
+    _built = False  # __init__'s last write; writes are refused from then on
 
     def __init__(self, kind: str, rank: int) -> None:
         self.kind = kind
@@ -233,6 +238,17 @@ class RootSystem:
         self._root_index = {r.coords: i for i, r in enumerate(self.all_roots)}
         # adj(C) = det(C) C^-1 by columns, for the integer route to the root basis
         self._adjugate = list(zip(*adjugate))
+        self._built = True
+
+    def __setattr__(self, name, value):
+        if self._built:
+            raise ImmutableSystem(f"cannot change {name} of {self!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._built:
+            raise ImmutableSystem(f"cannot delete {name} of {self!r}")
+        object.__delattr__(self, name)
 
     # -- identity ---------------------------------------------------------
 
@@ -270,9 +286,7 @@ class RootSystem:
         return LatticeVector(coords, Basis.FUNDAMENTAL_WEIGHT)
 
     def _root_numerators(self, v: LatticeVector) -> list[int]:
-        # det(C) times the simple-root coordinates of v, v adj(C) for a weight
-        if self._vector(v).basis is Basis.SIMPLE_ROOT:
-            return [self._det * c for c in v.coords]
+        # det(C) times the simple-root coordinates of a weight v: v adj(C)
         return [sum(map(mul, v.coords, col)) for col in self._adjugate]
 
     def to_root_basis(self, v: LatticeVector) -> LatticeVector:

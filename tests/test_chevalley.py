@@ -9,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from adelie.errors import (
     IndexOutOfRange,
     NonIntegerCoordinate,
     NotARootClass,
+    NotChevalleyConstants,
     SystemMismatch,
 )
 
@@ -107,14 +109,36 @@ def test_build_constants_refuses_a_system_past_the_keys_before_its_tables(kind, 
     assert peak < 2 ** 20
 
 
-def test_the_sweep_keeps_its_own_key_guard():
-    # a table built by hand reaches the gate without build_constants' check
+def test_a_table_built_by_hand_meets_the_key_guard_through_its_sums():
+    # a table built by hand skips build_constants, but its report reads the
+    # system's sums, which are built behind the guard
     rs = RootSystem("A", 35)
     n_roots = len(rs.all_roots)
-    c = ChevalleyConstants(rs, np.zeros((n_roots, n_roots), dtype=np.int8),
-                           np.full((n_roots, n_roots), n_roots, dtype=np.int32))
+    c = ChevalleyConstants(rs, np.zeros((n_roots, n_roots), dtype=np.int8))
     with pytest.raises(BudgetExceeded, match="^A35: dimension 1295 is past the packed Jacobi keys$"):
         c.report
+
+
+def test_every_table_over_a_system_reads_the_systems_sums():
+    c = build_constants(build("A3"))
+    a1, a2, _ = c.system.simple_roots
+    by_hand = ChevalleyConstants(RootSystem("A", 3), c.sign_table.copy())
+    for x in (c, c.flip(a1, a2), dataclasses.replace(c), by_hand):
+        assert x.sum_index is build_constants(x.system).sum_index
+
+
+@pytest.mark.parametrize("system,make", [
+    (None, np.copy),
+    ("A3", np.ndarray.tolist),
+    ("A3", lambda t: t[:2]),
+    ("A3", lambda t: t.astype(float)),
+], ids=["none-system", "list-table", "short-table", "float-table"])
+def test_malformed_fields_are_refused_where_the_table_is_made(system, make):
+    # each once built and failed later with a bare AttributeError or numpy's
+    # broadcast ValueError when its report was read
+    table = make(build_constants(build("A3")).sign_table)
+    with pytest.raises(NotChevalleyConstants):
+        ChevalleyConstants(system and build(system), table)
 
 
 def test_sl2_triples():
@@ -339,7 +363,7 @@ def test_no_field_of_the_constants_can_be_rebound_or_deleted(field):
         setattr(c, field, getattr(build_constants(build("A3")), field))
     with pytest.raises(AttributeError):
         delattr(c, field)
-    assert {f.name for f in dataclasses.fields(c)} == {"system", "sign_table", "sum_index"}
+    assert {f.name for f in dataclasses.fields(c)} == {"system", "sign_table"}
 
 
 def test_a_refused_rebinding_leaves_the_cached_constants_as_they_were():
@@ -353,12 +377,20 @@ def test_a_refused_rebinding_leaves_the_cached_constants_as_they_were():
     assert verify_chevalley(again).ok
 
 
-def test_flip_and_replace_build_new_constants_with_their_own_report():
-    c = build_constants(build("A2"))
+def test_flip_and_replace_build_new_constants_with_their_own_report(monkeypatch):
+    # three instances run the gate three times, however often they are read
+    built = build_constants(build("A2"))
+    sweep = chevalley._jacobi_first_failure
+    calls = []
+    monkeypatch.setattr(
+        chevalley, "_jacobi_first_failure", lambda c: calls.append(c) or sweep(c)
+    )
+    c = dataclasses.replace(built)
     a1, a2 = c.system.simple_roots
     flipped, replaced = c.flip(a1, a2, one_sided=True), dataclasses.replace(c)
-    assert c.report.ok and replaced.report.ok and not flipped.report.ok
-    assert len({id(x.report) for x in (c, flipped, replaced)}) == 3
+    for _ in range(2):
+        assert c.report.ok and replaced.report.ok and not flipped.report.ok
+    assert calls == [c, replaced, flipped]
     assert replaced.sign_table is c.sign_table
 
 
@@ -378,7 +410,7 @@ def test_construction_failure_path():
     c = build_constants(build("A2"))
     t = c.sign_table.copy()
     t[0, 1] = 0
-    broken = ChevalleyConstants(c.system, t, c.sum_index)
+    broken = ChevalleyConstants(c.system, t)
     rep = verify_chevalley(broken)
     assert not rep.ok
 
@@ -542,7 +574,7 @@ def _uncorrected(c):
     sum_negative = (c.sum_index < n_roots) & (c.sum_index >= n_roots // 2)
     undo = negative[:, None] ^ negative[None, :] ^ sum_negative
     table = np.where(undo, -c.sign_table, c.sign_table)
-    return ChevalleyConstants(c.system, table, c.sum_index)
+    return ChevalleyConstants(c.system, table)
 
 
 @pytest.mark.parametrize("name,triple", [
@@ -822,15 +854,16 @@ def test_the_sum_index_is_the_all_pairs_lookup(name):
 
 
 def test_a_pair_at_minus_one_whose_sum_is_no_root_is_refused():
-    # A3 without its highest root: alpha_3 pairs to -1 with alpha_1 +
-    # alpha_2, and their sum is missing from the keys
-    rs = RootSystem("A", 3)
-    rs.positive_roots = rs.positive_roots[:-1]
-    rs.all_roots = rs.positive_roots + tuple(-a for a in rs.positive_roots)
+    # a stand-in for A3 without its highest root: alpha_3 pairs to -1 with
+    # alpha_1 + alpha_2, and their sum is missing from the keys
+    rs = build("A3")
+    positive = rs.positive_roots[:-1]
+    stand_in = SimpleNamespace(name="A3", rank=3, cartan=rs.cartan,
+                               all_roots=positive + tuple(-a for a in positive))
     message = (r"^A3: roots \{0,0,1\|root\} and \{1,1,0\|root\} pair to -1, "
                r"but their sum is not a root$")
     with pytest.raises(ConstructionFailure, match=message):
-        chevalley._build_constants.__wrapped__(rs)
+        chevalley._root_sums.__wrapped__(stand_in)
 
 
 # SHA-256 of sign_table's and sum_index's bytes (int8 and int32, C order) and

@@ -193,8 +193,10 @@ def test_index_bound_reports_an_index_above_one(monkeypatch):
 
 def test_index_bound_reports_a_weight_coordinate_outside_its_box():
     # 2 alpha_1 is no root; its weight coordinates (4, -2) leave the box {-1, 0, 1}
+    # a stand-in for A2 that lists it among its roots: a copy whose roots are
+    # written to its dict, past the door that refuses writes to a system
     rs = copy(build("A2"))
-    rs.all_roots += (root_vector(2, 0),)
+    vars(rs)["all_roots"] = rs.all_roots + (root_vector(2, 0),)
     rep = verify_index_bound(rs)
     assert (rep.checked, rep.violations) == (
         7, ["root {2,0|root}: weight coordinate 4 out of range"]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from adelie import build, obstruction, root_vector
-from adelie.chevalley import ChevalleyConstants, build_constants, runs, sum_by_key, verify_chevalley
+from adelie.chevalley import build_constants, runs, sum_by_key, verify_chevalley
 from adelie.cli import main
 from adelie.errors import (
     CancellationFailure,
@@ -773,27 +773,17 @@ def test_every_single_cell_corruption_fails_the_gate_on_both_halves():
     assert tables == 815
 
 
-@pytest.mark.parametrize("name,cells", [("A3", 48), ("D4", 192)])
-def test_every_single_cell_retargeting_of_the_sum_table_fails_the_gate(name, cells):
-    # the closed formula reads root sums from sum_index alone, so a cell sent
-    # to another root must be caught by the gate: the bracket table built
-    # from it fails the Jacobi identity on a triple that holds an h
-    c = build_constants(build(name))
-    rank, n_roots = c.system.rank, len(c.system.all_roots)
-    retargeted = np.argwhere(c.sum_index < n_roots)
-    assert len(retargeted) == cells
-    for i, j in retargeted:
-        table = c.sum_index.copy()
-        table[i, j] = (table[i, j] + 1) % n_roots
-        bad = ChevalleyConstants(c.system, c.sign_table, table)
-        violations = verify_chevalley(bad).violations
-        assert len(violations) == 1 and violations[0].startswith("jacobi fails")
-        triple = violations[0][violations[0].index("(") + 1:-1].split(",")
-        assert int(triple[0]) < rank
-        for half in Half:
-            with pytest.raises(CancellationFailure) as exc:
-                build_system(bad, half)
-            assert str(exc.value) == f"{name} {half.value}: {violations[0]}"
+def test_an_edited_report_reaches_neither_the_gate_nor_the_build():
+    # report hands out a copy: clearing its violations once let the one-sided
+    # flip pass verify_chevalley and reach the closed formula, which refused
+    # it as an internal ConstructionFailure
+    c = build_constants(build("A3"))
+    a1, a2, _ = c.system.simple_roots
+    bad = c.flip(a1, a2, one_sided=True)
+    bad.report.violations.clear()
+    assert verify_chevalley(bad).ok is False
+    with pytest.raises(CancellationFailure, match=r"^A3 positive: "):
+        build_system(bad, "positive")
 
 
 def _per_class_failing(n, cls, p, q, val):

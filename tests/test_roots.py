@@ -21,6 +21,7 @@ from adelie.errors import (
     BasisMismatch,
     BudgetExceeded,
     IllegalType,
+    ImmutableSystem,
     ImmutableVector,
     IndexOutOfRange,
     MixedSigns,
@@ -410,6 +411,22 @@ def test_numpy_integer_coordinates_convert_exactly():
     assert v.coords == (2 ** 62, -3, 1)
     assert all(type(c) is int for c in v.coords)
     assert v == weight_vector(2 ** 62, -3, 1)
+
+
+def test_a_built_root_system_refuses_every_write():
+    # build's cache, and those of the tables keyed by a system, answer for
+    # every system equal to it: a write once changed every later build("A2")
+    rs = build("A2")
+    for name in ("cartan", "all_roots", "rank"):
+        with pytest.raises(ImmutableSystem) as exc:
+            setattr(rs, name, ((2, 0), (0, 2)))
+        assert isinstance(exc.value, AttributeError)
+        with pytest.raises(ImmutableSystem):
+            delattr(rs, name)
+    assert build("A2").cartan == ((2, -1), (-1, 2)) and build("A2").rank == 2
+    assert len(build("A2").all_roots) == 6
+    # the class stays open: a tracer rebinds its methods on it
+    RootSystem.pairing = RootSystem.pairing
 
 
 def test_lattice_vectors_are_immutable_values():
