@@ -34,6 +34,7 @@ from .errors import (
     CoefficientOverflow,
     ConstructionFailure,
     NonIntegerCoordinate,
+    NotALieElement,
     NotChevalleyConstants,
     SystemMismatch,
 )
@@ -192,9 +193,11 @@ class ChevalleyConstants:
         return rep
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieElement:
-    """Integer combination of Cartan generators h_i and root vectors x_alpha."""
+    """Integer combination of Cartan generators h_i and root vectors x_alpha.
+    +, bracket and adjoint_matrix refuse an operand that is not one with
+    NotALieElement."""
 
     system: RootSystem
     cartan: dict[int, int] = field(default_factory=dict)
@@ -212,7 +215,7 @@ class LieElement:
         return cls(system, roots={system.all_roots[k].coords: 1})
 
     def __add__(self, other: "LieElement") -> "LieElement":
-        if other.system != self.system:
+        if _checked_element(other).system != self.system:
             raise SystemMismatch("cannot add elements over different systems")
 
         def merged(a: dict, b: dict) -> dict:
@@ -226,6 +229,12 @@ class LieElement:
         )
 
     def scale(self, k: int) -> "LieElement":
+        """k times this element; NonIntegerCoordinate for a k that
+        operator.index does not read as an integer."""
+        try:
+            k = index(k)
+        except TypeError:
+            raise NonIntegerCoordinate(f"scale {k!r} is not an integer") from None
         if k == 0:
             return LieElement(self.system)
         return LieElement(
@@ -332,13 +341,21 @@ def checked_constants(c) -> ChevalleyConstants:
     raise NotChevalleyConstants(f"{c!r} is not a ChevalleyConstants")
 
 
+def _checked_element(e) -> LieElement:
+    # the one check of an element argument
+    if isinstance(e, LieElement):
+        return e
+    raise NotALieElement(f"{e!r} is not a LieElement")
+
+
 def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
     """(basis index, coefficient) for each component of e, the coefficient
-    read through operator.index; IndexOutOfRange or NotARootClass for a
-    Cartan index or root key that names no basis element, and
-    NonIntegerCoordinate for a coefficient that is not an integer."""
+    read through operator.index; NotALieElement for an e that is not one,
+    IndexOutOfRange or NotARootClass for a Cartan index or root key that
+    names no basis element, and NonIntegerCoordinate for a coefficient that
+    is not an integer."""
     rs = c.system
-    if e.system != rs:
+    if _checked_element(e).system != rs:
         raise SystemMismatch("bracket arguments over a different system")
     terms = [(checked_index(i, 0, rs.rank - 1, "Cartan index"), v) for i, v in e.cartan.items()]
     terms += [(rs.rank + rs.root_order_index(root_vector(*cc)), v) for cc, v in e.roots.items()]

@@ -11,8 +11,9 @@ class IllegalType(AdelieError):
 
 
 class BasisMismatch(AdelieError):
-    """Two lattice vectors disagree on rank or were combined across bases, or a
-    root system was handed a vector argument that is not a LatticeVector of its
+    """Two lattice vectors disagree on rank or were combined across bases, a
+    lattice vector was combined with something that is not one, or a root
+    system was handed a vector argument that is not a LatticeVector of its
     rank (RootSystem checks every such argument at one door), or a lattice a
     divisor argument that is not a DivisorClass."""
 
@@ -40,8 +41,13 @@ class NotChevalleyConstants(AdelieError, TypeError):
 
 class NotAnObstructionSystem(AdelieError, TypeError):
     """Obstruction-system argument that is not an ObstructionSystem (its
-    ChevalleyConstants or None), or forms that are not a dict of FormalForms
-    keyed by integer tuples."""
+    ChevalleyConstants or None), forms that are not a dict of FormalForms
+    keyed by integer tuples, a FormalForm whose keys are not (phis, psis)
+    pairs of integer tuples, or a form argument that is not a FormalForm."""
+
+
+class NotALieElement(AdelieError, TypeError):
+    """Lie-algebra element argument that is not a LieElement (None or an int)."""
 
 
 class ImmutableVector(AdelieError, AttributeError):
@@ -102,8 +108,8 @@ class CancellationFailure(AdelieError):
 
 
 class IncompleteOracle(AdelieError):
-    """An H^2 oracle answered certify_solvability with something other than an
-    H2VanishVerdict (None and a bool included)."""
+    """An H^2 oracle handed to certify_solvability is not callable, or answered
+    with something other than an H2VanishVerdict (None and a bool included)."""
 
 
 class NotARootClass(AdelieError):

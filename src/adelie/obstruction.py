@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -67,16 +68,36 @@ def _root_key(c: Coords) -> tuple[int, Coords]:
     return (abs(sum(c)), c)
 
 
+def _monomials(keys) -> bool:
+    """Whether every key is a (phis, psis) pair of tuples of integer tuples.
+    The types are gathered by maps over the flattened keys: a loop over each
+    key's coordinates doubled the time build_system takes for E8's forms."""
+    if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
+        return False
+    blocks = tuple(chain.from_iterable(keys))
+    if not set(map(type, blocks)) <= {tuple}:
+        return False
+    coords = tuple(chain.from_iterable(blocks))
+    if not set(map(type, coords)) <= {tuple}:
+        return False
+    return set(map(type, chain.from_iterable(coords))) <= {int}
+
+
 class FormalForm:
     """Integer combination of monomials in the phi (odd) and psi (even)
     generators, keyed by canonically sorted generator blocks.  It holds and
-    prints forms; the package computes with integer arrays, not with it."""
+    prints forms; the package computes with integer arrays, not with it.
+    Keys that are not (phis, psis) pairs of integer tuples raise
+    NotAnObstructionSystem."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, int] | None = None) -> None:
         # a dict's copy keeps the hashes of its keys: rebuild only to drop zeros
         terms = dict(terms or {})
+        if not _monomials(terms):
+            bad = next(key for key in terms if not _monomials([key]))
+            raise NotAnObstructionSystem(f"form key {bad!r} is not a (phis, psis) pair")
         self.terms = terms if all(terms.values()) else {k: v for k, v in terms.items() if v}
 
     def __eq__(self, other: object) -> bool:
@@ -118,7 +139,10 @@ def _form_text(form: FormalForm, generators) -> str:
 
 def form_text(form: FormalForm) -> str:
     """Deterministic rendering: psi blocks first, then phi blocks, terms in
-    key order (phi count, then the _root_key of each phi and psi block)."""
+    key order (phi count, then the _root_key of each phi and psi block).
+    NotAnObstructionSystem for a form that is not a FormalForm."""
+    if not isinstance(form, FormalForm):
+        raise NotAnObstructionSystem(f"{form!r} is not a FormalForm")
     return _form_text(form, _generators([form]))
 
 
@@ -384,9 +408,12 @@ class SolvabilityCertificate:
 
 def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertificate:
     """Certify the classes of height two and above against oracle(root), which
-    must answer an H2VanishVerdict; any other answer, None or a bool too,
-    raises IncompleteOracle.  Height-one classes become requirements."""
+    must answer an H2VanishVerdict; an oracle that is not callable, or any
+    other answer, None or a bool too, raises IncompleteOracle.  Height-one
+    classes become requirements."""
     rs = _checked_obstruction(system).system
+    if not callable(oracle):
+        raise IncompleteOracle(f"{oracle!r} is not an oracle")
     verdicts: list[H2VanishVerdict] = []
     requirements: list[LatticeVector] = []
     for alpha in system.roots:

@@ -85,6 +85,8 @@ class LatticeVector:
         return len(self.coords)
 
     def _check(self, other: "LatticeVector") -> None:
+        if not isinstance(other, LatticeVector):
+            raise BasisMismatch(f"{self!r} combines with LatticeVectors, not {other!r}")
         if self.rank != other.rank:
             raise BasisMismatch(f"rank {self.rank} vs {other.rank}")
         if self.basis is not other.basis:

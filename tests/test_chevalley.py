@@ -31,6 +31,7 @@ from adelie.errors import (
     ConstructionFailure,
     IndexOutOfRange,
     NonIntegerCoordinate,
+    NotALieElement,
     NotARootClass,
     NotChevalleyConstants,
     SystemMismatch,
@@ -187,6 +188,17 @@ def test_bracket_bilinear():
         bracket(x, LieElement.h(build("A3"), 0), c)
     with pytest.raises(SystemMismatch):
         x + LieElement.h(build("A3"), 0)
+    # an operand that is not an element once raised a bare AttributeError
+    with pytest.raises(NotALieElement, match="^1 is not a LieElement$"):
+        x + 1
+
+
+def test_an_element_refuses_every_rebinding():
+    # a frozen record like the others; its fields were rebindable
+    e = LieElement.h(build("A2"), 0)
+    for name in ("system", "cartan", "roots"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, {})
 
 
 @pytest.mark.parametrize("i", [-1, 2, 5, 0.5])
@@ -297,10 +309,13 @@ def test_adjoint_matrix_refuses_coefficients_past_int64():
 @pytest.mark.parametrize("k", [1.5, Fraction(3, 2)], ids=["float", "Fraction"])
 def test_a_non_integer_coefficient_is_refused(k):
     # the int64 adjoint matrix would hold -1 where [1.5 h_1, x_a2] is
-    # -1.5 x_a2, and bracket would give a float coefficient
+    # -1.5 x_a2, and bracket would give a float coefficient; scale refuses
+    # such a factor, and an element built from its fields meets the check
     rs = build("A2")
     c = build_constants(rs)
-    x, h = LieElement.x(rs, rs.simple_roots[0]), LieElement.h(rs, 0).scale(k)
+    with pytest.raises(NonIntegerCoordinate):
+        LieElement.h(rs, 0).scale(k)
+    x, h = LieElement.x(rs, rs.simple_roots[0]), LieElement(rs, {0: k})
     for call in (lambda: adjoint_matrix(h, c), lambda: bracket(h, x, c), lambda: bracket(x, h, c)):
         with pytest.raises(NonIntegerCoordinate, match="coefficient that is not an integer") as exc:
             call()
@@ -646,6 +661,10 @@ GATE_PAYLOAD_SHA256 = {
         (415058, "a0e47c0c318238862369d16cd8e347c35a002d55732966f7c22b52c38e5afe07"),
     ("chevalley", "E8"):
         (2626696, "85c8090e0cd6c0e5c787969eded34a26b6095204e422ff208f31a03643fcc94b"),
+    # the largest supported type, ok at dimension 496, recorded from the
+    # per-index sweep
+    ("chevalley", "D16"):
+        (20675280, "8d6b5fd67d8f20f245d36e0ce9560af7d7806581838cebe46758be477b1f7690"),
     ("verify", "A8"):
         (93042, "9c6bea7a5af55596720c0804c8cfeff67fb6121d2a4b1e1ad5f0f7612bcadaca"),
     ("verify", "D8"):

@@ -341,12 +341,20 @@ def test_exit_three_when_firing_passes_lambda_plus(capsys, monkeypatch):
     assert err.startswith("internal error:") and "firing from" in err
 
 
-def test_exit_two_when_the_interval_walk_reaches_the_cap(capsys, monkeypatch):
-    monkeypatch.setattr(cotangent, "_POINT_BUDGET", 50)
-    code, out, err = run(capsys, "cht", "A4", "--", "-3", "-3", "-3", "-3")
+@pytest.mark.parametrize("name,coords,budget,walk", [
+    ("A4", (-3,) * 4, 50, "kept 50 dominant weights (cap 50) and reached height 14 of 30"),
+    # the shipped cap, reached within the seconds allowed below
+    ("E8", (-2,) * 8, None, "kept 20000 dominant weights (cap 20000) and reached height 590 of 1240"),
+], ids=["A4", "E8"])
+def test_exit_two_when_the_interval_walk_reaches_the_cap(capsys, monkeypatch, name, coords, budget, walk):
+    if budget is not None:
+        monkeypatch.setattr(cotangent, "_POINT_BUDGET", budget)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cht", name, "--", *map(str, coords))
+    assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
-    assert err.startswith("error: A4 {-3,-3,-3,-3|weight}: interval walk kept 50 ")
-    assert "(cap 50)" in err and "box" not in err
+    weight = ",".join(map(str, coords))
+    assert err == f"error: {name} {{{weight}|weight}}: interval walk {walk} above lambda*\n"
 
 
 # SHA-256 of the exact `cht --format json` stdout, recorded from the box walk
@@ -356,6 +364,8 @@ CHT_PAYLOAD_SHA256 = {
     ("D6", (-1,) * 6): "dcaabdf8553e0f6705ac7f64374daa092b57f422cd967b3311e06933c4ef508d",
     ("E6", (-1,) * 6): "32fbc71b3b139494a14e47122c1d50b333c342b811928b845b38dccd099a051b",
     ("E8", (-1, -1, -1, 0, 0, 0, 0, 0)): "45b33e27621d4a7fccdbd819fa77a2f41d5d3744b8fe828e781a5271bd9b1246",
+    # cht 310 over 14869 interval points, recorded from the height-layer walk
+    ("E8", (-1,) * 8): "b77db97043dcfb79d5f32eacc7f079b567cf098317e9c68b91736728fed57ea1",
 }
 
 

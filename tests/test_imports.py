@@ -1,13 +1,16 @@
 """numpy stays out of the commands that build no arrays, batch, surface and
 verify out of the commands that do not run them, and dataclasses, inspect,
-fractions and decimal out of the start of every command."""
+fractions and decimal out of the start of every command.  The commands that
+CI runs on the installed package load every module file between them."""
 
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import adelie
 from adelie.cli import main
 from adelie.roots import build
 from test_acceptance import _cli_env
@@ -159,3 +162,44 @@ def test_start_up_leaves_dataclasses_and_fractions_out():
         [sys.executable, "-c", script], capture_output=True, cwd="/", env=_cli_env(), text=True
     )
     assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
+
+
+# runs each argv as `python -m adelie` runs it, stdout discarded, and prints
+# as one JSON list the exit codes and the file of each code object executed:
+# the audit hook sees the exec of every imported module and of __main__.py
+INSTALLED_STEP_CHILD = """
+import contextlib, io, json, runpy, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(args[0].co_filename))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv = ["adelie", *argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("adelie", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, sorted(ran)]))
+"""
+
+
+def test_the_installed_step_loads_every_module_file():
+    # CI's installed-entry-point step runs these three commands and no other
+    # check of the package, so a module file that none of them loads could
+    # be left out of the install unseen
+    commands = [
+        ["--version"],
+        ["verify", "E8", "all", "--format", "json"],
+        ["euler", "E6", "--degree", "2", "--format", "json", "--", *["0"] * 6],
+    ]
+    child = subprocess.run(
+        [sys.executable, "-c", INSTALLED_STEP_CHILD, json.dumps(commands)],
+        capture_output=True, cwd="/", env=_cli_env(), text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    codes, ran = json.loads(child.stdout)
+    assert codes == [0, 0, 0]
+    package = Path(adelie.__file__).resolve().parent
+    files = {path.name for path in package.glob("*.py")}
+    assert files - {Path(f).name for f in ran if Path(f).parent == package} == set()
+    assert "__main__.py" in files and "batch.py" in files

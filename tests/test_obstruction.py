@@ -566,6 +566,23 @@ def test_forms_that_are_not_a_dict_of_forms_are_refused_where_the_system_is_made
         ObstructionSystem(system.constants, Half.POSITIVE, forms)
 
 
+@pytest.mark.parametrize("key", [
+    1, "ab", (), (((1, 0),),), ((1, 0), ()), ((("a",),), ()), (((1.0, 0),), ()),
+    (((1, 0),), ""), (((1, 0),), (), ()),
+], ids=repr)
+def test_form_keys_that_are_not_phi_psi_pairs_are_refused_where_the_form_is_made(key):
+    # each built a form whose repr then raised a bare TypeError or
+    # ValueError, or printed 1.0 as a coordinate
+    with pytest.raises(NotAnObstructionSystem, match="is not a \\(phis, psis\\) pair$"):
+        FormalForm({((), ((0, 1),)): 1, key: 2})
+
+
+def test_form_text_refuses_what_is_not_a_form():
+    # None once raised a bare AttributeError
+    with pytest.raises(NotAnObstructionSystem, match="^None is not a FormalForm$"):
+        form_text(None)
+
+
 def test_a_system_without_its_forms_renders_and_closes():
     # a dict without every class of the half once raised a bare KeyError in
     # check_bianchi and system_text
@@ -631,6 +648,9 @@ def test_certification_flow():
     for answer in (None, True, False):
         with pytest.raises(IncompleteOracle, match=f"oracle answered {answer} for"):
             certify_solvability(sys, lambda a: answer)
+    # and an oracle that is not callable, which once raised a bare TypeError
+    with pytest.raises(IncompleteOracle, match="^None is not an oracle$"):
+        certify_solvability(sys, None)
 
 
 def test_system_text_stable_and_anchored():

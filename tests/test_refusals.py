@@ -6,8 +6,9 @@ refuses a system that is not a RootSystem with NotARootSystem, every
 parameter of surface that reads a RootSystem, a ResolutionLattice or a
 DivisorClass refuses anything else at that type's one door, as does every
 parameter of batch, chevalley, obstruction and verify that reads a
-RootSystem, a ChevalleyConstants or an ObstructionSystem, and RootSystem
-refuses every kind that is not A, D or E with an IllegalType that names it.
+RootSystem, a ChevalleyConstants, an ObstructionSystem or a LieElement, and
+RootSystem refuses every kind that is not A, D or E with an IllegalType that
+names it.
 
 RootSystem checks a vector argument in one place, and every function below
 reaches the system through its basis conversions, so none needs a check of
@@ -29,6 +30,7 @@ from adelie.errors import (
     BudgetExceeded,
     IllegalType,
     NotALattice,
+    NotALieElement,
     NotAnObstructionSystem,
     NotARootSystem,
     NotChevalleyConstants,
@@ -161,6 +163,7 @@ INTEGER_CALLS = {
     "surface.ResolutionLattice.restriction_degree":
         lambda v: LATTICE.restriction_degree(LATTICE.curve(1), v),
     "chevalley.LieElement.h": lambda v: LieElement.h(RS, v),
+    "chevalley.LieElement.scale": lambda v: LieElement.h(RS, 0).scale(v),
     "cotangent.euler_characteristic_graded[degree]":
         lambda v: cotangent.euler_characteristic_graded(RS, ZERO, v),
     "cotangent.euler_characteristic_graded[max_terms]":
@@ -346,6 +349,7 @@ ALGEBRA_TYPES = {
     "RootSystem": (RS, NotARootSystem),
     "ChevalleyConstants": (CONSTANTS, NotChevalleyConstants),
     "ObstructionSystem": (OBSTRUCTIONS, NotAnObstructionSystem),
+    "LieElement": (H, NotALieElement),
 }
 
 # what stands in for each, beside a value of each other of these types
@@ -358,7 +362,10 @@ ALGEBRA_CALLS = {
     "chevalley.build_constants[rs]": lambda v: build_constants(v),
     "chevalley.LieElement.h[system]": lambda v: LieElement.h(v, 0),
     "chevalley.LieElement.x[system]": lambda v: LieElement.x(v, ROOT),
+    "chevalley.bracket[x]": lambda v: chevalley.bracket(v, H, CONSTANTS),
+    "chevalley.bracket[y]": lambda v: chevalley.bracket(H, v, CONSTANTS),
     "chevalley.bracket[c]": lambda v: chevalley.bracket(H, H, v),
+    "chevalley.adjoint_matrix[x]": lambda v: chevalley.adjoint_matrix(v, CONSTANTS),
     "chevalley.adjoint_matrix[c]": lambda v: chevalley.adjoint_matrix(H, v),
     "chevalley.verify_chevalley[c]": lambda v: chevalley.verify_chevalley(v),
     "chevalley.dump_constants[c]": lambda v: chevalley.dump_constants(v),

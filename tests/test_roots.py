@@ -7,6 +7,7 @@ enumerations cross-check each other.
 
 import copy
 import pickle
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -329,6 +330,13 @@ def test_vector_arithmetic_guards():
         root_vector(1, 0) + weight_vector(0, 1)
     with pytest.raises(BasisMismatch):
         root_vector(1, 0) + root_vector(1, 0, 0)
+    # a value that is not a LatticeVector once raised a bare AttributeError
+    for other in (1, None, (0, 1)):
+        message = re.escape(f"combines with LatticeVectors, not {other}")
+        with pytest.raises(BasisMismatch, match=message):
+            weight_vector(1, 0) + other
+        with pytest.raises(BasisMismatch):
+            weight_vector(1, 0) - other
     rs = build("A2")
     with pytest.raises(BasisMismatch):
         rs.pairing(root_vector(1), root_vector(1))

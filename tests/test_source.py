@@ -348,14 +348,11 @@ KEPT_WITHOUT_READER = {
     # the inverse of the surface dictionary, the way back from a -2 class
     ("surface.py", "divisor_to_root"),
     # scalar multiples beside +, - and negation, which the package uses: the
-    # tests' weights and brackets are built with them
+    # tests' weights are built with it
     ("roots.py", "LatticeVector.scale"),
-    ("chevalley.py", "LieElement.scale"),
     # n_{alpha,beta}, the paper's structure constant, read by root pair: the
     # tests read the sign table through it
     ("chevalley.py", "ChevalleyConstants.n"),
-    # h_i beside x_alpha, the two ways to name a basis element of the algebra
-    ("chevalley.py", "LieElement.h"),
 }
 
 
