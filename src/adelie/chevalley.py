@@ -196,12 +196,32 @@ class ChevalleyConstants:
 @dataclass(frozen=True)
 class LieElement:
     """Integer combination of Cartan generators h_i and root vectors x_alpha.
-    +, bracket and adjoint_matrix refuse an operand that is not one with
-    NotALieElement."""
+    It is made only from a RootSystem (NotARootSystem otherwise), and dicts
+    (NotALieElement otherwise) of integer coefficients (NonIntegerCoordinate)
+    keyed by Cartan indices (IndexOutOfRange) and by the coordinates of roots
+    (NotARootClass); it keeps copies, with Python ints.  +, bracket and
+    adjoint_matrix refuse an operand that is not one with NotALieElement."""
 
     system: RootSystem
     cartan: dict[int, int] = field(default_factory=dict)
     roots: dict[Coords, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        rs = checked_system(self.system)
+        for name, terms in (("cartan", self.cartan), ("roots", self.roots)):
+            if not isinstance(terms, dict):
+                raise NotALieElement(f"{name} {terms!r} is not a dict of coefficients")
+        cartan = {
+            checked_index(i, 0, rs.rank - 1, "Cartan index"): _coefficient(v)
+            for i, v in self.cartan.items()
+        }
+        roots = {
+            rs.all_roots[rs.root_order_index(root_vector(*c) if isinstance(c, tuple) else c)]
+            .coords: _coefficient(v)
+            for c, v in self.roots.items()
+        }
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "roots", roots)
 
     @classmethod
     def h(cls, system: RootSystem, i: int) -> "LieElement":
@@ -341,6 +361,13 @@ def checked_constants(c) -> ChevalleyConstants:
     raise NotChevalleyConstants(f"{c!r} is not a ChevalleyConstants")
 
 
+def _coefficient(v) -> int:
+    try:
+        return index(v)
+    except TypeError:
+        raise NonIntegerCoordinate(f"coefficient {v!r} is not an integer") from None
+
+
 def _checked_element(e) -> LieElement:
     # the one check of an element argument
     if isinstance(e, LieElement):
@@ -359,10 +386,7 @@ def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
         raise SystemMismatch("bracket arguments over a different system")
     terms = [(checked_index(i, 0, rs.rank - 1, "Cartan index"), v) for i, v in e.cartan.items()]
     terms += [(rs.rank + rs.root_order_index(root_vector(*cc)), v) for cc, v in e.roots.items()]
-    try:
-        return [(k, index(v)) for k, v in terms]
-    except TypeError:
-        raise NonIntegerCoordinate(f"{e} has a coefficient that is not an integer") from None
+    return [(k, _coefficient(v)) for k, v in terms]
 
 
 def _run(keys: np.ndarray, i: int) -> slice:

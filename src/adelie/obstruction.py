@@ -87,8 +87,8 @@ class FormalForm:
     """Integer combination of monomials in the phi (odd) and psi (even)
     generators, keyed by canonically sorted generator blocks.  It holds and
     prints forms; the package computes with integer arrays, not with it.
-    Keys that are not (phis, psis) pairs of integer tuples raise
-    NotAnObstructionSystem."""
+    Keys that are not (phis, psis) pairs of integer tuples, and coefficients
+    that are not ints, raise NotAnObstructionSystem."""
 
     __slots__ = ("terms",)
 
@@ -98,6 +98,9 @@ class FormalForm:
         if not _monomials(terms):
             bad = next(key for key in terms if not _monomials([key]))
             raise NotAnObstructionSystem(f"form key {bad!r} is not a (phis, psis) pair")
+        if not set(map(type, terms.values())) <= {int}:
+            bad = next(v for v in terms.values() if type(v) is not int)
+            raise NotAnObstructionSystem(f"form coefficient {bad!r} is not an int")
         self.terms = terms if all(terms.values()) else {k: v for k, v in terms.items() if v}
 
     def __eq__(self, other: object) -> bool:

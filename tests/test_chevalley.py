@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -204,14 +205,16 @@ def test_an_element_refuses_every_rebinding():
 @pytest.mark.parametrize("i", [-1, 2, 5, 0.5])
 def test_a_cartan_index_out_of_range_is_refused(i):
     # numpy would read h_{-1} as the last basis element and h_5 of A2 as a
-    # root vector, and a search for h_0.5 among the rows finds h_2; h refuses
-    # the index where the element is made, and an element built from its
-    # fields still meets the check of bracket and adjoint_matrix
+    # root vector, and a search for h_0.5 among the rows finds h_2; h and the
+    # fields refuse the index where the element is made, and an element whose
+    # dict is edited after still meets the check of bracket and adjoint_matrix
     c = build_constants(build("A2"))
     rs = c.system
-    bad, h1 = LieElement(rs, cartan={i: 1}), LieElement.h(rs, 0)
-    for call in (lambda: LieElement.h(rs, i), lambda: bracket(bad, h1, c),
-                 lambda: bracket(h1, bad, c), lambda: adjoint_matrix(bad, c)):
+    bad, h1 = LieElement(rs), LieElement.h(rs, 0)
+    bad.cartan[i] = 1
+    for call in (lambda: LieElement.h(rs, i), lambda: LieElement(rs, cartan={i: 1}),
+                 lambda: bracket(bad, h1, c), lambda: bracket(h1, bad, c),
+                 lambda: adjoint_matrix(bad, c)):
         with pytest.raises(IndexOutOfRange, match=f"Cartan index {i} outside 0..1"):
             call()
 
@@ -220,9 +223,10 @@ def test_a_cartan_index_out_of_range_is_refused(i):
 def test_a_root_key_that_is_not_a_root_is_refused(key):
     c = build_constants(build("A2"))
     rs = c.system
-    bad, h1 = LieElement(rs, roots={key: 1}), LieElement.h(rs, 0)
-    for call in (lambda: bracket(bad, h1, c), lambda: bracket(h1, bad, c),
-                 lambda: adjoint_matrix(bad, c)):
+    bad, h1 = LieElement(rs), LieElement.h(rs, 0)
+    bad.roots[key] = 1  # edited after it was made
+    for call in (lambda: LieElement(rs, roots={key: 1}), lambda: bracket(bad, h1, c),
+                 lambda: bracket(h1, bad, c), lambda: adjoint_matrix(bad, c)):
         with pytest.raises(NotARootClass, match="is not a root of A2"):
             call()
 
@@ -309,15 +313,19 @@ def test_adjoint_matrix_refuses_coefficients_past_int64():
 @pytest.mark.parametrize("k", [1.5, Fraction(3, 2)], ids=["float", "Fraction"])
 def test_a_non_integer_coefficient_is_refused(k):
     # the int64 adjoint matrix would hold -1 where [1.5 h_1, x_a2] is
-    # -1.5 x_a2, and bracket would give a float coefficient; scale refuses
-    # such a factor, and an element built from its fields meets the check
+    # -1.5 x_a2, and bracket would give a float coefficient; scale and the
+    # fields refuse such a factor, and an element whose dict is edited after
+    # it was made meets the check of bracket and adjoint_matrix
     rs = build("A2")
     c = build_constants(rs)
     with pytest.raises(NonIntegerCoordinate):
         LieElement.h(rs, 0).scale(k)
-    x, h = LieElement.x(rs, rs.simple_roots[0]), LieElement(rs, {0: k})
-    for call in (lambda: adjoint_matrix(h, c), lambda: bracket(h, x, c), lambda: bracket(x, h, c)):
-        with pytest.raises(NonIntegerCoordinate, match="coefficient that is not an integer") as exc:
+    x, h = LieElement.x(rs, rs.simple_roots[0]), LieElement(rs)
+    h.cartan[0] = k
+    for call in (lambda: LieElement(rs, {0: k}), lambda: adjoint_matrix(h, c),
+                 lambda: bracket(h, x, c), lambda: bracket(x, h, c)):
+        message = f"^coefficient {re.escape(repr(k))} is not an integer$"
+        with pytest.raises(NonIntegerCoordinate, match=message) as exc:
             call()
         assert isinstance(exc.value, TypeError)
 

@@ -1,13 +1,18 @@
 """Dominance order, lambda_star / cht invariants, descent chains, graded Euler."""
 
 import inspect
+import os
 import random
+import subprocess
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from heapq import heappop, heappush
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -727,3 +732,94 @@ def test_the_nilcone_series_of_e8():
     rs = build("E8")
     assert _degrees(rs) == [2, 8, 12, 14, 18, 20, 24, 30]
     assert _nilcone_hilbert(rs, 2) == 30875  # 27,000 + 3,875, as the fold reads
+
+
+@pytest.mark.parametrize("block,width", [(1, 7), (7, 1)])
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_graded_euler_in_tiny_blocks_and_slices_matches_the_dict_fold(monkeypatch, name, block, width):
+    # one multiset (or seven) per block and seven sums (or one) per slice: the
+    # last layer takes many blocks, some of several roots and some a piece of
+    # one root's prefix, each merged into the sums found before it, and the
+    # Weyl products run over many slices
+    monkeypatch.setattr(batch, "BLOCK", block)
+    monkeypatch.setattr(batch, "SLICE", width)
+    rs = build(name)
+    for lam in _oracle_weights(rs):
+        for d in range(4):
+            assert euler_characteristic_graded(rs, lam, d) == _dict_fold_graded_euler(rs, lam, d), (lam, d)
+
+
+def _kernel_peak(rs, lam, degree, max_terms):
+    """The kernel's value and the peak of what it allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        value = batch.euler_characteristic_graded(rs, lam, degree, max_terms)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# prints the kernel's value and how far the peak RSS of the process (VmHWM,
+# in KiB) rose while it ran, after a call at degree 2 has loaded every code
+# path; a fresh process, as tracemalloc would trace every Python int of the
+# exact products, and ru_maxrss starts at the size of the process that forks
+KERNEL_PEAK_CHILD = """
+import sys
+from adelie import batch, build, weight_vector
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+name, coord, degree, max_terms = sys.argv[1], *map(int, sys.argv[2:])
+rs = build(name)
+lam = weight_vector(*[coord] * rs.rank)
+batch.euler_characteristic_graded(rs, lam, 2)
+before = hwm()
+print(batch.euler_characteristic_graded(rs, lam, degree, max_terms), hwm() - before)
+"""
+
+
+def _kernel_in_a_child(name, coord, degree, max_terms):
+    child = subprocess.run(
+        [sys.executable, "-c", KERNEL_PEAK_CHILD, name, *map(str, (coord, degree, max_terms))],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(batch.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+        )),
+    )
+    assert child.returncode == 0, child.stderr
+    return tuple(map(int, child.stdout.split()))
+
+
+@pytest.mark.parametrize("degree,max_terms,mib", [(3, 10 ** 6, 1.2), (4, 10 ** 7, 20)])
+def test_the_graded_euler_kernel_has_a_bounded_peak_on_e8(degree, max_terms, mib):
+    # folding the whole last layer before one sort took 2.22 MiB and 46.5 MiB
+    rs = build("E8")
+    tracemalloc.start()
+    try:
+        value = batch.euler_characteristic_graded(rs, weight_vector(*[0] * 8), degree, max_terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == _nilcone_hilbert(rs, degree)  # 2,572,752 and 161,424,874
+    assert peak <= mib * 2 ** 20, peak
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_the_graded_euler_kernel_far_from_the_walls_has_a_bounded_peak_on_e8():
+    # all 40,741 sums of degree 3 are regular at (9)^8; evaluated all at once,
+    # their columns and products raised the peak by about 12.4 MiB
+    value, grown = _kernel_in_a_child("E8", 9, 3, 10 ** 6)
+    assert value == euler_characteristic_graded(build("E8"), weight_vector(*[9] * 8), 3)
+    assert grown <= 3 * 1024, grown
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_graded_euler_weight_zero_on_e7_at_degree_six():
+    # 109,453,344 multisets, where E7's degree-6 invariant enters: the first
+    # invariant past the quadratic one that an E7 check reaches.  The whole
+    # last layer held at once took about 530 MiB; the blocks keep layer five
+    # and its simple-root pairings
+    value, grown = _kernel_in_a_child("E7", 0, 6, 2 * 10 ** 8)
+    assert value == _nilcone_hilbert(build("E7"), 6) == 8578405835
+    assert grown <= 160 * 1024, grown

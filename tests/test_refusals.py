@@ -8,7 +8,8 @@ DivisorClass refuses anything else at that type's one door, as does every
 parameter of batch, chevalley, obstruction and verify that reads a
 RootSystem, a ChevalleyConstants, an ObstructionSystem or a LieElement, and
 RootSystem refuses every kind that is not A, D or E with an IllegalType that
-names it.
+names it.  A LieElement and a FormalForm refuse fields of any other type
+where they are made.
 
 RootSystem checks a vector argument in one place, and every function below
 reaches the system through its basis conversions, so none needs a check of
@@ -20,6 +21,7 @@ takes a LatticeVector, so a new one cannot be left out.
 import inspect
 import time
 
+import numpy as np
 import pytest
 
 from adelie import batch, chevalley, cotangent, flag, obstruction, surface, verify
@@ -29,13 +31,16 @@ from adelie.errors import (
     BasisMismatch,
     BudgetExceeded,
     IllegalType,
+    IndexOutOfRange,
+    NonIntegerCoordinate,
     NotALattice,
     NotALieElement,
     NotAnObstructionSystem,
+    NotARootClass,
     NotARootSystem,
     NotChevalleyConstants,
 )
-from adelie.obstruction import build_system
+from adelie.obstruction import FormalForm, build_system
 from adelie.roots import MAX_SYSTEM_RANK, RootSystem, build, root_vector, weight_vector
 from adelie.surface import DivisorClass, ResolutionLattice
 from adelie.verify import cotangent_h2_oracle, flag_h2_oracle, half_h2_oracle
@@ -414,6 +419,52 @@ def test_every_algebra_argument_is_refused_as_a_type_error_at_its_door(name, bad
         ALGEBRA_CALLS[name](value)
     assert isinstance(exc.value, TypeError)
     assert str(exc.value) in (f"{value!r} is not a {kind}", f"{value!r} is not an {kind}")
+
+
+# fields that an element or a form refuses where it is made, the refusal and
+# its message: repr(LieElement(RS, cartan=None)) raised a bare AttributeError,
+# LieElement(None) + LieElement(None) answered 0, and a coefficient "a" printed
+# as a*h1, as it printed as a*psi[0,1] in a form
+PSI = ((), ((0, 1),))
+FIELDS = {
+    "LieElement[system]": (lambda: LieElement(None), NotARootSystem, "None is not a RootSystem"),
+    "LieElement[cartan]": (lambda: LieElement(RS, cartan=None), NotALieElement,
+                           "cartan None is not a dict of coefficients"),
+    "LieElement[roots]": (lambda: LieElement(RS, roots=[(1, 0)]), NotALieElement,
+                          "roots [(1, 0)] is not a dict of coefficients"),
+    "LieElement[cartan index]": (lambda: LieElement(RS, {2: 1}), IndexOutOfRange,
+                                 "Cartan index 2 outside 0..1"),
+    "LieElement[root key]": (lambda: LieElement(RS, roots={(2, 0): 1}), NotARootClass,
+                             "{2,0|root} is not a root of A2"),
+    "LieElement[root key of another rank]": (lambda: LieElement(RS, roots={5: 1}),
+                                             BasisMismatch,
+                                             "A2 reads LatticeVectors of rank 2, not 5"),
+    "LieElement[cartan coefficient]": (lambda: LieElement(RS, {0: "a"}), NonIntegerCoordinate,
+                                       "coefficient 'a' is not an integer"),
+    "LieElement[root coefficient]": (lambda: LieElement(RS, roots={(1, 0): 1.5}),
+                                     NonIntegerCoordinate, "coefficient 1.5 is not an integer"),
+    "FormalForm[str coefficient]": (lambda: FormalForm({PSI: "a"}), NotAnObstructionSystem,
+                                    "form coefficient 'a' is not an int"),
+    "FormalForm[float coefficient]": (lambda: FormalForm({PSI: 1.5}), NotAnObstructionSystem,
+                                      "form coefficient 1.5 is not an int"),
+}
+
+
+@pytest.mark.parametrize("name", FIELDS, ids=str)
+def test_a_field_of_another_type_is_refused_where_the_value_is_made(name):
+    make, refusal, message = FIELDS[name]
+    with pytest.raises(refusal) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_fields_that_pass_are_kept_as_python_ints():
+    # numpy integers are read through operator.index; the element keeps ints
+    e = LieElement(RS, {np.int64(0): np.int8(3)}, {(np.int64(1), 0): True})
+    assert (e.cartan, e.roots) == ({0: 3}, {(1, 0): 1})
+    assert all(type(v) is int for v in (*e.cartan, *e.cartan.values(), *e.roots.values()))
+    assert repr(e) == "3*h1 + 1*x[1, 0]"
+    assert repr(FormalForm({PSI: 2})) == "2*psi[0,1]"
 
 
 # kinds that RootSystem refuses at rank 3, and how its message names each: a
