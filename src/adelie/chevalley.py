@@ -22,10 +22,12 @@ ConstructionFailure at table-build time, and report hands out copies.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 from operator import index
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .errors import (
     SystemMismatch,
 )
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, checked_index, checked_system, root_vector
+from .roots import LatticeVector, RootSystem, checked_index, checked_system
 
 Coords = tuple[int, ...]
 
@@ -199,29 +201,28 @@ class LieElement:
     It is made only from a RootSystem (NotARootSystem otherwise), and dicts
     (NotALieElement otherwise) of integer coefficients (NonIntegerCoordinate)
     keyed by Cartan indices (IndexOutOfRange) and by the coordinates of roots
-    (NotARootClass); it keeps copies, with Python ints.  +, bracket and
-    adjoint_matrix refuse an operand that is not one with NotALieElement."""
+    (NotARootClass); it keeps read-only copies, with Python ints, so that no
+    entry changes once checked.  +, bracket and adjoint_matrix refuse an
+    operand that is not one with NotALieElement."""
 
     system: RootSystem
-    cartan: dict[int, int] = field(default_factory=dict)
-    roots: dict[Coords, int] = field(default_factory=dict)
+    cartan: Mapping[int, int] = field(default_factory=dict)
+    roots: Mapping[Coords, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         rs = checked_system(self.system)
         for name, terms in (("cartan", self.cartan), ("roots", self.roots)):
-            if not isinstance(terms, dict):
+            if not isinstance(terms, (dict, MappingProxyType)):
                 raise NotALieElement(f"{name} {terms!r} is not a dict of coefficients")
         cartan = {
             checked_index(i, 0, rs.rank - 1, "Cartan index"): _coefficient(v)
             for i, v in self.cartan.items()
         }
         roots = {
-            rs.all_roots[rs.root_order_index(root_vector(*c) if isinstance(c, tuple) else c)]
-            .coords: _coefficient(v)
-            for c, v in self.roots.items()
+            rs.all_roots[rs.root_place(c)].coords: _coefficient(v) for c, v in self.roots.items()
         }
-        object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "cartan", MappingProxyType(cartan))
+        object.__setattr__(self, "roots", MappingProxyType(roots))
 
     @classmethod
     def h(cls, system: RootSystem, i: int) -> "LieElement":
@@ -376,17 +377,13 @@ def _checked_element(e) -> LieElement:
 
 
 def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
-    """(basis index, coefficient) for each component of e, the coefficient
-    read through operator.index; NotALieElement for an e that is not one,
-    IndexOutOfRange or NotARootClass for a Cartan index or root key that
-    names no basis element, and NonIntegerCoordinate for a coefficient that
-    is not an integer."""
+    """(basis index, coefficient) for each component of e; NotALieElement for
+    an e that is not one, SystemMismatch for one over another system.  Its
+    fields were checked where it was made, and they are read-only."""
     rs = c.system
     if _checked_element(e).system != rs:
         raise SystemMismatch("bracket arguments over a different system")
-    terms = [(checked_index(i, 0, rs.rank - 1, "Cartan index"), v) for i, v in e.cartan.items()]
-    terms += [(rs.rank + rs.root_order_index(root_vector(*cc)), v) for cc, v in e.roots.items()]
-    return [(k, _coefficient(v)) for k, v in terms]
+    return [*e.cartan.items(), *((rs.rank + rs.root_place(cc), v) for cc, v in e.roots.items())]
 
 
 def _run(keys: np.ndarray, i: int) -> slice:

@@ -18,13 +18,15 @@ first violation otherwise).  It then computes D^2 honestly by double
 application on the Cartan columns, where ad(x_a) h_k = -(a, a_k) x_a holds
 E_a, as integer gathers over the term lists of the bracket table
 (ChevalleyConstants.bracket_table), those of the rows ad(x_a), a in the
-half, sorted by column.  For column g the first application of D is the run
-of terms [x_a, b_g]; the second gathers the runs of their targets, each term
-signed by the sort of phi_b phi_a, and equal keys (column, monomial id,
-target) are summed after a sort.  The rank Cartan columns are expanded in one
-pass, and one selection over the summed keys extracts every E_a: its class is
-read from the key's target, it keeps the keys of its column k_a, the first k
-with (a, a_k) != 0, and one exact division runs over all of them
+half.  E_a is read from one column, k_a, the first k with (a, a_k) != 0,
+at the target x_a, so only the terms that land there are expanded: each
+term's class is read from its target, and the terms are sorted by column
+and then by the column k_c their class c is read from.  For column h_k the
+first application of D is the run of terms [x_a, h_k], and a term whose
+class is read from h_k is kept; the second gathers, for every first-level
+term, the run of its target's column whose classes are read from h_k, each
+term signed by the sort of phi_b phi_a.  Equal keys (class, monomial id)
+are summed after one sort, and one exact division runs over all of them
 (CancellationFailure on the first failing class otherwise).  The closed
 formula above, over the pairs of the half with their sums and signs read
 from sum_index and the sign table, must then give the extracted E_a monomial
@@ -33,10 +35,11 @@ coordinate-keyed forms: it is the one check that ties the sign and sum
 tables to the bracket table the gate swept.
 
 The E_a satisfy the Bianchi-type identity checked by check_bianchi, whose
-closure expands every class in one pass, and certify_solvability matches
-them against an H^2 vanishing oracle: classes of height two and above must
-vanish, classes of height one are recorded as nontriviality requirements on
-the target.
+closure expands a run of consecutive classes at a time, at most BLOCK
+products each (a class with more is a run of its own), and
+certify_solvability matches them against an H^2 vanishing oracle: classes
+of height two and above must vanish, classes of height one are recorded as
+nontriviality requirements on the target.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import is_not, itemgetter
 
 import numpy as np
 
@@ -62,25 +66,41 @@ from .roots import Basis, LatticeVector, RootSystem
 Coords = tuple[int, ...]
 Monomial = tuple[tuple[Coords, ...], tuple[Coords, ...]]
 
+#: products of two closure terms that check_bianchi expands at once
+BLOCK = 2 ** 13
+
 
 def _root_key(c: Coords) -> tuple[int, Coords]:
     # canonical generator order: height of the underlying class, then coords
     return (abs(sum(c)), c)
 
 
+#: the generators that _monomials has typed, each keyed by itself and held,
+#: so that its identity stays its own; cleared past _TYPED_CAP entries
+_typed: dict[Coords, Coords] = {}
+_TYPED_CAP = 2 ** 12
+
+
 def _monomials(keys) -> bool:
     """Whether every key is a (phis, psis) pair of tuples of integer tuples.
-    The types are gathered by maps over the flattened keys: a loop over each
-    key's coordinates doubled the time build_system takes for E8's forms."""
+    The types are gathered by maps over the flattened keys, and a generator
+    is typed once per object: the forms of one system share theirs, and
+    typing each key's coordinates took a third of build_system's time on E8.
+    A generator equal to a typed one but another object, (1.0, 0) for
+    (1, 0), is typed anew."""
     if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
         return False
     blocks = tuple(chain.from_iterable(keys))
     if not set(map(type, blocks)) <= {tuple}:
         return False
     coords = tuple(chain.from_iterable(blocks))
-    if not set(map(type, coords)) <= {tuple}:
+    new = tuple(compress(coords, map(is_not, map(_typed.get, coords), coords)))
+    if not (set(map(type, new)) <= {tuple} and set(map(type, chain.from_iterable(new))) <= {int}):
         return False
-    return set(map(type, chain.from_iterable(coords))) <= {int}
+    if len(_typed) + len(new) > _TYPED_CAP:
+        _typed.clear()
+    _typed.update(zip(new, new))
+    return True
 
 
 class FormalForm:
@@ -226,51 +246,64 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     roots = tuple(map(rs.all_roots.__getitem__, places))
     n = len(roots)
     index = np.array(places)
-    # the terms [x_a, b_g] of the half's rows, a as its position in the half,
-    # sorted by column: the terms of column g are one run
+    # E_a is read from the Cartan column k_a, the first k with (a, a_k) != 0:
+    # ad(x_a) h_k = -(a, a_k) x_a, so it is that column's part at the target
+    # x_a, divided by -(a, a_k)
+    coords = [a.coords for a in roots]
+    pairings = np.array(coords, dtype=np.int64) @ np.array(rs.cartan, dtype=np.int64)
+    first = (pairings != 0).argmax(axis=1).astype(np.int32)
+    denom = -pairings[np.arange(n), first]
+    # the terms [x_a, b_g] of the half's rows, one run of the table, a as its
+    # position in the half.  Each term's class is read from its target, with
+    # the column k_c that class is read from (-1 off the half), and the terms
+    # are sorted by column and then by k_c: the terms of column g whose class
+    # is read from h_k are one run.  Indices are int32: every key below is
+    # under n * (n + n * n), which the gate's guard on dim ** 3 keeps under
+    # 2 ** 31, and a key sums at most two products of two int8 coefficients
     row, col, tgt, val = constants.bracket_table
     dim = rank + len(rs.all_roots)
+    start = int(index.min())
     # half positions of the basis, -1 elsewhere and at dim ("not a root")
-    position = np.full(dim + 1, -1)
+    position = np.full(dim + 1, -1, dtype=np.int32)
     position[rank + index] = np.arange(n)
-    keep = np.flatnonzero(position[row] >= 0)
-    keep = keep[np.argsort(col[keep], kind="stable")]
-    at_a, at_t, at_c = position[row[keep]], tgt[keep], val[keep].astype(np.int64)
-    at_g = col[keep].astype(np.int64)
-    col_ptr = np.searchsorted(at_g, np.arange(dim + 1))
-    del row, col, tgt, val, keep
+    rows = slice(*np.searchsorted(row, [rank + start, rank + start + n]))
+    row, col, tgt, val = row[rows], col[rows], tgt[rows], val[rows]
+    cls = position[tgt]
+    run_key = col * (rank + 1) + np.where(cls >= 0, first[cls], -1) + 1
+    order = np.argsort(run_key, kind="stable")
+    run_key, at_a, at_t, at_g = run_key[order], position[row[order]], tgt[order], col[order]
+    at_c = val[order].astype(np.int32)
+    del row, col, tgt, val, cls, order
 
-    # a monomial of D^2 is psi_p (id p) or phi_p phi_q with p < q (id n + p*n + q);
-    # one key of the Cartan column h_k is (k * width + monomial id) * dim + target
-    width = n + n * n
+    # a monomial of D^2 is psi_p (id p) or phi_p phi_q with p < q (id n + p*n + q).
     # D(h_k) = sum_a phi_a [x_a, h_k], then delta(phi_a) = psi_a and
     # phi_b phi_a [x_b, [x_a, h_k]] for b != a, with the sign of sorting
-    # phi_b phi_a: +1 when b comes before a
-    g = slice(0, col_ptr[rank])
-    a, t1, c1, gw = at_a[g], at_t[g], at_c[g], at_g[g] * width
-    j, k = runs(col_ptr[t1], col_ptr[t1 + 1])
+    # phi_b phi_a: +1 when b comes before a.  Only the terms whose class is
+    # read from h_k are expanded, keyed class * width + monomial id: the
+    # first level's own, and the run of column x_a read from h_k for each
+    # first-level term, kept or not
+    width = n + n * n
+    g = slice(0, np.searchsorted(run_key, rank * (rank + 1)))
+    a, t1, c1, k1 = at_a[g], at_t[g], at_c[g], at_g[g]
+    own = position[t1]
+    mine = (own >= 0) & (first[own] == k1)
+    read = t1 * (rank + 1) + k1 + 1
+    j, k = runs(np.searchsorted(run_key, read), np.searchsorted(run_key, read, "right"))
     b = at_a[k]
     keep = b != a[j]
-    b, j, k = b[keep], j[keep], k[keep]
+    j, k, b = j[keep], k[keep], b[keep]
     lo, hi = np.minimum(b, a[j]), np.maximum(b, a[j])
-    sign = np.where(b < a[j], 1, -1)
-    h_keys, h_vals = sum_by_key(
-        np.concatenate([(gw + a) * dim + t1, (gw[j] + n + lo * n + hi) * dim + at_t[k]]),
-        np.concatenate([c1, sign * c1[j] * at_c[k]]),
+    sign = np.where(b < a[j], np.int32(1), np.int32(-1))
+    keys, vals = sum_by_key(
+        np.concatenate([own[mine] * width + a[mine], position[at_t[k]] * width + n + lo * n + hi]),
+        np.concatenate([c1[mine], sign * c1[j] * at_c[k]]),
     )
-    del a, t1, c1, gw, j, k, b, keep, lo, hi, sign
+    del at_a, at_t, at_g, at_c, run_key, a, t1, c1, k1, own, mine, read
+    del j, k, b, keep, lo, hi, sign
 
-    # extract every E_a at once: ad(x_a) h_k = -(a, a_k) x_a, so E_a is the
-    # part of the Cartan column k_a, the first k with (a, a_k) != 0, at the
-    # target x_a, divided by -(a, a_k); a key's class is read from its target
-    coords = [a.coords for a in roots]
-    root_coords = np.array(coords, dtype=np.int64)
-    pairings = root_coords @ np.array(rs.cartan, dtype=np.int64)
-    first = (pairings != 0).argmax(axis=1)
-    denom = -pairings[np.arange(n), first]
-    cls = position[h_keys % dim]
-    at = (cls >= 0) & (h_keys // (width * dim) == first[cls])
-    cls, vals, den = cls[at], h_vals[at], denom[cls[at]]
+    # one exact division over every class at once
+    cls = keys // width
+    den = denom[cls]
     bad = cls[vals % den != 0]
     if bad.size:
         a = int(bad.min())
@@ -278,25 +311,26 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
             f"{rs.name} {half.value}: column h{first[a] + 1} is not divisible "
             f"by {denom[a]} at class {roots[a]}"
         )
-    e_keys = cls * width + h_keys[at] // dim % width
-    order = np.argsort(e_keys)
-    extracted = (e_keys[order], (vals // den)[order])
+    extracted = (keys, vals // den)
 
     # the closed formula, from the sum and sign tables: psi_s plus
     # n_{p,q} phi_p phi_q for each pair p < q of the half whose sum is s must
-    # give E_s monomial for monomial
-    p, q = np.triu_indices(n, 1)
-    s = position[rank + constants.sum_index[index[p], index[q]]]
-    p, q, s = p[s >= 0], q[s >= 0], s[s >= 0]
+    # give E_s monomial for monomial; the half's roots are one block of both
+    block = slice(start, start + n)
+    sums = constants.sum_index[block, block]
+    i, j = np.nonzero(sums < len(rs.all_roots))
+    p, q, s = position[rank + start + i], position[rank + start + j], position[rank + sums[i, j]]
+    pair = (p < q) & (s >= 0)
     closed = sum_by_key(
-        np.r_[np.arange(n) * (width + 1), s * width + n + p * n + q],
-        np.r_[np.ones(n, dtype=np.int64), constants.sign_table[index[p], index[q]]],
+        np.r_[np.arange(n) * (width + 1), (s * width + n + p * n + q)[pair]],
+        np.r_[np.ones(n, dtype=np.int64), constants.sign_table[block, block][i, j][pair]],
     )
     if not all(map(np.array_equal, closed, extracted)):
         raise ConstructionFailure(
             f"{rs.name} {half.value}: the closed quadratic formula disagrees "
             f"with the double expansion of D^2"
         )
+    del sums, i, j, p, q, s, pair, closed
 
     # the keys are sorted by class, and the closed formula gives every class
     # its psi term, so the forms come out in the order of roots; monomial id
@@ -330,28 +364,31 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
     order = sorted(range(len(roots)), key=lambda i: _root_key(roots[i].coords))
     roots, forms = [roots[i] for i in order], system.obstructions
     n = len(roots)
-    position = {a.coords: i for i, a in enumerate(roots)}
-    terms, misshapen = [], set()
-    for a, alpha in enumerate(roots):
-        own = ((), (alpha.coords,))
-        form_terms = forms[alpha.coords].terms
-        if form_terms.get(own) != 1:
-            misshapen.add(a)
-        for mono, v in form_terms.items():
-            phis, psis = mono
-            if len(phis) == 2 and not psis:
-                x, y = position.get(phis[0], -1), position.get(phis[1], -1)
-                if x >= 0 and y >= 0 and x != y:
-                    terms.append((a, x, y, v) if x < y else (a, y, x, -v))
-                    continue
-            if mono != own:
-                misshapen.add(a)
-    cls, p, q, val = zip(*terms) if terms else ((),) * 4
-    cls, p, q = (np.array(x, dtype=np.int64) for x in (cls, p, q))
-    # a class expands to at most 2 len(terms)**2 products of two
-    # coefficients: int64 holds their sums when that bound fits
-    wide = 2 * len(terms) ** 2 * max(map(abs, val), default=0) ** 2 >= 2**63
+    coords = [a.coords for a in roots]
+    position = dict(zip(coords, range(n)))
+    terms = [forms[c].terms for c in coords]
+    # every monomial in class order, a phi phi one as its pair of phis; a
+    # term phi_x phi_y of two distinct classes of the system is kept
+    monomials = list(chain.from_iterable(terms))
+    values = list(chain.from_iterable(map(dict.values, terms)))
+    sizes = np.fromiter(map(len, terms), dtype=np.int64, count=n)
+    pairs = [phis if len(phis) == 2 and not psis else (None, None) for phis, psis in monomials]
+    x, y = (np.fromiter(map(position.get, map(itemgetter(i), pairs), repeat(-1)),
+                        dtype=np.int32, count=len(pairs)) for i in (0, 1))
+    quadratic = (x >= 0) & (y >= 0) & (x != y)
+    # a form of the right shape holds psi_a, with coefficient 1, and kept terms
+    psi = np.array([t.get(((), (c,))) == 1 for t, c in zip(terms, coords)], dtype=bool)
+    kept = np.repeat(np.arange(n, dtype=np.int32), sizes)[quadratic]
+    shapeless = ~psi | (np.bincount(kept, minlength=n) != sizes - 1)
+    misshapen = set(np.flatnonzero(shapeless).tolist())
+    val = list(compress(values, quadratic))
+    # a class expands to at most 2 len(val)**2 products of two coefficients:
+    # int64 holds their sums when that bound fits
+    wide = 2 * len(val) ** 2 * max(map(abs, val), default=0) ** 2 >= 2**63
     val = np.array(val, dtype=object if wide else np.int64)
+    x, y = x[quadratic], y[quadratic]
+    val[x > y] *= -1
+    cls, p, q = kept, np.minimum(x, y), np.maximum(x, y)
     keys, sums = _failing_classes(n, cls, p, q, val)
     residuals: dict[int, dict[Monomial, int]] = {}
     for key, v in zip(keys.tolist(), sums.tolist()):
@@ -378,17 +415,48 @@ def _failing_classes(n: int, cls, p, q, val):
     (cls, p, q, val) of every E_a sorted by class: n phi_p Q_q and
     -n Q_p phi_q = -n phi_q Q_p for each term of E_a, where phi_x phi_y phi_z
     (y < z) is its sorted triple signed by the sort, and 0 when x repeats y
-    or z.  Both sides of every class are expanded in one pass, by runs over
-    the class pointers, and summed by (class, triple)."""
+    or z.  The classes are expanded a run of consecutive classes at a time,
+    by runs over the class pointers: a run holds at most BLOCK products (a
+    class with more is a run of its own) and is summed by (class, triple)
+    on its own.  Keys begin with the class, so the runs' sums, concatenated,
+    are sorted."""
     ptr = np.searchsorted(cls, np.arange(n + 1))
-    x, right, v = np.r_[p, q], np.r_[q, p], np.r_[val, -val]
-    j, k = runs(ptr[right], ptr[right + 1])
-    a, x, y, z = np.r_[cls, cls][j], x[j], p[k], q[k]
-    vals = v[j] * val[k]
-    vals[(y < x) & (x < z)] *= -1
-    vals[(x == y) | (x == z)] = 0
-    lo, hi = np.minimum(x, y), np.maximum(x, z)
-    return sum_by_key(((a * n + lo) * n + x + y + z - lo - hi) * n + hi, vals)
+    # the two sides of each term side by side, so that a class's sides are
+    # one run: x is the lone phi, right the class of the Q it multiplies
+    x, right = np.stack([p, q], 1).ravel(), np.stack([q, p], 1).ravel()
+    v = np.stack([val, -val], 1).ravel()
+    base = np.repeat(cls.astype(np.int64) * n, 2)
+    starts, ends = ptr[right], ptr[right + 1]
+    # the products of the classes before each class
+    before = np.r_[0, np.cumsum(ends - starts)][2 * ptr]
+    keys, sums = [np.zeros(0, dtype=np.int64)], [v[:0]]
+    lo_class = 0
+    while lo_class < n:
+        hi_class = int(np.searchsorted(before, before[lo_class] + BLOCK, "right")) - 1
+        hi_class = max(hi_class, lo_class + 1)
+        sides = slice(2 * ptr[lo_class], 2 * ptr[hi_class])
+        j, k = runs(starts[sides], ends[sides])
+        j += sides.start
+        xj, y, z = x[j], p[k], q[k]
+        vals = v[j]
+        vals *= val[k]
+        # the key ((a * n + lo) * n + mid) * n + hi, built in place; each
+        # index array is dropped once read, so the sort has room
+        products = base[j]
+        del j, k
+        np.negative(vals, out=vals, where=(y < xj) & (xj < z))
+        np.copyto(vals, 0, where=(xj == y) | (xj == z))
+        lo, hi = np.minimum(xj, y), np.maximum(xj, z)
+        for digit in (lo, xj + y + z - lo - hi):
+            products += digit
+            products *= n
+        products += hi
+        del xj, y, z, lo, hi
+        run_keys, run_sums = sum_by_key(products, vals)
+        keys.append(run_keys)
+        sums.append(run_sums)
+        lo_class = hi_class
+    return np.concatenate(keys), np.concatenate(sums)
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,20 @@ class RootSystem:
             raise NotARootClass(f"{v} is not a root of {self.name}")
         return k
 
+    def root_place(self, key) -> int:
+        """The place in all_roots of the root that a hashable key names: a
+        tuple of its simple-root coordinates or a LatticeVector.  A tuple of
+        ints is read from the system's one coordinates-to-place dict, its
+        entries left untyped when it is the coordinates of a root of
+        all_roots itself; any other key, or a miss, meets root_order_index
+        (NotARootClass, or NonIntegerCoordinate and BasisMismatch from the
+        vector it makes), so (1.0, 0), equal to (1, 0), is refused."""
+        k = self._root_index.get(key) if type(key) is tuple else None
+        if k is None or (self.all_roots[k].coords is not key
+                         and not set(map(type, key)) <= {int}):
+            k = self.root_order_index(root_vector(*key) if isinstance(key, tuple) else key)
+        return k
+
     def height(self, v: LatticeVector) -> int:
         """Coordinate sum for a nonnegative vector, negated for a nonpositive one.
 

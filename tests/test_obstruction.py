@@ -583,13 +583,15 @@ def test_form_text_refuses_what_is_not_a_form():
         form_text(None)
 
 
-def test_a_system_without_its_forms_renders_and_closes():
+def test_a_system_without_its_forms_renders_and_closes(monkeypatch):
     # a dict without every class of the half once raised a bare KeyError in
     # check_bianchi and system_text
     system = build_system(build_constants(build("A3")), Half.POSITIVE)
     empty = dataclasses.replace(system, obstructions={})
     assert system_text(empty) == "# obstruction system A3 positive\n"
     assert (check_bianchi(empty).ok, check_bianchi(empty).checked) == (True, 0)
+    # no class, so no run of classes: the closure's sums are empty
+    assert _bianchi_violations(empty, monkeypatch) == []
     forms = {a: form for a, form in system.obstructions.items() if a != (1, 1, 0)}
     forged = dataclasses.replace(system, obstructions=forms)
     assert system_text(forged).splitlines() == [
@@ -810,7 +812,7 @@ def _per_class_failing(n, cls, p, q, val):
     # the Bianchi closure one class at a time: the oracle for the nonzero
     # closure sums of the one-pass kernel
     ptr = np.searchsorted(cls, np.arange(n + 1))
-    found = []
+    found = [(np.zeros(0, dtype=np.int64), val[:0])]
     for a in range(n):
         t = slice(ptr[a], ptr[a + 1])
         x, right, v = np.r_[p[t], q[t]], np.r_[q[t], p[t]], np.r_[val[t], -val[t]]
@@ -826,23 +828,46 @@ def _per_class_failing(n, cls, p, q, val):
 
 
 def _bianchi_violations(system, monkeypatch):
-    # check_bianchi's violations, the same with the per-class kernel
+    # check_bianchi's violations, the same with the per-class kernel, and
+    # with the closure's block down to one class a run and up to every class
+    # in one run
     with monkeypatch.context() as m:
         m.setattr(obstruction, "_failing_classes", _per_class_failing)
         expected = check_bianchi(system).violations
+    for block in (1, 2 ** 62):
+        with monkeypatch.context() as m:
+            m.setattr(obstruction, "BLOCK", block)
+            assert check_bianchi(system).violations == expected
     assert check_bianchi(system).violations == expected
     return expected
 
 
-def test_e8_build_system_memory_is_bounded():
-    # one E8 half peaks at about 1.0 MB (numpy 2.4): D^2 is expanded on the
-    # eight Cartan columns only
-    c = build_constants(build("E8"))
+# tracemalloc peaks with numpy 2.4: build_system about 0.3 MiB on an E8 half
+# and 0.56 MiB on a D16 half, check_bianchi about 0.62 and 0.81 MiB.  With
+# every Cartan column expanded and the whole closure in one pass they were
+# 1.04 and 1.67 MiB on E8, 2.07 and 3.4 MiB on D16
+OBSTRUCTION_PEAK_BOUNDS = {
+    ("E8", "build_system"): 0.6 * 2 ** 20,
+    ("E8", "check_bianchi"): 2 ** 20,
+    ("D16", "build_system"): 2 ** 20,
+    ("D16", "check_bianchi"): 1.5 * 2 ** 20,
+}
+
+
+@pytest.mark.parametrize("half", list(Half), ids=lambda h: h.value)
+@pytest.mark.parametrize("name,stage", OBSTRUCTION_PEAK_BOUNDS)
+def test_obstruction_memory_is_bounded(name, stage, half):
+    # build_system expands only the Cartan column that each class is read
+    # from, and check_bianchi closes a block of classes at a time
+    c = build_constants(build(name))
     c.bracket_table
+    system = build_system(c, half)
+    run = {"build_system": lambda: build_system(c, half),
+           "check_bianchi": lambda: check_bianchi(system)}[stage]
     tracemalloc.start()
     try:
-        build_system(c, Half.POSITIVE)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert peak < OBSTRUCTION_PEAK_BOUNDS[name, stage]

@@ -436,6 +436,9 @@ FIELDS = {
                                  "Cartan index 2 outside 0..1"),
     "LieElement[root key]": (lambda: LieElement(RS, roots={(2, 0): 1}), NotARootClass,
                              "{2,0|root} is not a root of A2"),
+    # (1.0, 0) equals the root key (1, 0) and hashes as it does
+    "LieElement[float root key]": (lambda: LieElement(RS, roots={(1.0, 0): 1}),
+                                   NonIntegerCoordinate, "coordinates (1.0, 0) are not integers"),
     "LieElement[root key of another rank]": (lambda: LieElement(RS, roots={5: 1}),
                                              BasisMismatch,
                                              "A2 reads LatticeVectors of rank 2, not 5"),
