@@ -41,9 +41,10 @@ class NotChevalleyConstants(AdelieError, TypeError):
 
 class NotAnObstructionSystem(AdelieError, TypeError):
     """Obstruction-system argument that is not an ObstructionSystem (its
-    ChevalleyConstants or None), forms that are not a dict of FormalForms
+    ChevalleyConstants or None), forms that are not a mapping of FormalForms
     keyed by integer tuples, a FormalForm whose keys are not (phis, psis)
-    pairs of integer tuples, or a form argument that is not a FormalForm."""
+    pairs of integer tuples or whose coefficients are not ints, or a form
+    argument that is not a FormalForm."""
 
 
 class NotALieElement(AdelieError, TypeError):

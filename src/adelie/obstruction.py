@@ -17,22 +17,16 @@ every basis triple: the build reads it first (CancellationFailure naming its
 first violation otherwise).  It then computes D^2 honestly by double
 application on the Cartan columns, where ad(x_a) h_k = -(a, a_k) x_a holds
 E_a, as integer gathers over the term lists of the bracket table
-(ChevalleyConstants.bracket_table), those of the rows ad(x_a), a in the
-half.  E_a is read from one column, k_a, the first k with (a, a_k) != 0,
-at the target x_a, so only the terms that land there are expanded: each
-term's class is read from its target, and the terms are sorted by column
-and then by the column k_c their class c is read from.  For column h_k the
-first application of D is the run of terms [x_a, h_k], and a term whose
-class is read from h_k is kept; the second gathers, for every first-level
-term, the run of its target's column whose classes are read from h_k, each
-term signed by the sort of phi_b phi_a.  Equal keys (class, monomial id)
-are summed after one sort, and one exact division runs over all of them
-(CancellationFailure on the first failing class otherwise).  The closed
-formula above, over the pairs of the half with their sums and signs read
-from sum_index and the sign table, must then give the extracted E_a monomial
-for monomial (ConstructionFailure otherwise) before they become
-coordinate-keyed forms: it is the one check that ties the sign and sum
-tables to the bracket table the gate swept.
+(ChevalleyConstants.bracket_table): E_a is read from one column, the first
+k with (a, a_k) != 0, and only the terms that land there are expanded, as
+build_system lays out.  Equal keys (class, monomial id) are summed after one
+sort, and one exact division runs over all of them (CancellationFailure on
+the first failing class otherwise).  The closed formula above, over the
+pairs of the half with their sums and signs read from sum_index and the
+sign table, must then give the extracted E_a monomial for monomial
+(ConstructionFailure otherwise) before they are held as the system's term
+arrays: it is the one check that ties the sign and sum tables to the
+bracket table the gate swept.
 
 The E_a satisfy the Bianchi-type identity checked by check_bianchi, whose
 closure expands a run of consecutive classes at a time, at most BLOCK
@@ -44,15 +38,16 @@ nontriviality requirements on the target.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import is_not, itemgetter
+from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
-from .chevalley import ChevalleyConstants, checked_constants, runs, sum_by_key
+from .chevalley import ChevalleyConstants, _sealed, checked_constants, runs, sum_by_key
 from .errors import (
     CancellationFailure,
     ConstructionFailure,
@@ -64,7 +59,6 @@ from .report import H2VanishVerdict, VerificationReport
 from .roots import Basis, LatticeVector, RootSystem
 
 Coords = tuple[int, ...]
-Monomial = tuple[tuple[Coords, ...], tuple[Coords, ...]]
 
 #: products of two closure terms that check_bianchi expands at once
 BLOCK = 2 ** 13
@@ -75,89 +69,54 @@ def _root_key(c: Coords) -> tuple[int, Coords]:
     return (abs(sum(c)), c)
 
 
-#: the generators that _monomials has typed, each keyed by itself and held,
-#: so that its identity stays its own; cleared past _TYPED_CAP entries
-_typed: dict[Coords, Coords] = {}
-_TYPED_CAP = 2 ** 12
-
-
-def _monomials(keys) -> bool:
-    """Whether every key is a (phis, psis) pair of tuples of integer tuples.
-    The types are gathered by maps over the flattened keys, and a generator
-    is typed once per object: the forms of one system share theirs, and
-    typing each key's coordinates took a third of build_system's time on E8.
-    A generator equal to a typed one but another object, (1.0, 0) for
-    (1, 0), is typed anew."""
-    if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}):
-        return False
-    blocks = tuple(chain.from_iterable(keys))
-    if not set(map(type, blocks)) <= {tuple}:
-        return False
-    coords = tuple(chain.from_iterable(blocks))
-    new = tuple(compress(coords, map(is_not, map(_typed.get, coords), coords)))
-    if not (set(map(type, new)) <= {tuple} and set(map(type, chain.from_iterable(new))) <= {int}):
-        return False
-    if len(_typed) + len(new) > _TYPED_CAP:
-        _typed.clear()
-    _typed.update(zip(new, new))
-    return True
+def _places(classes) -> list[int]:
+    # the held index of each class in _root_key order: its place
+    return sorted(range(len(classes)), key=lambda i: _root_key(classes[i]))
 
 
 class FormalForm:
     """Integer combination of monomials in the phi (odd) and psi (even)
-    generators, keyed by canonically sorted generator blocks.  It holds and
-    prints forms; the package computes with integer arrays, not with it.
-    Keys that are not (phis, psis) pairs of integer tuples, and coefficients
-    that are not ints, raise NotAnObstructionSystem."""
+    generators, its terms a read-only mapping keyed by canonically sorted
+    generator blocks.  It holds and prints forms; the package computes with
+    integer arrays, not with it.  Keys that are not (phis, psis) pairs of
+    integer tuples, and coefficients that are not ints, raise
+    NotAnObstructionSystem."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, int] | None = None) -> None:
-        # a dict's copy keeps the hashes of its keys: rebuild only to drop zeros
+    def __init__(self, terms: Mapping[tuple, int] | None = None) -> None:
         terms = dict(terms or {})
-        if not _monomials(terms):
-            bad = next(key for key in terms if not _monomials([key]))
-            raise NotAnObstructionSystem(f"form key {bad!r} is not a (phis, psis) pair")
-        if not set(map(type, terms.values())) <= {int}:
-            bad = next(v for v in terms.values() if type(v) is not int)
-            raise NotAnObstructionSystem(f"form coefficient {bad!r} is not an int")
-        self.terms = terms if all(terms.values()) else {k: v for k, v in terms.items() if v}
+        for key, v in terms.items():
+            # a key is a (phis, psis) pair of tuples of integer tuples
+            if not (type(key) is tuple and len(key) == 2 and {type(b) for b in key} <= {tuple}
+                    and all(type(c) is tuple and set(map(type, c)) <= {int} for c in chain(*key))):
+                raise NotAnObstructionSystem(f"form key {key!r} is not a (phis, psis) pair")
+            if type(v) is not int:
+                raise NotAnObstructionSystem(f"form coefficient {v!r} is not an int")
+        self.terms = MappingProxyType({k: v for k, v in terms.items() if v})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormalForm) and other.terms == self.terms
+
+    def __reduce__(self):
+        return type(self), (dict(self.terms),)  # a mappingproxy does not pickle
 
     def __repr__(self) -> str:
         return form_text(self)
 
 
-def _generators(forms) -> tuple[dict[Coords, int], dict[Coords, str], dict[Coords, str]]:
-    """The place of each generator of forms in _root_key order, and its psi
-    and phi texts, each made once."""
-    found = sorted({c for form in forms for phis, psis in form.terms for c in phis + psis},
-                   key=_root_key)
-    texts = [",".join(map(str, c)) for c in found]
-    return (
-        {c: i for i, c in enumerate(found)},
-        {c: f"psi[{t}]" for c, t in zip(found, texts)},
-        {c: f"phi[{t}]" for c, t in zip(found, texts)},
-    )
-
-
-def _form_text(form: FormalForm, generators) -> str:
-    # terms by phi count, then the places of their phi and then psi blocks,
-    # which orders them as their _root_key tuples do
-    place, psi, phi = generators
-
-    def order(item):
-        (phis, psis), _ = item
-        return (len(phis), *map(place.__getitem__, phis), *map(place.__getitem__, psis))
-
+def _text(terms) -> str:
+    # the text of (coefficient, monomial text) pairs in order, 1 for the
+    # empty monomial and 0 for no term
     text = " ".join(
-        f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}"
-        f"{''.join([*map(psi.__getitem__, psis), *map(phi.__getitem__, phis)]) or '1'}"
-        for (phis, psis), c in sorted(form.terms.items(), key=order)
+        f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}{monomial or '1'}"
+        for c, monomial in terms
     )
     return "-" + text[2:] if text.startswith("-") else text[2:] or "0"
+
+
+def _name(c: Coords) -> str:
+    return ",".join(map(str, c))
 
 
 def form_text(form: FormalForm) -> str:
@@ -166,7 +125,11 @@ def form_text(form: FormalForm) -> str:
     NotAnObstructionSystem for a form that is not a FormalForm."""
     if not isinstance(form, FormalForm):
         raise NotAnObstructionSystem(f"{form!r} is not a FormalForm")
-    return _form_text(form, _generators([form]))
+    return _text(
+        (form.terms[key], "".join([*(f"psi[{_name(c)}]" for c in key[1]),
+                                   *(f"phi[{_name(c)}]" for c in key[0])]))
+        for key in sorted(form.terms, key=lambda k: (len(k[0]), *map(_root_key, chain(*k))))
+    )
 
 
 class Half(Enum):
@@ -180,27 +143,96 @@ class Half(Enum):
         raise IllegalType(f"unknown half {value!r}; choose from {tuple(h.value for h in cls)}")
 
 
+def _runs(terms, order, items) -> list[list]:
+    # (coefficient, item) for each term, one run per class in held order
+    classes, cls, _, _, val, _ = terms
+    ptr = np.searchsorted(cls, np.arange(len(classes) + 1)).tolist()
+    pairs = list(zip(val.tolist(), items))
+    return [pairs[ptr[k]:ptr[k + 1]] for k in sorted(range(len(order)), key=order.__getitem__)]
+
+
+class _Forms(Mapping):
+    """A system's forms by class, in held order, as sealed term arrays: terms
+    is (classes, cls, p, q, val, misshapen), a term's class and generators as
+    places in _root_key order, phi_p phi_q (p < q) or psi_q (p = -1), sorted
+    by class, p and q, form_text's order.  A form of another shape is kept in
+    misshapen by held index, and only its terms phi_x phi_y of two classes are
+    held.  The forms are made from the arrays at the first read of one."""
+
+    def __init__(self, classes, cls, p, q, val, misshapen) -> None:
+        val.flags.writeable = False  # an object array (ints past int64) cannot be sealed
+        arrays = (a if a.dtype == object else _sealed(a) for a in (cls, p, q, val))
+        self.terms = (tuple(classes), *arrays, MappingProxyType(misshapen))
+
+    @cached_property
+    def _forms(self) -> dict[Coords, FormalForm]:
+        classes, _, p, q, _, misshapen = self.terms
+        order = _places(classes)
+        coords = [classes[i] for i in order]
+        monomials = [((coords[a], coords[b]), ()) if a >= 0 else ((), (coords[b],))
+                     for a, b in zip(p.tolist(), q.tolist())]
+        return {c: misshapen[i] if i in misshapen else FormalForm({m: v for v, m in run})
+                for i, (c, run) in enumerate(zip(classes, _runs(self.terms, order, monomials)))}
+
+    def __reduce__(self):
+        return _Forms, (*self.terms[:5], dict(self.terms[5]))
+
+    def __getitem__(self, c: Coords) -> FormalForm:
+        return self._forms[c]
+
+    def __iter__(self):
+        return iter(self.terms[0])
+
+    def __len__(self) -> int:
+        return len(self.terms[0])
+
+
+def _encoded(forms) -> _Forms:
+    # the door of hand-built forms: FormalForms keyed by integer tuples
+    if not isinstance(forms, Mapping):
+        raise NotAnObstructionSystem(f"obstructions is a {type(forms).__name__}, not a dict")
+    for key, form in forms.items():
+        if not (isinstance(key, tuple) and all(isinstance(c, int) for c in key)):
+            raise NotAnObstructionSystem(f"obstruction key {key!r} is not a tuple of integers")
+        if not isinstance(form, FormalForm):
+            raise NotAnObstructionSystem(f"obstruction {key!r} is {form!r}, not a FormalForm")
+    classes = tuple(forms)
+    place = {classes[i]: k for k, i in enumerate(_places(classes))}
+    rows, misshapen = [], {}
+    for i, (c, form) in enumerate(forms.items()):
+        # the shape: psi_c with coefficient 1, kept terms phi_x phi_y with x < y
+        pairs = [(*map(place.get, phis), v) for (phis, psis), v in form.terms.items()
+                 if len(phis) == 2 and not psis]
+        kept = [(x, y, v) for x, y, v in pairs if None not in (x, y) and x != y]
+        rows += [(place[c], min(x, y), max(x, y), v if x < y else -v) for x, y, v in kept]
+        if form.terms.get(((), (c,))) == 1 and len(kept) == len(form.terms) - 1 \
+                and all(x < y for x, y, _ in kept):
+            rows.append((place[c], -1, place[c], 1))
+        else:
+            misshapen[i] = form
+    cls, p, q, val = zip(*sorted(rows)) if rows else ((),) * 4
+    wide = any(abs(v) >= 2 ** 63 for v in val)
+    return _Forms(classes, *(np.array(x, dtype=np.int32) for x in (cls, p, q)),
+                  np.array(val, dtype=object if wide else np.int64), misshapen)
+
+
 @dataclass(frozen=True, eq=False)
 class ObstructionSystem:
-    """The extracted obstruction forms E_a for every root of one half, keyed
-    by the root's coordinates; the roots are read from those keys.  Two
-    systems are equal only when they are the same instance, which is hashed
-    as an object, and the repr names the table and the half alone."""
+    """The obstruction forms E_a for every root of one half, keyed by the
+    root's coordinates, as a read-only mapping held as term arrays (a mapping
+    of FormalForms is checked and encoded where the system is made); the
+    roots are read from its keys.  Two systems are equal only when they are
+    the same instance, which is hashed as an object, and the repr names the
+    table and the half alone."""
 
     constants: ChevalleyConstants
     half: Half
-    obstructions: dict[Coords, FormalForm] = field(repr=False)
+    obstructions: Mapping[Coords, FormalForm] = field(repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "half", Half(self.half))
-        forms = self.obstructions
-        if not isinstance(forms, dict):
-            raise NotAnObstructionSystem(f"obstructions is a {type(forms).__name__}, not a dict")
-        for key, form in forms.items():
-            if not (isinstance(key, tuple) and all(isinstance(c, int) for c in key)):
-                raise NotAnObstructionSystem(f"obstruction key {key!r} is not a tuple of integers")
-            if not isinstance(form, FormalForm):
-                raise NotAnObstructionSystem(f"obstruction {key!r} is {form!r}, not a FormalForm")
+        if not isinstance(self.obstructions, _Forms):
+            object.__setattr__(self, "obstructions", _encoded(self.obstructions))
 
     @property
     def system(self) -> RootSystem:
@@ -220,14 +252,6 @@ def _checked_obstruction(system) -> ObstructionSystem:
     raise NotAnObstructionSystem(f"{system!r} is not an ObstructionSystem")
 
 
-def _half_places(rs: RootSystem, half: Half) -> list[int]:
-    # the places in all_roots, which lists the positives and then their
-    # negatives, of the roots of the half, sorted by _root_key
-    roots, n = rs.all_roots, len(rs.positive_roots)
-    first = 0 if half is Half.POSITIVE else n
-    return sorted(range(first, first + n), key=lambda i: _root_key(roots[i].coords))
-
-
 def build_system(constants: ChevalleyConstants, half: Half | str) -> ObstructionSystem:
     """Expand D^2 on the Cartan columns and extract the obstruction forms.
 
@@ -242,10 +266,12 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     if not gate.ok:
         raise CancellationFailure(f"{rs.name} {half.value}: {gate.violations[0]}")
     rank = rs.rank
-    places = _half_places(rs, half)
+    # the places in all_roots, which lists the positives and then their
+    # negatives, of the roots of the half, sorted by _root_key
+    n = len(rs.positive_roots)
+    start = 0 if half is Half.POSITIVE else n
+    places = [start + i for i in _places([a.coords for a in rs.all_roots[start:start + n]])]
     roots = tuple(map(rs.all_roots.__getitem__, places))
-    n = len(roots)
-    index = np.array(places)
     # E_a is read from the Cartan column k_a, the first k with (a, a_k) != 0:
     # ad(x_a) h_k = -(a, a_k) x_a, so it is that column's part at the target
     # x_a, divided by -(a, a_k)
@@ -262,10 +288,9 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     # 2 ** 31, and a key sums at most two products of two int8 coefficients
     row, col, tgt, val = constants.bracket_table
     dim = rank + len(rs.all_roots)
-    start = int(index.min())
     # half positions of the basis, -1 elsewhere and at dim ("not a root")
     position = np.full(dim + 1, -1, dtype=np.int32)
-    position[rank + index] = np.arange(n)
+    position[rank + np.array(places)] = np.arange(n)
     rows = slice(*np.searchsorted(row, [rank + start, rank + start + n]))
     row, col, tgt, val = row[rows], col[rows], tgt[rows], val[rows]
     cls = position[tgt]
@@ -332,19 +357,11 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
         )
     del sums, i, j, p, q, s, pair, closed
 
-    # the keys are sorted by class, and the closed formula gives every class
-    # its psi term, so the forms come out in the order of roots; monomial id
-    # n + p * n + q is phi_p phi_q, and an id q below n, psi_q, reads p = -1
+    # the keys are sorted by class, the classes in the order of roots;
+    # monomial id n + p * n + q is phi_p phi_q, and an id q < n, psi_q, p = -1
     cls, mono = np.divmod(extracted[0], width)
-    pairs = zip(*(x.tolist() for x in np.divmod(mono - n, n)))
-    monomials = [((coords[p], coords[q]), ()) if p >= 0 else ((), (coords[q],)) for p, q in pairs]
-    values = extracted[1].tolist()
-    ptr = np.searchsorted(cls, np.arange(n + 1)).tolist()
-    obstructions = {
-        c: FormalForm(dict(zip(monomials[lo:hi], values[lo:hi])))
-        for c, lo, hi in zip(coords, ptr, ptr[1:])
-    }
-    return ObstructionSystem(constants, half, obstructions)
+    return ObstructionSystem(constants, half, _Forms(coords, cls, *np.divmod(mono - n, n),
+                                                     extracted[1], {}))
 
 
 def check_bianchi(system: ObstructionSystem) -> VerificationReport:
@@ -353,59 +370,33 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
 
     With E_c = psi_c + Q_c that is psi_c -> -Q_c, so E_a = psi_a +
     sum n phi_p phi_q leaves sum n (phi_p Q_q - Q_p phi_q), a sum of cubic
-    phi monomials.  The terms are encoded once as arrays (class, p, q, n),
-    p < q the places of the roots in canonical order, so that each triple
-    comes out of _failing_classes sorted the way form_text writes it, with
-    its sum as its coefficient: a class with a nonzero sum is reported with
-    that residual, in the order of system.roots.  A form with a term other
-    than psi_a (coefficient 1) or phi_p phi_q fails by its shape.
+    phi monomials.  The held terms n phi_p phi_q go to _failing_classes as
+    they are, and each triple comes out sorted the way form_text writes it:
+    a class with a nonzero sum is reported with that residual, in the order
+    of system.roots, and a form recorded as misshapen by its shape.
     """
-    roots = _checked_obstruction(system).roots
-    order = sorted(range(len(roots)), key=lambda i: _root_key(roots[i].coords))
-    roots, forms = [roots[i] for i in order], system.obstructions
-    n = len(roots)
-    coords = [a.coords for a in roots]
-    position = dict(zip(coords, range(n)))
-    terms = [forms[c].terms for c in coords]
-    # every monomial in class order, a phi phi one as its pair of phis; a
-    # term phi_x phi_y of two distinct classes of the system is kept
-    monomials = list(chain.from_iterable(terms))
-    values = list(chain.from_iterable(map(dict.values, terms)))
-    sizes = np.fromiter(map(len, terms), dtype=np.int64, count=n)
-    pairs = [phis if len(phis) == 2 and not psis else (None, None) for phis, psis in monomials]
-    x, y = (np.fromiter(map(position.get, map(itemgetter(i), pairs), repeat(-1)),
-                        dtype=np.int32, count=len(pairs)) for i in (0, 1))
-    quadratic = (x >= 0) & (y >= 0) & (x != y)
-    # a form of the right shape holds psi_a, with coefficient 1, and kept terms
-    psi = np.array([t.get(((), (c,))) == 1 for t, c in zip(terms, coords)], dtype=bool)
-    kept = np.repeat(np.arange(n, dtype=np.int32), sizes)[quadratic]
-    shapeless = ~psi | (np.bincount(kept, minlength=n) != sizes - 1)
-    misshapen = set(np.flatnonzero(shapeless).tolist())
-    val = list(compress(values, quadratic))
+    classes, cls, p, q, val, misshapen = _checked_obstruction(system).obstructions.terms
+    n = len(classes)
+    quadratic = p >= 0
+    cls, p, q, val = cls[quadratic], p[quadratic], q[quadratic], val[quadratic]
     # a class expands to at most 2 len(val)**2 products of two coefficients:
     # int64 holds their sums when that bound fits
-    wide = 2 * len(val) ** 2 * max(map(abs, val), default=0) ** 2 >= 2**63
-    val = np.array(val, dtype=object if wide else np.int64)
-    x, y = x[quadratic], y[quadratic]
-    val[x > y] *= -1
-    cls, p, q = kept, np.minimum(x, y), np.maximum(x, y)
+    if 2 * len(val) ** 2 * max(map(abs, val.tolist()), default=0) ** 2 >= 2**63:
+        val = val.astype(object)
     keys, sums = _failing_classes(n, cls, p, q, val)
-    residuals: dict[int, dict[Monomial, int]] = {}
+    order = _places(classes)
+    phi = [f"phi[{_name(classes[i])}]" for i in order]
+    residuals: dict[int, list[tuple[int, str]]] = {}
     for key, v in zip(keys.tolist(), sums.tolist()):
         a, key = divmod(key, n ** 3)
-        triple = tuple(roots[key // n ** i % n].coords for i in (2, 1, 0))
-        residuals.setdefault(a, {})[triple, ()] = v
+        triple = "".join(phi[key // n ** i % n] for i in (2, 1, 0))
+        residuals.setdefault(order[a], []).append((v, triple))
 
-    rep = VerificationReport(
-        name=f"bianchi-{system.system.name}-{system.half.value}", checked=n
-    )
-    for a in sorted(misshapen | residuals.keys(), key=order.__getitem__):
-        alpha, form = roots[a], forms[roots[a].coords]
-        if a in misshapen:
-            rep.violations.append(f"class {alpha}: {form_text(form)} is not psi + phi phi")
-        else:
-            resid = FormalForm(residuals[a])
-            rep.violations.append(f"class {alpha}: residual {form_text(resid)}")
+    rep = VerificationReport(name=f"bianchi-{system.system.name}-{system.half.value}", checked=n)
+    for i in sorted(misshapen.keys() | residuals.keys()):
+        text = (f"{form_text(misshapen[i])} is not psi + phi phi" if i in misshapen
+                else f"residual {_text(residuals[i])}")
+        rep.violations.append(f"class {system.roots[i]}: {text}")
     return rep
 
 
@@ -499,10 +490,15 @@ def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertifi
 
 
 def system_text(system: ObstructionSystem) -> str:
-    """Stable text rendering, one obstruction form per line."""
-    system = _checked_obstruction(system)
+    """Stable text rendering, one obstruction form per line, each written
+    from its run of terms as form_text writes it."""
+    terms = _checked_obstruction(system).obstructions.terms
+    classes, _, p, q, _, misshapen = terms
+    order = _places(classes)
+    names = [_name(classes[i]) for i in order]
+    runs = _runs(terms, order, [f"psi[{names[b]}]" if a < 0 else f"phi[{names[a]}]phi[{names[b]}]"
+                                for a, b in zip(p.tolist(), q.tolist())])
     lines = [f"# obstruction system {system.system.name} {system.half.value}"]
-    generators = _generators(system.obstructions.values())
-    for c, form in system.obstructions.items():
-        lines.append(f"({','.join(map(str, c))}): {_form_text(form, generators)}")
+    for i, (c, run) in enumerate(zip(classes, runs)):
+        lines.append(f"({_name(c)}): {form_text(misshapen[i]) if i in misshapen else _text(run)}")
     return "\n".join(lines) + "\n"

@@ -733,3 +733,22 @@ def test_euler_payload_is_pinned(capsys, name, degree, coords):
     )
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == EULER_PAYLOAD_SHA256[name, degree, coords]
+
+
+@pytest.mark.parametrize("command", [
+    "obstruction E6 --half negative --certify --format json",
+    "verify D5 all --format json",
+    "chevalley A4 --format json",
+])
+def test_stdout_does_not_depend_on_the_hash_seed(command):
+    # str hashes move with the seed, and with them the order of a set of
+    # strings or of anything keyed through one: stdout must not move
+    outs = []
+    for seed in ("0", "3"):
+        child = subprocess.run(
+            [sys.executable, "-m", "adelie", *shlex.split(command)], capture_output=True,
+            cwd="/", env={**_cli_env(), "PYTHONHASHSEED": seed}, text=True,
+        )
+        assert child.returncode == 0, child.stderr
+        outs.append(child.stdout)
+    assert outs[0] == outs[1]

@@ -4,8 +4,10 @@ The graded-commutative algebra of the phi and psi generators lives here, as
 Form: the oracle that the Bianchi messages are compared against.  The
 package's FormalForm only holds and prints forms."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import tracemalloc
 
@@ -693,6 +695,109 @@ def test_system_text_is_form_text_form_by_form_on_a_forged_system():
         "5*1 + 2*psi[0,1,0]psi[-1,-1,-1] + psi[-1,-1,-1] + phi[-1,0,0]phi[0,-1,-1]"
         " - phi[0,0,-1]phi[-1,-1,0] - 3*psi[1,0,0]phi[0,0,1]phi[1,1,1]phi[-1,-1,-1]"
     )
+
+
+def _hand_built():
+    # the A3 forms in reverse order, E_{1,1,1} with a negated coefficient
+    # and E_{1,1,0} with a lone phi: one residual and one misshapen form
+    c = build_constants(build("A3"))
+    forms = dict(list(build_system(c, Half.POSITIVE).obstructions.items())[::-1])
+    mono = next(m for m in forms[(1, 1, 1)].terms if m[0])
+    forms[(1, 1, 1)] = Form(forms[(1, 1, 1)].terms) - Form({mono: 2 * forms[(1, 1, 1)].terms[mono]})
+    forms[(1, 1, 0)] = Form(forms[(1, 1, 0)].terms) + phi(1, 0, 0)
+    return ObstructionSystem(c, Half.POSITIVE, forms)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_system(build_constants(build("A3")), Half.POSITIVE), _hand_built,
+], ids=["built", "hand-built"])
+def test_a_system_and_its_forms_refuse_writes(make):
+    # system.obstructions[(1, 1)] = None once made check_bianchi and
+    # system_text raise a bare AttributeError: the forms and their terms are
+    # read-only, as a LieElement's mappings are
+    system = make()
+    forms = system.obstructions
+    form = forms[(1, 1, 1)]
+    before = repr(form), check_bianchi(system).violations, system_text(system)
+    with pytest.raises(TypeError):
+        forms[(1, 1, 1)] = None
+    with pytest.raises(TypeError):
+        del forms[(1, 1, 1)]
+    with pytest.raises(TypeError):
+        form.terms[(), ((1, 1, 1),)] = 2
+    with pytest.raises(TypeError):
+        del form.terms[next(iter(form.terms))]
+    assert (repr(form), check_bianchi(system).violations, system_text(system)) == before
+    assert system.obstructions[(1, 1, 1)] is form
+    assert bool(before[1]) == (make is _hand_built)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_system(build_constants(build("A3")), Half.POSITIVE), _hand_built,
+], ids=["built", "hand-built"])
+def test_a_system_and_its_forms_pickle_and_copy(make):
+    # their read-only mappings are rebuilt, not pickled
+    system = make()
+    for twin in (copy.deepcopy(system), pickle.loads(pickle.dumps(system))):
+        assert dict(twin.obstructions) == dict(system.obstructions)
+        assert system_text(twin) == system_text(system)
+        assert check_bianchi(twin).violations == check_bianchi(system).violations
+        form = twin.obstructions[(1, 1, 1)]
+        assert copy.copy(form) == form and type(pickle.loads(pickle.dumps(form))) is type(form)
+
+
+def test_a_built_system_makes_its_forms_when_they_are_read(monkeypatch):
+    # build_system hands its sorted term arrays to the system, and
+    # check_bianchi and system_text read them: the forms are made once, at
+    # their first read, and never on the command line's path
+    made = []
+    init = FormalForm.__init__
+
+    def counted(self, terms=None):
+        made.append(self)
+        init(self, terms)
+
+    monkeypatch.setattr(FormalForm, "__init__", counted)
+    c = build_constants(build("E6"))
+    for half in Half:
+        made.clear()
+        system = build_system(c, half)
+        assert check_bianchi(system).ok
+        system_text(system)
+        assert (len(system.obstructions), len(made)) == (36, 0)
+        forms = list(system.obstructions.values())
+        assert forms == made and list(system.obstructions.values()) == made
+
+
+def test_a_form_keyed_out_of_order_is_held_as_given_and_refused_by_shape(monkeypatch):
+    # a phi phi key is canonically sorted: phi_b phi_a for phi_a phi_b is
+    # rendered as it was given and reported by its shape
+    system = build_system(build_constants(build("A2")), Half.POSITIVE)
+    form = FormalForm({((), ((1, 1),)): 1, (((1, 0), (0, 1)), ()): -1})
+    forged = dataclasses.replace(system, obstructions={**system.obstructions, (1, 1): form})
+    assert forged.obstructions[(1, 1)] is form
+    assert system_text(forged).splitlines()[-1] == "(1,1): psi[1,1] - phi[1,0]phi[0,1]"
+    assert _bianchi_violations(forged, monkeypatch) == [
+        "class {1,1|root}: psi[1,1] - phi[1,0]phi[0,1] is not psi + phi phi"
+    ]
+
+
+def test_a_coefficient_past_int64_is_held_exactly(monkeypatch):
+    # the phi phi coefficients times 2**70 are held in an object array: the
+    # forms read back as given, and the text and the residual stay exact
+    system = build_system(build_constants(build("A3")), Half.POSITIVE)
+    forms = {c: Form({m: v * 2**70 if m[0] else v for m, v in form.terms.items()})
+             for c, form in system.obstructions.items()}
+    mono = next(m for m in forms[(1, 1, 1)].terms if m[0])
+    forms[(1, 1, 1)] = forms[(1, 1, 1)] - Form({mono: 2 * forms[(1, 1, 1)].terms[mono]})
+    forged = ObstructionSystem(system.constants, Half.POSITIVE, forms)
+    assert dict(forged.obstructions) == forms
+    assert system_text(forged).splitlines()[1:] == [
+        f"({','.join(map(str, a.coords))}): {form_text(forms[a.coords])}" for a in system.roots
+    ]
+    assert _bianchi_violations(forged, monkeypatch) == _formal_bianchi(forged) == [
+        f"class {{1,1,1|root}}: residual {-2**141}*phi[0,0,1]phi[0,1,0]phi[1,0,0]"
+    ]
 
 
 def test_tables_and_systems_are_equal_by_identity_and_hash():

@@ -280,6 +280,85 @@ def f(): pass
     assert sorted(_unbounded_caches(ast.parse(source))) == [3, 4, 6, 8, 10]
 
 
+CONTAINER_TYPES = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+CONTAINER_WRITES = {
+    "append", "appendleft", "extend", "insert", "add", "update", "setdefault", "pop",
+    "popitem", "popleft", "remove", "discard", "clear", "sort", "reverse",
+}
+
+
+def _memo_writes(tree):
+    """(line, name) of each write, inside a function, to a container bound
+    at module level (a display, a comprehension or a call of a container
+    type): an item stored or deleted, or a method that changes it, called on
+    its name where the function binds no local of that name."""
+    containers = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp))
+            or _callee(value) in CONTAINER_TYPES
+        ):
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+    writes = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        inner = list(ast.walk(function))
+        args = function.args
+        local = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+        local |= {a.arg for a in (args.vararg, args.kwarg) if a}
+        local |= {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        local -= {name for n in inner if isinstance(n, ast.Global) for name in n.names}
+        for node in inner:
+            target = None
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in CONTAINER_WRITES:
+                target = node.func.value
+            if isinstance(target, ast.Name) and target.id in containers - local:
+                writes.add((node.lineno, target.id))
+    return sorted(writes)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_writes_a_module_level_container(path):
+    # a memo at module level outlives every system it was filled for and is
+    # bounded only by hand: caches stay on a bounded lru_cache
+    tree = ast.parse(path.read_text(), filename=str(path))
+    writes = _memo_writes(tree)
+    assert writes == [], f"{path.name}: module-level containers written at {writes}"
+
+
+def test_the_memo_rule_finds_each_write():
+    source = """
+import collections
+_a = {}
+_b: dict = dict()
+_c = [x for x in ()]
+_d = collections.defaultdict(int)
+TUPLE = ()
+def f(key):
+    _a[key] = 1
+    del _b[key]
+    _c.append(key)
+    _d[key] += 1
+    _a.update({})
+def g(_a):
+    _a[0] = 1
+def h():
+    _b = {}
+    _b[0] = 1
+    TUPLE.count(0)
+    _c.copy()
+    return lambda: _c.clear()
+"""
+    assert _memo_writes(ast.parse(source)) == [
+        (9, "_a"), (10, "_b"), (11, "_c"), (12, "_d"), (13, "_a"), (21, "_c"),
+    ]
+
+
 def _definitions(tree):
     """(qualified name, node) of each public function and class at module
     level, and of each public method of those classes."""
