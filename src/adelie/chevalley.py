@@ -75,9 +75,9 @@ class ChevalleyConstants:
             raise NotChevalleyConstants(f"{rs!r} is not a RootSystem")
         shape = (len(rs.all_roots),) * 2
         if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"
-                and table.shape == shape):
+                and table.shape == shape and ((table >= -1) & (table <= 1)).all()):
             raise NotChevalleyConstants(
-                f"{rs.name} reads an integer ndarray of shape {shape} as its sign table"
+                f"{rs.name} reads an integer ndarray of shape {shape} in -1..1 as its sign table"
             )
         # sealed, as bracket_table's are: the cached verdict stays the verdict
         # on these cells (flip and replace build a new array or share this one)
@@ -223,6 +223,9 @@ class LieElement:
         }
         object.__setattr__(self, "cartan", MappingProxyType(cartan))
         object.__setattr__(self, "roots", MappingProxyType(roots))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return LieElement, (self.system, dict(self.cartan), dict(self.roots))
 
     @classmethod
     def h(cls, system: RootSystem, i: int) -> "LieElement":

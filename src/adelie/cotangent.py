@@ -98,17 +98,12 @@ def _least_action(rs: RootSystem, lam: LatticeVector):
     """lambda+, its root coordinates d above lam, and the least c >= 0 with
     lam + c.C dominant together with that weight (lam in the weight basis).
 
-    Firing adds alpha_i while coordinate i is negative, ceil(-w_i / 2) times
-    at once, and never passes the least such c (least action), so it stops at
-    lambda*.  lambda+ is one such c, so passing d is a bug.  alpha_i adds 2
-    to coordinate i and takes 1 from each of i's neighbours.
+    lambda+ and d are dominant_conjugate's conjugate and lift.  Firing adds
+    alpha_i (2 at i, -1 at its neighbours) ceil(-w_i / 2) times at once while
+    w_i < 0, and never passes the least such c (least action), so it stops at
+    lambda*.  lambda+ is one such c, so passing d is a bug in either walk.
     """
-    plus = lambda_plus(rs, lam)
-    d = rs.to_root_basis(plus - lam).coords
-    if any(v < 0 for v in d):  # a dominant conjugate dominates its orbit
-        raise ConstructionFailure(
-            f"{rs.name}: dominant conjugate {plus} does not dominate {lam}"
-        )
+    plus, _, d = dominant_conjugate(rs, lam)
     neighbours = rs.neighbours
     c = [0] * rs.rank
     w = list(lam.coords)
@@ -213,12 +208,12 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
                     continue
                 best[nxt] = up
 
-    # lambda+ is the top of the interval, so it alone ends a longest chain.
-    # Below each point the witness steps to its parent, the first visited of
-    # its predecessors one shorter: the lowest, then the largest key.  A key
-    # less a step is in best only when it is a predecessor, as no sum carries.
-    # lambda* is the one point at 0, so the walk down stops at 1.
-    key = max(best, key=best.__getitem__)
+    # lambda+, whose key is its weight with no slack, tops the interval, so
+    # it alone ends a longest chain.  Below each point the witness steps to
+    # its parent, the first visited of its predecessors one shorter: the
+    # lowest, then the largest key.  A key less a step is in best only when
+    # it is a predecessor, as no sum carries.  lambda* is the one point at 0.
+    key = guard + sum(v << (width * f) for f, v in enumerate(plus.coords))
     value, middle = best[key], []
     while best[key] > 1:
         below = best[key] - 1

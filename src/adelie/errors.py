@@ -35,8 +35,9 @@ class NotALattice(AdelieError, TypeError):
 
 
 class NotChevalleyConstants(AdelieError, TypeError):
-    """Structure-constant argument that is not a ChevalleyConstants (a
-    RootSystem or None)."""
+    """Structure-constant argument, an ObstructionSystem's too, that is not a
+    ChevalleyConstants (a RootSystem or None), or a sign table that is not an
+    integer array of -1, 0 and +1 in the system's shape."""
 
 
 class NotAnObstructionSystem(AdelieError, TypeError):

@@ -58,28 +58,30 @@ def index(rs: RootSystem, mu: LatticeVector) -> int:
 
 def dominant_conjugate(
     rs: RootSystem, mu: LatticeVector
-) -> tuple[LatticeVector, tuple[int, ...]]:
-    """Unique dominant Weyl conjugate of mu, with the reflection word reaching it.
+) -> tuple[LatticeVector, tuple[int, ...], tuple[int, ...]]:
+    """Unique dominant Weyl conjugate of mu, the reflection word reaching it,
+    and its lift, the conjugate's simple-root coordinates above mu.
 
     Repeatedly reflects at the first strictly negative fundamental coordinate.
     Each such reflection turns exactly one positive root's pairing from
     negative to positive and permutes the rest, so the loop runs exactly
-    index(rs, mu) times; the returned word lists 1-based simple-reflection
-    indices in application order.  s_i subtracts mu_i times the weight
-    coordinates of alpha_i, as the firing of cotangent._least_action adds
-    them: it negates coordinate i and adds mu_i to i's neighbours, the only
-    other coordinates that alpha_i moves.
+    index(rs, mu) times; the word lists 1-based simple-reflection indices in
+    application order.  At mu_i < 0, s_i adds -mu_i alpha_i, and -mu_i to the
+    lift, as the firing of cotangent._least_action adds alpha_i: it negates
+    coordinate i and adds mu_i to i's neighbours, the only others it moves.
     """
     neighbours = checked_system(rs).neighbours
     cur = list(rs.to_weight_basis(mu).coords)
     word: list[int] = []
+    lift = [0] * rs.rank
     while True:
         for i, k in enumerate(cur):
             if k < 0:
                 break
         else:
-            return LatticeVector(tuple(cur), Basis.FUNDAMENTAL_WEIGHT), tuple(word)
+            return LatticeVector(tuple(cur), Basis.FUNDAMENTAL_WEIGHT), tuple(word), tuple(lift)
         cur[i] = -k
+        lift[i] -= k
         for j in neighbours[i]:
             cur[j] += k
         word.append(i + 1)
@@ -109,7 +111,7 @@ def bwb(rs: RootSystem, lam: LatticeVector) -> CohomologyVerdict:
     shifted = lam + rs.rho()
     if is_singular(rs, shifted):
         return CohomologyVerdict(status=ALL_VANISH)
-    dom, word = dominant_conjugate(rs, shifted)
+    dom, word, _ = dominant_conjugate(rs, shifted)
     hw = dom - rs.rho()
     return CohomologyVerdict(
         status=CONCENTRATED,

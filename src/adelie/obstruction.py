@@ -230,6 +230,7 @@ class ObstructionSystem:
     obstructions: Mapping[Coords, FormalForm] = field(repr=False)
 
     def __post_init__(self) -> None:
+        checked_constants(self.constants)
         object.__setattr__(self, "half", Half(self.half))
         if not isinstance(self.obstructions, _Forms):
             object.__setattr__(self, "obstructions", _encoded(self.obstructions))

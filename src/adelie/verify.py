@@ -34,16 +34,12 @@ def flag_h2_oracle(rs: RootSystem):
 
     def oracle(alpha: LatticeVector) -> H2VanishVerdict:
         verdict = bwb(rs, alpha)
-        if verdict.status == ALL_VANISH:
-            return H2VanishVerdict(
-                root=rs.to_root_basis(alpha), vanishes=True,
-                source="flag-index", detail="all degrees vanish",
-            )
+        vanish = verdict.status == ALL_VANISH
         return H2VanishVerdict(
             root=rs.to_root_basis(alpha),
-            vanishes=verdict.degree <= 1,
+            vanishes=vanish or verdict.degree <= 1,
             source="flag-index",
-            detail=f"concentrated in degree {verdict.degree}",
+            detail="all degrees vanish" if vanish else f"concentrated in degree {verdict.degree}",
         )
 
     return oracle

@@ -1,8 +1,10 @@
 """Structure constants: support, signs, bracket relations, adjoint action."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import re
 import time
@@ -134,13 +136,28 @@ def test_every_table_over_a_system_reads_the_systems_sums():
     ("A3", np.ndarray.tolist),
     ("A3", lambda t: t[:2]),
     ("A3", lambda t: t.astype(float)),
-], ids=["none-system", "list-table", "short-table", "float-table"])
+    ("A3", lambda t: t.astype(np.uint8)),
+    ("A3", lambda t: t.astype(np.int64) * 257),
+], ids=["none-system", "list-table", "short-table", "float-table", "uint8-table", "257-table"])
 def test_malformed_fields_are_refused_where_the_table_is_made(system, make):
     # each once built and failed later with a bare AttributeError or numpy's
-    # broadcast ValueError when its report was read
+    # broadcast ValueError when its report was read; the last two passed
+    # every check, their -1 read as 255 and their signs as 257, which wrap
+    # back to signs in int8
     table = make(build_constants(build("A3")).sign_table)
     with pytest.raises(NotChevalleyConstants):
         ChevalleyConstants(system and build(system), table)
+
+
+def test_an_element_pickles_and_copies():
+    # its read-only mappings are rebuilt from plain dicts, not pickled
+    rs = build("A2")
+    a1, a2 = rs.simple_roots
+    mixed = LieElement.x(rs, -a2).scale(-3) + LieElement.x(rs, a1) + LieElement.h(rs, 1)
+    for x in (LieElement.h(rs, 0), LieElement(rs), mixed):
+        for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x)), copy.copy(x)):
+            assert twin == x and type(twin.roots) is type(x.roots) and twin.system == rs
+            assert repr(twin) == repr(x)
 
 
 def test_sl2_triples():

@@ -334,8 +334,9 @@ def test_other_adelie_errors_stay_at_two(capsys, monkeypatch):
 
 
 def test_exit_three_when_firing_passes_lambda_plus(capsys, monkeypatch):
-    # lambda+ bounds the firing from above, so passing it is a bug, not bad input
-    monkeypatch.setattr(cotangent, "lambda_plus", lambda rs, lam: lam)
+    # lambda+ bounds the firing from above, so passing it is a bug, not bad
+    # input: a reflection walk that stops at once, with no lift, makes it so
+    monkeypatch.setattr(cotangent, "dominant_conjugate", lambda rs, lam: (lam, (), (0,) * rs.rank))
     code, out, err = run(capsys, "cht", "A2", "--", "-1", "0")
     assert (code, out) == (3, "")
     assert err.startswith("internal error:") and "firing from" in err

@@ -127,10 +127,24 @@ def test_dot_action_sign_rule(name):
             assert euler_characteristic(rs, conj) == -chi
 
 
+@pytest.mark.parametrize("name,radius", [
+    ("A2", 2), ("A3", 2), ("A4", 2), ("D4", 2), ("E6", 1), ("E8", None),
+], ids=["A2", "A3", "A4", "D4", "E6", "E8-roots"])
+def test_the_lift_is_the_root_coordinates_of_the_conjugate_above_mu(name, radius):
+    # the lift the reflection walk adds up is what the root basis reads off
+    # the conjugate less mu, and never negative: cht takes its d from it
+    rs = build(name)
+    weights = rs.all_roots if radius is None else weight_ball(rs.rank, radius)
+    for mu in map(rs.to_weight_basis, weights):
+        dom, _, lift = dominant_conjugate(rs, mu)
+        assert lift == rs.to_root_basis(dom - mu).coords, mu
+        assert min(lift) >= 0, mu
+
+
 def test_dominant_conjugate_word_length_is_index():
     rs = build("A3")
     for mu in weight_ball(rs.rank, 2):
-        dom, word = dominant_conjugate(rs, mu)
+        dom, word, _ = dominant_conjugate(rs, mu)
         assert rs.is_dominant(dom)
         assert len(word) == index(rs, mu)
         # replaying the word from mu reaches the returned conjugate

@@ -23,6 +23,7 @@ from adelie.errors import (
     IllegalType,
     IncompleteOracle,
     NotAnObstructionSystem,
+    NotChevalleyConstants,
 )
 from adelie.obstruction import (
     FormalForm,
@@ -566,6 +567,19 @@ def test_forms_that_are_not_a_dict_of_forms_are_refused_where_the_system_is_made
         dataclasses.replace(system, obstructions=forms)
     with pytest.raises(NotAnObstructionSystem):
         ObstructionSystem(system.constants, Half.POSITIVE, forms)
+
+
+@pytest.mark.parametrize("constants", [None, "A2", "x"], ids=["none", "root-system", "str"])
+def test_constants_that_are_not_a_table_are_refused_where_the_system_is_made(constants):
+    # each once built a system on which check_bianchi, system_text and
+    # certify_solvability raised a bare AttributeError
+    system = build_system(build_constants(build("A2")), Half.POSITIVE)
+    constants = build(constants) if constants == "A2" else constants
+    for forms in ({}, system.obstructions):
+        with pytest.raises(NotChevalleyConstants):
+            ObstructionSystem(constants, "positive", forms)
+    with pytest.raises(NotChevalleyConstants):
+        dataclasses.replace(system, constants=constants)
 
 
 @pytest.mark.parametrize("key", [
