@@ -15,7 +15,8 @@ constant by -1 for every negative root among {a, b, a+b}:
 
     n_{a,b} = (-1)^(# negative roots among a, b, a+b) * eps(a, b).
 
-A table is its system and its sign table; the root sums are the system's.
+A table is its system and its sign table; the root sums, coordinates and
+weights are the system's.
 Every invariant below is verified, not assumed; violations raise
 ConstructionFailure at table-build time, and report hands out copies.
 """
@@ -86,7 +87,7 @@ class ChevalleyConstants:
     @property
     def sum_index(self) -> np.ndarray:
         """The system's root sums: [i, j] indexes root_i + root_j, n_roots if no root."""
-        return _root_sums(self.system)
+        return _root_sums(self.system)[0]
 
     def n(self, alpha: LatticeVector, beta: LatticeVector) -> int:
         """n_{alpha,beta}; zero when alpha + beta is not a root."""
@@ -122,18 +123,16 @@ class ChevalleyConstants:
         x_a, mod n_roots: all_roots lists the positives, then their negatives
         in the same order).  This is the one stored table; the Jacobi sweep,
         the obstruction expansion, bracket and adjoint_matrix read it as it is."""
-        rs = self.system
-        r = rs.rank
-        coords = np.array([a.coords for a in rs.all_roots], dtype=np.int64)
+        r = self.system.rank
+        sum_index, coords, weights = _root_sums(self.system)
         n_roots = len(coords)
-        weights = coords @ np.array(rs.cartan, dtype=np.int64)
         i, a = np.nonzero(weights.T)
         b, k = np.nonzero(weights)
-        p, q = np.nonzero((self.sum_index < n_roots) & (self.sign_table != 0))
+        p, q = np.nonzero((sum_index < n_roots) & (self.sign_table != 0))
         s, m = np.nonzero(coords)
         row = np.concatenate([i, r + b, r + p, r + s])
         col = np.concatenate([r + a, k, r + q, r + (s + n_roots // 2) % n_roots])
-        tgt = np.concatenate([r + a, r + b, r + self.sum_index[p, q], m])
+        tgt = np.concatenate([r + a, r + b, r + sum_index[p, q], m])
         val = np.concatenate([weights[a, i], -weights[b, k], self.sign_table[p, q], coords[s, m]])
         # cell order is the order of one key per term, below dim ** 3 (a
         # stable sort keeps a repeated term's order, as the terms come)
@@ -293,14 +292,17 @@ def build_constants(rs: RootSystem) -> ChevalleyConstants:
 
 
 @lru_cache(maxsize=33)  # one entry for each type that build admits
-def _root_sums(rs: RootSystem) -> np.ndarray:
-    """The sealed sum_index of every table over rs, behind the packed Jacobi keys' guard."""
+def _root_sums(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sealed arrays of rs that every table over it reads, behind the
+    packed Jacobi keys' guard: sum_index, and the int64 root coordinates of
+    all_roots and their weights (coordinates times the Cartan matrix)."""
     roots = rs.all_roots
     n_roots = len(roots)
     dim = rs.rank + n_roots
     if dim ** 3 >= 2 ** 31:
         raise BudgetExceeded(f"{rs.name}: dimension {dim} is past the packed Jacobi keys")
     coords = np.array([r.coords for r in roots], dtype=np.int64)
+    weights = coords @ np.array(rs.cartan, dtype=np.int64)
 
     # every root has square 2, so a + b is a root exactly when (a, b) = -1:
     # only those pairs are looked up.  Pack each root into one int, sum_i c_i
@@ -310,9 +312,7 @@ def _root_sums(rs: RootSystem) -> np.ndarray:
     keys = coords @ base ** np.arange(rs.rank, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    small = coords.astype(np.int16)
-    pairings = small @ np.array(rs.cartan, dtype=np.int16) @ small.T
-    p, q = np.divmod(np.flatnonzero(pairings == -1).astype(np.int32), n_roots)
+    p, q = np.divmod(np.flatnonzero(weights @ coords.T == -1).astype(np.int32), n_roots)
     sums = keys[p] + keys[q]
     at = np.minimum(np.searchsorted(sorted_keys, sums), n_roots - 1)
     missing = np.flatnonzero(sorted_keys[at] != sums)
@@ -324,14 +324,13 @@ def _root_sums(rs: RootSystem) -> np.ndarray:
         )
     sum_index = np.full((n_roots, n_roots), n_roots, dtype=np.int32)
     sum_index[p, q] = order[at]
-    return _sealed(sum_index)
+    return _sealed(sum_index), _sealed(coords), _sealed(weights)
 
 
 @lru_cache(maxsize=33)  # one entry for each type that build admits
 def _build_constants(rs: RootSystem) -> ChevalleyConstants:
-    sum_index = _root_sums(rs)
-    n_roots = len(rs.all_roots)
-    coords = np.array([r.coords for r in rs.all_roots], dtype=np.int64)
+    sum_index, coords, _ = _root_sums(rs)
+    n_roots = len(coords)
 
     # eps parity over all pairs in one shot, then the negative-root correction;
     # uint8 arithmetic runs mod 256, an even modulus, so every parity is

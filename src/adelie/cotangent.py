@@ -45,10 +45,6 @@ from .roots import LatticeVector, RootSystem, checked_system, root_vector, weigh
 
 # cap on the dominant weights one interval walk may keep
 _POINT_BUDGET = 2 * 10 ** 4
-# cap on the patterns one _packed_steps entry keeps usable steps for: every
-# pattern of a system of rank 8 or less, each a tuple of at most as many
-# steps as positive roots
-_PATTERN_CAP = 2 ** 8
 #: the multiset budget of euler_characteristic_graded, and of the euler
 #: command's --max-terms, unless the caller passes one
 MAX_TERMS = 10 ** 6
@@ -71,8 +67,8 @@ def lambda_plus(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
 @lru_cache(maxsize=64)
 def _packed_steps(rs: RootSystem, width: int):
     """guard, ones, weight_guard, each positive root's (packed step, height)
-    and need, for fields of width bits, and the table of usable steps that
-    cht fills for the calls that share them (at most _PATTERN_CAP patterns).
+    and need, for fields of width bits, as ints and tuples, which no caller
+    can change; _usable_steps picks the steps a pattern tries from them.
 
     A point packs its weight coordinates w_i into fields 0..rank-1 and its
     slack d_i - c_i into field 2 rank - 1 - i, each offset by half, so adding
@@ -91,7 +87,15 @@ def _packed_steps(rs: RootSystem, width: int):
         steps.append((sum(v << (width * f) for f, v in enumerate(fields)), sum(a.coords)))
         needs.append(sum(half << (width * f) for f, v in enumerate(w) if v < 0))
     guard = weight_guard + (weight_guard << (width * rs.rank))
-    return guard, ones, weight_guard, tuple(steps), tuple(needs), {}
+    return guard, ones, weight_guard, tuple(steps), tuple(needs)
+
+
+@lru_cache(maxsize=1024)
+def _usable_steps(rs: RootSystem, width: int, pattern: int) -> tuple:
+    """The (packed step, height) pairs of _packed_steps(rs, width) whose need
+    lies in pattern, the top bits of a point's weight fields with w_i >= 1."""
+    _, _, _, steps, needs = _packed_steps(rs, width)
+    return tuple(step for step, need in zip(steps, needs) if need & pattern == need)
 
 
 def _least_action(rs: RootSystem, lam: LatticeVector):
@@ -158,7 +162,7 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     depth = max(sum(d), 2 * sum(rs.highest_root().coords))
     width = (max(plus.coords) + depth + 8).bit_length() + 1
     half = 1 << (width - 1)
-    guard, ones, weight_guard, steps, needs, shared = _packed_steps(rs, width)
+    guard, ones, weight_guard, steps, _ = _packed_steps(rs, width)
     slack = [dv - cv for dv, cv in zip(d, c_star)]
     fields = w_star + slack[::-1]
     start = guard + sum(v << (width * f) for f, v in enumerate(fields))
@@ -170,13 +174,12 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     # so a layer is whole when its height is popped and best is final when a
     # point is visited.  A point tries only the steps whose need lies in its
     # pattern, the top bits of its weight fields with w_i >= 1 (no field of
-    # key - ones borrows, as each is at least half); usable keeps each
-    # pattern's steps, and the guard checks every sum.  usable is the table
-    # shared by the calls of this width until it holds _PATTERN_CAP
-    # patterns, then this call's copy of it.
+    # key - ones borrows, as each is at least half), and the guard checks
+    # every sum.  usable keeps this walk's patterns in front of the bounded
+    # _usable_steps, which the calls of this width share.
     best = {start: 0}
     layers = {0: [start]}
-    usable = shared
+    usable = {}
     while layers:
         h = min(layers)
         layer = layers.pop(h)
@@ -186,11 +189,7 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
             pattern = (key - ones) & weight_guard
             tried = usable.get(pattern)
             if tried is None:
-                if usable is shared and len(shared) >= _PATTERN_CAP:
-                    usable = dict(shared)
-                tried = usable[pattern] = tuple(
-                    step for step, need in zip(steps, needs) if need & pattern == need
-                )
+                tried = usable[pattern] = _usable_steps(rs, width, pattern)
             for step, dh in tried:
                 nxt = key + step
                 if nxt & guard != guard:

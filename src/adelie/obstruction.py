@@ -47,7 +47,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .chevalley import ChevalleyConstants, _sealed, checked_constants, runs, sum_by_key
+from .chevalley import ChevalleyConstants, _root_sums, _sealed, checked_constants, runs, sum_by_key
 from .errors import (
     CancellationFailure,
     ConstructionFailure,
@@ -277,7 +277,7 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     # ad(x_a) h_k = -(a, a_k) x_a, so it is that column's part at the target
     # x_a, divided by -(a, a_k)
     coords = [a.coords for a in roots]
-    pairings = np.array(coords, dtype=np.int64) @ np.array(rs.cartan, dtype=np.int64)
+    pairings = _root_sums(rs)[2][places]
     first = (pairings != 0).argmax(axis=1).astype(np.int32)
     denom = -pairings[np.arange(n), first]
     # the terms [x_a, b_g] of the half's rows, one run of the table, a as its

@@ -248,9 +248,7 @@ class RootSystem:
         object.__setattr__(self, name, value)
 
     def __delattr__(self, name):
-        if self._built:
-            raise ImmutableSystem(f"cannot delete {name} of {self!r}")
-        object.__delattr__(self, name)
+        raise ImmutableSystem(f"cannot delete {name} of {self!r}")
 
     # -- identity ---------------------------------------------------------
 

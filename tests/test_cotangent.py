@@ -1,8 +1,10 @@
 """Dominance order, lambda_star / cht invariants, descent chains, graded Euler."""
 
+import functools
 import inspect
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +21,7 @@ import pytest
 
 from adelie import batch, build, cotangent, root_vector, weight_vector
 from adelie.chevalley import build_constants, verify_chevalley
+from adelie.cli import main
 from adelie.cotangent import (
     ChtReport,
     cht,
@@ -39,7 +42,7 @@ from adelie.errors import (
     NonIntegerDegree,
     NotARootClass,
 )
-from adelie.flag import euler_characteristic
+from adelie.flag import euler_characteristic, weyl_dim
 from adelie.roots import RootSystem
 
 ALL_TYPES = "A1 A2 A3 A4 A5 A6 A7 D3 D4 D5 D6 D7 E6 E7 E8".split()
@@ -228,42 +231,30 @@ def test_cht_is_the_reference_walk_on_every_root(name):
         assert cht(rs, a) == reference_cht(rs, a), a
 
 
-def _spy_on_packed_steps(monkeypatch):
-    # the _packed_steps entries that cht reads, in call order
-    entries, packed = [], cotangent._packed_steps
-
-    def spy(rs, width):
-        entries.append(packed(rs, width))
-        return entries[-1]
-
-    monkeypatch.setattr(cotangent, "_packed_steps", spy)
-    return entries
-
-
-def test_the_shared_pattern_table_stays_within_its_cap(monkeypatch):
-    # D16 has 2**16 patterns: the walk of (-1)^16 fills the shared table and
-    # goes on with its own copy, up to the point cap, whose message it keeps
+def test_the_usable_step_cache_stays_within_its_bound():
+    # D16 has 2**16 patterns: up to the point cap, whose message it keeps,
+    # the walk of (-1)^16 meets more than the bound of the cache of usable
+    # steps, which keeps the 1,024 used last
+    cotangent._usable_steps.cache_clear()
     rs = build("D16")
     lam = weight_vector(*[-1] * 16)
-    entries = _spy_on_packed_steps(monkeypatch)
     message = "and reached height 361 of 1240 above lambda*"
     for _ in range(2):
         with pytest.raises(BudgetExceeded, match=message):
             cht(rs, lam)
-    assert entries[0] is entries[1]
-    assert len(entries[0][-1]) == cotangent._PATTERN_CAP == 256
+    info = cotangent._usable_steps.cache_info()
+    assert info.currsize == info.maxsize == 1024 and info.misses > 1024
 
 
-def test_cht_past_the_pattern_cap_is_the_reference_walk(monkeypatch):
-    # with a cap of one pattern every walk goes on with its own table
-    cotangent._packed_steps.cache_clear()
-    monkeypatch.setattr(cotangent, "_PATTERN_CAP", 1)
-    entries = _spy_on_packed_steps(monkeypatch)
+def test_cht_over_a_one_entry_usable_step_cache_is_the_reference_walk(monkeypatch):
+    # each walk keeps its own patterns, so the shared cache may lose them all
+    single = functools.lru_cache(maxsize=1)(cotangent._usable_steps.__wrapped__)
+    monkeypatch.setattr(cotangent, "_usable_steps", single)
     for name, radius in (("A3", 2), ("D4", 1)):
         rs = build(name)
         for lam in _ball(rs.rank, radius):
             assert cht(rs, lam) == reference_cht(rs, lam), lam
-    assert entries and all(len(entry[-1]) <= 1 for entry in entries)
+    assert single.cache_info().currsize == 1 and single.cache_info().misses > 1
 
 
 def test_every_root_walk_of_a_system_shares_one_packed_table():
@@ -376,6 +367,37 @@ def test_the_walk_gives_cht_zero_exactly_when_the_firing_stops_at_lambda_plus(na
     for coords in product(range(-radius, radius + 1), repeat=rs.rank):
         lam = weight_vector(*coords)
         assert (lambda_star(rs, lam) == lambda_plus(rs, lam)) == (cht(rs, lam).value == 0), lam
+
+
+@pytest.mark.parametrize("name,radius,top,counts", [
+    ("A2", 2, 4, (60, 28, 26)),
+    ("A3", 2, 3, (168, 111, 100)),
+    ("D4", 1, 3, (159, 51, 16)),
+    ("E6", 1, 2, (700, 278, 61)),
+], ids=["A2", "A3", "D4", "E6"])
+def test_cht_zero_leaves_no_negative_graded_euler(name, radius, top, counts):
+    # cht bounds the degrees in which cohomology can survive, so cht(lam) = 0
+    # leaves H^0 alone and chi_d(lam) >= 0 for 1 <= d <= top.  Every dominant
+    # weight has cht 0, where Broer's vanishing theorem gives it too.  The
+    # check is not vacuous: at cht 1, chi_d is negative in some cases.
+    # counts are the (lam, d) cases at cht 0, at cht 1 and, among those, the
+    # negative ones
+    rs = build(name)
+    zero, one, negative = 0, 0, 0
+    for lam in _ball(rs.rank, radius):
+        value = cht(rs, lam).value
+        assert value == 0 or min(lam.coords) < 0, lam
+        if value > 1:
+            continue
+        for d in range(1, top + 1):
+            chi = euler_characteristic_graded(rs, lam, d)
+            if value == 0:
+                assert chi >= 0, (lam, d)
+                zero += 1
+            else:
+                one += 1
+                negative += chi < 0
+    assert (zero, one, negative) == counts
 
 
 def test_cotangent_verdict_roots_always_pass_degree_two():
@@ -572,19 +594,34 @@ def test_graded_euler_past_int64_matches_multiset_sum():
         assert euler_characteristic_graded(rs, lam, 1) == _naive_graded_euler(rs, lam, 1)
 
 
-def test_graded_euler_rejects_a_broken_rho_product(monkeypatch):
+def _break_the_rho_product(monkeypatch):
     # (rho, a) raised by one at every positive root: the rho-product then
-    # fails to divide a Weyl numerator of D4 at weight (1, 0, 0, 0), degree 2
+    # fails to divide a Weyl numerator of D4 at weight (1, 0, 0, 0)
     real = RootSystem.positive_pairings
 
     def pairings(self, v):
         return [p + (v == self.rho()) for p in real(self, v)]
 
     monkeypatch.setattr(RootSystem, "positive_pairings", pairings)
+
+
+def test_graded_euler_rejects_a_broken_rho_product(monkeypatch):
+    _break_the_rho_product(monkeypatch)
     with pytest.raises(
         ConstructionFailure, match=r"^D4: Weyl numerator of \{.*\|weight\} is not divisible"
     ):
         euler_characteristic_graded(build("D4"), weight_vector(1, 0, 0, 0), 2)
+
+
+def test_weyl_dim_rejects_a_broken_rho_product(monkeypatch, capsys):
+    # the same failure in flag.weyl_dim, which bwb reads: an internal error,
+    # exit 3, not bad input
+    _break_the_rho_product(monkeypatch)
+    message = "D4: Weyl numerator of {1,0,0,0|weight} is not divisible by the rho-product"
+    with pytest.raises(ConstructionFailure, match=f"^{re.escape(message)}$"):
+        weyl_dim(build("D4"), weight_vector(1, 0, 0, 0))
+    assert main(["bwb", "D4", "--", "1", "0", "0", "0"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
 
 
 def _dict_fold_graded_euler(rs, lam, degree):

@@ -359,6 +359,71 @@ def h():
     ]
 
 
+def _cached_containers(tree):
+    """(line, function name) of each return, in a function under lru_cache,
+    of a container (a display, a comprehension or a call of a container
+    type), as the value or as an element of a returned tuple; the returns
+    of the functions and lambdas it defines are theirs."""
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) or not any(
+            _callee(d) == "lru_cache" or getattr(d, "id", getattr(d, "attr", None)) == "lru_cache"
+            for d in function.decorator_list
+        ):
+            continue
+        nodes = list(function.body)
+        while nodes:
+            node = nodes.pop()
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nodes.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Return) and node.value is not None:
+                value = node.value
+                for item in value.elts if isinstance(value, ast.Tuple) else [value]:
+                    if isinstance(item, displays) or _callee(item) in CONTAINER_TYPES:
+                        yield node.lineno, function.name
+                        break
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_cached_function_hands_out_a_container(path):
+    # every caller of a cached function shares its value: a container in it
+    # is a memo that a caller can write, outside the cache's bound
+    tree = ast.parse(path.read_text(), filename=str(path))
+    returns = sorted(_cached_containers(tree))
+    assert returns == [], f"{path.name}: cached functions return containers at {returns}"
+
+
+def test_the_cached_container_rule_finds_each_return():
+    source = """
+import collections, functools
+from functools import lru_cache
+@lru_cache(maxsize=8)
+def a(x):
+    return {}
+@functools.lru_cache(8)
+def b(x):
+    if x:
+        return x, [x]
+    return x, {i for i in x}
+@lru_cache(maxsize=8)
+def c(x):
+    return dict(x)
+@lru_cache(maxsize=8)
+def d(x):
+    def inner():
+        return []
+    return (x, tuple(x), frozenset(x), lambda: [], inner)
+def e(x):
+    return {}
+@lru_cache
+def f(x):
+    return x, collections.deque(x)
+"""
+    assert sorted(_cached_containers(ast.parse(source))) == [
+        (6, "a"), (10, "b"), (11, "b"), (14, "c"), (24, "f"),
+    ]
+
+
 def _definitions(tree):
     """(qualified name, node) of each public function and class at module
     level, and of each public method of those classes."""

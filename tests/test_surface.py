@@ -446,3 +446,21 @@ def test_oracle_matches_a_stepwise_descent_on_tampered_lattices(name):
             cases += 1
             failures += not vanishes
     assert 0 < failures < cases
+
+
+def test_an_indivisible_fincke_pohst_budget_is_an_internal_failure(monkeypatch, capsys):
+    # every budget divides exactly because below holds the entries of the
+    # fraction-free elimination; one more in each breaks that, which is a
+    # bug, exit 3, not bad input
+    real = surface.int_adjugate
+
+    def tampered(matrix):
+        minors, below, adjugate = real(matrix)
+        return minors, [[v + 1 for v in row] for row in below], adjugate
+
+    monkeypatch.setattr(surface, "int_adjugate", tampered)
+    message = "A2: Fincke-Pohst budget at 1 not divisible by 2"
+    with pytest.raises(ConstructionFailure, match=f"^{message}$"):
+        minus_two_classes(resolution_lattice(build("A2")))
+    assert main(["surface", "A2"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {message}\n")
