@@ -42,7 +42,7 @@ from .errors import (
     SystemMismatch,
 )
 from .report import VerificationReport
-from .roots import LatticeVector, RootSystem, checked_index, checked_system
+from .roots import LatticeVector, RootSystem, checked_index, checked_system, root_vector
 
 Coords = tuple[int, ...]
 
@@ -217,8 +217,11 @@ class LieElement:
             checked_index(i, 0, rs.rank - 1, "Cartan index"): _coefficient(v)
             for i, v in self.cartan.items()
         }
+        place = rs.root_order_index
         roots = {
-            rs.all_roots[rs.root_place(c)].coords: _coefficient(v) for c, v in self.roots.items()
+            rs.all_roots[place(root_vector(*c) if isinstance(c, tuple) else c)].coords:
+                _coefficient(v)
+            for c, v in self.roots.items()
         }
         object.__setattr__(self, "cartan", MappingProxyType(cartan))
         object.__setattr__(self, "roots", MappingProxyType(roots))
@@ -287,15 +290,16 @@ def _eps_parity_matrix(rs: RootSystem) -> np.ndarray:
 def build_constants(rs: RootSystem) -> ChevalleyConstants:
     """Build the full sign table for rs, once per root system, and verify its
     invariants exhaustively.  rs is read through checked_system before the
-    cache hashes it, and a system past the Jacobi keys is refused first."""
+    cache hashes it, and a system past the int32 keys is refused first."""
     return _build_constants(checked_system(rs))
 
 
 @lru_cache(maxsize=33)  # one entry for each type that build admits
 def _root_sums(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sealed arrays of rs that every table over it reads, behind the
-    packed Jacobi keys' guard: sum_index, and the int64 root coordinates of
-    all_roots and their weights (coordinates times the Cartan matrix)."""
+    """The sealed arrays of rs that every table over it reads, behind a guard
+    on dim ** 3 that keeps the int32 keys of their readers from wrapping:
+    sum_index, and the int64 root coordinates of all_roots and their weights
+    (coordinates times the Cartan matrix)."""
     roots = rs.all_roots
     n_roots = len(roots)
     dim = rs.rank + n_roots
@@ -385,7 +389,8 @@ def _indexed(e: LieElement, c: ChevalleyConstants) -> list[tuple[int, int]]:
     rs = c.system
     if _checked_element(e).system != rs:
         raise SystemMismatch("bracket arguments over a different system")
-    return [*e.cartan.items(), *((rs.rank + rs.root_place(cc), v) for cc, v in e.roots.items())]
+    roots = [(rs.rank + rs.root_order_index(root_vector(*cc)), v) for cc, v in e.roots.items()]
+    return [*e.cartan.items(), *roots]
 
 
 def _run(keys: np.ndarray, i: int) -> slice:
@@ -481,9 +486,9 @@ def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, 
     """The first failing triple whose smallest index lo is below end, one lo
     at a time: each inner term [b_p, b_q] = v b_t meets its outer terms
     [b_u, b_t] as one run of the terms sorted by (column, row) or, for row
-    lo's cells against the cells (p, q) with lo < p < q, by (target, p)."""
+    lo's cells against the cells (p, q) with lo < p < q, by (target, p).
+    The products of each lo are summed by key through sum_by_key."""
     row, col, tgt, val = c.bracket_table
-    val = val.astype(np.int16)
     col_key = col * dim + row
     by_col = np.argsort(col_key, kind="stable")
     col_key = col_key[by_col]
@@ -515,24 +520,15 @@ def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, 
         t = tgt[left] * dim
         a, b = run(left, by_col, col_key, t + lo + 1, t + row[left])
         parts.append((row[b], row[a], b, a))
-        # (lo, mid, hi, target) keyed in base dim, from an int64 lo so that
-        # the shift does not wrap, shifted left by 16 bits past the product
-        # of two int8 coefficients (in -16384..16384): one sort brings equal
-        # keys together in key order, and rounding the shift back recovers
-        # the key.  Below dim ** 4 << 16, it fits int64 for dim < 1291
-        base = np.int64(lo * dim)
-        packed = np.concatenate([
-            ((((base + j) * dim + k) * dim + tgt[o]) << 16) + val[o] * val[i]
-            for j, k, o, i in parts
-        ])
-        if not packed.size:
-            continue
-        packed.sort()
-        keys = (packed + 0x8000) >> 16
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        bad = np.flatnonzero(np.add.reduceat(packed - (keys << 16), first))
-        if bad.size:
-            key = int(keys[first[bad[0]]])
+        # (lo, mid, hi, target) keyed in base dim in int64, below dim ** 4,
+        # and summed: the least key left is the first failing triple
+        keys, _ = sum_by_key(
+            np.concatenate([(np.add(lo * dim, j, dtype=np.int64) * dim + k) * dim + tgt[o]
+                            for j, k, o, _ in parts]),
+            np.concatenate([np.multiply(val[o], val[i], dtype=np.int64) for _, _, o, i in parts]),
+        )
+        if keys.size:
+            key = int(keys[0])
             return lo, key // dim ** 2 % dim, key // dim % dim
     return None
 
@@ -550,34 +546,29 @@ def _jacobi_certified(c: ChevalleyConstants) -> bool:
     each f_i = -w(e_i).  If each non-simple positive root a has a cell
     (x_b, e_i), i the first letter of a's descent and b = a - a_i, with one
     term, nonzero and on x_a, then every x_a lies in D by induction on
-    height, and every x_{-a} by w: D is the whole algebra.  The checks:
-    the terms, transposed and negated, are the terms; the terms, mapped by
-    w and negated, are the terms; and the step cells hold one such term.
+    height, and every x_{-a} by w: D is the whole algebra.  The checks read
+    the bracket as its terms summed by cell and target through sum_by_key:
+    transposed and negated, it is itself; mapped by w and negated, it is
+    itself; and the step cells hold one such term.
     """
     rs = c.system
     r, n_roots = rs.rank, len(rs.all_roots)
     dim = r + n_roots
     row, col, tgt, val = c.bracket_table
-    val = val.astype(np.int16)  # so that -(-128) does not wrap
+    val = val.astype(np.int32)  # so that neither -val nor a sum wraps
     # w on the basis: the identity on the h's, x_a to x_{-a}, n_roots // 2 on
     w = np.arange(dim, dtype=np.int32)
     w[r:] = r + (w[r:] - r + n_roots // 2) % n_roots
 
-    def packed(row, col, tgt, val):
-        # the terms as sorted int64 keys; |val| <= 128 < 512, so distinct
-        # terms get distinct keys
-        key = row.astype(np.int64)
-        for digit in (col, tgt):
-            key *= dim
-            key += digit
-        key <<= 10
-        key += val
-        key.sort()
-        return key
+    def summed(row, col, tgt, val):
+        # the bracket as the sum of its terms, keyed (row * dim + col) * dim + target
+        return sum_by_key((row * dim + col) * dim + tgt, val)
 
-    terms = packed(row, col, tgt, val)
-    if not (np.array_equal(terms, packed(col, row, tgt, -val))
-            and np.array_equal(terms, packed(w[row], w[col], w[tgt], -val))):
+    def is_bracket(*terms):
+        return all(map(np.array_equal, summed(*terms), (keys, sums)))
+
+    keys, sums = summed(row, col, tgt, val)
+    if not (is_bracket(col, row, tgt, -val) and is_bracket(w[row], w[col], w[tgt], -val)):
         return False
     # the step cells from the closure's record: positive root a is root k
     # plus alpha_i, i the first letter of a's descent (k = -1 on the simple
@@ -587,10 +578,12 @@ def _jacobi_certified(c: ChevalleyConstants) -> bool:
     simple[i[k < 0]] = np.flatnonzero(k < 0)
     built = np.flatnonzero(k >= 0)
     cell_row, cell_col, target = r + k[built], r + simple[i[built]], r + built
-    cells, wanted = row * dim + col, cell_row * dim + cell_col
+    # the summed terms are nonzero, so a step cell holds one when its run is one long
+    cells, targets = np.divmod(keys, dim)
+    wanted = cell_row * dim + cell_col
     at = np.searchsorted(cells, wanted)
     one = np.searchsorted(cells, wanted, "right") - at == 1
-    return bool(one.all() and ((tgt[at] == target) & (val[at] != 0)).all())
+    return bool(one.all() and (targets[at] == target).all())
 
 
 def verify_chevalley(c: ChevalleyConstants) -> VerificationReport:

@@ -52,7 +52,9 @@ class LatticeVector:
     """Immutable integer coordinate vector tagged with the basis it is written in.
 
     Coordinates are read through operator.index, so numpy integers convert
-    exactly and a float, Fraction or str raises NonIntegerCoordinate.
+    exactly and a float, Fraction or str raises NonIntegerCoordinate; a basis
+    that is not a Basis member, such as its value "weight", raises
+    BasisMismatch.
     """
 
     __slots__ = ("coords", "basis")
@@ -62,6 +64,8 @@ class LatticeVector:
             _set(self, "coords", tuple(map(index, coords)))
         except TypeError:
             raise NonIntegerCoordinate(f"coordinates {coords!r} are not integers") from None
+        if not isinstance(basis, Basis):
+            raise BasisMismatch(f"basis {basis!r} is not a Basis")
         _set(self, "basis", basis)
 
     def __setattr__(self, name, value=None):
@@ -365,20 +369,6 @@ class RootSystem:
         k = self._lookup(v)
         if k < 0:
             raise NotARootClass(f"{v} is not a root of {self.name}")
-        return k
-
-    def root_place(self, key) -> int:
-        """The place in all_roots of the root that a hashable key names: a
-        tuple of its simple-root coordinates or a LatticeVector.  A tuple of
-        ints is read from the system's one coordinates-to-place dict, its
-        entries left untyped when it is the coordinates of a root of
-        all_roots itself; any other key, or a miss, meets root_order_index
-        (NotARootClass, or NonIntegerCoordinate and BasisMismatch from the
-        vector it makes), so (1.0, 0), equal to (1, 0), is refused."""
-        k = self._root_index.get(key) if type(key) is tuple else None
-        if k is None or (self.all_roots[k].coords is not key
-                         and not set(map(type, key)) <= {int}):
-            k = self.root_order_index(root_vector(*key) if isinstance(key, tuple) else key)
         return k
 
     def height(self, v: LatticeVector) -> int:

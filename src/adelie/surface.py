@@ -19,6 +19,7 @@ descent word; the lattice side reads only the rows of the intersection form.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from math import isqrt
 from operator import index, mul, sub
 from typing import NamedTuple
@@ -101,10 +102,15 @@ def resolution_lattice(rs: RootSystem) -> ResolutionLattice:
 def _checked_lattice(lattice) -> ResolutionLattice:
     # the one check of a lattice argument, made by every function that reads
     # one: a ResolutionLattice over a RootSystem (NotARootSystem otherwise)
-    if isinstance(lattice, ResolutionLattice):
-        checked_system(lattice.system)
-        return lattice
-    raise NotALattice(f"{lattice!r} is not a ResolutionLattice")
+    # whose form is n rows of n integers read through operator.index, n the
+    # rank; whether it is symmetric and definite is for the functions to find
+    if not isinstance(lattice, ResolutionLattice):
+        raise NotALattice(f"{lattice!r} is not a ResolutionLattice")
+    n = lattice.rank
+    with suppress(TypeError):
+        if [len(list(map(index, row))) for row in lattice.intersection] == [n] * n:
+            return lattice
+    raise NotALattice(f"{lattice.system.name}: the form is not a {n} x {n} matrix of integers")
 
 
 def root_to_divisor(lattice: ResolutionLattice, alpha: LatticeVector) -> DivisorClass:

@@ -730,8 +730,9 @@ def test_every_flip_fails_the_jacobi_sweep(name):
 
 
 def test_e8_sweep_memory_is_bounded():
-    # the sweep's peak is about 1.06 MB (numpy 2.4); the products of the
-    # whole sweep at once would take about 20 MB
+    # the gate's peak is about 1.23 MB (numpy 2.4), the certificate's sums of
+    # the table's terms; the products of the whole sweep at once would take
+    # about 20 MB
     c = build_constants(build("E8"))
     c.bracket_table
     tracemalloc.start()
@@ -791,6 +792,29 @@ def _rescaled(c, u):
     s = np.ones(c.system.rank + len(c.system.all_roots), dtype=np.int64)
     s[c.system.rank + u] = -1
     return _with_terms(c, row, col, tgt, s[row] * s[col] * s[tgt] * val)
+
+
+def test_the_certificate_reads_the_bracket_as_the_sum_of_its_terms(monkeypatch):
+    # the one term v x_a of the first step cell (x_b, e_i) of A3 split into
+    # 2v x_a and -v x_a: the bracket is the same, and the certificate, which
+    # once compared the terms one by one, holds on it and spares the sweep
+    c = build_constants(build("A3"))
+    rs = c.system
+    r = rs.rank
+    k, i = rs.positive_steps[r]  # all_roots lists the simple roots first
+    p, q = r + k, r + rs.root_order_index(rs.simple_roots[i])
+    row, col, tgt, val = c.bracket_table
+    (n,) = np.flatnonzero((row == p) & (col == q))
+    assert row[n] >= r and col[n] >= r and tgt[n] >= r
+    doubled = val.astype(np.int64)
+    doubled[n] *= 2
+    split = _with_terms(c, np.r_[row, p], np.r_[col, q], np.r_[tgt, tgt[n]],
+                        np.r_[doubled, -val[n]])
+    assert len(split.bracket_table[0]) == len(row) + 1
+    assert chevalley._jacobi_certified(split)
+    assert _sweep_ends(split, monkeypatch) == (None, [2 * r])
+    rep, unsplit = verify_chevalley(split), verify_chevalley(c)
+    assert rep.ok and (rep.violations, rep.checked) == (unsplit.violations, unsplit.checked)
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])

@@ -326,6 +326,43 @@ def test_a_lattice_over_no_root_system_is_refused_at_the_system_door():
         surface.root_to_divisor(ResolutionLattice(None, ()), ROOT)
 
 
+# hand-built forms on A2 that are no 2 x 2 matrix of integers: one row once
+# raised a bare IndexError in minus_two_classes and float entries a bare
+# TypeError there, str entries one in the oracle and root_to_divisor, None
+# one at every door, and the 3 x 3 form listed 2-coordinate classes
+NOT_FORMS = {
+    "one row": ((-2, 1),),
+    "float": ((-2.0, 1.0), (1.0, -2.0)),
+    "str": (("-2", "1"), ("1", "-2")),
+    "None": None,
+    "3 x 3": ((-2, 1, 0), (1, -2, 1), (0, 1, -2)),
+}
+
+# each function whose one door is the lattice check, with a lattice
+LATTICE_DOORS = {
+    "minus_two_classes": surface.minus_two_classes,
+    "surface_h2_oracle": surface.surface_h2_oracle,
+    "root_to_divisor": lambda lattice: surface.root_to_divisor(lattice, ROOT),
+    "divisor_to_root": lambda lattice: surface.divisor_to_root(lattice, CURVE),
+}
+
+
+@pytest.mark.parametrize("door", LATTICE_DOORS)
+@pytest.mark.parametrize("form", NOT_FORMS)
+def test_a_form_that_is_no_integer_matrix_of_the_rank_is_refused_at_the_lattice_door(form, door):
+    lattice = ResolutionLattice(RS, NOT_FORMS[form])
+    with pytest.raises(NotALattice, match="^A2: the form is not a 2 x 2 matrix of integers$"):
+        LATTICE_DOORS[door](lattice)
+
+
+def test_the_lattice_door_reads_numpy_integer_entries():
+    form = tuple(tuple(map(np.int64, row)) for row in LATTICE.intersection)
+    lattice = ResolutionLattice(RS, form)
+    for door in LATTICE_DOORS.values():
+        door(lattice)
+    assert surface.minus_two_classes(lattice) == surface.minus_two_classes(LATTICE)
+
+
 NO_SYSTEM = ResolutionLattice(None, ())
 
 

@@ -342,6 +342,15 @@ def test_vector_arithmetic_guards():
         rs.pairing(root_vector(1), root_vector(1))
 
 
+@pytest.mark.parametrize("basis", ["weight", "root", None, 1], ids=repr)
+def test_a_basis_that_is_not_a_basis_member_is_refused(basis):
+    # LatticeVector((1, 0), "weight") was read as a root-basis vector: bwb on
+    # A2 answered AllVanish for it, where omega_1 is concentrated in degree
+    # 0, and its repr raised a bare AttributeError
+    with pytest.raises(BasisMismatch, match=f"^basis {re.escape(repr(basis))} is not a Basis$"):
+        LatticeVector((1, 0), basis)
+
+
 def test_simple_reflection():
     rs = build("A2")
     w = weight_vector(-1, 2)

@@ -233,6 +233,40 @@ def test_int_adjugate_runs_once_per_form():
     assert sites == ADJUGATE_SITES
 
 
+def _sums_runs(node):
+    """Whether node calls add.reduceat: np.add's, or that of an add imported alone."""
+    if _callee(node) != "reduceat" or not isinstance(node.func, ast.Attribute):
+        return False
+    ufunc = node.func.value
+    return getattr(ufunc, "attr", getattr(ufunc, "id", None)) == "add"
+
+
+# equal keys are summed by one helper, chevalley.sum_by_key, which the Jacobi
+# gate, the obstruction expansion and the Bianchi closure call: a second
+# add.reduceat would be a second route to the same sums
+SUM_SITES = [("chevalley.py", "sum_by_key")]
+
+
+def test_runs_are_summed_only_in_sum_by_key():
+    sites = [site for path in SOURCES for site in _sites(path, _sums_runs)]
+    assert sites == SUM_SITES
+
+
+def test_the_sum_rule_finds_each_add_reduceat():
+    source = """
+np.add.reduceat(v, s)
+def f():
+    return np.add.reduceat(v, s)
+class K:
+    def g(self):
+        add.reduceat(v, s)
+        np.multiply.reduceat(v, s)
+        np.add.reduce(v)
+        np.add.at(v, s, 1)
+"""
+    assert list(_owners(ast.parse(source), _sums_runs)) == [None, "f", "K.g"]
+
+
 def _unbounded_caches(tree):
     """Lines that cache without an integer bound: functools.cache, and any
     lru_cache not called with an int literal maxsize (bare, or maxsize=None)."""
