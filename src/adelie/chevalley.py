@@ -304,18 +304,24 @@ def _root_sums(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_roots = len(roots)
     dim = rs.rank + n_roots
     if dim ** 3 >= 2 ** 31:
-        raise BudgetExceeded(f"{rs.name}: dimension {dim} is past the packed Jacobi keys")
+        raise BudgetExceeded(f"{rs.name}: dimension {dim} is past the int32 keys "
+                             "of _jacobi_certified and build_system")
     coords = np.array([r.coords for r in roots], dtype=np.int64)
     weights = coords @ np.array(rs.cartan, dtype=np.int64)
 
     # every root has square 2, so a + b is a root exactly when (a, b) = -1:
     # only those pairs are looked up.  Pack each root into one int, sum_i c_i
-    # * base**i, with a base wide enough for pair sums, and look their sums
-    # up among the root keys, sorted once
+    # * base**i with a base wide enough for pair sums, and look their sums up
+    # among the root keys, sorted once.  From A29 and D21 on the keys wrap mod
+    # 2**64 but stay additive, so a pair's sum is still the key of the root
+    # a + b: the lookup is exact while no two roots share a key
     base = 4 * int(np.abs(coords).max()) + 1
     keys = coords @ base ** np.arange(rs.rank, dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
+    if (shared := np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])).size:
+        i, j = order[shared[0]], order[shared[0] + 1]
+        raise ConstructionFailure(f"{rs.name}: roots {roots[i]} and {roots[j]} share one key")
     p, q = np.divmod(np.flatnonzero(weights @ coords.T == -1).astype(np.int32), n_roots)
     sums = keys[p] + keys[q]
     at = np.minimum(np.searchsorted(sorted_keys, sums), n_roots - 1)

@@ -7,12 +7,13 @@ lam + c.C for the least c >= 0 that makes it dominant, because the Cartan
 matrix C is a Z-matrix; firing reaches it: add alpha_i while coordinate i is
 negative (least action, as in sandpiles).  The chain height cht(lam) is the
 number of strict steps in the longest dominance chain of dominant weights
-between lam_star and lam_plus.  In a simply-laced system a cover between
-dominant weights is a positive root (Stembridge), so cht is the longest path
-of a walk that starts at lam_star and adds positive roots while it stays
-dominant and below lam_plus.  cht bounds from above the degrees in which the
-cotangent-twisted cohomology of the lam-line bundle can survive, so cht <= 1
-certifies vanishing in degree two and beyond.
+between lam_star and lam_plus.  In a simply-laced system a dominant weight
+covers another by the highest root theta_J of the difference's connected
+support J (Stembridge, The partial order of dominant weights, 1998); a step by
+any other root skips a dominant weight.  So cht is the longest path of a walk
+from lam_star by the theta_J that stays dominant and below lam_plus.  It
+bounds from above the degrees in which the cotangent-twisted cohomology of the
+lam-line bundle can survive: cht <= 1 certifies vanishing from degree two on.
 
 Negative roots admit a descent structure used by the inductive vanishing
 arguments: any negative root of height two or more pairs to -1 with some
@@ -66,9 +67,12 @@ def lambda_plus(rs: RootSystem, lam: LatticeVector) -> LatticeVector:
 
 @lru_cache(maxsize=64)
 def _packed_steps(rs: RootSystem, width: int):
-    """guard, ones, weight_guard, each positive root's (packed step, height)
-    and need, for fields of width bits, as ints and tuples, which no caller
-    can change; _usable_steps picks the steps a pattern tries from them.
+    """guard, ones, weight_guard, each cover step's (packed step, height) and
+    need, for fields of width bits, as ints and tuples, which no caller can
+    change.  The steps are the theta_J by which a dominant weight covers
+    another (Stembridge 1998): for each connected support J, the last root of
+    J in positive_roots' height order.  Any other step skips a dominant weight,
+    so it gives no point's best length and no witness's parent.
 
     A point packs its weight coordinates w_i into fields 0..rank-1 and its
     slack d_i - c_i into field 2 rank - 1 - i, each offset by half, so adding
@@ -80,22 +84,15 @@ def _packed_steps(rs: RootSystem, width: int):
     half = 1 << (width - 1)
     ones = sum(1 << (width * f) for f in range(rs.rank))
     weight_guard = half * ones
-    steps, needs = [], []
+    steps, needs = {}, {}
     for a in rs.positive_roots:
         w = rs.to_weight_basis(a).coords
         fields = w + tuple(-v for v in reversed(a.coords))
-        steps.append((sum(v << (width * f) for f, v in enumerate(fields)), sum(a.coords)))
-        needs.append(sum(half << (width * f) for f, v in enumerate(w) if v < 0))
+        support = tuple(map(bool, a.coords))  # a later root of it replaces this one
+        steps[support] = (sum(v << (width * f) for f, v in enumerate(fields)), sum(a.coords))
+        needs[support] = sum(half << (width * f) for f, v in enumerate(w) if v < 0)
     guard = weight_guard + (weight_guard << (width * rs.rank))
-    return guard, ones, weight_guard, tuple(steps), tuple(needs)
-
-
-@lru_cache(maxsize=1024)
-def _usable_steps(rs: RootSystem, width: int, pattern: int) -> tuple:
-    """The (packed step, height) pairs of _packed_steps(rs, width) whose need
-    lies in pattern, the top bits of a point's weight fields with w_i >= 1."""
-    _, _, _, steps, needs = _packed_steps(rs, width)
-    return tuple(step for step, need in zip(steps, needs) if need & pattern == need)
+    return guard, ones, weight_guard, tuple(steps.values()), tuple(needs.values())
 
 
 def _least_action(rs: RootSystem, lam: LatticeVector):
@@ -152,7 +149,7 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     lam = checked_system(rs).to_weight_basis(lam)
     plus, d, c_star, w_star = _least_action(rs, lam)
 
-    # Walk up from lambda* by positive roots, keeping the dominant points
+    # Walk up from lambda* by cover steps, keeping the dominant points
     # with c <= d.  A point is one int of 2 rank fields, each offset by half
     # so a field is non-negative exactly when its top bit is set; field
     # values stay within (-half, half), so adding a step never carries.  The
@@ -162,8 +159,9 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     depth = max(sum(d), 2 * sum(rs.highest_root().coords))
     width = (max(plus.coords) + depth + 8).bit_length() + 1
     half = 1 << (width - 1)
-    guard, ones, weight_guard, steps, _ = _packed_steps(rs, width)
+    guard, ones, weight_guard, steps, needs = _packed_steps(rs, width)
     slack = [dv - cv for dv, cv in zip(d, c_star)]
+    shift = sum(slack)
     fields = w_star + slack[::-1]
     start = guard + sum(v << (width * f) for f, v in enumerate(fields))
 
@@ -175,21 +173,16 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
     # point is visited.  A point tries only the steps whose need lies in its
     # pattern, the top bits of its weight fields with w_i >= 1 (no field of
     # key - ones borrows, as each is at least half), and the guard checks
-    # every sum.  usable keeps this walk's patterns in front of the bounded
-    # _usable_steps, which the calls of this width share.
+    # every sum.  The top layer, at the shift, is lambda+, which no step leaves.
     best = {start: 0}
     layers = {0: [start]}
     usable = {}
-    while layers:
-        h = min(layers)
-        layer = layers.pop(h)
-        layer.sort(reverse=True)
-        for key in layer:
+    while (h := min(layers)) < shift:
+        for key in sorted(layers.pop(h), reverse=True):
             up = best[key] + 1
             pattern = (key - ones) & weight_guard
-            tried = usable.get(pattern)
-            if tried is None:
-                tried = usable[pattern] = _usable_steps(rs, width, pattern)
+            if (tried := usable.get(pattern)) is None:
+                tried = usable[pattern] = [s for s, n in zip(steps, needs) if n & pattern == n]
             for step, dh in tried:
                 nxt = key + step
                 if nxt & guard != guard:
@@ -200,7 +193,7 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
                         raise BudgetExceeded(
                             f"{rs.name} {lam}: interval walk kept {len(best)} "
                             f"dominant weights (cap {_POINT_BUDGET}) and reached "
-                            f"height {h} of {int_text(sum(slack))} above lambda*"
+                            f"height {h} of {int_text(shift)} above lambda*"
                         )
                     layers.setdefault(h + dh, []).append(nxt)
                 elif old >= up:
@@ -232,7 +225,7 @@ def cht(rs: RootSystem, lam: LatticeVector) -> ChtReport:
         value=value,
         lambda_star=star,
         lambda_plus=plus,
-        shift=sum(slack),
+        shift=shift,
         chain=(star, *map(to_weight, reversed(middle)), plus)[: value + 1],
         interval_points=len(best),
     )

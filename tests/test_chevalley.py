@@ -89,8 +89,9 @@ def test_rescale_invariant_products(name):
 
 def test_build_constants_refuses_a_system_past_the_packed_jacobi_keys():
     # RootSystem admits A35, past build's cap; its dimension 35 * 37 = 1295 is
-    # past the dim < 1291 of the packed Jacobi keys, so the gate refuses it
-    with pytest.raises(BudgetExceeded, match="dimension 1295 "):
+    # past the dim < 1291 of the int32 keys of the table's readers, so the
+    # guard refuses it
+    with pytest.raises(BudgetExceeded, match="^A35: dimension 1295 is past the int32 keys "):
         build_constants(RootSystem("A", 35))
     assert chevalley._build_constants.cache_info().maxsize == 33
 
@@ -100,7 +101,8 @@ def test_build_constants_refuses_a_system_past_the_keys_before_its_tables(kind, 
     # the refusal came from the gate, after the n_roots ** 2 sum and sign
     # tables were built: D64 took 6.7 s and peaked at 610 MB, A64 1.35 s
     rs = RootSystem(kind, 64)
-    message = f"^{kind}64: dimension {dim} is past the packed Jacobi keys$"
+    message = (f"^{kind}64: dimension {dim} is past the int32 keys of "
+               "_jacobi_certified and build_system$")
     start = time.perf_counter()
     tracemalloc.start()
     try:
@@ -119,7 +121,8 @@ def test_a_table_built_by_hand_meets_the_key_guard_through_its_sums():
     rs = RootSystem("A", 35)
     n_roots = len(rs.all_roots)
     c = ChevalleyConstants(rs, np.zeros((n_roots, n_roots), dtype=np.int8))
-    with pytest.raises(BudgetExceeded, match="^A35: dimension 1295 is past the packed Jacobi keys$"):
+    message = "^A35: dimension 1295 is past the int32 keys of _jacobi_certified and build_system$"
+    with pytest.raises(BudgetExceeded, match=message):
         c.report
 
 
@@ -932,6 +935,34 @@ def test_a_pair_at_minus_one_whose_sum_is_no_root_is_refused():
                r"but their sum is not a root$")
     with pytest.raises(ConstructionFailure, match=message):
         chevalley._root_sums.__wrapped__(stand_in)
+
+
+def test_two_roots_that_share_a_key_are_refused():
+    # a stand-in for A3 that lists alpha_3 twice: the keys are sorted, so a
+    # sum that is alpha_3 would be looked up as either copy
+    rs = build("A3")
+    positive = rs.positive_roots
+    stand_in = SimpleNamespace(name="A3", rank=3, cartan=rs.cartan,
+                               all_roots=(*positive, positive[0], *(-a for a in positive)))
+    message = r"^A3: roots \{0,0,1\|root\} and \{0,0,1\|root\} share one key$"
+    with pytest.raises(ConstructionFailure, match=message):
+        chevalley._root_sums.__wrapped__(stand_in)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 29), ("D", 21)])
+def test_the_sum_index_past_wrapping_keys_is_the_coordinate_lookup(kind, rank):
+    # from A29 and D21 on, the packed keys pass 2**63 and wrap; the sum index
+    # still reads a + b by its coordinates at every pair that pairs to -1
+    rs = RootSystem(kind, rank)
+    coords = np.array([r.coords for r in rs.all_roots], dtype=np.int64)
+    n_roots = len(coords)
+    assert int(4 * np.abs(coords).max() + 1) ** (rank - 1) >= 2 ** 63
+    place = {tuple(c): i for i, c in enumerate(coords.tolist())}
+    pairs = coords @ np.array(rs.cartan, dtype=np.int64) @ coords.T
+    expected = np.full((n_roots, n_roots), n_roots, dtype=np.int32)
+    for i, j in zip(*np.nonzero(pairs == -1)):
+        expected[i, j] = place[tuple((coords[i] + coords[j]).tolist())]
+    assert np.array_equal(chevalley._root_sums(rs)[0], expected)
 
 
 # SHA-256 of sign_table's and sum_index's bytes (int8 and int32, C order) and

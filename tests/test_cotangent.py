@@ -1,6 +1,5 @@
 """Dominance order, lambda_star / cht invariants, descent chains, graded Euler."""
 
-import functools
 import inspect
 import os
 import random
@@ -231,30 +230,46 @@ def test_cht_is_the_reference_walk_on_every_root(name):
         assert cht(rs, a) == reference_cht(rs, a), a
 
 
-def test_the_usable_step_cache_stays_within_its_bound():
-    # D16 has 2**16 patterns: up to the point cap, whose message it keeps,
-    # the walk of (-1)^16 meets more than the bound of the cache of usable
-    # steps, which keeps the 1,024 used last
-    cotangent._usable_steps.cache_clear()
-    rs = build("D16")
-    lam = weight_vector(*[-1] * 16)
-    message = "and reached height 361 of 1240 above lambda*"
-    for _ in range(2):
-        with pytest.raises(BudgetExceeded, match=message):
-            cht(rs, lam)
-    info = cotangent._usable_steps.cache_info()
-    assert info.currsize == info.maxsize == 1024 and info.misses > 1024
+@pytest.mark.parametrize("name,cap", [("E7", 3), ("D8", 3), ("E8", 2), ("D16", None)])
+def test_cht_is_the_reference_walk_over_cover_steps(name, cap):
+    # the reference tries every positive root at every point, the walk only
+    # the highest root of each connected support: same report, chain and all
+    rs = build(name)
+    if cap is None:
+        weights = [-a for a in rs.positive_roots]
+    else:
+        weights = [weight_vector(*c) for c in cotangent._capped_ball(rs.rank, 1, cap)]
+    for lam in weights:
+        assert cht(rs, lam) == reference_cht(rs, lam), lam
 
 
-def test_cht_over_a_one_entry_usable_step_cache_is_the_reference_walk(monkeypatch):
-    # each walk keeps its own patterns, so the shared cache may lose them all
-    single = functools.lru_cache(maxsize=1)(cotangent._usable_steps.__wrapped__)
-    monkeypatch.setattr(cotangent, "_usable_steps", single)
-    for name, radius in (("A3", 2), ("D4", 1)):
-        rs = build(name)
-        for lam in _ball(rs.rank, radius):
-            assert cht(rs, lam) == reference_cht(rs, lam), lam
-    assert single.cache_info().currsize == 1 and single.cache_info().misses > 1
+def _connected_supports(rs):
+    # the connected subsets of the Dynkin diagram, grown node by node
+    found = {frozenset([i]) for i in range(rs.rank)}
+    grow = list(found)
+    while grow:
+        part = grow.pop()
+        for j in {j for i in part for j in rs.neighbours[i]} - part:
+            if part | {j} not in found:
+                found.add(part | {j})
+                grow.append(part | {j})
+    return found
+
+
+@pytest.mark.parametrize("name", [*ALL_TYPES, "D8", "D16"])
+def test_the_walk_steps_by_one_root_per_connected_support(name):
+    # one step for each connected subset J, of the height of theta_J, the
+    # highest root with support J
+    rs = build(name)
+    supports = _connected_supports(rs)
+    top = Counter()
+    for a in rs.positive_roots:
+        support = frozenset(i for i, v in enumerate(a.coords) if v)
+        top[support] = max(top[support], sum(a.coords))
+    assert set(top) == supports
+    steps = cotangent._packed_steps(rs, 16)[3]
+    assert len(steps) == len(supports)
+    assert sorted(dh for _, dh in steps) == sorted(top.values())
 
 
 def test_every_root_walk_of_a_system_shares_one_packed_table():

@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from adelie import batch, chevalley, cotangent, flag, obstruction, surface, verify
+from adelie import batch, chevalley, cotangent, flag, obstruction, roots, surface, verify
 from adelie.chevalley import LieElement, build_constants
 from adelie.errors import (
     AdelieError,
@@ -142,8 +142,6 @@ def _takes_a_vector(obj) -> bool:
 
 
 def test_the_table_names_every_public_callable_that_takes_a_vector():
-    import adelie.roots as roots
-
     found = {
         name for module in (roots, flag, cotangent, batch, surface, chevalley)
         for name, obj in _public_callables(module).items() if _takes_a_vector(obj)
@@ -549,3 +547,61 @@ def test_a_system_past_the_budget_is_refused_before_any_work(kind):
         RootSystem(kind, 300)
     assert time.perf_counter() - start < 1
     assert MAX_SYSTEM_RANK == 64
+
+
+OTHER = build("A3")
+THETA = RS.highest_root()
+
+# the bad values of the door sweep, each put in one argument at a time
+SWEEP_BAD = {
+    "None": None, "str": "x", "float": 1.5, "object": object(), "tuple": (1, 0),
+    "list": [1, 0], "-1": -1, "other rank": weight_vector(1, 0, 0), "other system": OTHER,
+    "other table": build_constants(OTHER), "other lattice": surface.resolution_lattice(OTHER),
+}
+
+# an argument that each call answers, by parameter name; a name that means
+# another type in one callable is given there, under "callable[parameter]"
+SWEEP_VALID = {
+    "rs": RS, "spec": "A2", "kind": "A", "rank": 2, "coords": 1, "i": 1, "lo": 0, "hi": 2,
+    "what": "index", "v": THETA, "w": THETA, "mu": THETA, "nu": THETA, "lam": THETA,
+    "alpha": THETA, "beta": THETA, "radius": 1, "max_support": 1, "degree": 1,
+    "max_terms": 100, "lattice": LATTICE, "d": CURVE, "c": CONSTANTS,
+    "constants": CONSTANTS, "x": H, "y": H, "system": OBSTRUCTIONS, "half": "positive",
+    "oracle": half_h2_oracle(RS, "positive"), "suite": "bwb",
+    "form": FormalForm({PSI: 1}),
+    "cotangent.negative_root_descent[lam]": -ROOT,
+}
+
+# the kernels that sum numpy arrays of the package's own tables by runs
+ARRAY_KERNELS = {"chevalley.runs", "chevalley.sum_by_key"}
+
+# every public function of the package's modules but those kernels,
+# RootSystem and each of its methods, bound to RS
+SWEEP = {
+    **{name: obj for module in (roots, flag, cotangent, batch, surface, chevalley,
+                                obstruction, verify)
+       for name, obj in _public_callables(module).items()
+       if name.count(".") == 1 and name not in ARRAY_KERNELS},
+    "roots.RootSystem": RootSystem,
+    **{f"roots.RootSystem.{attr}": getattr(RS, attr) for attr in vars(RootSystem)
+       if not attr.startswith("_") and inspect.isfunction(getattr(RootSystem, attr))},
+}
+
+
+@pytest.mark.parametrize("name", SWEEP, ids=str)
+def test_every_door_answers_or_refuses_each_bad_value_with_an_adelie_error(name):
+    # one argument at a time replaced by each bad value: the call returns or
+    # raises an AdelieError, and never leaks a bare Python error
+    params = list(inspect.signature(SWEEP[name]).parameters)
+    args = [SWEEP_VALID.get(f"{name}[{p}]", SWEEP_VALID[p]) for p in params]
+    SWEEP[name](*args)
+    escaped = []
+    for at, param in enumerate(params):
+        for bad, value in SWEEP_BAD.items():
+            try:
+                SWEEP[name](*args[:at], value, *args[at + 1:])
+            except AdelieError:
+                pass
+            except Exception as exc:
+                escaped.append(f"{param}={bad}: {type(exc).__name__}: {exc}")
+    assert not escaped, escaped
