@@ -442,7 +442,7 @@ def adjoint_matrix(x: LieElement, c: ChevalleyConstants) -> np.ndarray:
     return m
 
 
-def runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expand_runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, index): index runs through starts[i]..ends[i] - 1 for each i in
     turn, and owner holds that i."""
     lens = ends - starts
@@ -450,7 +450,7 @@ def runs(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) + (starts - np.cumsum(lens) + lens)[owner]
 
 
-def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the values of equal keys; sorted keys, zero sums dropped.  Integer
     sums do not depend on the order of equal keys, so the sort need not be
     stable."""
@@ -493,7 +493,7 @@ def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, 
     at a time: each inner term [b_p, b_q] = v b_t meets its outer terms
     [b_u, b_t] as one run of the terms sorted by (column, row) or, for row
     lo's cells against the cells (p, q) with lo < p < q, by (target, p).
-    The products of each lo are summed by key through sum_by_key."""
+    The products of each lo are summed by key through _sum_by_key."""
     row, col, tgt, val = c.bracket_table
     col_key = col * dim + row
     by_col = np.argsort(col_key, kind="stable")
@@ -506,7 +506,7 @@ def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, 
 
     def run(cells, order, keys, first, last):
         # each of cells against its run of the terms of order keyed in [first, last)
-        n, k = runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
+        n, k = _expand_runs(np.searchsorted(keys, first), np.searchsorted(keys, last))
         return cells[n], order[k]
 
     for lo in range(end):
@@ -528,7 +528,7 @@ def _jacobi_sweep(c: ChevalleyConstants, dim: int, end: int) -> tuple[int, int, 
         parts.append((row[b], row[a], b, a))
         # (lo, mid, hi, target) keyed in base dim in int64, below dim ** 4,
         # and summed: the least key left is the first failing triple
-        keys, _ = sum_by_key(
+        keys, _ = _sum_by_key(
             np.concatenate([(np.add(lo * dim, j, dtype=np.int64) * dim + k) * dim + tgt[o]
                             for j, k, o, _ in parts]),
             np.concatenate([np.multiply(val[o], val[i], dtype=np.int64) for _, _, o, i in parts]),
@@ -553,7 +553,7 @@ def _jacobi_certified(c: ChevalleyConstants) -> bool:
     (x_b, e_i), i the first letter of a's descent and b = a - a_i, with one
     term, nonzero and on x_a, then every x_a lies in D by induction on
     height, and every x_{-a} by w: D is the whole algebra.  The checks read
-    the bracket as its terms summed by cell and target through sum_by_key:
+    the bracket as its terms summed by cell and target through _sum_by_key:
     transposed and negated, it is itself; mapped by w and negated, it is
     itself; and the step cells hold one such term.
     """
@@ -568,7 +568,7 @@ def _jacobi_certified(c: ChevalleyConstants) -> bool:
 
     def summed(row, col, tgt, val):
         # the bracket as the sum of its terms, keyed (row * dim + col) * dim + target
-        return sum_by_key((row * dim + col) * dim + tgt, val)
+        return _sum_by_key((row * dim + col) * dim + tgt, val)
 
     def is_bracket(*terms):
         return all(map(np.array_equal, summed(*terms), (keys, sums)))

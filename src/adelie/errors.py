@@ -43,9 +43,10 @@ class NotChevalleyConstants(AdelieError, TypeError):
 class NotAnObstructionSystem(AdelieError, TypeError):
     """Obstruction-system argument that is not an ObstructionSystem (its
     ChevalleyConstants or None), forms that are not a mapping of FormalForms
-    keyed by integer tuples, a FormalForm whose keys are not (phis, psis)
-    pairs of integer tuples or whose coefficients are not ints, or a form
-    argument that is not a FormalForm."""
+    keyed by integer tuples, a form of such a mapping that is not psi_c plus
+    terms phi_x phi_y of its classes, x before y, a FormalForm whose keys are
+    not (phis, psis) pairs of integer tuples or whose coefficients are not
+    ints, or a form argument that is not a FormalForm."""
 
 
 class NotALieElement(AdelieError, TypeError):
@@ -110,8 +111,9 @@ class CancellationFailure(AdelieError):
 
 
 class IncompleteOracle(AdelieError):
-    """An H^2 oracle handed to certify_solvability is not callable, or answered
-    with something other than an H2VanishVerdict (None and a bool included)."""
+    """An H^2 oracle handed to certify_solvability is not callable, answered
+    with something other than an H2VanishVerdict (None and a bool included),
+    or answered with a verdict about another class."""
 
 
 class NotARootClass(AdelieError):

@@ -34,6 +34,9 @@ products each (a class with more is a run of its own), and
 certify_solvability matches them against an H^2 vanishing oracle: classes
 of height two and above must vanish, classes of height one are recorded as
 nontriviality requirements on the target.
+A system holds its classes in _root_key order; a hand-built form that is
+not psi_c plus terms phi_x phi_y of its classes, x before y, is refused
+where the system is made (NotAnObstructionSystem).
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from types import MappingProxyType
 
 import numpy as np
 
-from .chevalley import ChevalleyConstants, _root_sums, _sealed, checked_constants, runs, sum_by_key
+from .chevalley import (ChevalleyConstants, _expand_runs, _root_sums, _sealed, _sum_by_key,
+                         checked_constants)
 from .errors import (
     CancellationFailure,
     ConstructionFailure,
@@ -67,11 +71,6 @@ BLOCK = 2 ** 13
 def _root_key(c: Coords) -> tuple[int, Coords]:
     # canonical generator order: height of the underlying class, then coords
     return (abs(sum(c)), c)
-
-
-def _places(classes) -> list[int]:
-    # the held index of each class in _root_key order: its place
-    return sorted(range(len(classes)), key=lambda i: _root_key(classes[i]))
 
 
 class FormalForm:
@@ -143,39 +142,36 @@ class Half(Enum):
         raise IllegalType(f"unknown half {value!r}; choose from {tuple(h.value for h in cls)}")
 
 
-def _runs(terms, order, items) -> list[list]:
-    # (coefficient, item) for each term, one run per class in held order
-    classes, cls, _, _, val, _ = terms
+def _runs(terms, items) -> list[list]:
+    # (coefficient, item) for each term, one run per class
+    classes, cls, _, _, val = terms
     ptr = np.searchsorted(cls, np.arange(len(classes) + 1)).tolist()
     pairs = list(zip(val.tolist(), items))
-    return [pairs[ptr[k]:ptr[k + 1]] for k in sorted(range(len(order)), key=order.__getitem__)]
+    return [pairs[i:j] for i, j in zip(ptr, ptr[1:])]
 
 
 class _Forms(Mapping):
-    """A system's forms by class, in held order, as sealed term arrays: terms
-    is (classes, cls, p, q, val, misshapen), a term's class and generators as
-    places in _root_key order, phi_p phi_q (p < q) or psi_q (p = -1), sorted
-    by class, p and q, form_text's order.  A form of another shape is kept in
-    misshapen by held index, and only its terms phi_x phi_y of two classes are
-    held.  The forms are made from the arrays at the first read of one."""
+    """A system's forms by class, in _root_key order, as sealed term arrays:
+    terms is (classes, cls, p, q, val), a term's class and generators as
+    indices of classes, phi_p phi_q (p < q) or psi_q (p = -1), sorted by
+    class, p and q, form_text's order.  The forms are made from the arrays
+    at the first read of one."""
 
-    def __init__(self, classes, cls, p, q, val, misshapen) -> None:
+    def __init__(self, classes, cls, p, q, val) -> None:
         val.flags.writeable = False  # an object array (ints past int64) cannot be sealed
         arrays = (a if a.dtype == object else _sealed(a) for a in (cls, p, q, val))
-        self.terms = (tuple(classes), *arrays, MappingProxyType(misshapen))
+        self.terms = (tuple(classes), *arrays)
 
     @cached_property
     def _forms(self) -> dict[Coords, FormalForm]:
-        classes, _, p, q, _, misshapen = self.terms
-        order = _places(classes)
-        coords = [classes[i] for i in order]
-        monomials = [((coords[a], coords[b]), ()) if a >= 0 else ((), (coords[b],))
+        classes, _, p, q, _ = self.terms
+        monomials = [((classes[a], classes[b]), ()) if a >= 0 else ((), (classes[b],))
                      for a, b in zip(p.tolist(), q.tolist())]
-        return {c: misshapen[i] if i in misshapen else FormalForm({m: v for v, m in run})
-                for i, (c, run) in enumerate(zip(classes, _runs(self.terms, order, monomials)))}
+        return {c: FormalForm({m: v for v, m in run})
+                for c, run in zip(classes, _runs(self.terms, monomials))}
 
     def __reduce__(self):
-        return _Forms, (*self.terms[:5], dict(self.terms[5]))
+        return _Forms, self.terms
 
     def __getitem__(self, c: Coords) -> FormalForm:
         return self._forms[c]
@@ -188,7 +184,7 @@ class _Forms(Mapping):
 
 
 def _encoded(forms) -> _Forms:
-    # the door of hand-built forms: FormalForms keyed by integer tuples
+    # the door of hand-built forms: FormalForms of E_a's shape keyed by integer tuples
     if not isinstance(forms, Mapping):
         raise NotAnObstructionSystem(f"obstructions is a {type(forms).__name__}, not a dict")
     for key, form in forms.items():
@@ -196,34 +192,31 @@ def _encoded(forms) -> _Forms:
             raise NotAnObstructionSystem(f"obstruction key {key!r} is not a tuple of integers")
         if not isinstance(form, FormalForm):
             raise NotAnObstructionSystem(f"obstruction {key!r} is {form!r}, not a FormalForm")
-    classes = tuple(forms)
-    place = {classes[i]: k for k, i in enumerate(_places(classes))}
-    rows, misshapen = [], {}
-    for i, (c, form) in enumerate(forms.items()):
-        # the shape: psi_c with coefficient 1, kept terms phi_x phi_y with x < y
-        pairs = [(*map(place.get, phis), v) for (phis, psis), v in form.terms.items()
+    classes = sorted(forms, key=_root_key)
+    place = {c: k for k, c in enumerate(classes)}
+    rows = []
+    for a, c in enumerate(classes):
+        terms = forms[c].terms
+        pairs = [(*map(place.get, phis), v) for (phis, psis), v in terms.items()
                  if len(phis) == 2 and not psis]
-        kept = [(x, y, v) for x, y, v in pairs if None not in (x, y) and x != y]
-        rows += [(place[c], min(x, y), max(x, y), v if x < y else -v) for x, y, v in kept]
-        if form.terms.get(((), (c,))) == 1 and len(kept) == len(form.terms) - 1 \
-                and all(x < y for x, y, _ in kept):
-            rows.append((place[c], -1, place[c], 1))
-        else:
-            misshapen[i] = form
+        if terms.get(((), (c,))) != 1 or len(pairs) != len(terms) - 1 \
+                or not all(None not in (x, y) and x < y for x, y, _ in pairs):
+            raise NotAnObstructionSystem(f"obstruction {c!r}: {forms[c]!r} is not psi + phi phi")
+        rows += [(a, -1, a, 1), *((a, x, y, v) for x, y, v in pairs)]
     cls, p, q, val = zip(*sorted(rows)) if rows else ((),) * 4
     wide = any(abs(v) >= 2 ** 63 for v in val)
     return _Forms(classes, *(np.array(x, dtype=np.int32) for x in (cls, p, q)),
-                  np.array(val, dtype=object if wide else np.int64), misshapen)
+                  np.array(val, dtype=object if wide else np.int64))
 
 
 @dataclass(frozen=True, eq=False)
 class ObstructionSystem:
     """The obstruction forms E_a for every root of one half, keyed by the
-    root's coordinates, as a read-only mapping held as term arrays (a mapping
-    of FormalForms is checked and encoded where the system is made); the
-    roots are read from its keys.  Two systems are equal only when they are
-    the same instance, which is hashed as an object, and the repr names the
-    table and the half alone."""
+    root's coordinates, as a read-only mapping held as term arrays in
+    _root_key order (a mapping of FormalForms is checked, sorted and encoded
+    where the system is made); the roots are read from its keys.  Two
+    systems are equal only when they are the same instance, which is hashed
+    as an object, and the repr names the table and the half alone."""
 
     constants: ChevalleyConstants
     half: Half
@@ -241,8 +234,7 @@ class ObstructionSystem:
 
     @cached_property
     def roots(self) -> tuple[LatticeVector, ...]:
-        """The classes of the forms, in the order the forms are held:
-        build_system holds them in _root_key order."""
+        """The classes of the forms, in _root_key order."""
         return tuple(LatticeVector(c, Basis.SIMPLE_ROOT) for c in self.obstructions)
 
 
@@ -271,7 +263,7 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     # negatives, of the roots of the half, sorted by _root_key
     n = len(rs.positive_roots)
     start = 0 if half is Half.POSITIVE else n
-    places = [start + i for i in _places([a.coords for a in rs.all_roots[start:start + n]])]
+    places = sorted(range(start, start + n), key=lambda i: _root_key(rs.all_roots[i].coords))
     roots = tuple(map(rs.all_roots.__getitem__, places))
     # E_a is read from the Cartan column k_a, the first k with (a, a_k) != 0:
     # ad(x_a) h_k = -(a, a_k) x_a, so it is that column's part at the target
@@ -314,13 +306,13 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     own = position[t1]
     mine = (own >= 0) & (first[own] == k1)
     read = t1 * (rank + 1) + k1 + 1
-    j, k = runs(np.searchsorted(run_key, read), np.searchsorted(run_key, read, "right"))
+    j, k = _expand_runs(np.searchsorted(run_key, read), np.searchsorted(run_key, read, "right"))
     b = at_a[k]
     keep = b != a[j]
     j, k, b = j[keep], k[keep], b[keep]
     lo, hi = np.minimum(b, a[j]), np.maximum(b, a[j])
     sign = np.where(b < a[j], np.int32(1), np.int32(-1))
-    keys, vals = sum_by_key(
+    keys, vals = _sum_by_key(
         np.concatenate([own[mine] * width + a[mine], position[at_t[k]] * width + n + lo * n + hi]),
         np.concatenate([c1[mine], sign * c1[j] * at_c[k]]),
     )
@@ -347,7 +339,7 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     i, j = np.nonzero(sums < len(rs.all_roots))
     p, q, s = position[rank + start + i], position[rank + start + j], position[rank + sums[i, j]]
     pair = (p < q) & (s >= 0)
-    closed = sum_by_key(
+    closed = _sum_by_key(
         np.r_[np.arange(n) * (width + 1), (s * width + n + p * n + q)[pair]],
         np.r_[np.ones(n, dtype=np.int64), constants.sign_table[block, block][i, j][pair]],
     )
@@ -362,7 +354,7 @@ def build_system(constants: ChevalleyConstants, half: Half | str) -> Obstruction
     # monomial id n + p * n + q is phi_p phi_q, and an id q < n, psi_q, p = -1
     cls, mono = np.divmod(extracted[0], width)
     return ObstructionSystem(constants, half, _Forms(coords, cls, *np.divmod(mono - n, n),
-                                                     extracted[1], {}))
+                                                     extracted[1]))
 
 
 def check_bianchi(system: ObstructionSystem) -> VerificationReport:
@@ -374,9 +366,9 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
     phi monomials.  The held terms n phi_p phi_q go to _failing_classes as
     they are, and each triple comes out sorted the way form_text writes it:
     a class with a nonzero sum is reported with that residual, in the order
-    of system.roots, and a form recorded as misshapen by its shape.
+    of system.roots.
     """
-    classes, cls, p, q, val, misshapen = _checked_obstruction(system).obstructions.terms
+    classes, cls, p, q, val = _checked_obstruction(system).obstructions.terms
     n = len(classes)
     quadratic = p >= 0
     cls, p, q, val = cls[quadratic], p[quadratic], q[quadratic], val[quadratic]
@@ -385,19 +377,12 @@ def check_bianchi(system: ObstructionSystem) -> VerificationReport:
     if 2 * len(val) ** 2 * max(map(abs, val.tolist()), default=0) ** 2 >= 2**63:
         val = val.astype(object)
     keys, sums = _failing_classes(n, cls, p, q, val)
-    order = _places(classes)
-    phi = [f"phi[{_name(classes[i])}]" for i in order]
-    residuals: dict[int, list[tuple[int, str]]] = {}
-    for key, v in zip(keys.tolist(), sums.tolist()):
-        a, key = divmod(key, n ** 3)
-        triple = "".join(phi[key // n ** i % n] for i in (2, 1, 0))
-        residuals.setdefault(order[a], []).append((v, triple))
-
+    phi = [f"phi[{_name(c)}]" for c in classes]
     rep = VerificationReport(name=f"bianchi-{system.system.name}-{system.half.value}", checked=n)
-    for i in sorted(misshapen.keys() | residuals.keys()):
-        text = (f"{form_text(misshapen[i])} is not psi + phi phi" if i in misshapen
-                else f"residual {_text(residuals[i])}")
-        rep.violations.append(f"class {system.roots[i]}: {text}")
+    # the keys are sorted, so the classes come in the order of system.roots
+    for a, run in groupby(zip(keys.tolist(), sums.tolist()), key=lambda kv: kv[0] // n ** 3):
+        residual = _text((v, "".join(phi[key // n ** i % n] for i in (2, 1, 0))) for key, v in run)
+        rep.violations.append(f"class {system.roots[a]}: residual {residual}")
     return rep
 
 
@@ -427,7 +412,7 @@ def _failing_classes(n: int, cls, p, q, val):
         hi_class = int(np.searchsorted(before, before[lo_class] + BLOCK, "right")) - 1
         hi_class = max(hi_class, lo_class + 1)
         sides = slice(2 * ptr[lo_class], 2 * ptr[hi_class])
-        j, k = runs(starts[sides], ends[sides])
+        j, k = _expand_runs(starts[sides], ends[sides])
         j += sides.start
         xj, y, z = x[j], p[k], q[k]
         vals = v[j]
@@ -444,7 +429,7 @@ def _failing_classes(n: int, cls, p, q, val):
             products *= n
         products += hi
         del xj, y, z, lo, hi
-        run_keys, run_sums = sum_by_key(products, vals)
+        run_keys, run_sums = _sum_by_key(products, vals)
         keys.append(run_keys)
         sums.append(run_sums)
         lo_class = hi_class
@@ -471,9 +456,10 @@ class SolvabilityCertificate:
 
 def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertificate:
     """Certify the classes of height two and above against oracle(root), which
-    must answer an H2VanishVerdict; an oracle that is not callable, or any
-    other answer, None or a bool too, raises IncompleteOracle.  Height-one
-    classes become requirements."""
+    must answer an H2VanishVerdict about that root, in either basis; an
+    oracle that is not callable, a verdict about another root, or any other
+    answer, None or a bool too, raises IncompleteOracle.  Height-one classes become
+    requirements."""
     rs = _checked_obstruction(system).system
     if not callable(oracle):
         raise IncompleteOracle(f"{oracle!r} is not an oracle")
@@ -486,6 +472,8 @@ def certify_solvability(system: ObstructionSystem, oracle) -> SolvabilityCertifi
         answer = oracle(alpha)
         if not isinstance(answer, H2VanishVerdict):
             raise IncompleteOracle(f"oracle answered {answer!r} for {alpha}, no H2VanishVerdict")
+        if answer.root != alpha and answer.root != rs.to_weight_basis(alpha):
+            raise IncompleteOracle(f"oracle answered for {answer.root} when asked for {alpha}")
         verdicts.append(answer)
     return SolvabilityCertificate(tuple(verdicts), tuple(requirements))
 
@@ -494,12 +482,10 @@ def system_text(system: ObstructionSystem) -> str:
     """Stable text rendering, one obstruction form per line, each written
     from its run of terms as form_text writes it."""
     terms = _checked_obstruction(system).obstructions.terms
-    classes, _, p, q, _, misshapen = terms
-    order = _places(classes)
-    names = [_name(classes[i]) for i in order]
-    runs = _runs(terms, order, [f"psi[{names[b]}]" if a < 0 else f"phi[{names[a]}]phi[{names[b]}]"
-                                for a, b in zip(p.tolist(), q.tolist())])
+    classes, _, p, q, _ = terms
+    names = list(map(_name, classes))
+    runs = _runs(terms, [f"psi[{names[b]}]" if a < 0 else f"phi[{names[a]}]phi[{names[b]}]"
+                         for a, b in zip(p.tolist(), q.tolist())])
     lines = [f"# obstruction system {system.system.name} {system.half.value}"]
-    for i, (c, run) in enumerate(zip(classes, runs)):
-        lines.append(f"({_name(c)}): {form_text(misshapen[i]) if i in misshapen else _text(run)}")
+    lines += [f"({name}): {_text(run)}" for name, run in zip(names, runs)]
     return "\n".join(lines) + "\n"

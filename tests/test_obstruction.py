@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from adelie import build, obstruction, root_vector
-from adelie.chevalley import build_constants, runs, sum_by_key, verify_chevalley
+from adelie.chevalley import _expand_runs, _sum_by_key, build_constants, verify_chevalley
 from adelie.cli import main
 from adelie.errors import (
     CancellationFailure,
@@ -40,6 +40,7 @@ from adelie.obstruction import (
 )
 from adelie.verify import detect_tampering, half_h2_oracle
 from test_chevalley import _reference_first_failure, _with_terms
+from test_cotangent import BUILT_TYPES
 
 
 def _merge_phis(a, b):
@@ -526,18 +527,70 @@ def test_bianchi_stays_exact_past_int64(monkeypatch):
     ]
 
 
-def test_bianchi_reports_a_form_of_another_shape(monkeypatch):
+def test_bianchi_reports_a_form_of_another_shape():
+    # a lone phi, another class's psi, psi_a twice or not at all, a cubic
+    # term: no such system is made, so check_bianchi never meets one
     system = build_system(build_constants(build("A2")), Half.POSITIVE)
     forms = system.obstructions
-    # a lone phi, another class's psi, psi_a twice or not at all, a cubic term
     cubic = phi(0, 1) * phi(1, 0) * phi(1, 1)
     for extra in (phi(1, 0), psi(0, 1), psi(1, 1), -psi(1, 1), cubic):
         form = extra + forms[(1, 1)]
-        forged = dataclasses.replace(system, obstructions={**forms, (1, 1): form})
-        assert check_bianchi(forged).checked == 3
-        assert _bianchi_violations(forged, monkeypatch) == [
-            f"class {{1,1|root}}: {form_text(form)} is not psi + phi phi"
-        ]
+        with pytest.raises(NotAnObstructionSystem) as exc:
+            dataclasses.replace(system, obstructions={**forms, (1, 1): form})
+        assert str(exc.value) == f"obstruction (1, 1): {form_text(form)} is not psi + phi phi"
+
+
+# E_{1,1} of A2's positive half, psi[1,1] + phi[0,1]phi[1,0], made into each
+# form that is not psi_c plus terms phi_x phi_y of classes x before y
+SHAPE_DEFECTS = {
+    "psi-missing": lambda e: e - psi(1, 1),
+    "psi-twice": lambda e: e + psi(1, 1),
+    "psi-negated": lambda e: e - psi(1, 1).scale(2),
+    "another-class-psi": lambda e: e + psi(0, 1),
+    "lone-phi": lambda e: e + phi(1, 0),
+    "phi-of-no-class": lambda e: e + phi(0, 1) * phi(2, 1),
+    "out-of-order": lambda e: FormalForm({((), ((1, 1),)): 1, (((1, 0), (0, 1)), ()): -1}),
+    "phi-squared": lambda e: FormalForm({((), ((1, 1),)): 1, (((0, 1), (0, 1)), ()): 1}),
+    "psi-phi": lambda e: e + psi(0, 1) * phi(1, 0),
+    "cubic": lambda e: e + phi(0, 1) * phi(1, 0) * phi(1, 1),
+    "constant": lambda e: e + Form({((), ()): 1}),
+}
+
+
+@pytest.mark.parametrize("defect", SHAPE_DEFECTS)
+def test_a_form_of_another_shape_is_refused_at_both_doors(defect):
+    system = build_system(build_constants(build("A2")), Half.POSITIVE)
+    form = SHAPE_DEFECTS[defect](Form(system.obstructions[(1, 1)].terms))
+    forms = {**system.obstructions, (1, 1): form}
+    message = f"obstruction (1, 1): {form_text(form)} is not psi + phi phi"
+    for door in (lambda: ObstructionSystem(system.constants, Half.POSITIVE, forms),
+                 lambda: dataclasses.replace(system, obstructions=forms)):
+        with pytest.raises(NotAnObstructionSystem) as exc:
+            door()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["A4", "D5"])
+@pytest.mark.parametrize("half", Half, ids=lambda h: h.value)
+def test_a_mapping_in_any_key_order_is_held_in_canonical_order(name, half):
+    # one negated coefficient leaves a residual; the same forms given in a
+    # shuffled key order are held, rendered and closed as the canonical ones
+    system = build_system(build_constants(build(name)), half)
+    forms = dict(system.obstructions)
+    top = system.roots[-1].coords
+    mono = next(m for m in forms[top].terms if m[0])
+    forms[top] = Form(forms[top].terms) - Form({mono: 2 * forms[top].terms[mono]})
+    keys = list(forms)
+    random.Random(f"{name}-{half.value}").shuffle(keys)
+    assert keys != list(forms)
+    canonical = ObstructionSystem(system.constants, half, forms)
+    shuffled = ObstructionSystem(system.constants, half, {c: forms[c] for c in keys})
+    assert list(shuffled.obstructions) == list(canonical.obstructions) == list(system.obstructions)
+    assert shuffled.roots == system.roots
+    assert system_text(shuffled) == system_text(canonical)
+    rep = check_bianchi(shuffled)
+    assert (rep.checked, rep.violations) == (len(keys), check_bianchi(canonical).violations)
+    assert rep.violations
 
 
 def test_a_system_is_read_from_its_forms_alone():
@@ -608,17 +661,20 @@ def test_a_system_without_its_forms_renders_and_closes(monkeypatch):
     assert (check_bianchi(empty).ok, check_bianchi(empty).checked) == (True, 0)
     # no class, so no run of classes: the closure's sums are empty
     assert _bianchi_violations(empty, monkeypatch) == []
-    forms = {a: form for a, form in system.obstructions.items() if a != (1, 1, 0)}
+    # without (1,1,1), a class no other form names, the rest render and close
+    forms = {a: form for a, form in system.obstructions.items() if a != (1, 1, 1)}
     forged = dataclasses.replace(system, obstructions=forms)
     assert system_text(forged).splitlines() == [
-        line for line in system_text(system).splitlines() if not line.startswith("(1,1,0)")
+        line for line in system_text(system).splitlines() if not line.startswith("(1,1,1)")
     ]
-    rep = check_bianchi(forged)
-    # E_{1,1,1} holds phi[1,1,0], the generator of no class of the system
-    assert rep.checked == 5
-    assert rep.violations == [
-        f"class {{1,1,1|root}}: {form_text(forms[(1, 1, 1)])} is not psi + phi phi"
-    ]
+    assert (check_bianchi(forged).ok, check_bianchi(forged).checked) == (True, 5)
+    # without (1,1,0), E_{1,1,1} names phi[1,1,0], the generator of no class
+    forms = {a: form for a, form in system.obstructions.items() if a != (1, 1, 0)}
+    with pytest.raises(NotAnObstructionSystem) as exc:
+        dataclasses.replace(system, obstructions=forms)
+    assert str(exc.value) == (
+        f"obstruction (1, 1, 1): {form_text(forms[(1, 1, 1)])} is not psi + phi phi"
+    )
 
 
 def test_an_extra_class_is_rendered_checked_and_reported(monkeypatch):
@@ -662,6 +718,13 @@ def test_certification_flow():
     assert not cert.solvable
     assert cert.verdicts[0].source == "test"
 
+    # a verdict about the class asked for passes in either basis
+    rs = sys.system
+    cert = certify_solvability(
+        sys, lambda a: H2VanishVerdict(root=rs.to_weight_basis(a), vanishes=True, source="test")
+    )
+    assert cert.solvable and [v.root for v in cert.verdicts] == [rs.to_weight_basis(sys.roots[-1])]
+
     # an oracle answers an H2VanishVerdict; None and a bool are refused
     for answer in (None, True, False):
         with pytest.raises(IncompleteOracle, match=f"oracle answered {answer} for"):
@@ -669,6 +732,37 @@ def test_certification_flow():
     # and an oracle that is not callable, which once raised a bare TypeError
     with pytest.raises(IncompleteOracle, match="^None is not an oracle$"):
         certify_solvability(sys, None)
+
+
+def test_a_verdict_about_another_class_is_refused():
+    # an oracle that answers for the class beside the one it is asked about
+    # was once certified, and verify_obstruction reported that class
+    system = build_system(build_constants(build("A3")), Half.POSITIVE)
+    beside = dict(zip(system.roots[1:], system.roots))
+    with pytest.raises(IncompleteOracle) as exc:
+        certify_solvability(
+            system, lambda a: H2VanishVerdict(root=beside[a], vanishes=True, source="test")
+        )
+    assert str(exc.value) == "oracle answered for {1,0,0|root} when asked for {0,1,1|root}"
+    # and so is a verdict whose root is no vector at all
+    with pytest.raises(IncompleteOracle, match="^oracle answered for None when asked for"):
+        certify_solvability(
+            system, lambda a: H2VanishVerdict(root=None, vanishes=True, source="test")
+        )
+
+
+@pytest.mark.parametrize("name", BUILT_TYPES)
+def test_system_text_is_form_text_form_by_form_on_every_type(name):
+    # the renderer over the term arrays and the forms made from them agree,
+    # and each built half closes
+    c = build_constants(build(name))
+    for half in Half:
+        system = build_system(c, half)
+        assert system_text(system).splitlines()[1:] == [
+            f"({','.join(map(str, a))}): {form_text(form)}"
+            for a, form in system.obstructions.items()
+        ]
+        assert check_bianchi(system).ok
 
 
 def test_system_text_stable_and_anchored():
@@ -682,15 +776,23 @@ def test_system_text_stable_and_anchored():
 
 def test_system_text_is_form_text_form_by_form_on_a_forged_system():
     # system_text orders every form by the places of the system's generators;
-    # form_text by those of the one form.  The forged forms list their terms
-    # backwards, and one holds generators from outside the half
+    # form_text by those of the one form.  The forged forms, and their
+    # terms, are listed backwards
     c = build_constants(build("A3"))
     system = build_system(c, Half.NEGATIVE)
     outside = [a.coords for a in c.system.positive_roots]
     forms = {
         a: FormalForm(dict(reversed(form.terms.items())))
-        for a, form in system.obstructions.items()
+        for a, form in list(system.obstructions.items())[::-1]
     }
+    forged = ObstructionSystem(c, Half.NEGATIVE, forms)
+    lines = system_text(forged).splitlines()
+    assert lines[0] == "# obstruction system A3 negative"
+    for line, a in zip(lines[1:], system.roots, strict=True):
+        assert line == f"({','.join(map(str, a.coords))}): {form_text(forms[a.coords])}"
+    assert lines == system_text(system).splitlines()
+    # terms with generators from outside the half, a psi psi and a constant
+    # are refused where the system is made
     top = system.roots[-1].coords
     forms[top] = FormalForm({
         **forms[top].terms,
@@ -698,12 +800,9 @@ def test_system_text_is_form_text_form_by_form_on_a_forged_system():
         ((), (outside[1], top)): 2,
         ((), ()): 5,
     })
-    forged = ObstructionSystem(c, Half.NEGATIVE, forms)
-    lines = system_text(forged).splitlines()
-    assert lines[0] == "# obstruction system A3 negative"
-    for line, a in zip(lines[1:], system.roots, strict=True):
-        assert line == f"({','.join(map(str, a.coords))}): {form_text(forms[a.coords])}"
-    assert lines[1:] != system_text(system).splitlines()[1:]
+    with pytest.raises(NotAnObstructionSystem) as exc:
+        ObstructionSystem(c, Half.NEGATIVE, forms)
+    assert str(exc.value) == f"obstruction (-1, -1, -1): {form_text(forms[top])} is not psi + phi phi"
     # as the renderer that sorted each term by its _root_key tuples wrote it
     assert form_text(forms[top]) == (
         "5*1 + 2*psi[0,1,0]psi[-1,-1,-1] + psi[-1,-1,-1] + phi[-1,0,0]phi[0,-1,-1]"
@@ -712,13 +811,12 @@ def test_system_text_is_form_text_form_by_form_on_a_forged_system():
 
 
 def _hand_built():
-    # the A3 forms in reverse order, E_{1,1,1} with a negated coefficient
-    # and E_{1,1,0} with a lone phi: one residual and one misshapen form
+    # the A3 forms in reverse order, E_{1,1,1} with a negated coefficient:
+    # one residual
     c = build_constants(build("A3"))
     forms = dict(list(build_system(c, Half.POSITIVE).obstructions.items())[::-1])
     mono = next(m for m in forms[(1, 1, 1)].terms if m[0])
     forms[(1, 1, 1)] = Form(forms[(1, 1, 1)].terms) - Form({mono: 2 * forms[(1, 1, 1)].terms[mono]})
-    forms[(1, 1, 0)] = Form(forms[(1, 1, 0)].terms) + phi(1, 0, 0)
     return ObstructionSystem(c, Half.POSITIVE, forms)
 
 
@@ -783,17 +881,16 @@ def test_a_built_system_makes_its_forms_when_they_are_read(monkeypatch):
         assert forms == made and list(system.obstructions.values()) == made
 
 
-def test_a_form_keyed_out_of_order_is_held_as_given_and_refused_by_shape(monkeypatch):
+def test_a_form_keyed_out_of_order_is_held_as_given_and_refused_by_shape():
     # a phi phi key is canonically sorted: phi_b phi_a for phi_a phi_b is
-    # rendered as it was given and reported by its shape
+    # held by the form as it was given and refused by its shape where the
+    # system is made
     system = build_system(build_constants(build("A2")), Half.POSITIVE)
     form = FormalForm({((), ((1, 1),)): 1, (((1, 0), (0, 1)), ()): -1})
-    forged = dataclasses.replace(system, obstructions={**system.obstructions, (1, 1): form})
-    assert forged.obstructions[(1, 1)] is form
-    assert system_text(forged).splitlines()[-1] == "(1,1): psi[1,1] - phi[1,0]phi[0,1]"
-    assert _bianchi_violations(forged, monkeypatch) == [
-        "class {1,1|root}: psi[1,1] - phi[1,0]phi[0,1] is not psi + phi phi"
-    ]
+    assert form_text(form) == "psi[1,1] - phi[1,0]phi[0,1]"
+    with pytest.raises(NotAnObstructionSystem) as exc:
+        dataclasses.replace(system, obstructions={**system.obstructions, (1, 1): form})
+    assert str(exc.value) == "obstruction (1, 1): psi[1,1] - phi[1,0]phi[0,1] is not psi + phi phi"
 
 
 def test_a_coefficient_past_int64_is_held_exactly(monkeypatch):
@@ -935,13 +1032,13 @@ def _per_class_failing(n, cls, p, q, val):
     for a in range(n):
         t = slice(ptr[a], ptr[a + 1])
         x, right, v = np.r_[p[t], q[t]], np.r_[q[t], p[t]], np.r_[val[t], -val[t]]
-        j, k = runs(ptr[right], ptr[right + 1])
+        j, k = _expand_runs(ptr[right], ptr[right + 1])
         x, y, z = x[j], p[k], q[k]
         vals = v[j] * val[k]
         vals[(y < x) & (x < z)] *= -1
         vals[(x == y) | (x == z)] = 0
         lo, hi = np.minimum(x, y), np.maximum(x, z)
-        found.append(sum_by_key(((a * n + lo) * n + x + y + z - lo - hi) * n + hi, vals))
+        found.append(_sum_by_key(((a * n + lo) * n + x + y + z - lo - hi) * n + hi, vals))
     keys, sums = map(np.concatenate, zip(*found))
     return keys, sums
 

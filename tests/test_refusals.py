@@ -572,16 +572,13 @@ SWEEP_VALID = {
     "cotangent.negative_root_descent[lam]": -ROOT,
 }
 
-# the kernels that sum numpy arrays of the package's own tables by runs
-ARRAY_KERNELS = {"chevalley.runs", "chevalley.sum_by_key"}
-
-# every public function of the package's modules but those kernels,
-# RootSystem and each of its methods, bound to RS
+# every public function of the package's modules, RootSystem and each of
+# its methods, bound to RS
 SWEEP = {
     **{name: obj for module in (roots, flag, cotangent, batch, surface, chevalley,
                                 obstruction, verify)
        for name, obj in _public_callables(module).items()
-       if name.count(".") == 1 and name not in ARRAY_KERNELS},
+       if name.count(".") == 1},
     "roots.RootSystem": RootSystem,
     **{f"roots.RootSystem.{attr}": getattr(RS, attr) for attr in vars(RootSystem)
        if not attr.startswith("_") and inspect.isfunction(getattr(RootSystem, attr))},

@@ -241,10 +241,10 @@ def _sums_runs(node):
     return getattr(ufunc, "attr", getattr(ufunc, "id", None)) == "add"
 
 
-# equal keys are summed by one helper, chevalley.sum_by_key, which the Jacobi
-# gate, the obstruction expansion and the Bianchi closure call: a second
-# add.reduceat would be a second route to the same sums
-SUM_SITES = [("chevalley.py", "sum_by_key")]
+# equal keys are summed by one helper, chevalley._sum_by_key, which the
+# Jacobi gate, the obstruction expansion and the Bianchi closure call: a
+# second add.reduceat would be a second route to the same sums
+SUM_SITES = [("chevalley.py", "_sum_by_key")]
 
 
 def test_runs_are_summed_only_in_sum_by_key():
